@@ -6,15 +6,28 @@ is a nonnegative least squares pass (Lawson-Hanson, an exact active-set
 method) followed by a KKT polish on the identified support, so solutions
 of the small nearest-point problems are accurate to linear-solve
 roundoff and fully deterministic.
+
+Linear programs go straight to the HiGHS solver that scipy bundles
+(``scipy.optimize._highspy._core``), one LP per call.  Kept from
+``scipy.optimize.linprog(method="highs")``: the model handed to HiGHS,
+the options (presolve on, dual simplex, feasibility tolerances 1e-10),
+the mapping of HiGHS model statuses to linprog's 0-4 codes and the
+post-solve feasibility check.  Every LP therefore gives the same status
+and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
+linprog's per-call input validation, option checking and result
+packaging, which cost several times the solve itself on these small LPs.
+Each LP gets a fresh solver instance, so nothing a previous solve left
+behind can influence which optimal vertex comes back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
+from scipy.optimize._highspy import _core as _highs
 
 from .tolerances import EQ_TOL, FEAS_TOL, RANK_TOL
 
@@ -22,26 +35,115 @@ from .tolerances import EQ_TOL, FEAS_TOL, RANK_TOL
 _PENALTY = 1e6
 _POLISH_ROUNDS = 60
 
+# linprog's HiGHS options: presolve on, dual simplex, feasibility
+# enforced well below the package's strict-inequality tolerances so that
+# LP-derived margins cannot fake interiority, no console output.
+_LP_OPTIONS = _highs.HighsOptions()
+_LP_OPTIONS.presolve = "on"
+_LP_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_LP_OPTIONS.primal_feasibility_tolerance = 1e-10
+_LP_OPTIONS.dual_feasibility_tolerance = 1e-10
+_LP_OPTIONS.output_flag = False
+_LP_OPTIONS.log_to_console = False
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    """Thin deterministic wrapper around scipy's HiGHS interface.
+# HiGHS model status -> linprog status (0 optimal, 1 limit reached,
+# 2 infeasible, 3 unbounded); every other status, kUnboundedOrInfeasible
+# included, is 4.
+_MS = _highs.HighsModelStatus
+_LP_STATUS = {
+    _MS.kOptimal: 0,
+    _MS.kTimeLimit: 1,
+    _MS.kIterationLimit: 1,
+    _MS.kInfeasible: 2,
+    _MS.kModelError: 2,
+    _MS.kUnbounded: 3,
+}
 
-    Feasibility is enforced well below the package's strict-inequality
-    tolerances so that LP-derived margins cannot fake interiority.
+# linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
+_LP_CHECK_TOL = np.sqrt(1e-9) * 10
+
+
+class LPResult(NamedTuple):
+    """``status`` as in linprog; ``fun`` and ``x`` are None unless a
+    solution was returned (status 0, or 4 when the check downgraded it)."""
+
+    status: int
+    fun: Optional[float]
+    x: Optional[np.ndarray]
+
+
+def _highs_inf(a: np.ndarray) -> np.ndarray:
+    return np.where(np.isinf(a), np.copysign(_highs.kHighsInf, a), a)
+
+
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
+    """``min c x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``bounds``.
+
+    Arguments follow ``scipy.optimize.linprog``; ``bounds`` defaults to
+    ``x >= 0`` and ``None`` entries mean unbounded.  The LP is built as
+    the HiGHS model ``row_lower <= [A_ub; A_eq] x <= row_upper`` and
+    solved by a fresh ``_Highs`` instance, never a reused one: a basis,
+    solution or option left by an earlier solve could change the optimal
+    vertex picked on a degenerate LP, and canonical outputs such as
+    separating normals are read off that vertex.  Statuses are linprog's
+    (0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other), and a
+    reported optimum that violates a bound or constraint by more than
+    linprog's check tolerance is downgraded to 4, as linprog does.
     """
-    return linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+    c = np.array(c, dtype=float).reshape(-1)
+    n = c.size
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+    box = np.broadcast_to(
+        np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2),
+        (n, 2),
     )
+    lb = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
+    ub = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
+    m_ub, m = len(b_ub), len(b_ub) + len(b_eq)
+    row_upper = np.concatenate([b_ub, b_eq])
+
+    # Column-wise nonzeros of [A_ub; A_eq], rows ascending in each column.
+    At = np.vstack([A_ub, A_eq]).T
+    col, row = np.nonzero(At)
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = At[col, row]
+    lp.col_cost_ = c
+    lp.col_lower_ = _highs_inf(lb)
+    lp.col_upper_ = _highs_inf(ub)
+    lp.row_lower_ = _highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
+    lp.row_upper_ = _highs_inf(row_upper)
+
+    h = _highs._Highs()
+    h.passOptions(_LP_OPTIONS)
+    if h.passModel(lp) == _highs.HighsStatus.kError:
+        return LPResult(_LP_STATUS[_MS.kModelError], None, None)
+    run_failed = h.run() == _highs.HighsStatus.kError
+    model_status = h.getModelStatus()
+    if run_failed or model_status != _MS.kOptimal:
+        return LPResult(_LP_STATUS.get(model_status, 4), None, None)
+
+    solution = h.getSolution()
+    x = np.array(solution.col_value)
+    fun = h.getInfo().objective_function_value
+    slack = row_upper - np.array(solution.row_value)
+    tol = _LP_CHECK_TOL
+    feasible = not (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+        or not np.all((x >= lb - tol) & (x <= ub + tol))
+        or (slack[:m_ub] < -tol).any()
+        or (np.abs(slack[m_ub:]) > tol).any()
+    )
+    return LPResult(0 if feasible else 4, fun, x)
 
 
 @dataclass

@@ -57,5 +57,10 @@ class UnboundedError(AtomSetError):
         self.witness = witness
 
 
+class SolverError(AtomSetError):
+    """A per-atom solver subproblem reported no usable optimum on the
+    given atoms (iteration limit or numerical trouble)."""
+
+
 class ExtractionStalledError(AtomSetError):
     """The horizon was exhausted before the requested extraction depth."""

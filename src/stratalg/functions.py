@@ -31,6 +31,7 @@ from .core import (
 from .errors import (
     PreconditionError,
     ShapeError,
+    SolverError,
     SpaceMismatchError,
     UnboundedError,
 )
@@ -707,7 +708,9 @@ def argmin(
 
     Requires bounded sublevel sets: no recession direction of the
     feasible set may keep every piece non-increasing.  Violations raise
-    with the offending atoms and a certificate ray.
+    with the offending atoms and a certificate ray.  Atoms whose LP is
+    unbounded (``UnboundedError``) or fails (``SolverError``) are raised
+    only after every atom is solved, so the mask names all of them.
     """
     _check_space(f, c)
     if f.dim != c.dim:
@@ -776,17 +779,9 @@ def argmin(
         b_eq = np.array(eq_rhs)
         res = solve_lp(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
         if res.status == 2:
-            return pts[0], np.inf, False
-        if res.status == 3:
-            atoms = np.zeros(K, dtype=bool)
-            atoms[k] = True
-            raise UnboundedError(
-                "objective is unbounded below on part of the space",
-                atoms,
-                CondVector.zero(space, d),
-            )
+            return 2, pts[0], np.inf, False
         if res.status != 0:
-            raise ShapeError(f"argmin LP failed with status {res.status}")
+            return res.status, None, None, False
         xstar = res.x[:d]
         vstar = float(res.fun)
         # uniqueness: bounding box of the optimal face
@@ -807,13 +802,26 @@ def argmin(
             if lohi is None or abs(lohi[0] - lohi[1]) > tol * max(1.0, abs(xstar[axis])):
                 unique = False
                 break
-        return xstar, vstar, unique
+        return 0, xstar, vstar, unique
 
+    # every atom is solved before raising, so the error masks are complete
     out = parallel_map(solve, range(K), threads)
+    status = np.array([o[0] for o in out])
+    if (status == 3).any():
+        raise UnboundedError(
+            "objective is unbounded below on part of the space",
+            status == 3,
+            CondVector.zero(space, f.dim),
+        )
+    failed = (status != 0) & (status != 2)
+    if failed.any():
+        raise SolverError(
+            f"argmin LP failed with status {sorted(set(status[failed].tolist()))}", failed
+        )
     return ArgminResult(
-        minimizer=CondVector(space, np.array([o[0] for o in out])),
-        value=CondExtScalar(space, np.array([o[1] for o in out])),
-        unique_set=MeasurableSet(space, np.array([o[2] for o in out], dtype=bool)),
+        minimizer=CondVector(space, np.array([o[1] for o in out])),
+        value=CondExtScalar(space, np.array([o[2] for o in out])),
+        unique_set=MeasurableSet(space, np.array([o[3] for o in out], dtype=bool)),
     )
 
 

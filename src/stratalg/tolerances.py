@@ -13,14 +13,8 @@ EQ_TOL = 1e-12
 # accepted when its residual norm exceeds RANK_TOL * max(1, row norm).
 RANK_TOL = 1e-9
 
-# Allowed deviation of a Gram matrix from the identity.
-GRAM_TOL = 1e-9
-
 # Distance tolerance for quadratic (nearest point) subproblems.
 QP_TOL = 1e-7
-
-# Principal angle tolerance for span comparisons.
-ANGLE_TOL = 1e-8
 
 # Margin below which a strict inequality is considered violated,
 # scaled by the magnitude of the operands.

@@ -22,6 +22,7 @@ from stratalg import (
     MeasureSpace,
     PreconditionError,
     ShapeError,
+    SolverError,
     UnboundedError,
     argmin,
     bounded_subgradient,
@@ -35,6 +36,8 @@ from stratalg import (
     subdifferential,
     sublinear_support,
 )
+from stratalg import functions
+from stratalg._solvers import LPResult
 
 
 def pieces_from(space, slopes, offsets=None):
@@ -466,6 +469,27 @@ class TestArgmin:
         assert err.value.atoms.all()
         w = err.value.witness.values
         assert np.all(w @ np.array([1.0]) < 0)
+
+    @pytest.mark.parametrize("status, error", [(3, UnboundedError), (4, SolverError)])
+    def test_lp_failures_carry_every_atom(self, monkeypatch, status, error):
+        # atoms 1 and 3 fail; the error must name both, not the first one
+        space = MeasureSpace(np.ones(4))
+        calls = []
+        real = functions.solve_lp
+
+        def fake(c, **kw):
+            if c[1] == 1.0:  # the epigraph LP of an atom, not a uniqueness box
+                atom = len(calls)
+                calls.append(atom)
+                if atom in (1, 3):
+                    return LPResult(status, None, None)
+            return real(c, **kw)
+
+        monkeypatch.setattr(functions, "solve_lp", fake)
+        with pytest.raises(error) as err:
+            argmin(abs_fn(space), box1d(space, -2.0, 3.0))
+        assert err.value.atoms.tolist() == [False, True, False, True]
+        assert len(calls) == 4
 
 
 class TestInfConvolution:

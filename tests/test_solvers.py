@@ -1,0 +1,230 @@
+"""``solve_lp`` against ``scipy.optimize.linprog``, LP by LP.
+
+``solve_lp`` hands each LP straight to the HiGHS core that scipy bundles
+(``scipy.optimize._highspy._core``).  Each test below drives one call
+site on seeded data, records every LP it builds, and checks that
+``linprog(method="highs")`` with the options the package always used
+gives the same status and a bit-identical ``fun`` and ``x``.  Hand-made
+LPs cover the statuses and argument forms the call sites rarely reach.
+A scipy release that changes the private HiGHS binding fails here.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+from stratalg import (
+    CondScalar,
+    CondVector,
+    ConvexSetRep,
+    MaxAffineFn,
+    MeasureSpace,
+    argmin,
+)
+from stratalg import _solvers, functions
+from stratalg._solvers import (
+    combination_residual,
+    nonzero_in_dual_cone,
+    positivity_margin,
+    solve_lp,
+)
+from stratalg.functions import _conj_node_lp, _descent_recession, _feasible_direction_mask
+
+LINPROG_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+SEEDS = range(6)
+
+
+def assert_matches_linprog(lp: dict) -> int:
+    got = solve_lp(**lp)
+    want = linprog(method="highs", options=LINPROG_OPTIONS, **lp)
+    assert got.status == want.status
+    if want.x is None:
+        assert got.x is None and got.fun is None
+    else:
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+    return got.status
+
+
+def check_all(lps: list) -> list:
+    assert lps, "the call site built no LP"
+    return [assert_matches_linprog(lp) for lp in lps]
+
+
+@pytest.fixture
+def lps(monkeypatch):
+    """Every LP the call sites build during a test, as linprog keywords."""
+    seen = []
+
+    def record(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+        lp = {"c": c, "A_ub": A_ub, "b_ub": b_ub, "A_eq": A_eq, "b_eq": b_eq}
+        seen.append({k: None if v is None else np.array(v, dtype=float) for k, v in lp.items()})
+        seen[-1]["bounds"] = None if bounds is None else list(bounds)
+        return solve_lp(**lp, bounds=bounds)
+
+    monkeypatch.setattr(_solvers, "solve_lp", record)
+    monkeypatch.setattr(functions, "solve_lp", record)
+    return seen
+
+
+def generators(rng, d, npts, nrays, nlines):
+    return (rng.normal(size=(npts, d)), rng.normal(size=(nrays, d)),
+            rng.normal(size=(nlines, d)))
+
+
+def pieces(space, slopes, offsets):
+    """Max-affine pieces from (K, J, d) slopes and (K, J) offsets."""
+    return tuple(
+        (CondVector(space, slopes[:, j]), CondScalar(space, offsets[:, j]))
+        for j in range(slopes.shape[1])
+    )
+
+
+def vset(space, pts, rays=None, lines=None):
+    """Set from (K, n, d) point, ray and line arrays."""
+    def family(a):
+        return () if a is None else tuple(CondVector(space, a[:, i]) for i in range(a.shape[1]))
+
+    return ConvexSetRep(space=space, dim=pts.shape[2], points=family(pts), rays=family(rays),
+                        lines=family(lines))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_combination_residual(seed, lps):
+    rng = np.random.default_rng([1, seed])
+    pts, rays, lines = generators(rng, 3, 4, seed % 2, int(seed % 3 == 0))
+    inside = rng.dirichlet(np.ones(len(pts))) @ pts
+    for target in (inside, rng.normal(size=3) * 3):
+        combination_residual(target, pts, rays, lines)
+    check_all(lps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_positivity_margin_both_stages(seed, lps):
+    rng = np.random.default_rng([2, seed])
+    pts, rays, lines = generators(rng, 3, 4, seed % 2, 0)
+    interior = (0.1 + rng.dirichlet(np.ones(4))) / 1.4 @ pts
+    assert positivity_margin(interior, pts, rays, lines) > 0.0
+    assert len(lps) == 2  # the margin survived the tight second stage
+    positivity_margin(pts[0], pts, rays, lines)  # a vertex: margin <= 0
+    positivity_margin(pts.sum(axis=0) * 5.0, pts, rays, lines)
+    statuses = check_all(lps)
+    if not len(rays):
+        assert statuses[-1] == 2  # far outside the simplex
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nonzero_in_dual_cone(seed, lps):
+    rng = np.random.default_rng([3, seed])
+    ineq = rng.normal(size=(5, 3)) + [2.0, 0.0, 0.0]
+    eq = rng.normal(size=(seed % 2, 3))
+    nonzero_in_dual_cone(ineq, eq, 3)
+    # rows +-e_i leave only z = 0
+    assert nonzero_in_dual_cone(np.vstack([np.eye(3), -np.eye(3)]), np.zeros((0, 3)), 3) is None
+    check_all(lps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conj_node_lp(seed, lps):
+    rng = np.random.default_rng([4, seed])
+    d = 2
+    yrows, zoff = rng.normal(size=(3, d)), rng.normal(size=3)
+    pts, rays, lines = generators(rng, d, 3, seed % 2, int(seed % 3 == 1))
+    for y in (rng.normal(size=d), yrows.mean(axis=0), yrows.max(axis=0) + 1.0):
+        _conj_node_lp(y, yrows, zoff, pts, rays, lines, d)
+        _conj_node_lp(y, yrows, zoff, np.zeros((0, d)), np.zeros((0, d)), np.zeros((0, d)), d)
+    assert 3 in check_all(lps)  # an unconstrained node outside the slope hull
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_feasible_direction_mask(seed, lps):
+    rng = np.random.default_rng([5, seed])
+    space = MeasureSpace(np.ones(3))
+    pts = rng.normal(size=(3, 4, 2))
+    rays = rng.normal(size=(3, seed % 2, 2))
+    dom = vset(space, pts, rays)
+    x0 = np.einsum("kn,knd->kd", rng.dirichlet(np.ones(4), size=3), pts)
+    x0[0] = pts[0, 0]  # a vertex, where some directions leave the domain
+    x = rng.normal(size=(3, 2))
+    _feasible_direction_mask(dom, CondVector(space, x0), CondVector(space, x), 1e-9)
+    check_all(lps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_argmin_main_and_box_lps(seed, lps):
+    rng = np.random.default_rng([6, seed])
+    K, d = 3, 2
+    space = MeasureSpace(np.ones(K))
+    f_pieces = pieces(space, rng.normal(size=(K, 3, d)), rng.normal(size=(K, 3)))
+    c = vset(space, rng.normal(size=(K, 5, d)) * 2)
+    argmin(MaxAffineFn.from_pieces(f_pieces), c)
+    assert len(lps) > K  # uniqueness boxes ran
+    dom = vset(space, rng.normal(size=(K, 4, d)) * 2)
+    argmin(MaxAffineFn.from_pieces(f_pieces, domain=dom), c)
+    check_all(lps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_descent_recession(seed, lps):
+    rng = np.random.default_rng([7, seed])
+    K, d = 3, 2
+    space = MeasureSpace(np.ones(K))
+    f = MaxAffineFn.from_pieces(pieces(space, rng.normal(size=(K, 3, d)), rng.normal(size=(K, 3))))
+    c = vset(space, rng.normal(size=(K, 2, d)), rays=rng.normal(size=(K, 1 + seed % 2, d)),
+             lines=rng.normal(size=(K, int(seed % 3 == 2), d)))
+    _descent_recession(f, c)
+    check_all(lps)
+
+
+HAND_MADE = {
+    "infeasible": dict(c=[1.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[-1.0]),
+    "unbounded": dict(c=[-1.0, 0.0], A_ub=[[1.0, -1.0]], b_ub=[0.0], bounds=[(None, None)] * 2),
+    "no_A_ub": dict(c=[1.0, 2.0, 0.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]),
+    "no_A_eq": dict(c=[1.0, 1.0], A_ub=[[-1.0, -2.0], [-3.0, -1.0]], b_ub=[-2.0, -3.0]),
+    "no_constraints": dict(c=[1.0, -1.0], bounds=[(-1.0, 1.0), (-2.0, 3.0)]),
+    "free_variables": dict(c=[0.0, 0.0, 1.0], A_ub=[[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]],
+                           b_ub=[2.0, -2.0], A_eq=[[1.0, 1.0, 0.0]], b_eq=[0.5],
+                           bounds=[(None, None), (None, None), (0.0, None)]),
+    "boxed_variables": dict(c=[-1.0, -1.0, 0.5], A_ub=[[1.0, 2.0, 1.0]], b_ub=[2.5],
+                            bounds=[(0.0, 1.0), (-1.0, 0.75), (0.25, 0.25)]),
+    "infeasible_box": dict(c=[1.0], A_eq=[[1.0]], b_eq=[3.0], bounds=[(0.0, 1.0)]),
+    # HiGHS rejects these models (kModelError), which linprog reports as 2
+    "model_error_bound": dict(c=[1.0], bounds=[(None, -np.inf)]),
+    "model_error_matrix": dict(c=[1.0, 1.0], A_ub=[[1e30, 1.0]], b_ub=[1.0]),
+}
+HAND_STATUS = {"infeasible": 2, "unbounded": 3, "infeasible_box": 2, "model_error_bound": 2,
+               "model_error_matrix": 2}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_hand_made(name):
+    assert assert_matches_linprog(HAND_MADE[name]) == HAND_STATUS.get(name, 0)
+
+
+def test_status_map_is_linprogs():
+    for status in _highs.HighsModelStatus.__members__.values():
+        assert _solvers._LP_STATUS.get(status, 4) == _highs_to_scipy_status_message(status, "")[0]
+
+
+def test_result_shape():
+    res = solve_lp([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+    assert res.status == 0 and isinstance(res.fun, float)
+    assert res.x.dtype == np.float64 and res.x.shape == (2,)
+    assert solve_lp([-1.0], bounds=[(0.0, None)]) == (3, None, None)
+
+
+@pytest.mark.parametrize("field", ["col_value", "row_value"])
+def test_post_check_downgrades_a_violated_optimum(monkeypatch, field):
+    # HiGHS calls the answer optimal but it misses a bound or a row by
+    # 1e-3, beyond linprog's check tolerance: both report status 4
+    class Shifted(_highs._Highs):
+        def getSolution(self):
+            sol = super().getSolution()
+            setattr(sol, field, [v + 1e-3 for v in getattr(sol, field)])
+            return sol
+
+    monkeypatch.setattr(_highs, "_Highs", Shifted)
+    lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0.0, 1.0)] * 2)
+    assert assert_matches_linprog(lp) == 4
