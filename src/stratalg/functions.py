@@ -828,45 +828,52 @@ def argmin(
 def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
     """Per-atom certificate ray along which every piece is non-increasing.
 
+    The ray is taken from the recession cone of the feasible set, which
+    is ``rec(c)`` intersected with ``rec(domain)`` when ``f`` has one.
     Returns ``None`` when sublevel sets are bounded everywhere, else a
     boolean atom mask plus a glued witness direction.
     """
     space = f.space
     K = space.natoms
-    gens_by_atom = []
-    any_rec = False
-    for k in range(K):
-        rows = [c.rays_at(k), c.lines_at(k), -c.lines_at(k)]
-        if f.domain is not None:
-            rows += [f.domain.rays_at(k), f.domain.lines_at(k), -f.domain.lines_at(k)]
-        gens = np.vstack(rows)
-        gens = gens[np.linalg.norm(gens, axis=1) > 1e-12]
-        gens_by_atom.append(gens)
-        any_rec = any_rec or len(gens)
-    if not any_rec:
-        return None
+
+    def cone(rep: ConvexSetRep, k: int) -> np.ndarray:
+        gens = np.vstack([rep.rays_at(k), rep.lines_at(k), -rep.lines_at(k)])
+        return gens[np.linalg.norm(gens, axis=1) > 1e-12]
+
     witness = np.zeros((K, f.dim))
     bad = np.zeros(K, dtype=bool)
     for k in range(K):
-        gens = gens_by_atom[k]
-        if not len(gens):
+        gens = cone(c, k)
+        dom = cone(f.domain, k) if f.domain is not None else None
+        if not len(gens) or (dom is not None and not len(dom)):
             continue
         yrows = f.slopes_at(k)
         n = len(gens)
-        # w = gens^T u, u in [0,1]^n, every piece slope non-increasing
+        # w = gens^T u, u in [0,1]^n, every piece slope non-increasing;
+        # with a domain also w = dom^T v, v >= 0, so w is in both cones
         A_ub = yrows @ gens.T  # rows: <w, slope_j> <= 0
+        bounds = [(0.0, 1.0)] * n
+        A_eq = b_eq = None
+        if dom is not None:
+            A_ub = np.hstack([A_ub, np.zeros((len(yrows), len(dom)))])
+            A_eq = np.hstack([gens.T, -dom.T])
+            b_eq = np.zeros(f.dim)
+            bounds += [(0.0, None)] * len(dom)
         for axis in range(f.dim):
             for sign in (1.0, -1.0):
-                cc = -sign * gens[:, axis]
+                cc = np.zeros(len(bounds))
+                cc[:n] = -sign * gens[:, axis]
                 res = solve_lp(
                     cc,
                     A_ub=A_ub,
                     b_ub=np.zeros(len(yrows)),
-                    bounds=[(0.0, 1.0)] * n,
+                    A_eq=A_eq,
+                    b_eq=b_eq,
+                    bounds=bounds,
                 )
                 if res.status != 0:
                     continue
-                w = gens.T @ res.x
+                w = gens.T @ res.x[:n]
                 if sign * w[axis] > 1e-7:
                     bad[k] = True
                     witness[k] = w / max(1.0, np.linalg.norm(w))

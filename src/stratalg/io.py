@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,11 +43,15 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer literal too long
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object")
     return doc
+
+
+_PLAIN = frozenset((int, float))
+_INF = {"+inf": np.inf, "-inf": -np.inf}
 
 
 def _number(v, where: str) -> float:
@@ -56,12 +61,32 @@ def _number(v, where: str) -> float:
         return -np.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ParseError(f"{where}: number out of range, got {v!r}") from exc
 
 
 def _num_array(v, where: str) -> np.ndarray:
     if not isinstance(v, list):
         raise ParseError(f"{where}: expected an array")
+    # A flat list, or a list of equal-length rows, of plain numbers and
+    # infinity sentinels converts in one numpy call.  Anything else takes
+    # the per-entry path below, which also writes every error message.
+    shape, entries = (len(v),), v
+    if set(map(type, v)) == {list}:
+        widths = set(map(len, v))
+        if len(widths) == 1:
+            shape, entries = (len(v), *widths), list(chain.from_iterable(v))
+    types = set(map(type, entries))
+    if str in types and types <= _PLAIN | {str}:
+        entries = [_INF.get(e, e) for e in entries]
+        types = set(map(type, entries))
+    if types <= _PLAIN:
+        try:
+            return np.array(entries, dtype=float).reshape(shape)
+        except OverflowError:
+            pass  # _number names the entry
     if any(isinstance(e, list) for e in v):
         rows = [_num_array(e, where) for e in v]
         try:
@@ -241,14 +266,18 @@ def _build_function(scn: Scenario, name: str, rec):
     raise ParseError(f"function {name!r}: unknown type {kind!r}")
 
 
-def _fmt_number(x: float) -> str:
-    if np.isnan(x):
-        raise ValueError("documents cannot contain NaN")
-    if np.isposinf(x):
-        return '"+inf"'
-    if np.isneginf(x):
-        return '"-inf"'
-    return "%.17g" % x
+_INF_TEXT = {"inf": '"+inf"', "-inf": '"-inf"'}
+
+
+def _fmt_floats(xs) -> str:
+    """Comma-joined 17-digit renderings, infinities as their sentinels."""
+    text = ", ".join(map("%.17g".__mod__, xs))
+    if "n" in text:  # only "inf" and "nan" spell an n
+        parts = text.split(", ")
+        if "nan" in parts:
+            raise ValueError("documents cannot contain NaN")
+        text = ", ".join([_INF_TEXT.get(p, p) for p in parts])
+    return text
 
 
 def _emit(v, indent: int) -> str:
@@ -262,6 +291,11 @@ def _emit(v, indent: int) -> str:
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(v, (list, tuple)):
+        types = set(map(type, v))
+        if types == {float}:
+            return "[" + _fmt_floats(v) + "]"
+        if types == {int}:
+            return "[" + ", ".join(map(str, v)) + "]"
         return "[" + ", ".join(_emit(e, indent) for e in v) + "]"
     if isinstance(v, np.ndarray):
         return _emit(v.tolist(), indent)
@@ -270,7 +304,7 @@ def _emit(v, indent: int) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_number(float(v))
+        return _fmt_floats((float(v),))
     if isinstance(v, str):
         return json.dumps(v)
     if v is None:

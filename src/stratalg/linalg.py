@@ -237,11 +237,14 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
     acceptance order, then the frame is completed to all of ``R^d`` with
     standard-base vectors chosen greedily by the same independence test.
     Each frame row is normalized so its leading nonzero coordinate is
-    nonnegative, which makes the output canonical.
+    nonnegative, which makes the output canonical.  Raises
+    ``PreconditionError`` naming every atom whose label overclaims
+    independence.
     """
     space, d, K = basis.space, basis.dim, basis.space.natoms
     rows = np.zeros((K, d, d))
     eye = np.eye(d)
+    dependent = np.zeros(K, dtype=bool)
     for k in range(K):
         r = int(basis.labels[k])
         frame: list[np.ndarray] = []
@@ -250,11 +253,11 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
             resid = _project_out(v, frame)
             nr = np.linalg.norm(resid)
             if nr <= rank_tol * max(1.0, np.linalg.norm(v)):
-                raise PreconditionError(
-                    "stratified basis is not independent where its label claims",
-                    np.arange(K) == k,
-                )
+                dependent[k] = True
+                break
             frame.append(resid / nr)
+        if dependent[k]:
+            continue
         for ax in range(d):
             if len(frame) == d:
                 break
@@ -263,6 +266,10 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
             if nr > rank_tol:
                 frame.append(resid / nr)
         rows[k] = np.array([_canonical_sign(u) for u in frame])
+    if dependent.any():
+        raise PreconditionError(
+            "stratified basis is not independent where its label claims", dependent
+        )
     return OrthonormalFrame(space=space, dim=d, labels=basis.labels.copy(), rows=rows)
 
 

@@ -359,6 +359,18 @@ class TestCliFailureModes:
         assert code == 1
         assert "ghost" in doc["error"]["message"]
 
+    def test_oversized_integer_literal(self, tmp_path):
+        # float() overflows on 401 digits; json itself refuses 5000 digits
+        for digits, where in ((401, "vector big"), (5000, "not valid JSON")):
+            doc = scenario_doc()
+            doc["vectors"]["big"] = [[0.0, 12345.0], [0.0, 0.0]]
+            path = tmp_path / f"big{digits}.json"
+            path.write_text(emit_document(doc).replace("12345", "9" * digits))
+            code, out = run_json(["basis", str(path), "--generators", "big"])
+            assert code == 1
+            assert out["error"]["kind"] == "ParseError"
+            assert where in out["error"]["message"]
+
     def test_unknown_command(self, scenario_path):
         code, _ = run_cli(["frobnicate", scenario_path])
         assert code == 1

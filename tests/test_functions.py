@@ -60,6 +60,15 @@ def box1d(space, lo, hi):
     )
 
 
+def real_line(space):
+    return ConvexSetRep(
+        space=space,
+        dim=1,
+        points=(CondVector.zero(space, 1),),
+        lines=(CondVector.constant(space, [1.0]),),
+    )
+
+
 def grid_fn(space, grid, per_node):
     vals = np.tile(np.asarray(per_node, dtype=float), (space.natoms,) + (1,) * np.ndim(per_node))
     return GridFn(space, grid, vals)
@@ -469,6 +478,39 @@ class TestArgmin:
         assert err.value.atoms.all()
         w = err.value.witness.values
         assert np.all(w @ np.array([1.0]) < 0)
+
+    def test_domain_recession_is_intersected(self, space2):
+        # the feasible set is c meets dom, so its recession cone is the
+        # intersection: a line in dom must not make a bounded box unbounded
+        x = pieces_from(space2, [1.0])
+        f = MaxAffineFn.from_pieces(x, domain=real_line(space2))
+        res = argmin(f, box1d(space2, -2.0, 3.0))
+        assert np.allclose(res.value.values, -2.0, atol=1e-7)
+        assert np.allclose(res.minimizer.values, -2.0, atol=1e-7)
+        # x over all of R with the domain [0, +inf) is bounded below by 0
+        half = ConvexSetRep(
+            space=space2,
+            dim=1,
+            points=(CondVector.zero(space2, 1),),
+            rays=(CondVector.constant(space2, [1.0]),),
+        )
+        res = argmin(MaxAffineFn.from_pieces(x, domain=half), real_line(space2))
+        assert np.allclose(res.value.values, 0.0, atol=1e-7)
+        assert np.allclose(res.minimizer.values, 0.0, atol=1e-7)
+
+    def test_domain_recession_still_unbounded(self, space2):
+        # x over R with the domain (-inf, 0] on atom 1 only: unbounded there
+        left = ConvexSetRep(
+            space=space2,
+            dim=1,
+            points=(CondVector.zero(space2, 1),),
+            rays=(CondVector(space2, [[0.0], [-1.0]]),),
+        )
+        f = MaxAffineFn.from_pieces(pieces_from(space2, [1.0]), domain=left)
+        with pytest.raises(UnboundedError) as err:
+            argmin(f, real_line(space2))
+        assert err.value.atoms.tolist() == [False, True]
+        assert err.value.witness.values[1, 0] < 0
 
     @pytest.mark.parametrize("status, error", [(3, UnboundedError), (4, SolverError)])
     def test_lp_failures_carry_every_atom(self, monkeypatch, status, error):

@@ -128,18 +128,21 @@ class TestOrthonormalize:
             cross = comp.rows[k, : frame.dim - r, :] @ frame.rows[k, :r, :].T
             assert np.abs(cross).max() < 1e-10 if cross.size else True
 
-    def test_rejects_broken_basis(self, space2):
-        v = CondVector(space2, [[1.0, 0.0], [1.0, 0.0]])
+    def test_rejects_broken_basis(self, space3):
+        # the label claims rank 2, but the rows are parallel on atoms 0 and 2
+        v = CondVector(space3, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        w = CondVector(space3, [[2.0, 0.0], [0.0, 1.0], [-3.0, 0.0]])
         fake = StratifiedBasis(
-            space=space2,
+            space=space3,
             dim=2,
-            labels=np.array([2, 2]),
-            vectors=(v, v),
-            picks=np.zeros((2, 2), dtype=np.int64),
-            generators=(v, v),
+            labels=np.array([2, 2, 2]),
+            vectors=(v, w),
+            picks=np.zeros((2, 3), dtype=np.int64),
+            generators=(v, w),
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as err:
             orthonormalize(fake)
+        assert err.value.atoms.tolist() == [True, False, True]
 
 
 class TestDecompose:
