@@ -18,6 +18,12 @@ linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
 Each LP gets a fresh solver instance, so nothing a previous solve left
 behind can influence which optimal vertex comes back.
+
+Every LP over a set in V-representation,
+``conv(points) + cone(rays) + span(lines)``, here and in ``functions``,
+takes its generator columns, its ``sum lam = 1`` row and its bounds from
+``vrep_block``, and so does the nearest-point QP: all of them share one
+column layout.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.optimize._highspy import _core as _highs
 
-from .tolerances import EQ_TOL, FEAS_TOL, RANK_TOL
+from .tolerances import EQ_TOL, FEAS_TOL
 
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
@@ -266,27 +272,29 @@ def _polish(gens, eq_mat, eq_rhs, support):
     return w, rho
 
 
-def min_norm_point(
-    points: np.ndarray,
-    rays: Optional[np.ndarray] = None,
-    lines: Optional[np.ndarray] = None,
-) -> QPSolution:
+def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """LP block of ``x = P^T lam + R^T mu + L^T nu``, ``sum lam = 1``,
+    ``lam, mu >= 0``, ``nu`` free, for ``conv(points)+cone(rays)+span(lines)``.
+
+    Returns ``cols`` (``d x n``, one column per generator, in the column
+    order ``[lam | mu | nu]``), the ``sum lam = 1`` row over those columns
+    and their linprog bounds.  The caller places the block in its LP, or
+    in the nearest-point QP of ``min_norm_point``.
+    """
+    gens = [np.asarray(a, dtype=float).reshape(-1, d) for a in (points, rays, lines)]
+    cols = np.vstack(gens).T
+    nonneg = len(gens[0]) + len(gens[1])
+    simplex_row = np.zeros(cols.shape[1])
+    simplex_row[: len(gens[0])] = 1.0
+    return cols, simplex_row, [(0, None)] * nonneg + [(None, None)] * len(gens[2])
+
+
+def min_norm_point(points: np.ndarray, rays: np.ndarray, lines: np.ndarray) -> QPSolution:
     """Nearest point to the origin of ``conv(points)+cone(rays)+span(lines)``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    blocks = [points]
-    if rays is not None and len(rays):
-        blocks.append(np.atleast_2d(np.asarray(rays, dtype=float)))
-    else:
-        rays = np.zeros((0, points.shape[1]))
-    if lines is not None and len(lines):
-        blocks.append(np.atleast_2d(np.asarray(lines, dtype=float)))
-    else:
-        lines = np.zeros((0, points.shape[1]))
-    gens = np.vstack(blocks)
-    np_, nr = len(points), len(rays)
-    nonneg = list(range(np_ + nr))
-    eq = np.concatenate([np.ones(np_), np.zeros(len(gens) - np_)])[None, :]
-    return cone_least_squares(gens, nonneg, eq, np.array([1.0]))
+    cols, simplex_row, _ = vrep_block(points, rays, lines, points.shape[1])
+    return cone_least_squares(cols.T, range(len(points) + len(rays)), simplex_row[None, :],
+                              np.array([1.0]))
 
 
 def simplex_min_norm(rows: np.ndarray, eq_mat=None, eq_rhs=None) -> QPSolution:
@@ -316,7 +324,7 @@ def combination_residual(
     point/ray/line combination; ``inf`` when the LP fails."""
     target = np.asarray(target, dtype=float)
     d = target.size
-    cols, nonneg_cnt = _combination_columns(points, rays, lines, d)
+    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
     n = cols.shape[1]
     # variables: [w (n), t]; minimize t with |cols w - target| <= t.
     c = np.zeros(n + 1)
@@ -329,22 +337,12 @@ def combination_residual(
         ]
     )
     b_ub = np.concatenate([target, -target])
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, : len(points)] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0, None)] * nonneg_cnt + [(None, None)] * (n - nonneg_cnt) + [(0, None)]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    A_eq = np.append(simplex_row, 0.0)[None, :]
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]),
+                   bounds=bounds + [(0, None)])
     if res.status != 0:
         return np.inf
     return float(res.fun)
-
-
-def _combination_columns(points, rays, lines, d):
-    points = np.atleast_2d(np.asarray(points, dtype=float)) if len(points) else np.zeros((0, d))
-    rays = np.atleast_2d(np.asarray(rays, dtype=float)) if len(rays) else np.zeros((0, d))
-    lines = np.atleast_2d(np.asarray(lines, dtype=float)) if len(lines) else np.zeros((0, d))
-    cols = np.vstack([points, rays, lines]).T if (len(points) + len(rays) + len(lines)) else np.zeros((d, 0))
-    return cols, len(points) + len(rays)
 
 
 def positivity_margin(
@@ -363,33 +361,27 @@ def positivity_margin(
     """
     target = np.asarray(target, dtype=float)
     d = target.size
-    cols, nonneg_cnt = _combination_columns(points, rays, lines, d)
+    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
     n = cols.shape[1]
+    nonneg_cnt = n - len(lines)
     slack = eq_slack * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
                            float(np.max(np.abs(target))) if target.size else 1.0)
     # variables [w (n), t]; maximize t.
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    rows = []
-    rhs = []
-    # t <= w_i for every nonnegative coefficient.
-    for i in range(nonneg_cnt):
-        row = np.zeros(n + 1)
-        row[i] = -1.0
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
+    # rows: t <= w_i for every nonnegative coefficient, then
     # |cols w - target| <= slack.
-    for sign in (1.0, -1.0):
-        block = np.hstack([sign * cols, np.zeros((d, 1))])
-        rows.extend(block)
-        rhs.extend(sign * target + slack)
-    A_ub = np.array(rows)
-    b_ub = np.array(rhs)
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, : len(points)] = 1.0
+    A_ub = np.vstack(
+        [
+            np.hstack([-np.eye(n)[:nonneg_cnt], np.ones((nonneg_cnt, 1))]),
+            np.hstack([cols, np.zeros((d, 1))]),
+            np.hstack([-cols, np.zeros((d, 1))]),
+        ]
+    )
+    b_ub = np.concatenate([np.zeros(nonneg_cnt), target + slack, -target + slack])
+    A_eq = np.append(simplex_row, 0.0)[None, :]
     b_eq = np.array([1.0])
-    bounds = [(0, None)] * nonneg_cnt + [(None, None)] * (n - nonneg_cnt) + [(None, 1.0)]
+    bounds = bounds + [(None, 1.0)]
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if res.status != 0:
         return -np.inf
@@ -460,48 +452,3 @@ def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
         if x > y + tol:
             return False
     return False
-
-
-def gram_schmidt_rows(
-    rows: Sequence[np.ndarray], eps: float = RANK_TOL
-) -> np.ndarray:
-    """Orthonormal rows spanning the same space, greedily in input order.
-
-    A row is accepted when its residual against the rows accepted so far
-    exceeds ``eps * max(1, |row|)``.
-    """
-    basis: list[np.ndarray] = []
-    for r in rows:
-        r = np.asarray(r, dtype=float)
-        resid = r.copy()
-        for u in basis:
-            resid -= (resid @ u) * u
-        # re-orthogonalize once for numerical hygiene
-        for u in basis:
-            resid -= (resid @ u) * u
-        nr = np.linalg.norm(resid)
-        if nr > eps * max(1.0, np.linalg.norm(r)):
-            basis.append(resid / nr)
-    return np.array(basis) if basis else np.zeros((0, len(rows[0]) if len(rows) else 0))
-
-
-def numeric_rank(rows: np.ndarray, eps: float = RANK_TOL) -> int:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return 0
-    return len(gram_schmidt_rows(list(rows), eps))
-
-
-def parallel_map(fn, items, threads: int = 1):
-    """Order-preserving map, optionally on a thread pool.
-
-    Results are positioned by input index, so the output is identical
-    for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

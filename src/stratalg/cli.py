@@ -8,8 +8,7 @@ the answer.  Exit codes: 0 success, 1 malformed input, 2 precondition
 failure (including nonempty failure sets under ``--strict``).
 
 Defaults: ``--tol`` falls back to each operation's documented tolerance,
-``--seed 7`` drives the probe-based certificate audits, ``--threads 1``
-controls per-atom parallelism (the output bytes do not depend on it).
+``--seed 7`` drives the probe-based certificate audits.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ def _cmd_separate(scn: Scenario, args) -> tuple[dict, int]:
         scn.convex_set(args.second),
         kind=args.kind,
         zero_tol=args.tol or QP_TOL,
-        threads=args.threads,
     )
     doc = _result_doc(scn)
     doc["vectors"]["Z"] = res.normal.values.tolist()
@@ -262,7 +260,7 @@ def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_argmin(scn: Scenario, args) -> tuple[dict, int]:
     f = _max_affine(scn, args.function)
-    r = argmin(f, scn.convex_set(args.set), tol=args.tol or QP_TOL, threads=args.threads)
+    r = argmin(f, scn.convex_set(args.set), tol=args.tol or QP_TOL)
     doc = _result_doc(scn)
     doc["vectors"]["minimizer"] = r.minimizer.values.tolist()
     doc["scalars"]["value"] = r.value.values.tolist()
@@ -341,7 +339,6 @@ def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, int]:
         scn.convex_set(args.set),
         mode=args.mode,
         strict_tol=args.tol or STRICT_TOL,
-        threads=args.threads,
     )
     doc = _result_doc(scn)
     doc["sets"]["member_set"] = _set_out(ms)
@@ -372,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("scenario", help="path to an interchange document")
     common.add_argument("--tol", type=float, default=None, help="override the operation tolerance")
     common.add_argument("--seed", type=int, default=7, help="seed for probe-based certificates")
-    common.add_argument("--threads", type=int, default=1, help="per-atom worker threads")
     common.add_argument(
         "--strict",
         action="store_true",

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import simplex_min_norm, solve_lp, parallel_map
+from ._solvers import simplex_min_norm, solve_lp, vrep_block
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -295,7 +295,8 @@ def conjugate(f, dual_grid: Grid) -> GridFn:
     clamped: dual nodes only see the finite carrier, and that truncation
     is part of the contract).  For a max-affine function each dual node
     value is an exact per-atom epigraph LP, with ``+inf`` reported where
-    that LP is unbounded.
+    that LP is unbounded; atoms where a node LP fails raise one
+    ``SolverError`` after every atom is solved.
     """
     if isinstance(f, GridFn):
         bad = ~f.proper_set.mask
@@ -319,64 +320,56 @@ def _conjugate_max_affine(f: MaxAffineFn, dual_grid: Grid) -> GridFn:
     out = np.empty((K,) + dual_grid.shape)
     d = f.dim
     for k in range(K):
-        yrows = f.slopes_at(k)
-        zoff = np.array([z.values[k] for _, z in f.pieces])
-        if f.domain is None:
-            pts = np.zeros((0, d))
-            rays = np.zeros((0, d))
-            lines = np.zeros((0, d))
-        else:
-            pts = f.domain.points_at(k)
-            rays = f.domain.rays_at(k)
-            lines = f.domain.lines_at(k)
-        vals = np.empty(len(nodes))
-        for ni, y in enumerate(nodes):
-            vals[ni] = _conj_node_lp(y, yrows, zoff, pts, rays, lines, d)
-        out[k] = vals.reshape(dual_grid.shape)
+        vsets = [] if f.domain is None else [f.domain.generators_at(k)]
+        lp = _epigraph_lp(f.slopes_at(k), np.array([z.values[k] for _, z in f.pieces]), vsets, d)
+        out[k] = np.reshape([_conj_node_lp(y, lp) for y in nodes], dual_grid.shape)
+    # every atom is solved before raising, so the error mask is complete
+    failed = np.isnan(out.reshape(K, -1)).any(axis=1)
+    if failed.any():
+        raise SolverError("conjugate LP failed on a dual grid node", failed)
     return GridFn(f.space, dual_grid, out)
 
 
-def _conj_node_lp(y, yrows, zoff, pts, rays, lines, d) -> float:
-    """``sup <x,y> - f(x)`` over the domain, by LP; ``inf`` if unbounded."""
-    J = len(yrows)
-    constrained = len(pts) > 0
-    nlam, nmu, nnu = (len(pts), len(rays), len(lines)) if constrained else (0, 0, 0)
-    nvar = d + 1 + nlam + nmu + nnu
-    c = np.zeros(nvar)
-    c[:d] = -y
-    c[d] = 1.0
-    A_ub = np.zeros((J, nvar))
+def _epigraph_lp(yrows, zoff, vsets, d: int) -> dict:
+    """Constraints of the epigraph LP of ``max_j <y_j, x> + z_j``.
+
+    Variables are ``[x (d), s]`` and then each V-set's ``vrep_block``
+    columns; the rows are ``yrows x - s <= -zoff``, then per V-set
+    ``x - cols w = 0`` and its ``sum lam = 1`` row.  ``x`` and ``s`` are
+    free.  Returned as ``solve_lp`` keywords; callers add the objective.
+    """
+    blocks = [vrep_block(*vs, d) for vs in vsets]
+    nvar = d + 1 + sum(cols.shape[1] for cols, _, _ in blocks)
+    A_ub = np.zeros((len(yrows), nvar))
     A_ub[:, :d] = yrows
     A_ub[:, d] = -1.0
-    b_ub = -zoff
-    A_eq_rows = []
-    b_eq = []
-    if constrained:
-        col = d + 1
-        eq = np.zeros((d, nvar))
-        eq[:, :d] = np.eye(d)
-        eq[:, col: col + nlam] = -pts.T
-        eq[:, col + nlam: col + nlam + nmu] = -rays.T
-        eq[:, col + nlam + nmu:] = -lines.T
-        A_eq_rows.append(eq)
-        b_eq.extend([0.0] * d)
-        srow = np.zeros(nvar)
-        srow[col: col + nlam] = 1.0
-        A_eq_rows.append(srow[None, :])
-        b_eq.append(1.0)
-    bounds = [(None, None)] * (d + 1) + [(0, None)] * (nlam + nmu) + [(None, None)] * nnu
-    res = solve_lp(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=np.vstack(A_eq_rows) if A_eq_rows else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-    )
+    bounds = [(None, None)] * (d + 1)
+    eq_rows, col = [], d + 1
+    for cols, simplex_row, block_bounds in blocks:
+        n = cols.shape[1]
+        eq = np.zeros((d + 1, nvar))
+        eq[:d, :d] = np.eye(d)
+        eq[:d, col: col + n] = -cols
+        eq[d, col: col + n] = simplex_row
+        eq_rows.append(eq)
+        bounds += block_bounds
+        col += n
+    b_eq = np.tile(np.append(np.zeros(d), 1.0), len(blocks))
+    return {"A_ub": A_ub, "b_ub": -zoff, "A_eq": np.vstack(eq_rows) if blocks else None,
+            "b_eq": b_eq if blocks else None, "bounds": bounds}
+
+
+def _conj_node_lp(y: np.ndarray, lp: dict) -> float:
+    """``sup <x,y> - f(x)`` over the epigraph LP ``lp`` of ``f``, by LP;
+    ``inf`` if unbounded, ``nan`` if the LP fails."""
+    c = np.zeros(len(lp["bounds"]))
+    c[: len(y)] = -y
+    c[len(y)] = 1.0
+    res = solve_lp(c, **lp)
     if res.status == 3:
         return np.inf
     if res.status != 0:
-        raise ShapeError(f"conjugate LP failed with status {res.status}")
+        return np.nan
     return float(-res.fun)
 
 
@@ -639,19 +632,13 @@ def _feasible_direction_mask(
     K = dom.space.natoms
     out = np.zeros(K, dtype=bool)
     for k in range(K):
-        pts, rays, lines = dom.points_at(k), dom.rays_at(k), dom.lines_at(k)
-        nlam, nmu, nnu = len(pts), len(rays), len(lines)
-        nvar = nlam + nmu + nnu + 1  # coefficients plus the step size
-        c = np.zeros(nvar)
+        cols, simplex_row, bounds = vrep_block(*dom.generators_at(k), dom.dim)
+        # variables: the coefficients, then the step size; maximize the step
+        c = np.zeros(cols.shape[1] + 1)
         c[-1] = -1.0
-        cols = np.vstack([pts, rays, lines]).T
-        A_eq = np.zeros((dom.dim + 1, nvar))
-        A_eq[: dom.dim, :-1] = cols
-        A_eq[: dom.dim, -1] = -x.values[k]
-        A_eq[dom.dim, :nlam] = 1.0
-        b_eq = np.concatenate([x0.values[k], [1.0]])
-        bounds = [(0, None)] * (nlam + nmu) + [(None, None)] * nnu + [(0, 1.0)]
-        res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        A_eq = np.vstack([np.column_stack([cols, -x.values[k]]), np.append(simplex_row, 0.0)])
+        b_eq = np.append(x0.values[k], 1.0)
+        res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)])
         out[k] = res.status == 0 and -res.fun > strict_tol
     return out
 
@@ -702,7 +689,6 @@ def argmin(
     f: MaxAffineFn,
     c: ConvexSetRep,
     tol: float = QP_TOL,
-    threads: int = 1,
 ) -> ArgminResult:
     """Per-atom epigraph LP minimization of ``f`` over ``c``.
 
@@ -725,76 +711,33 @@ def argmin(
             "objective is unbounded below on part of the space", atoms, witness
         )
 
+    d = f.dim
+
     def solve(k: int):
-        pts, rays, lines = c.points_at(k), c.rays_at(k), c.lines_at(k)
-        if f.domain is not None:
-            dpts = f.domain.points_at(k)
-            drays = f.domain.rays_at(k)
-            dlines = f.domain.lines_at(k)
-        else:
-            dpts = None
-        yrows = f.slopes_at(k)
+        vsets = [c.generators_at(k)] + ([] if f.domain is None else [f.domain.generators_at(k)])
         zoff = np.array([z.values[k] for _, z in f.pieces])
-        d = f.dim
-        blocks = [len(pts), len(rays), len(lines)]
-        nvar = d + 1 + sum(blocks)
-        if dpts is not None:
-            nvar += len(dpts) + len(drays) + len(dlines)
+        lp = _epigraph_lp(f.slopes_at(k), zoff, vsets, d)
+        nvar = len(lp["bounds"])
         c_obj = np.zeros(nvar)
         c_obj[d] = 1.0
-        A_ub = np.zeros((len(yrows), nvar))
-        A_ub[:, :d] = yrows
-        A_ub[:, d] = -1.0
-        b_ub = -zoff
-        eq_rows, eq_rhs = [], []
-        col = d + 1
-        eq = np.zeros((d, nvar))
-        eq[:, :d] = np.eye(d)
-        eq[:, col: col + len(pts)] = -pts.T
-        eq[:, col + len(pts): col + len(pts) + len(rays)] = -rays.T
-        eq[:, col + len(pts) + len(rays): col + sum(blocks)] = -lines.T
-        eq_rows.append(eq)
-        eq_rhs.extend([0.0] * d)
-        srow = np.zeros(nvar)
-        srow[col: col + len(pts)] = 1.0
-        eq_rows.append(srow[None, :])
-        eq_rhs.append(1.0)
-        bounds = [(None, None)] * d + [(None, None)]
-        bounds += [(0, None)] * (len(pts) + len(rays)) + [(None, None)] * len(lines)
-        if dpts is not None:
-            col2 = col + sum(blocks)
-            eq2 = np.zeros((d, nvar))
-            eq2[:, :d] = np.eye(d)
-            eq2[:, col2: col2 + len(dpts)] = -dpts.T
-            eq2[:, col2 + len(dpts): col2 + len(dpts) + len(drays)] = -drays.T
-            eq2[:, col2 + len(dpts) + len(drays):] = -dlines.T
-            eq_rows.append(eq2)
-            eq_rhs.extend([0.0] * d)
-            srow2 = np.zeros(nvar)
-            srow2[col2: col2 + len(dpts)] = 1.0
-            eq_rows.append(srow2[None, :])
-            eq_rhs.append(1.0)
-            bounds += [(0, None)] * (len(dpts) + len(drays)) + [(None, None)] * len(dlines)
-        A_eq = np.vstack(eq_rows)
-        b_eq = np.array(eq_rhs)
-        res = solve_lp(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        res = solve_lp(c_obj, **lp)
         if res.status == 2:
-            return 2, pts[0], np.inf, False
+            return 2, c.points[0].values[k], np.inf, False
         if res.status != 0:
             return res.status, None, None, False
         xstar = res.x[:d]
         vstar = float(res.fun)
         # uniqueness: bounding box of the optimal face
         scale = max(1.0, abs(vstar))
-        face_ub = np.vstack([A_ub, c_obj[None, :]])
-        face_rhs = np.concatenate([b_ub, [vstar + STRICT_TOL * scale]])
+        face = dict(lp, A_ub=np.vstack([lp["A_ub"], c_obj[None, :]]),
+                    b_ub=np.concatenate([lp["b_ub"], [vstar + STRICT_TOL * scale]]))
         unique = True
         for axis in range(d):
             lohi = []
             for sign in (1.0, -1.0):
                 cc = np.zeros(nvar)
                 cc[axis] = sign
-                r2 = solve_lp(cc, A_ub=face_ub, b_ub=face_rhs, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+                r2 = solve_lp(cc, **face)
                 if r2.status != 0:
                     lohi = None
                     break
@@ -805,7 +748,7 @@ def argmin(
         return 0, xstar, vstar, unique
 
     # every atom is solved before raising, so the error masks are complete
-    out = parallel_map(solve, range(K), threads)
+    out = [solve(k) for k in range(K)]
     status = np.array([o[0] for o in out])
     if (status == 3).any():
         raise UnboundedError(

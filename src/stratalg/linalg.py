@@ -50,6 +50,26 @@ def _project_out(v: np.ndarray, basis_rows: list[np.ndarray]) -> np.ndarray:
     return resid
 
 
+def gram_schmidt_rows(rows: Sequence[np.ndarray], eps: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the same space, greedily in input order.
+
+    A row is accepted when its residual against the rows accepted so far
+    exceeds ``eps * max(1, |row|)``.
+    """
+    basis: list[np.ndarray] = []
+    for r in rows:
+        r = np.asarray(r, dtype=float)
+        resid = _project_out(r, basis)
+        nr = np.linalg.norm(resid)
+        if nr > eps * max(1.0, np.linalg.norm(r)):
+            basis.append(resid / nr)
+    return np.array(basis) if basis else np.zeros((0, len(rows[0]) if len(rows) else 0))
+
+
+def numeric_rank(rows: np.ndarray, eps: float = RANK_TOL) -> int:
+    return len(gram_schmidt_rows(np.atleast_2d(np.asarray(rows, dtype=float)), eps))
+
+
 def _canonical_sign(row: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(row)))) if row.size else 1.0
     for x in row:

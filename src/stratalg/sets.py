@@ -20,11 +20,8 @@ import numpy as np
 
 from ._solvers import (
     combination_residual,
-    gram_schmidt_rows,
     min_norm_point,
     nonzero_in_dual_cone,
-    numeric_rank,
-    parallel_map,
     positivity_margin,
     simplex_min_norm,
 )
@@ -38,7 +35,7 @@ from .core import (
     ext_add,
 )
 from .errors import PreconditionError, ShapeError, SpaceMismatchError
-from .linalg import orthonormalize, rank_partition
+from .linalg import gram_schmidt_rows, numeric_rank, orthonormalize, rank_partition
 from .tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
 __all__ = [
@@ -97,6 +94,10 @@ class ConvexSetRep:
         if not self.lines:
             return np.zeros((0, self.dim))
         return np.array([s.values[k] for s in self.lines])
+
+    def generators_at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point, ray and line rows of atom ``k``."""
+        return self.points_at(k), self.rays_at(k), self.lines_at(k)
 
     def direction_rows_at(self, k: int) -> np.ndarray:
         """Spanning rows of the affine hull's direction space."""
@@ -232,7 +233,6 @@ def membership(
     rep: ConvexSetRep,
     region: Optional[MeasurableSet] = None,
     tol: float = FEAS_TOL,
-    threads: int = 1,
 ) -> MeasurableSet:
     """Atoms of the region on which ``x`` belongs to the set.
 
@@ -251,12 +251,9 @@ def membership(
         if rep.discrete:
             pts = rep.points_at(k)
             return bool(np.min(np.max(np.abs(pts - x.values[k]), axis=1)) <= cutoff)
-        resid = combination_residual(
-            x.values[k], rep.points_at(k), rep.rays_at(k), rep.lines_at(k)
-        )
-        return resid <= cutoff
+        return combination_residual(x.values[k], *rep.generators_at(k)) <= cutoff
 
-    flags = parallel_map(check, range(space.natoms), threads)
+    flags = [check(k) for k in range(space.natoms)]
     return MeasurableSet(space, np.array(flags, dtype=bool))
 
 
@@ -273,7 +270,6 @@ def nearest_pair(
     c: ConvexSetRep,
     d: ConvexSetRep,
     tol: float = QP_TOL,
-    threads: int = 1,
 ) -> tuple[CondVector, CondVector, CondScalar]:
     """Per-atom nearest points ``(xhat, yhat)`` of two sets and their gap.
 
@@ -322,7 +318,7 @@ def nearest_pair(
         yhat = lam.sum(axis=0) @ dp
         return xhat, yhat
 
-    out = parallel_map(solve, range(space.natoms), threads)
+    out = [solve(k) for k in range(space.natoms)]
     xv = CondVector(space, np.array([o[0] for o in out]))
     yv = CondVector(space, np.array([o[1] for o in out]))
     return xv, yv, (xv - yv).norm()
@@ -333,7 +329,6 @@ def ri_membership(
     rep: ConvexSetRep,
     mode: str = "interior",
     strict_tol: float = STRICT_TOL,
-    threads: int = 1,
 ) -> MeasurableSet:
     """Atoms where ``x`` lies in the (relative) interior of the set.
 
@@ -354,12 +349,9 @@ def ri_membership(
     def check(k: int) -> bool:
         if mode == "interior" and rep.affine_dim_at(k) < rep.dim:
             return False
-        margin = positivity_margin(
-            x.values[k], rep.points_at(k), rep.rays_at(k), rep.lines_at(k)
-        )
-        return margin > cutoff
+        return positivity_margin(x.values[k], *rep.generators_at(k)) > cutoff
 
-    flags = parallel_map(check, range(space.natoms), threads)
+    flags = [check(k) for k in range(space.natoms)]
     return MeasurableSet(space, np.array(flags, dtype=bool))
 
 
@@ -396,7 +388,6 @@ def separate(
     kind: str = "strong",
     zero_tol: float = QP_TOL,
     strict_tol: float = STRICT_TOL,
-    threads: int = 1,
 ) -> SeparationResult:
     """Separate two conditional convex sets atom by atom.
 
@@ -470,7 +461,7 @@ def separate(
             return np.zeros(dim), True
         return q.T @ y, False
 
-    out = parallel_map(solve, range(space.natoms), threads)
+    out = [solve(k) for k in range(space.natoms)]
     zrows = np.array([o[0] for o in out])
     fail = np.array([o[1] for o in out], dtype=bool)
 
@@ -478,8 +469,8 @@ def separate(
     excess = np.zeros(space.natoms)
     for k in range(space.natoms):
         z = zrows[k]
-        c_lo, c_hi = _support_bounds(z, c.points_at(k), c.rays_at(k), c.lines_at(k), strict_tol)
-        d_lo, d_hi = _support_bounds(z, d.points_at(k), d.rays_at(k), d.lines_at(k), strict_tol)
+        c_lo, c_hi = _support_bounds(z, *c.generators_at(k), strict_tol)
+        d_lo, d_hi = _support_bounds(z, *d.generators_at(k), strict_tol)
         gap[k] = ext_add(np.array(c_lo), np.array(-d_hi))
         excess[k] = ext_add(np.array(c_hi), np.array(-d_lo))
 

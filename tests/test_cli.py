@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 
-from stratalg import cli
+from stratalg import cli, functions
+from stratalg._solvers import LPResult
 from stratalg.io import ParseError, build_scenario, emit_document, load_document
 
 
@@ -238,6 +239,25 @@ class TestCommands:
         assert code == 1
         assert doc["error"]["kind"] == "ParseError"
 
+    def test_conjugate_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch):
+        real = functions.solve_lp
+
+        def fail_on_atom_1(c, **kw):  # 4 dual nodes per atom, atom 0 first
+            fail_on_atom_1.calls += 1
+            return LPResult(4, None, None) if fail_on_atom_1.calls > 4 else real(c, **kw)
+
+        fail_on_atom_1.calls = 0
+        monkeypatch.setattr(functions, "solve_lp", fail_on_atom_1)
+        code, doc = run_json(
+            [
+                "conjugate", scenario_path, "--function", "absmax",
+                "--mins=-1,-1", "--maxs", "1,1", "--steps", "2,2",
+            ]
+        )
+        assert code == 2
+        assert doc["error"]["kind"] == "SolverError"
+        assert doc["error"]["atoms"] == [1]
+
     def test_fenchel_moreau(self, scenario_path):
         code, doc = run_json(["fenchel-moreau", scenario_path, "--function", "gabs"])
         assert code == 0
@@ -381,13 +401,3 @@ class TestCliFailureModes:
         )
         assert code == 1
         assert out == ""  # argparse complains on stderr only
-
-    def test_thread_count_never_changes_output(self, scenario_path):
-        for argv in (
-            ["separate", scenario_path, "--first", "box", "--second", "dot"],
-            ["argmin", scenario_path, "--function", "absmax", "--set", "box"],
-            ["ri-test", scenario_path, "--point", "z", "--set", "box"],
-        ):
-            _, out1 = run_cli(argv + ["--threads", "1"])
-            _, out4 = run_cli(argv + ["--threads", "4"])
-            assert out1 == out4

@@ -236,6 +236,27 @@ class TestConjugate:
         want = np.where(ys == 1.0, 0.0, np.inf)
         assert np.array_equal(fstar.values, np.tile(want, (2, 1)))
 
+    def test_lp_failures_carry_every_atom(self, monkeypatch):
+        # a node LP fails on atoms 1 and 3; the error must name both, and
+        # every node of every atom is still solved
+        space = MeasureSpace(np.ones(4))
+        dual = Grid((-2.0,), (2.0,), (1.0,))
+        calls = []
+        real = functions.solve_lp
+
+        def fake(c, **kw):
+            atom, node = divmod(len(calls), 5)
+            calls.append(atom)
+            if (atom, node) in ((1, 0), (3, 4)):
+                return LPResult(4, None, None)
+            return real(c, **kw)
+
+        monkeypatch.setattr(functions, "solve_lp", fake)
+        with pytest.raises(SolverError) as err:
+            conjugate(abs_fn(space, domain=box1d(space, -1.0, 1.0)), dual)
+        assert err.value.atoms.tolist() == [False, True, False, True]
+        assert len(calls) == 4 * 5
+
 
 class TestDefaultDualGrid:
     def test_covers_slopes_oddly(self, space2):

@@ -7,7 +7,20 @@ site on seeded data, records every LP it builds, and checks that
 gives the same status and a bit-identical ``fun`` and ``x``.  Hand-made
 LPs cover the statuses and argument forms the call sites rarely reach.
 A scipy release that changes the private HiGHS binding fails here.
+
+Each test's LPs are also pinned, element for element, by a sha256 per LP
+in ``tests/golden/lp_digests.json``: HiGHS's vertex on a degenerate LP
+depends on column order, row order, signs and bounds, and separating
+normals and minimizers are read off that vertex, so a reordered column
+or a flipped row fails here even when it happens to leave the vertex
+unchanged.  A change that alters the LPs on purpose rewrites the file
+with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 """
+
+import hashlib
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +43,14 @@ from stratalg._solvers import (
     positivity_margin,
     solve_lp,
 )
-from stratalg.functions import _conj_node_lp, _descent_recession, _feasible_direction_mask
+from stratalg.functions import (
+    _conj_node_lp,
+    _descent_recession,
+    _epigraph_lp,
+    _feasible_direction_mask,
+)
 
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "lp_digests.json")
 LINPROG_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 SEEDS = range(6)
 
@@ -53,9 +72,33 @@ def check_all(lps: list) -> list:
     return [assert_matches_linprog(lp) for lp in lps]
 
 
+def lp_digest(lp: dict) -> str:
+    """sha256 of an LP's arrays and bounds; ``-0.0`` counts as ``0.0`` and
+    a ``None`` bound as the matching infinity."""
+    h = hashlib.sha256()
+    for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
+        a = lp[key]
+        h.update(f"{key}:{None if a is None else a.shape};".encode())
+        if a is not None:
+            h.update((a + 0.0).tobytes())
+    if lp["bounds"] is not None:
+        box = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
+                        for lo, hi in lp["bounds"]], dtype=float)
+        h.update(b"bounds;" + (box + 0.0).tobytes())
+    return h.hexdigest()
+
+
+# test name -> LP digests, filled instead of checked by the rewrite below
+REWRITE: dict | None = None
+
+
 @pytest.fixture
-def lps(monkeypatch):
-    """Every LP the call sites build during a test, as linprog keywords."""
+def lps(monkeypatch, request):
+    """Every LP the call sites build during a test, as linprog keywords.
+
+    At teardown their digests must equal the test's entry in
+    ``DIGESTS``, in the order the LPs were built.
+    """
     seen = []
 
     def record(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
@@ -66,7 +109,13 @@ def lps(monkeypatch):
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
     monkeypatch.setattr(functions, "solve_lp", record)
-    return seen
+    yield seen
+    digests = [lp_digest(lp) for lp in seen]
+    if REWRITE is not None:
+        REWRITE[request.node.name] = digests
+        return
+    with open(DIGESTS, encoding="utf-8") as fh:
+        assert digests == json.load(fh)[request.node.name]
 
 
 def generators(rng, d, npts, nrays, nlines):
@@ -133,8 +182,8 @@ def test_conj_node_lp(seed, lps):
     yrows, zoff = rng.normal(size=(3, d)), rng.normal(size=3)
     pts, rays, lines = generators(rng, d, 3, seed % 2, int(seed % 3 == 1))
     for y in (rng.normal(size=d), yrows.mean(axis=0), yrows.max(axis=0) + 1.0):
-        _conj_node_lp(y, yrows, zoff, pts, rays, lines, d)
-        _conj_node_lp(y, yrows, zoff, np.zeros((0, d)), np.zeros((0, d)), np.zeros((0, d)), d)
+        _conj_node_lp(y, _epigraph_lp(yrows, zoff, [(pts, rays, lines)], d))
+        _conj_node_lp(y, _epigraph_lp(yrows, zoff, [], d))
     assert 3 in check_all(lps)  # an unconstrained node outside the slope hull
 
 
@@ -228,3 +277,15 @@ def test_post_check_downgrades_a_violated_optimum(monkeypatch, field):
     monkeypatch.setattr(_highs, "_Highs", Shifted)
     lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0.0, 1.0)] * 2)
     assert assert_matches_linprog(lp) == 4
+
+
+if __name__ == "__main__":
+    import test_solvers  # the module pytest collects, not this __main__ copy
+
+    test_solvers.REWRITE = {}
+    code = pytest.main([test_solvers.__file__, "-q", "-p", "no:cacheprovider"])
+    if code != 0:
+        sys.exit(code)
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(dict(sorted(test_solvers.REWRITE.items())), fh, indent=1)
+        fh.write("\n")
