@@ -8,7 +8,9 @@ the answer.  Exit codes: 0 success, 1 malformed input, 2 precondition
 failure (including nonempty failure sets under ``--strict``).
 
 Defaults: ``--tol`` falls back to each operation's documented tolerance,
-``--seed 7`` drives the probe-based certificate audits.
+``--seed 7`` drives the probe-based certificate audits.  ``--tol`` must be
+a finite number > 0, ``--seed`` an integer >= 0 and ``--probes`` an
+integer >= 1; any other value is a malformed flag (exit 1).
 """
 
 from __future__ import annotations
@@ -364,11 +366,31 @@ _HANDLERS = {
 }
 
 
+def _checked(convert, ok, what: str):
+    """An argparse ``type=`` that converts a flag value and demands ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_TOL = _checked(float, lambda x: np.isfinite(x) and x > 0, "a finite number > 0")
+_SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenario", help="path to an interchange document")
-    common.add_argument("--tol", type=float, default=None, help="override the operation tolerance")
-    common.add_argument("--seed", type=int, default=7, help="seed for probe-based certificates")
+    common.add_argument("--tol", type=_TOL, default=None, help="override the operation tolerance")
+    common.add_argument("--seed", type=_SEED, default=7, help="seed for probe-based certificates")
     common.add_argument(
         "--strict",
         action="store_true",
@@ -398,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", required=True, help="sublinear max-affine function name")
     p.add_argument("--subspace", required=True, help="linear convex-set name")
     p.add_argument("--values", nargs="+", required=True, help="scalar names, one per frame vector")
-    p.add_argument("--probes", type=int, default=200)
+    p.add_argument("--probes", type=_COUNT, default=200)
     p = add("conjugate", help="convex conjugate on a dual grid")
     p.add_argument("--function", required=True)
     p.add_argument("--mins", help="comma-separated dual grid minima")
@@ -413,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--bound", help="growth-constant scalar name (bounded variant)")
-    p.add_argument("--probes", type=int, default=200)
+    p.add_argument("--probes", type=_COUNT, default=200)
     p = add("argmin", help="minimize a max-affine function over a convex set")
     p.add_argument("--function", required=True)
     p.add_argument("--set", required=True)

@@ -161,9 +161,6 @@ class _CondValue:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.space, self.values.tobytes()))
 
-    def _with_values(self, values: np.ndarray):
-        return type(self)(self.space, values)
-
     def eq_set(self, other, tol: float = EQ_TOL) -> MeasurableSet:
         """Atoms on which the two values agree, up to scaled tolerance."""
         _check_space(self, other)

@@ -549,7 +549,7 @@ def subdifferential(
     K = f.space.natoms
     rep = np.empty((K, f.dim))
     for k in range(K):
-        rows = np.array([y.values[k] for y, _ in f.pieces])[active[k]]
+        rows = f.slopes_at(k)[active[k]]
         rep[k] = simplex_min_norm(rows).point
     return SubdifferentialRep(
         point=x0,
@@ -617,7 +617,7 @@ def directional_derivative(
     K = f.space.natoms
     out = np.empty(K)
     for k in range(K):
-        rows = np.array([y.values[k] for y, _ in f.pieces])[active[k]]
+        rows = f.slopes_at(k)[active[k]]
         out[k] = float(np.max(rows @ x.values[k]))
     if f.domain is not None:
         feas = _feasible_direction_mask(f.domain, x0, x, strict_tol)
@@ -658,7 +658,7 @@ def differentiability_check(
     ok = np.zeros(K, dtype=bool)
     grad = np.zeros((K, f.dim))
     for k in range(K):
-        rows = np.array([y.values[k] for y, _ in f.pieces])[active[k]]
+        rows = f.slopes_at(k)[active[k]]
         scale = max(1.0, float(np.max(np.abs(rows))))
         spread = float(np.max(np.abs(rows - rows[0]))) if len(rows) else 0.0
         if spread <= grad_tol * scale:

@@ -50,24 +50,42 @@ def _project_out(v: np.ndarray, basis_rows: list[np.ndarray]) -> np.ndarray:
     return resid
 
 
+def _grow_frame(
+    rows: np.ndarray, frame: Sequence[np.ndarray] = (), eps: float = RANK_TOL
+) -> tuple[list[np.ndarray], list[int]]:
+    """Greedy Gram-Schmidt: grow an orthonormal frame by rows in input order.
+
+    A row is accepted when its residual against the frame so far exceeds
+    ``eps * max(1, |row|)``; the normalized residual joins the frame.
+    Stops once the frame spans ``R^d``.  Returns the grown frame and the
+    indices of the accepted rows.
+    """
+    frame = list(frame)
+    accepted: list[int] = []
+    for j, r in enumerate(rows):
+        if len(frame) == len(r):
+            break
+        resid = _project_out(r, frame)
+        nr = np.linalg.norm(resid)
+        if nr > eps * max(1.0, np.linalg.norm(r)):
+            frame.append(resid / nr)
+            accepted.append(j)
+    return frame, accepted
+
+
 def gram_schmidt_rows(rows: Sequence[np.ndarray], eps: float = RANK_TOL) -> np.ndarray:
     """Orthonormal rows spanning the same space, greedily in input order.
 
     A row is accepted when its residual against the rows accepted so far
     exceeds ``eps * max(1, |row|)``.
     """
-    basis: list[np.ndarray] = []
-    for r in rows:
-        r = np.asarray(r, dtype=float)
-        resid = _project_out(r, basis)
-        nr = np.linalg.norm(resid)
-        if nr > eps * max(1.0, np.linalg.norm(r)):
-            basis.append(resid / nr)
-    return np.array(basis) if basis else np.zeros((0, len(rows[0]) if len(rows) else 0))
+    rows = np.asarray(rows, dtype=float)
+    frame, _ = _grow_frame(rows, eps=eps)
+    return np.array(frame) if frame else np.zeros((0, rows.shape[-1]))
 
 
 def numeric_rank(rows: np.ndarray, eps: float = RANK_TOL) -> int:
-    return len(gram_schmidt_rows(np.atleast_2d(np.asarray(rows, dtype=float)), eps))
+    return len(_grow_frame(np.atleast_2d(np.asarray(rows, dtype=float)), eps=eps)[1])
 
 
 def _canonical_sign(row: np.ndarray) -> np.ndarray:
@@ -190,11 +208,12 @@ def rank_partition(
 ) -> StratifiedBasis:
     """Split the space by the rank of a finite generating family.
 
-    Works one stratum at a time: on every atom still keeping pace, the
-    lowest-index generator whose residual against the vectors accepted
-    so far passes the independence test is selected, and the selections
-    are glued into the next basis vector.  Atoms where no generator
-    passes keep their label; the glued vector records filler rows there.
+    On every atom one greedy Gram-Schmidt pass runs over the generators
+    in index order and accepts each generator whose residual against the
+    vectors accepted so far passes the independence test.  The label is
+    the number accepted, and the ``i``-th accepted generators of all
+    atoms are glued into basis vector ``i``; atoms with fewer than
+    ``i + 1`` acceptances carry the filler pick 0 there.
     """
     if not generators:
         raise ShapeError("rank_partition needs at least one generator")
@@ -206,45 +225,21 @@ def rank_partition(
         if g.dim != d:
             raise ShapeError("generators must share a dimension")
     K = space.natoms
-    m = len(generators)
-    G = np.stack([g.values for g in generators])  # (m, K, d)
+    G = np.stack([g.values for g in generators], axis=1)  # (K, m, d)
 
     labels = np.zeros(K, dtype=np.int64)
-    accepted: list[list[np.ndarray]] = [[] for _ in range(K)]
-    vec_rows: list[np.ndarray] = []
-    pick_rows: list[np.ndarray] = []
-
-    for step in range(min(m, d)):
-        rows = np.zeros((K, d))
-        picks = np.zeros(K, dtype=np.int64)
-        advanced = False
-        for k in range(K):
-            rows[k] = G[0, k]
-            if labels[k] != step:
-                continue
-            for j in range(m):
-                g = G[j, k]
-                resid = _project_out(g, accepted[k])
-                nr = np.linalg.norm(resid)
-                if nr > rank_tol * max(1.0, np.linalg.norm(g)):
-                    labels[k] = step + 1
-                    accepted[k].append(resid / nr)
-                    rows[k] = g
-                    picks[k] = j
-                    advanced = True
-                    break
-        if not advanced:
-            break
-        vec_rows.append(rows)
-        pick_rows.append(picks)
-
-    vectors = tuple(CondVector(space, r) for r in vec_rows)
-    picks = np.array(pick_rows, dtype=np.int64) if pick_rows else np.zeros((0, K), dtype=np.int64)
+    picks = np.zeros((min(len(generators), d), K), dtype=np.int64)
+    for k in range(K):
+        _, accepted = _grow_frame(G[k], eps=rank_tol)
+        labels[k] = len(accepted)
+        picks[: len(accepted), k] = accepted
+    picks = picks[: labels.max()]
+    atoms = np.arange(K)
     return StratifiedBasis(
         space=space,
         dim=d,
         labels=labels,
-        vectors=vectors,
+        vectors=tuple(CondVector(space, G[atoms, p]) for p in picks),
         picks=picks,
         generators=tuple(generators),
     )
@@ -262,29 +257,17 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
     independence.
     """
     space, d, K = basis.space, basis.dim, basis.space.natoms
+    vecs = [v.values for v in basis.vectors]
+    V = np.stack(vecs, axis=1) if vecs else np.zeros((K, 0, d))  # (K, n, d)
     rows = np.zeros((K, d, d))
-    eye = np.eye(d)
     dependent = np.zeros(K, dtype=bool)
     for k in range(K):
         r = int(basis.labels[k])
-        frame: list[np.ndarray] = []
-        for i in range(r):
-            v = basis.vectors[i].values[k]
-            resid = _project_out(v, frame)
-            nr = np.linalg.norm(resid)
-            if nr <= rank_tol * max(1.0, np.linalg.norm(v)):
-                dependent[k] = True
-                break
-            frame.append(resid / nr)
-        if dependent[k]:
+        frame, accepted = _grow_frame(V[k, :r], eps=rank_tol)
+        if len(accepted) < r:
+            dependent[k] = True
             continue
-        for ax in range(d):
-            if len(frame) == d:
-                break
-            resid = _project_out(eye[ax], frame)
-            nr = np.linalg.norm(resid)
-            if nr > rank_tol:
-                frame.append(resid / nr)
+        frame, _ = _grow_frame(np.eye(d), frame, rank_tol)
         rows[k] = np.array([_canonical_sign(u) for u in frame])
     if dependent.any():
         raise PreconditionError(
@@ -386,21 +369,12 @@ def hyperplane_normal_form(
 
     rows = np.tile(np.eye(d)[None, :, :], (K, 1, 1))
     x0 = np.zeros((K, d))
-    eye = np.eye(d)
     for k in range(K):
         if not region.mask[k]:
             continue
         u = z.values[k] / norms[k]
-        frame: list[np.ndarray] = []
-        for ax in range(d):
-            if len(frame) == d - 1:
-                break
-            resid = _project_out(eye[ax], [u] + frame)
-            nr = np.linalg.norm(resid)
-            if nr > rank_tol:
-                frame.append(resid / nr)
-        signed = [_canonical_sign(w) for w in frame] + [u]
-        rows[k] = np.vstack(signed)
+        frame, _ = _grow_frame(np.eye(d), [u], rank_tol)
+        rows[k] = np.vstack([_canonical_sign(w) for w in frame[1:]] + [u])
         x0[k] = (v.values[k] / norms[k] ** 2) * z.values[k]
     labels = np.full(K, d - 1, dtype=np.int64)
     frame_out = OrthonormalFrame(space=space, dim=d, labels=labels, rows=rows)

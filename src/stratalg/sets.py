@@ -267,9 +267,7 @@ def _bounded_or_raise(rep: ConvexSetRep, name: str, tol: float = RANK_TOL) -> No
 
 
 def nearest_pair(
-    c: ConvexSetRep,
-    d: ConvexSetRep,
-    tol: float = QP_TOL,
+    c: ConvexSetRep, d: ConvexSetRep
 ) -> tuple[CondVector, CondVector, CondScalar]:
     """Per-atom nearest points ``(xhat, yhat)`` of two sets and their gap.
 
@@ -439,7 +437,7 @@ def separate(
             return zz, False
         # proper
         dirs = np.vstack([pts[1:] - pts[0], rays, lines])
-        q = gram_schmidt_rows(list(dirs)) if len(dirs) else np.zeros((0, dim))
+        q = gram_schmidt_rows(dirs)
         p0 = pts[0]
         resid = p0 - (q.T @ (q @ p0) if len(q) else 0.0)
         scale = max(1.0, float(np.max(np.abs(pts))))

@@ -401,3 +401,30 @@ class TestCliFailureModes:
         )
         assert code == 1
         assert out == ""  # argparse complains on stderr only
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tol", "0"),  # was silently replaced by the default
+            ("--tol", "nan"),  # gave rank 0 on every atom
+            ("--tol", "-1"),  # gave label 2 everywhere
+            ("--tol", "inf"),
+            ("--tol", "abc"),
+            ("--seed", "-1"),  # crashed in numpy
+            ("--seed", "1.5"),
+            ("--probes", "-1"),  # crashed in numpy
+            ("--probes", "0"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_1(self, scenario_path, capsys, flag, value):
+        argv = ["subgrad", scenario_path, "--function", "absmax", "--point", "x0"]
+        code, out = run_cli(argv + [flag, value])
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_smallest_numeric_flags_accepted(self, scenario_path):
+        argv = ["subgrad", scenario_path, "--function", "absmax", "--point", "x0"]
+        code, doc = run_json(argv + ["--tol", "5e-324", "--seed", "0", "--probes", "1"])
+        assert code == 0
+        assert doc["certificates"]["probe_count"] == 1

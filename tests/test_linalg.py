@@ -21,6 +21,8 @@ from stratalg import (
     orthonormalize,
     rank_partition,
 )
+from stratalg.linalg import gram_schmidt_rows, numeric_rank
+from stratalg.tolerances import RANK_TOL
 
 
 def random_generators(rng, K, d, m, integers=False):
@@ -293,3 +295,200 @@ class TestHyperplaneNormalForm:
         with pytest.raises(PreconditionError) as err:
             hyperplane_normal_form(z, v)
         assert err.value.atoms.tolist() == [False, True]
+
+
+# -- the earlier hand-written Gram-Schmidt loops, kept as references --------
+
+
+def _ref_project_out(v, basis_rows):
+    resid = v.astype(float).copy()
+    for _ in range(2):
+        for u in basis_rows:
+            resid -= (resid @ u) * u
+    return resid
+
+
+def _ref_sign(row):
+    scale = max(1.0, float(np.max(np.abs(row)))) if row.size else 1.0
+    for x in row:
+        if abs(x) > 1e-9 * scale:
+            return row if x > 0 else -row
+    return row
+
+
+def _ref_gram_schmidt_rows(rows, eps):
+    basis = []
+    for r in rows:
+        r = np.asarray(r, dtype=float)
+        resid = _ref_project_out(r, basis)
+        nr = np.linalg.norm(resid)
+        if nr > eps * max(1.0, np.linalg.norm(r)):
+            basis.append(resid / nr)
+    return np.array(basis) if basis else np.zeros((0, len(rows[0]) if len(rows) else 0))
+
+
+def _ref_rank_partition(G, rank_tol):
+    """Stratum by stratum, rescanning every generator from index 0."""
+    m, K, d = G.shape
+    labels = np.zeros(K, dtype=np.int64)
+    accepted = [[] for _ in range(K)]
+    vec_rows, pick_rows = [], []
+    for step in range(min(m, d)):
+        rows = np.zeros((K, d))
+        picks = np.zeros(K, dtype=np.int64)
+        advanced = False
+        for k in range(K):
+            rows[k] = G[0, k]
+            if labels[k] != step:
+                continue
+            for j in range(m):
+                g = G[j, k]
+                resid = _ref_project_out(g, accepted[k])
+                nr = np.linalg.norm(resid)
+                if nr > rank_tol * max(1.0, np.linalg.norm(g)):
+                    labels[k] = step + 1
+                    accepted[k].append(resid / nr)
+                    rows[k] = g
+                    picks[k] = j
+                    advanced = True
+                    break
+        if not advanced:
+            break
+        vec_rows.append(rows)
+        pick_rows.append(picks)
+    picks = np.array(pick_rows, dtype=np.int64) if pick_rows else np.zeros((0, K), dtype=np.int64)
+    return labels, picks, vec_rows
+
+
+def _ref_orthonormalize(vectors, labels, d, rank_tol):
+    """Frame rows per atom, or the mask of dependent atoms."""
+    K = len(labels)
+    rows = np.zeros((K, d, d))
+    eye = np.eye(d)
+    dependent = np.zeros(K, dtype=bool)
+    for k in range(K):
+        frame = []
+        for i in range(int(labels[k])):
+            v = vectors[i][k]
+            resid = _ref_project_out(v, frame)
+            nr = np.linalg.norm(resid)
+            if nr <= rank_tol * max(1.0, np.linalg.norm(v)):
+                dependent[k] = True
+                break
+            frame.append(resid / nr)
+        if dependent[k]:
+            continue
+        for ax in range(d):
+            if len(frame) == d:
+                break
+            resid = _ref_project_out(eye[ax], frame)
+            nr = np.linalg.norm(resid)
+            if nr > rank_tol:
+                frame.append(resid / nr)
+        rows[k] = np.array([_ref_sign(u) for u in frame])
+    return dependent if dependent.any() else rows
+
+
+def _ref_hyperplane(z, v, region, rank_tol):
+    K, d = z.shape
+    norms = np.linalg.norm(z, axis=1)
+    rows = np.tile(np.eye(d)[None, :, :], (K, 1, 1))
+    x0 = np.zeros((K, d))
+    eye = np.eye(d)
+    for k in range(K):
+        if not region[k]:
+            continue
+        u = z[k] / norms[k]
+        frame = []
+        for ax in range(d):
+            if len(frame) == d - 1:
+                break
+            resid = _ref_project_out(eye[ax], [u] + frame)
+            nr = np.linalg.norm(resid)
+            if nr > rank_tol:
+                frame.append(resid / nr)
+        rows[k] = np.vstack([_ref_sign(w) for w in frame] + [u])
+        x0[k] = (v[k] / norms[k] ** 2) * z[k]
+    return x0, rows
+
+
+def near_degenerate_family(rng, K, d, m):
+    """Generators with zero rows, duplicates, scaled copies and rows that
+    differ from an earlier generator by about ``RANK_TOL``."""
+    G = rng.normal(size=(m, K, d)) * 10.0 ** rng.integers(-3, 4, size=(m, 1, 1))
+    if rng.random() < 0.3:
+        G = np.round(G)
+    for j in range(m):
+        for k in range(K):
+            r = rng.random()
+            src = G[rng.integers(j), k] if j else None
+            if r < 0.2:
+                G[j, k] = 0.0
+            elif r < 0.35 and j:
+                G[j, k] = src
+            elif r < 0.5 and j:
+                G[j, k] = src * rng.normal()
+            elif r < 0.75 and j:
+                step = rng.normal(size=d)
+                step *= 10.0 ** rng.uniform(-11, -8) / np.linalg.norm(step)
+                G[j, k] = src + step * max(1.0, np.linalg.norm(src))
+    return G
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestGreedyGramSchmidtMatchesReferences:
+    """The shared greedy Gram-Schmidt gives the earlier loops' bits."""
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 1e-6, 1e-12])
+    def test_bit_identical(self, rank_tol):
+        rng = np.random.default_rng(5150)
+        ranks = set()
+        for _ in range(40):
+            K, d, m = 20, int(rng.integers(1, 7)), int(rng.integers(1, 8))
+            G = near_degenerate_family(rng, K, d, m)
+            space = MeasureSpace(np.ones(K))
+            basis = rank_partition([CondVector(space, g) for g in G], rank_tol)
+            labels, picks, vec_rows = _ref_rank_partition(G, rank_tol)
+            assert same_bits(basis.labels, labels)
+            assert same_bits(basis.picks, picks)
+            assert len(basis.vectors) == len(vec_rows)
+            for v, ref in zip(basis.vectors, vec_rows):
+                assert same_bits(v.values, ref)
+            ranks.update(labels.tolist())
+
+            ref = _ref_orthonormalize(vec_rows, labels, d, rank_tol)
+            assert ref.dtype == float  # a partition's own basis is independent
+            assert same_bits(orthonormalize(basis, rank_tol).rows, ref)
+
+            # labels overclaiming rank by one where a filler row exists
+            bumped = np.where(labels < len(vec_rows), labels + 1, labels)
+            fake = StratifiedBasis(space, d, bumped, basis.vectors, basis.picks, basis.generators)
+            ref = _ref_orthonormalize(vec_rows, bumped, d, rank_tol)
+            if ref.dtype == bool:
+                with pytest.raises(PreconditionError) as err:
+                    orthonormalize(fake, rank_tol)
+                assert same_bits(err.value.atoms, ref)
+            else:
+                assert same_bits(orthonormalize(fake, rank_tol).rows, ref)
+
+            z = G[-1].copy()
+            z[np.linalg.norm(z, axis=1) <= rank_tol] = 1.0
+            v = rng.normal(size=K)
+            region = rng.random(K) < 0.8
+            x0, frame = hyperplane_normal_form(
+                CondVector(space, z), CondScalar(space, v), MeasurableSet(space, region), rank_tol
+            )
+            ref_x0, ref_rows = _ref_hyperplane(z, v, region, rank_tol)
+            assert same_bits(x0.values, ref_x0)
+            assert same_bits(frame.rows, ref_rows)
+
+            for k in range(K):
+                rows = G[:, k]
+                ref = _ref_gram_schmidt_rows(list(rows), rank_tol)
+                assert same_bits(gram_schmidt_rows(rows, rank_tol), ref)
+                assert numeric_rank(rows, rank_tol) == len(ref)
+        assert ranks >= set(range(6))
