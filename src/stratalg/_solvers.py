@@ -7,8 +7,20 @@ method) followed by a KKT polish on the identified support, so solutions
 of the small nearest-point problems are accurate to linear-solve
 roundoff and fully deterministic.
 
-Linear programs go straight to the HiGHS solver that scipy bundles
-(``scipy.optimize._highspy._core``), one LP per call.  Kept from
+Both compiled cores come from scipy's private modules, loaded from their
+files by ``_load_scipy_extension``: the HiGHS solver
+(``scipy.optimize._highspy._core``) and the C Lawson-Hanson ``nnls``
+(``scipy.optimize._slsqplib``).  ``scipy.optimize`` itself is never
+imported: its package import would be most of a CLI process's start-up.
+Each module is registered in ``sys.modules`` under its own name, so a
+later ``import scipy.optimize`` in the same process reuses the same
+module objects, and one loaded earlier is reused here.  (When this
+module loaded them first, only their attributes on the parent packages
+stay unset; ``from``-imports find them in ``sys.modules``.)
+``nnls`` keeps the checks of scipy's wrapper of the same name and gives
+bit-identical results.
+
+Linear programs go to HiGHS one LP per call.  Kept from
 ``scipy.optimize.linprog(method="highs")``: the model handed to HiGHS,
 the options (presolve on, dual simplex, feasibility tolerances 1e-10),
 the mapping of HiGHS model statuses to linprog's 0-4 codes and the
@@ -28,14 +40,46 @@ column layout.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from types import ModuleType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .tolerances import EQ_TOL, FEAS_TOL
+
+
+def _load_scipy_extension(name: str) -> ModuleType:
+    """The compiled scipy module ``name`` (``scipy.<path>``), loaded from
+    its file without importing the packages above it.
+
+    A module already in ``sys.modules`` is returned as it is; a newly
+    loaded one is registered there under ``name``.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    base = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+    if path is None:
+        raise ImportError(
+            f"compiled module {name} not found in scipy {scipy.__version__} "
+            f"(looked for {base}{{{','.join(EXTENSION_SUFFIXES)}}})",
+            name=name,
+        )
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_highs = _load_scipy_extension("scipy.optimize._highspy._core")
+_slsqplib = _load_scipy_extension("scipy.optimize._slsqplib")
 
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
@@ -150,6 +194,18 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
         or (np.abs(slack[m_ub:]) > tol).any()
     )
     return LPResult(0 if feasible else 4, fun, x)
+
+
+def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
+    """``argmin |A x - b|`` over ``x >= 0`` and its residual norm, as
+    ``scipy.optimize.nnls``: a NaN or inf entry raises ``ValueError`` and
+    running out of ``maxiter`` iterations raises ``RuntimeError``."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
+    x, rnorm, info = _slsqplib.nnls(A, b, maxiter)
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 @dataclass

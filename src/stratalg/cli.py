@@ -382,6 +382,7 @@ def _checked(convert, ok, what: str):
 
 
 _TOL = _checked(float, lambda x: np.isfinite(x) and x > 0, "a finite number > 0")
+_SLACK = _checked(float, lambda x: np.isfinite(x) and x >= 0, "a finite number >= 0")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
@@ -445,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bw", help="measurable subsequence extraction")
     p.add_argument("--sequence", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--slack", type=float, required=True)
+    p.add_argument("--slack", type=_SLACK, required=True)
     p = add("cauchy", help="finite-horizon Cauchy test")
     p.add_argument("--sequence", required=True)
     p.add_argument("--eps", nargs="+", required=True, help="scalar names forming the schedule")

@@ -99,12 +99,13 @@ def bw_extract(seq: CondSequence, depth: int, slack: float) -> BWResult:
     surviving positions to those whose coordinate value is at most the
     stage minimum plus ``slack``.  The first ``depth`` survivors become
     the indices.  Atoms whose survivors run out raise
-    ``ExtractionStalledError`` carrying the stalled atom set.
+    ``ExtractionStalledError`` carrying the stalled atom set; a ``slack``
+    that is not a finite number >= 0 raises ``ShapeError``.
     """
     if depth < 1:
         raise ShapeError("depth must be at least 1")
-    if slack < 0:
-        raise ShapeError("slack must be nonnegative")
+    if not (np.isfinite(slack) and slack >= 0):
+        raise ShapeError("slack must be a finite number >= 0")
     space = seq.space
     K = space.natoms
     data = seq.stacked()  # (T, K, d)

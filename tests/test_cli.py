@@ -414,10 +414,15 @@ class TestCliFailureModes:
             ("--seed", "1.5"),
             ("--probes", "-1"),  # crashed in numpy
             ("--probes", "0"),
+            ("--slack", "nan"),  # crashed in numpy
+            ("--slack", "inf"),
+            ("--slack", "-1"),
         ],
     )
     def test_bad_numeric_flag_exits_1(self, scenario_path, capsys, flag, value):
         argv = ["subgrad", scenario_path, "--function", "absmax", "--point", "x0"]
+        if flag == "--slack":
+            argv = ["bw", scenario_path, "--sequence", "osc", "--depth", "2"]
         code, out = run_cli(argv + [flag, value])
         assert code == 1
         assert out == ""

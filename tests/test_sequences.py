@@ -158,6 +158,13 @@ class TestBWExtract:
         res = bw_extract(s, depth=1, slack=0.0)
         assert [int(i.values[0]) for i in res.indices] == [2]
 
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -1.0])
+    def test_rejects_slack_outside_finite_nonnegatives(self, space2, slack):
+        # NaN passed a bare ``slack < 0`` check and ended in a bogus stall
+        s = const_seq(space2, [[0.0], [1.0], [2.0]])
+        with pytest.raises(ShapeError, match="slack"):
+            bw_extract(s, depth=2, slack=slack)
+
     def test_deeper_extraction_extends_the_shallow_one(self, rng):
         space = MeasureSpace(np.ones(2))
         head = rng.normal(size=(10, 2, 2))

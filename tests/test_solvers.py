@@ -15,16 +15,22 @@ normals and minimizers are read off that vertex, so a reordered column
 or a flipped row fails here even when it happens to leave the vertex
 unchanged.  A change that alters the LPs on purpose rewrites the file
 with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
+
+``_solvers.nnls`` is compared bit for bit with ``scipy.optimize.nnls``,
+and subprocess tests check that a fresh ``import stratalg.cli`` never
+imports ``scipy.optimize`` while sharing its compiled modules with it.
 """
 
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls as scipy_nnls
 from scipy.optimize._highspy import _core as _highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
@@ -36,11 +42,15 @@ from stratalg import (
     MeasureSpace,
     argmin,
 )
+import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
     combination_residual,
+    min_norm_point,
+    nnls,
     nonzero_in_dual_cone,
     positivity_margin,
+    simplex_min_norm,
     solve_lp,
 )
 from stratalg.functions import (
@@ -277,6 +287,114 @@ def test_post_check_downgrades_a_violated_optimum(monkeypatch, field):
     monkeypatch.setattr(_highs, "_Highs", Shifted)
     lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0.0, 1.0)] * 2)
     assert assert_matches_linprog(lp) == 4
+
+
+def assert_nnls_matches_scipy(A, b, maxiter):
+    x, rnorm = nnls(A, b, maxiter)
+    want_x, want_rnorm = scipy_nnls(A, b, maxiter=maxiter)
+    assert x.tobytes() == want_x.tobytes()
+    assert np.float64(rnorm).tobytes() == np.float64(want_rnorm).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nnls_matches_scipy(seed):
+    rng = np.random.default_rng([8, seed])
+    m, n = rng.integers(1, 9, size=2)
+    A = rng.normal(size=(m, n))
+    if seed % 4 == 1:
+        A[:, -1] = A[:, 0] * 2.0  # rank deficient
+    if seed % 4 == 2:
+        A = np.asfortranarray(A)
+    assert_nnls_matches_scipy(A, rng.normal(size=m) * 10.0 ** (seed % 5 - 2), 10 * n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nnls_matches_scipy_on_nearest_point_systems(seed, monkeypatch):
+    systems = []
+
+    def record(A, b, maxiter):
+        systems.append((A.copy(), b.copy(), maxiter))
+        return nnls(A, b, maxiter)
+
+    monkeypatch.setattr(_solvers, "nnls", record)
+    rng = np.random.default_rng([9, seed])
+    for d in (2, 3):
+        min_norm_point(*generators(rng, d, 3, seed % 3, int(seed % 2 == 0)))
+        shifted = rng.normal(size=(4, d)) + 0.5  # often away from the origin
+        simplex_min_norm(shifted)
+        simplex_min_norm(shifted, eq_mat=rng.normal(size=(1, d)), eq_rhs=rng.normal(size=1))
+    assert len(systems) == 6
+    for A, b, maxiter in systems:
+        assert_nnls_matches_scipy(A, b, maxiter)
+
+
+def test_nnls_failures_are_scipys():
+    rng = np.random.default_rng(10)
+    A, b = rng.normal(size=(6, 5)), rng.normal(size=6)
+    for solve in (lambda *a: nnls(*a, 1), lambda *a: scipy_nnls(*a, maxiter=1)):
+        with pytest.raises(RuntimeError, match="Maximum number of iterations"):
+            solve(A, b)
+    for bad in (np.nan, np.inf):
+        for A_bad, b_bad in ((np.where(A > 1.0, bad, A), b), (A, np.where(b > 0.0, bad, b))):
+            for solve in (lambda *a: nnls(*a, 50), lambda *a: scipy_nnls(*a, maxiter=50)):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(A_bad, b_bad)
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this stratalg."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    run_fresh("""
+        import sys
+        import stratalg.cli
+        assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+        assert "scipy.optimize._highspy._core" in sys.modules
+    """)
+
+
+def test_scipy_optimize_after_stratalg_reuses_the_cores():
+    run_fresh("""
+        import stratalg._solvers as solvers
+        import numpy as np
+        from scipy.optimize import linprog, nnls
+        from scipy.optimize._highspy import _core
+        import scipy.optimize._slsqplib as slsqplib
+        assert _core is solvers._highs and slsqplib is solvers._slsqplib
+        res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+        assert res.status == 0 and res.x.tolist() == [1.0, 0.0]
+        assert nnls(np.eye(2), np.array([1.0, -1.0]))[0].tolist() == [1.0, 0.0]
+    """)
+
+
+def test_stratalg_after_scipy_optimize_reuses_its_cores():
+    run_fresh("""
+        from scipy.optimize._highspy import _core
+        from scipy.optimize import _slsqplib
+        import stratalg._solvers as solvers
+        assert solvers._highs is _core and solvers._slsqplib is _slsqplib
+        assert solvers.solve_lp([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).status == 0
+    """)
+
+
+def test_missing_core_names_the_scipy_version():
+    run_fresh("""
+        import scipy
+        from stratalg._solvers import _load_scipy_extension
+        try:
+            _load_scipy_extension("scipy.optimize._no_such_core")
+        except ImportError as err:
+            assert err.name == "scipy.optimize._no_such_core"
+            assert f"scipy {scipy.__version__}" in str(err), str(err)
+        else:
+            raise AssertionError("no ImportError")
+    """)
 
 
 if __name__ == "__main__":
