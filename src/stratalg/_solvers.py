@@ -199,9 +199,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
 def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
     """``argmin |A x - b|`` over ``x >= 0`` and its residual norm, as
     ``scipy.optimize.nnls``: a NaN or inf entry raises ``ValueError`` and
-    running out of ``maxiter`` iterations raises ``RuntimeError``."""
+    running out of ``maxiter`` iterations raises ``RuntimeError``.  With
+    no columns the answer is the empty ``x`` and ``|b|``; the compiled
+    solver would abort the interpreter on that input."""
     A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
     b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
+    if A.shape[1] == 0:
+        return np.zeros(0), float(np.linalg.norm(b))
     x, rnorm, info = _slsqplib.nnls(A, b, maxiter)
     if info == 3:
         raise RuntimeError("Maximum number of iterations reached.")

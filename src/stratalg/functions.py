@@ -36,7 +36,7 @@ from .errors import (
     UnboundedError,
 )
 from .sets import ConvexSetRep, membership, ri_membership
-from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, eq_scale
+from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL
 
 __all__ = [
     "MaxAffineFn",
@@ -266,24 +266,27 @@ class GridFn:
         return CondExtScalar(self.space, out)
 
 
-def _legendre_1d(xs: np.ndarray, vals: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Discrete transform: ``g(y) = max_i xs_i * y - vals_i``."""
-    terms = xs[:, None] * ys[None, :] - vals[:, None]
-    return terms.max(axis=0)
+def _legendre(xs: np.ndarray, V: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Discrete transform of every row: ``out[r, j] = max_i xs_i * ys_j - V[r, i]``.
 
-
-def _conjugate_grid_atom(grid: Grid, vals: np.ndarray, dual: Grid) -> np.ndarray:
-    if grid.ndim == 1:
-        return _legendre_1d(grid.axis(0), vals, dual.axis(0))
-    # two passes of one-dimensional transforms
-    x1, x2 = grid.axis(0), grid.axis(1)
-    y1, y2 = dual.axis(0), dual.axis(1)
-    inner = np.empty((len(x1), len(y2)))
-    for i in range(len(x1)):
-        inner[i] = _legendre_1d(x2, vals[i], y2)
-    out = np.empty((len(y1), len(y2)))
-    for j in range(len(y2)):
-        out[:, j] = _legendre_1d(x1, -inner[:, j], y1)
+    Each term is ``fl(fl(xs_i * ys_j) - V[r, i])``, folded in node order
+    ``i`` as the dense per-row ``(n, m)`` table reduced along its first
+    axis is: numpy's ``maximum`` keeps the later operand on a tie, so
+    ties of ``0.0`` and ``-0.0`` resolve as there.
+    """
+    rows, n = V.shape
+    m = len(ys)
+    if m == 1:
+        # a one-column table reduces as a contiguous vector
+        return (xs * ys[0] - V).max(axis=1, keepdims=True)
+    # fold `step` primal nodes per pass, about 2**14 terms (128 KiB) a
+    # block, so one row on a long grid takes few passes; a block reduced
+    # along its first axis folds in node order too
+    step = max(1, 2**14 // (rows * m))
+    out = np.full((rows, m), -np.inf)
+    for s in range(0, n, step):
+        terms = xs[s:s + step, None, None] * ys - V[:, s:s + step].T[:, :, None]
+        np.maximum(out, terms.max(axis=0) if step > 1 else terms[0], out=out)
     return out
 
 
@@ -302,10 +305,18 @@ def conjugate(f, dual_grid: Grid) -> GridFn:
         bad = ~f.proper_set.mask
         if bad.any():
             raise PreconditionError("conjugate needs a proper function", bad)
+        if dual_grid.ndim != f.grid.ndim:
+            raise ShapeError("dual grid dimension must match the function")
         K = f.space.natoms
-        out = np.empty((K,) + dual_grid.shape)
-        for k in range(K):
-            out[k] = _conjugate_grid_atom(f.grid, f.values[k], dual_grid)
+        if f.grid.ndim == 1:
+            out = _legendre(f.grid.axis(0), f.values, dual_grid.axis(0))
+        else:
+            # two passes of one-dimensional transforms, all atoms stacked
+            (n1, n2), (m1, m2) = f.grid.shape, dual_grid.shape
+            inner = _legendre(f.grid.axis(1), f.values.reshape(K * n1, n2), dual_grid.axis(1))
+            inner = inner.reshape(K, n1, m2).transpose(0, 2, 1).reshape(K * m2, n1)
+            out = _legendre(f.grid.axis(0), -inner, dual_grid.axis(0))
+            out = out.reshape(K, m2, m1).transpose(0, 2, 1)
         return GridFn(f.space, dual_grid, out)
     if isinstance(f, MaxAffineFn):
         return _conjugate_max_affine(f, dual_grid)
@@ -424,6 +435,17 @@ class FenchelMoreauReport:
     idempotent_ok: MeasurableSet
 
 
+def _row_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, ``max |a - b|`` over nodes where both are finite (0 if none)."""
+    both = np.isfinite(a) & np.isfinite(b)
+    return np.abs(np.where(both, a, 0.0) - np.where(both, b, 0.0)).max(axis=1)
+
+
+def _row_scale(a: np.ndarray) -> np.ndarray:
+    """Per-row ``eq_scale``: ``max(1, max |finite entry|)``."""
+    return np.maximum(1.0, np.abs(np.where(np.isfinite(a), a, 0.0)).max(axis=1))
+
+
 def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     """Symmetric dual grid wide enough and fine enough for ``f``.
 
@@ -436,12 +458,15 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     if f.grid.ndim != 1:
         raise ShapeError("default dual grids are derived for 1-d functions")
     xs = f.grid.axis(0)
-    slope = 1.0
-    for k in range(f.space.natoms):
-        v = f.values[k]
-        fin = np.flatnonzero(np.isfinite(v))
-        for a, b in zip(fin[:-1], fin[1:]):
-            slope = max(slope, abs((v[b] - v[a]) / (xs[b] - xs[a])))
+    V = f.values
+    fin = np.isfinite(V)
+    # index of the nearest finite node to the left of each node, or -1
+    last = np.maximum.accumulate(np.where(fin, np.arange(len(xs)), -1), axis=1)
+    prev = np.pad(last[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
+    rows, b = np.nonzero(fin & (prev >= 0))
+    a = prev[rows, b]
+    slopes = np.abs((V[rows, b] - V[rows, a]) / (xs[b] - xs[a]))
+    slope = max(1.0, float(slopes.max())) if slopes.size else 1.0
     bound = float(np.ceil(slope)) + 1.0
     if nodes:
         n = nodes
@@ -474,34 +499,20 @@ def fenchel_moreau_check(
     fstar = conjugate(f, dual_grid)
     fss = conjugate(fstar, f.grid)
     fsss = conjugate(fss, dual_grid)
-    K = f.space.natoms
     xs = f.grid.axis(0)
-    env = np.empty_like(f.values)
-    for k in range(K):
-        env[k] = _lower_envelope_1d(xs, f.values[k])
+    # the envelope is the independent oracle, so it stays one hull per atom
+    env = np.array([_lower_envelope_1d(xs, v) for v in f.values])
     envfn = GridFn(f.space, f.grid, env)
 
-    dev = np.empty(K)
-    minor = np.zeros(K, dtype=bool)
-    idem = np.zeros(K, dtype=bool)
-    for k in range(K):
-        a, b = fss.values[k], env[k]
-        both = np.isfinite(a) & np.isfinite(b)
-        agree = np.isfinite(a) == np.isfinite(b)
-        dev[k] = float(np.max(np.abs(a[both] - b[both]))) if both.any() else 0.0
-        if not agree.all():
-            dev[k] = np.inf
-        fvk = f.values[k]
-        fin = np.isfinite(fvk)
-        scale = eq_scale(fvk[fin]) if fin.any() else 1.0
-        minor[k] = bool(np.all(a[fin] <= fvk[fin] + tol * scale))
-        s1, s3 = fstar.values[k], fsss.values[k]
-        sb = np.isfinite(s1) & np.isfinite(s3)
-        sscale = eq_scale(s1[sb]) if sb.any() else 1.0
-        idem[k] = bool(
-            np.all((np.isfinite(s1) == np.isfinite(s3)))
-            and (not sb.any() or np.max(np.abs(s1[sb] - s3[sb])) <= EQ_TOL * sscale)
-        )
+    a, fv = fss.values, f.values
+    same = np.all(np.isfinite(a) == np.isfinite(env), axis=1)
+    dev = np.where(same, _row_gap(a, env), np.inf)
+    # at a +inf node of f the bound is +inf and always holds
+    minor = np.all(a <= fv + tol * _row_scale(fv)[:, None], axis=1)
+    s1, s3 = fstar.values, fsss.values
+    sb = np.isfinite(s1) & np.isfinite(s3)
+    idem = np.all(np.isfinite(s1) == np.isfinite(s3), axis=1) & (
+        _row_gap(s1, s3) <= EQ_TOL * _row_scale(np.where(sb, s1, 0.0)))
     return FenchelMoreauReport(
         conjugate=fstar,
         biconjugate=fss,
@@ -854,13 +865,16 @@ class InfConvResult:
         return out
 
 
-def _midpoint_defect_1d(vals: np.ndarray) -> float:
-    worst = 0.0
-    for i in range(1, len(vals) - 1):
-        a, b, c = vals[i - 1], vals[i], vals[i + 1]
-        if np.isfinite(a) and np.isfinite(b) and np.isfinite(c):
-            worst = max(worst, 2.0 * b - a - c)
-    return worst
+def _midpoint_defect(V: np.ndarray) -> np.ndarray:
+    """Per row, the worst ``2 b - a - c`` over consecutive finite node
+    triples ``(a, b, c)``, and ``0.0`` when none is positive."""
+    fin = np.isfinite(V)
+    live = fin[:, :-2] & fin[:, 1:-1] & fin[:, 2:]
+    d = np.multiply(2.0, V[:, 1:-1], out=np.zeros(live.shape), where=live)
+    np.subtract(d, V[:, :-2], out=d, where=live)
+    np.subtract(d, V[:, 2:], out=d, where=live)
+    worst = d.max(axis=1, initial=0.0)
+    return np.where(worst > 0.0, worst, 0.0)
 
 
 def inf_convolution(fs: Sequence[GridFn]) -> InfConvResult:
@@ -888,52 +902,40 @@ def inf_convolution(fs: Sequence[GridFn]) -> InfConvResult:
     n = g0.grid.shape[0]
 
     acc = g0.values.copy()
-    # stage_arg[s][k, j] = index into the accumulated function at stage s
+    # stage_args[s][k, t] = node of the accumulated function at stage s
+    # in the best splitting of result node t
     stage_args: list[np.ndarray] = []
     for f in fs[1:]:
         nxt = np.full((K, n), np.inf)
         args = np.zeros((K, n), dtype=np.int64)
-        for k in range(K):
-            table = np.full((n, n), np.inf)
-            for i in range(n):
-                # acc at node i pairs with f at node j, landing at i + j - q
-                j0 = max(0, 0 - (i - q))
-                lo = i + j0 - q
-                hi = min(n, i + n - q)
-                if lo >= hi:
-                    continue
-                js = np.arange(lo - i + q, hi - i + q)
-                table[i, lo:hi] = ext_add(
-                    np.full(js.size, acc[k, i]), f.values[k, js]
-                )
-            nxt[k] = table.min(axis=0)
-            args[k] = table.argmin(axis=0)
+        for i in range(n):
+            # acc at node i pairs with f at node j, landing at i + j - q
+            lo, hi = max(0, i - q), min(n, i + n - q)
+            if lo >= hi:
+                continue
+            cand = ext_add(acc[:, i, None], f.values[:, lo - i + q: hi - i + q])
+            # strict improvement only: the first minimizing node is kept
+            args[:, lo:hi][cand < nxt[:, lo:hi]] = i
+            np.minimum(nxt[:, lo:hi], cand, out=nxt[:, lo:hi])
         stage_args.append(args)
         acc = nxt
 
     # unwind the fold into per-function node indices
-    nfn = len(fs)
-    splits = [np.zeros((K, n), dtype=np.int64) for _ in range(nfn)]
-    for k in range(K):
-        for node in range(n):
-            target = node
-            for s in range(len(stage_args) - 1, -1, -1):
-                i = int(stage_args[s][k, target])
-                splits[s + 1][k, node] = target - i + q
-                target = i
-            splits[0][k, node] = target
+    rows = np.arange(K)[:, None]
+    target = np.tile(np.arange(n), (K, 1))
+    splits = []
+    for args in reversed(stage_args):
+        i = args[rows, target]
+        splits.append(target - i + q)
+        target = i
+    splits.append(target)
 
-    in_defect = np.zeros(K)
-    out_defect = np.zeros(K)
-    for k in range(K):
-        in_defect[k] = max(_midpoint_defect_1d(f.values[k]) for f in fs)
-        out_defect[k] = _midpoint_defect_1d(acc[k])
-
+    in_defect = np.max([_midpoint_defect(f.values) for f in fs], axis=0)
     return InfConvResult(
         value=GridFn(g0.space, g0.grid, acc),
-        split_indices=tuple(splits),
+        split_indices=tuple(reversed(splits)),
         input_convexity_defect=CondScalar(g0.space, in_defect),
-        output_convexity_defect=CondScalar(g0.space, out_defect),
+        output_convexity_defect=CondScalar(g0.space, _midpoint_defect(acc)),
     )
 
 
@@ -955,13 +957,20 @@ class InfConvChecks:
     interior_ok: MeasurableSet
 
 
-def _slope_interval(vals: np.ndarray, xs: np.ndarray, i: int) -> tuple[float, float]:
-    lo, hi = -np.inf, np.inf
-    if i > 0 and np.isfinite(vals[i - 1]):
-        lo = (vals[i] - vals[i - 1]) / (xs[i] - xs[i - 1])
-    if i + 1 < len(vals) and np.isfinite(vals[i + 1]):
-        hi = (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
-    return lo, hi
+def _slope_intervals(V: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Discrete left and right slopes at every node of every row, ``-inf``
+    and ``+inf`` where that neighbour is off the grid or not finite, and
+    the local curvature: the gap between the two slopes where both are
+    finite, floored at 0 (0 otherwise)."""
+    fin = np.isfinite(V)
+    both = fin[:, :-1] & fin[:, 1:]
+    d = np.subtract(V[:, 1:], V[:, :-1], out=np.zeros(both.shape), where=both)
+    np.divide(d, xs[1:] - xs[:-1], out=d, where=both)
+    lo = np.pad(np.where(both, d, -np.inf), ((0, 0), (1, 0)), constant_values=-np.inf)
+    hi = np.pad(np.where(both, d, np.inf), ((0, 0), (0, 1)), constant_values=np.inf)
+    kinked = np.isfinite(lo) & np.isfinite(hi)
+    gap = np.subtract(hi, lo, out=np.zeros(lo.shape), where=kinked)
+    return lo, hi, np.where(gap > 0.0, gap, 0.0)
 
 
 def infconv_checks(
@@ -981,62 +990,42 @@ def infconv_checks(
 
     gstar = conjugate(g, dual_grid)
     fstars = [conjugate(f, dual_grid) for f in fs]
-    addl = np.zeros(K)
-    for k in range(K):
-        total = fstars[0].values[k].copy()
-        for fs_j in fstars[1:]:
-            total = ext_add(total, fs_j.values[k])
-        a = gstar.values[k]
-        both = np.isfinite(a) & np.isfinite(total)
-        addl[k] = float(np.max(np.abs(a[both] - total[both]))) if both.any() else 0.0
+    total = fstars[0].values
+    for fs_j in fstars[1:]:
+        total = ext_add(total, fs_j.values)
+    addl = _row_gap(gstar.values, total)
 
-    sub_ok = np.ones(K, dtype=bool)
-    int_ok = np.ones(K, dtype=bool)
-    for k in range(K):
-        gv = g.values[k]
-        for node in range(len(xs)):
-            if not np.isfinite(gv[node]):
-                continue
-            parts = [int(conv.split_indices[j][k, node]) for j in range(len(fs))]
-            attained = all(np.isfinite(fs[j].values[k][parts[j]]) for j in range(len(fs)))
-            if not attained:
-                continue
-            # one slope step of slack around the discretized intervals
-            slack = _local_curvature(gv, xs, node)
-            glo, ghi = _slope_interval(gv, xs, node)
-            ilo, ihi = -np.inf, np.inf
-            for j in range(len(fs)):
-                lo, hi = _slope_interval(fs[j].values[k], xs, parts[j])
-                slack = max(slack, _local_curvature(fs[j].values[k], xs, parts[j]))
-                ilo, ihi = max(ilo, lo), min(ihi, hi)
-            if ilo <= ihi:  # nonempty intersection must fit inside
-                if np.isfinite(ilo) and ilo < glo - slack - 1e-9:
-                    sub_ok[k] = False
-                if np.isfinite(ihi) and ihi > ghi + slack + 1e-9:
-                    sub_ok[k] = False
-            p0 = parts[0]
-            first = fs[0].values[k]
-            inner_dom = (
-                0 < p0 < len(xs) - 1
-                and np.isfinite(first[p0 - 1])
-                and np.isfinite(first[p0 + 1])
-            )
-            if inner_dom and 0 < node < len(xs) - 1:
-                if not (np.isfinite(gv[node - 1]) and np.isfinite(gv[node + 1])):
-                    int_ok[k] = False
+    rows = np.arange(K)[:, None]
+    gv = g.values
+    glo, ghi, slack = _slope_intervals(gv, xs)
+    # nodes with a finite value and an attained finite splitting; split
+    # indices at +inf result nodes may point off the grid and are clipped
+    fing = np.isfinite(gv)
+    live = fing.copy()
+    parts = [np.clip(idx, 0, len(xs) - 1) for idx in conv.split_indices]
+    ilo, ihi = -np.inf, np.inf
+    for f, idx in zip(fs, parts):
+        lo, hi, curv = (a[rows, idx] for a in _slope_intervals(f.values, xs))
+        live &= np.isfinite(f.values[rows, idx])
+        slack = np.maximum(slack, curv)
+        ilo, ihi = np.maximum(ilo, lo), np.minimum(ihi, hi)
+    # one slope step of slack around the discretized intervals; a
+    # nonempty intersection of the parts' intervals must fit inside
+    outside = (np.isfinite(ilo) & (ilo < glo - slack - 1e-9)) | (
+        np.isfinite(ihi) & (ihi > ghi + slack + 1e-9)
+    )
+    sub_ok = ~np.any(live & (ilo <= ihi) & outside, axis=1)
+
+    # at interior result nodes, interior domain nodes of the first part
+    # must land on interior domain nodes
+    fin0 = np.pad(np.isfinite(fs[0].values), ((0, 0), (1, 1)))
+    inner_dom = (live & fin0[rows, parts[0]] & fin0[rows, parts[0] + 2])[:, 1:-1]
+    int_ok = ~np.any(inner_dom & ~(fing[:, :-2] & fing[:, 2:]), axis=1)
     return InfConvChecks(
         additivity_defect=CondScalar(g.space, addl),
         subdiff_ok=MeasurableSet(g.space, sub_ok),
         interior_ok=MeasurableSet(g.space, int_ok),
     )
-
-
-def _local_curvature(vals: np.ndarray, xs: np.ndarray, i: int) -> float:
-    """Gap between adjacent discrete slopes at node ``i`` (0 at edges)."""
-    lo, hi = _slope_interval(vals, xs, i)
-    if np.isfinite(lo) and np.isfinite(hi):
-        return max(0.0, hi - lo)
-    return 0.0
 
 
 def sublinear_support(f: MaxAffineFn) -> tuple[CondVector, ...]:

@@ -3,6 +3,12 @@
 Fixed expected values were computed with the slow reference routines in
 ``oracles`` (double-loop transforms, brute splittings, hull envelopes,
 face enumeration) and frozen into the assertions.
+
+The grid kernels run stacked over atoms.  The per-atom kernels they
+replaced live on below as references (``ref_*``): the dense ``(n, m)``
+Legendre table, the per-atom min-plus table with its ``argmin`` and the
+per-node audit loops.  They are compared by ``tobytes()``, so ``-0.0``
+against ``0.0`` counts as a mismatch.
 """
 
 import numpy as np
@@ -38,6 +44,8 @@ from stratalg import (
 )
 from stratalg import functions
 from stratalg._solvers import LPResult
+from stratalg.core import ext_add
+from stratalg.tolerances import EQ_TOL, eq_scale
 
 
 def pieces_from(space, slopes, offsets=None):
@@ -212,6 +220,14 @@ class TestConjugate:
         for j, y in enumerate(dual.nodes()):
             want = np.max(nodes @ y - flat)
             assert fstar.values[0].ravel()[j] == pytest.approx(want, abs=1e-12)
+
+    def test_dual_grid_dimension_must_match(self, space2):
+        g1 = Grid((-1.0,), (1.0,), (0.5,))
+        g2 = Grid((-1.0, -1.0), (1.0, 1.0), (0.5, 0.5))
+        with pytest.raises(ShapeError, match="dual grid dimension"):
+            conjugate(grid_fn(space2, g1, np.zeros(5)), g2)
+        with pytest.raises(ShapeError, match="dual grid dimension"):
+            conjugate(grid_fn(space2, g2, np.zeros((5, 5))), g1)
 
     def test_max_affine_routes_agree(self, space2):
         # LP route on the true function vs discrete route on its samples
@@ -695,3 +711,340 @@ class TestSublinearSupport:
         f = MaxAffineFn.from_pieces(pieces_from(space2, [[1.0, 0.0]], [1.0]))
         with pytest.raises(PreconditionError):
             sublinear_support(f)
+
+
+# per-atom references for the stacked grid kernels ---------------------------
+
+
+def ref_legendre_1d(xs, vals, ys):
+    """The dense per-atom transform: the full ``(n, m)`` term table."""
+    terms = xs[:, None] * ys[None, :] - vals[:, None]
+    return terms.max(axis=0)
+
+
+def ref_conjugate(f, dual):
+    """Per-atom grid conjugate; a 2-d grid takes two passes of 1-d ones."""
+    out = np.empty((f.space.natoms,) + dual.shape)
+    for k, vals in enumerate(f.values):
+        if f.grid.ndim == 1:
+            out[k] = ref_legendre_1d(f.grid.axis(0), vals, dual.axis(0))
+            continue
+        x1, x2 = f.grid.axis(0), f.grid.axis(1)
+        y1, y2 = dual.axis(0), dual.axis(1)
+        inner = np.array([ref_legendre_1d(x2, row, y2) for row in vals])
+        for j in range(len(y2)):
+            out[k][:, j] = ref_legendre_1d(x1, -inner[:, j], y1)
+    return out
+
+
+def ref_defect(vals):
+    worst = 0.0
+    for i in range(1, len(vals) - 1):
+        a, b, c = vals[i - 1], vals[i], vals[i + 1]
+        if np.isfinite(a) and np.isfinite(b) and np.isfinite(c):
+            worst = max(worst, 2.0 * b - a - c)
+    return worst
+
+
+def ref_inf_convolution(fs):
+    """Per-atom ``(n, n)`` min-plus tables, ``argmin`` splittings unwound
+    node by node, and the midpoint defects: value, splits, in, out."""
+    (q,) = fs[0].grid.origin_offsets()
+    K, n = fs[0].values.shape
+    acc = fs[0].values.copy()
+    stage_args = []
+    for f in fs[1:]:
+        nxt = np.full((K, n), np.inf)
+        args = np.zeros((K, n), dtype=np.int64)
+        for k in range(K):
+            table = np.full((n, n), np.inf)
+            for i in range(n):
+                lo, hi = max(0, i - q), min(n, i + n - q)
+                if lo < hi:
+                    js = np.arange(lo - i + q, hi - i + q)
+                    table[i, lo:hi] = ext_add(np.full(js.size, acc[k, i]), f.values[k, js])
+            nxt[k] = table.min(axis=0)
+            args[k] = table.argmin(axis=0)
+        stage_args.append(args)
+        acc = nxt
+    splits = [np.zeros((K, n), dtype=np.int64) for _ in fs]
+    for k in range(K):
+        for node in range(n):
+            target = node
+            for s in range(len(stage_args) - 1, -1, -1):
+                i = int(stage_args[s][k, target])
+                splits[s + 1][k, node] = target - i + q
+                target = i
+            splits[0][k, node] = target
+    in_def = np.array([max(ref_defect(f.values[k]) for f in fs) for k in range(K)])
+    out_def = np.array([ref_defect(row) for row in acc])
+    return acc, splits, in_def, out_def
+
+
+def ref_slope_interval(vals, xs, i):
+    lo, hi = -np.inf, np.inf
+    if i > 0 and np.isfinite(vals[i - 1]):
+        lo = (vals[i] - vals[i - 1]) / (xs[i] - xs[i - 1])
+    if i + 1 < len(vals) and np.isfinite(vals[i + 1]):
+        hi = (vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i])
+    return lo, hi
+
+
+def ref_curvature(vals, xs, i):
+    lo, hi = ref_slope_interval(vals, xs, i)
+    return max(0.0, hi - lo) if np.isfinite(lo) and np.isfinite(hi) else 0.0
+
+
+def ref_infconv_audits(fs, conv):
+    """Per-atom, per-node subgradient and interior audits: sub_ok, int_ok."""
+    g = conv.value
+    K, n = g.values.shape
+    xs = g.grid.axis(0)
+    sub_ok = np.ones(K, dtype=bool)
+    int_ok = np.ones(K, dtype=bool)
+    for k in range(K):
+        gv = g.values[k]
+        for node in range(n):
+            if not np.isfinite(gv[node]):
+                continue
+            parts = [int(idx[k, node]) for idx in conv.split_indices]
+            if not all(np.isfinite(f.values[k][p]) for f, p in zip(fs, parts)):
+                continue
+            slack = ref_curvature(gv, xs, node)
+            glo, ghi = ref_slope_interval(gv, xs, node)
+            ilo, ihi = -np.inf, np.inf
+            for f, p in zip(fs, parts):
+                lo, hi = ref_slope_interval(f.values[k], xs, p)
+                slack = max(slack, ref_curvature(f.values[k], xs, p))
+                ilo, ihi = max(ilo, lo), min(ihi, hi)
+            if ilo <= ihi:
+                if np.isfinite(ilo) and ilo < glo - slack - 1e-9:
+                    sub_ok[k] = False
+                if np.isfinite(ihi) and ihi > ghi + slack + 1e-9:
+                    sub_ok[k] = False
+            p0, first = parts[0], fs[0].values[k]
+            inner_dom = (0 < p0 < n - 1 and np.isfinite(first[p0 - 1])
+                         and np.isfinite(first[p0 + 1]))
+            if inner_dom and 0 < node < n - 1:
+                if not (np.isfinite(gv[node - 1]) and np.isfinite(gv[node + 1])):
+                    int_ok[k] = False
+    return sub_ok, int_ok
+
+
+def ref_fenchel_moreau_rows(f, fstar, fss, env, fsss, tol=1e-9):
+    """Per-atom deviation, minorant and idempotence verdicts."""
+    K = f.space.natoms
+    dev = np.empty(K)
+    minor = np.zeros(K, dtype=bool)
+    idem = np.zeros(K, dtype=bool)
+    for k in range(K):
+        a, b = fss[k], env[k]
+        both = np.isfinite(a) & np.isfinite(b)
+        dev[k] = float(np.max(np.abs(a[both] - b[both]))) if both.any() else 0.0
+        if not (np.isfinite(a) == np.isfinite(b)).all():
+            dev[k] = np.inf
+        fv = f.values[k]
+        fin = np.isfinite(fv)
+        scale = eq_scale(fv[fin]) if fin.any() else 1.0
+        minor[k] = bool(np.all(a[fin] <= fv[fin] + tol * scale))
+        s1, s3 = fstar[k], fsss[k]
+        sb = np.isfinite(s1) & np.isfinite(s3)
+        sscale = eq_scale(s1[sb]) if sb.any() else 1.0
+        idem[k] = bool(np.all(np.isfinite(s1) == np.isfinite(s3))
+                       and (not sb.any() or np.max(np.abs(s1[sb] - s3[sb])) <= EQ_TOL * sscale))
+    return dev, minor, idem
+
+
+def seeded_rows(rng, K, xs):
+    """Convex, non-convex, ``+inf``-carrier and integer rows in turn.
+
+    The convex and integer rows sit on a dyadic grid, so their conjugate
+    chains hit exact ties, ``0.0`` against ``-0.0`` among them.
+    """
+    n = len(xs)
+    V = np.empty((K, n))
+    for k in range(K):
+        kind = k % 4
+        if kind == 0:
+            V[k] = (1 + k % 3) * xs**2 + (k % 2) * xs
+        elif kind == 1:
+            V[k] = rng.normal(size=n)
+        elif kind == 2:
+            lo = int(rng.integers(0, n // 2))
+            hi = int(rng.integers(lo + 2, n + 1))
+            V[k] = np.where((np.arange(n) >= lo) & (np.arange(n) < hi), np.abs(xs), np.inf)
+        else:
+            V[k] = rng.integers(-2, 3, size=n).astype(float)
+    return V
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PRIMAL = Grid((-2.0,), (2.0,), (0.25,))  # 17 nodes
+# the kernel folds blocks of about 2**14 terms: with 8 rows the 2 049-node
+# grid takes one primal node a block and the 129-node grid two blocks
+DUALS = {
+    "more_dual_nodes": Grid((-4.0,), (4.0,), (0.125,)),
+    "many_dual_nodes": Grid((-4.0,), (4.0,), (1 / 256,)),
+    "129_dual_nodes": Grid((-4.0,), (4.0,), (1 / 16,)),
+    "fewer_dual_nodes": Grid((-1.0,), (1.0,), (0.5,)),
+    "same_grid": PRIMAL,
+    "two_dual_nodes": Grid((-1.0,), (0.0,), (1.0,)),
+    "one_dual_node": Grid((-1.0,), (-1.0,), (1.0,)),
+}
+
+
+class TestStackedGridKernels:
+    @pytest.mark.parametrize("K", [1, 2, 8])
+    @pytest.mark.parametrize("dual", sorted(DUALS))
+    def test_conjugate_matches_dense_reference(self, dual, K, rng):
+        f = GridFn(MeasureSpace(np.ones(K)), PRIMAL, seeded_rows(rng, K, PRIMAL.axis(0)))
+        got = conjugate(f, DUALS[dual]).values
+        assert same_bytes(got, ref_conjugate(f, DUALS[dual]))
+
+    @pytest.mark.parametrize("dual", ["more_dual_nodes", "many_dual_nodes"])
+    @pytest.mark.parametrize("K", [1, 8])
+    def test_conjugate_chain_with_ties_matches_reference(self, K, dual, rng):
+        # f -> f* -> f** -> f***: the transforms of piecewise-linear data
+        # have slopes on grid nodes, so exact ties decide the signed zeros
+        space = MeasureSpace(np.ones(K))
+        dual = DUALS[dual]
+        f = GridFn(space, PRIMAL, seeded_rows(rng, K, PRIMAL.axis(0)))
+        signed_zeros = set()
+        for target in (dual, PRIMAL, dual):
+            want = ref_conjugate(f, target)
+            f = conjugate(f, target)
+            assert same_bytes(f.values, want)
+            signed_zeros |= set(np.signbit(f.values[f.values == 0.0]).tolist())
+        assert signed_zeros == {False, True}
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("dual", [
+        Grid((-2.0, -2.0), (2.0, 2.0), (1.0, 0.5)),   # more dual nodes on both axes
+        Grid((-0.5, -3.0), (0.5, 3.0), (1.0, 0.25)),  # fewer on the first, more on the second
+        Grid((0.0, -1.0), (0.0, 1.0), (1.0, 1.0)),    # one node on the first axis
+    ])
+    def test_2d_conjugate_matches_reference(self, dual, K, rng):
+        g = Grid((-1.0, -1.5), (1.0, 1.5), (0.5, 0.5))
+        V = rng.integers(-2, 3, size=(K,) + g.shape).astype(float)
+        V[rng.random(V.shape) < 0.2] = np.inf
+        V[:, 2, 3] = 0.0
+        f = GridFn(MeasureSpace(np.ones(K)), g, V)
+        assert same_bytes(conjugate(f, dual).values, ref_conjugate(f, dual))
+
+    @pytest.mark.parametrize("nfn", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 6])
+    def test_inf_convolution_matches_reference(self, K, nfn, rng):
+        space = MeasureSpace(np.ones(K))
+        xs = PRIMAL.axis(0)
+        fs = [GridFn(space, PRIMAL, seeded_rows(rng, K, xs)[::-1]) for _ in range(nfn)]
+        res = inf_convolution(fs)
+        value, splits, in_def, out_def = ref_inf_convolution(fs)
+        assert same_bytes(res.value.values, value)
+        assert len(res.split_indices) == nfn
+        for got, want in zip(res.split_indices, splits):
+            assert same_bytes(got, want)
+        assert same_bytes(res.input_convexity_defect.values, in_def)
+        assert same_bytes(res.output_convexity_defect.values, out_def)
+
+    def test_tied_splittings_match_reference(self, rng):
+        # constant rows tie every splitting, and argmin's rule keeps the
+        # first node of the first function; rows of 0.0 and -0.0 in random
+        # order tie in value but not in sign, so the fold order shows
+        space = MeasureSpace(np.ones(4))
+        n, (q,) = PRIMAL.shape[0], PRIMAL.origin_offsets()
+        const = GridFn(space, PRIMAL, np.array([[0.0], [-0.0], [1.5], [-2.0]]) * np.ones(n))
+        zeros = [GridFn(space, PRIMAL, np.where(rng.random((4, n)) < 0.5, -0.0, 0.0))
+                 for _ in range(3)]
+        first = np.maximum(0, np.arange(n) - q)
+        assert (inf_convolution([const, const]).split_indices[0] == first).all()
+        for fs in ([const, const], [const, const, const], zeros[:2], zeros):
+            res, (value, splits, _, _) = inf_convolution(fs), ref_inf_convolution(fs)
+            assert same_bytes(res.value.values, value)
+            for got, want in zip(res.split_indices, splits):
+                assert same_bytes(got, want)
+
+    def test_audits_match_reference(self, rng):
+        K = 12
+        space = MeasureSpace(np.ones(K))
+        xs = PRIMAL.axis(0)
+        dual = DUALS["more_dual_nodes"]
+        fs = [GridFn(space, PRIMAL, seeded_rows(rng, K, xs)),
+              GridFn(space, PRIMAL, seeded_rows(rng, K, xs)[::-1])]
+        conv = inf_convolution(fs)
+        checks = infconv_checks(fs, conv, dual)
+        sub_ok, int_ok = ref_infconv_audits(fs, conv)
+        assert same_bytes(checks.subdiff_ok.mask, sub_ok)
+        assert same_bytes(checks.interior_ok.mask, int_ok)
+        assert not sub_ok.all() and sub_ok.any()
+        stars = [ref_conjugate(f, dual) for f in fs]
+        total = stars[0] + stars[1]  # finite or +inf, so plain addition is exact
+        gstar = ref_conjugate(conv.value, dual)
+        both = np.isfinite(gstar) & np.isfinite(total)
+        want = [float(np.max(np.abs(a[m] - b[m]))) if m.any() else 0.0
+                for a, b, m in zip(gstar, total, both)]
+        assert same_bytes(checks.additivity_defect.values, np.array(want))
+
+        rep = fenchel_moreau_check(fs[0], dual)
+        fstar, fsss = rep.conjugate.values, conjugate(rep.biconjugate, dual).values
+        want = ref_fenchel_moreau_rows(fs[0], fstar, rep.biconjugate.values,
+                                       rep.envelope.values, fsss)
+        assert same_bytes(rep.max_deviation.values, want[0])
+        assert same_bytes(rep.minorant_ok.mask, want[1])
+        assert same_bytes(rep.idempotent_ok.mask, want[2])
+        assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
+
+    def test_default_dual_grid_reads_consecutive_finite_nodes(self, space2):
+        # the steepest slope, 6, joins nodes 1 and 3 across the +inf node 2
+        g = Grid((0.0,), (4.0,), (1.0,))
+        f = GridFn(space2, g, np.array([[0.0, 1.0, np.inf, 13.0, 12.0],
+                                        [np.inf, 0.0, 2.0, np.inf, np.inf]]))
+        assert default_dual_grid(f, nodes=5).maxs == (7.0,)
+
+
+def locality_outputs(op, V, W, dual):
+    """The per-atom outputs of a grid op on rows ``V`` (and ``W``)."""
+    space = MeasureSpace(np.ones(len(V)))
+    f, g = GridFn(space, PRIMAL, V), GridFn(space, PRIMAL, W)
+    if op == "conjugate":
+        return [conjugate(f, dual).values]
+    if op == "fenchel_moreau_check":
+        rep = fenchel_moreau_check(f, dual)
+        return [rep.conjugate.values, rep.biconjugate.values, rep.envelope.values,
+                rep.max_deviation.values, rep.minorant_ok.mask, rep.idempotent_ok.mask]
+    if op == "inf_convolution":
+        res = inf_convolution([f, g])
+        return [res.value.values, *res.split_indices, res.input_convexity_defect.values,
+                res.output_convexity_defect.values]
+    checks = infconv_checks([f, g], dual_grid=dual)
+    return [checks.additivity_defect.values, checks.subdiff_ok.mask, checks.interior_ok.mask]
+
+
+class TestGridAtomLocality:
+    """Row ``k`` of every output depends on the data of atom ``k`` alone.
+
+    The dual grid is passed explicitly: ``default_dual_grid`` takes its
+    width from the steepest slope over all atoms, by design.
+    """
+
+    @pytest.mark.parametrize(
+        "op", ["conjugate", "fenchel_moreau_check", "inf_convolution", "infconv_checks"]
+    )
+    def test_other_atoms_do_not_reach_row_k(self, op, rng):
+        K, xs = 8, PRIMAL.axis(0)
+        dual = DUALS["more_dual_nodes"]
+        V, W = seeded_rows(rng, K, xs), seeded_rows(rng, K, xs)[::-1]
+        base = locality_outputs(op, V, W, dual)
+        for k in range(K):
+            # perturb every other atom
+            V2, W2 = seeded_rows(rng, K, xs), seeded_rows(rng, K, xs)
+            V2[k], W2[k] = V[k], W[k]
+            for got, want in zip(locality_outputs(op, V2, W2, dual), base):
+                assert same_bytes(got[k], want[k]), (op, k)
+        # permute all atoms: each row moves with its atom
+        perm = rng.permutation(K)
+        for got, want in zip(locality_outputs(op, V[perm], W[perm], dual), base):
+            assert same_bytes(got, want[perm]), op

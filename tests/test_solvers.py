@@ -18,7 +18,9 @@ with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 
 ``_solvers.nnls`` is compared bit for bit with ``scipy.optimize.nnls``,
 and subprocess tests check that a fresh ``import stratalg.cli`` never
-imports ``scipy.optimize`` while sharing its compiled modules with it.
+imports ``scipy.optimize`` while sharing its compiled modules with it,
+and that an ``nnls`` system without columns returns instead of aborting
+the interpreter.
 """
 
 import hashlib
@@ -348,6 +350,18 @@ def run_fresh(code: str) -> None:
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_nnls_without_columns_returns_the_residual_of_b():
+    # the compiled solver aborts the interpreter on an empty A (a double
+    # free), so the call runs in a child that a regression kills alone
+    run_fresh("""
+        import numpy as np
+        from stratalg._solvers import nnls
+        x, rnorm = nnls(np.zeros((3, 0)), np.array([3.0, 4.0, 0.0]), 10)
+        assert x.shape == (0,) and x.dtype == np.float64, x
+        assert rnorm == 5.0 and type(rnorm) is float, rnorm
+    """)
 
 
 def test_cli_import_leaves_scipy_optimize_out():
