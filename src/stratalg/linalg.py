@@ -42,35 +42,43 @@ __all__ = [
 _SIGN_TOL = 1e-9
 
 
-def _project_out(v: np.ndarray, basis_rows: list[np.ndarray]) -> np.ndarray:
-    resid = v.astype(float).copy()
-    for _ in range(2):  # second pass controls cancellation error
-        for u in basis_rows:
-            resid -= (resid @ u) * u
-    return resid
+# Row-wise dot products of two (n, d) stacks.  The stacked matmul gives the
+# bits of the per-row a[i] @ b[i]; (a * b).sum(1) and einsum round otherwise.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _grow_frame(
-    rows: np.ndarray, frame: Sequence[np.ndarray] = (), eps: float = RANK_TOL
-) -> tuple[list[np.ndarray], list[int]]:
-    """Greedy Gram-Schmidt: grow an orthonormal frame by rows in input order.
+def _grow_frames(
+    R: np.ndarray, F: np.ndarray, c: np.ndarray, eps: float, live: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Greedy Gram-Schmidt on every atom at once, growing frames in place.
 
-    A row is accepted when its residual against the frame so far exceeds
-    ``eps * max(1, |row|)``; the normalized residual joins the frame.
-    Stops once the frame spans ``R^d``.  Returns the grown frame and the
-    indices of the accepted rows.
+    Atom ``k`` tries its rows ``R[k]`` (``(K, m, d)``) in index order,
+    those with ``live[k, j]`` only, against its frame ``F[k, :c[k]]``.  A
+    row's residual, projected out twice to control cancellation error, is
+    accepted when it exceeds ``eps * max(1, |row|)``; the normalized
+    residual joins the frame.  An atom stops once its frame spans
+    ``R^d``.  Returns ``picks[k, i]``, the row that added frame vector
+    ``i`` on atom ``k`` (0 where none did).
     """
-    frame = list(frame)
-    accepted: list[int] = []
-    for j, r in enumerate(rows):
-        if len(frame) == len(r):
-            break
-        resid = _project_out(r, frame)
-        nr = np.linalg.norm(resid)
-        if nr > eps * max(1.0, np.linalg.norm(r)):
-            frame.append(resid / nr)
-            accepted.append(j)
-    return frame, accepted
+    K, m, d = R.shape
+    picks = np.zeros((K, d), dtype=np.int64)
+    for j in range(m):
+        idx = np.flatnonzero(c < d if live is None else (c < d) & live[:, j])
+        row = R[idx, j]
+        resid, U, n = row.copy(), F[idx], c[idx]
+        for _ in range(2):
+            for i in range(int(n.max(initial=0))):
+                on = n > i
+                u = U[on, i]
+                resid[on] -= _dot(resid[on], u)[:, None] * u
+        nr = np.sqrt(_dot(resid, resid))
+        ok = nr > eps * np.maximum(1.0, np.sqrt(_dot(row, row)))
+        won, pos = idx[ok], n[ok]
+        F[won, pos] = resid[ok] / nr[ok][:, None]
+        picks[won, pos] = j
+        c[won] += 1
+    return picks
 
 
 def gram_schmidt_rows(rows: Sequence[np.ndarray], eps: float = RANK_TOL) -> np.ndarray:
@@ -79,21 +87,26 @@ def gram_schmidt_rows(rows: Sequence[np.ndarray], eps: float = RANK_TOL) -> np.n
     A row is accepted when its residual against the rows accepted so far
     exceeds ``eps * max(1, |row|)``.
     """
-    rows = np.asarray(rows, dtype=float)
-    frame, _ = _grow_frame(rows, eps=eps)
-    return np.array(frame) if frame else np.zeros((0, rows.shape[-1]))
+    R = np.atleast_2d(np.asarray(rows, dtype=float))
+    d = R.shape[1]
+    F, c = np.zeros((1, d, d)), np.zeros(1, dtype=np.int64)
+    _grow_frames(R[None], F, c, eps)
+    return F[0, : c[0]]
 
 
 def numeric_rank(rows: np.ndarray, eps: float = RANK_TOL) -> int:
-    return len(_grow_frame(np.atleast_2d(np.asarray(rows, dtype=float)), eps=eps)[1])
+    return len(gram_schmidt_rows(rows, eps))
 
 
-def _canonical_sign(row: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(row)))) if row.size else 1.0
-    for x in row:
-        if abs(x) > _SIGN_TOL * scale:
-            return row if x > 0 else -row
-    return row
+def _canonical_signs(rows: np.ndarray) -> np.ndarray:
+    """Flip each row whose leading entry above ``_SIGN_TOL * max(1, max|row|)`` is <= 0."""
+    if not rows.size:
+        return rows
+    a = np.abs(rows)
+    top = a.max(axis=-1, keepdims=True)
+    hit = a > _SIGN_TOL * np.where(top > 1.0, top, 1.0)
+    lead = np.take_along_axis(rows, hit.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(hit.any(axis=-1, keepdims=True) & ~(lead > 0), -rows, rows)
 
 
 @dataclass(frozen=True)
@@ -164,12 +177,9 @@ class OrthonormalFrame:
         Per atom the rows are rotated so the complement directions come
         first; labels become ``d - r``.
         """
-        K, d = self.rows.shape[0], self.dim
-        rows = np.empty_like(self.rows)
-        for k in range(K):
-            r = int(self.labels[k])
-            rows[k] = np.vstack([self.rows[k, r:, :], self.rows[k, :r, :]])
-        return OrthonormalFrame(self.space, d, d - self.labels, rows)
+        turn = (np.arange(self.dim)[None, :] + self.labels[:, None]) % self.dim
+        rows = np.take_along_axis(self.rows, turn[:, :, None], axis=1)
+        return OrthonormalFrame(self.space, self.dim, self.dim - self.labels, rows)
 
 
 @dataclass(frozen=True)
@@ -226,14 +236,9 @@ def rank_partition(
             raise ShapeError("generators must share a dimension")
     K = space.natoms
     G = np.stack([g.values for g in generators], axis=1)  # (K, m, d)
-
     labels = np.zeros(K, dtype=np.int64)
-    picks = np.zeros((min(len(generators), d), K), dtype=np.int64)
-    for k in range(K):
-        _, accepted = _grow_frame(G[k], eps=rank_tol)
-        labels[k] = len(accepted)
-        picks[: len(accepted), k] = accepted
-    picks = picks[: labels.max()]
+    picks = _grow_frames(G, np.zeros((K, d, d)), labels, rank_tol)
+    picks = np.ascontiguousarray(picks.T[: labels.max()])
     atoms = np.arange(K)
     return StratifiedBasis(
         space=space,
@@ -259,20 +264,15 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
     space, d, K = basis.space, basis.dim, basis.space.natoms
     vecs = [v.values for v in basis.vectors]
     V = np.stack(vecs, axis=1) if vecs else np.zeros((K, 0, d))  # (K, n, d)
-    rows = np.zeros((K, d, d))
-    dependent = np.zeros(K, dtype=bool)
-    for k in range(K):
-        r = int(basis.labels[k])
-        frame, accepted = _grow_frame(V[k, :r], eps=rank_tol)
-        if len(accepted) < r:
-            dependent[k] = True
-            continue
-        frame, _ = _grow_frame(np.eye(d), frame, rank_tol)
-        rows[k] = np.array([_canonical_sign(u) for u in frame])
+    F, c = np.zeros((K, d, d)), np.zeros(K, dtype=np.int64)
+    _grow_frames(V, F, c, rank_tol, np.arange(V.shape[1]) < basis.labels[:, None])
+    dependent = c < basis.labels
     if dependent.any():
         raise PreconditionError(
             "stratified basis is not independent where its label claims", dependent
         )
+    _grow_frames(np.broadcast_to(np.eye(d), (K, d, d)), F, c, rank_tol)
+    rows = _canonical_signs(F)
     return OrthonormalFrame(space=space, dim=d, labels=basis.labels.copy(), rows=rows)
 
 
@@ -367,15 +367,16 @@ def hyperplane_normal_form(
     if degenerate.any():
         raise PreconditionError("zero normal on part of the region", degenerate)
 
+    reg = region.mask
+    # frames start from the unit normal; atoms off the region count as full
+    F, c = np.zeros((K, d, d)), np.where(reg, 1, d)
+    F[reg, 0] = z.values[reg] / norms[reg, None]
+    _grow_frames(np.broadcast_to(np.eye(d), (K, d, d)), F, c, rank_tol)
     rows = np.tile(np.eye(d)[None, :, :], (K, 1, 1))
+    rows[reg] = np.concatenate([_canonical_signs(F[reg, 1:]), F[reg, :1]], axis=1)
     x0 = np.zeros((K, d))
-    for k in range(K):
-        if not region.mask[k]:
-            continue
-        u = z.values[k] / norms[k]
-        frame, _ = _grow_frame(np.eye(d), [u], rank_tol)
-        rows[k] = np.vstack([_canonical_sign(w) for w in frame[1:]] + [u])
-        x0[k] = (v.values[k] / norms[k] ** 2) * z.values[k]
+    # C's pow, as a float64 scalar's ** 2; an array's ** 2 multiplies instead
+    x0[reg] = (v.values[reg] / np.float_power(norms[reg], 2))[:, None] * z.values[reg]
     labels = np.full(K, d - 1, dtype=np.int64)
     frame_out = OrthonormalFrame(space=space, dim=d, labels=labels, rows=rows)
     return CondVector(space, x0), frame_out

@@ -174,29 +174,26 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
             raise PreconditionError("epsilons must be strictly positive", bad)
     T = seq.horizon
     data = seq.stacked()  # (T, K, d)
-    # tail_diam[n, k]: max pairwise distance among positions >= n (0-based)
+    # tail_diam[n, k]: max pairwise distance among positions >= n (0-based);
+    # as with Python's max(), a NaN distance never replaces the running max
     tail_diam = np.zeros((T, K))
-    for k in range(K):
-        rows = data[:, k, :]
-        dists = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
-        running = 0.0
-        for n in range(T - 2, -1, -1):
-            running = max(running, float(dists[n, n + 1:].max()))
-            tail_diam[n, k] = running
-    cuts = []
-    diams = []
+    running = np.zeros(K)
+    for n in range(T - 2, -1, -1):
+        far = np.linalg.norm(data[n] - data[n + 1 :], axis=2).max(axis=0)
+        running = np.where(far > running, far, running)
+        tail_diam[n] = running
+    # the singleton tail at the horizon is never a cut
+    ok = np.zeros((T, K), dtype=bool)
+    atoms = np.arange(K)
+    cuts, diams = [], []
     passing = np.ones(K, dtype=bool)
     for eps in schedule:
-        cut = np.zeros(K, dtype=np.int64)
-        dia = np.full(K, np.inf)
-        for k in range(K):
-            ok = np.flatnonzero(tail_diam[: T - 1, k] <= eps.values[k])
-            if len(ok):
-                cut[k] = ok[0] + 1  # 1-based
-                dia[k] = tail_diam[ok[0], k]
-        passing &= cut > 0
-        cuts.append(cut)
-        diams.append(dia)
+        ok[: T - 1] = tail_diam[: T - 1] <= eps.values
+        first = ok.argmax(axis=0)
+        hit = ok[first, atoms]
+        passing &= hit
+        cuts.append(np.where(hit, first + 1, 0))  # 1-based
+        diams.append(np.where(hit, tail_diam[first, atoms], np.inf))
     return CauchyResult(
         limit=seq.terms[-1],
         cauchy_on=MeasurableSet(space, passing),

@@ -492,3 +492,99 @@ class TestGreedyGramSchmidtMatchesReferences:
                 assert same_bits(gram_schmidt_rows(rows, rank_tol), ref)
                 assert numeric_rank(rows, rank_tol) == len(ref)
         assert ranks >= set(range(6))
+
+
+def stacked_family(rng, K, d, m, rank_tol):
+    """``near_degenerate_family`` plus rows whose residual sits at the
+    ``rank_tol`` threshold, all-zero and ``-0.0`` rows."""
+    G = near_degenerate_family(rng, K, d, m)
+    for j in range(1, m):
+        for k in range(K):
+            r = rng.random()
+            if r < 0.15:
+                # an earlier row plus an orthogonal step of about the
+                # acceptance threshold: accepted or not by a hair
+                src = G[rng.integers(j), k]
+                step = rng.normal(size=d)
+                if d > 1 and src.any():
+                    step -= (step @ src) / (src @ src) * src
+                if step.any():
+                    scale = rank_tol * max(1.0, np.linalg.norm(src))
+                    scale *= 10.0 ** rng.uniform(-0.01, 0.01)
+                    G[j, k] = src + step * (scale / np.linalg.norm(step))
+            elif r < 0.2:
+                G[j, k] = -0.0
+            elif r < 0.25:
+                G[j, k] = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+    if rng.random() < 0.3:
+        G[0] = -0.0
+    return G
+
+
+class TestStackedKernelMatchesReferences:
+    """Every stacked frame op gives the per-atom loops' bits, on wide,
+    near-degenerate families (K 1-40, d 1-8, m up to 10)."""
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 1e-6])
+    def test_bit_identical(self, rank_tol):
+        rng = np.random.default_rng(8080 + int(-np.log10(rank_tol)))
+        overclaimed = partial = 0
+        for _ in range(60):
+            K, d, m = int(rng.integers(1, 41)), int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            G = stacked_family(rng, K, d, m, rank_tol)
+            space = MeasureSpace(np.ones(K))
+            basis = rank_partition([CondVector(space, g) for g in G], rank_tol)
+            labels, picks, vec_rows = _ref_rank_partition(G, rank_tol)
+            assert same_bits(basis.labels, labels)
+            assert same_bits(basis.picks, picks)
+            assert len(basis.vectors) == len(vec_rows)
+            for v, ref in zip(basis.vectors, vec_rows):
+                assert same_bits(v.values, ref)
+
+            frame = orthonormalize(basis, rank_tol)
+            assert same_bits(frame.rows, _ref_orthonormalize(vec_rows, labels, d, rank_tol))
+            comp = frame.complement()
+            ref = np.stack([np.vstack([frame.rows[k, r:], frame.rows[k, :r]])
+                            for k, r in enumerate(labels)])
+            assert same_bits(comp.rows, ref)
+            assert same_bits(comp.labels, d - labels)
+
+            # labels drawn anywhere up to the number of basis vectors,
+            # so some atoms overclaim independence
+            claimed = rng.integers(0, len(vec_rows) + 1, size=K)
+            fake = StratifiedBasis(space, d, claimed, basis.vectors, basis.picks, basis.generators)
+            ref = _ref_orthonormalize(vec_rows, claimed, d, rank_tol)
+            if ref.dtype == bool:
+                overclaimed += 1
+                with pytest.raises(PreconditionError) as err:
+                    orthonormalize(fake, rank_tol)
+                assert same_bits(err.value.atoms, ref)
+            else:
+                assert same_bits(orthonormalize(fake, rank_tol).rows, ref)
+
+            z = G[rng.integers(m)].copy()
+            z[np.linalg.norm(z, axis=1) <= rank_tol] = -1.0
+            v = rng.normal(size=K) * 10.0 ** rng.integers(-3, 4)
+            region = rng.random(K) < rng.uniform(0.0, 1.0)
+            partial += 0 < region.sum() < K
+            x0, hframe = hyperplane_normal_form(
+                CondVector(space, z), CondScalar(space, v), MeasurableSet(space, region), rank_tol
+            )
+            ref_x0, ref_rows = _ref_hyperplane(z, v, region, rank_tol)
+            assert same_bits(x0.values, ref_x0)
+            assert same_bits(hframe.rows, ref_rows)
+
+            for k in range(K):
+                ref = _ref_gram_schmidt_rows(list(G[:, k]), rank_tol)
+                assert same_bits(gram_schmidt_rows(G[:, k], rank_tol), ref)
+                assert numeric_rank(G[:, k], rank_tol) == len(ref)
+        assert overclaimed >= 10 and partial >= 10
+
+    def test_threshold_rows_go_both_ways(self):
+        # a row one hair above and one hair below the acceptance threshold
+        base = np.array([3.0, 4.0, 0.0])
+        for factor, rank in [(1.001, 2), (0.999, 1)]:
+            step = np.array([0.0, 0.0, RANK_TOL * 5.0 * factor])
+            rows = np.array([base, base + step])
+            assert numeric_rank(rows) == rank
+            assert same_bits(gram_schmidt_rows(rows), _ref_gram_schmidt_rows(list(rows), RANK_TOL))

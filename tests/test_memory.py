@@ -1,0 +1,57 @@
+"""Peak allocation of the stacked ops stays a small multiple of the input.
+
+The ops loop over generator index or horizon position with all atoms at
+once.  A temporary over pairs of positions, such as a ``(K, T, T, d)``
+difference tensor, is about ``T`` times the input and fails here.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from stratalg import (
+    CondScalar,
+    CondSequence,
+    CondVector,
+    MeasureSpace,
+    cauchy_limit,
+    orthonormalize,
+    rank_partition,
+)
+
+K, T, D = 2000, 16, 5
+BOUND = 5  # times the input's bytes
+
+
+@pytest.fixture(scope="module")
+def stack():
+    rng = np.random.default_rng(2000)
+    data = rng.normal(size=(T, K, D))
+    # generators of every rank from 1 to D
+    rank = np.arange(K) % D + 1
+    data[:, :, 1:] *= np.arange(1, D)[None, None, :] < rank[None, :, None]
+    return MeasureSpace(np.ones(K)), data
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cauchy_limit_peak(stack):
+    space, data = stack
+    seq = CondSequence([CondVector(space, t) for t in data])
+    schedule = [CondScalar(space, np.full(K, e)) for e in (1.0, 0.1, 0.01)]
+    assert peak_bytes(lambda: cauchy_limit(seq, schedule)) <= BOUND * data.nbytes
+
+
+def test_orthonormalize_peak(stack):
+    space, data = stack
+    basis = rank_partition([CondVector(space, t) for t in data])
+    assert set(basis.labels.tolist()) == set(range(1, D + 1))
+    assert peak_bytes(lambda: orthonormalize(basis)) <= BOUND * data.nbytes

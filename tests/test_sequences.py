@@ -262,3 +262,92 @@ class TestCauchyLimit:
         with pytest.raises(PreconditionError) as err:
             cauchy_limit(s, [CondScalar(space2, [0.5, 0.0])])
         assert err.value.atoms.tolist() == [False, True]
+
+
+def _ref_cauchy_limit(data, eps_rows):
+    """The per-atom tail-diameter scan, kept as the reference.
+
+    ``data`` is (T, K, d), ``eps_rows`` a list of (K,) epsilons.  Returns
+    the cuts, the tail diameters and the passing mask.
+    """
+    T, K, _ = data.shape
+    tail_diam = np.zeros((T, K))
+    for k in range(K):
+        rows = data[:, k, :]
+        dists = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
+        running = 0.0
+        for n in range(T - 2, -1, -1):
+            running = max(running, float(dists[n, n + 1:].max()))
+            tail_diam[n, k] = running
+    cuts, diams = [], []
+    passing = np.ones(K, dtype=bool)
+    for eps in eps_rows:
+        cut = np.zeros(K, dtype=np.int64)
+        dia = np.full(K, np.inf)
+        for k in range(K):
+            ok = np.flatnonzero(tail_diam[: T - 1, k] <= eps[k])
+            if len(ok):
+                cut[k] = ok[0] + 1
+                dia[k] = tail_diam[ok[0], k]
+        passing &= cut > 0
+        cuts.append(cut)
+        diams.append(dia)
+    return cuts, diams, passing, tail_diam
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCauchyLimitMatchesReference:
+    """The scan stacked over atoms gives the per-atom loop's bits."""
+
+    def test_bit_identical(self):
+        rng = np.random.default_rng(4242)
+        horizons = set()
+        for case in range(120):
+            T = int(rng.integers(1, 3)) if case < 20 else int(rng.integers(1, 21))
+            K, d = int(rng.integers(1, 31)), int(rng.integers(1, 6))
+            data = rng.normal(size=(T, K, d)) * 10.0 ** rng.integers(-6, 7, size=(1, K, 1))
+            if rng.random() < 0.3:
+                data = np.round(data)
+            for k in range(K):
+                if T > 1 and rng.random() < 0.4:
+                    # a constant tail from a random position on
+                    t0 = int(rng.integers(T))
+                    data[t0:, k] = data[t0, k]
+            space = MeasureSpace(np.ones(K))
+            seq = seq_from_array(space, data)
+            _, _, _, tail = _ref_cauchy_limit(data, [])
+            eps_rows = [rng.uniform(0.01, 3.0, K) * 10.0 ** rng.integers(-6, 7, K)
+                        for _ in range(int(rng.integers(1, 4)))]
+            if T > 1:
+                # epsilon exactly equal to an achieved tail diameter
+                hit = tail[rng.integers(T - 1, size=K), np.arange(K)]
+                eps_rows.append(np.where(hit > 0, hit, 1.0))
+            cuts, diams, passing, _ = _ref_cauchy_limit(data, eps_rows)
+            res = cauchy_limit(seq, [CondScalar(space, e) for e in eps_rows])
+            assert same_bits(res.cauchy_on.mask, passing)
+            assert len(res.cuts) == len(cuts)
+            for got, want in zip(res.cuts, cuts):
+                assert same_bits(got, want)
+            for got, want in zip(res.tail_diameters, diams):
+                assert same_bits(got, want)
+            horizons.add(T)
+        assert {1, 2} <= horizons
+
+    def test_epsilon_equal_to_the_tail_diameter_cuts_there(self, space2):
+        s = const_seq(space2, [[0.0], [3.0], [1.0], [1.5], [1.5]])
+        res = cauchy_limit(s, [CondScalar.constant(space2, 0.5)])
+        assert res.cuts[0].tolist() == [3, 3]
+        assert res.tail_diameters[0].tolist() == [0.5, 0.5]
+
+    def test_short_horizons(self, space2):
+        one = const_seq(space2, [[1.0]])
+        res = cauchy_limit(one, [CondScalar.constant(space2, 1.0)])
+        assert res.cuts[0].tolist() == [0, 0] and res.cauchy_on.is_empty
+        two = const_seq(space2, [[1.0], [1.25]])
+        res = cauchy_limit(two, [CondScalar(space2, [0.25, 0.2])])
+        assert res.cuts[0].tolist() == [1, 0]
+        assert res.tail_diameters[0].tolist() == [0.25, np.inf]
