@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import PartitionError, ShapeError, SpaceMismatchError
-from .tolerances import EQ_TOL, eq_scale
+from .tolerances import EQ_TOL, row_scale
 
 __all__ = [
     "MeasureSpace",
@@ -162,14 +162,15 @@ class _CondValue:
         return hash((type(self).__name__, self.space, self.values.tobytes()))
 
     def eq_set(self, other, tol: float = EQ_TOL) -> MeasurableSet:
-        """Atoms on which the two values agree, up to scaled tolerance."""
+        """Atoms on which the two values agree, up to a tolerance scaled by
+        each atom's own entries."""
         _check_space(self, other)
         a, b = self.values, other.values
-        scale = eq_scale(a, b)
-        diff = np.abs(a - b)
-        # +inf vs +inf and -inf vs -inf count as equal.
-        same_inf = (a == b) & ~np.isfinite(a)
-        ok = (diff <= tol * scale) | same_inf
+        scale = row_scale(a, b).reshape((-1,) + (1,) * (a.ndim - 1))
+        # equal entries, +inf vs +inf and -inf vs -inf among them, differ
+        # by 0 without forming inf - inf
+        diff = np.subtract(a, b, out=np.zeros(np.broadcast_shapes(a.shape, b.shape)), where=a != b)
+        ok = np.abs(diff) <= tol * scale
         if ok.ndim > 1:
             ok = ok.all(axis=tuple(range(1, ok.ndim)))
         return MeasurableSet(self.space, ok)

@@ -26,6 +26,7 @@ from .core import (
     MeasurableSet,
     MeasureSpace,
     _check_space,
+    _freeze,
     ext_add,
 )
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     UnboundedError,
 )
 from .sets import ConvexSetRep, membership, ri_membership
-from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL
+from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
 
 __all__ = [
     "MaxAffineFn",
@@ -60,26 +61,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxAffineFn:
-    """``f(x) = max_j <x, slope_j> + offset_j`` on a polyhedral domain.
+    """``f(x) = max_j <x, slopes[j]> + offsets[j]`` on a polyhedral domain.
 
+    The pieces are stored stacked and read-only: ``slopes`` is
+    ``(K, J, dim)`` and ``offsets`` is ``(K, J)``, atom axis first.
     Outside the domain (when one is given) the value is ``+inf``.
     """
 
     space: MeasureSpace
-    dim: int
-    pieces: tuple[tuple[CondVector, CondScalar], ...]
+    slopes: np.ndarray
+    offsets: np.ndarray
     domain: Optional[ConvexSetRep] = None
 
     def __post_init__(self):
-        if not self.pieces:
+        slopes = np.array(self.slopes, dtype=float, order="C")
+        offsets = np.array(self.offsets, dtype=float, order="C")
+        if slopes.ndim != 3 or slopes.shape[0] != self.space.natoms or (
+                offsets.shape != slopes.shape[:2]):
+            raise ShapeError("pieces must form (natoms, npieces, dim) slopes "
+                             "and (natoms, npieces) offsets")
+        if not slopes.shape[1]:
             raise ShapeError("a max-affine function needs at least one piece")
-        for y, z in self.pieces:
-            if y.space != self.space or z.space != self.space:
-                raise SpaceMismatchError("pieces live on different spaces")
-            if y.dim != self.dim:
-                raise ShapeError("piece slopes must share the dimension")
+        if not (np.isfinite(slopes).all() and np.isfinite(offsets).all()):
+            raise ShapeError("pieces must have finite entries")
+        object.__setattr__(self, "slopes", _freeze(slopes))
+        object.__setattr__(self, "offsets", _freeze(offsets))
         if self.domain is not None and (
             self.domain.space != self.space or self.domain.dim != self.dim
         ):
@@ -91,27 +99,33 @@ class MaxAffineFn:
         pieces: Sequence[tuple[CondVector, CondScalar]],
         domain: Optional[ConvexSetRep] = None,
     ) -> "MaxAffineFn":
-        """Build a function, reading space and dimension off the pieces."""
+        """Build a function from ``(slope, offset)`` pairs, reading space
+        and dimension off the first."""
         pieces = tuple(pieces)
         if not pieces:
             raise ShapeError("a max-affine function needs at least one piece")
-        y0 = pieces[0][0]
-        return cls(space=y0.space, dim=y0.dim, pieces=pieces, domain=domain)
+        space, dim = pieces[0][0].space, pieces[0][0].dim
+        for y, z in pieces:
+            if y.space != space or z.space != space:
+                raise SpaceMismatchError("pieces live on different spaces")
+            if y.dim != dim:
+                raise ShapeError("piece slopes must share the dimension")
+        slopes = np.stack([y.values for y, _ in pieces], axis=1)
+        offsets = np.stack([z.values for _, z in pieces], axis=1)
+        return cls(space, slopes, offsets, domain)
+
+    @property
+    def dim(self) -> int:
+        return self.slopes.shape[2]
 
     @property
     def npieces(self) -> int:
-        return len(self.pieces)
+        return self.slopes.shape[1]
 
     def piece_values(self, x: CondVector) -> np.ndarray:
         """Per-atom value of every affine piece: shape (natoms, npieces)."""
         _check_space(self, x)
-        out = np.empty((self.space.natoms, self.npieces))
-        for j, (y, z) in enumerate(self.pieces):
-            out[:, j] = np.einsum("kd,kd->k", x.values, y.values) + z.values
-        return out
-
-    def slopes_at(self, k: int) -> np.ndarray:
-        return np.array([y.values[k] for y, _ in self.pieces])
+        return np.einsum("kd,kjd->kj", x.values, self.slopes) + self.offsets
 
     def eval(self, x: CondVector) -> CondExtScalar:
         vals = self.piece_values(x).max(axis=1)
@@ -332,7 +346,7 @@ def _conjugate_max_affine(f: MaxAffineFn, dual_grid: Grid) -> GridFn:
     d = f.dim
     for k in range(K):
         vsets = [] if f.domain is None else [f.domain.generators_at(k)]
-        lp = _epigraph_lp(f.slopes_at(k), np.array([z.values[k] for _, z in f.pieces]), vsets, d)
+        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, d)
         out[k] = np.reshape([_conj_node_lp(y, lp) for y in nodes], dual_grid.shape)
     # every atom is solved before raising, so the error mask is complete
     failed = np.isnan(out.reshape(K, -1)).any(axis=1)
@@ -441,11 +455,6 @@ def _row_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.where(both, a, 0.0) - np.where(both, b, 0.0)).max(axis=1)
 
 
-def _row_scale(a: np.ndarray) -> np.ndarray:
-    """Per-row ``eq_scale``: ``max(1, max |finite entry|)``."""
-    return np.maximum(1.0, np.abs(np.where(np.isfinite(a), a, 0.0)).max(axis=1))
-
-
 def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     """Symmetric dual grid wide enough and fine enough for ``f``.
 
@@ -508,11 +517,11 @@ def fenchel_moreau_check(
     same = np.all(np.isfinite(a) == np.isfinite(env), axis=1)
     dev = np.where(same, _row_gap(a, env), np.inf)
     # at a +inf node of f the bound is +inf and always holds
-    minor = np.all(a <= fv + tol * _row_scale(fv)[:, None], axis=1)
+    minor = np.all(a <= fv + tol * row_scale(fv)[:, None], axis=1)
     s1, s3 = fstar.values, fsss.values
     sb = np.isfinite(s1) & np.isfinite(s3)
     idem = np.all(np.isfinite(s1) == np.isfinite(s3), axis=1) & (
-        _row_gap(s1, s3) <= EQ_TOL * _row_scale(np.where(sb, s1, 0.0)))
+        _row_gap(s1, s3) <= EQ_TOL * row_scale(np.where(sb, s1, 0.0)))
     return FenchelMoreauReport(
         conjugate=fstar,
         biconjugate=fss,
@@ -523,22 +532,22 @@ def fenchel_moreau_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdifferentialRep:
     """Subdifferential of a max-affine function at a point.
 
     Per atom it is the convex hull of the active piece slopes; the
     ``representative`` is the minimal-norm element of that hull.
+    ``slopes`` is the function's ``(K, J, dim)`` slope array.
     """
 
     point: CondVector
     active: np.ndarray
     representative: CondVector
-    slopes: tuple[CondVector, ...]
+    slopes: np.ndarray
 
     def generator_rows(self, k: int) -> np.ndarray:
-        rows = np.array([y.values[k] for y in self.slopes])
-        return rows[self.active[k]]
+        return self.slopes[k][self.active[k]]
 
 
 def subdifferential(
@@ -560,13 +569,12 @@ def subdifferential(
     K = f.space.natoms
     rep = np.empty((K, f.dim))
     for k in range(K):
-        rows = f.slopes_at(k)[active[k]]
-        rep[k] = simplex_min_norm(rows).point
+        rep[k] = simplex_min_norm(f.slopes[k][active[k]]).point
     return SubdifferentialRep(
         point=x0,
         active=active,
         representative=CondVector(f.space, rep),
-        slopes=tuple(y for y, _ in f.pieces),
+        slopes=f.slopes,
     )
 
 
@@ -628,8 +636,7 @@ def directional_derivative(
     K = f.space.natoms
     out = np.empty(K)
     for k in range(K):
-        rows = f.slopes_at(k)[active[k]]
-        out[k] = float(np.max(rows @ x.values[k]))
+        out[k] = float(np.max(f.slopes[k][active[k]] @ x.values[k]))
     if f.domain is not None:
         feas = _feasible_direction_mask(f.domain, x0, x, strict_tol)
         out = np.where(feas, out, np.inf)
@@ -669,7 +676,7 @@ def differentiability_check(
     ok = np.zeros(K, dtype=bool)
     grad = np.zeros((K, f.dim))
     for k in range(K):
-        rows = f.slopes_at(k)[active[k]]
+        rows = f.slopes[k][active[k]]
         scale = max(1.0, float(np.max(np.abs(rows))))
         spread = float(np.max(np.abs(rows - rows[0]))) if len(rows) else 0.0
         if spread <= grad_tol * scale:
@@ -726,14 +733,13 @@ def argmin(
 
     def solve(k: int):
         vsets = [c.generators_at(k)] + ([] if f.domain is None else [f.domain.generators_at(k)])
-        zoff = np.array([z.values[k] for _, z in f.pieces])
-        lp = _epigraph_lp(f.slopes_at(k), zoff, vsets, d)
+        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, d)
         nvar = len(lp["bounds"])
         c_obj = np.zeros(nvar)
         c_obj[d] = 1.0
         res = solve_lp(c_obj, **lp)
         if res.status == 2:
-            return 2, c.points[0].values[k], np.inf, False
+            return 2, c.points[k, 0], np.inf, False
         if res.status != 0:
             return res.status, None, None, False
         xstar = res.x[:d]
@@ -791,7 +797,7 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
     K = space.natoms
 
     def cone(rep: ConvexSetRep, k: int) -> np.ndarray:
-        gens = np.vstack([rep.rays_at(k), rep.lines_at(k), -rep.lines_at(k)])
+        gens = np.vstack([rep.rays[k], rep.lines[k], -rep.lines[k]])
         return gens[np.linalg.norm(gens, axis=1) > 1e-12]
 
     witness = np.zeros((K, f.dim))
@@ -801,7 +807,7 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
         dom = cone(f.domain, k) if f.domain is not None else None
         if not len(gens) or (dom is not None and not len(dom)):
             continue
-        yrows = f.slopes_at(k)
+        yrows = f.slopes[k]
         n = len(gens)
         # w = gens^T u, u in [0,1]^n, every piece slope non-increasing;
         # with a domain also w = dom^T v, v >= 0, so w is in both cones
@@ -1034,9 +1040,7 @@ def sublinear_support(f: MaxAffineFn) -> tuple[CondVector, ...]:
     Requires all offsets to vanish; then ``f(0) = 0`` and the slopes
     generate the subdifferential at 0, whose support function is ``f``.
     """
-    bad = np.zeros(f.space.natoms, dtype=bool)
-    for _, z in f.pieces:
-        bad |= np.abs(z.values) > FEAS_TOL
+    bad = (np.abs(f.offsets) > FEAS_TOL).any(axis=1)
     if bad.any():
         raise PreconditionError("sublinear functions need zero offsets", bad)
-    return tuple(y for y, _ in f.pieces)
+    return tuple(CondVector(f.space, f.slopes[:, j]) for j in range(f.npieces))

@@ -246,11 +246,8 @@ def _build_function(scn: Scenario, name: str, rec):
                 )
             built.append((scn.vector(p[0]), scn.scalar(p[1])))
         domain = rec.get("domain")
-        return MaxAffineFn(
-            scn.space,
-            scn.d,
-            tuple(built),
-            None if domain is None else scn.convex_set(domain),
+        return MaxAffineFn.from_pieces(
+            built, None if domain is None else scn.convex_set(domain)
         )
     if kind == "grid":
         for key in ("mins", "maxs", "steps", "values"):

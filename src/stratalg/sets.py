@@ -1,8 +1,11 @@
 """Conditional convex sets in generator (V-) representation.
 
-A set is stored per atom as ``conv(points) + cone(rays) + span(lines)``;
-gluing acts row-wise, so the same representation object can describe
-different polyhedra on different atoms (rows may vanish on some atoms).
+A set is stored per atom as ``conv(points) + cone(rays) + span(lines)``.
+Each generator family is one read-only ``(K, n, d)`` array, atom axis
+first, so ``rep.points[k]`` is atom ``k``'s point rows as a view and a
+check over the whole family is one array expression.  Gluing acts
+row-wise, so the same representation object can describe different
+polyhedra on different atoms (rows may vanish on some atoms).
 Stable and sigma hulls of a finite family coincide here and are carried
 as per-atom finite point sets, flagged ``discrete``; they support
 membership and nearest-point queries but no interior-type queries.
@@ -13,7 +16,7 @@ of the space returns the atoms where it fails instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,11 +35,12 @@ from .core import (
     MeasurableSet,
     MeasureSpace,
     _check_space,
+    _freeze,
     ext_add,
 )
 from .errors import PreconditionError, ShapeError, SpaceMismatchError
 from .linalg import gram_schmidt_rows, numeric_rank, orthonormalize, rank_partition
-from .tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
+from .tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
 __all__ = [
     "ConvexSetRep",
@@ -54,70 +58,62 @@ __all__ = [
 _HULL_KINDS = ("stable", "sigma", "convex", "cone", "affine", "linear")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexSetRep:
     """Per-atom ``conv(points) + cone(rays) + span(lines)``.
 
-    The point list is never empty, which keeps the represented set
-    nonempty on every atom.  ``discrete`` marks stable/sigma hulls whose
-    per-atom value set is just the finite set of point rows.
+    Each family is given as a sequence of ``CondVector`` (or as a
+    ``(K, n, dim)`` array) and stored as a read-only C-contiguous
+    ``(K, n, dim)`` array; an empty family is ``(K, 0, dim)``.  The point
+    family is never empty, which keeps the represented set nonempty on
+    every atom.  ``discrete`` marks stable/sigma hulls whose per-atom
+    value set is just the finite set of point rows.
     """
 
     space: MeasureSpace
     dim: int
-    points: tuple[CondVector, ...]
-    rays: tuple[CondVector, ...] = ()
-    lines: tuple[CondVector, ...] = ()
+    points: np.ndarray
+    rays: np.ndarray = ()
+    lines: np.ndarray = ()
     discrete: bool = False
 
     def __post_init__(self):
-        if not self.points:
+        object.__setattr__(self, "points", self._stack(self.points))
+        if not self.points.shape[1]:
             raise ShapeError("a set representation needs at least one point")
-        for fam in (self.points, self.rays, self.lines):
-            for v in fam:
+        object.__setattr__(self, "rays", self._stack(self.rays))
+        object.__setattr__(self, "lines", self._stack(self.lines))
+        if self.discrete and (self.rays.shape[1] or self.lines.shape[1]):
+            raise ShapeError("discrete representations carry points only")
+
+    def _stack(self, family) -> np.ndarray:
+        K = self.space.natoms
+        if not isinstance(family, np.ndarray):
+            for v in family:
                 if v.space != self.space:
                     raise SpaceMismatchError("generators live on different spaces")
                 if v.dim != self.dim:
                     raise ShapeError("generators must share a dimension")
-        if self.discrete and (self.rays or self.lines):
-            raise ShapeError("discrete representations carry points only")
-
-    def points_at(self, k: int) -> np.ndarray:
-        return np.array([p.values[k] for p in self.points])
-
-    def rays_at(self, k: int) -> np.ndarray:
-        if not self.rays:
-            return np.zeros((0, self.dim))
-        return np.array([r.values[k] for r in self.rays])
-
-    def lines_at(self, k: int) -> np.ndarray:
-        if not self.lines:
-            return np.zeros((0, self.dim))
-        return np.array([s.values[k] for s in self.lines])
+            family = (np.stack([v.values for v in family], axis=1) if len(family)
+                      else np.zeros((K, 0, self.dim)))
+        if family.ndim != 3 or family.shape[::2] != (K, self.dim):
+            raise ShapeError("generator rows must form a (natoms, n, dim) array")
+        if not np.isfinite(family).all():
+            raise ShapeError("generators must have finite entries")
+        return _freeze(np.array(family, dtype=float, order="C"))
 
     def generators_at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The point, ray and line rows of atom ``k``."""
-        return self.points_at(k), self.rays_at(k), self.lines_at(k)
-
-    def direction_rows_at(self, k: int) -> np.ndarray:
-        """Spanning rows of the affine hull's direction space."""
-        pts = self.points_at(k)
-        offs = pts[1:] - pts[0] if len(pts) > 1 else np.zeros((0, self.dim))
-        return np.vstack([offs, self.rays_at(k), self.lines_at(k)])
+        """The point, ray and line rows of atom ``k``, as views."""
+        return self.points[k], self.rays[k], self.lines[k]
 
     def affine_dim_at(self, k: int, rank_tol: float = RANK_TOL) -> int:
-        return numeric_rank(self.direction_rows_at(k), rank_tol)
+        """Dimension of the affine hull on atom ``k``."""
+        pts = self.points[k]
+        return numeric_rank(np.vstack([pts[1:] - pts[0], self.rays[k], self.lines[k]]), rank_tol)
 
     def translate(self, x: CondVector) -> "ConvexSetRep":
         _check_space(self, x)
-        return ConvexSetRep(
-            space=self.space,
-            dim=self.dim,
-            points=tuple(p + x for p in self.points),
-            rays=self.rays,
-            lines=self.lines,
-            discrete=self.discrete,
-        )
+        return replace(self, points=self.points + x.values[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -145,13 +141,10 @@ class CondHalfspace:
         if vanishing.any():
             raise PreconditionError("normal vanishes on the support", vanishing)
 
-    def _gap(self, x: CondVector) -> tuple[np.ndarray, float]:
+    def _gap(self, x: CondVector) -> tuple[np.ndarray, np.ndarray]:
         _check_space(self.normal, x)
         g = np.einsum("kd,kd->k", x.values, self.normal.values)
-        scale = max(
-            1.0, float(np.max(np.abs(g))), float(np.max(np.abs(self.offset.values)))
-        )
-        return g, scale
+        return g, row_scale(g, self.offset.values)
 
     def contains(self, x: CondVector, tol: float = FEAS_TOL) -> MeasurableSet:
         g, scale = self._gap(x)
@@ -219,13 +212,9 @@ def hull(generators: Sequence[CondVector], kind: str) -> ConvexSetRep:
 
 
 def _member_tol(rep: ConvexSetRep, x: CondVector, tol: float) -> float:
-    scale = 1.0
-    for fam in (rep.points, rep.rays, rep.lines):
-        for v in fam:
-            if v.values.size:
-                scale = max(scale, float(np.max(np.abs(v.values))))
-    scale = max(scale, float(np.max(np.abs(x.values))) if x.values.size else 1.0)
-    return tol * scale
+    # one scale over all atoms, so not atom-local (ROADMAP item 2)
+    return tol * max(1.0, *(float(np.abs(a).max(initial=0.0))
+                            for a in (rep.points, rep.rays, rep.lines, x.values)))
 
 
 def membership(
@@ -249,7 +238,7 @@ def membership(
         if not region.mask[k]:
             return False
         if rep.discrete:
-            pts = rep.points_at(k)
+            pts = rep.points[k]
             return bool(np.min(np.max(np.abs(pts - x.values[k]), axis=1)) <= cutoff)
         return combination_residual(x.values[k], *rep.generators_at(k)) <= cutoff
 
@@ -258,10 +247,8 @@ def membership(
 
 
 def _bounded_or_raise(rep: ConvexSetRep, name: str, tol: float = RANK_TOL) -> None:
-    bad = np.zeros(rep.space.natoms, dtype=bool)
-    for fam in (rep.rays, rep.lines):
-        for v in fam:
-            bad |= np.linalg.norm(v.values, axis=1) > tol
+    recession = np.concatenate([rep.rays, rep.lines], axis=1)
+    bad = (np.linalg.norm(recession, axis=2) > tol).any(axis=1)
     if bad.any():
         raise PreconditionError(f"{name} must be bounded (no rays or lines)", bad)
 
@@ -282,18 +269,16 @@ def nearest_pair(
     space = c.space
 
     def solve(k: int):
-        cp, dp = c.points_at(k), d.points_at(k)
+        cp, dp = c.points[k], d.points[k]
         if c.discrete and d.discrete:
             dist = np.linalg.norm(cp[:, None, :] - dp[None, :, :], axis=2)
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
             return cp[i], dp[j]
         if c.discrete or d.discrete:
             disc, other = (c, d) if c.discrete else (d, c)
-            drows = disc.points_at(k)
             best = None
-            for q in drows:
-                shifted = other.points_at(k) - q
-                sol = min_norm_point(shifted, other.rays_at(k), other.lines_at(k))
+            for q in disc.points[k]:
+                sol = min_norm_point(other.points[k] - q, other.rays[k], other.lines[k])
                 cand = (np.linalg.norm(sol.point), q, q + sol.point)
                 if best is None or cand[0] < best[0] - 1e-15:
                     best = cand
@@ -301,8 +286,7 @@ def nearest_pair(
             return (q, p) if c.discrete else (p, q)
         # both polyhedral: minimize over the difference set
         diff_pts = (cp[:, None, :] - dp[None, :, :]).reshape(-1, c.dim)
-        rays = c.rays_at(k)
-        lines = c.lines_at(k)
+        rays, lines = c.rays[k], c.lines[k]
         sol = min_norm_point(diff_pts, rays, lines)
         lam = sol.coeffs[: len(diff_pts)].reshape(len(cp), len(dp))
         lam = np.clip(lam, 0.0, None)
@@ -354,10 +338,10 @@ def ri_membership(
 
 
 def _difference_rows(c: ConvexSetRep, d: ConvexSetRep, k: int):
-    cp, dp = c.points_at(k), d.points_at(k)
+    cp, dp = c.points[k], d.points[k]
     pts = (cp[:, None, :] - dp[None, :, :]).reshape(-1, c.dim)
-    rays = np.vstack([c.rays_at(k), -d.rays_at(k)])
-    lines = np.vstack([c.lines_at(k), d.lines_at(k)])
+    rays = np.vstack([c.rays[k], -d.rays[k]])
+    lines = np.vstack([c.lines[k], d.lines[k]])
     return pts, rays, lines
 
 
@@ -503,22 +487,17 @@ def hahn_banach_extend(
     """
     space = e.space
     dim = e.dim
-    offsets = np.array([zc.values for _, zc in p.pieces])
-    if np.any(np.abs(offsets) > FEAS_TOL):
-        raise PreconditionError(
-            "bound must be sublinear (zero offsets)",
-            np.any(np.abs(offsets) > FEAS_TOL, axis=0),
-        )
-    for pt in e.points:
-        if np.any(np.linalg.norm(pt.values, axis=1) > FEAS_TOL):
-            raise ShapeError("the restriction set must be linear (points at 0)")
-    if e.rays:
+    offset_bad = (np.abs(p.offsets) > FEAS_TOL).any(axis=1)
+    if offset_bad.any():
+        raise PreconditionError("bound must be sublinear (zero offsets)", offset_bad)
+    if (np.linalg.norm(e.points, axis=2) > FEAS_TOL).any():
+        raise ShapeError("the restriction set must be linear (points at 0)")
+    if e.rays.shape[1]:
         raise ShapeError("the restriction set must be linear (no rays)")
 
-    slopes = [y for y, _ in p.pieces]
     K = space.natoms
-    if e.lines:
-        basis = rank_partition(list(e.lines))
+    if e.lines.shape[1]:
+        basis = rank_partition([CondVector(space, e.lines[:, i]) for i in range(e.lines.shape[1])])
         frame = orthonormalize(basis)
         labels = frame.labels
         frows = frame.rows
@@ -543,7 +522,7 @@ def hahn_banach_extend(
     # settles the rest.)
     probe_bad = np.zeros(K, dtype=bool)
     for k in range(K):
-        yrows = np.array([y.values[k] for y in slopes])
+        yrows = p.slopes[k]
         for i in range(int(labels[k])):
             u = frows[k, i]
             ci = float(g_images[i].values[k])
@@ -560,7 +539,7 @@ def hahn_banach_extend(
     rows = np.zeros((K, dim))
     infeasible = np.zeros(K, dtype=bool)
     for k in range(K):
-        yrows = np.array([y.values[k] for y in slopes])
+        yrows = p.slopes[k]
         r = int(labels[k])
         if r == 0:
             sol = simplex_min_norm(yrows)
@@ -601,11 +580,11 @@ def bounded_test(
     inside = membership(zero, rep)
     if not inside.is_full:
         raise PreconditionError("the set must contain the origin", ~inside.mask)
+    recession = np.concatenate([rep.rays, rep.lines], axis=1)
+    nz = np.linalg.norm(recession, axis=2) > rank_tol
+    unbounded = nz.any(axis=1)
     witness = np.zeros((space.natoms, rep.dim))
-    unbounded = np.zeros(space.natoms, dtype=bool)
-    for v in list(rep.rays) + list(rep.lines):
-        nz = np.linalg.norm(v.values, axis=1) > rank_tol
-        fresh = nz & ~unbounded
-        witness[fresh] = v.values[fresh]
-        unbounded |= nz
+    if nz.size:
+        first = nz.argmax(axis=1)
+        witness[unbounded] = recession[unbounded, first[unbounded]]
     return MeasurableSet(space, ~unbounded), CondVector(space, witness)

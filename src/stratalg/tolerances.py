@@ -6,6 +6,8 @@ and vector entries is absolute but scaled by the magnitude of the
 operands, so integer-valued data compares exactly.
 """
 
+import numpy as np
+
 # Scaled absolute tolerance for equality of floats.
 EQ_TOL = 1e-12
 
@@ -29,9 +31,7 @@ FEAS_TOL = 1e-9
 
 
 def eq_scale(*arrays) -> float:
-    """Magnitude scale used by the scaled equality comparison."""
-    import numpy as np
-
+    """Magnitude scale over all entries of the arrays: ``max(1, max |finite entry|)``."""
     m = 1.0
     for a in arrays:
         a = np.asarray(a, dtype=float)
@@ -40,3 +40,14 @@ def eq_scale(*arrays) -> float:
             if finite.size:
                 m = max(m, float(np.max(np.abs(finite))))
     return m
+
+
+def row_scale(*arrays) -> np.ndarray:
+    """Per-atom ``eq_scale``: one scale per row of the arrays, atom axis first.
+
+    Row ``k`` reads the finite entries of row ``k`` of every array only,
+    so a tolerance built on it keeps each atom to its own data.
+    """
+    rows = np.concatenate([np.reshape(a, (len(a), -1)) for a in arrays], axis=1)
+    finite = np.where(np.isfinite(rows), rows, 0.0)
+    return np.maximum(1.0, np.abs(finite).max(axis=1, initial=0.0))

@@ -1,9 +1,13 @@
-"""Atom locality of the stacked linear-algebra and sequence ops.
+"""Atom locality of the linear-algebra, sequence, set and max-affine ops.
 
 Row ``k`` of every output depends on the data of atom ``k`` alone:
 perturbing or permuting the other atoms leaves it bit-identical, and the
 one-atom run on atom ``k`` gives the same row.  Every error names
 exactly the atoms whose one-atom run fails.
+
+Not covered yet: ``membership``, ``bounded_test`` and ``MaxAffineFn.eval``
+with a domain (so also ``directional_derivative`` with one) scale their
+tolerance by the data of all atoms (ROADMAP item 2).
 """
 
 import numpy as np
@@ -11,20 +15,34 @@ import pytest
 
 from stratalg import (
     AtomSetError,
+    CondExtScalar,
+    CondHalfspace,
     CondScalar,
     CondSequence,
     CondVector,
+    ConvexSetRep,
+    Grid,
+    MaxAffineFn,
     MeasurableSet,
     MeasureSpace,
     OrthonormalFrame,
     StratifiedBasis,
+    argmin,
     bw_extract,
     cauchy_limit,
+    conjugate,
     decompose,
+    differentiability_check,
+    directional_derivative,
     extend_linear,
+    hahn_banach_extend,
     hyperplane_normal_form,
+    nearest_pair,
     orthonormalize,
     rank_partition,
+    ri_membership,
+    separate,
+    subdifferential,
 )
 
 D, M, T = 4, 6, 9
@@ -125,10 +143,10 @@ OPS = [
 ]
 
 
-@pytest.mark.parametrize("op", OPS)
-def test_other_atoms_do_not_reach_row_k(op):
-    rng = np.random.default_rng(OPS.index(op))
-    K = 10
+def assert_rows_local(run, draw, op, seed, K):
+    """Row ``k`` of ``run(op, data)`` survives redrawing the other atoms,
+    matches the one-atom run, and permuting the atoms permutes the rows."""
+    rng = np.random.default_rng(seed)
     data = draw(rng, K)
     base = run(op, data)
     for k in range(K):
@@ -142,6 +160,11 @@ def test_other_atoms_do_not_reach_row_k(op):
     perm = rng.permutation(K)
     for got, want in zip(run(op, take(data, perm)), base):
         assert same_bits(got, want[perm]), op
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_other_atoms_do_not_reach_row_k(op):
+    assert_rows_local(run, draw, op, OPS.index(op), K=10)
 
 
 def _seq(space, S):
@@ -201,3 +224,143 @@ def test_error_mask_is_the_union_of_per_atom_verdicts(op):
         with pytest.raises(AtomSetError) as err:
             failing(op, data)()
         assert err.value.atoms.tolist() == verdicts, op
+
+
+# set and max-affine ops ----------------------------------------------------
+
+DS, NP, J = 2, 4, 4
+
+
+def draw_sets(rng, K):
+    """Per-atom data for the set and max-affine ops, atom axis first.
+
+    Two polytopes ``C`` and ``D`` that overlap, touch at a vertex or stay
+    apart, ``C`` flat on some atoms; a ray of ``C``, zero on some atoms;
+    a point ``x`` inside, on the boundary of or away from ``C``; slopes
+    with one, two or all pieces tied at ``x``; a direction; extension
+    data on a subspace of rank 0 to 2; a halfspace with gaps over ten
+    decades; and pairs of values equal up to a tiny relative gap.  Atom
+    scales span six decades, as in ``draw``."""
+    s = 10.0 ** rng.integers(-3, 4, K)
+    s2, s3 = s[:, None], s[:, None, None]
+    C = rng.normal(size=(K, NP, DS)) * s3
+    flat = rng.random(K) < 0.3
+    C[flat] = C[flat, :1] + rng.normal(size=(flat.sum(), NP, 1)) * C[flat, 1:2]
+    shift = rng.normal(size=(K, DS)) * rng.choice([0.0, 1.0, 4.0], K)[:, None]
+    D = (rng.normal(size=(K, NP, DS)) + shift[:, None, :]) * s3
+    touch = rng.random(K) < 0.3
+    D[touch, 0] = C[touch, 0]
+    ray = rng.normal(size=(K, 1, DS)) * s3 * (rng.random((K, 1, 1)) < 0.5)
+    lam = rng.dirichlet(np.ones(NP), K)
+    where = rng.integers(0, 3, K)
+    x = np.where((where == 0)[:, None], np.einsum("kn,knd->kd", lam, C),
+                 np.where((where == 1)[:, None], C[:, 0], 5.0 * rng.normal(size=(K, DS)) * s2))
+    Y = rng.normal(size=(K, J, DS)) * s3
+    tied = rng.choice([1, 2, J], K)
+    drop = np.where(np.arange(J)[None, :] < tied[:, None], 0.0, rng.uniform(0.5, 1.5, (K, J)))
+    L = np.zeros((K, 2, DS))
+    rank = rng.integers(0, 3, K)
+    for k in range(K):
+        L[k] = rng.normal(size=(2, rank[k])) @ rng.normal(size=(rank[k], DS)) * s[k]
+    N = rng.normal(size=(K, DS)) * s2
+    p = rng.normal(size=(K, DS)) * s2
+    gap = rng.choice([-1.0, -1.0, 0.0, 1.0], K) * 10.0 ** rng.uniform(-10, -4, K) * np.maximum(1.0, s**2)
+    a = rng.normal(size=(K, DS)) * s2
+    ea = np.where(rng.random(K) < 0.2, np.inf, rng.normal(size=K) * s)
+    return {
+        "w": rng.uniform(0.5, 2.0, K),
+        "C": C, "D": D, "ray": ray, "x": x, "Y": Y,
+        "Z": -np.einsum("kd,kjd->kj", x, Y) - drop * s2,
+        "u": rng.normal(size=(K, DS)) * s2,
+        "L": L, "mix": rng.dirichlet(np.ones(J), K),
+        "N": N, "p": p, "off": np.einsum("kd,kd->k", p, N) - gap,
+        "support": rng.random(K) < 0.8,
+        "a": a, "b": a * (1.0 + rng.choice([-1.0, 1.0], (K, DS)) * 10.0 ** rng.uniform(-16, -8, (K, DS))),
+        "ea": ea, "eb": ea + rng.normal(size=K) * 10.0 ** rng.uniform(-16, -6, K) * s,
+    }
+
+
+def _family(space, A):
+    return [CondVector(space, A[:, i]) for i in range(A.shape[1])]
+
+
+def _fn(space, Y, Z, domain=None):
+    pieces = zip(_family(space, Y), (CondScalar(space, Z[:, j]) for j in range(Z.shape[1])))
+    return MaxAffineFn.from_pieces(pieces, domain)
+
+
+def _separation(res):
+    out = [res.normal.values, res.gap.values, res.failure_set.mask]
+    return out + [r.values for r in (res.strict_excess, res.distance) if r is not None]
+
+
+def run_sets(op, data):
+    """The op's outputs, each with the atom axis first."""
+    space = MeasureSpace(data["w"])
+    C = ConvexSetRep(space, DS, _family(space, data["C"]), _family(space, data["ray"]))
+    D = ConvexSetRep(space, DS, _family(space, data["D"]))
+    x = CondVector(space, data["x"])
+    f = _fn(space, data["Y"], data["Z"])
+    if op.startswith("separate_"):
+        return _separation(separate(C, D, kind=op[len("separate_"):]))
+    if op == "nearest_pair":
+        return tuple(v.values for v in nearest_pair(C, D))
+    if op.startswith("ri_membership_"):
+        return (ri_membership(x, C, mode=op[len("ri_membership_"):]).mask,)
+    if op == "argmin":
+        res = argmin(f, ConvexSetRep(space, DS, _family(space, data["C"])))
+        return res.minimizer.values, res.value.values, res.unique_set.mask
+    if op == "hahn_banach_extend":
+        zero = CondVector.zero(space, DS)
+        e = ConvexSetRep(space, DS, [zero], lines=_family(space, data["L"]))
+        frame = orthonormalize(rank_partition(_family(space, data["L"])))
+        # the frame values of a point in the slope hull, so dominated by p
+        h = np.einsum("kj,kjd->kd", data["mix"], data["Y"])
+        vals = np.einsum("kid,kd->ki", frame.rows, h)
+        vals[np.arange(DS)[None, :] >= frame.labels[:, None]] = 0.0
+        p = _fn(space, data["Y"], np.zeros((space.natoms, J)))
+        imgs = [CondScalar(space, vals[:, i]) for i in range(DS)]
+        return (hahn_banach_extend(p, e, imgs).values,)
+    if op == "subdifferential":
+        res = subdifferential(f, x)
+        return res.active, res.representative.values
+    if op == "differentiability_check":
+        ok, grad = differentiability_check(f, x)
+        return ok.mask, grad.values
+    if op == "conjugate_max_affine":
+        g = _fn(space, data["Y"], data["Z"], domain=D)
+        return (conjugate(g, Grid((-2.0, -1.0), (2.0, 1.0), (2.0, 1.0))).values,)
+    if op == "directional_derivative":
+        return (directional_derivative(f, x, CondVector(space, data["u"])).values,)
+    if op.startswith("halfspace_"):
+        hs = CondHalfspace(CondVector(space, data["N"]), CondScalar(space, data["off"]),
+                           MeasurableSet(space, data["support"]))
+        return (getattr(hs, op[len("halfspace_"):])(CondVector(space, data["p"])).mask,)
+    if op == "eq_set":
+        return (CondVector(space, data["a"]).eq_set(CondVector(space, data["b"])).mask,
+                CondExtScalar(space, data["ea"]).eq_set(CondExtScalar(space, data["eb"])).mask)
+    raise AssertionError(op)
+
+
+SET_OPS = [
+    "separate_strong",
+    "separate_weak",
+    "separate_proper",
+    "nearest_pair",
+    "ri_membership_interior",
+    "ri_membership_relative",
+    "argmin",
+    "hahn_banach_extend",
+    "subdifferential",
+    "differentiability_check",
+    "conjugate_max_affine",
+    "directional_derivative",
+    "halfspace_contains",
+    "halfspace_boundary_contains",
+    "eq_set",
+]
+
+
+@pytest.mark.parametrize("op", SET_OPS)
+def test_set_and_function_rows_are_local(op):
+    assert_rows_local(run_sets, draw_sets, op, 200 + SET_OPS.index(op), K=8)

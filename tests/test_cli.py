@@ -151,7 +151,7 @@ class TestInterchange:
         assert scn.vector("e1").values.shape == (2, 2)
         assert scn.measurable_set("A").mask.tolist() == [True, False]
         assert scn.sequence("osc").horizon == 6
-        assert scn.convex_set("box").points[0].dim == 2
+        assert scn.convex_set("box").points.shape[2] == 2
         with pytest.raises(ParseError):
             scn.vector("nope")
 

@@ -81,11 +81,17 @@ class TestCondScalar:
         with pytest.raises(ShapeError):
             CondScalar(space3, [1.0, np.nan, 0.0])
 
-    def test_eq_set_and_restrict(self, space3):
+    def test_eq_set_and_restrict(self, space2, space3):
         x = CondScalar(space3, [1.0, 2.0, 3.0])
         y = CondScalar(space3, [1.0, 2.0 + 1e-15, 4.0])
         assert x.eq_set(y).mask.tolist() == [True, True, False]
         assert x.equal_ae(CondScalar(space3, [1.0, 2.0, 3.0]))
+        # each atom's tolerance scales with its own entries only
+        a, b = CondScalar(space2, [0.0, 1e6]), CondScalar(space2, [1e-7, 1e6])
+        assert a.eq_set(b).mask.tolist() == [False, True]
+        inf = CondExtScalar(space3, [np.inf, -np.inf, np.inf])
+        assert inf.eq_set(CondExtScalar(space3, [np.inf, -np.inf, -np.inf])).mask.tolist() == [
+            True, True, False]
         region = MeasurableSet(space3, [True, False, True])
         assert x.restrict(region).values.tolist() == [1.0, 0.0, 3.0]
 

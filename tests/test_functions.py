@@ -111,6 +111,64 @@ class TestMaxAffine:
             MaxAffineFn.from_pieces(())
 
 
+# per-piece references for the stacked max-affine storage ---------------------
+
+
+def ref_piece_values(x, pieces):
+    """One ``einsum`` per piece, as the tuple-of-pieces storage computed it."""
+    out = np.empty((x.space.natoms, len(pieces)))
+    for j, (y, z) in enumerate(pieces):
+        out[:, j] = np.einsum("kd,kd->k", x.values, y.values) + z.values
+    return out
+
+
+def seeded_pieces(rng, space, d, J):
+    scale = 10.0 ** rng.integers(-3, 4, (space.natoms, 1))
+    return [(CondVector(space, rng.normal(size=(space.natoms, d)) * scale),
+             CondScalar(space, rng.normal(size=space.natoms))) for _ in range(J)]
+
+
+class TestStackedPieces:
+    def test_piece_values_match_per_piece_einsum(self):
+        rng = np.random.default_rng(40)
+        for d in range(1, 9):
+            for J in range(1, 9):
+                space = MeasureSpace(np.ones(int(rng.integers(1, 50))))
+                pieces = seeded_pieces(rng, space, d, J)
+                f = MaxAffineFn.from_pieces(pieces)
+                x = CondVector(space, rng.normal(size=(space.natoms, d)) * 10.0 ** rng.integers(-3, 4))
+                assert f.piece_values(x).tobytes() == ref_piece_values(x, pieces).tobytes(), (d, J)
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_slices_match_per_atom_rows(self, rng, J):
+        space = MeasureSpace(np.ones(4))
+        pieces = seeded_pieces(rng, space, 2, J)
+        f = MaxAffineFn.from_pieces(pieces)
+        assert f.slopes.shape == (4, J, 2) and f.offsets.shape == (4, J) and f.npieces == J
+        for k in range(4):
+            rows = np.array([y.values[k] for y, _ in pieces])
+            assert f.slopes[k].tobytes() == rows.tobytes()
+            assert f.offsets[k].tobytes() == np.array([z.values[k] for _, z in pieces]).tobytes()
+        x = CondVector(space, rng.normal(size=(4, 2)))
+        sub = subdifferential(f, x)
+        assert sub.slopes is f.slopes
+        for k in range(4):
+            rows = np.array([y.values[k] for y, _ in pieces])[sub.active[k]]
+            assert sub.generator_rows(k).tobytes() == rows.tobytes()
+
+    def test_arrays_are_read_only(self, rng):
+        space = MeasureSpace(np.ones(3))
+        f = MaxAffineFn.from_pieces(seeded_pieces(rng, space, 2, 2))
+        for a in (f.slopes, f.offsets):
+            assert not a.flags.writeable and a.flags.c_contiguous
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(ShapeError):
+            MaxAffineFn(space, np.zeros((3, 2, 2)), np.zeros((3, 3)))
+        with pytest.raises(ShapeError):
+            MaxAffineFn(space, np.zeros((3, 0, 2)), np.zeros((3, 0)))
+
+
 class TestGrid:
     def test_axes_and_nodes(self):
         g = Grid((-1.0, 0.0), (1.0, 2.0), (0.5, 1.0))

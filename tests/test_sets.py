@@ -29,6 +29,7 @@ from stratalg import (
     ri_membership,
     separate,
 )
+from stratalg.linalg import numeric_rank
 
 
 def const_set(space, points, rays=(), lines=(), discrete=False):
@@ -105,7 +106,7 @@ class TestRepHelpers:
         assert rep.affine_dim_at(0) == 2
         seg = const_set(space2, [[0.0, 0.0], [1.0, 0.0]])
         assert seg.affine_dim_at(0) == 1
-        assert seg.translate(CondVector.constant(space2, [0.0, 5.0])).points[0].values[0].tolist() == [0.0, 5.0]
+        assert seg.translate(CondVector.constant(space2, [0.0, 5.0])).points[0, 0].tolist() == [0.0, 5.0]
 
     def test_discrete_cannot_carry_rays(self, space2):
         with pytest.raises(ShapeError):
@@ -146,6 +147,14 @@ class TestHalfspace:
         x = CondVector(space3, [[2.0, 0.0], [1.0, 5.0], [0.0, 0.0]])
         assert h.contains(x).mask.tolist() == [True, True, False]
         assert h.boundary_contains(x).mask.tolist() == [False, True, False]
+
+    def test_tolerance_scales_per_atom(self, space2):
+        h = CondHalfspace(CondVector.constant(space2, [1.0, 0.0]), CondScalar(space2, [0.0, 1e6]))
+        # 1e-7 short of the boundary on atom 0; atom 1's large data must
+        # not widen atom 0's tolerance
+        x = CondVector(space2, [[-1e-7, 0.0], [1e6, 0.0]])
+        assert h.contains(x).mask.tolist() == [False, True]
+        assert h.boundary_contains(x).mask.tolist() == [False, True]
 
     def test_support_makes_offsupport_vacuous(self, space2):
         n = CondVector(space2, [[1.0, 0.0], [0.0, 0.0]])
@@ -216,7 +225,7 @@ class TestSeparateStrong:
         d = const_set(space2, [[1.0, 1.0], [3.0, 3.0]])
         res = separate(c, d, kind="strong")
         for k in range(2):
-            touching = oracles.polytopes_intersect(c.points_at(k), d.points_at(k))
+            touching = oracles.polytopes_intersect(c.points[k], d.points[k])
             assert res.failure_set.mask[k] == touching
         assert not res.normal.values[res.failure_set.mask].any()
 
@@ -261,7 +270,7 @@ class TestSeparateWeak:
         assert np.linalg.norm(z) > 1e-9
         # inf over C minus the value at d is exactly 0 here
         assert res.gap.values[0] <= 0.0 + 1e-9
-        pts = c.points_at(0)
+        pts = c.points[0]
         assert np.min(pts @ z) >= np.dot(np.array([1.0, 0.0]), z) - 1e-9
 
     def test_interior_point_fails(self, space2):
@@ -296,7 +305,7 @@ class TestSeparateProper:
         res = separate(c, d, kind="proper")
         assert res.failure_set.is_empty
         z = res.normal.values[0]
-        pts = c.points_at(0)
+        pts = c.points[0]
         # separating with some strict excess on one side
         assert np.min(pts @ z) >= 0.0 - 1e-9
         assert res.strict_excess is not None
@@ -439,3 +448,83 @@ class TestBoundedAndInterior:
             ri_membership(CondVector.zero(space2, 2), s)
         with pytest.raises(ShapeError):
             separate(s, s, kind="strong")
+
+
+# per-atom references for the stacked generator storage -----------------------
+
+
+def ref_rows(family, k, d):
+    """Atom ``k``'s rows as a tuple-of-vectors storage built them."""
+    if not family:
+        return np.zeros((0, d))
+    return np.array([v.values[k] for v in family])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedStorage:
+    K, D = 5, 3
+
+    def families(self, rng, n_rays, n_lines):
+        space = MeasureSpace(np.ones(self.K))
+        def fam(n):
+            return tuple(CondVector(space, rng.normal(size=(self.K, self.D))) for _ in range(n))
+        return space, fam(4), fam(n_rays), fam(n_lines)
+
+    @pytest.mark.parametrize("n_rays, n_lines", [(0, 0), (1, 0), (0, 2), (3, 1)])
+    def test_views_match_per_atom_rows(self, rng, n_rays, n_lines):
+        space, pts, rays, lines = self.families(rng, n_rays, n_lines)
+        rep = ConvexSetRep(space, self.D, pts, rays, lines)
+        assert rep.points.shape == (self.K, 4, self.D)
+        assert rep.rays.shape == (self.K, n_rays, self.D)
+        assert rep.lines.shape == (self.K, n_lines, self.D)
+        for k in range(self.K):
+            for got, family in zip(rep.generators_at(k), (pts, rays, lines)):
+                assert same_bits(got, ref_rows(family, k, self.D))
+            p0 = ref_rows(pts, k, self.D)
+            dirs = np.vstack([p0[1:] - p0[0], ref_rows(rays, k, self.D), ref_rows(lines, k, self.D)])
+            assert rep.affine_dim_at(k) == numeric_rank(dirs)
+
+    def test_arrays_are_read_only_copies(self, rng):
+        space, pts, rays, lines = self.families(rng, 1, 1)
+        rep = ConvexSetRep(space, self.D, pts, rays, lines)
+        for a in (rep.points, rep.rays, rep.lines):
+            assert not a.flags.writeable and a.flags.c_contiguous
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+        raw = rng.normal(size=(self.K, 2, self.D))
+        from_array = ConvexSetRep(space, self.D, raw)
+        raw[0, 0, 0] = 99.0
+        assert from_array.points[0, 0, 0] != 99.0
+        with pytest.raises(ShapeError):
+            ConvexSetRep(space, self.D, raw[:, :, :2])
+        with pytest.raises(ShapeError):
+            ConvexSetRep(space, self.D, np.zeros((self.K, 0, self.D)))
+
+    def test_translate_matches_per_vector_sum(self, rng):
+        space, pts, rays, lines = self.families(rng, 2, 1)
+        rep = ConvexSetRep(space, self.D, pts, rays, lines)
+        x = CondVector(space, rng.normal(size=(self.K, self.D)))
+        moved = rep.translate(x)
+        shifted = tuple(p + x for p in pts)
+        for k in range(self.K):
+            assert same_bits(moved.points[k], ref_rows(shifted, k, self.D))
+        assert same_bits(moved.rays, rep.rays) and same_bits(moved.lines, rep.lines)
+
+    def test_bounded_test_matches_first_recession_row(self, rng):
+        space, _, rays, lines = self.families(rng, 3, 2)
+        # vanish on some atoms, so witnesses come from later rows or none
+        rays = tuple(CondVector(space, r.values * (rng.random((self.K, 1)) < 0.4)) for r in rays)
+        lines = tuple(CondVector(space, s.values * (rng.random((self.K, 1)) < 0.3)) for s in lines)
+        rep = ConvexSetRep(space, self.D, (CondVector.zero(space, self.D),), rays, lines)
+        bounded, witness = bounded_test(rep)
+        want = np.zeros((self.K, self.D))
+        unbounded = np.zeros(self.K, dtype=bool)
+        for v in rays + lines:
+            nz = np.linalg.norm(v.values, axis=1) > 1e-9
+            want[nz & ~unbounded] = v.values[nz & ~unbounded]
+            unbounded |= nz
+        assert bounded.mask.tolist() == (~unbounded).tolist()
+        assert same_bits(witness.values, want)
