@@ -35,7 +35,9 @@ Every LP over a set in V-representation,
 ``conv(points) + cone(rays) + span(lines)``, here and in ``functions``,
 takes its generator columns, its ``sum lam = 1`` row and its bounds from
 ``vrep_block``, and so does the nearest-point QP: all of them share one
-column layout.
+column layout.  ``min_norm_point`` is the one nearest-point QP entry;
+every caller, the minimal-norm subgradient and the dominated extension
+included, goes through it to ``cone_least_squares``.
 """
 
 from __future__ import annotations
@@ -349,29 +351,21 @@ def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, lis
     return cols, simplex_row, [(0, None)] * nonneg + [(None, None)] * len(gens[2])
 
 
-def min_norm_point(points: np.ndarray, rays: np.ndarray, lines: np.ndarray) -> QPSolution:
-    """Nearest point to the origin of ``conv(points)+cone(rays)+span(lines)``."""
+def min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None) -> QPSolution:
+    """Nearest point to the origin of ``conv(points)+cone(rays)+span(lines)``.
+
+    Optional extra equalities constrain the point ``z`` itself: rows of
+    ``eq_mat`` dot ``z`` must equal ``eq_rhs``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cols, simplex_row, _ = vrep_block(points, rays, lines, points.shape[1])
-    return cone_least_squares(cols.T, range(len(points) + len(rays)), simplex_row[None, :],
-                              np.array([1.0]))
-
-
-def simplex_min_norm(rows: np.ndarray, eq_mat=None, eq_rhs=None) -> QPSolution:
-    """Minimal-norm convex combination of the given rows.
-
-    Optional extra equalities constrain the combination ``z`` itself:
-    rows of ``eq_mat`` dot ``z`` must equal ``eq_rhs``.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = len(rows)
-    E = [np.ones((1, n))]
-    e = [np.array([1.0])]
+    E, e = [simplex_row[None, :]], [np.array([1.0])]
     if eq_mat is not None and len(eq_mat):
-        # <u_i, sum lambda_j rows_j> = c_i  is linear in lambda.
-        E.append(np.asarray(eq_mat, dtype=float) @ rows.T)
+        # <u_i, cols w> = c_i is linear in the coefficients w
+        E.append(np.asarray(eq_mat, dtype=float) @ cols)
         e.append(np.asarray(eq_rhs, dtype=float))
-    return cone_least_squares(rows, list(range(n)), np.vstack(E), np.concatenate(e))
+    return cone_least_squares(cols.T, range(len(points) + len(rays)), np.vstack(E),
+                              np.concatenate(e))
 
 
 def combination_residual(

@@ -129,10 +129,9 @@ def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, int]:
     doc["integers"]["labels"] = frame.labels.tolist()
     for i in range(frame.dim):
         doc["vectors"][f"U_{i + 1}"] = frame.vector(i).values.tolist()
-    doc["scalars"]["gram_defect"] = frame.gram_defect().values.tolist()
-    doc["certificates"] = {
-        "max_gram_defect": float(frame.gram_defect().values.max())
-    }
+    defect = frame.gram_defect().values
+    doc["scalars"]["gram_defect"] = defect.tolist()
+    doc["certificates"] = {"max_gram_defect": float(defect.max())}
     return doc, 0
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import simplex_min_norm, solve_lp, vrep_block
+from ._solvers import min_norm_point, solve_lp, vrep_block
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -569,7 +569,7 @@ def subdifferential(
     K = f.space.natoms
     rep = np.empty((K, f.dim))
     for k in range(K):
-        rep[k] = simplex_min_norm(f.slopes[k][active[k]]).point
+        rep[k] = min_norm_point(f.slopes[k][active[k]]).point
     return SubdifferentialRep(
         point=x0,
         active=active,
@@ -672,16 +672,13 @@ def differentiability_check(
     """
     _check_space(f, x0)
     active = f.active_at(x0)
-    K = f.space.natoms
-    ok = np.zeros(K, dtype=bool)
-    grad = np.zeros((K, f.dim))
-    for k in range(K):
-        rows = f.slopes[k][active[k]]
-        scale = max(1.0, float(np.max(np.abs(rows))))
-        spread = float(np.max(np.abs(rows - rows[0]))) if len(rows) else 0.0
-        if spread <= grad_tol * scale:
-            ok[k] = True
-            grad[k] = rows[0]
+    on = active[:, :, None]
+    # the first active slope, and the largest entry and spread of the active ones
+    first = f.slopes[np.arange(f.space.natoms), active.argmax(axis=1)]
+    scale = np.maximum(1.0, np.where(on, np.abs(f.slopes), 0.0).max(axis=(1, 2)))
+    spread = np.where(on, np.abs(f.slopes - first[:, None]), 0.0).max(axis=(1, 2))
+    ok = spread <= grad_tol * scale
+    grad = np.where(ok[:, None], first, 0.0)
     if f.domain is not None:
         interior = ri_membership(x0, f.domain, mode="interior").mask
         grad[~interior] = 0.0

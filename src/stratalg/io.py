@@ -100,7 +100,6 @@ def _num_array(v, where: str) -> np.ndarray:
 class Scenario:
     """A parsed document with every named object resolved and typed."""
 
-    document: dict
     space: MeasureSpace
     d: int
     vectors: dict[str, CondVector] = field(default_factory=dict)
@@ -167,7 +166,7 @@ def _build(doc: dict) -> Scenario:
         raise ParseError("'d' must be a positive integer")
     space = MeasureSpace(weights)
     d = doc["d"]
-    scn = Scenario(document=doc, space=space, d=d)
+    scn = Scenario(space=space, d=d)
     K = space.natoms
 
     for name, v in _named(doc, "vectors").items():

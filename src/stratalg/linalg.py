@@ -81,23 +81,6 @@ def _grow_frames(
     return picks
 
 
-def gram_schmidt_rows(rows: Sequence[np.ndarray], eps: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal rows spanning the same space, greedily in input order.
-
-    A row is accepted when its residual against the rows accepted so far
-    exceeds ``eps * max(1, |row|)``.
-    """
-    R = np.atleast_2d(np.asarray(rows, dtype=float))
-    d = R.shape[1]
-    F, c = np.zeros((1, d, d)), np.zeros(1, dtype=np.int64)
-    _grow_frames(R[None], F, c, eps)
-    return F[0, : c[0]]
-
-
-def numeric_rank(rows: np.ndarray, eps: float = RANK_TOL) -> int:
-    return len(gram_schmidt_rows(rows, eps))
-
-
 def _canonical_signs(rows: np.ndarray) -> np.ndarray:
     """Flip each row whose leading entry above ``_SIGN_TOL * max(1, max|row|)`` is <= 0."""
     if not rows.size:

@@ -157,7 +157,8 @@ class CauchyResult:
 def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyResult:
     """Per-atom tail-diameter Cauchy test against an epsilon schedule.
 
-    Every epsilon must be strictly positive on every atom.  An atom
+    Every epsilon must be strictly positive on every atom; otherwise one
+    ``PreconditionError`` names every atom where some epsilon is not.  An atom
     passes one epsilon when some tail of the sequence has all pairwise
     distances at most that epsilon there; it passes overall when it
     passes every epsilon in the schedule.  A tail must contain at least
@@ -166,12 +167,13 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
     """
     space = seq.space
     K = space.natoms
+    if any(eps.space != space for eps in schedule):
+        raise SpaceMismatchError("epsilon lives on a different measure space")
+    bad = np.zeros(K, dtype=bool)
     for eps in schedule:
-        if eps.space != space:
-            raise SpaceMismatchError("epsilon lives on a different measure space")
-        bad = eps.values <= 0
-        if bad.any():
-            raise PreconditionError("epsilons must be strictly positive", bad)
+        bad |= eps.values <= 0
+    if bad.any():
+        raise PreconditionError("epsilons must be strictly positive", bad)
     T = seq.horizon
     data = seq.stacked()  # (T, K, d)
     # tail_diam[n, k]: max pairwise distance among positions >= n (0-based);

@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import (
-    combination_residual,
-    min_norm_point,
-    nonzero_in_dual_cone,
-    positivity_margin,
-    simplex_min_norm,
-)
+from ._solvers import combination_residual, min_norm_point, nonzero_in_dual_cone, positivity_margin
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -39,7 +33,7 @@ from .core import (
     ext_add,
 )
 from .errors import PreconditionError, ShapeError, SpaceMismatchError
-from .linalg import gram_schmidt_rows, numeric_rank, orthonormalize, rank_partition
+from .linalg import _dot, _grow_frames, orthonormalize, rank_partition
 from .tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
 __all__ = [
@@ -106,10 +100,9 @@ class ConvexSetRep:
         """The point, ray and line rows of atom ``k``, as views."""
         return self.points[k], self.rays[k], self.lines[k]
 
-    def affine_dim_at(self, k: int, rank_tol: float = RANK_TOL) -> int:
-        """Dimension of the affine hull on atom ``k``."""
-        pts = self.points[k]
-        return numeric_rank(np.vstack([pts[1:] - pts[0], self.rays[k], self.lines[k]]), rank_tol)
+    def affine_dims(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        """Per-atom dimension of the affine hull, a ``(K,)`` integer array."""
+        return _direction_frames(self.points, self.rays, self.lines, rank_tol)[1]
 
     def translate(self, x: CondVector) -> "ConvexSetRep":
         _check_space(self, x)
@@ -211,10 +204,23 @@ def hull(generators: Sequence[CondVector], kind: str) -> ConvexSetRep:
     return ConvexSetRep(space, d, points=(zero,), lines=gens)
 
 
-def _member_tol(rep: ConvexSetRep, x: CondVector, tol: float) -> float:
-    # one scale over all atoms, so not atom-local (ROADMAP item 2)
-    return tol * max(1.0, *(float(np.abs(a).max(initial=0.0))
-                            for a in (rep.points, rep.rays, rep.lines, x.values)))
+def _direction_frames(points, rays, lines, rank_tol: float = RANK_TOL):
+    """Orthonormal frames of the direction space of
+    ``conv(points) + cone(rays) + span(lines)`` on every atom at once.
+
+    One greedy Gram-Schmidt pass over ``points[1:] - points[0]``, the rays
+    and the lines: ``F[k, :r[k]]`` spans atom ``k``'s directions, so
+    ``r[k]`` is the dimension of its affine hull.  Returns ``(F, r)``.
+    """
+    dirs = np.concatenate([points[:, 1:] - points[:, :1], rays, lines], axis=1)
+    K, _, d = dirs.shape
+    F, r = np.zeros((K, d, d)), np.zeros(K, dtype=np.int64)
+    _grow_frames(dirs, F, r, rank_tol)
+    return F, r
+
+
+def _member_tol(rep: ConvexSetRep, x: CondVector, tol: float) -> np.ndarray:
+    return tol * row_scale(rep.points, rep.rays, rep.lines, x.values)
 
 
 def membership(
@@ -232,18 +238,15 @@ def membership(
     space = rep.space
     if region is None:
         region = space.full_set()
+    _check_space(x, region)
+    inside = region.mask.copy()
     cutoff = _member_tol(rep, x, tol)
-
-    def check(k: int) -> bool:
-        if not region.mask[k]:
-            return False
-        if rep.discrete:
-            pts = rep.points[k]
-            return bool(np.min(np.max(np.abs(pts - x.values[k]), axis=1)) <= cutoff)
-        return combination_residual(x.values[k], *rep.generators_at(k)) <= cutoff
-
-    flags = [check(k) for k in range(space.natoms)]
-    return MeasurableSet(space, np.array(flags, dtype=bool))
+    if rep.discrete:
+        gap = np.abs(rep.points - x.values[:, None, :]).max(axis=2).min(axis=1)
+        return MeasurableSet(space, inside & (gap <= cutoff))
+    for k in np.flatnonzero(inside):
+        inside[k] = combination_residual(x.values[k], *rep.generators_at(k)) <= cutoff[k]
+    return MeasurableSet(space, inside)
 
 
 def _bounded_or_raise(rep: ConvexSetRep, name: str, tol: float = RANK_TOL) -> None:
@@ -266,16 +269,15 @@ def nearest_pair(
     if c.dim != d.dim:
         raise ShapeError("sets must share a dimension")
     _bounded_or_raise(d, "the second set")
-    space = c.space
-
-    def solve(k: int):
-        cp, dp = c.points[k], d.points[k]
-        if c.discrete and d.discrete:
-            dist = np.linalg.norm(cp[:, None, :] - dp[None, :, :], axis=2)
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
-            return cp[i], dp[j]
-        if c.discrete or d.discrete:
-            disc, other = (c, d) if c.discrete else (d, c)
+    space, K = c.space, c.space.natoms
+    xs, ys = np.empty((K, c.dim)), np.empty((K, c.dim))
+    if c.discrete and d.discrete:
+        dist = np.linalg.norm(c.points[:, :, None, :] - d.points[:, None, :, :], axis=3)
+        i, j = np.divmod(dist.reshape(K, -1).argmin(axis=1), d.points.shape[1])
+        xs, ys = c.points[np.arange(K), i], d.points[np.arange(K), j]
+    elif c.discrete or d.discrete:
+        disc, other = (c, d) if c.discrete else (d, c)
+        for k in range(K):
             best = None
             for q in disc.points[k]:
                 sol = min_norm_point(other.points[k] - q, other.rays[k], other.lines[k])
@@ -283,26 +285,24 @@ def nearest_pair(
                 if best is None or cand[0] < best[0] - 1e-15:
                     best = cand
             _, q, p = best
-            return (q, p) if c.discrete else (p, q)
+            xs[k], ys[k] = (q, p) if c.discrete else (p, q)
+    else:
         # both polyhedral: minimize over the difference set
-        diff_pts = (cp[:, None, :] - dp[None, :, :]).reshape(-1, c.dim)
-        rays, lines = c.rays[k], c.lines[k]
-        sol = min_norm_point(diff_pts, rays, lines)
-        lam = sol.coeffs[: len(diff_pts)].reshape(len(cp), len(dp))
-        lam = np.clip(lam, 0.0, None)
-        total = lam.sum()
-        if total > 0:
-            lam = lam / total
-        xhat = lam.sum(axis=1) @ cp
-        ray_part = sol.coeffs[len(diff_pts): len(diff_pts) + len(rays)] @ rays if len(rays) else 0.0
-        line_part = sol.coeffs[len(diff_pts) + len(rays):] @ lines if len(lines) else 0.0
-        xhat = xhat + ray_part + line_part
-        yhat = lam.sum(axis=0) @ dp
-        return xhat, yhat
-
-    out = [solve(k) for k in range(space.natoms)]
-    xv = CondVector(space, np.array([o[0] for o in out]))
-    yv = CondVector(space, np.array([o[1] for o in out]))
+        diff_pts = _difference(c, d)[0]
+        for k in range(K):
+            cp, dp, pts = c.points[k], d.points[k], diff_pts[k]
+            rays, lines = c.rays[k], c.lines[k]
+            sol = min_norm_point(pts, rays, lines)
+            lam = sol.coeffs[: len(pts)].reshape(len(cp), len(dp))
+            lam = np.clip(lam, 0.0, None)
+            total = lam.sum()
+            if total > 0:
+                lam = lam / total
+            ray_part = sol.coeffs[len(pts): len(pts) + len(rays)] @ rays if len(rays) else 0.0
+            line_part = sol.coeffs[len(pts) + len(rays):] @ lines if len(lines) else 0.0
+            xs[k] = lam.sum(axis=1) @ cp + ray_part + line_part
+            ys[k] = lam.sum(axis=0) @ dp
+    xv, yv = CondVector(space, xs), CondVector(space, ys)
     return xv, yv, (xv - yv).norm()
 
 
@@ -325,42 +325,42 @@ def ri_membership(
         raise ShapeError("mode must be 'interior' or 'relative'")
     if rep.discrete:
         raise ShapeError("interior queries need a convex representation")
-    space = rep.space
-    cutoff = strict_tol  # margin is a coefficient bound, already O(1)
-
-    def check(k: int) -> bool:
-        if mode == "interior" and rep.affine_dim_at(k) < rep.dim:
-            return False
-        return positivity_margin(x.values[k], *rep.generators_at(k)) > cutoff
-
-    flags = [check(k) for k in range(space.natoms)]
-    return MeasurableSet(space, np.array(flags, dtype=bool))
+    if mode == "interior":
+        inside = rep.affine_dims() == rep.dim
+    else:
+        inside = np.ones(rep.space.natoms, dtype=bool)
+    for k in np.flatnonzero(inside):
+        # the margin is a coefficient bound, already O(1)
+        inside[k] = positivity_margin(x.values[k], *rep.generators_at(k)) > strict_tol
+    return MeasurableSet(rep.space, inside)
 
 
-def _difference_rows(c: ConvexSetRep, d: ConvexSetRep, k: int):
-    cp, dp = c.points[k], d.points[k]
-    pts = (cp[:, None, :] - dp[None, :, :]).reshape(-1, c.dim)
-    rays = np.vstack([c.rays[k], -d.rays[k]])
-    lines = np.vstack([c.lines[k], d.lines[k]])
-    return pts, rays, lines
+def _difference(c: ConvexSetRep, d: ConvexSetRep):
+    """``C - D`` on every atom as stacked generator families: the point
+    differences (``C``'s point index major), ``C``'s rays then ``D``'s
+    negated, and both line families."""
+    K, dim = c.space.natoms, c.dim
+    pts = (c.points[:, :, None, :] - d.points[:, None, :, :]).reshape(K, -1, dim)
+    rays = np.concatenate([c.rays, -d.rays], axis=1)
+    return pts, rays, np.concatenate([c.lines, d.lines], axis=1)
 
 
-def _support_bounds(z: np.ndarray, pts, rays, lines, strict_tol: float):
-    """(inf, sup) of ``<w, z>`` over ``conv(pts)+cone(rays)+span(lines)``."""
-    vals = pts @ z
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = strict_tol * scale
-    for r in rays:
-        s = float(r @ z)
-        if s < -tol:
-            lo = -np.inf
-        if s > tol:
-            hi = np.inf
-    for l in lines:
-        s = float(l @ z)
-        if abs(s) > tol:
-            lo, hi = -np.inf, np.inf
+def _support_interval(Z: np.ndarray, rep: ConvexSetRep, strict_tol: float):
+    """Per-atom ``(inf, sup)`` of ``<w, Z[k]>`` over the set on atom ``k``.
+
+    The tolerance is ``strict_tol`` times the largest absolute point
+    value (at least 1): a ray whose value along ``Z[k]`` passes it sends
+    the bound on its side to infinity, a line both bounds.  Each
+    ``matmul`` item is the per-atom ``pts @ z`` (a matrix-vector product)
+    or the per-row ``r @ z`` (a dot product), so the bits are theirs.
+    """
+    z = Z[:, :, None]
+    vals = np.matmul(rep.points, z)[:, :, 0]
+    tol = (strict_tol * np.maximum(1.0, np.abs(vals).max(axis=1)))[:, None]
+    ray = np.matmul(rep.rays[:, :, None, :], z[:, None])[:, :, 0, 0]
+    line = (np.abs(np.matmul(rep.lines[:, :, None, :], z[:, None])[:, :, 0, 0]) > tol).any(axis=1)
+    lo = np.where(line | (ray < -tol).any(axis=1), -np.inf, vals.min(axis=1))
+    hi = np.where(line | (ray > tol).any(axis=1), np.inf, vals.max(axis=1))
     return lo, hi
 
 
@@ -398,63 +398,66 @@ def separate(
         raise ShapeError("kind must be 'strong', 'weak' or 'proper'")
     if c.discrete or d.discrete:
         raise ShapeError("separation needs convex representations")
-    space = c.space
-    dim = c.dim
+    space, dim, K = c.space, c.dim, c.space.natoms
+    pts, rays, lines = _difference(c, d)
+    zrows = np.zeros((K, dim))
+    fail = np.zeros(K, dtype=bool)
+    if kind == "proper":
+        # the shortest vector of the difference's affine hull: the
+        # residual of p0 against the direction frame q = F[k, :r[k]],
+        # p0 - q.T @ (q @ p0); atoms of one frame size share one matmul
+        # whose items are the per-atom matrix-vector products
+        F, r = _direction_frames(pts, rays, lines)
+        p0 = pts[:, 0]
+        resid = p0.copy()
+        for n in np.unique(r[r > 0]):
+            on = r == n
+            q = F[on, :n]
+            coef = np.matmul(q, p0[on, :, None])
+            resid[on] = p0[on] - np.matmul(q.transpose(0, 2, 1), coef)[:, :, 0]
+        scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
+        # origin outside the affine hull: project it onto the hull
+        off = np.sqrt(_dot(resid, resid)) > RANK_TOL * scale
+        zrows[off] = resid[off]
+        # a difference set that is the single point 0 is its own relative
+        # interior, so no proper separation exists
+        fail[~off & (r == 0)] = True
+        for k in np.flatnonzero(~off & (r > 0)):
+            # proper separation needs a supporting functional that is not
+            # identically zero on the difference, i.e. one living inside
+            # the direction space; its existence is exactly 0 not in the
+            # relative interior
+            q = F[k, : r[k]]
+            ineq = np.vstack([pts[k], rays[k]]) @ q.T
+            y = nonzero_in_dual_cone(ineq, lines[k] @ q.T, len(q))
+            if y is None:
+                fail[k] = True
+            else:
+                zrows[k] = q.T @ y
+    else:
+        for k in range(K):
+            z = min_norm_point(pts[k], rays[k], lines[k]).point
+            nz = float(np.linalg.norm(z))
+            if kind == "strong":
+                if nz <= zero_tol:
+                    fail[k] = True
+                else:
+                    zrows[k] = z
+            elif nz > zero_tol:
+                zrows[k] = z
+            else:
+                # the origin touches the difference set: weak separation
+                # is exactly the existence of a nonzero supporting functional
+                zz = nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]), lines[k], dim)
+                if zz is None:
+                    fail[k] = True
+                else:
+                    zrows[k] = zz
 
-    def solve(k: int):
-        pts, rays, lines = _difference_rows(c, d, k)
-        sol = min_norm_point(pts, rays, lines)
-        z = sol.point
-        nz = float(np.linalg.norm(z))
-        if kind == "strong":
-            if nz <= zero_tol:
-                return np.zeros(dim), True
-            return z, False
-        if kind == "weak":
-            if nz > zero_tol:
-                return z, False
-            # the origin touches the difference set: weak separation is
-            # exactly the existence of a nonzero supporting functional
-            zz = nonzero_in_dual_cone(np.vstack([pts, rays]), lines, dim)
-            if zz is None:
-                return np.zeros(dim), True
-            return zz, False
-        # proper
-        dirs = np.vstack([pts[1:] - pts[0], rays, lines])
-        q = gram_schmidt_rows(dirs)
-        p0 = pts[0]
-        resid = p0 - (q.T @ (q @ p0) if len(q) else 0.0)
-        scale = max(1.0, float(np.max(np.abs(pts))))
-        if np.linalg.norm(resid) > RANK_TOL * scale:
-            # origin outside the affine hull: project it onto the hull
-            return resid, False
-        if len(q) == 0:
-            # the difference set is the single point 0, its own relative
-            # interior, so no proper separation exists
-            return np.zeros(dim), True
-        # proper separation needs a supporting functional that is not
-        # identically zero on the difference, i.e. one living inside the
-        # direction space; its existence is exactly 0 not in the
-        # relative interior
-        ineq = np.vstack([pts, rays]) @ q.T
-        eq = lines @ q.T if len(lines) else np.zeros((0, len(q)))
-        y = nonzero_in_dual_cone(ineq, eq, len(q))
-        if y is None:
-            return np.zeros(dim), True
-        return q.T @ y, False
-
-    out = [solve(k) for k in range(space.natoms)]
-    zrows = np.array([o[0] for o in out])
-    fail = np.array([o[1] for o in out], dtype=bool)
-
-    gap = np.zeros(space.natoms)
-    excess = np.zeros(space.natoms)
-    for k in range(space.natoms):
-        z = zrows[k]
-        c_lo, c_hi = _support_bounds(z, *c.generators_at(k), strict_tol)
-        d_lo, d_hi = _support_bounds(z, *d.generators_at(k), strict_tol)
-        gap[k] = ext_add(np.array(c_lo), np.array(-d_hi))
-        excess[k] = ext_add(np.array(c_hi), np.array(-d_lo))
+    c_lo, c_hi = _support_interval(zrows, c, strict_tol)
+    d_lo, d_hi = _support_interval(zrows, d, strict_tol)
+    gap = ext_add(c_lo, -d_hi)
+    excess = ext_add(c_hi, -d_lo)
 
     result = SeparationResult(
         kind=kind,
@@ -521,16 +524,13 @@ def hahn_banach_extend(
     # negatives.  (Necessary, not sufficient; the feasibility LP below
     # settles the rest.)
     probe_bad = np.zeros(K, dtype=bool)
-    for k in range(K):
-        yrows = p.slopes[k]
-        for i in range(int(labels[k])):
-            u = frows[k, i]
-            ci = float(g_images[i].values[k])
-            pmax = float(np.max(yrows @ u))
-            pmin = float(np.max(yrows @ -u))
-            scale = max(1.0, abs(ci), abs(pmax), abs(pmin))
-            if ci > pmax + tol * scale or -ci > pmin + tol * scale:
-                probe_bad[k] = True
+    for i in range(top):
+        u = frows[:, i, :, None]
+        ci = g_images[i].values
+        pmax = np.matmul(p.slopes, u)[:, :, 0].max(axis=1)
+        pmin = np.matmul(p.slopes, -u)[:, :, 0].max(axis=1)
+        scale = np.maximum(np.maximum(1.0, np.abs(ci)), np.maximum(np.abs(pmax), np.abs(pmin)))
+        probe_bad |= (labels > i) & ((ci > pmax + tol * scale) | (-ci > pmin + tol * scale))
     if probe_bad.any():
         raise PreconditionError(
             "prescribed values exceed the bound on the submodule", probe_bad
@@ -542,8 +542,7 @@ def hahn_banach_extend(
         yrows = p.slopes[k]
         r = int(labels[k])
         if r == 0:
-            sol = simplex_min_norm(yrows)
-            rows[k] = sol.point
+            rows[k] = min_norm_point(yrows).point
             continue
         u = frows[k, :r, :]
         cvals = np.array([g_images[i].values[k] for i in range(r)])
@@ -553,8 +552,7 @@ def hahn_banach_extend(
         if resid > tol * scale:
             infeasible[k] = True
             continue
-        sol = simplex_min_norm(yrows, eq_mat=u, eq_rhs=cvals)
-        rows[k] = sol.point
+        rows[k] = min_norm_point(yrows, eq_mat=u, eq_rhs=cvals).point
     if infeasible.any():
         raise PreconditionError(
             "no dominated extension: domination fails on the submodule",

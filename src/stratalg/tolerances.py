@@ -30,23 +30,12 @@ ACTIVE_TOL = 1e-9
 FEAS_TOL = 1e-9
 
 
-def eq_scale(*arrays) -> float:
-    """Magnitude scale over all entries of the arrays: ``max(1, max |finite entry|)``."""
-    m = 1.0
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        if a.size:
-            finite = a[np.isfinite(a)]
-            if finite.size:
-                m = max(m, float(np.max(np.abs(finite))))
-    return m
-
-
 def row_scale(*arrays) -> np.ndarray:
-    """Per-atom ``eq_scale``: one scale per row of the arrays, atom axis first.
+    """One magnitude scale per atom, atom axis first: ``max(1, max |finite
+    entry|)`` over row ``k`` of every array.
 
-    Row ``k`` reads the finite entries of row ``k`` of every array only,
-    so a tolerance built on it keeps each atom to its own data.
+    Row ``k`` reads atom ``k``'s entries only, so a tolerance built on it
+    keeps each atom to its own data.
     """
     rows = np.concatenate([np.reshape(a, (len(a), -1)) for a in arrays], axis=1)
     finite = np.where(np.isfinite(rows), rows, 0.0)

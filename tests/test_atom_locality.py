@@ -4,10 +4,6 @@ Row ``k`` of every output depends on the data of atom ``k`` alone:
 perturbing or permuting the other atoms leaves it bit-identical, and the
 one-atom run on atom ``k`` gives the same row.  Every error names
 exactly the atoms whose one-atom run fails.
-
-Not covered yet: ``membership``, ``bounded_test`` and ``MaxAffineFn.eval``
-with a domain (so also ``directional_derivative`` with one) scale their
-tolerance by the data of all atoms (ROADMAP item 2).
 """
 
 import numpy as np
@@ -28,6 +24,7 @@ from stratalg import (
     OrthonormalFrame,
     StratifiedBasis,
     argmin,
+    bounded_test,
     bw_extract,
     cauchy_limit,
     conjugate,
@@ -37,6 +34,7 @@ from stratalg import (
     extend_linear,
     hahn_banach_extend,
     hyperplane_normal_form,
+    membership,
     nearest_pair,
     orthonormalize,
     rank_partition,
@@ -364,3 +362,72 @@ SET_OPS = [
 @pytest.mark.parametrize("op", SET_OPS)
 def test_set_and_function_rows_are_local(op):
     assert_rows_local(run_sets, draw_sets, op, 200 + SET_OPS.index(op), K=8)
+
+
+# ops that scale the membership tolerance ----------------------------------
+
+
+def draw_members(rng, K):
+    """``draw_sets`` plus ``xn``, a vertex of ``C`` moved by 1e-11 to 1e-5
+    of its atom's scale, so whether it counts as a member turns on the
+    scale of the membership tolerance."""
+    data = draw_sets(rng, K)
+    s = np.maximum(1.0, np.abs(data["C"]).max(axis=(1, 2)))
+    step = rng.normal(size=(K, DS)) * (10.0 ** rng.uniform(-11, -5, K) * s)[:, None]
+    data["xn"] = data["C"][:, 0] + step
+    return data
+
+
+def run_members(op, data):
+    space = MeasureSpace(data["w"])
+    C = ConvexSetRep(space, DS, data["C"], data["ray"])
+    xn = CondVector(space, data["xn"])
+    if op == "membership":
+        return (membership(xn, C).mask,)
+    if op == "membership_discrete":
+        return (membership(xn, ConvexSetRep(space, DS, data["C"], discrete=True)).mask,)
+    if op == "eval_with_domain":
+        return (_fn(space, data["Y"], data["Z"], domain=C).eval(xn).values,)
+    if op == "bounded_test":
+        # the origin is the centroid of the points, inside on every atom
+        centred = data["C"] - data["C"].mean(axis=1, keepdims=True)
+        bounded, witness = bounded_test(ConvexSetRep(space, DS, centred, data["ray"]))
+        return bounded.mask, witness.values
+    raise AssertionError(op)
+
+
+MEMBER_OPS = ["membership", "membership_discrete", "eval_with_domain", "bounded_test"]
+
+
+@pytest.mark.parametrize("op", MEMBER_OPS)
+def test_member_tolerance_rows_are_local(op):
+    assert_rows_local(run_members, draw_members, op, 300 + MEMBER_OPS.index(op), K=12)
+
+
+def test_bounded_test_error_mask_is_the_union_of_per_atom_verdicts():
+    def near_origin(data):
+        # the origin sits next to a vertex of the set, in or out by a hair
+        space = MeasureSpace(data["w"])
+        rep = ConvexSetRep(space, DS, data["C"] - data["xn"][:, None, :], data["ray"])
+        return lambda: bounded_test(rep)
+
+    rng = np.random.default_rng(310)
+    K, mixed = 12, 0
+    for _ in range(3):
+        data = draw_members(rng, K)
+        verdicts = []
+        for k in range(K):
+            try:
+                near_origin(take(data, [k]))()
+                verdicts.append(False)
+            except AtomSetError as err:
+                assert err.atoms.tolist() == [True]
+                verdicts.append(True)
+        mixed += 0 < sum(verdicts) < K
+        if any(verdicts):
+            with pytest.raises(AtomSetError) as err:
+                near_origin(data)()
+            assert err.value.atoms.tolist() == verdicts
+        else:
+            near_origin(data)()
+    assert mixed

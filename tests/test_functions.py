@@ -45,7 +45,7 @@ from stratalg import (
 from stratalg import functions
 from stratalg._solvers import LPResult
 from stratalg.core import ext_add
-from stratalg.tolerances import EQ_TOL, eq_scale
+from stratalg.tolerances import EQ_TOL
 
 
 def pieces_from(space, slopes, offsets=None):
@@ -496,6 +496,31 @@ class TestDifferentiability:
         ok2, grad2 = differentiability_check(f, CondVector.constant(space2, [0.5]))
         assert ok2.is_full and np.allclose(grad2.values, 1.0)
 
+    def test_matches_per_atom_loop(self):
+        # the loop the stacked check replaced, on pieces that tie at x0,
+        # differ by about grad_tol, or carry -0.0 entries
+        rng = np.random.default_rng(41)
+        for _ in range(80):
+            K, d, J = int(rng.integers(1, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            space = MeasureSpace(np.ones(K))
+            Y = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(K, J, d)) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.5:
+                Y[:, 1:] = Y[:, :1] + rng.choice([0.0, 0.5e-9, 2e-9], size=(K, J - 1, 1))
+            x = CondVector(space, rng.choice([-1.0, -0.0, 0.0, 1.0], size=(K, d)))
+            f = MaxAffineFn(space, Y, rng.choice([0.0, 1.0], size=(K, J)))
+            active = f.active_at(x)
+            ok, grad = np.zeros(K, dtype=bool), np.zeros((K, d))
+            for k in range(K):
+                rows = f.slopes[k][active[k]]
+                scale = max(1.0, float(np.max(np.abs(rows))))
+                spread = float(np.max(np.abs(rows - rows[0]))) if len(rows) else 0.0
+                if spread <= 1e-9 * scale:
+                    ok[k] = True
+                    grad[k] = rows[0]
+            got_ok, got_grad = differentiability_check(f, x)
+            assert got_ok.mask.tolist() == ok.tolist()
+            assert got_grad.values.tobytes() == grad.tobytes()
+
 
 class TestArgmin:
     def test_abs_over_intervals(self, space2):
@@ -889,6 +914,18 @@ def ref_infconv_audits(fs, conv):
     return sub_ok, int_ok
 
 
+def ref_eq_scale(*arrays) -> float:
+    """Magnitude scale over all entries of the arrays: ``max(1, max |finite entry|)``."""
+    m = 1.0
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        if a.size:
+            finite = a[np.isfinite(a)]
+            if finite.size:
+                m = max(m, float(np.max(np.abs(finite))))
+    return m
+
+
 def ref_fenchel_moreau_rows(f, fstar, fss, env, fsss, tol=1e-9):
     """Per-atom deviation, minorant and idempotence verdicts."""
     K = f.space.natoms
@@ -903,11 +940,11 @@ def ref_fenchel_moreau_rows(f, fstar, fss, env, fsss, tol=1e-9):
             dev[k] = np.inf
         fv = f.values[k]
         fin = np.isfinite(fv)
-        scale = eq_scale(fv[fin]) if fin.any() else 1.0
+        scale = ref_eq_scale(fv[fin]) if fin.any() else 1.0
         minor[k] = bool(np.all(a[fin] <= fv[fin] + tol * scale))
         s1, s3 = fstar[k], fsss[k]
         sb = np.isfinite(s1) & np.isfinite(s3)
-        sscale = eq_scale(s1[sb]) if sb.any() else 1.0
+        sscale = ref_eq_scale(s1[sb]) if sb.any() else 1.0
         idem[k] = bool(np.all(np.isfinite(s1) == np.isfinite(s3))
                        and (not sb.any() or np.max(np.abs(s1[sb] - s3[sb])) <= EQ_TOL * sscale))
     return dev, minor, idem

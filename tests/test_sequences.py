@@ -263,6 +263,13 @@ class TestCauchyLimit:
             cauchy_limit(s, [CondScalar(space2, [0.5, 0.0])])
         assert err.value.atoms.tolist() == [False, True]
 
+    def test_epsilon_error_names_every_atom_of_the_schedule(self, space2):
+        # each epsilon is bad on a different atom: one error names both
+        s = const_seq(space2, [[0.0], [0.0]])
+        with pytest.raises(PreconditionError) as err:
+            cauchy_limit(s, [CondScalar(space2, [0.0, 1.0]), CondScalar(space2, [1.0, -1.0])])
+        assert err.value.atoms.tolist() == [True, True]
+
 
 def _ref_cauchy_limit(data, eps_rows):
     """The per-atom tail-diameter scan, kept as the reference.

@@ -20,16 +20,23 @@ from stratalg import (
     MaxAffineFn,
     PreconditionError,
     ShapeError,
+    SpaceMismatchError,
     bounded_test,
     glue,
     hahn_banach_extend,
     hull,
     membership,
     nearest_pair,
+    orthonormalize,
+    rank_partition,
     ri_membership,
     separate,
 )
-from stratalg.linalg import numeric_rank
+from stratalg import sets
+from stratalg._solvers import nonzero_in_dual_cone
+from stratalg.core import ext_add
+from stratalg.linalg import _grow_frames
+from stratalg.tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
 
 def const_set(space, points, rays=(), lines=(), discrete=False):
@@ -103,9 +110,9 @@ class TestHullKinds:
 class TestRepHelpers:
     def test_direction_rows_and_affine_dim(self, space2):
         rep = const_set(space2, [[0.0, 0.0], [1.0, 0.0]], rays=[[0.0, 1.0]])
-        assert rep.affine_dim_at(0) == 2
+        assert rep.affine_dims()[0] == 2
         seg = const_set(space2, [[0.0, 0.0], [1.0, 0.0]])
-        assert seg.affine_dim_at(0) == 1
+        assert seg.affine_dims()[0] == 1
         assert seg.translate(CondVector.constant(space2, [0.0, 5.0])).points[0, 0].tolist() == [0.0, 5.0]
 
     def test_discrete_cannot_carry_rays(self, space2):
@@ -485,7 +492,7 @@ class TestStackedStorage:
                 assert same_bits(got, ref_rows(family, k, self.D))
             p0 = ref_rows(pts, k, self.D)
             dirs = np.vstack([p0[1:] - p0[0], ref_rows(rays, k, self.D), ref_rows(lines, k, self.D)])
-            assert rep.affine_dim_at(k) == numeric_rank(dirs)
+            assert rep.affine_dims()[k] == len(ref_direction_frame(dirs))
 
     def test_arrays_are_read_only_copies(self, rng):
         space, pts, rays, lines = self.families(rng, 1, 1)
@@ -528,3 +535,263 @@ class TestStackedStorage:
             unbounded |= nz
         assert bounded.mask.tolist() == (~unbounded).tolist()
         assert same_bits(witness.values, want)
+
+
+# per-atom references for the stacked set ops ---------------------------------
+
+
+def ref_direction_frame(dirs, rank_tol=RANK_TOL):
+    """The frame behind ``affine_dim_at`` and the proper-kind normal:
+    ``_grow_frames`` on one atom (K = 1)."""
+    R = np.atleast_2d(np.asarray(dirs, dtype=float))[None]
+    F, c = np.zeros((1, R.shape[2], R.shape[2])), np.zeros(1, dtype=np.int64)
+    _grow_frames(R, F, c, rank_tol)
+    return F[0, : c[0]]
+
+
+def ref_difference_rows(c, d, k):
+    cp, dp = c.points[k], d.points[k]
+    pts = (cp[:, None, :] - dp[None, :, :]).reshape(-1, c.dim)
+    return pts, np.vstack([c.rays[k], -d.rays[k]]), np.vstack([c.lines[k], d.lines[k]])
+
+
+def ref_support_bounds(z, pts, rays, lines, strict_tol):
+    vals = pts @ z
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    tol = strict_tol * scale
+    for r in rays:
+        s = float(r @ z)
+        if s < -tol:
+            lo = -np.inf
+        if s > tol:
+            hi = np.inf
+    for l in lines:
+        s = float(l @ z)
+        if abs(s) > tol:
+            lo, hi = -np.inf, np.inf
+    return lo, hi
+
+
+def ref_gap_excess(zrows, c, d, strict_tol=STRICT_TOL):
+    K = len(zrows)
+    gap, excess = np.zeros(K), np.zeros(K)
+    for k in range(K):
+        z = zrows[k]
+        c_lo, c_hi = ref_support_bounds(z, *c.generators_at(k), strict_tol)
+        d_lo, d_hi = ref_support_bounds(z, *d.generators_at(k), strict_tol)
+        gap[k] = ext_add(np.array(c_lo), np.array(-d_hi))
+        excess[k] = ext_add(np.array(c_hi), np.array(-d_lo))
+    return gap, excess
+
+
+def ref_proper_normal(pts, rays, lines, dim):
+    q = ref_direction_frame(np.vstack([pts[1:] - pts[0], rays, lines]))
+    p0 = pts[0]
+    resid = p0 - (q.T @ (q @ p0) if len(q) else 0.0)
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    if np.linalg.norm(resid) > RANK_TOL * scale:
+        return resid, False
+    if len(q) == 0:
+        return np.zeros(dim), True
+    ineq = np.vstack([pts, rays]) @ q.T
+    eq = lines @ q.T if len(lines) else np.zeros((0, len(q)))
+    y = nonzero_in_dual_cone(ineq, eq, len(q))
+    if y is None:
+        return np.zeros(dim), True
+    return q.T @ y, False
+
+
+def ref_member_cutoff(rep, x, k, tol=FEAS_TOL):
+    """The old all-atom ``_member_tol`` formula on atom ``k``'s rows."""
+    return tol * max(1.0, *(float(np.abs(a).max(initial=0.0))
+                            for a in (*rep.generators_at(k), x[k])))
+
+
+def ref_discrete_membership(x, rep, region):
+    flags = []
+    for k in range(rep.space.natoms):
+        pts = rep.points[k]
+        flags.append(bool(region[k]) and bool(
+            np.min(np.max(np.abs(pts - x[k]), axis=1)) <= ref_member_cutoff(rep, x, k)))
+    return np.array(flags)
+
+
+def ref_discrete_pair(cp, dp):
+    dist = np.linalg.norm(cp[:, None, :] - dp[None, :, :], axis=2)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return cp[i], dp[j]
+
+
+def ref_probe_bad(slopes, labels, frows, vals, tol=QP_TOL):
+    probe_bad = np.zeros(len(labels), dtype=bool)
+    for k in range(len(labels)):
+        yrows = slopes[k]
+        for i in range(int(labels[k])):
+            u = frows[k, i]
+            ci = float(vals[k, i])
+            pmax = float(np.max(yrows @ u))
+            pmin = float(np.max(yrows @ -u))
+            scale = max(1.0, abs(ci), abs(pmax), abs(pmin))
+            if ci > pmax + tol * scale or -ci > pmin + tol * scale:
+                probe_bad[k] = True
+    return probe_bad
+
+
+def tied_rows(rng, shape):
+    """Rows of small integers, signed zeros or Gaussian noise, so values
+    tie, cancel to ``0.0`` or ``-0.0``, or stay generic."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == 1:
+        return rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+    return rng.normal(size=shape)
+
+
+def seeded_set_pair(rng, K, d, bounded_second=False):
+    """Sets ``C`` and ``D`` with tied rows; ``D`` sits on a vertex of ``C``
+    or is one of its points on some atoms, so the difference can touch
+    the origin or be ``{0}``.  Ray and line families may be empty, and
+    rays vanish on some atoms; with ``bounded_second`` the rays and lines
+    of ``D`` are zero-norm rows."""
+    space = MeasureSpace(np.ones(K))
+    nc, nd = (int(n) for n in rng.integers(1, 5, 2))
+    cp, dp = tied_rows(rng, (K, nc, d)), tied_rows(rng, (K, nd, d))
+    onto = rng.random(K) < 0.3
+    dp[onto] = cp[onto, :1]
+    single = rng.random(K) < 0.2
+    cp[single] = cp[single, :1]
+    cr = tied_rows(rng, (K, int(rng.integers(0, 3)), d))
+    cr *= rng.random(cr.shape[:2] + (1,)) < 0.5
+    cl = tied_rows(rng, (K, int(rng.integers(0, 2)), d))
+    if bounded_second:
+        dr = rng.choice([-0.0, 0.0], size=(K, int(rng.integers(0, 3)), d))
+        dl = rng.choice([-0.0, 0.0], size=(K, int(rng.integers(0, 2)), d))
+    else:
+        dr, dl = tied_rows(rng, (K, int(rng.integers(0, 2)), d)), np.zeros((K, 0, d))
+    return space, ConvexSetRep(space, d, cp, cr, cl), ConvexSetRep(space, d, dp, dr, dl)
+
+
+class TestStackedSetOps:
+    """The stacked set ops give the bits of the per-atom loops they
+    replaced, on seeded sets with ties, ``-0.0``, empty ray and line
+    families and vanishing rays."""
+
+    def test_affine_dims_match_per_atom_rank(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            K, d = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            _, c, _ = seeded_set_pair(rng, K, d)
+            for tol in (RANK_TOL, 1e-6):
+                want = [len(ref_direction_frame(np.vstack(
+                    [c.points[k, 1:] - c.points[k, 0], c.rays[k], c.lines[k]]), tol))
+                    for k in range(K)]
+                assert c.affine_dims(tol).tolist() == want
+
+    @pytest.mark.parametrize("kind", ["strong", "weak", "proper"])
+    def test_separate_matches_per_atom_loops(self, kind):
+        rng = np.random.default_rng(["strong", "weak", "proper"].index(kind) + 72)
+        failures = 0
+        for _ in range(25):
+            K, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            _, c, dd = seeded_set_pair(rng, K, d)
+            res = separate(c, dd, kind=kind)
+            gap, excess = ref_gap_excess(res.normal.values, c, dd)
+            assert same_bits(res.gap.values, gap)
+            if kind == "proper":
+                assert same_bits(res.strict_excess.values, excess)
+                for k in range(K):
+                    z, fail = ref_proper_normal(*ref_difference_rows(c, dd, k), d)
+                    assert same_bits(res.normal.values[k], z)
+                    assert res.failure_set.mask[k] == fail
+            failures += res.failure_set.mask.sum()
+        assert failures > 0
+
+    def test_support_interval_on_signed_zero_ties(self):
+        rng = np.random.default_rng(75)
+        for _ in range(200):
+            K, d = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            _, c, _ = seeded_set_pair(rng, K, d)
+            Z = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(K, d))
+            lo, hi = sets._support_interval(Z, c, STRICT_TOL)
+            want = np.array([ref_support_bounds(Z[k], *c.generators_at(k), STRICT_TOL)
+                             for k in range(K)]).reshape(K, 2)
+            assert same_bits(lo, want[:, 0]) and same_bits(hi, want[:, 1])
+
+    def test_discrete_membership_matches_per_atom_loop(self):
+        rng = np.random.default_rng(76)
+        for _ in range(60):
+            K, d, n = int(rng.integers(1, 10)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            space = MeasureSpace(np.ones(K))
+            pts = tied_rows(rng, (K, n, d)) * 10.0 ** rng.integers(-3, 4, (K, 1, 1))
+            rep = ConvexSetRep(space, d, pts, discrete=True)
+            near = pts[np.arange(K), rng.integers(0, n, K)]
+            step = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(K, d))
+            cutoff = np.array([ref_member_cutoff(rep, near, k) for k in range(K)])
+            # off a point by half, exactly one, or twice the cutoff
+            x = near + step * cutoff[:, None] * rng.choice([0.5, 1.0, 2.0], (K, 1))
+            region = rng.random(K) < 0.8
+            got = membership(CondVector(space, x), rep, MeasurableSet(space, region))
+            assert got.mask.tolist() == ref_discrete_membership(x, rep, region).tolist()
+
+    def test_membership_region_must_share_the_space(self, space2, space3):
+        seg = const_set(space2, [[0.0, 0.0], [1.0, 0.0]])
+        for rep in (seg, ConvexSetRep(space2, 2, seg.points, discrete=True)):
+            with pytest.raises(SpaceMismatchError):
+                membership(CondVector.zero(space2, 2), rep, space3.full_set())
+
+    def test_discrete_nearest_pair_matches_per_atom_loop(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            K, d = int(rng.integers(1, 12)), int(rng.integers(1, 13))
+            nc, nd = (int(n) for n in rng.integers(1, 7, 2))
+            space = MeasureSpace(np.ones(K))
+            c = ConvexSetRep(space, d, tied_rows(rng, (K, nc, d)), discrete=True)
+            dd = ConvexSetRep(space, d, tied_rows(rng, (K, nd, d)), discrete=True)
+            xv, yv, gap = nearest_pair(c, dd)
+            want = [ref_discrete_pair(c.points[k], dd.points[k]) for k in range(K)]
+            assert same_bits(xv.values, np.array([w[0] for w in want]))
+            assert same_bits(yv.values, np.array([w[1] for w in want]))
+            assert same_bits(gap.values, (xv - yv).norm().values)
+
+    def test_nearest_pair_ignores_zero_norm_rows_of_the_bounded_side(self):
+        rng = np.random.default_rng(78)
+        for _ in range(10):
+            K, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            space, c, dd = seeded_set_pair(rng, K, d, bounded_second=True)
+            bare = ConvexSetRep(space, d, dd.points)
+            for got, want in zip(nearest_pair(c, dd), nearest_pair(c, bare)):
+                assert same_bits(got.values, want.values)
+
+    def test_probe_check_matches_per_atom_loop(self):
+        rng = np.random.default_rng(79)
+        caught = 0
+        for _ in range(30):
+            K, d, J = int(rng.integers(1, 10)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            space = MeasureSpace(np.ones(K))
+            Y = tied_rows(rng, (K, J, d))
+            L = np.zeros((K, 2, d))
+            for k in range(K):
+                r = int(rng.integers(0, min(2, d) + 1))
+                L[k] = tied_rows(rng, (2, r)) @ tied_rows(rng, (r, d))
+            lines = [CondVector(space, L[:, i]) for i in range(2)]
+            e = ConvexSetRep(space, d, [CondVector.zero(space, d)], lines=lines)
+            frame = orthonormalize(rank_partition(lines))
+            # a point of the slope hull, pushed out of it on some atoms
+            h = np.einsum("kj,kjd->kd", rng.dirichlet(np.ones(J), K), Y)
+            h *= rng.choice([1.0, 1.0, 3.0], (K, 1))
+            vals = np.einsum("kid,kd->ki", frame.rows, h)
+            vals[np.arange(d)[None, :] >= frame.labels[:, None]] = 0.0
+            p = MaxAffineFn(space, Y, np.zeros((K, J)))
+            imgs = [CondScalar(space, vals[:, i]) for i in range(d)]
+            want = ref_probe_bad(Y, frame.labels, frame.rows, vals)
+            try:
+                hahn_banach_extend(p, e, imgs)
+            except PreconditionError as err:
+                if "exceed the bound" in str(err):
+                    assert err.atoms.tolist() == want.tolist()
+                    caught += 1
+                    continue
+            assert not want.any()
+        assert caught >= 5

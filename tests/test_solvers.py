@@ -48,11 +48,11 @@ import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
     combination_residual,
+    cone_least_squares,
     min_norm_point,
     nnls,
     nonzero_in_dual_cone,
     positivity_margin,
-    simplex_min_norm,
     solve_lp,
 )
 from stratalg.functions import (
@@ -323,11 +323,42 @@ def test_nnls_matches_scipy_on_nearest_point_systems(seed, monkeypatch):
     for d in (2, 3):
         min_norm_point(*generators(rng, d, 3, seed % 3, int(seed % 2 == 0)))
         shifted = rng.normal(size=(4, d)) + 0.5  # often away from the origin
-        simplex_min_norm(shifted)
-        simplex_min_norm(shifted, eq_mat=rng.normal(size=(1, d)), eq_rhs=rng.normal(size=1))
+        min_norm_point(shifted)
+        min_norm_point(shifted, eq_mat=rng.normal(size=(1, d)), eq_rhs=rng.normal(size=1))
     assert len(systems) == 6
     for A, b, maxiter in systems:
         assert_nnls_matches_scipy(A, b, maxiter)
+
+
+def ref_simplex_min_norm(rows, eq_mat=None, eq_rhs=None):
+    """The former QP entry for a convex combination of rows."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n = len(rows)
+    E = [np.ones((1, n))]
+    e = [np.array([1.0])]
+    if eq_mat is not None and len(eq_mat):
+        E.append(np.asarray(eq_mat, dtype=float) @ rows.T)
+        e.append(np.asarray(eq_rhs, dtype=float))
+    return cone_least_squares(rows, list(range(n)), np.vstack(E), np.concatenate(e))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_min_norm_point_matches_simplex_entry(seed):
+    rng = np.random.default_rng([12, seed])
+    for d in (1, 2, 3, 5):
+        n = int(rng.integers(1, 7))
+        rows = [rng.normal(size=(n, d)) + 0.5,
+                rng.integers(-2, 3, size=(n, d)).astype(float),
+                rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, d)),
+                np.repeat(rng.normal(size=(1, d)), n, axis=0)][seed % 4]
+        r = int(rng.integers(1, d + 1))
+        u = np.linalg.qr(rng.normal(size=(d, d)))[0][:r]
+        cvals = u @ (rng.dirichlet(np.ones(n)) @ rows)
+        for eq in ({}, {"eq_mat": u, "eq_rhs": cvals}, {"eq_mat": u[:0], "eq_rhs": cvals[:0]}):
+            got, want = min_norm_point(rows, **eq), ref_simplex_min_norm(rows, **eq)
+            assert got.point.tobytes() == want.point.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert (got.kkt_ok, got.kkt_violation) == (want.kkt_ok, want.kkt_violation)
 
 
 def test_nnls_failures_are_scipys():
