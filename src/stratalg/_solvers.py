@@ -37,7 +37,10 @@ takes its generator columns, its ``sum lam = 1`` row and its bounds from
 ``vrep_block``, and so does the nearest-point QP: all of them share one
 column layout.  ``min_norm_point`` is the one nearest-point QP entry;
 every caller, the minimal-norm subgradient and the dominated extension
-included, goes through it to ``cone_least_squares``.
+included, goes through it to ``cone_least_squares``.  It also answers
+every distance verdict: set membership and the dominated extension's
+feasibility check read the Euclidean norm of a nearest point, so no LP
+measures how far a point is from a set.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 from types import ModuleType
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -86,6 +89,10 @@ _slsqplib = _load_scipy_extension("scipy.optimize._slsqplib")
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
 _POLISH_ROUNDS = 60
+# A dual-cone objective value or candidate norm counts as nonzero above
+# _POS_TOL; candidate normals closer than _LEX_TOL in a coordinate tie.
+_POS_TOL = 1e-9
+_LEX_TOL = 1e-12
 
 # linprog's HiGHS options: presolve on, dual simplex, feasibility
 # enforced well below the package's strict-inequality tolerances so that
@@ -216,122 +223,83 @@ def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class QPSolution:
-    """Solution of ``min |G^T w|^2`` s.t. ``E w = e``, ``w_i >= 0`` on a set."""
+    """Solution of ``min |G^T w|^2`` s.t. ``E w = e``, ``w_i >= 0`` on a prefix."""
 
     point: np.ndarray        # the minimizing combination G^T w
     coeffs: np.ndarray       # w in the original variable order
     kkt_ok: bool             # True when the polished KKT check passed
-    kkt_violation: float     # worst dual violation seen at termination
 
 
 def cone_least_squares(
     gens: np.ndarray,
-    nonneg: Sequence[int],
+    nonneg: int,
     eq_mat: np.ndarray,
     eq_rhs: np.ndarray,
 ) -> QPSolution:
     """Minimize ``|gens^T w|`` subject to ``eq_mat w = eq_rhs`` and
-    nonnegativity of the listed coefficients.
+    ``w_i >= 0`` for the first ``nonneg`` coefficients.
 
-    ``gens`` has one generator per row.  The free coefficients (those not
-    listed in ``nonneg``) are handled exactly; the equalities are folded
-    into the NNLS pass with a penalty and then enforced exactly by the
-    polish step.
+    ``gens`` has one generator per row, in ``vrep_block``'s order: points,
+    then rays (the nonnegative prefix), then lines (free).  A penalized
+    NNLS pass on split variables (the free coefficients as differences
+    of two nonnegative ones) guesses the support; each polish round then
+    solves the equality-constrained least squares on the support exactly,
+    drops the most negative nonnegative coefficient, or else adds the
+    excluded column whose dual most violates the KKT conditions.  Should
+    ``nnls`` give up (no seeded input has reached this fallback), the
+    polish starts from every column instead, an active-set cold start.
     """
     gens = np.asarray(gens, dtype=float)
     n, d = gens.shape
     eq_mat = np.asarray(eq_mat, dtype=float).reshape(-1, n)
     eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
-    nonneg = sorted(set(int(i) for i in nonneg))
-    free = [i for i in range(n) if i not in nonneg]
+    pen = _PENALTY * max(np.abs(gens).max(initial=1.0), np.abs(eq_rhs).max(initial=1.0))
 
-    scale = max(1.0, float(np.max(np.abs(gens))) if gens.size else 1.0,
-                float(np.max(np.abs(eq_rhs))) if eq_rhs.size else 1.0)
-    pen = _PENALTY * scale
-
-    # NNLS pass on split variables: columns for nonneg w_i, then +-pairs
-    # for the free ones.
-    cols = [gens[i] for i in nonneg] + [gens[i] for i in free] + [-gens[i] for i in free]
-    ecols = [eq_mat[:, i] for i in nonneg] + [eq_mat[:, i] for i in free] + [
-        -eq_mat[:, i] for i in free
-    ]
-    A = np.vstack(
-        [
-            np.column_stack(cols) if cols else np.zeros((d, 0)),
-            pen * (np.column_stack(ecols) if ecols else np.zeros((eq_mat.shape[0], 0))),
-        ]
-    )
+    # NNLS columns: the nonnegative w_i, then the free ones with + and -.
+    A = np.vstack([np.hstack([gens.T, -gens[nonneg:].T]),
+                   pen * np.hstack([eq_mat, -eq_mat[:, nonneg:]])])
     b = np.concatenate([np.zeros(d), pen * eq_rhs])
+    on = np.ones(n, dtype=bool)
     try:
         w_split, _ = nnls(A, b, maxiter=10 * max(1, A.shape[1]))
+        on[:nonneg] = w_split[:nonneg] > 1e-9 * w_split.max(initial=1.0)
     except RuntimeError:
         w_split = np.zeros(A.shape[1])
 
-    w0 = np.zeros(n)
-    for j, i in enumerate(nonneg):
-        w0[i] = w_split[j]
-    off = len(nonneg)
-    for j, i in enumerate(free):
-        w0[i] = w_split[off + j] - w_split[off + len(free) + j]
-
-    supp_tol = 1e-9 * max(1.0, float(np.max(w_split)) if w_split.size else 1.0)
-    support = set(i for i in nonneg if w0[i] > supp_tol) | set(free)
-
-    grad_scale = max(1.0, float(np.max(np.sum(gens * gens, axis=1))) if n else 1.0)
-    opt_tol = 1e-9 * grad_scale
+    opt_tol = 1e-9 * np.sum(gens * gens, axis=1).max(initial=1.0)
     best = None
-
     for _ in range(_POLISH_ROUNDS):
-        w, rho = _polish(gens, eq_mat, eq_rhs, sorted(support))
-        # Drop negative coefficients that should be nonnegative.
-        bad = [i for i in support if i in nonneg and w[i] < -1e-11]
-        if bad:
-            worst = min(bad, key=lambda i: w[i])
-            support.discard(worst)
-            if not support and nonneg:
+        # KKT system on the support: 2 Q w + E^T lam = 0, E w = e
+        support = np.flatnonzero(on)
+        s, Gs, Es = len(support), gens[support], eq_mat[:, support]
+        kkt = np.zeros((s + len(eq_rhs),) * 2)
+        kkt[:s, :s] = 2.0 * (Gs @ Gs.T)
+        kkt[:s, s:] = Es.T
+        kkt[s:, :s] = Es
+        sol, *_ = np.linalg.lstsq(kkt, np.concatenate([np.zeros(s), eq_rhs]), rcond=None)
+        w = np.zeros(n)
+        w[support] = sol[:s]
+        bad = np.flatnonzero(w[:nonneg] < -1e-11)
+        if bad.size:
+            on[bad[np.argmin(w[bad])]] = False
+            if not on.any():
                 break
             continue
         z = gens.T @ w
-        # Dual feasibility on the excluded coefficients.
-        sigma = 2.0 * (gens @ z) - eq_mat.T @ rho
-        viol = 0.0
-        entering = None
-        for i in nonneg:
-            if i in support:
-                continue
-            if sigma[i] < -opt_tol and (entering is None or sigma[i] < sigma[entering]):
-                entering = i
-            viol = max(viol, max(0.0, -sigma[i]))
+        # dual feasibility on the excluded nonnegative coefficients
+        sigma = 2.0 * (gens @ z) + eq_mat.T @ sol[s:]
+        entering = np.flatnonzero(~on[:nonneg] & (sigma[:nonneg] < -opt_tol))
         best = QPSolution(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w),
-                          kkt_ok=entering is None, kkt_violation=viol)
-        if entering is None:
+                          kkt_ok=not entering.size)
+        if not entering.size:
             return best
-        support.add(entering)
+        on[entering[np.argmin(sigma[entering])]] = True
 
     if best is not None:
         return best
-    z = gens.T @ w0
-    return QPSolution(point=z, coeffs=w0, kkt_ok=False, kkt_violation=np.inf)
-
-
-def _polish(gens, eq_mat, eq_rhs, support):
-    """Exact equality-constrained least squares on a candidate support."""
-    n = gens.shape[0]
-    s = len(support)
-    Gs = gens[support]
-    Es = eq_mat[:, support]
-    m = Es.shape[0]
-    kkt = np.zeros((s + m, s + m))
-    kkt[:s, :s] = 2.0 * (Gs @ Gs.T)
-    kkt[:s, s:] = Es.T
-    kkt[s:, :s] = Es
-    rhs = np.concatenate([np.zeros(s), eq_rhs])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    w = np.zeros(n)
-    w[support] = sol[:s]
-    rho = -sol[s:]
-    # Sign bookkeeping: stationarity reads 2 Q w - E^T rho - sigma = 0.
-    return w, rho
+    w0 = w_split[:n].copy()
+    w0[nonneg:] -= w_split[n:]
+    return QPSolution(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
 
 
 def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, list]:
@@ -364,39 +332,7 @@ def min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None) -> QPSol
         # <u_i, cols w> = c_i is linear in the coefficients w
         E.append(np.asarray(eq_mat, dtype=float) @ cols)
         e.append(np.asarray(eq_rhs, dtype=float))
-    return cone_least_squares(cols.T, range(len(points) + len(rays)), np.vstack(E),
-                              np.concatenate(e))
-
-
-def combination_residual(
-    target: np.ndarray,
-    points: np.ndarray,
-    rays: np.ndarray,
-    lines: np.ndarray,
-) -> float:
-    """Smallest sup-norm slack with which the target is a valid
-    point/ray/line combination; ``inf`` when the LP fails."""
-    target = np.asarray(target, dtype=float)
-    d = target.size
-    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
-    n = cols.shape[1]
-    # variables: [w (n), t]; minimize t with |cols w - target| <= t.
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    # rows: cols w - t <= target ; -cols w - t <= -target
-    A_ub = np.vstack(
-        [
-            np.hstack([cols, -np.ones((d, 1))]),
-            np.hstack([-cols, -np.ones((d, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([target, -target])
-    A_eq = np.append(simplex_row, 0.0)[None, :]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]),
-                   bounds=bounds + [(0, None)])
-    if res.status != 0:
-        return np.inf
-    return float(res.fun)
+    return cone_least_squares(cols.T, len(points) + len(rays), np.vstack(E), np.concatenate(e))
 
 
 def positivity_margin(
@@ -404,21 +340,20 @@ def positivity_margin(
     points: np.ndarray,
     rays: np.ndarray,
     lines: np.ndarray,
-    eq_slack: float = FEAS_TOL,
 ) -> float:
     """Largest ``t`` such that the target admits a combination whose
     point and ray coefficients all sit at or above ``t``.
 
     A strictly positive value certifies relative-interior membership; a
     nonpositive one means the target is on the relative boundary, and
-    ``-inf`` means it is not in the set at all (up to ``eq_slack``).
+    ``-inf`` means it is not in the set at all (up to a ``FEAS_TOL`` slack).
     """
     target = np.asarray(target, dtype=float)
     d = target.size
     cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
     n = cols.shape[1]
     nonneg_cnt = n - len(lines)
-    slack = eq_slack * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
+    slack = FEAS_TOL * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
                            float(np.max(np.abs(target))) if target.size else 1.0)
     # variables [w (n), t]; maximize t.
     c = np.zeros(n + 1)
@@ -446,7 +381,7 @@ def positivity_margin(
     # slack itself, so a positive value is only reported after it
     # survives a near-exact target tolerance.  Infeasibility there means
     # membership relied on the slack: a boundary point, margin zero.
-    tight = EQ_TOL * (slack / eq_slack if eq_slack > 0.0 else 1.0)
+    tight = EQ_TOL * (slack / FEAS_TOL)
     b_tight = b_ub.copy()
     b_tight[nonneg_cnt: nonneg_cnt + d] = target + tight
     b_tight[nonneg_cnt + d:] = -target + tight
@@ -460,7 +395,6 @@ def nonzero_in_dual_cone(
     ineq_rows: np.ndarray,
     eq_rows: np.ndarray,
     dim: int,
-    pos_tol: float = 1e-9,
 ) -> Optional[np.ndarray]:
     """A canonical nonzero ``z`` with ``ineq_rows z >= 0`` and
     ``eq_rows z = 0``, or ``None`` when only ``z = 0`` qualifies.
@@ -485,10 +419,10 @@ def nonzero_in_dual_cone(
             if res.status != 0:
                 continue
             val = -float(res.fun)
-            if val > pos_tol:
+            if val > _POS_TOL:
                 z = np.asarray(res.x, dtype=float)
                 nz = np.linalg.norm(z)
-                if nz > pos_tol:
+                if nz > _POS_TOL:
                     candidates.append(z / nz)
     if not candidates:
         return None
@@ -499,10 +433,10 @@ def nonzero_in_dual_cone(
     return best
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
+def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     for x, y in zip(a, b):
-        if x < y - tol:
+        if x < y - _LEX_TOL:
             return True
-        if x > y + tol:
+        if x > y + _LEX_TOL:
             return False
     return False

@@ -179,10 +179,6 @@ class CondLinearMap:
         object.__setattr__(self, "mats", m)
 
     @property
-    def target_dim(self) -> int:
-        return self.mats.shape[1]
-
-    @property
     def source_dim(self) -> int:
         return self.mats.shape[2]
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import combination_residual, min_norm_point, nonzero_in_dual_cone, positivity_margin
+from ._solvers import min_norm_point, nonzero_in_dual_cone, positivity_margin
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -231,8 +231,10 @@ def membership(
 ) -> MeasurableSet:
     """Atoms of the region on which ``x`` belongs to the set.
 
-    Per atom this is a small feasibility LP (or an exact row comparison
-    for discrete representations).
+    Per atom, the Euclidean distance from ``x`` to the set, the norm of
+    ``min_norm_point`` over the generators shifted by ``-x``, must not
+    exceed ``tol`` scaled by the atom's magnitudes.  A discrete
+    representation is an exact row comparison in the sup norm instead.
     """
     _check_space(x, rep)
     space = rep.space
@@ -245,7 +247,8 @@ def membership(
         gap = np.abs(rep.points - x.values[:, None, :]).max(axis=2).min(axis=1)
         return MeasurableSet(space, inside & (gap <= cutoff))
     for k in np.flatnonzero(inside):
-        inside[k] = combination_residual(x.values[k], *rep.generators_at(k)) <= cutoff[k]
+        z = min_norm_point(rep.points[k] - x.values[k], rep.rays[k], rep.lines[k]).point
+        inside[k] = np.linalg.norm(z) <= cutoff[k]
     return MeasurableSet(space, inside)
 
 
@@ -521,8 +524,8 @@ def hahn_banach_extend(
         raise PreconditionError("values given for complement directions", bad)
 
     # Documented finite check: domination on the frame vectors and their
-    # negatives.  (Necessary, not sufficient; the feasibility LP below
-    # settles the rest.)
+    # negatives.  (Necessary, not sufficient; the distance from the
+    # prescribed values to the hull of the mapped slopes settles the rest.)
     probe_bad = np.zeros(K, dtype=bool)
     for i in range(top):
         u = frows[:, i, :, None]
@@ -547,9 +550,9 @@ def hahn_banach_extend(
         u = frows[k, :r, :]
         cvals = np.array([g_images[i].values[k] for i in range(r)])
         mapped = yrows @ u.T  # row j: the frame values of slope j
-        resid = combination_residual(cvals, mapped, np.zeros((0, r)), np.zeros((0, r)))
+        gap = min_norm_point(mapped - cvals).point
         scale = max(1.0, float(np.max(np.abs(mapped))), float(np.max(np.abs(cvals))))
-        if resid > tol * scale:
+        if np.linalg.norm(gap) > tol * scale:
             infeasible[k] = True
             continue
         rows[k] = min_norm_point(yrows, eq_mat=u, eq_rhs=cvals).point

@@ -32,8 +32,8 @@ from stratalg import (
     ri_membership,
     separate,
 )
-from stratalg import sets
-from stratalg._solvers import nonzero_in_dual_cone
+from stratalg import _solvers, functions, sets
+from stratalg._solvers import min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
 from stratalg.core import ext_add
 from stratalg.linalg import _grow_frames
 from stratalg.tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
@@ -373,6 +373,23 @@ class TestHahnBanach:
         frame_vec = np.array([1.0, 0.0])
         assert np.allclose(h.values @ frame_vec, -0.25, atol=1e-7)
 
+    def test_values_outside_the_slope_hull_are_infeasible(self):
+        # frame values (c, c) pass the probe check for c <= 1 but lie in
+        # the hull of the mapped slopes, the unit L1 ball, only for
+        # c <= 1/2; the Euclidean distance sqrt(2) (c - 1/2) is held to
+        # QP_TOL
+        space = MeasureSpace(np.ones(4))
+        p = self.sup_norm_bound(space)
+        e = hull([CondVector.constant(space, [1.0, 0.0]),
+                  CondVector.constant(space, [0.0, 1.0])], "linear")
+        c = CondScalar(space, 0.5 + np.array([0.0, 0.6e-7, 0.8e-7, 0.5]))
+        with pytest.raises(PreconditionError, match="domination fails") as err:
+            hahn_banach_extend(p, e, [c, c])
+        assert err.value.atoms.tolist() == [False, False, True, True]
+        c = c.restrict(MeasurableSet(space, np.array([True, True, False, False])))
+        h = hahn_banach_extend(p, e, [c, c])
+        assert np.allclose(h.values[:2], 0.5, atol=1e-7)
+
     def test_undominated_value_rejected(self, space2):
         p = self.sup_norm_bound(space2)
         e = hull([CondVector.constant(space2, [1.0, 0.0])], "linear")
@@ -608,6 +625,21 @@ def ref_member_cutoff(rep, x, k, tol=FEAS_TOL):
                             for a in (*rep.generators_at(k), x[k])))
 
 
+def ref_combination_residual(target, points, rays, lines):
+    """The former membership LP: the smallest sup-norm slack with which
+    ``target`` is a point/ray/line combination; ``inf`` when the LP fails."""
+    d = target.size
+    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
+    n = cols.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    A_ub = np.vstack([np.hstack([cols, -np.ones((d, 1))]), np.hstack([-cols, -np.ones((d, 1))])])
+    res = solve_lp(c, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
+                   A_eq=np.append(simplex_row, 0.0)[None, :], b_eq=np.array([1.0]),
+                   bounds=bounds + [(0, None)])
+    return float(res.fun) if res.status == 0 else np.inf
+
+
 def ref_discrete_membership(x, rep, region):
     flags = []
     for k in range(rep.space.natoms):
@@ -795,3 +827,79 @@ class TestStackedSetOps:
                     continue
             assert not want.any()
         assert caught >= 5
+
+
+class TestMembershipByNearestPoint:
+    """``membership`` reads the Euclidean norm of the nearest-point QP's
+    gap where the former LP read a sup-norm residual; the verdicts agree
+    away from the cutoff, and near it the QP can only be the stricter."""
+
+    @staticmethod
+    def seeded_queries(rng, K, d):
+        space = MeasureSpace(np.ones(K))
+        n = int(rng.integers(1, 6))
+        pts = tied_rows(rng, (K, n, d)) * 10.0 ** rng.integers(-2, 3, (K, 1, 1))
+        rays = tied_rows(rng, (K, int(rng.integers(0, 3)), d))
+        lines = tied_rows(rng, (K, int(rng.integers(0, 2)), d))
+        rep = ConvexSetRep(space, d, pts, rays, lines)
+        vertex = pts[np.arange(K), rng.integers(0, n, K)]
+        u = rng.normal(size=(K, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return space, rep, vertex, u
+
+    def test_verdicts_agree_at_least_ten_cutoffs_away(self):
+        rng = np.random.default_rng(81)
+        checked = {True: 0, False: 0}
+        for _ in range(30):
+            K, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            space, rep, vertex, u = self.seeded_queries(rng, K, d)
+            inner = np.einsum("kn,knd->kd", rng.dirichlet(np.ones(rep.points.shape[1]), K),
+                              rep.points)
+            for x in (inner, vertex + u * rng.uniform(0.1, 10.0, (K, 1))):
+                cutoff = np.array([ref_member_cutoff(rep, x, k) for k in range(K)])
+                got = membership(CondVector(space, x), rep).mask
+                for k in range(K):
+                    resid = ref_combination_residual(x[k], *rep.generators_at(k))
+                    if resid <= cutoff[k] / 10.0 or resid >= 10.0 * cutoff[k]:
+                        assert got[k] == (resid <= cutoff[k])
+                        checked[bool(got[k])] += 1
+        assert min(checked.values()) >= 50
+
+    def test_distance_verdicts_make_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(_solvers, "solve_lp", no_lp)
+        monkeypatch.setattr(functions, "solve_lp", no_lp)
+        space, rep, _, u = self.seeded_queries(np.random.default_rng(83), 6, 3)
+        rep = rep.translate(CondVector(space, -rep.points[:, 0]))
+        x = CondVector(space, u)
+        membership(x, rep)
+        bounded_test(rep)
+        MaxAffineFn(space, rep.points, np.zeros(rep.points.shape[:2]), domain=rep).eval(x)
+        hahn_banach_extend(TestHahnBanach().sup_norm_bound(space),
+                           hull([CondVector.constant(space, [1.0, 0.0])], "linear"),
+                           [CondScalar.constant(space, 0.5)])
+
+    def test_near_the_cutoff_the_qp_only_removes_members(self):
+        rng = np.random.default_rng(82)
+        changed = close = 0
+        for _ in range(40):
+            K, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            space, rep, vertex, u = self.seeded_queries(rng, K, d)
+            cutoff = np.array([ref_member_cutoff(rep, vertex, k) for k in range(K)])
+            x = vertex + u * cutoff[:, None] * 10.0 ** rng.uniform(-1.5, 1.5, (K, 1))
+            cutoff = np.array([ref_member_cutoff(rep, x, k) for k in range(K)])
+            got = membership(CondVector(space, x), rep).mask
+            # a point closer than the cutoff to a vertex is a member
+            near = np.linalg.norm(x - vertex, axis=1) < cutoff * (1.0 - 1e-9)
+            assert got[near].all()
+            close += near.sum()
+            for k in range(K):
+                was = ref_combination_residual(x[k], *rep.generators_at(k)) <= cutoff[k]
+                if got[k] != was:
+                    gap = min_norm_point(rep.points[k] - x[k], rep.rays[k], rep.lines[k]).point
+                    assert was and not got[k]
+                    assert np.linalg.norm(gap) > cutoff[k]
+                    changed += 1
+        assert changed > 0 and close > 0

@@ -16,11 +16,16 @@ or a flipped row fails here even when it happens to leave the vertex
 unchanged.  A change that alters the LPs on purpose rewrites the file
 with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 
-``_solvers.nnls`` is compared bit for bit with ``scipy.optimize.nnls``,
-and subprocess tests check that a fresh ``import stratalg.cli`` never
-imports ``scipy.optimize`` while sharing its compiled modules with it,
-and that an ``nnls`` system without columns returns instead of aborting
-the interpreter.
+``_solvers.nnls`` is compared bit for bit with ``scipy.optimize.nnls``.
+The nearest-point QP ``min_norm_point`` is compared bit for bit with
+``ref_cone_least_squares``, the earlier solver that took any list of
+nonnegative indices, on seeded systems with ties, signed zeros, free
+lines, equality rows and short polish budgets; a fault-injection test
+covers the cold start after an ``nnls`` give-up.  Subprocess tests
+check that a fresh ``import stratalg.cli`` never imports
+``scipy.optimize`` while sharing its compiled modules with it, and that
+an ``nnls`` system without columns returns instead of aborting the
+interpreter.
 """
 
 import hashlib
@@ -47,7 +52,7 @@ from stratalg import (
 import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
-    combination_residual,
+    QPSolution,
     cone_least_squares,
     min_norm_point,
     nnls,
@@ -150,16 +155,6 @@ def vset(space, pts, rays=None, lines=None):
 
     return ConvexSetRep(space=space, dim=pts.shape[2], points=family(pts), rays=family(rays),
                         lines=family(lines))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_combination_residual(seed, lps):
-    rng = np.random.default_rng([1, seed])
-    pts, rays, lines = generators(rng, 3, 4, seed % 2, int(seed % 3 == 0))
-    inside = rng.dirichlet(np.ones(len(pts))) @ pts
-    for target in (inside, rng.normal(size=3) * 3):
-        combination_residual(target, pts, rays, lines)
-    check_all(lps)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -339,7 +334,7 @@ def ref_simplex_min_norm(rows, eq_mat=None, eq_rhs=None):
     if eq_mat is not None and len(eq_mat):
         E.append(np.asarray(eq_mat, dtype=float) @ rows.T)
         e.append(np.asarray(eq_rhs, dtype=float))
-    return cone_least_squares(rows, list(range(n)), np.vstack(E), np.concatenate(e))
+    return cone_least_squares(rows, n, np.vstack(E), np.concatenate(e))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -358,7 +353,169 @@ def test_min_norm_point_matches_simplex_entry(seed):
             got, want = min_norm_point(rows, **eq), ref_simplex_min_norm(rows, **eq)
             assert got.point.tobytes() == want.point.tobytes()
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
-            assert (got.kkt_ok, got.kkt_violation) == (want.kkt_ok, want.kkt_violation)
+            assert got.kkt_ok == want.kkt_ok
+
+
+def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
+    """The former ``cone_least_squares``: any list of nonnegative indices,
+    index lists scattered by loops, a set for the support and a separate
+    polish.  ``events`` counts coefficient drops and exhausted round
+    budgets."""
+    events = {} if events is None else events
+    gens = np.asarray(gens, dtype=float)
+    n, d = gens.shape
+    eq_mat = np.asarray(eq_mat, dtype=float).reshape(-1, n)
+    eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
+    nonneg = sorted(set(int(i) for i in nonneg))
+    free = [i for i in range(n) if i not in nonneg]
+    scale = max(1.0, float(np.max(np.abs(gens))) if gens.size else 1.0,
+                float(np.max(np.abs(eq_rhs))) if eq_rhs.size else 1.0)
+    pen = _solvers._PENALTY * scale
+    cols = [gens[i] for i in nonneg] + [gens[i] for i in free] + [-gens[i] for i in free]
+    ecols = [eq_mat[:, i] for i in nonneg] + [eq_mat[:, i] for i in free] + [
+        -eq_mat[:, i] for i in free
+    ]
+    A = np.vstack([
+        np.column_stack(cols) if cols else np.zeros((d, 0)),
+        pen * (np.column_stack(ecols) if ecols else np.zeros((eq_mat.shape[0], 0))),
+    ])
+    b = np.concatenate([np.zeros(d), pen * eq_rhs])
+    w_split, _ = _solvers.nnls(A, b, maxiter=10 * max(1, A.shape[1]))
+    w0 = np.zeros(n)
+    for j, i in enumerate(nonneg):
+        w0[i] = w_split[j]
+    off = len(nonneg)
+    for j, i in enumerate(free):
+        w0[i] = w_split[off + j] - w_split[off + len(free) + j]
+    supp_tol = 1e-9 * max(1.0, float(np.max(w_split)) if w_split.size else 1.0)
+    support = set(i for i in nonneg if w0[i] > supp_tol) | set(free)
+    grad_scale = max(1.0, float(np.max(np.sum(gens * gens, axis=1))) if n else 1.0)
+    opt_tol = 1e-9 * grad_scale
+    best = None
+    for _ in range(_solvers._POLISH_ROUNDS):
+        w, rho = ref_polish(gens, eq_mat, eq_rhs, sorted(support))
+        bad = [i for i in support if i in nonneg and w[i] < -1e-11]
+        if bad:
+            events["drops"] = events.get("drops", 0) + 1
+            support.discard(min(bad, key=lambda i: w[i]))
+            if not support and nonneg:
+                break
+            continue
+        z = gens.T @ w
+        sigma = 2.0 * (gens @ z) - eq_mat.T @ rho
+        entering = None
+        for i in nonneg:
+            if i in support:
+                continue
+            if sigma[i] < -opt_tol and (entering is None or sigma[i] < sigma[entering]):
+                entering = i
+        best = QPSolution(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w),
+                          kkt_ok=entering is None)
+        if entering is None:
+            return best
+        support.add(entering)
+    events["exhausted"] = events.get("exhausted", 0) + 1
+    if best is not None:
+        return best
+    return QPSolution(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
+
+
+def ref_polish(gens, eq_mat, eq_rhs, support):
+    n, s = gens.shape[0], len(support)
+    Gs, Es = gens[support], eq_mat[:, support]
+    m = Es.shape[0]
+    kkt = np.zeros((s + m, s + m))
+    kkt[:s, :s] = 2.0 * (Gs @ Gs.T)
+    kkt[:s, s:] = Es.T
+    kkt[s:, :s] = Es
+    sol, *_ = np.linalg.lstsq(kkt, np.concatenate([np.zeros(s), eq_rhs]), rcond=None)
+    w = np.zeros(n)
+    w[support] = sol[:s]
+    return w, -sol[s:]
+
+
+def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, events=None):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    cols, simplex_row, _ = _solvers.vrep_block(points, rays, lines, points.shape[1])
+    E, e = [simplex_row[None, :]], [np.array([1.0])]
+    if eq_mat is not None and len(eq_mat):
+        E.append(np.asarray(eq_mat, dtype=float) @ cols)
+        e.append(np.asarray(eq_rhs, dtype=float))
+    return ref_cone_least_squares(cols.T, range(len(points) + len(rays)), np.vstack(E),
+                                  np.concatenate(e), events)
+
+
+def seeded_qp_system(rng):
+    """A nearest-point system with ties: duplicated points, the
+    differences ``p_i + p_j - 2 v`` of a set touching a vertex ``v``,
+    signed zeros, integer or Gaussian rows, rays, free lines and
+    equality rows on the point."""
+    d = int(rng.integers(1, 6))
+    n = int(rng.integers(1, 7))
+    kind = int(rng.integers(4))
+    pts = [rng.normal(size=(n, d)) + rng.normal(size=d),
+           rng.integers(-2, 3, size=(n, d)).astype(float),
+           rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, d)),
+           rng.normal(size=(n, d))][kind]
+    shape = int(rng.integers(3))
+    if shape == 1:  # duplicated points
+        pts = pts[rng.integers(0, n, size=n + int(rng.integers(1, 4)))]
+    elif shape == 2:  # a difference set touching the origin
+        v = pts[0]
+        pts = (pts[:, None, :] + pts[None, :, :] - 2.0 * v).reshape(-1, d)
+    rays = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(int(rng.integers(0, 3)), d))
+    lines = rng.normal(size=(int(rng.integers(0, 2)), d))
+    eq = {}
+    if rng.random() < 0.3:
+        r = int(rng.integers(1, d + 1))
+        u = np.linalg.qr(rng.normal(size=(d, d)))[0][:r]
+        eq = {"eq_mat": u, "eq_rhs": u @ (rng.dirichlet(np.ones(len(pts))) @ pts)}
+    return pts, rays, lines, eq
+
+
+def assert_same_qp(got, want):
+    assert got.point.tobytes() == want.point.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.kkt_ok == want.kkt_ok
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_min_norm_point_matches_the_index_list_solver(seed):
+    rng = np.random.default_rng([14, seed])
+    for _ in range(200):
+        pts, rays, lines, eq = seeded_qp_system(rng)
+        assert_same_qp(min_norm_point(pts, rays, lines, **eq),
+                       ref_min_norm_point(pts, rays, lines, **eq))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, _solvers._POLISH_ROUNDS])
+def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds, monkeypatch):
+    # an NNLS guess that keeps every column makes the polish drop
+    # negative coefficients, often tied ones of duplicated points, and
+    # a short round budget runs out
+    monkeypatch.setattr(_solvers, "nnls", lambda A, b, maxiter: (np.ones(A.shape[1]), 0.0))
+    monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
+    rng = np.random.default_rng([16, rounds])
+    events = {}
+    for _ in range(300):
+        pts, rays, lines, eq = seeded_qp_system(rng)
+        assert_same_qp(min_norm_point(pts, rays, lines, **eq),
+                       ref_min_norm_point(pts, rays, lines, events=events, **eq))
+    assert events.get("drops", 0) > 0
+    assert events.get("exhausted", 0) > 0 or rounds == _solvers._POLISH_ROUNDS
+
+
+def test_nnls_give_up_starts_the_polish_from_every_column(monkeypatch):
+    def give_up(A, b, maxiter):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(_solvers, "nnls", give_up)
+    # the origin is not in this segment, and the polish must not return it
+    sol = min_norm_point([[1.0, 0.0], [2.0, 0.0]])
+    assert np.allclose(sol.point, [1.0, 0.0]) and np.allclose(sol.coeffs, [1.0, 0.0])
+    assert sol.kkt_ok
+    sol = min_norm_point([[1.0, 2.0], [3.0, -1.0]], lines=[[0.0, 1.0]])
+    assert np.allclose(sol.point, [1.0, 0.0]) and sol.kkt_ok
 
 
 def test_nnls_failures_are_scipys():
