@@ -227,7 +227,7 @@ class QPSolution:
 
     point: np.ndarray        # the minimizing combination G^T w
     coeffs: np.ndarray       # w in the original variable order
-    kkt_ok: bool             # True when the polished KKT check passed
+    kkt_ok: bool             # True when the polished w is primal and dual feasible
 
 
 def cone_least_squares(
@@ -248,6 +248,8 @@ def cone_least_squares(
     excluded column whose dual most violates the KKT conditions.  Should
     ``nnls`` give up (no seeded input has reached this fallback), the
     polish starts from every column instead, an active-set cold start.
+    ``kkt_ok`` needs dual feasibility and ``|eq_mat w - eq_rhs|`` of at
+    most ``1e-9 * max(1, |eq_rhs|)`` in the sup norm.
     """
     gens = np.asarray(gens, dtype=float)
     n, d = gens.shape
@@ -267,6 +269,7 @@ def cone_least_squares(
         w_split = np.zeros(A.shape[1])
 
     opt_tol = 1e-9 * np.sum(gens * gens, axis=1).max(initial=1.0)
+    eq_tol = 1e-9 * np.abs(eq_rhs).max(initial=1.0)
     best = None
     for _ in range(_POLISH_ROUNDS):
         # KKT system on the support: 2 Q w + E^T lam = 0, E w = e
@@ -289,8 +292,9 @@ def cone_least_squares(
         # dual feasibility on the excluded nonnegative coefficients
         sigma = 2.0 * (gens @ z) + eq_mat.T @ sol[s:]
         entering = np.flatnonzero(~on[:nonneg] & (sigma[:nonneg] < -opt_tol))
-        best = QPSolution(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w),
-                          kkt_ok=not entering.size)
+        coeffs = np.where(np.abs(w) < 1e-15, 0.0, w)
+        primal_ok = np.abs(eq_mat @ coeffs - eq_rhs).max(initial=0.0) <= eq_tol
+        best = QPSolution(point=z, coeffs=coeffs, kkt_ok=bool(primal_ok and not entering.size))
         if not entering.size:
             return best
         on[entering[np.argmin(sigma[entering])]] = True
@@ -344,9 +348,11 @@ def positivity_margin(
     """Largest ``t`` such that the target admits a combination whose
     point and ray coefficients all sit at or above ``t``.
 
-    A strictly positive value certifies relative-interior membership; a
-    nonpositive one means the target is on the relative boundary, and
-    ``-inf`` means it is not in the set at all (up to a ``FEAS_TOL`` slack).
+    One LP, matching the target to ``EQ_TOL`` (scaled): a looser match
+    would let a boundary target borrow a positive margin from the slack.
+    Interior targets get a margin above a small threshold, boundary ones
+    at most about ``EQ_TOL``; ``-inf`` means no combination matches (the
+    target is outside the set or on its boundary).
     """
     target = np.asarray(target, dtype=float)
     d = target.size
@@ -355,11 +361,13 @@ def positivity_margin(
     nonneg_cnt = n - len(lines)
     slack = FEAS_TOL * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
                            float(np.max(np.abs(target))) if target.size else 1.0)
+    # written as a rescaled FEAS_TOL slack, which pins the bits of b_ub
+    tight = EQ_TOL * (slack / FEAS_TOL)
     # variables [w (n), t]; maximize t.
     c = np.zeros(n + 1)
     c[-1] = -1.0
     # rows: t <= w_i for every nonnegative coefficient, then
-    # |cols w - target| <= slack.
+    # |cols w - target| <= tight.
     A_ub = np.vstack(
         [
             np.hstack([-np.eye(n)[:nonneg_cnt], np.ones((nonneg_cnt, 1))]),
@@ -367,27 +375,13 @@ def positivity_margin(
             np.hstack([-cols, np.zeros((d, 1))]),
         ]
     )
-    b_ub = np.concatenate([np.zeros(nonneg_cnt), target + slack, -target + slack])
+    b_ub = np.concatenate([np.zeros(nonneg_cnt), target + tight, -target + tight])
     A_eq = np.append(simplex_row, 0.0)[None, :]
     b_eq = np.array([1.0])
     bounds = bounds + [(None, 1.0)]
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if res.status != 0:
         return -np.inf
-    margin = float(-res.fun)
-    if margin <= 0.0:
-        return margin
-    # A boundary target can borrow a positive margin from the target
-    # slack itself, so a positive value is only reported after it
-    # survives a near-exact target tolerance.  Infeasibility there means
-    # membership relied on the slack: a boundary point, margin zero.
-    tight = EQ_TOL * (slack / FEAS_TOL)
-    b_tight = b_ub.copy()
-    b_tight[nonneg_cnt: nonneg_cnt + d] = target + tight
-    b_tight[nonneg_cnt + d:] = -target + tight
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_tight, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    if res.status != 0:
-        return 0.0
     return float(-res.fun)
 
 

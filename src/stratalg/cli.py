@@ -7,10 +7,11 @@ corresponding library operation, and emits a result document carrying a
 the answer.  Exit codes: 0 success, 1 malformed input, 2 precondition
 failure (including nonempty failure sets under ``--strict``).
 
-Defaults: ``--tol`` falls back to each operation's documented tolerance,
-``--seed 7`` drives the probe-based certificate audits.  ``--tol`` must be
-a finite number > 0, ``--seed`` an integer >= 0 and ``--probes`` an
-integer >= 1; any other value is a malformed flag (exit 1).
+A subcommand takes only the shared flags its handler reads: ``--tol``
+overrides the operation's documented tolerance, ``--seed 7`` drives the
+probe-based certificate audits.  ``--tol`` must be a finite number > 0,
+``--seed`` an integer >= 0 and ``--probes`` an integer >= 1; any other
+value, or a flag the subcommand does not take, is malformed (exit 1).
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def _cmd_basis(scn: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, int]:
     gens = [scn.vector(n) for n in args.generators]
+    rank_tol = args.tol or RANK_TOL
     frame = linalg.orthonormalize(
-        linalg.rank_partition(gens, rank_tol=args.tol or RANK_TOL)
+        linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol
     )
     doc = _result_doc(scn)
     doc["integers"]["labels"] = frame.labels.tolist()
@@ -138,8 +140,9 @@ def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, int]:
 def _cmd_decompose(scn: Scenario, args) -> tuple[dict, int]:
     x = scn.vector(args.vector)
     gens = [scn.vector(n) for n in args.generators]
+    rank_tol = args.tol or RANK_TOL
     frame = linalg.orthonormalize(
-        linalg.rank_partition(gens, rank_tol=args.tol or RANK_TOL)
+        linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol
     )
     y, z = linalg.decompose(x, frame)
     overlap = np.zeros(scn.space.natoms)
@@ -387,11 +390,11 @@ _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("scenario", help="path to an interchange document")
-    common.add_argument("--tol", type=_TOL, default=None, help="override the operation tolerance")
-    common.add_argument("--seed", type=_SEED, default=7, help="seed for probe-based certificates")
-    common.add_argument(
+    scenario, tol, seed, strict = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    scenario.add_argument("scenario", help="path to an interchange document")
+    tol.add_argument("--tol", type=_TOL, default=None, help="override the operation tolerance")
+    seed.add_argument("--seed", type=_SEED, default=7, help="seed for probe-based certificates")
+    strict.add_argument(
         "--strict",
         action="store_true",
         help="exit 2 when a failure set is nonempty or a demanded check fails",
@@ -402,21 +405,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, *flags, **kwargs):
+        return sub.add_parser(name, parents=[scenario, *flags], **kwargs)
 
-    p = add("basis", help="stratified rank partition of generators")
+    p = add("basis", tol, help="stratified rank partition of generators")
     p.add_argument("--generators", nargs="+", required=True)
-    p = add("orthonormalize", help="orthonormal frame adapted to generators")
+    p = add("orthonormalize", tol, help="orthonormal frame adapted to generators")
     p.add_argument("--generators", nargs="+", required=True)
-    p = add("decompose", help="project a vector onto the generated submodule")
+    p = add("decompose", tol, help="project a vector onto the generated submodule")
     p.add_argument("--vector", required=True)
     p.add_argument("--generators", nargs="+", required=True)
-    p = add("separate", help="separate two convex sets")
+    p = add("separate", tol, strict, help="separate two convex sets")
     p.add_argument("--first", required=True)
     p.add_argument("--second", required=True)
     p.add_argument("--kind", choices=["strong", "weak", "proper"], default="strong")
-    p = add("hahn-banach", help="dominated linear extension from a submodule")
+    p = add("hahn-banach", tol, seed, help="dominated linear extension from a submodule")
     p.add_argument("--bound", required=True, help="sublinear max-affine function name")
     p.add_argument("--subspace", required=True, help="linear convex-set name")
     p.add_argument("--values", nargs="+", required=True, help="scalar names, one per frame vector")
@@ -426,17 +429,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mins", help="comma-separated dual grid minima")
     p.add_argument("--maxs", help="comma-separated dual grid maxima")
     p.add_argument("--steps", help="comma-separated dual grid steps")
-    p = add("fenchel-moreau", help="biconjugation audit of a grid function")
+    p = add("fenchel-moreau", strict, help="biconjugation audit of a grid function")
     p.add_argument("--function", required=True)
     p.add_argument("--mins")
     p.add_argument("--maxs")
     p.add_argument("--steps")
-    p = add("subgrad", help="subdifferential representative at a point")
+    p = add("subgrad", seed, help="subdifferential representative at a point")
     p.add_argument("--function", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--bound", help="growth-constant scalar name (bounded variant)")
     p.add_argument("--probes", type=_COUNT, default=200)
-    p = add("argmin", help="minimize a max-affine function over a convex set")
+    p = add("argmin", tol, strict, help="minimize a max-affine function over a convex set")
     p.add_argument("--function", required=True)
     p.add_argument("--set", required=True)
     p = add("infconv", help="inf-convolution of grid functions")
@@ -446,12 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--slack", type=_SLACK, required=True)
-    p = add("cauchy", help="finite-horizon Cauchy test")
+    p = add("cauchy", strict, help="finite-horizon Cauchy test")
     p.add_argument("--sequence", required=True)
     p.add_argument("--eps", nargs="+", required=True, help="scalar names forming the schedule")
-    p = add("bounded-test", help="recession-based boundedness test")
+    p = add("bounded-test", tol, strict, help="recession-based boundedness test")
     p.add_argument("--set", required=True)
-    p = add("ri-test", help="(relative) interior membership test")
+    p = add("ri-test", tol, strict, help="(relative) interior membership test")
     p.add_argument("--point", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--mode", choices=["interior", "relative"], default="interior")

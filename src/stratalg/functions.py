@@ -60,6 +60,10 @@ __all__ = [
     "sublinear_support",
 ]
 
+_GROWTH_PROBES = 64  # seeded directions of bounded_subgradient's growth audit
+_GRAD_TOL = 1e-9  # scaled spread of active slopes that still makes one gradient
+_MINORANT_TOL = 1e-9  # scaled slack of fenchel_moreau_check's f >= f** test
+
 
 @dataclass(frozen=True, eq=False)
 class MaxAffineFn:
@@ -134,11 +138,11 @@ class MaxAffineFn:
             vals = np.where(inside.mask, vals, np.inf)
         return CondExtScalar(self.space, vals)
 
-    def active_at(self, x: CondVector, active_tol: float = ACTIVE_TOL) -> np.ndarray:
-        """Boolean (natoms, npieces) mask of pieces attaining the max."""
+    def active_at(self, x: CondVector) -> np.ndarray:
+        """Boolean (natoms, npieces) mask of pieces within ``ACTIVE_TOL`` of the max."""
         vals = self.piece_values(x)
         best = vals.max(axis=1, keepdims=True)
-        return vals >= best - active_tol * (1.0 + np.abs(best))
+        return vals >= best - ACTIVE_TOL * (1.0 + np.abs(best))
 
 
 @dataclass(frozen=True)
@@ -462,7 +466,8 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     Unless ``nodes`` overrides it, the dual step targets
     ``primal_step / width`` so that pulling a conjugate back through this
     grid stays within twice the primal step of the exact envelope (the
-    biconjugation error is at most dual step times domain width).
+    biconjugation error is at most dual step times domain width).  A
+    grid of more than 40 001 nodes raises ``ShapeError``: pass one.
     """
     if f.grid.ndim != 1:
         raise ShapeError("default dual grids are derived for 1-d functions")
@@ -483,14 +488,14 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
         width = max(1.0, f.grid.maxs[0] - f.grid.mins[0])
         target = f.grid.steps[0] / width
         n = 2 * int(np.ceil(bound / target)) + 1
-        n = min(n, 40001)
+        if n > 40001:
+            raise ShapeError(f"the default dual grid needs {n} nodes to keep its "
+                             "error bound, more than 40001; pass a dual grid")
     step = 2.0 * bound / (n - 1)
     return Grid((-bound,), (bound,), (step,))
 
 
-def fenchel_moreau_check(
-    f: GridFn, dual_grid: Optional[Grid] = None, tol: float = 1e-9
-) -> FenchelMoreauReport:
+def fenchel_moreau_check(f: GridFn, dual_grid: Optional[Grid] = None) -> FenchelMoreauReport:
     """Compare ``f**`` with the lower convex envelope of the node data.
 
     One-dimensional grids only (the envelope oracle is a lower hull).
@@ -517,7 +522,7 @@ def fenchel_moreau_check(
     same = np.all(np.isfinite(a) == np.isfinite(env), axis=1)
     dev = np.where(same, _row_gap(a, env), np.inf)
     # at a +inf node of f the bound is +inf and always holds
-    minor = np.all(a <= fv + tol * row_scale(fv)[:, None], axis=1)
+    minor = np.all(a <= fv + _MINORANT_TOL * row_scale(fv)[:, None], axis=1)
     s1, s3 = fstar.values, fsss.values
     sb = np.isfinite(s1) & np.isfinite(s3)
     idem = np.all(np.isfinite(s1) == np.isfinite(s3), axis=1) & (
@@ -550,9 +555,7 @@ class SubdifferentialRep:
         return self.slopes[k][self.active[k]]
 
 
-def subdifferential(
-    f: MaxAffineFn, x0: CondVector, active_tol: float = ACTIVE_TOL
-) -> SubdifferentialRep:
+def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
     """Active slopes and the minimal-norm subgradient at ``x0``.
 
     ``x0`` must sit in the relative interior of the domain on every atom
@@ -565,7 +568,7 @@ def subdifferential(
             raise PreconditionError(
                 "point must be relatively interior to the domain", ~ok.mask
             )
-    active = f.active_at(x0, active_tol)
+    active = f.active_at(x0)
     K = f.space.natoms
     rep = np.empty((K, f.dim))
     for k in range(K):
@@ -582,20 +585,19 @@ def bounded_subgradient(
     f: MaxAffineFn,
     x0: CondVector,
     v: CondScalar,
-    tol: float = QP_TOL,
-    probes: int = 64,
     seed: int = 7,
 ) -> CondVector:
     """A subgradient at ``x0`` no longer than the growth constant ``v``.
 
-    The growth bound ``f(x0 + x) >= f(x0) - v |x|`` is audited on seeded
-    probe directions at several radii; then the minimal-norm subgradient
-    is returned, and the growth bound forces its norm below ``v``.
+    The growth bound ``f(x0 + x) >= f(x0) - v |x|`` is audited on
+    ``_GROWTH_PROBES`` seeded probe directions at several radii; then the
+    minimal-norm subgradient is returned, and the growth bound forces its
+    norm below ``v``.
     """
     _check_space(f, x0)
     _check_space(f, v)
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((probes, f.dim))
+    dirs = rng.standard_normal((_GROWTH_PROBES, f.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     f0 = f.eval(x0).values
     bad = np.zeros(f.space.natoms, dtype=bool)
@@ -610,7 +612,7 @@ def bounded_subgradient(
         raise PreconditionError("growth bound fails on probe directions", bad)
     rep = subdifferential(f, x0).representative
     norms = rep.norm().values
-    over = norms > v.values + tol * np.maximum(1.0, np.abs(v.values))
+    over = norms > v.values + QP_TOL * np.maximum(1.0, np.abs(v.values))
     if over.any():
         raise PreconditionError(
             "growth bound fails in the slope geometry", over
@@ -618,14 +620,12 @@ def bounded_subgradient(
     return rep
 
 
-def directional_derivative(
-    f: MaxAffineFn, x0: CondVector, x: CondVector, strict_tol: float = STRICT_TOL
-) -> CondExtScalar:
+def directional_derivative(f: MaxAffineFn, x0: CondVector, x: CondVector) -> CondExtScalar:
     """One-sided derivative ``lim t->0+ (f(x0 + t x) - f(x0)) / t``.
 
     Exact for max-affine functions: the maximum of ``<x, slope>`` over
     the active pieces, or ``+inf`` when every positive step along ``x``
-    leaves the domain.
+    leaves the domain (no step longer than ``STRICT_TOL`` stays in it).
     """
     _check_space(f, x0)
     _check_space(f, x)
@@ -638,15 +638,14 @@ def directional_derivative(
     for k in range(K):
         out[k] = float(np.max(f.slopes[k][active[k]] @ x.values[k]))
     if f.domain is not None:
-        feas = _feasible_direction_mask(f.domain, x0, x, strict_tol)
+        feas = _feasible_direction_mask(f.domain, x0, x)
         out = np.where(feas, out, np.inf)
     return CondExtScalar(f.space, out)
 
 
-def _feasible_direction_mask(
-    dom: ConvexSetRep, x0: CondVector, x: CondVector, strict_tol: float
-) -> np.ndarray:
-    """Atoms where some positive step along ``x`` stays in the domain."""
+def _feasible_direction_mask(dom: ConvexSetRep, x0: CondVector, x: CondVector) -> np.ndarray:
+    """Atoms where a step longer than ``STRICT_TOL`` along ``x`` stays in
+    the domain."""
     K = dom.space.natoms
     out = np.zeros(K, dtype=bool)
     for k in range(K):
@@ -657,18 +656,17 @@ def _feasible_direction_mask(
         A_eq = np.vstack([np.column_stack([cols, -x.values[k]]), np.append(simplex_row, 0.0)])
         b_eq = np.append(x0.values[k], 1.0)
         res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)])
-        out[k] = res.status == 0 and -res.fun > strict_tol
+        out[k] = res.status == 0 and -res.fun > STRICT_TOL
     return out
 
 
-def differentiability_check(
-    f: MaxAffineFn, x0: CondVector, grad_tol: float = 1e-9
-) -> tuple[MeasurableSet, CondVector]:
+def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableSet, CondVector]:
     """Atoms where ``f`` is differentiable at ``x0``, with the gradient.
 
     Differentiability holds exactly where the subdifferential collapses
-    to a single slope; with a domain present the point must also be
-    interior there.  The gradient rows are zero off the returned set.
+    to a single slope (up to ``_GRAD_TOL``); with a domain present the
+    point must also be interior there.  The gradient rows are zero off
+    the returned set.
     """
     _check_space(f, x0)
     active = f.active_at(x0)
@@ -677,7 +675,7 @@ def differentiability_check(
     first = f.slopes[np.arange(f.space.natoms), active.argmax(axis=1)]
     scale = np.maximum(1.0, np.where(on, np.abs(f.slopes), 0.0).max(axis=(1, 2)))
     spread = np.where(on, np.abs(f.slopes - first[:, None]), 0.0).max(axis=(1, 2))
-    ok = spread <= grad_tol * scale
+    ok = spread <= _GRAD_TOL * scale
     grad = np.where(ok[:, None], first, 0.0)
     if f.domain is not None:
         interior = ri_membership(x0, f.domain, mode="interior").mask

@@ -116,7 +116,7 @@ class CondHalfspace:
     The halfspace constrains only the atoms of its ``support`` set,
     where the normal must not vanish; elsewhere membership is vacuous
     and the bounding hyperplane is empty.  ``support`` defaults to the
-    whole space.
+    whole space.  Both membership tests allow ``FEAS_TOL`` (scaled).
     """
 
     normal: CondVector
@@ -139,14 +139,14 @@ class CondHalfspace:
         g = np.einsum("kd,kd->k", x.values, self.normal.values)
         return g, row_scale(g, self.offset.values)
 
-    def contains(self, x: CondVector, tol: float = FEAS_TOL) -> MeasurableSet:
+    def contains(self, x: CondVector) -> MeasurableSet:
         g, scale = self._gap(x)
-        ok = g >= self.offset.values - tol * scale
+        ok = g >= self.offset.values - FEAS_TOL * scale
         return MeasurableSet(x.space, ok | ~self.support.mask)
 
-    def boundary_contains(self, x: CondVector, tol: float = FEAS_TOL) -> MeasurableSet:
+    def boundary_contains(self, x: CondVector) -> MeasurableSet:
         g, scale = self._gap(x)
-        on = np.abs(g - self.offset.values) <= tol * scale
+        on = np.abs(g - self.offset.values) <= FEAS_TOL * scale
         return MeasurableSet(x.space, on & self.support.mask)
 
 
@@ -219,21 +219,16 @@ def _direction_frames(points, rays, lines, rank_tol: float = RANK_TOL):
     return F, r
 
 
-def _member_tol(rep: ConvexSetRep, x: CondVector, tol: float) -> np.ndarray:
-    return tol * row_scale(rep.points, rep.rays, rep.lines, x.values)
-
-
 def membership(
     x: CondVector,
     rep: ConvexSetRep,
     region: Optional[MeasurableSet] = None,
-    tol: float = FEAS_TOL,
 ) -> MeasurableSet:
     """Atoms of the region on which ``x`` belongs to the set.
 
     Per atom, the Euclidean distance from ``x`` to the set, the norm of
     ``min_norm_point`` over the generators shifted by ``-x``, must not
-    exceed ``tol`` scaled by the atom's magnitudes.  A discrete
+    exceed ``FEAS_TOL`` scaled by the atom's magnitudes.  A discrete
     representation is an exact row comparison in the sup norm instead.
     """
     _check_space(x, rep)
@@ -242,7 +237,7 @@ def membership(
         region = space.full_set()
     _check_space(x, region)
     inside = region.mask.copy()
-    cutoff = _member_tol(rep, x, tol)
+    cutoff = FEAS_TOL * row_scale(rep.points, rep.rays, rep.lines, x.values)
     if rep.discrete:
         gap = np.abs(rep.points - x.values[:, None, :]).max(axis=2).min(axis=1)
         return MeasurableSet(space, inside & (gap <= cutoff))
@@ -252,9 +247,9 @@ def membership(
     return MeasurableSet(space, inside)
 
 
-def _bounded_or_raise(rep: ConvexSetRep, name: str, tol: float = RANK_TOL) -> None:
+def _bounded_or_raise(rep: ConvexSetRep, name: str) -> None:
     recession = np.concatenate([rep.rays, rep.lines], axis=1)
-    bad = (np.linalg.norm(recession, axis=2) > tol).any(axis=1)
+    bad = (np.linalg.norm(recession, axis=2) > RANK_TOL).any(axis=1)
     if bad.any():
         raise PreconditionError(f"{name} must be bounded (no rays or lines)", bad)
 
@@ -320,8 +315,8 @@ def ri_membership(
     A point is relatively interior exactly when it admits a generator
     combination with all point and ray coefficients strictly positive;
     interior additionally requires the affine hull to fill ``R^d`` on
-    the atom.  Strictness means the positivity margin exceeds
-    ``strict_tol`` (scaled).
+    the atom.  Strictness means the positivity margin, one LP per atom
+    and a coefficient bound (already O(1)), exceeds ``strict_tol``.
     """
     _check_space(x, rep)
     if mode not in ("interior", "relative"):
@@ -333,7 +328,6 @@ def ri_membership(
     else:
         inside = np.ones(rep.space.natoms, dtype=bool)
     for k in np.flatnonzero(inside):
-        # the margin is a coefficient bound, already O(1)
         inside[k] = positivity_margin(x.values[k], *rep.generators_at(k)) > strict_tol
     return MeasurableSet(rep.space, inside)
 
@@ -348,10 +342,10 @@ def _difference(c: ConvexSetRep, d: ConvexSetRep):
     return pts, rays, np.concatenate([c.lines, d.lines], axis=1)
 
 
-def _support_interval(Z: np.ndarray, rep: ConvexSetRep, strict_tol: float):
+def _support_interval(Z: np.ndarray, rep: ConvexSetRep):
     """Per-atom ``(inf, sup)`` of ``<w, Z[k]>`` over the set on atom ``k``.
 
-    The tolerance is ``strict_tol`` times the largest absolute point
+    The tolerance is ``STRICT_TOL`` times the largest absolute point
     value (at least 1): a ray whose value along ``Z[k]`` passes it sends
     the bound on its side to infinity, a line both bounds.  Each
     ``matmul`` item is the per-atom ``pts @ z`` (a matrix-vector product)
@@ -359,7 +353,7 @@ def _support_interval(Z: np.ndarray, rep: ConvexSetRep, strict_tol: float):
     """
     z = Z[:, :, None]
     vals = np.matmul(rep.points, z)[:, :, 0]
-    tol = (strict_tol * np.maximum(1.0, np.abs(vals).max(axis=1)))[:, None]
+    tol = (STRICT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1)))[:, None]
     ray = np.matmul(rep.rays[:, :, None, :], z[:, None])[:, :, 0, 0]
     line = (np.abs(np.matmul(rep.lines[:, :, None, :], z[:, None])[:, :, 0, 0]) > tol).any(axis=1)
     lo = np.where(line | (ray < -tol).any(axis=1), -np.inf, vals.min(axis=1))
@@ -372,7 +366,6 @@ def separate(
     d: ConvexSetRep,
     kind: str = "strong",
     zero_tol: float = QP_TOL,
-    strict_tol: float = STRICT_TOL,
 ) -> SeparationResult:
     """Separate two conditional convex sets atom by atom.
 
@@ -392,7 +385,8 @@ def separate(
         space is used, keeping the inequality strict on one side.
 
     Atoms where the requested separation cannot exist land in
-    ``failure_set`` and carry a zero normal.
+    ``failure_set`` and carry a zero normal; a shortest vector no longer
+    than ``zero_tol`` counts as zero.
     """
     _check_space(c, d)
     if c.dim != d.dim:
@@ -457,8 +451,8 @@ def separate(
                 else:
                     zrows[k] = zz
 
-    c_lo, c_hi = _support_interval(zrows, c, strict_tol)
-    d_lo, d_hi = _support_interval(zrows, d, strict_tol)
+    c_lo, c_hi = _support_interval(zrows, c)
+    d_lo, d_hi = _support_interval(zrows, d)
     gap = ext_add(c_lo, -d_hi)
     excess = ext_add(c_hi, -d_lo)
 

@@ -421,6 +421,8 @@ class TestCliFailureModes:
     )
     def test_bad_numeric_flag_exits_1(self, scenario_path, capsys, flag, value):
         argv = ["subgrad", scenario_path, "--function", "absmax", "--point", "x0"]
+        if flag == "--tol":
+            argv = ["basis", scenario_path, "--generators", "e1"]
         if flag == "--slack":
             argv = ["bw", scenario_path, "--sequence", "osc", "--depth", "2"]
         code, out = run_cli(argv + [flag, value])
@@ -429,7 +431,70 @@ class TestCliFailureModes:
         assert f"argument {flag}" in capsys.readouterr().err
 
     def test_smallest_numeric_flags_accepted(self, scenario_path):
+        code, doc = run_json(["basis", scenario_path, "--generators", "e1", "--tol", "5e-324"])
+        assert code == 0
+        assert doc["integers"]["labels"] == [1, 1]
         argv = ["subgrad", scenario_path, "--function", "absmax", "--point", "x0"]
-        code, doc = run_json(argv + ["--tol", "5e-324", "--seed", "0", "--probes", "1"])
+        code, doc = run_json(argv + ["--seed", "0", "--probes", "1"])
         assert code == 0
         assert doc["certificates"]["probe_count"] == 1
+
+    @pytest.mark.parametrize("command", ["orthonormalize", "decompose"])
+    def test_tol_reaches_the_frame(self, tmp_path, command):
+        # b is independent of a at --tol 1e-12 but not at the default RANK_TOL,
+        # so a frame that re-tested with the default would find the label wrong
+        doc = {"weights": [1.0], "d": 2,
+               "vectors": {"a": [[1.0, 0.0]], "b": [[1.0, 1e-11]], "x": [[0.3, 0.7]]}}
+        path = tmp_path / "near.json"
+        path.write_text(emit_document(doc))
+        gens = ["--generators", "a", "b", "--tol", "1e-12"]
+        code, out = run_json(["basis", str(path), *gens])
+        assert code == 0 and out["integers"]["labels"] == [2]
+        extra = ["--vector", "x"] if command == "decompose" else []
+        code, out = run_json([command, str(path), *extra, *gens])
+        assert code == 0
+        if command == "orthonormalize":
+            assert out["integers"]["labels"] == [2]
+        else:
+            assert np.allclose(out["vectors"]["Y"], [[0.3, 0.7]])
+
+
+# shared flag -> the commands whose handlers read it; the other commands reject it
+SHARED_FLAGS = {
+    "--tol": ("basis", "orthonormalize", "decompose", "separate", "hahn-banach", "argmin",
+              "bounded-test", "ri-test"),
+    "--seed": ("hahn-banach", "subgrad"),
+    "--strict": ("separate", "fenchel-moreau", "argmin", "cauchy", "bounded-test", "ri-test"),
+}
+FLAG_ARGS = {"--tol": ["--tol", "1e-9"], "--seed": ["--seed", "3"], "--strict": ["--strict"]}
+COMMAND_ARGS = {
+    "basis": ["--generators", "e1", "e2"],
+    "orthonormalize": ["--generators", "e1", "e2"],
+    "decompose": ["--vector", "x0", "--generators", "e1"],
+    "separate": ["--first", "seg", "--second", "dot"],
+    "hahn-banach": ["--bound", "absmax", "--subspace", "line_x", "--values", "half",
+                    "--probes", "2"],
+    "conjugate": ["--function", "gabs", "--mins", "-2", "--maxs", "2", "--steps", "0.5"],
+    "fenchel-moreau": ["--function", "gabs"],
+    "subgrad": ["--function", "absmax", "--point", "x0", "--probes", "2"],
+    "argmin": ["--function", "absmax", "--set", "box"],
+    "infconv": ["--functions", "gabs", "gabs"],
+    "bw": ["--sequence", "osc", "--depth", "2", "--slack", "0"],
+    "cauchy": ["--sequence", "osc", "--eps", "eps_wide"],
+    "bounded-test": ["--set", "box"],
+    "ri-test": ["--point", "z", "--set", "box"],
+}
+
+
+@pytest.mark.parametrize("flag", list(SHARED_FLAGS))
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_each_command_takes_only_the_shared_flags_it_reads(scenario_path, capsys, command, flag):
+    assert set(COMMAND_ARGS) == set(cli._HANDLERS)
+    code, out = run_cli([command, scenario_path, *COMMAND_ARGS[command], *FLAG_ARGS[flag]])
+    if command in SHARED_FLAGS[flag]:
+        assert code in (0, 2)  # --strict may turn a failure set into exit 2
+        assert "error" not in json.loads(out)
+    else:
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {FLAG_ARGS[flag][0]}" in capsys.readouterr().err

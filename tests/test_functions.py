@@ -349,6 +349,18 @@ class TestDefaultDualGrid:
         with pytest.raises(ShapeError):
             default_dual_grid(f)
 
+    def test_a_grid_past_the_node_cap_raises(self, space2):
+        # slopes near 12 000 on a width-4 grid of step 0.01 call for 9 600 001
+        # dual nodes; capped at 40 001, fenchel_moreau_check reported a
+        # deviation of 0.155 against its bound of 2 * 0.01
+        g = Grid((-2.0,), (2.0,), (0.01,))
+        f = grid_fn(space2, g, 4000.0 * np.sin(3.0 * g.axis(0)) ** 2)
+        with pytest.raises(ShapeError, match=r"needs \d+ nodes .* pass a dual grid"):
+            default_dual_grid(f)
+        with pytest.raises(ShapeError):
+            fenchel_moreau_check(f)
+        assert default_dual_grid(f, nodes=101).shape == (101,)
+
 
 class TestFenchelMoreau:
     def test_convex_data_is_reproduced(self, space2):

@@ -5,6 +5,8 @@ reference routines in ``oracles`` (LP intersection, hull interiors,
 least squares) and are frozen here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from stratalg import _solvers, functions, sets
 from stratalg._solvers import min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
 from stratalg.core import ext_add
 from stratalg.linalg import _grow_frames
-from stratalg.tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
+from stratalg.tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
 
 def const_set(space, points, rays=(), lines=(), discrete=False):
@@ -640,6 +642,35 @@ def ref_combination_residual(target, points, rays, lines):
     return float(res.fun) if res.status == 0 else np.inf
 
 
+def ref_positivity_margin(target, points, rays, lines):
+    """The former two-stage ``positivity_margin``: the margin LP with a
+    ``FEAS_TOL`` target slack, then, for a positive margin, the same LP
+    with the ``EQ_TOL`` slack, whose infeasibility reads as ``0.0``."""
+    target = np.asarray(target, dtype=float)
+    d = target.size
+    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
+    n = cols.shape[1]
+    nonneg_cnt = n - len(lines)
+    slack = FEAS_TOL * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
+                           float(np.max(np.abs(target))) if target.size else 1.0)
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A_ub = np.vstack([np.hstack([-np.eye(n)[:nonneg_cnt], np.ones((nonneg_cnt, 1))]),
+                      np.hstack([cols, np.zeros((d, 1))]), np.hstack([-cols, np.zeros((d, 1))])])
+    lp = {"A_ub": A_ub, "A_eq": np.append(simplex_row, 0.0)[None, :], "b_eq": np.array([1.0]),
+          "bounds": bounds + [(None, 1.0)]}
+    b_ub = np.concatenate([np.zeros(nonneg_cnt), target + slack, -target + slack])
+    res = solve_lp(c, b_ub=b_ub, **lp)
+    if res.status != 0:
+        return -np.inf
+    if -res.fun <= 0.0:
+        return float(-res.fun)
+    tight = EQ_TOL * (slack / FEAS_TOL)
+    b_ub[nonneg_cnt:] = np.concatenate([target + tight, -target + tight])
+    res = solve_lp(c, b_ub=b_ub, **lp)
+    return float(-res.fun) if res.status == 0 else 0.0
+
+
 def ref_discrete_membership(x, rep, region):
     flags = []
     for k in range(rep.space.natoms):
@@ -746,7 +777,7 @@ class TestStackedSetOps:
             K, d = int(rng.integers(1, 10)), int(rng.integers(1, 5))
             _, c, _ = seeded_set_pair(rng, K, d)
             Z = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(K, d))
-            lo, hi = sets._support_interval(Z, c, STRICT_TOL)
+            lo, hi = sets._support_interval(Z, c)
             want = np.array([ref_support_bounds(Z[k], *c.generators_at(k), STRICT_TOL)
                              for k in range(K)]).reshape(K, 2)
             assert same_bits(lo, want[:, 0]) and same_bits(hi, want[:, 1])
@@ -827,6 +858,50 @@ class TestStackedSetOps:
                     continue
             assert not want.any()
         assert caught >= 5
+
+
+class TestRelativeInteriorInOneLP:
+    """``ri_membership`` solves only the tight-band margin LP; its verdicts
+    are those of the two-stage ``ref_positivity_margin``."""
+
+    def test_verdicts_match_the_two_stage_margin(self, monkeypatch):
+        lps = []
+
+        def counted(*args, **kwargs):
+            lps.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(_solvers, "solve_lp", counted)
+        verdicts = tested = 0
+        for case in range(4):
+            rng = np.random.default_rng([19, case])
+            K, d = 40, int(rng.integers(1, 5))
+            n, nr, nl = (int(rng.integers(lo, hi)) for lo, hi in ((1, 7), (0, 2), (0, 2)))
+            space = MeasureSpace(np.ones(K))
+            pts = rng.normal(size=(K, n, d))
+            rep = ConvexSetRep(space, d, pts, rng.normal(size=(K, nr, d)),
+                               rng.normal(size=(K, nl, d)))
+            vertex = pts[np.arange(K), rng.integers(0, n, K)]
+            other = pts[np.arange(K), rng.integers(0, n, K)]
+            noise = rng.normal(size=(K, d)) * 10.0 ** rng.uniform(-13, -7, (K, 1))
+            targets = [np.einsum("kn,knd->kd", rng.dirichlet(np.ones(n), K), pts), vertex,
+                       (vertex + other) / 2, vertex + 100.0 * rng.normal(size=(K, d)),
+                       vertex + noise]
+            full = rep.affine_dims() == d
+            for x in targets:
+                margin = np.array([ref_positivity_margin(x[k], *rep.generators_at(k))
+                                   for k in range(K)])
+                for mode, strict_tol in itertools.product(("interior", "relative"),
+                                                          (1e-9, 1e-6)):
+                    del lps[:]
+                    got = ri_membership(CondVector(space, x), rep, mode, strict_tol).mask
+                    want = (margin > strict_tol) & (full if mode == "interior" else True)
+                    assert got.tolist() == want.tolist()
+                    # one LP per atom that reaches the margin test
+                    assert len(lps) == (full.sum() if mode == "interior" else K)
+                    verdicts += K
+                    tested += want.sum()
+        assert verdicts == 3200 and 0 < tested < verdicts
 
 
 class TestMembershipByNearestPoint:

@@ -20,8 +20,10 @@ with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 The nearest-point QP ``min_norm_point`` is compared bit for bit with
 ``ref_cone_least_squares``, the earlier solver that took any list of
 nonnegative indices, on seeded systems with ties, signed zeros, free
-lines, equality rows and short polish budgets; a fault-injection test
-covers the cold start after an ``nnls`` give-up.  Subprocess tests
+lines, equality rows and short polish budgets; fault-injection tests
+cover the cold start after an ``nnls`` give-up and a full-support start
+whose polish ends where the equality rows fail, which ``kkt_ok`` must
+report.  Subprocess tests
 check that a fresh ``import stratalg.cli`` never imports
 ``scipy.optimize`` while sharing its compiled modules with it, and that
 an ``nnls`` system without columns returns instead of aborting the
@@ -159,13 +161,16 @@ def vset(space, pts, rays=None, lines=None):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_positivity_margin_both_stages(seed, lps):
+    # one LP per call: only the tight target band is solved
     rng = np.random.default_rng([2, seed])
     pts, rays, lines = generators(rng, 3, 4, seed % 2, 0)
     interior = (0.1 + rng.dirichlet(np.ones(4))) / 1.4 @ pts
     assert positivity_margin(interior, pts, rays, lines) > 0.0
-    assert len(lps) == 2  # the margin survived the tight second stage
-    positivity_margin(pts[0], pts, rays, lines)  # a vertex: margin <= 0
-    positivity_margin(pts.sum(axis=0) * 5.0, pts, rays, lines)
+    assert len(lps) == 1
+    assert positivity_margin(pts[0], pts, rays, lines) < 1e-9  # a vertex: not interior
+    assert len(lps) == 2
+    assert positivity_margin(pts.sum(axis=0) * 5.0, pts, rays, lines) < 1e-9
+    assert len(lps) == 3
     statuses = check_all(lps)
     if not len(rays):
         assert statuses[-1] == 2  # far outside the simplex
@@ -204,7 +209,7 @@ def test_feasible_direction_mask(seed, lps):
     x0 = np.einsum("kn,knd->kd", rng.dirichlet(np.ones(4), size=3), pts)
     x0[0] = pts[0, 0]  # a vertex, where some directions leave the domain
     x = rng.normal(size=(3, 2))
-    _feasible_direction_mask(dom, CondVector(space, x0), CondVector(space, x), 1e-9)
+    _feasible_direction_mask(dom, CondVector(space, x0), CondVector(space, x))
     check_all(lps)
 
 
@@ -434,15 +439,27 @@ def ref_polish(gens, eq_mat, eq_rhs, support):
     return w, -sol[s:]
 
 
-def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, events=None):
+def qp_system(points, rays=(), lines=(), eq_mat=None, eq_rhs=None):
+    """The columns and the equality rows ``E w = e`` of ``min_norm_point``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cols, simplex_row, _ = _solvers.vrep_block(points, rays, lines, points.shape[1])
     E, e = [simplex_row[None, :]], [np.array([1.0])]
     if eq_mat is not None and len(eq_mat):
         E.append(np.asarray(eq_mat, dtype=float) @ cols)
         e.append(np.asarray(eq_rhs, dtype=float))
-    return ref_cone_least_squares(cols.T, range(len(points) + len(rays)), np.vstack(E),
-                                  np.concatenate(e), events)
+    return cols, np.vstack(E), np.concatenate(e)
+
+
+def equalities_hold(sol, E, e):
+    return np.abs(E @ sol.coeffs - e).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(e).max())
+
+
+def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, events=None):
+    cols, E, e = qp_system(points, rays, lines, eq_mat, eq_rhs)
+    sol = ref_cone_least_squares(cols.T, range(len(points) + len(rays)), E, e, events)
+    # kkt_ok also needs E w = e, which the former solver did not check
+    sol.kkt_ok = sol.kkt_ok and equalities_hold(sol, E, e)
+    return sol
 
 
 def seeded_qp_system(rng):
@@ -503,6 +520,23 @@ def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds
                        ref_min_norm_point(pts, rays, lines, events=events, **eq))
     assert events.get("drops", 0) > 0
     assert events.get("exhausted", 0) > 0 or rounds == _solvers._POLISH_ROUNDS
+
+
+def test_kkt_ok_needs_the_equality_rows_to_hold(monkeypatch):
+    # an all-ones NNLS guess starts the polish from every column; its
+    # drops can leave a support on which E w = e has no solution, and the
+    # least-squares compromise there must not pass as a KKT point
+    monkeypatch.setattr(_solvers, "nnls", lambda A, b, maxiter: (np.ones(A.shape[1]), 0.0))
+    infeasible = 0
+    for seed in [97, *range(25)]:
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            pts, rays, lines, eq = seeded_qp_system(rng)
+            sol = min_norm_point(pts, rays, lines, **eq)
+            if not equalities_hold(sol, *qp_system(pts, rays, lines, **eq)[1:]):
+                infeasible += 1
+                assert not sol.kkt_ok
+    assert infeasible > 0
 
 
 def test_nnls_give_up_starts_the_polish_from_every_column(monkeypatch):
