@@ -9,9 +9,10 @@ failure (including nonempty failure sets under ``--strict``).
 
 A subcommand takes only the shared flags its handler reads: ``--tol``
 overrides the operation's documented tolerance, ``--seed 7`` drives the
-probe-based certificate audits.  ``--tol`` must be a finite number > 0,
-``--seed`` an integer >= 0 and ``--probes`` an integer >= 1; any other
-value, or a flag the subcommand does not take, is malformed (exit 1).
+probe-based certificate audits.  ``--tol`` must be a finite number > 0
+(for ``ri-test``, > ``EQ_TOL`` = 1e-12), ``--seed`` an integer >= 0 and
+``--probes`` an integer >= 1; any other value, or a flag the subcommand
+does not take, is malformed (exit 1).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .functions import (
 )
 from .io import ParseError, Scenario, build_scenario, emit_document, load_document
 from .sequences import bw_extract, cauchy_limit
-from .tolerances import QP_TOL, RANK_TOL, STRICT_TOL
+from .tolerances import EQ_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
 __all__ = ["main"]
 
@@ -384,6 +385,8 @@ def _checked(convert, ok, what: str):
 
 
 _TOL = _checked(float, lambda x: np.isfinite(x) and x > 0, "a finite number > 0")
+# ri_membership's floor: its margin LP matches the target to EQ_TOL
+_RI_TOL = _checked(float, lambda x: np.isfinite(x) and x > EQ_TOL, f"a finite number > {EQ_TOL:g}")
 _SLACK = _checked(float, lambda x: np.isfinite(x) and x >= 0, "a finite number >= 0")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
@@ -454,7 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", nargs="+", required=True, help="scalar names forming the schedule")
     p = add("bounded-test", tol, strict, help="recession-based boundedness test")
     p.add_argument("--set", required=True)
-    p = add("ri-test", tol, strict, help="(relative) interior membership test")
+    p = add("ri-test", strict, help="(relative) interior membership test")
+    p.add_argument("--tol", type=_RI_TOL, default=None, help="override the operation tolerance")
     p.add_argument("--point", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--mode", choices=["interior", "relative"], default="interior")

@@ -34,7 +34,7 @@ from .core import (
 )
 from .errors import PreconditionError, ShapeError, SpaceMismatchError
 from .linalg import _dot, _grow_frames, orthonormalize, rank_partition
-from .tolerances import FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
+from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
 __all__ = [
     "ConvexSetRep",
@@ -316,11 +316,19 @@ def ri_membership(
     combination with all point and ray coefficients strictly positive;
     interior additionally requires the affine hull to fill ``R^d`` on
     the atom.  Strictness means the positivity margin, one LP per atom
-    and a coefficient bound (already O(1)), exceeds ``strict_tol``.
+    and a coefficient bound (already O(1)), exceeds ``strict_tol``.  The
+    margin LP matches the target to ``EQ_TOL`` (scaled), which gives a
+    boundary target a margin of about that size, so ``strict_tol`` must
+    exceed ``EQ_TOL``.
     """
     _check_space(x, rep)
     if mode not in ("interior", "relative"):
         raise ShapeError("mode must be 'interior' or 'relative'")
+    if not strict_tol > EQ_TOL:
+        raise PreconditionError(
+            f"strict_tol must exceed the margin LP's target slack EQ_TOL = {EQ_TOL:g}",
+            np.ones(rep.space.natoms, dtype=bool),
+        )
     if rep.discrete:
         raise ShapeError("interior queries need a convex representation")
     if mode == "interior":

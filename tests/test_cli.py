@@ -139,12 +139,15 @@ class TestInterchange:
             build_scenario({"weights": [1.0]})  # no d
         with pytest.raises(ParseError):
             build_scenario({"weights": [1.0, -1.0], "d": 2})
-        with pytest.raises(ParseError):
-            build_scenario({"weights": [1.0], "d": 2, "vectors": {"v": [[1.0]]}})
-        with pytest.raises(ParseError):
-            build_scenario(
-                {"weights": [1.0], "d": 1, "convex_sets": {"c": {"points": ["ghost"]}}}
-            )
+        # an entry is checked when it is read
+        scn = build_scenario({"weights": [1.0], "d": 2, "vectors": {"v": [[1.0]]}})
+        with pytest.raises(ParseError, match="vector 'v' must be a 1x2 array"):
+            scn.vector("v")
+        scn = build_scenario(
+            {"weights": [1.0], "d": 1, "convex_sets": {"c": {"points": ["ghost"]}}}
+        )
+        with pytest.raises(ParseError, match="unknown vector 'ghost'"):
+            scn.convex_set("c")
 
     def test_scenario_accessors(self, scenario_path):
         scn = build_scenario(load_document(scenario_path))
@@ -390,6 +393,18 @@ class TestCliFailureModes:
             assert code == 1
             assert out["error"]["kind"] == "ParseError"
             assert where in out["error"]["message"]
+
+    @pytest.mark.parametrize("tol, code", [("1e-13", 1), ("1e-12", 1), ("1.1e-12", 0)])
+    def test_ri_test_tol_floor(self, scenario_path, capsys, tol, code):
+        # the margin LP matches the target to EQ_TOL = 1e-12, so a lower
+        # --tol would call boundary points relatively interior
+        argv = ["ri-test", scenario_path, "--point", "z", "--set", "box", "--tol", tol]
+        got, out = run_cli(argv)
+        assert got == code
+        if code:
+            assert out == "" and "> 1e-12" in capsys.readouterr().err
+        else:
+            assert json.loads(out)["sets"]["member_set"] == [1, 1]
 
     def test_unknown_command(self, scenario_path):
         code, _ = run_cli(["frobnicate", scenario_path])

@@ -1,18 +1,39 @@
-"""The interchange layer's whole-array paths against per-entry references.
+"""The interchange layer's fast paths against the routines they replaced.
 
 ``emit_document`` formats a list of plain floats or ints in one join and
 ``_num_array`` converts a list, or a list of equal rows, in one numpy
-call.  The references below are the per-entry routines they replaced,
-kept here as they were: on seeded documents the emitted bytes, the parsed
-arrays and the parse error messages must be the same.
+call.  ``load_document`` indexes the text and ``Scenario`` builds each
+entry on first access.  The references below are the per-entry routines
+and the whole-document reader (``json.loads`` and a build of every entry)
+they replaced, kept here as they were: on seeded documents, edge-case
+layouts and every benchmark workload scenario the emitted bytes, the
+built entries and the parse error messages must be the same.
 """
 
 import json
+import os
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from stratalg.io import ParseError, _num_array, emit_document
+from test_cli import scenario_doc
+
+from stratalg.core import CondScalar, CondVector, MeasurableSet, MeasureSpace
+from stratalg.errors import StratalgError
+from stratalg.functions import Grid, GridFn, MaxAffineFn
+from stratalg.io import (
+    ParseError,
+    _num_array,
+    build_scenario,
+    emit_document,
+    load_document,
+)
+from stratalg.sequences import CondSequence
+from stratalg.sets import ConvexSetRep
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ref_number(v, where: str) -> float:
@@ -214,3 +235,330 @@ def test_parse_errors_match_reference(value):
 def test_parse_out_of_range_integer(value):
     with pytest.raises(ParseError, match="vector v: number out of range"):
         _num_array(value, "vector v")
+
+
+# -- the whole-document reader, kept as it was ----------------------------------
+
+
+def ref_load(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("scenario must be a JSON object")
+    return doc
+
+
+@dataclass
+class RefScenario:
+    space: MeasureSpace
+    d: int
+    vectors: dict = field(default_factory=dict)
+    sets: dict = field(default_factory=dict)
+    scalars: dict = field(default_factory=dict)
+    convex_sets: dict = field(default_factory=dict)
+    functions: dict = field(default_factory=dict)
+    sequences: dict = field(default_factory=dict)
+
+    def vector(self, name):
+        if name not in self.vectors:
+            raise ParseError(f"unknown vector {name!r}")
+        return self.vectors[name]
+
+    def scalar(self, name):
+        if name not in self.scalars:
+            raise ParseError(f"unknown scalar {name!r}")
+        arr = self.scalars[name]
+        if not np.isfinite(arr).all():
+            raise ParseError(f"scalar {name!r} must be finite here")
+        return CondScalar(self.space, arr)
+
+    def convex_set(self, name):
+        if name not in self.convex_sets:
+            raise ParseError(f"unknown convex set {name!r}")
+        return self.convex_sets[name]
+
+
+def ref_build(doc: dict) -> RefScenario:
+    try:
+        return _ref_build(doc)
+    except StratalgError as exc:
+        raise ParseError(f"inconsistent scenario: {exc}") from exc
+
+
+def _ref_named(doc, section):
+    sec = doc.get(section, {})
+    if not isinstance(sec, dict):
+        raise ParseError(f"'{section}' must be an object of named entries")
+    return sec
+
+
+def _ref_build(doc: dict) -> RefScenario:
+    if "weights" not in doc or "d" not in doc:
+        raise ParseError("scenario needs 'weights' and 'd'")
+    weights = _num_array(doc["weights"], "weights")
+    if weights.ndim != 1 or len(weights) == 0 or np.any(weights <= 0):
+        raise ParseError("weights must be a nonempty array of positives")
+    if not isinstance(doc["d"], int) or isinstance(doc["d"], bool) or doc["d"] < 1:
+        raise ParseError("'d' must be a positive integer")
+    space = MeasureSpace(weights)
+    d = doc["d"]
+    scn = RefScenario(space=space, d=d)
+    K = space.natoms
+    for name, v in _ref_named(doc, "vectors").items():
+        arr = _num_array(v, f"vector {name}")
+        if arr.shape != (K, d):
+            raise ParseError(f"vector {name!r} must be a {K}x{d} array")
+        if not np.isfinite(arr).all():
+            raise ParseError(f"vector {name!r} must be finite")
+        scn.vectors[name] = CondVector(space, arr)
+    for name, v in _ref_named(doc, "sets").items():
+        arr = _num_array(v, f"set {name}")
+        if arr.shape != (K,) or not np.isin(arr, (0.0, 1.0)).all():
+            raise ParseError(f"set {name!r} must be a length-{K} 0/1 array")
+        scn.sets[name] = MeasurableSet(space, arr.astype(bool))
+    for name, v in _ref_named(doc, "scalars").items():
+        arr = _num_array(v, f"scalar {name}")
+        if arr.shape != (K,):
+            raise ParseError(f"scalar {name!r} must have one entry per atom")
+        scn.scalars[name] = arr
+    for name, rec in _ref_named(doc, "convex_sets").items():
+        if not isinstance(rec, dict):
+            raise ParseError(f"convex set {name!r} must be an object")
+        parts = {}
+        for key in ("points", "rays", "lines"):
+            names = rec.get(key, [])
+            if not isinstance(names, list):
+                raise ParseError(f"convex set {name!r}: {key} must be a name list")
+            parts[key] = tuple(scn.vector(n) for n in names)
+        scn.convex_sets[name] = ConvexSetRep(
+            space, d, parts["points"], parts["rays"], parts["lines"]
+        )
+    for name, rec in _ref_named(doc, "functions").items():
+        scn.functions[name] = _ref_function(scn, name, rec)
+    for name, rec in _ref_named(doc, "sequences").items():
+        if isinstance(rec, list):
+            terms, bound = rec, None
+        elif isinstance(rec, dict):
+            terms = rec.get("terms", [])
+            bound = rec.get("bound")
+        else:
+            raise ParseError(f"sequence {name!r} must be a name list or object")
+        if not terms:
+            raise ParseError(f"sequence {name!r} needs at least one term")
+        scn.sequences[name] = CondSequence(
+            [scn.vector(n) for n in terms],
+            None if bound is None else scn.scalar(bound),
+        )
+    return scn
+
+
+def _ref_function(scn, name, rec):
+    if not isinstance(rec, dict) or "type" not in rec:
+        raise ParseError(f"function {name!r} must be an object with a 'type'")
+    kind = rec["type"]
+    if kind == "max_affine":
+        pieces = rec.get("pieces", [])
+        if not isinstance(pieces, list) or not pieces:
+            raise ParseError(f"function {name!r} needs a nonempty piece list")
+        built = []
+        for p in pieces:
+            if not (isinstance(p, list) and len(p) == 2):
+                raise ParseError(
+                    f"function {name!r}: pieces are [vector-name, scalar-name] pairs"
+                )
+            built.append((scn.vector(p[0]), scn.scalar(p[1])))
+        domain = rec.get("domain")
+        return MaxAffineFn.from_pieces(
+            built, None if domain is None else scn.convex_set(domain)
+        )
+    if kind == "grid":
+        for key in ("mins", "maxs", "steps", "values"):
+            if key not in rec:
+                raise ParseError(f"function {name!r} needs '{key}'")
+        grid = Grid(
+            _num_array(rec["mins"], f"function {name}: mins"),
+            _num_array(rec["maxs"], f"function {name}: maxs"),
+            _num_array(rec["steps"], f"function {name}: steps"),
+        )
+        values = _num_array(rec["values"], f"function {name}: values")
+        return GridFn(scn.space, grid, values)
+    raise ParseError(f"function {name!r}: unknown type {kind!r}")
+
+
+# -- the indexed reader against it ----------------------------------------------
+
+SECTIONS = ("vectors", "sets", "scalars", "convex_sets", "functions", "sequences")
+
+
+def fingerprint(obj):
+    """A comparable rendering of a built entry: every array by its bytes."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(fingerprint, obj))
+    if hasattr(obj, "__dict__"):
+        return (type(obj).__name__,
+                tuple((k, fingerprint(v)) for k, v in sorted(vars(obj).items())))
+    return repr(obj)
+
+
+def ref_read(text: str):
+    """("ok", header, entries) or ("error", message) from the reference reader."""
+    try:
+        scn = ref_build(ref_load(text))
+    except ParseError as exc:
+        return ("error", str(exc))
+    entries = {(s, n): fingerprint(e) for s in SECTIONS for n, e in getattr(scn, s).items()}
+    return ("ok", fingerprint((scn.space, scn.d)), entries)
+
+
+def new_read(text: str, tmp_path, names=None):
+    """The same through ``load_document`` and on-access building.
+
+    Every entry is read, section by section in document order, as the
+    reference builds them, so the first failing entry is the reference's
+    first; with ``names``, only those ``(section, name)`` pairs are read.
+    """
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        doc = load_document(str(path))
+        scn = build_scenario(doc)
+        if names is None:
+            names = [(s, n) for s in SECTIONS for n in doc.get(s, {})]
+        entries = {key: fingerprint(scn._get(*key)) for key in names}
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("ok", fingerprint((scn.space, scn.d)), entries)
+
+
+def compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def reversed_keys(v):
+    if isinstance(v, dict):
+        return {k: reversed_keys(v[k]) for k in reversed(list(v))}
+    return v
+
+
+LAYOUTS = {
+    "emitted": emit_document,
+    "compact": compact,
+    "indent-2": lambda doc: json.dumps(doc, indent=2),
+    "tabs-and-crlf": lambda doc: json.dumps(doc, indent="\t").replace("\n", "\r\n") + "\r\n",
+    "reversed-keys": lambda doc: json.dumps(reversed_keys(doc)),
+    "spaced": lambda doc: json.dumps(doc, separators=(" , ", " : "), indent=1),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_layouts_and_key_order_read_as_the_reference(layout, tmp_path):
+    text = LAYOUTS[layout](scenario_doc())
+    want = ref_read(text)
+    assert want[0] == "ok" and len(want[2]) == 34
+    assert new_read(text, tmp_path) == want
+
+
+def test_duplicate_keys_keep_the_last_value(tmp_path):
+    text = emit_document(scenario_doc())
+    # a duplicate entry, a duplicate section and a duplicate header key
+    text = text.replace('"vectors": {', '"vectors": {"e1": [[9.0, 9.0], [9.0, 9.0]], "z": 1,', 1)
+    text = '{"scalars": {"zero": "gone"}, "d": 7, ' + text[1:]
+    assert json.loads(text)["vectors"]["e1"] == [[1.0, 0.0], [1.0, 0.0]]
+    want = ref_read(text)
+    assert want[0] == "ok"
+    assert new_read(text, tmp_path) == want
+
+
+def test_escaped_and_non_ascii_names(tmp_path):
+    doc = scenario_doc()
+    odd = ['a"b', "é", "[x]{", "}\\", "☃ ,:", "tab\there"]
+    for i, name in enumerate(odd):
+        doc["vectors"][name] = [[0.1 * i, 0.5], [0.5, -0.1 * i]]
+    doc["convex_sets"]["odd"] = {"points": odd[:3], "rays": odd[3:]}
+    doc["sequences"][']"['] = {"terms": odd, "bound": "sbound"}
+    for text in (emit_document(doc), json.dumps(doc, ensure_ascii=False), compact(doc)):
+        want = ref_read(text)
+        assert want[0] == "ok" and ("convex_sets", "odd") in want[2]
+        assert new_read(text, tmp_path) == want
+
+
+@pytest.mark.parametrize("value", ["{}", "[]", "[1]", '"x"', "3", "null"])
+def test_empty_sections_and_sections_of_the_wrong_type(value, tmp_path):
+    for section in SECTIONS:
+        doc = scenario_doc()
+        doc[section] = "@"
+        text = emit_document(doc).replace('"@"', value)
+        want = ref_read(text)
+        if value == "{}":  # fine, unless another section names its entries
+            assert (want[0] == "ok") == (section not in ("vectors", "scalars"))
+        else:
+            assert want == ("error", f"'{section}' must be an object of named entries")
+        got = new_read(text, tmp_path)
+        assert got == want
+        if value != "{}":  # the section type is checked before any entry is read
+            assert new_read(text, tmp_path, names=[]) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "[1, 2]", '"scenario"', "null", "3", "﻿{}", "{} x", "{}{}", "{},",
+    '{"weights": [1.0], "d": 1} ]', '{"weights": [1.0], "d": 1}\n\n\t',
+    '{"weights": [1.0], "d": 1, }', '{"weights": [1.0], "d": 1,, "x": 2}',
+    '{"weights" [1.0], "d": 1}', '{weights: [1.0], "d": 1}', '{"weights": [1.0] "d": 1}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v": [[1.0]] "w": 2}}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v": [[1.0]]], "w": 2}}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v": [[1.0}]}}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v": "unterminated}}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v\\q": [[1.0]]}}',
+    '{"weights": [1.0], "d": 1, "vectors": {"v": [[[[[[1.0]]]]]]}}',
+])
+def test_malformed_structure_reads_as_the_reference(text, tmp_path):
+    assert new_read(text, tmp_path) == ref_read(text)
+
+
+def test_truncated_files_read_as_the_reference(tmp_path):
+    text = emit_document(scenario_doc())
+    for cut in list(range(0, 40)) + list(range(40, len(text) - 1, 23)):
+        want = ref_read(text[:cut])
+        assert want[0] == "error"
+        assert new_read(text[:cut], tmp_path) == want, cut
+
+
+@pytest.mark.parametrize("digits, message", [
+    (401, "vector big: number out of range"),
+    (5000, "scenario is not valid JSON: Exceeds the limit"),
+])
+def test_oversized_literal_in_a_read_entry(digits, message, tmp_path):
+    doc = scenario_doc()
+    doc["vectors"]["big"] = [[0.0, 12345.0], [0.0, 0.0]]
+    text = emit_document(doc).replace("12345", "9" * digits)
+    want = ref_read(text)
+    assert want[0] == "error" and want[1].startswith(message)
+    assert new_read(text, tmp_path, names=[("vectors", "big")]) == want
+    # unread, the literal costs nothing: every other entry reads as it did
+    others = [(s, n) for s in SECTIONS for n in doc[s] if n != "big"]
+    got = new_read(text, tmp_path, names=others)
+    want = ref_read(emit_document(scenario_doc()))
+    assert got == want
+
+
+def workload_texts():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name, w in workloads.WORKLOADS.items():
+        ids, weights = workloads.pick_templates(w, 1, w.K)
+        doc = workloads.scenario_document(w, workloads.make_pool(w), ids, weights)
+        yield name, json.dumps(doc, separators=(",", ":"))
+
+
+def test_every_workload_scenario_reads_as_the_reference(tmp_path):
+    for name, text in workload_texts():
+        want = ref_read(text)
+        assert want[0] == "ok", name
+        assert new_read(text, tmp_path) == want, name

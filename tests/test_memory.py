@@ -3,8 +3,13 @@
 The ops loop over generator index or horizon position with all atoms at
 once.  A temporary over pairs of positions, such as a ``(K, T, T, d)``
 difference tensor, is about ``T`` times the input and fails here.
+
+Reading a scenario decodes only the entries a command reads: its peak is
+the text read plus one entry, well below a read that decodes every entry
+into Python objects.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,6 +24,7 @@ from stratalg import (
     orthonormalize,
     rank_partition,
 )
+from stratalg.io import build_scenario, load_document
 
 K, T, D = 2000, 16, 5
 BOUND = 5  # times the input's bytes
@@ -55,3 +61,25 @@ def test_orthonormalize_peak(stack):
     basis = rank_partition([CondVector(space, t) for t in data])
     assert set(basis.labels.tolist()) == set(range(1, D + 1))
     assert peak_bytes(lambda: orthonormalize(basis)) <= BOUND * data.nbytes
+
+
+def test_reading_one_entry_peak(tmp_path):
+    # a wide-linalg-sized scenario: K = 2000, d = 5, 36 vectors, 10 scalars
+    rng = np.random.default_rng(2001)
+    doc = {
+        "weights": rng.uniform(0.5, 2.0, K).round(3).tolist(),
+        "d": D,
+        "vectors": {f"V{i}": rng.normal(size=(K, D)).tolist() for i in range(36)},
+        "scalars": {f"s{i}": rng.normal(size=K).tolist() for i in range(10)},
+    }
+    text = json.dumps(doc, separators=(",", ":"))
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    def whole():  # the whole-document read this replaced
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+
+    one = peak_bytes(lambda: build_scenario(load_document(str(path))).vector("V7"))
+    # reading text holds the file's bytes and its decoded text at once
+    assert one <= 2 * len(text) + 2**20
+    assert one <= 0.65 * peak_bytes(whole)

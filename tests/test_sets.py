@@ -468,6 +468,21 @@ class TestBoundedAndInterior:
             want = oracles.zero_in_interior(P - x[None, :])
             assert got.is_full == want and got.is_empty == (not want)
 
+    def test_strict_tol_must_exceed_the_target_slack(self):
+        # the seed of test_solvers.py::test_positivity_margin_both_stages[0]:
+        # its vertex target gets a margin of about 9.3e-13 from the EQ_TOL band
+        rng = np.random.default_rng([2, 0])
+        pts = rng.normal(size=(4, 3))
+        space = MeasureSpace(np.ones(2))
+        rep = const_set(space, list(pts))
+        vertex = CondVector.constant(space, pts[0])
+        for tol in (1e-13, EQ_TOL):
+            with pytest.raises(PreconditionError, match="EQ_TOL = 1e-12") as err:
+                ri_membership(vertex, rep, mode="relative", strict_tol=tol)
+            assert err.value.atoms.tolist() == [True, True]
+        assert ri_membership(vertex, rep, mode="relative", strict_tol=1.1 * EQ_TOL).is_empty
+        assert ri_membership(vertex, rep, mode="relative").is_empty
+
     def test_discrete_rejected(self, space2):
         s = const_set(space2, [[0.0, 0.0]], discrete=True)
         with pytest.raises(ShapeError):
