@@ -1,12 +1,13 @@
 """Finite-horizon conditional sequence analysis.
 
-A conditional sequence stores finitely many conditional vectors.  The
-subsequence extractor runs the classical nested coordinate-wise
-selection per atom: for each coordinate in order, it keeps the
-positions whose value is within ``slack`` of the minimum over the
-surviving positions (the horizon stand-in for the liminf), then reads
-off the first ``depth`` survivors as measurable indices.  The Cauchy
-test scans per-atom tail diameters against an epsilon schedule.
+A conditional sequence stores finitely many conditional vectors as one
+read-only ``(K, T, d)`` array, atom axis first.  The subsequence
+extractor runs the classical nested coordinate-wise selection on all
+atoms at once: for each coordinate in order, it keeps the positions
+whose value is within ``slack`` of the minimum over the surviving
+positions (the horizon stand-in for the liminf), then reads off the
+first ``depth`` survivors as measurable indices.  The Cauchy test scans
+per-atom tail diameters against an epsilon schedule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     CondVector,
     MeasurableSet,
     MeasureSpace,
-    select_by_index,
+    _freeze,
 )
 from .errors import (
     ExtractionStalledError,
@@ -35,13 +36,16 @@ from .tolerances import EQ_TOL
 __all__ = ["CondSequence", "BWResult", "CauchyResult", "bw_extract", "cauchy_limit"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondSequence:
-    """Finitely many conditional vectors, optionally with a norm bound."""
+    """Finitely many conditional vectors, optionally with a norm bound.
+
+    The terms are stored stacked and read-only: ``values[k, n]`` is term
+    ``n + 1`` on atom ``k``, shape ``(K, horizon, dim)``.
+    """
 
     space: MeasureSpace
-    dim: int
-    terms: tuple[CondVector, ...]
+    values: np.ndarray
     bound: Optional[CondScalar] = None
 
     def __init__(self, terms: Sequence[CondVector], bound: Optional[CondScalar] = None):
@@ -54,26 +58,24 @@ class CondSequence:
                 raise SpaceMismatchError("terms live on different measure spaces")
             if t.dim != dim:
                 raise ShapeError("terms must share the dimension")
+        values = np.stack([t.values for t in terms], axis=1)
         if bound is not None:
             if bound.space != space:
                 raise SpaceMismatchError("bound lives on a different measure space")
-            for t in terms:
-                n = t.norm().values
-                scale = np.maximum(1.0, np.abs(bound.values))
-                if np.any(n > bound.values + EQ_TOL * scale):
-                    raise ShapeError("bound does not dominate the terms")
+            b = bound.values[:, None]
+            if np.any(np.linalg.norm(values, axis=2) > b + EQ_TOL * np.maximum(1.0, np.abs(b))):
+                raise ShapeError("bound does not dominate the terms")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "bound", bound)
 
     @property
     def horizon(self) -> int:
-        return len(self.terms)
+        return self.values.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """All terms as one array, shape (horizon, natoms, dim)."""
-        return np.stack([t.values for t in self.terms])
+    @property
+    def dim(self) -> int:
+        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -107,31 +109,24 @@ def bw_extract(seq: CondSequence, depth: int, slack: float) -> BWResult:
     if not (np.isfinite(slack) and slack >= 0):
         raise ShapeError("slack must be a finite number >= 0")
     space = seq.space
-    K = space.natoms
-    data = seq.stacked()  # (T, K, d)
-    picked = np.zeros((K, depth), dtype=np.int64)
-    liminfs = np.zeros((K, seq.dim))
-    stalled = np.zeros(K, dtype=bool)
-    for k in range(K):
-        pool = np.arange(seq.horizon)
-        for i in range(seq.dim):
-            vals = data[pool, k, i]
-            lo = vals.min()
-            liminfs[k, i] = lo
-            pool = pool[vals <= lo + slack]
-        if len(pool) < depth:
-            stalled[k] = True
-            continue
-        picked[k] = pool[:depth] + 1  # 1-based
+    K, atoms = space.natoms, np.arange(space.natoms)
+    alive = np.ones((K, seq.horizon), dtype=bool)
+    liminfs = np.empty((K, seq.dim))
+    for i in range(seq.dim):
+        vals = seq.values[:, :, i]
+        # the stage minimum is read at the first survivor attaining it, so
+        # a tie of 0.0 and -0.0 resolves by position, not by SIMD dispatch
+        lo = vals[atoms, np.where(alive, vals, np.inf).argmin(axis=1)]
+        liminfs[:, i] = lo
+        alive &= vals <= (lo + slack)[:, None]
+    stalled = alive.sum(axis=1) < depth
     if stalled.any():
-        raise ExtractionStalledError(
-            "horizon exhausted before the requested depth", stalled
-        )
-    indices = tuple(CondInteger(space, picked[:, j]) for j in range(depth))
-    limit = select_by_index(list(seq.terms), indices[-1])
+        raise ExtractionStalledError("horizon exhausted before the requested depth", stalled)
+    # the first `depth` survivors of every atom, in position order
+    picked = np.argsort(~alive, axis=1, kind="stable")[:, :depth]
     return BWResult(
-        indices=indices,
-        limit=limit,
+        indices=tuple(CondInteger(space, picked[:, j] + 1) for j in range(depth)),
+        limit=CondVector(space, seq.values[atoms, picked[:, -1]]),
         stage_liminfs=CondVector(space, liminfs),
     )
 
@@ -175,13 +170,12 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
     if bad.any():
         raise PreconditionError("epsilons must be strictly positive", bad)
     T = seq.horizon
-    data = seq.stacked()  # (T, K, d)
     # tail_diam[n, k]: max pairwise distance among positions >= n (0-based);
     # as with Python's max(), a NaN distance never replaces the running max
     tail_diam = np.zeros((T, K))
     running = np.zeros(K)
     for n in range(T - 2, -1, -1):
-        far = np.linalg.norm(data[n] - data[n + 1 :], axis=2).max(axis=0)
+        far = np.linalg.norm(seq.values[:, n, None] - seq.values[:, n + 1 :], axis=2).max(axis=1)
         running = np.where(far > running, far, running)
         tail_diam[n] = running
     # the singleton tail at the horizon is never a cut
@@ -197,7 +191,7 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
         cuts.append(np.where(hit, first + 1, 0))  # 1-based
         diams.append(np.where(hit, tail_diam[first, atoms], np.inf))
     return CauchyResult(
-        limit=seq.terms[-1],
+        limit=CondVector(space, seq.values[:, -1]),
         cauchy_on=MeasurableSet(space, passing),
         cuts=tuple(cuts),
         tail_diameters=tuple(diams),

@@ -6,8 +6,8 @@ face enumeration) and frozen into the assertions.
 
 The grid kernels run stacked over atoms.  The per-atom kernels they
 replaced live on below as references (``ref_*``): the dense ``(n, m)``
-Legendre table, the per-atom min-plus table with its ``argmin`` and the
-per-node audit loops.  They are compared by ``tobytes()``, so ``-0.0``
+Legendre table, the per-atom min-plus table with its ``argmin``, the
+per-node audit loops and the per-atom, per-corner ``GridFn.eval`` loop.  They are compared by ``tobytes()``, so ``-0.0``
 against ``0.0`` counts as a mismatch.
 """
 
@@ -1155,3 +1155,135 @@ class TestGridAtomLocality:
         perm = rng.permutation(K)
         for got, want in zip(locality_outputs(op, V[perm], W[perm], dual), base):
             assert same_bytes(got, want[perm]), op
+
+    def test_eval_reads_atom_k_alone(self, rng):
+        K, xs = 8, PRIMAL.axis(0)
+        space = MeasureSpace(np.ones(K))
+
+        def points():
+            # nodes, cell interiors and the grid's end nodes
+            return np.where(rng.random((K, 1)) < 0.5, rng.choice(xs, (K, 1)),
+                            rng.uniform(xs[0], xs[-1], (K, 1)))
+
+        def evaluate(V, X):
+            return GridFn(space, PRIMAL, V).eval(CondVector(space, X)).values
+
+        V, X = seeded_rows(rng, K, xs), points()
+        base = evaluate(V, X)
+        for k in range(K):
+            V2, X2 = seeded_rows(rng, K, xs)[::-1].copy(), points()
+            V2[k], X2[k] = V[k], X[k]
+            assert same_bytes(evaluate(V2, X2)[k], base[k]), k
+        perm = rng.permutation(K)
+        assert same_bytes(evaluate(V[perm], X[perm]), base[perm])
+
+
+def ref_grid_eval(f, x):
+    """The per-atom, per-corner interpolation loop, kept as the reference.
+
+    Returns the values, or the mask of off-grid atoms.
+    """
+    K, g = f.space.natoms, f.grid
+    out = np.empty(K)
+    oob = np.zeros(K, dtype=bool)
+    for k in range(K):
+        idx, frac = [], []
+        for i in range(g.ndim):
+            lo, st, n = g.mins[i], g.steps[i], g.shape[i]
+            t = (x.values[k, i] - lo) / st
+            if t < -1e-9 or t > n - 1 + 1e-9:
+                oob[k] = True
+                break
+            t = min(max(t, 0.0), float(n - 1))
+            i0 = min(int(np.floor(t)), n - 2) if n > 1 else 0
+            idx.append(i0)
+            frac.append(t - i0)
+        if oob[k]:
+            continue
+        corners, weights = [], []
+        for corner in range(2 ** g.ndim):
+            sel, w = [], 1.0
+            for i in range(g.ndim):
+                hi = (corner >> i) & 1
+                if g.shape[i] == 1:
+                    sel.append(0)
+                    w *= 1.0 if hi == 0 else 0.0
+                else:
+                    sel.append(idx[i] + hi)
+                    w *= frac[i] if hi else (1.0 - frac[i])
+            corners.append(f.values[(k, *sel)])
+            weights.append(w)
+        corners, weights = np.array(corners), np.array(weights)
+        live = weights > 0.0
+        if np.any(np.isposinf(corners[live])):
+            out[k] = np.inf
+        elif np.any(np.isneginf(corners[live])):
+            out[k] = -np.inf
+        else:
+            out[k] = float(weights[live] @ corners[live])
+    return oob if oob.any() else out
+
+
+def grid_eval_case(rng):
+    """A grid function and points: one- and two-dimensional grids, one-node
+    axes, points on nodes, on cell faces and off the grid, ``+-0`` and
+    ``+-inf`` node values."""
+    ndim = int(rng.integers(1, 3))
+    shape = tuple(int(rng.choice([1, 2, 3, 5])) for _ in range(ndim))
+    steps = tuple(float(rng.choice([0.25, 0.5, 1.0, 0.3])) for _ in range(ndim))
+    mins = tuple(float(rng.choice([0.0, -1.0, -0.75, 0.1])) for _ in range(ndim))
+    grid = Grid(mins, tuple(lo + (n - 1) * st for lo, st, n in zip(mins, steps, shape)), steps)
+    K = int(rng.integers(1, 13))
+    space = MeasureSpace(np.ones(K))
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf])
+    V = np.where(rng.random((K,) + grid.shape) < 0.5,
+                 rng.choice(pool, (K,) + grid.shape), rng.normal(size=(K,) + grid.shape))
+    X = np.empty((K, ndim))
+    kinds = 5 if rng.random() < 0.25 else 4  # kind 4 may leave the grid
+    for i, (lo, st, n) in enumerate(zip(mins, steps, grid.shape)):
+        node = lo + st * rng.integers(0, n, K)
+        kind = rng.integers(0, kinds, K)
+        X[:, i] = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [node, lo + rng.uniform(0.0, (n - 1) * st, K), np.where(lo == 0.0, -0.0, lo),
+             lo + (n - 1) * st + rng.choice([-1e-10, 1e-10], K)],
+            lo + rng.uniform(-0.5, (n - 1) * st + 0.5, K),  # may leave the grid
+        )
+    return GridFn(space, grid, V), CondVector(space, X)
+
+
+class TestGridEvalMatchesReference:
+    """The interpolation stacked over atoms and corners gives the per-atom
+    loop's bits, and the loop's off-grid mask."""
+
+    def test_bit_identical(self):
+        rng = np.random.default_rng(5151)
+        seen = {"off_grid": 0, "zero": 0, "inf": 0, "one_node": 0}
+        for _ in range(600):
+            f, x = grid_eval_case(rng)
+            want = ref_grid_eval(f, x)
+            if want.dtype == bool:
+                with pytest.raises(PreconditionError) as err:
+                    f.eval(x)
+                assert same_bytes(err.value.atoms, want)
+                seen["off_grid"] += 1
+                continue
+            got = f.eval(x).values
+            assert same_bytes(got, want)
+            seen["zero"] += bool(np.any(want == 0))
+            seen["inf"] += bool(np.any(np.isinf(want)))
+            seen["one_node"] += 1 in f.grid.shape
+        assert min(seen.values()) > 10, seen
+
+    def test_no_warning_on_infinite_corners(self):
+        g = Grid((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
+        space = MeasureSpace(np.ones(3))
+        V = np.array([[[np.inf, -np.inf], [0.0, 1.0]],
+                      [[-np.inf, 2.0], [np.inf, np.inf]],
+                      [[np.inf, 0.0], [-np.inf, -0.0]]])
+        x = CondVector(space, [[0.5, 0.5], [0.0, 1.0], [1.0, 1.0]])
+        f = GridFn(space, g, V)
+        with np.errstate(all="raise"):
+            got = f.eval(x).values
+        assert same_bytes(got, ref_grid_eval(f, x))
+        assert got[0] == np.inf and got[1] == 2.0 and got[2] == 0.0

@@ -4,6 +4,10 @@ Expected index sets for the fixed instances were derived with the
 pure-loop scans in ``oracles`` and frozen here.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,7 +44,7 @@ class TestCondSequence:
         s = const_seq(space2, [[0.0], [1.0], [2.0]])
         assert s.horizon == 3
         assert s.dim == 1
-        assert s.stacked().shape == (3, 2, 1)
+        assert s.values.shape == (2, 3, 1)
 
     def test_bound_must_dominate(self, space2):
         terms = [CondVector.constant(space2, [3.0, 4.0])]
@@ -195,6 +199,114 @@ class TestBWExtract:
             bw_extract(s, depth=0, slack=0.0)
         with pytest.raises(ShapeError):
             bw_extract(s, depth=1, slack=-0.1)
+
+
+def ref_bw_extract(data, depth, slack):
+    """The per-atom staged selection, kept as the reference.
+
+    ``data`` is (T, K, d).  A stage's minimum is read at the first
+    surviving position attaining it, as Python's ``min`` reads it.
+    Returns the 1-based picks (K, depth), the liminfs (K, d) and the
+    stall mask.
+    """
+    T, K, d = data.shape
+    picked = np.zeros((K, depth), dtype=np.int64)
+    liminfs = np.zeros((K, d))
+    stalled = np.zeros(K, dtype=bool)
+    for k in range(K):
+        pool = np.arange(T)
+        for i in range(d):
+            vals = data[pool, k, i]
+            lo = vals[vals.argmin()]
+            liminfs[k, i] = lo
+            pool = pool[vals <= lo + slack]
+        if len(pool) < depth:
+            stalled[k] = True
+            continue
+        picked[k] = pool[:depth] + 1
+    return picked, liminfs, stalled
+
+
+class TestBWExtractMatchesReference:
+    """The selection stacked over atoms gives the per-atom loop's bits."""
+
+    def test_bit_identical(self):
+        rng = np.random.default_rng(1211)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+        seen = {"stall": 0, "full_depth": 0, "signed_zero_liminf": 0}
+        for case in range(300):
+            T, K, d = int(rng.integers(1, 13)), int(rng.integers(1, 20)), int(rng.integers(1, 4))
+            data = rng.choice(pool, (T, K, d))
+            if case % 3 == 0:
+                data = np.where(rng.random(data.shape) < 0.5, data, rng.normal(size=data.shape))
+            depth = T if case % 5 == 0 else int(rng.integers(1, T + 1))
+            slack = float(rng.choice([0.0, 0.0, 0.25, 0.5, 1.0]))
+            picked, liminfs, stalled = ref_bw_extract(data, depth, slack)
+            seq = seq_from_array(MeasureSpace(np.ones(K)), data)
+            if stalled.any():
+                with pytest.raises(ExtractionStalledError) as err:
+                    bw_extract(seq, depth, slack)
+                assert same_bits(err.value.atoms, stalled)
+                seen["stall"] += 1
+                continue
+            res = bw_extract(seq, depth, slack)
+            assert same_bits(np.stack([i.values for i in res.indices], axis=1), picked)
+            assert same_bits(res.stage_liminfs.values, liminfs)
+            assert same_bits(res.limit.values, data[picked[:, -1] - 1, np.arange(K)])
+            seen["full_depth"] += depth == T
+            seen["signed_zero_liminf"] += bool(np.any((liminfs == 0) & np.signbit(liminfs)))
+        assert min(seen.values()) > 10, seen
+
+
+# Dispatch levels numpy's reductions may pick; disabling them changes the
+# SIMD kernel behind a contiguous ``min``, and with it which of ``0.0`` and
+# ``-0.0`` such a reduction returns on a tie.
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+_TIE_SCRIPT = """
+import hashlib, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as features
+print([features.get(name) for name in sys.argv[1].split()])
+from stratalg import CondSequence, CondVector, MeasureSpace, bw_extract
+space = MeasureSpace(np.ones(64))
+for seed in range(8):
+    data = np.random.default_rng(seed).choice([0.0, -0.0, 1.0, 2.0], (40, 64, 2))
+    res = bw_extract(CondSequence([CondVector(space, t) for t in data]), 1, 0.0)
+    print(hashlib.sha256(res.stage_liminfs.values.tobytes()).hexdigest())
+"""
+
+
+def _tie_child(disable):
+    """Run ``_TIE_SCRIPT`` in a fresh interpreter, with the AVX-512 levels
+    disabled or not: its CPU feature flags, then one digest a seed."""
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = _AVX512
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", _TIE_SCRIPT, _AVX512],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestBWTiePortability:
+    """A tie of ``0.0`` and ``-0.0`` at a stage minimum resolves by position,
+    so the liminf bytes do not depend on numpy's SIMD dispatch level."""
+
+    def test_liminf_bytes_do_not_depend_on_dispatch(self):
+        default, reduced = _tie_child(False), _tie_child(True)
+        if not reduced.stdout:  # the child stopped at `import numpy`
+            pytest.skip("this numpy rejects the dispatch setting: " + reduced.stderr[-200:])
+        assert default.returncode == 0, default.stderr
+        assert reduced.returncode == 0, reduced.stderr
+        default, reduced = default.stdout.splitlines(), reduced.stdout.splitlines()
+        if default[0] == reduced[0]:
+            pytest.skip("no AVX-512 dispatch on this CPU: the setting changes nothing")
+        assert default[1:] == reduced[1:]
 
 
 class TestCauchyLimit:
