@@ -28,8 +28,11 @@ post-solve feasibility check.  Every LP therefore gives the same status
 and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
 linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
-Each LP gets a fresh solver instance, so nothing a previous solve left
-behind can influence which optimal vertex comes back.
+A caller that solves several costs over one constraint set builds it
+once as an ``LPModel``; each later cost re-runs the same solver instance
+from a cleared solver, so nothing a previous solve left behind can
+influence which optimal vertex comes back, and every result has the bits
+of a fresh instance (``test_solvers`` pins this).
 
 Every LP over a set in V-representation,
 ``conv(points) + cone(rays) + span(lines)``, here and in ``functions``,
@@ -135,57 +138,85 @@ def _highs_inf(a: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(a), np.copysign(_highs.kHighsInf, a), a)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPResult:
-    """``min c x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``bounds``.
+class LPModel:
+    """The constraint set of a family of LPs over ``n`` variables:
+    ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``bounds``.
 
     Arguments follow ``scipy.optimize.linprog``; ``bounds`` defaults to
-    ``x >= 0`` and ``None`` entries mean unbounded.  The LP is built as
-    the HiGHS model ``row_lower <= [A_ub; A_eq] x <= row_upper`` and
-    solved by a fresh ``_Highs`` instance, never a reused one: a basis,
-    solution or option left by an earlier solve could change the optimal
-    vertex picked on a degenerate LP, and canonical outputs such as
-    separating normals are read off that vertex.  Statuses are linprog's
-    (0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other), and a
-    reported optimum that violates a bound or constraint by more than
-    linprog's check tolerance is downgraded to 4, as linprog does.
+    ``x >= 0`` and ``None`` entries mean unbounded.  The arguments are
+    kept as given, next to the HiGHS model ``row_lower <= [A_ub; A_eq] x
+    <= row_upper`` built from them once and the bounds and rows that the
+    post-solve feasibility check reads.  ``solve_lp`` solves one cost
+    over it; the first solve creates the ``_Highs`` instance that later
+    costs run on again.
+    """
+
+    def __init__(self, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+        self.n = n
+        self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.bounds = A_ub, b_ub, A_eq, b_eq, bounds
+        A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+        A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+        b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+        box = np.broadcast_to(
+            np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2),
+            (n, 2),
+        )
+        self.lb = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
+        self.ub = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
+        self.m_ub = m_ub = len(b_ub)
+        m = m_ub + len(b_eq)
+        self.row_upper = np.concatenate([b_ub, b_eq])
+
+        # Column-wise nonzeros of [A_ub; A_eq], rows ascending in each column.
+        At = np.vstack([A_ub, A_eq]).T
+        col, row = np.nonzero(At)
+        lp = self.lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = m
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+        lp.a_matrix_.index_ = row
+        lp.a_matrix_.value_ = At[col, row]
+        lp.col_lower_ = _highs_inf(self.lb)
+        lp.col_upper_ = _highs_inf(self.ub)
+        lp.row_lower_ = _highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
+        lp.row_upper_ = _highs_inf(self.row_upper)
+        self.highs = None
+
+
+def solve_lp(model: LPModel, c) -> LPResult:
+    """``min c x`` over the constraint set ``model``.
+
+    The first cost goes with the model to a fresh ``_Highs`` instance.
+    Each later cost on the same model is set by ``changeColsCost`` and
+    run again from a cleared solver: ``clearSolver`` drops the basis,
+    the solution and the presolve state an earlier solve left, so every
+    LP starts cold, and status, ``fun`` and ``x`` have the bits a fresh
+    instance gives.  A warm start would not: on a degenerate LP the kept
+    basis can change the optimal vertex, and canonical outputs such as
+    separating normals are read off that vertex.  ``test_solvers`` pins
+    the reused and the fresh path to the same bytes.  Statuses are
+    linprog's (0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other),
+    and a reported optimum that violates a bound or constraint by more
+    than linprog's check tolerance is downgraded to 4, as linprog does.
     """
     c = np.array(c, dtype=float).reshape(-1)
-    n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-    box = np.broadcast_to(
-        np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2),
-        (n, 2),
-    )
-    lb = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
-    ub = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
-    m_ub, m = len(b_ub), len(b_ub) + len(b_eq)
-    row_upper = np.concatenate([b_ub, b_eq])
-
-    # Column-wise nonzeros of [A_ub; A_eq], rows ascending in each column.
-    At = np.vstack([A_ub, A_eq]).T
-    col, row = np.nonzero(At)
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-    lp.a_matrix_.index_ = row
-    lp.a_matrix_.value_ = At[col, row]
-    lp.col_cost_ = c
-    lp.col_lower_ = _highs_inf(lb)
-    lp.col_upper_ = _highs_inf(ub)
-    lp.row_lower_ = _highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
-    lp.row_upper_ = _highs_inf(row_upper)
-
-    h = _highs._Highs()
-    h.passOptions(_LP_OPTIONS)
-    if h.passModel(lp) == _highs.HighsStatus.kError:
+    h = model.highs
+    if h is None:
+        model.lp.col_cost_ = c
+        h = _highs._Highs()
+        h.passOptions(_LP_OPTIONS)
+        if h.passModel(model.lp) == _highs.HighsStatus.kError:
+            return LPResult(_LP_STATUS[_MS.kModelError], None, None)
+        model.highs = h
+    elif (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
+          == _highs.HighsStatus.kError):
         return LPResult(_LP_STATUS[_MS.kModelError], None, None)
+    else:
+        h.clearSolver()
     run_failed = h.run() == _highs.HighsStatus.kError
     model_status = h.getModelStatus()
     if run_failed or model_status != _MS.kOptimal:
@@ -194,13 +225,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRe
     solution = h.getSolution()
     x = np.array(solution.col_value)
     fun = h.getInfo().objective_function_value
-    slack = row_upper - np.array(solution.row_value)
+    slack = model.row_upper - np.array(solution.row_value)
     tol = _LP_CHECK_TOL
     feasible = not (
         np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-        or not np.all((x >= lb - tol) & (x <= ub + tol))
-        or (slack[:m_ub] < -tol).any()
-        or (np.abs(slack[m_ub:]) > tol).any()
+        or not np.all((x >= model.lb - tol) & (x <= model.ub + tol))
+        or (slack[:model.m_ub] < -tol).any()
+        or (np.abs(slack[model.m_ub:]) > tol).any()
     )
     return LPResult(0 if feasible else 4, fun, x)
 
@@ -379,7 +410,7 @@ def positivity_margin(
     A_eq = np.append(simplex_row, 0.0)[None, :]
     b_eq = np.array([1.0])
     bounds = bounds + [(None, 1.0)]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    res = solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds), c)
     if res.status != 0:
         return -np.inf
     return float(-res.fun)
@@ -399,17 +430,20 @@ def nonzero_in_dual_cone(
     """
     ineq_rows = np.atleast_2d(np.asarray(ineq_rows, dtype=float)) if len(ineq_rows) else np.zeros((0, dim))
     eq_rows = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if len(eq_rows) else np.zeros((0, dim))
-    A_ub = -ineq_rows if len(ineq_rows) else None
-    b_ub = np.zeros(len(ineq_rows)) if len(ineq_rows) else None
-    A_eq = eq_rows if len(eq_rows) else None
-    b_eq = np.zeros(len(eq_rows)) if len(eq_rows) else None
-    bounds = [(-1.0, 1.0)] * dim
+    model = LPModel(
+        dim,
+        A_ub=-ineq_rows if len(ineq_rows) else None,
+        b_ub=np.zeros(len(ineq_rows)) if len(ineq_rows) else None,
+        A_eq=eq_rows if len(eq_rows) else None,
+        b_eq=np.zeros(len(eq_rows)) if len(eq_rows) else None,
+        bounds=[(-1.0, 1.0)] * dim,
+    )
     candidates = []
     for axis in range(dim):
         for sign in (1.0, -1.0):
             c = np.zeros(dim)
             c[axis] = -sign
-            res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+            res = solve_lp(model, c)
             if res.status != 0:
                 continue
             val = -float(res.fun)

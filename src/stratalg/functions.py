@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import min_norm_point, solve_lp, vrep_block
+from ._solvers import LPModel, min_norm_point, solve_lp, vrep_block
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -133,7 +133,10 @@ class MaxAffineFn:
         return np.einsum("kd,kjd->kj", x.values, self.slopes) + self.offsets
 
     def eval(self, x: CondVector) -> CondExtScalar:
-        vals = self.piece_values(x).max(axis=1)
+        # read at the first maximal piece: a contiguous max would pick the
+        # sign of a 0.0/-0.0 tie by numpy's SIMD dispatch
+        pv = self.piece_values(x)
+        vals = pv[np.arange(len(pv)), pv.argmax(axis=1)]
         if self.domain is not None:
             inside = membership(x, self.domain)
             vals = np.where(inside.mask, vals, np.inf)
@@ -334,13 +337,13 @@ def _conjugate_max_affine(f: MaxAffineFn, dual_grid: Grid) -> GridFn:
     return GridFn(f.space, dual_grid, out)
 
 
-def _epigraph_lp(yrows, zoff, vsets, d: int) -> dict:
+def _epigraph_lp(yrows, zoff, vsets, d: int) -> LPModel:
     """Constraints of the epigraph LP of ``max_j <y_j, x> + z_j``.
 
     Variables are ``[x (d), s]`` and then each V-set's ``vrep_block``
     columns; the rows are ``yrows x - s <= -zoff``, then per V-set
     ``x - cols w = 0`` and its ``sum lam = 1`` row.  ``x`` and ``s`` are
-    free.  Returned as ``solve_lp`` keywords; callers add the objective.
+    free.  Callers solve their objectives over the returned model.
     """
     blocks = [vrep_block(*vs, d) for vs in vsets]
     nvar = d + 1 + sum(cols.shape[1] for cols, _, _ in blocks)
@@ -359,17 +362,17 @@ def _epigraph_lp(yrows, zoff, vsets, d: int) -> dict:
         bounds += block_bounds
         col += n
     b_eq = np.tile(np.append(np.zeros(d), 1.0), len(blocks))
-    return {"A_ub": A_ub, "b_ub": -zoff, "A_eq": np.vstack(eq_rows) if blocks else None,
-            "b_eq": b_eq if blocks else None, "bounds": bounds}
+    return LPModel(nvar, A_ub=A_ub, b_ub=-zoff, A_eq=np.vstack(eq_rows) if blocks else None,
+                   b_eq=b_eq if blocks else None, bounds=bounds)
 
 
-def _conj_node_lp(y: np.ndarray, lp: dict) -> float:
+def _conj_node_lp(y: np.ndarray, lp: LPModel) -> float:
     """``sup <x,y> - f(x)`` over the epigraph LP ``lp`` of ``f``, by LP;
     ``inf`` if unbounded, ``nan`` if the LP fails."""
-    c = np.zeros(len(lp["bounds"]))
+    c = np.zeros(lp.n)
     c[: len(y)] = -y
     c[len(y)] = 1.0
-    res = solve_lp(c, **lp)
+    res = solve_lp(lp, c)
     if res.status == 3:
         return np.inf
     if res.status != 0:
@@ -636,7 +639,7 @@ def _feasible_direction_mask(dom: ConvexSetRep, x0: CondVector, x: CondVector) -
         c[-1] = -1.0
         A_eq = np.vstack([np.column_stack([cols, -x.values[k]]), np.append(simplex_row, 0.0)])
         b_eq = np.append(x0.values[k], 1.0)
-        res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)])
+        res = solve_lp(LPModel(len(c), A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)]), c)
         out[k] = res.status == 0 and -res.fun > STRICT_TOL
     return out
 
@@ -710,10 +713,10 @@ def argmin(
     def solve(k: int):
         vsets = [c.generators_at(k)] + ([] if f.domain is None else [f.domain.generators_at(k)])
         lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, d)
-        nvar = len(lp["bounds"])
+        nvar = lp.n
         c_obj = np.zeros(nvar)
         c_obj[d] = 1.0
-        res = solve_lp(c_obj, **lp)
+        res = solve_lp(lp, c_obj)
         if res.status == 2:
             return 2, c.points[k, 0], np.inf, False
         if res.status != 0:
@@ -722,15 +725,16 @@ def argmin(
         vstar = float(res.fun)
         # uniqueness: bounding box of the optimal face
         scale = max(1.0, abs(vstar))
-        face = dict(lp, A_ub=np.vstack([lp["A_ub"], c_obj[None, :]]),
-                    b_ub=np.concatenate([lp["b_ub"], [vstar + STRICT_TOL * scale]]))
+        face = LPModel(nvar, A_ub=np.vstack([lp.A_ub, c_obj[None, :]]),
+                       b_ub=np.concatenate([lp.b_ub, [vstar + STRICT_TOL * scale]]),
+                       A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds)
         unique = True
         for axis in range(d):
             lohi = []
             for sign in (1.0, -1.0):
                 cc = np.zeros(nvar)
                 cc[axis] = sign
-                r2 = solve_lp(cc, **face)
+                r2 = solve_lp(face, cc)
                 if r2.status != 0:
                     lohi = None
                     break
@@ -795,18 +799,13 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
             A_eq = np.hstack([gens.T, -dom.T])
             b_eq = np.zeros(f.dim)
             bounds += [(0.0, None)] * len(dom)
+        model = LPModel(len(bounds), A_ub=A_ub, b_ub=np.zeros(len(yrows)), A_eq=A_eq,
+                        b_eq=b_eq, bounds=bounds)
         for axis in range(f.dim):
             for sign in (1.0, -1.0):
                 cc = np.zeros(len(bounds))
                 cc[:n] = -sign * gens[:, axis]
-                res = solve_lp(
-                    cc,
-                    A_ub=A_ub,
-                    b_ub=np.zeros(len(yrows)),
-                    A_eq=A_eq,
-                    b_eq=b_eq,
-                    bounds=bounds,
-                )
+                res = solve_lp(model, cc)
                 if res.status != 0:
                     continue
                 w = gens.T @ res.x[:n]

@@ -357,15 +357,19 @@ def _support_interval(Z: np.ndarray, rep: ConvexSetRep):
     value (at least 1): a ray whose value along ``Z[k]`` passes it sends
     the bound on its side to infinity, a line both bounds.  Each
     ``matmul`` item is the per-atom ``pts @ z`` (a matrix-vector product)
-    or the per-row ``r @ z`` (a dot product), so the bits are theirs.
+    or the per-row ``r @ z`` (a dot product), so the bits are theirs.  The
+    bounds are read at the first point attaining them (``argmin`` and
+    ``argmax``): a contiguous ``min``/``max`` would pick the sign of a
+    ``0.0``/``-0.0`` tie by numpy's SIMD dispatch.
     """
     z = Z[:, :, None]
     vals = np.matmul(rep.points, z)[:, :, 0]
     tol = (STRICT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1)))[:, None]
     ray = np.matmul(rep.rays[:, :, None, :], z[:, None])[:, :, 0, 0]
     line = (np.abs(np.matmul(rep.lines[:, :, None, :], z[:, None])[:, :, 0, 0]) > tol).any(axis=1)
-    lo = np.where(line | (ray < -tol).any(axis=1), -np.inf, vals.min(axis=1))
-    hi = np.where(line | (ray > tol).any(axis=1), np.inf, vals.max(axis=1))
+    atoms = np.arange(len(vals))
+    lo = np.where(line | (ray < -tol).any(axis=1), -np.inf, vals[atoms, vals.argmin(axis=1)])
+    hi = np.where(line | (ray > tol).any(axis=1), np.inf, vals[atoms, vals.argmax(axis=1)])
     return lo, hi
 
 

@@ -245,9 +245,9 @@ class TestCommands:
     def test_conjugate_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch):
         real = functions.solve_lp
 
-        def fail_on_atom_1(c, **kw):  # 4 dual nodes per atom, atom 0 first
+        def fail_on_atom_1(model, c):  # 4 dual nodes per atom, atom 0 first
             fail_on_atom_1.calls += 1
-            return LPResult(4, None, None) if fail_on_atom_1.calls > 4 else real(c, **kw)
+            return LPResult(4, None, None) if fail_on_atom_1.calls > 4 else real(model, c)
 
         fail_on_atom_1.calls = 0
         monkeypatch.setattr(functions, "solve_lp", fail_on_atom_1)

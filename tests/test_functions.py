@@ -318,12 +318,12 @@ class TestConjugate:
         calls = []
         real = functions.solve_lp
 
-        def fake(c, **kw):
+        def fake(model, c):
             atom, node = divmod(len(calls), 5)
             calls.append(atom)
             if (atom, node) in ((1, 0), (3, 4)):
                 return LPResult(4, None, None)
-            return real(c, **kw)
+            return real(model, c)
 
         monkeypatch.setattr(functions, "solve_lp", fake)
         with pytest.raises(SolverError) as err:
@@ -651,13 +651,13 @@ class TestArgmin:
         calls = []
         real = functions.solve_lp
 
-        def fake(c, **kw):
+        def fake(model, c):
             if c[1] == 1.0:  # the epigraph LP of an atom, not a uniqueness box
                 atom = len(calls)
                 calls.append(atom)
                 if atom in (1, 3):
                     return LPResult(status, None, None)
-            return real(c, **kw)
+            return real(model, c)
 
         monkeypatch.setattr(functions, "solve_lp", fake)
         with pytest.raises(error) as err:

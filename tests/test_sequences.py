@@ -4,10 +4,6 @@ Expected index sets for the fixed instances were derived with the
 pure-loop scans in ``oracles`` and frozen here.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -258,19 +254,9 @@ class TestBWExtractMatchesReference:
         assert min(seen.values()) > 10, seen
 
 
-# Dispatch levels numpy's reductions may pick; disabling them changes the
-# SIMD kernel behind a contiguous ``min``, and with it which of ``0.0`` and
-# ``-0.0`` such a reduction returns on a tie.
-_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
 _TIE_SCRIPT = """
-import hashlib, sys
+import hashlib
 import numpy as np
-try:
-    from numpy._core._multiarray_umath import __cpu_features__ as features
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__ as features
-print([features.get(name) for name in sys.argv[1].split()])
 from stratalg import CondSequence, CondVector, MeasureSpace, bw_extract
 space = MeasureSpace(np.ones(64))
 for seed in range(8):
@@ -280,33 +266,13 @@ for seed in range(8):
 """
 
 
-def _tie_child(disable):
-    """Run ``_TIE_SCRIPT`` in a fresh interpreter, with the AVX-512 levels
-    disabled or not: its CPU feature flags, then one digest a seed."""
-    env = dict(os.environ)
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if disable:
-        env["NPY_DISABLE_CPU_FEATURES"] = _AVX512
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-c", _TIE_SCRIPT, _AVX512],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
 class TestBWTiePortability:
     """A tie of ``0.0`` and ``-0.0`` at a stage minimum resolves by position,
     so the liminf bytes do not depend on numpy's SIMD dispatch level."""
 
-    def test_liminf_bytes_do_not_depend_on_dispatch(self):
-        default, reduced = _tie_child(False), _tie_child(True)
-        if not reduced.stdout:  # the child stopped at `import numpy`
-            pytest.skip("this numpy rejects the dispatch setting: " + reduced.stderr[-200:])
-        assert default.returncode == 0, default.stderr
-        assert reduced.returncode == 0, reduced.stderr
-        default, reduced = default.stdout.splitlines(), reduced.stdout.splitlines()
-        if default[0] == reduced[0]:
-            pytest.skip("no AVX-512 dispatch on this CPU: the setting changes nothing")
-        assert default[1:] == reduced[1:]
+    def test_liminf_bytes_do_not_depend_on_dispatch(self, both_dispatch_levels):
+        default, reduced = both_dispatch_levels(_TIE_SCRIPT)
+        assert default == reduced
 
 
 class TestCauchyLimit:

@@ -35,7 +35,7 @@ from stratalg import (
     separate,
 )
 from stratalg import _solvers, functions, sets
-from stratalg._solvers import min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
+from stratalg._solvers import LPModel, min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
 from stratalg.core import ext_add
 from stratalg.linalg import _grow_frames
 from stratalg.tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
@@ -651,9 +651,9 @@ def ref_combination_residual(target, points, rays, lines):
     c = np.zeros(n + 1)
     c[-1] = 1.0
     A_ub = np.vstack([np.hstack([cols, -np.ones((d, 1))]), np.hstack([-cols, -np.ones((d, 1))])])
-    res = solve_lp(c, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
-                   A_eq=np.append(simplex_row, 0.0)[None, :], b_eq=np.array([1.0]),
-                   bounds=bounds + [(0, None)])
+    res = solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
+                           A_eq=np.append(simplex_row, 0.0)[None, :], b_eq=np.array([1.0]),
+                           bounds=bounds + [(0, None)]), c)
     return float(res.fun) if res.status == 0 else np.inf
 
 
@@ -675,14 +675,14 @@ def ref_positivity_margin(target, points, rays, lines):
     lp = {"A_ub": A_ub, "A_eq": np.append(simplex_row, 0.0)[None, :], "b_eq": np.array([1.0]),
           "bounds": bounds + [(None, 1.0)]}
     b_ub = np.concatenate([np.zeros(nonneg_cnt), target + slack, -target + slack])
-    res = solve_lp(c, b_ub=b_ub, **lp)
+    res = solve_lp(LPModel(n + 1, b_ub=b_ub, **lp), c)
     if res.status != 0:
         return -np.inf
     if -res.fun <= 0.0:
         return float(-res.fun)
     tight = EQ_TOL * (slack / FEAS_TOL)
     b_ub[nonneg_cnt:] = np.concatenate([target + tight, -target + tight])
-    res = solve_lp(c, b_ub=b_ub, **lp)
+    res = solve_lp(LPModel(n + 1, b_ub=b_ub, **lp), c)
     return float(-res.fun) if res.status == 0 else 0.0
 
 
@@ -873,6 +873,40 @@ class TestStackedSetOps:
                     continue
             assert not want.any()
         assert caught >= 5
+
+
+_SUPPORT_TIE_SCRIPT = """
+import hashlib
+import numpy as np
+from stratalg import ConvexSetRep, CondVector, MaxAffineFn, MeasureSpace, separate
+# 17 values a row: one past a multiple of the SIMD width, where the two
+# dispatch levels resolve a 0.0/-0.0 tie of a contiguous min differently
+K, d, n = 16, 5, 17
+space = MeasureSpace(np.ones(K))
+# coordinates of the smallest subnormal size: every point's value along a
+# normal with entries of size at most 1/2 rounds to 0.0 or -0.0
+tiny = [0.0, -0.0, 5e-324, -5e-324]
+for seed in range(10):
+    rng = np.random.default_rng([90, seed])
+    cp, dp = rng.choice(tiny, (K, n, d)), rng.choice(tiny, (K, n, d))
+    dp[:, 0] = -1.0  # D reaches out to -(1, ..., 1); the sets touch near 0
+    c, dd = ConvexSetRep(space, d, cp), ConvexSetRep(space, d, dp)
+    proper = separate(c, dd, "proper")
+    out = [separate(c, dd, "weak").gap, proper.gap, proper.strict_excess]
+    f = MaxAffineFn(space, rng.choice(tiny, (K, n, d)), rng.choice([0.0, -0.0], (K, n)))
+    out.append(f.eval(CondVector(space, rng.choice(tiny, (K, d)))))
+    print(*(hashlib.sha256(o.values.tobytes()).hexdigest() for o in out))
+"""
+
+
+class TestSupportTiePortability:
+    """``separate``'s support bounds and ``MaxAffineFn.eval`` read a
+    ``0.0``/``-0.0`` tie at the first attaining position, so their bytes do
+    not depend on numpy's SIMD dispatch level."""
+
+    def test_gap_excess_and_eval_bytes_do_not_depend_on_dispatch(self, both_dispatch_levels):
+        default, reduced = both_dispatch_levels(_SUPPORT_TIE_SCRIPT)
+        assert len(default) == 10 and default == reduced
 
 
 class TestRelativeInteriorInOneLP:

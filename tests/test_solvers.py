@@ -4,9 +4,14 @@
 (``scipy.optimize._highspy._core``).  Each test below drives one call
 site on seeded data, records every LP it builds, and checks that
 ``linprog(method="highs")`` with the options the package always used
-gives the same status and a bit-identical ``fun`` and ``x``.  Hand-made
-LPs cover the statuses and argument forms the call sites rarely reach.
-A scipy release that changes the private HiGHS binding fails here.
+gives the same status and a bit-identical ``fun`` and ``x``, both for
+the result the call site got, from a reused ``LPModel`` where it solved
+several costs, and for a fresh model.  On degenerate dual-cone and
+uniqueness-box families, where a warm re-run from the kept basis returns
+another vertex, every cost solved on a reused model must equal a fresh
+model's bytes, which only ``clearSolver`` gives.  Hand-made LPs cover the
+statuses and argument forms the call sites rarely reach.  A scipy
+release that changes the private HiGHS binding fails here.
 
 Each test's LPs are also pinned, element for element, by a sha256 per LP
 in ``tests/golden/lp_digests.json``: HiGHS's vertex on a degenerate LP
@@ -54,6 +59,7 @@ from stratalg import (
 import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
+    LPModel,
     QPSolution,
     cone_least_squares,
     min_norm_point,
@@ -75,15 +81,21 @@ SEEDS = range(6)
 
 
 def assert_matches_linprog(lp: dict) -> int:
-    got = solve_lp(**lp)
-    want = linprog(method="highs", options=LINPROG_OPTIONS, **lp)
-    assert got.status == want.status
-    if want.x is None:
-        assert got.x is None and got.fun is None
-    else:
-        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-        assert got.x.tobytes() == want.x.tobytes()
-    return got.status
+    """Solve ``lp`` on a fresh ``LPModel`` and compare with linprog; a
+    ``result`` recorded at the call site must match too."""
+    lp = dict(lp)
+    results = [lp.pop("result")] if "result" in lp else []
+    c = lp.pop("c")
+    results.append(solve_lp(LPModel(len(c), **lp), c))
+    want = linprog(c, method="highs", options=LINPROG_OPTIONS, **lp)
+    for got in results:
+        assert got.status == want.status
+        if want.x is None:
+            assert got.x is None and got.fun is None
+        else:
+            assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+            assert got.x.tobytes() == want.x.tobytes()
+    return results[-1].status
 
 
 def check_all(lps: list) -> list:
@@ -113,18 +125,22 @@ REWRITE: dict | None = None
 
 @pytest.fixture
 def lps(monkeypatch, request):
-    """Every LP the call sites build during a test, as linprog keywords.
+    """Every LP the call sites solve during a test, as linprog keywords:
+    the cost, its model's constraints and bounds, and the ``result`` the
+    call site got, from a reused model where it solved several costs.
 
     At teardown their digests must equal the test's entry in
-    ``DIGESTS``, in the order the LPs were built.
+    ``DIGESTS``, in the order the LPs were solved.
     """
     seen = []
 
-    def record(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-        lp = {"c": c, "A_ub": A_ub, "b_ub": b_ub, "A_eq": A_eq, "b_eq": b_eq}
+    def record(model, c):
+        lp = {"c": c, "A_ub": model.A_ub, "b_ub": model.b_ub, "A_eq": model.A_eq,
+              "b_eq": model.b_eq}
         seen.append({k: None if v is None else np.array(v, dtype=float) for k, v in lp.items()})
-        seen[-1]["bounds"] = None if bounds is None else list(bounds)
-        return solve_lp(**lp, bounds=bounds)
+        seen[-1]["bounds"] = None if model.bounds is None else list(model.bounds)
+        seen[-1]["result"] = solve_lp(model, c)
+        return seen[-1]["result"]
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
     monkeypatch.setattr(functions, "solve_lp", record)
@@ -270,10 +286,10 @@ def test_status_map_is_linprogs():
 
 
 def test_result_shape():
-    res = solve_lp([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+    res = solve_lp(LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0]), [1.0, 1.0])
     assert res.status == 0 and isinstance(res.fun, float)
     assert res.x.dtype == np.float64 and res.x.shape == (2,)
-    assert solve_lp([-1.0], bounds=[(0.0, None)]) == (3, None, None)
+    assert solve_lp(LPModel(1, bounds=[(0.0, None)]), [-1.0]) == (3, None, None)
 
 
 @pytest.mark.parametrize("field", ["col_value", "row_value"])
@@ -289,6 +305,79 @@ def test_post_check_downgrades_a_violated_optimum(monkeypatch, field):
     monkeypatch.setattr(_highs, "_Highs", Shifted)
     lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0.0, 1.0)] * 2)
     assert assert_matches_linprog(lp) == 4
+
+
+def solved_families(monkeypatch, call) -> list:
+    """Run ``call`` with ``solve_lp`` recorded; return each model that was
+    solved for more than one cost, with its costs and results in order."""
+    families: dict = {}
+
+    def record(model, c):
+        res = solve_lp(model, c)
+        families.setdefault(id(model), (model, []))[1].append((np.array(c, dtype=float), res))
+        return res
+
+    monkeypatch.setattr(_solvers, "solve_lp", record)
+    monkeypatch.setattr(functions, "solve_lp", record)
+    call()
+    monkeypatch.undo()
+    return [f for f in families.values() if len(f[1]) > 1]
+
+
+def warm_xs(model: LPModel, costs: list) -> list:
+    """The ``x`` of each cost re-run on one ``_Highs`` instance that keeps
+    its basis between costs: ``solve_lp`` without ``clearSolver``."""
+    fresh = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds)
+    fresh.lp.col_cost_ = costs[0]
+    h = _highs._Highs()
+    h.passOptions(_solvers._LP_OPTIONS)
+    h.passModel(fresh.lp)
+    xs = []
+    for i, c in enumerate(costs):
+        if i:
+            h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
+        h.run()
+        xs.append(np.array(h.getSolution().col_value))
+    return xs
+
+
+def dual_cone_family(seed):
+    # integer rows: ties and degenerate vertices on the unit box
+    rng = np.random.default_rng([40, seed])
+    ineq = rng.integers(-1, 2, size=(8, 4)).astype(float)
+    eq = rng.integers(-1, 2, size=(seed % 2, 4)).astype(float)
+    return lambda: nonzero_in_dual_cone(ineq, eq, 4)
+
+
+def argmin_box_family(seed):
+    # integer slopes, offsets and points: flat optimal faces with ties
+    rng = np.random.default_rng([41, seed])
+    K, d = 4, 2
+    space = MeasureSpace(np.ones(K))
+    f = MaxAffineFn(space, rng.integers(-1, 2, size=(K, 3, d)).astype(float),
+                    rng.integers(-1, 2, size=(K, 3)).astype(float))
+    c = ConvexSetRep(space, d, rng.integers(-2, 3, size=(K, 5, d)).astype(float))
+    return lambda: argmin(f, c)
+
+
+@pytest.mark.parametrize("family", [dual_cone_family, argmin_box_family])
+def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch):
+    # every cost solved on a reused model has the bits of a fresh model,
+    # while a warm re-run from the kept basis gives another x on some LP
+    solved = warm_moved = 0
+    for seed in range(10):
+        for model, runs in solved_families(monkeypatch, family(seed)):
+            for c, res in runs:
+                want = solve_lp(LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq,
+                                        model.bounds), c)
+                assert res.status == want.status
+                assert np.float64(res.fun).tobytes() == np.float64(want.fun).tobytes()
+                assert np.asarray(res.x).tobytes() == np.asarray(want.x).tobytes()
+                solved += 1
+            warm = warm_xs(model, [c for c, _ in runs])
+            warm_moved += sum(res.x is not None and x.tobytes() != res.x.tobytes()
+                              for x, (_, res) in zip(warm, runs))
+    assert solved >= 60 and warm_moved >= 1, (solved, warm_moved)
 
 
 def assert_nnls_matches_scipy(A, b, maxiter):
@@ -615,7 +704,8 @@ def test_stratalg_after_scipy_optimize_reuses_its_cores():
         from scipy.optimize import _slsqplib
         import stratalg._solvers as solvers
         assert solvers._highs is _core and solvers._slsqplib is _slsqplib
-        assert solvers.solve_lp([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).status == 0
+        model = solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        assert solvers.solve_lp(model, [1.0, 2.0]).status == 0
     """)
 
 
