@@ -34,6 +34,14 @@ from a cleared solver, so nothing a previous solve left behind can
 influence which optimal vertex comes back, and every result has the bits
 of a fresh instance (``test_solvers`` pins this).
 
+Every per-atom LP runs inside ``per_atom``, and each call site passes its
+result through ``expect`` with the statuses it reads as verdicts:
+infeasible in ``positivity_margin`` (``-inf``), in the feasible-direction
+test (no step) and in argmin's epigraph LP (value ``+inf``); unbounded in
+a conjugate node LP (``+inf``), argmin's epigraph LP (unbounded below)
+and its optimal-face LPs (not unique).  Any other non-optimal status is
+a fault, and ``per_atom`` raises one ``SolverError`` for all such atoms.
+
 Every LP over a set in V-representation,
 ``conv(points) + cone(rays) + span(lines)``, here and in ``functions``,
 takes its generator columns, its ``sum lam = 1`` row and its bounds from
@@ -59,6 +67,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy
 
+from .errors import SolverError
 from .tolerances import EQ_TOL, FEAS_TOL
 
 
@@ -123,6 +132,7 @@ _LP_STATUS = {
 
 # linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
+_OUTCOMES = ("ok", "limit", "infeasible", "unbounded", "numerical")  # by status
 
 
 class LPResult(NamedTuple):
@@ -234,6 +244,38 @@ def solve_lp(model: LPModel, c) -> LPResult:
         or (np.abs(slack[model.m_ub:]) > tol).any()
     )
     return LPResult(0 if feasible else 4, fun, x)
+
+
+class _LPFault(Exception):
+    """An LP outcome that its call site does not read as a verdict."""
+
+
+def expect(res: LPResult, *verdicts: str) -> LPResult:
+    """``res`` if it is optimal or its outcome is one of ``verdicts``
+    (``"infeasible"``, ``"unbounded"``); any other status is a fault of
+    the atom that ``per_atom`` is solving."""
+    if res.status and _OUTCOMES[res.status] not in verdicts:
+        raise _LPFault(_OUTCOMES[res.status])
+    return res
+
+
+def per_atom(atoms: np.ndarray, solve, what: str) -> list:
+    """``[solve(k) for k in np.flatnonzero(atoms)]``, and no LP fault lost.
+
+    An atom stops at its first LP fault, the others are still solved, and
+    then one ``SolverError`` names every faulted atom with its outcome.
+    """
+    out, faults = [], {}
+    for k in np.flatnonzero(atoms):
+        try:
+            out.append(solve(k))
+        except _LPFault as fault:
+            faults[k] = fault.args[0]
+    if faults:
+        raise SolverError(f"{what} LP failed: " + ", ".join(
+            f"{outcome} on atom {k}" for k, outcome in faults.items()),
+            np.isin(np.arange(len(atoms)), list(faults)))
+    return out
 
 
 def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
@@ -382,8 +424,8 @@ def positivity_margin(
     One LP, matching the target to ``EQ_TOL`` (scaled): a looser match
     would let a boundary target borrow a positive margin from the slack.
     Interior targets get a margin above a small threshold, boundary ones
-    at most about ``EQ_TOL``; ``-inf`` means no combination matches (the
-    target is outside the set or on its boundary).
+    at most about ``EQ_TOL``; ``-inf`` means infeasible, the target outside
+    the set; any other non-optimal status is a fault (``expect``).
     """
     target = np.asarray(target, dtype=float)
     d = target.size
@@ -410,10 +452,9 @@ def positivity_margin(
     A_eq = np.append(simplex_row, 0.0)[None, :]
     b_eq = np.array([1.0])
     bounds = bounds + [(None, 1.0)]
-    res = solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds), c)
-    if res.status != 0:
-        return -np.inf
-    return float(-res.fun)
+    res = expect(solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                  bounds=bounds), c), "infeasible")
+    return -np.inf if res.status == 2 else float(-res.fun)
 
 
 def nonzero_in_dual_cone(
@@ -426,7 +467,8 @@ def nonzero_in_dual_cone(
 
     Scans the coordinate objectives ``+-e_i`` over the cone intersected
     with the unit box and keeps the lexicographically smallest normalized
-    maximizer, which makes the choice reproducible.
+    maximizer, which makes the choice reproducible.  The LPs are feasible
+    and bounded: any other status is a fault, raised by ``per_atom``.
     """
     ineq_rows = np.atleast_2d(np.asarray(ineq_rows, dtype=float)) if len(ineq_rows) else np.zeros((0, dim))
     eq_rows = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if len(eq_rows) else np.zeros((0, dim))
@@ -438,33 +480,19 @@ def nonzero_in_dual_cone(
         b_eq=np.zeros(len(eq_rows)) if len(eq_rows) else None,
         bounds=[(-1.0, 1.0)] * dim,
     )
-    candidates = []
+    best = None
     for axis in range(dim):
         for sign in (1.0, -1.0):
             c = np.zeros(dim)
             c[axis] = -sign
-            res = solve_lp(model, c)
-            if res.status != 0:
-                continue
-            val = -float(res.fun)
-            if val > _POS_TOL:
-                z = np.asarray(res.x, dtype=float)
-                nz = np.linalg.norm(z)
-                if nz > _POS_TOL:
-                    candidates.append(z / nz)
-    if not candidates:
-        return None
-    best = candidates[0]
-    for z in candidates[1:]:
-        if _lex_less(z, best):
-            best = z
+            res = expect(solve_lp(model, c))
+            nz = np.linalg.norm(res.x)
+            if -float(res.fun) > _POS_TOL and nz > _POS_TOL and (
+                    best is None or _lex_less(res.x / nz, best)):
+                best = res.x / nz
     return best
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x < y - _LEX_TOL:
-            return True
-        if x > y + _LEX_TOL:
-            return False
-    return False
+    lt, gt = a < b - _LEX_TOL, a > b + _LEX_TOL
+    return bool(lt[np.argmax(lt | gt)])  # at the first coordinate that differs

@@ -58,8 +58,9 @@ class UnboundedError(AtomSetError):
 
 
 class SolverError(AtomSetError):
-    """A per-atom solver subproblem reported no usable optimum on the
-    given atoms (iteration limit or numerical trouble)."""
+    """A per-atom LP ended, on the given atoms, in an outcome that its
+    call site does not read as a verdict: ``limit``, ``infeasible``,
+    ``unbounded`` or ``numerical``.  The message names each atom's."""
 
 
 class ExtractionStalledError(AtomSetError):

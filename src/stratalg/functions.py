@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import LPModel, min_norm_point, solve_lp, vrep_block
+from ._solvers import LPModel, expect, min_norm_point, per_atom, solve_lp, vrep_block
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -32,7 +32,6 @@ from .core import (
 from .errors import (
     PreconditionError,
     ShapeError,
-    SolverError,
     SpaceMismatchError,
     UnboundedError,
 )
@@ -294,8 +293,8 @@ def conjugate(f, dual_grid: Grid) -> GridFn:
     clamped: dual nodes only see the finite carrier, and that truncation
     is part of the contract).  For a max-affine function each dual node
     value is an exact per-atom epigraph LP, with ``+inf`` reported where
-    that LP is unbounded; atoms where a node LP fails raise one
-    ``SolverError`` after every atom is solved.
+    that LP is unbounded; atoms where a node LP fails otherwise raise one
+    ``SolverError`` through ``per_atom`` after every atom is solved.
     """
     if isinstance(f, GridFn):
         bad = ~f.proper_set.mask
@@ -324,16 +323,13 @@ def _conjugate_max_affine(f: MaxAffineFn, dual_grid: Grid) -> GridFn:
         raise ShapeError("dual grid dimension must match the function")
     K = f.space.natoms
     nodes = dual_grid.nodes()
-    out = np.empty((K,) + dual_grid.shape)
-    d = f.dim
-    for k in range(K):
+
+    def solve(k):
         vsets = [] if f.domain is None else [f.domain.generators_at(k)]
-        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, d)
-        out[k] = np.reshape([_conj_node_lp(y, lp) for y in nodes], dual_grid.shape)
-    # every atom is solved before raising, so the error mask is complete
-    failed = np.isnan(out.reshape(K, -1)).any(axis=1)
-    if failed.any():
-        raise SolverError("conjugate LP failed on a dual grid node", failed)
+        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, f.dim)
+        return [_conj_node_lp(y, lp) for y in nodes]
+
+    out = np.reshape(per_atom(np.ones(K, dtype=bool), solve, "conjugate"), (K,) + dual_grid.shape)
     return GridFn(f.space, dual_grid, out)
 
 
@@ -368,16 +364,12 @@ def _epigraph_lp(yrows, zoff, vsets, d: int) -> LPModel:
 
 def _conj_node_lp(y: np.ndarray, lp: LPModel) -> float:
     """``sup <x,y> - f(x)`` over the epigraph LP ``lp`` of ``f``, by LP;
-    ``inf`` if unbounded, ``nan`` if the LP fails."""
+    ``inf`` if unbounded."""
     c = np.zeros(lp.n)
     c[: len(y)] = -y
     c[len(y)] = 1.0
-    res = solve_lp(lp, c)
-    if res.status == 3:
-        return np.inf
-    if res.status != 0:
-        return np.nan
-    return float(-res.fun)
+    res = expect(solve_lp(lp, c), "unbounded")
+    return np.inf if res.status == 3 else float(-res.fun)
 
 
 def _lower_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -604,6 +596,7 @@ def directional_derivative(f: MaxAffineFn, x0: CondVector, x: CondVector) -> Con
     Exact for max-affine functions: the maximum of ``<x, slope>`` over
     the active pieces, or ``+inf`` when every positive step along ``x``
     leaves the domain (no step longer than ``STRICT_TOL`` stays in it).
+    A step LP that fails raises ``SolverError`` through ``per_atom``.
 
     The loop over atoms stays on purpose: row ``k`` is the BLAS product
     ``slopes[k][active[k]] @ x[k]``, shaped by the atom's count of active
@@ -629,19 +622,20 @@ def directional_derivative(f: MaxAffineFn, x0: CondVector, x: CondVector) -> Con
 
 def _feasible_direction_mask(dom: ConvexSetRep, x0: CondVector, x: CondVector) -> np.ndarray:
     """Atoms where a step longer than ``STRICT_TOL`` along ``x`` stays in
-    the domain."""
-    K = dom.space.natoms
-    out = np.zeros(K, dtype=bool)
-    for k in range(K):
+    the domain; an infeasible step LP means none does."""
+
+    def solve(k):
         cols, simplex_row, bounds = vrep_block(*dom.generators_at(k), dom.dim)
         # variables: the coefficients, then the step size; maximize the step
         c = np.zeros(cols.shape[1] + 1)
         c[-1] = -1.0
         A_eq = np.vstack([np.column_stack([cols, -x.values[k]]), np.append(simplex_row, 0.0)])
         b_eq = np.append(x0.values[k], 1.0)
-        res = solve_lp(LPModel(len(c), A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)]), c)
-        out[k] = res.status == 0 and -res.fun > STRICT_TOL
-    return out
+        res = expect(solve_lp(LPModel(len(c), A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)]),
+                              c), "infeasible")
+        return res.status == 0 and -res.fun > STRICT_TOL
+
+    return np.array(per_atom(np.ones(dom.space.natoms, dtype=bool), solve, "step"), dtype=bool)
 
 
 def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableSet, CondVector]:
@@ -692,8 +686,9 @@ def argmin(
     Requires bounded sublevel sets: no recession direction of the
     feasible set may keep every piece non-increasing.  Violations raise
     with the offending atoms and a certificate ray.  Atoms whose LP is
-    unbounded (``UnboundedError``) or fails (``SolverError``) are raised
-    only after every atom is solved, so the mask names all of them.
+    unbounded (``UnboundedError``) are raised only after every atom is
+    solved, so the mask names all of them; an LP that fails otherwise
+    raises ``SolverError`` through ``per_atom`` in the same way.
     """
     _check_space(f, c)
     if f.dim != c.dim:
@@ -716,11 +711,10 @@ def argmin(
         nvar = lp.n
         c_obj = np.zeros(nvar)
         c_obj[d] = 1.0
-        res = solve_lp(lp, c_obj)
-        if res.status == 2:
-            return 2, c.points[k, 0], np.inf, False
+        res = expect(solve_lp(lp, c_obj), "infeasible", "unbounded")
         if res.status != 0:
-            return res.status, None, None, False
+            # empty feasible set: value +inf; unbounded below: -inf, raised below
+            return c.points[k, 0], np.inf if res.status == 2 else -np.inf, False
         xstar = res.x[:d]
         vstar = float(res.fun)
         # uniqueness: bounding box of the optimal face
@@ -728,40 +722,28 @@ def argmin(
         face = LPModel(nvar, A_ub=np.vstack([lp.A_ub, c_obj[None, :]]),
                        b_ub=np.concatenate([lp.b_ub, [vstar + STRICT_TOL * scale]]),
                        A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds)
-        unique = True
         for axis in range(d):
             lohi = []
             for sign in (1.0, -1.0):
                 cc = np.zeros(nvar)
                 cc[axis] = sign
-                r2 = solve_lp(face, cc)
-                if r2.status != 0:
-                    lohi = None
-                    break
+                r2 = expect(solve_lp(face, cc), "unbounded")
+                if r2.status == 3:  # an unbounded optimal face
+                    return xstar, vstar, False
                 lohi.append(float(r2.fun * sign))
-            if lohi is None or abs(lohi[0] - lohi[1]) > tol * max(1.0, abs(xstar[axis])):
-                unique = False
-                break
-        return 0, xstar, vstar, unique
+            if abs(lohi[0] - lohi[1]) > tol * max(1.0, abs(xstar[axis])):
+                return xstar, vstar, False
+        return xstar, vstar, True
 
-    # every atom is solved before raising, so the error masks are complete
-    out = [solve(k) for k in range(K)]
-    status = np.array([o[0] for o in out])
-    if (status == 3).any():
-        raise UnboundedError(
-            "objective is unbounded below on part of the space",
-            status == 3,
-            CondVector.zero(space, f.dim),
-        )
-    failed = (status != 0) & (status != 2)
-    if failed.any():
-        raise SolverError(
-            f"argmin LP failed with status {sorted(set(status[failed].tolist()))}", failed
-        )
+    out = per_atom(np.ones(K, dtype=bool), solve, "argmin")
+    value = np.array([o[1] for o in out])
+    if (value == -np.inf).any():
+        raise UnboundedError("objective is unbounded below on part of the space",
+                             value == -np.inf, CondVector.zero(space, f.dim))
     return ArgminResult(
-        minimizer=CondVector(space, np.array([o[1] for o in out])),
-        value=CondExtScalar(space, np.array([o[2] for o in out])),
-        unique_set=MeasurableSet(space, np.array([o[3] for o in out], dtype=bool)),
+        minimizer=CondVector(space, np.array([o[0] for o in out])),
+        value=CondExtScalar(space, value),
+        unique_set=MeasurableSet(space, np.array([o[2] for o in out], dtype=bool)),
     )
 
 
@@ -773,20 +755,15 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
     Returns ``None`` when sublevel sets are bounded everywhere, else a
     boolean atom mask plus a glued witness direction.
     """
-    space = f.space
-    K = space.natoms
-
     def cone(rep: ConvexSetRep, k: int) -> np.ndarray:
         gens = np.vstack([rep.rays[k], rep.lines[k], -rep.lines[k]])
         return gens[np.linalg.norm(gens, axis=1) > 1e-12]
 
-    witness = np.zeros((K, f.dim))
-    bad = np.zeros(K, dtype=bool)
-    for k in range(K):
+    def solve(k):
         gens = cone(c, k)
         dom = cone(f.domain, k) if f.domain is not None else None
         if not len(gens) or (dom is not None and not len(dom)):
-            continue
+            return None
         yrows = f.slopes[k]
         n = len(gens)
         # w = gens^T u, u in [0,1]^n, every piece slope non-increasing;
@@ -805,19 +782,16 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
             for sign in (1.0, -1.0):
                 cc = np.zeros(len(bounds))
                 cc[:n] = -sign * gens[:, axis]
-                res = solve_lp(model, cc)
-                if res.status != 0:
-                    continue
-                w = gens.T @ res.x[:n]
+                w = gens.T @ expect(solve_lp(model, cc)).x[:n]
                 if sign * w[axis] > 1e-7:
-                    bad[k] = True
-                    witness[k] = w / max(1.0, np.linalg.norm(w))
-                    break
-            if bad[k]:
-                break
-    if bad.any():
-        return bad, CondVector(space, witness)
-    return None
+                    return w / max(1.0, np.linalg.norm(w))
+        return None
+
+    found = per_atom(np.ones(f.space.natoms, dtype=bool), solve, "recession")
+    bad = np.array([w is not None for w in found])
+    if not bad.any():
+        return None
+    return bad, CondVector(f.space, np.array([np.zeros(f.dim) if w is None else w for w in found]))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import min_norm_point, nonzero_in_dual_cone, positivity_margin
+from ._solvers import min_norm_point, nonzero_in_dual_cone, per_atom, positivity_margin
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -319,7 +319,8 @@ def ri_membership(
     and a coefficient bound (already O(1)), exceeds ``strict_tol``.  The
     margin LP matches the target to ``EQ_TOL`` (scaled), which gives a
     boundary target a margin of about that size, so ``strict_tol`` must
-    exceed ``EQ_TOL``.
+    exceed ``EQ_TOL``.  A margin LP that fails raises ``SolverError``
+    through ``per_atom`` once every atom is solved.
     """
     _check_space(x, rep)
     if mode not in ("interior", "relative"):
@@ -335,8 +336,8 @@ def ri_membership(
         inside = rep.affine_dims() == rep.dim
     else:
         inside = np.ones(rep.space.natoms, dtype=bool)
-    for k in np.flatnonzero(inside):
-        inside[k] = positivity_margin(x.values[k], *rep.generators_at(k)) > strict_tol
+    inside[inside] = per_atom(inside, lambda k: positivity_margin(
+        x.values[k], *rep.generators_at(k)) > strict_tol, "relative-interior")
     return MeasurableSet(rep.space, inside)
 
 
@@ -398,7 +399,8 @@ def separate(
 
     Atoms where the requested separation cannot exist land in
     ``failure_set`` and carry a zero normal; a shortest vector no longer
-    than ``zero_tol`` counts as zero.
+    than ``zero_tol`` counts as zero.  A dual-cone LP that fails raises
+    ``SolverError`` through ``per_atom`` once every atom is solved.
     """
     _check_space(c, d)
     if c.dim != d.dim:
@@ -431,37 +433,31 @@ def separate(
         # a difference set that is the single point 0 is its own relative
         # interior, so no proper separation exists
         fail[~off & (r == 0)] = True
-        for k in np.flatnonzero(~off & (r > 0)):
-            # proper separation needs a supporting functional that is not
-            # identically zero on the difference, i.e. one living inside
-            # the direction space; its existence is exactly 0 not in the
-            # relative interior
-            q = F[k, : r[k]]
-            ineq = np.vstack([pts[k], rays[k]]) @ q.T
-            y = nonzero_in_dual_cone(ineq, lines[k] @ q.T, len(q))
-            if y is None:
-                fail[k] = True
-            else:
-                zrows[k] = q.T @ y
+        touch = ~off & (r > 0)
     else:
         for k in range(K):
             z = min_norm_point(pts[k], rays[k], lines[k]).point
-            nz = float(np.linalg.norm(z))
-            if kind == "strong":
-                if nz <= zero_tol:
-                    fail[k] = True
-                else:
-                    zrows[k] = z
-            elif nz > zero_tol:
+            if float(np.linalg.norm(z)) > zero_tol:
                 zrows[k] = z
             else:
-                # the origin touches the difference set: weak separation
-                # is exactly the existence of a nonzero supporting functional
-                zz = nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]), lines[k], dim)
-                if zz is None:
-                    fail[k] = True
-                else:
-                    zrows[k] = zz
+                fail[k] = True
+        touch = fail & (kind == "weak")
+
+    def supporting(k):
+        # where the origin touches the difference set (weak) or its affine
+        # hull (proper), separation is exactly the existence of a nonzero
+        # supporting functional; a proper one must not vanish identically
+        # on the difference, i.e. it lives inside the direction space, and
+        # it exists exactly when 0 is not in the relative interior
+        if kind == "weak":
+            return nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]), lines[k], dim)
+        q = F[k, : r[k]]
+        y = nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]) @ q.T, lines[k] @ q.T, len(q))
+        return None if y is None else q.T @ y
+
+    for k, z in zip(np.flatnonzero(touch), per_atom(touch, supporting, f"{kind} separation")):
+        fail[k] = z is None
+        zrows[k] = 0.0 if z is None else z
 
     c_lo, c_hi = _support_interval(zrows, c)
     d_lo, d_hi = _support_interval(zrows, d)

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 
-from stratalg import cli, functions
+from stratalg import _solvers, cli, functions
 from stratalg._solvers import LPResult
 from stratalg.io import ParseError, build_scenario, emit_document, load_document
 
@@ -242,24 +242,27 @@ class TestCommands:
         assert code == 1
         assert doc["error"]["kind"] == "ParseError"
 
-    def test_conjugate_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch):
-        real = functions.solve_lp
+    @pytest.mark.parametrize("argv, lps", [
+        (["conjugate", "--function", "absmax", "--mins=-1,-1", "--maxs", "1,1", "--steps", "2,2"],
+         4),
+        (["ri-test", "--point", "z", "--set", "box"], 1),
+        (["separate", "--first", "box", "--second", "seg", "--kind", "proper"], 4),
+    ], ids=["conjugate", "ri-test", "separate-proper"])
+    def test_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch, argv, lps):
+        # atom 0 makes its `lps` LPs first; every later LP is atom 1's
+        real, calls = _solvers.solve_lp, []
 
-        def fail_on_atom_1(model, c):  # 4 dual nodes per atom, atom 0 first
-            fail_on_atom_1.calls += 1
-            return LPResult(4, None, None) if fail_on_atom_1.calls > 4 else real(model, c)
+        def fail_on_atom_1(model, c):
+            calls.append(c)
+            return LPResult(4, None, None) if len(calls) > lps else real(model, c)
 
-        fail_on_atom_1.calls = 0
-        monkeypatch.setattr(functions, "solve_lp", fail_on_atom_1)
-        code, doc = run_json(
-            [
-                "conjugate", scenario_path, "--function", "absmax",
-                "--mins=-1,-1", "--maxs", "1,1", "--steps", "2,2",
-            ]
-        )
+        for mod in (_solvers, functions):
+            monkeypatch.setattr(mod, "solve_lp", fail_on_atom_1)
+        code, doc = run_json([argv[0], scenario_path, *argv[1:]])
         assert code == 2
         assert doc["error"]["kind"] == "SolverError"
         assert doc["error"]["atoms"] == [1]
+        assert len(calls) == lps + 1
 
     def test_fenchel_moreau(self, scenario_path):
         code, doc = run_json(["fenchel-moreau", scenario_path, "--function", "gabs"])

@@ -29,6 +29,7 @@ from stratalg import (
     PreconditionError,
     ShapeError,
     SolverError,
+    StratalgError,
     UnboundedError,
     argmin,
     bounded_subgradient,
@@ -39,10 +40,12 @@ from stratalg import (
     fenchel_moreau_check,
     inf_convolution,
     infconv_checks,
+    ri_membership,
+    separate,
     subdifferential,
     sublinear_support,
 )
-from stratalg import functions
+from stratalg import _solvers, functions, sets
 from stratalg._solvers import LPResult
 from stratalg.core import ext_add
 from stratalg.tolerances import EQ_TOL
@@ -309,27 +312,6 @@ class TestConjugate:
         ys = dual.axis(0)
         want = np.where(ys == 1.0, 0.0, np.inf)
         assert np.array_equal(fstar.values, np.tile(want, (2, 1)))
-
-    def test_lp_failures_carry_every_atom(self, monkeypatch):
-        # a node LP fails on atoms 1 and 3; the error must name both, and
-        # every node of every atom is still solved
-        space = MeasureSpace(np.ones(4))
-        dual = Grid((-2.0,), (2.0,), (1.0,))
-        calls = []
-        real = functions.solve_lp
-
-        def fake(model, c):
-            atom, node = divmod(len(calls), 5)
-            calls.append(atom)
-            if (atom, node) in ((1, 0), (3, 4)):
-                return LPResult(4, None, None)
-            return real(model, c)
-
-        monkeypatch.setattr(functions, "solve_lp", fake)
-        with pytest.raises(SolverError) as err:
-            conjugate(abs_fn(space, domain=box1d(space, -1.0, 1.0)), dual)
-        assert err.value.atoms.tolist() == [False, True, False, True]
-        assert len(calls) == 4 * 5
 
 
 class TestDefaultDualGrid:
@@ -644,26 +626,103 @@ class TestArgmin:
         assert err.value.atoms.tolist() == [False, True]
         assert err.value.witness.values[1, 0] < 0
 
-    @pytest.mark.parametrize("status, error", [(3, UnboundedError), (4, SolverError)])
-    def test_lp_failures_carry_every_atom(self, monkeypatch, status, error):
-        # atoms 1 and 3 fail; the error must name both, not the first one
-        space = MeasureSpace(np.ones(4))
-        calls = []
-        real = functions.solve_lp
 
-        def fake(model, c):
-            if c[1] == 1.0:  # the epigraph LP of an atom, not a uniqueness box
-                atom = len(calls)
-                calls.append(atom)
-                if atom in (1, 3):
-                    return LPResult(status, None, None)
-            return real(model, c)
+# LP faults ------------------------------------------------------------------
 
-        monkeypatch.setattr(functions, "solve_lp", fake)
-        with pytest.raises(error) as err:
-            argmin(abs_fn(space), box1d(space, -2.0, 3.0))
-        assert err.value.atoms.tolist() == [False, True, False, True]
-        assert len(calls) == 4
+
+def _touching_squares(space):
+    """``[0, 1]^2`` and ``[-1, 0] x [0, 1]``, which meet along an edge."""
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    left = sq - [1.0, 0.0]
+    return (ConvexSetRep(space, 2, np.tile(sq, (space.natoms, 1, 1))),
+            ConvexSetRep(space, 2, np.tile(left, (space.natoms, 1, 1))))
+
+
+def _ri(mode):
+    def op(space):
+        square = _touching_squares(space)[0]
+        return ri_membership(CondVector.constant(space, [0.5, 0.5]), square, mode=mode)
+    return op
+
+
+def _dirderiv(space):
+    f = abs_fn(space, domain=box1d(space, -1.0, 1.0))
+    return directional_derivative(f, CondVector.zero(space, 1), CondVector.constant(space, [1.0]))
+
+
+# op on four equal atoms; per_atom call and LP index (within an atom) to fail
+LP_FAULT_CASES = {
+    "ri_membership-interior": (_ri("interior"), 0, 0),
+    "ri_membership-relative": (_ri("relative"), 0, 0),
+    "separate-weak": (lambda space: separate(*_touching_squares(space), kind="weak"), 0, 1),
+    "separate-proper": (lambda space: separate(*_touching_squares(space), kind="proper"), 0, 1),
+    "conjugate-max-affine": (lambda space: conjugate(
+        abs_fn(space, domain=box1d(space, -1.0, 1.0)), Grid((-2.0,), (2.0,), (1.0,))), 0, 2),
+    "directional_derivative-domain": (_dirderiv, 0, 0),
+    "argmin-main": (lambda space: argmin(abs_fn(space), box1d(space, -2.0, 3.0)), 1, 0),
+    "argmin-face": (lambda space: argmin(abs_fn(space), box1d(space, -2.0, 3.0)), 1, 1),
+    "argmin-descent": (lambda space: argmin(abs_fn(space), real_line(space)), 0, 1),
+}
+
+
+def run_with_lp_fault(monkeypatch, op, fault=None):
+    """Run ``op`` on four atoms; return the LPs each ``per_atom`` call
+    made per atom, ``counts[j][k]``, and the error raised, if any.
+
+    ``fault = (j, i, status)`` makes LP ``i`` of atoms 1 and 3 in the
+    ``j``-th ``per_atom`` call return ``status`` with no solution.
+    """
+    counts, at = [], {}
+    real_lp, real_driver = functions.solve_lp, functions.per_atom
+
+    def driver(atoms, solve, what):
+        counts.append({})
+
+        def tracked(k):
+            at["k"] = k
+            counts[-1][k] = 0
+            return solve(k)
+
+        return real_driver(atoms, tracked, what)
+
+    def solve_lp(model, c):
+        k, i = at["k"], counts[-1][at["k"]]
+        counts[-1][k] += 1
+        if fault is not None and fault[:2] == (len(counts) - 1, i) and k in (1, 3):
+            return LPResult(fault[2], None, None)
+        return real_lp(model, c)
+
+    for mod in (sets, functions):
+        monkeypatch.setattr(mod, "per_atom", driver)
+    for mod in (_solvers, functions):
+        monkeypatch.setattr(mod, "solve_lp", solve_lp)
+    try:
+        op(MeasureSpace(np.ones(4)))
+    except StratalgError as exc:
+        return counts, exc
+    finally:
+        monkeypatch.undo()
+    return counts, None
+
+
+@pytest.mark.parametrize("case, status", [(case, status) for case in LP_FAULT_CASES
+                                           for status in (1, 4)] + [("argmin-main", 3)])
+def test_lp_faults_name_every_atom(monkeypatch, case, status):
+    # a limit or numerical status on atoms 1 and 3 raises one SolverError
+    # naming both, after every atom is solved: atoms 0 and 2 make all
+    # their LPs, atoms 1 and 3 stop at the faulting one.  Status 3 on
+    # argmin's epigraph LP is a verdict, raised the same way.
+    op, j, i = LP_FAULT_CASES[case]
+    clean, err = run_with_lp_fault(monkeypatch, op)
+    assert err is None and clean[j] == {k: clean[j][0] for k in range(4)} and clean[j][0] > i
+    counts, err = run_with_lp_fault(monkeypatch, op, (j, i, status))
+    assert type(err) is (UnboundedError if status == 3 else SolverError)
+    assert err.atoms.tolist() == [False, True, False, True]
+    if status != 3:
+        outcome = {1: "limit", 4: "numerical"}[status]
+        assert f"{outcome} on atom 1" in str(err) and f"{outcome} on atom 3" in str(err)
+    assert len(counts) == j + 1
+    assert counts[j] == {0: clean[j][0], 1: i + 1, 2: clean[j][0], 3: i + 1}
 
 
 class TestInfConvolution:
