@@ -12,6 +12,11 @@ files by ``_load_scipy_extension``: the HiGHS solver
 (``scipy.optimize._highspy._core``) and the C Lawson-Hanson ``nnls``
 (``scipy.optimize._slsqplib``).  ``scipy.optimize`` itself is never
 imported: its package import would be most of a CLI process's start-up.
+Neither is ``scipy`` nor either core when this module is: ``_load_cores``
+loads both, with the LP options and status table, on the first LP model
+or ``nnls`` call, so a process that solves nothing (grid transforms,
+bases, sequences) never pays for them.  Reading one of the names
+``_CORES`` off the module loads them too.
 Each module is registered in ``sys.modules`` under its own name, so a
 later ``import scipy.optimize`` in the same process reuses the same
 module objects, and one loaded earlier is reused here.  (When this
@@ -65,7 +70,6 @@ from types import ModuleType
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy
 
 from .errors import SolverError
 from .tolerances import EQ_TOL, FEAS_TOL
@@ -80,6 +84,8 @@ def _load_scipy_extension(name: str) -> ModuleType:
     """
     if name in sys.modules:
         return sys.modules[name]
+    import scipy
+
     base = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
     path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
     if path is None:
@@ -95,9 +101,6 @@ def _load_scipy_extension(name: str) -> ModuleType:
     return module
 
 
-_highs = _load_scipy_extension("scipy.optimize._highspy._core")
-_slsqplib = _load_scipy_extension("scipy.optimize._slsqplib")
-
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
 _POLISH_ROUNDS = 60
@@ -106,29 +109,42 @@ _POLISH_ROUNDS = 60
 _POS_TOL = 1e-9
 _LEX_TOL = 1e-12
 
-# linprog's HiGHS options: presolve on, dual simplex, feasibility
-# enforced well below the package's strict-inequality tolerances so that
-# LP-derived margins cannot fake interiority, no console output.
-_LP_OPTIONS = _highs.HighsOptions()
-_LP_OPTIONS.presolve = "on"
-_LP_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_LP_OPTIONS.primal_feasibility_tolerance = 1e-10
-_LP_OPTIONS.dual_feasibility_tolerance = 1e-10
-_LP_OPTIONS.output_flag = False
-_LP_OPTIONS.log_to_console = False
+_CORES = ("_highs", "_slsqplib", "_LP_OPTIONS", "_MS", "_LP_STATUS")
 
-# HiGHS model status -> linprog status (0 optimal, 1 limit reached,
-# 2 infeasible, 3 unbounded); every other status, kUnboundedOrInfeasible
-# included, is 4.
-_MS = _highs.HighsModelStatus
-_LP_STATUS = {
-    _MS.kOptimal: 0,
-    _MS.kTimeLimit: 1,
-    _MS.kIterationLimit: 1,
-    _MS.kInfeasible: 2,
-    _MS.kModelError: 2,
-    _MS.kUnbounded: 3,
-}
+
+def _load_cores() -> None:
+    """Load HiGHS and ``nnls`` once, and set the LP options and statuses.
+
+    linprog's HiGHS options: presolve on, dual simplex, feasibility
+    enforced well below the package's strict-inequality tolerances so
+    that LP-derived margins cannot fake interiority, no console output.
+    HiGHS model statuses map to linprog's (0 optimal, 1 limit reached,
+    2 infeasible, 3 unbounded); every other status, kUnboundedOrInfeasible
+    included, is 4.
+    """
+    if "_highs" in globals():
+        return
+    highs = _load_scipy_extension("scipy.optimize._highspy._core")
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.output_flag = False
+    options.log_to_console = False
+    ms = highs.HighsModelStatus
+    status = {ms.kOptimal: 0, ms.kTimeLimit: 1, ms.kIterationLimit: 1, ms.kInfeasible: 2,
+              ms.kModelError: 2, ms.kUnbounded: 3}
+    globals().update(_highs=highs, _slsqplib=_load_scipy_extension("scipy.optimize._slsqplib"),
+                     _LP_OPTIONS=options, _MS=ms, _LP_STATUS=status)
+
+
+def __getattr__(name: str):
+    if name in _CORES:
+        _load_cores()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
@@ -162,6 +178,7 @@ class LPModel:
     """
 
     def __init__(self, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+        _load_cores()
         self.n = n
         self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.bounds = A_ub, b_ub, A_eq, b_eq, bounds
         A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
@@ -288,6 +305,7 @@ def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
     b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
     if A.shape[1] == 0:
         return np.zeros(0), float(np.linalg.norm(b))
+    _load_cores()
     x, rnorm, info = _slsqplib.nnls(A, b, maxiter)
     if info == 3:
         raise RuntimeError("Maximum number of iterations reached.")

@@ -63,6 +63,8 @@ __all__ = [
 _GROWTH_PROBES = 64  # seeded directions of bounded_subgradient's growth audit
 _GRAD_TOL = 1e-9  # scaled spread of active slopes that still makes one gradient
 _MINORANT_TOL = 1e-9  # scaled slack of fenchel_moreau_check's f >= f** test
+_U = 2.0 ** -53  # unit roundoff of float64
+_BLOCK = 2**16  # nodes, windows or padded terms per block of the fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,28 +263,186 @@ class GridFn:
         return CondExtScalar(self.space, np.select(inf, [np.inf, -np.inf], dot))
 
 
+def _lower_hulls(x: np.ndarray, v: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """Lower-hull vertex mask and successor of the node chains in ``x, v``.
+
+    The chains are consecutive runs of the flat arrays, ``first`` and
+    ``last`` marking their ends.  Every round deletes, in all chains at
+    once, each tested node that lies on or above the chord of its two
+    neighbours; the first round tests every node and each later one the
+    survivors next to a deleted run, so a round costs what it changes.
+    (Rounds can still number up to a chain's length, as when one low node
+    sits next to a long convex chain above it.)  Chain ends are never
+    deleted.  Returns ``(vertex, nxt)``: ``nxt`` of a
+    vertex is the next vertex of its chain, ``-1`` at a chain's end.
+    """
+    def above(p, i, q):  # node i lies on or above the chord of nodes p and q
+        return (v[i] - v[p]) * (x[q] - x[i]) >= (v[q] - v[i]) * (x[i] - x[p])
+
+    idx = np.arange(len(x))
+    prev, nxt = idx - 1, idx + 1
+    prev[first], nxt[last] = -1, -1
+    vertex = np.ones(len(x), dtype=bool)
+    inner = ~first[1:-1] & ~last[1:-1]
+    gone = idx[1:-1][inner & above(slice(None, -2), slice(1, -1), slice(2, None))]
+    while gone.size:
+        vertex[gone] = False
+        # the deleted nodes fall into runs between two survivors, in list
+        # order: a chain's first and last node always survive
+        lft = prev[gone[vertex[prev[gone]]]]
+        rgt = nxt[gone[vertex[nxt[gone]]]]
+        nxt[lft], prev[rgt] = rgt, lft
+        work = np.stack([lft, rgt], axis=1).ravel()
+        work = work[np.r_[True, work[1:] != work[:-1]] & (prev[work] >= 0) & (nxt[work] >= 0)]
+        gone = work[above(prev[work], work, nxt[work])]
+    return vertex, nxt
+
+
+def _windows(xs: np.ndarray, V: np.ndarray, ys: np.ndarray, fin: np.ndarray):
+    """The nodes ``_legendre`` keeps and the window of them it folds for
+    each dual node, over the rows with a node in ``fin``.
+
+    Returns ``(live, kx, kv, wa, wb)``: the row indices, the kept nodes'
+    ``x`` and ``v`` in row and node order, and ``(rows, m)`` arrays such
+    that ``kx[wa:wb]`` is the window of a row and a dual node.
+    """
+    n, m = V.shape[1], len(ys)
+    flat = np.flatnonzero(fin)
+    row, col = np.divmod(flat, n)
+    x, v = xs[col], V.reshape(-1)[flat]
+    first = np.r_[True, row[1:] != row[:-1]]
+    last = np.r_[first[1:], True]
+    starts = np.flatnonzero(first)
+    size = np.diff(np.append(starts, len(flat)))
+    live = row[starts]
+    L = len(live)
+
+    # the guard T of every row, and every node's gap above its hull edge
+    W = np.maximum.reduceat(np.abs(v), starts)
+    T = 4.0 * _U * (np.abs(xs).max() * np.abs(ys).max() + W) * (1.0 + 2.0**-20) + 2.0**-1072
+    gamma = 2.0**-46 * W
+    vertex, nxt = _lower_hulls(x, v, first, last)
+    vflat = np.flatnonzero(vertex)
+    a = vflat[np.cumsum(vertex) - 1]  # the vertex at or left of each node
+    edge = vflat[nxt[vflat] >= 0]
+    slope = np.zeros(len(x))
+    slope[edge] = (v[nxt[edge]] - v[edge]) / (x[nxt[edge]] - x[edge])
+    gap = v - (v[a] + slope[a] * (x - x[a]))
+    gap[vertex] = 0.0
+    keep = vertex | (gap <= np.repeat(T + gamma, size))
+    D = gamma - np.minimum(np.minimum.reduceat(gap, starts), 0.0)
+    A = (T + D) / np.diff(xs).min(initial=np.inf) * (1.0 + 2.0**-20)
+
+    # for each y_j, the hull vertices from the first after the longest
+    # prefix of edges surely left of y_j to the last before the longest
+    # suffix surely right of it.  Edge k is surely left of y_j from
+    # j = left[k] on and surely right of it before j = right[k]; a running
+    # max (min from the right) over each row makes those prefixes
+    # (suffixes), and running counts over all rows, each row counting its
+    # first vertex in its column 0, turn them into vertex positions
+    er = np.searchsorted(starts, edge, side="right") - 1
+    off = er * (m + 1)
+    s, c = slope[edge], 2.0**-44
+    left = np.searchsorted(ys - c * np.abs(ys), s + (A[er] + c * np.abs(s)), side="right")
+    right = np.searchsorted(ys + c * np.abs(ys), s - (A[er] + c * np.abs(s)), side="left")
+    firsts = np.arange(L) * (m + 1)
+    bounds = []
+    for key in (np.maximum.accumulate(left + off), np.minimum.accumulate((right + off)[::-1])[::-1]):
+        count = np.bincount(np.concatenate([firsts, key]), minlength=L * (m + 1))
+        bounds.append(np.cumsum(count).reshape(L, m + 1)[:, :m])
+    rank = np.cumsum(keep)[vflat]  # kept nodes up to each vertex
+    wa = rank[bounds[0] - 1] - 1  # the window, as positions in the kept nodes
+    wb = rank[bounds[1] - 1]
+    return live, x[keep], v[keep], wa, wb
+
+
 def _legendre(xs: np.ndarray, V: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Discrete transform of every row: ``out[r, j] = max_i xs_i * ys_j - V[r, i]``.
 
-    Each term is ``fl(fl(xs_i * ys_j) - V[r, i])``, folded in node order
-    ``i`` as the dense per-row ``(n, m)`` table reduced along its first
-    axis is: numpy's ``maximum`` keeps the later operand on a tie, so
-    ties of ``0.0`` and ``-0.0`` resolve as there.
+    The result has the bits of the dense fold of all ``n * m`` terms
+    ``t_i = fl(fl(xs_i * ys_j) - V[r, i])`` in node order: of the nodes
+    attaining the largest term the last one gives the bits, as
+    ``np.maximum``, which returns its second operand on a tie, folds them.
+    So a tie of ``0.0`` and ``-0.0`` resolves by position, never by SIMD
+    dispatch.  Only the terms that rounding could make the largest are
+    evaluated.  ``xs`` and ``ys`` increase and ``V`` holds no NaN; a row
+    with a ``-inf`` node is ``+inf`` everywhere and a row without a finite
+    node ``-inf``, as their dense folds are.
+
+    Why the pruning keeps the bits.  Fix a row and a dual node ``y``; let
+    ``e_i = x_i y - v_i`` be the exact terms over the finite nodes and
+    ``u = 2**-53``.
+
+    1. ``|t_i - e_i| <= u |x_i y| + u |fl(x_i y) - v_i| + 2**-1074
+       <= (2u + u**2)(X Y + W) + 2**-1074``, with ``X = max |xs|``,
+       ``Y = max |ys|`` and ``W`` the row's largest finite ``|v_i|`` (the
+       product underflows by at most ``2**-1075``; a subnormal difference
+       is exact).  The guard ``T = 4u (X Y + W)(1 + 2**-20) + 2**-1072``
+       exceeds twice that, so ``e_k - e_i > T`` implies ``t_k > t_i``.
+       If every pruned node ``i`` has a kept node ``k`` with
+       ``e_k - e_i > T``, every node attaining the largest term is kept,
+       and the kept nodes folded in node order give the same last one.
+    2. Let ``h`` interpolate the chain of vertices from ``_lower_hulls``
+       (for the proof any chain from the row's first to its last finite
+       node will do; the lower hull only makes the kept sets small) and
+       ``g_i = v_i - h(x_i)``.  A node between vertices ``a`` and ``b``
+       has ``e_i = (1 - l) e_a + l e_b - g_i <= max(e_a, e_b) - g_i``.
+       The computed gap is within ``gamma = 2**-46 W`` of ``g_i`` (a few
+       roundings of quantities of size at most ``2 W``), so a node whose
+       computed gap exceeds ``T + gamma`` is dominated by ``T`` by a
+       vertex beside it, and is not eligible.  ``D``, ``gamma`` minus the
+       least computed gap (or ``gamma``), bounds ``-g_i`` from above.
+    3. On hull edge ``k`` the function ``E(x) = x y - h(x)`` has slope
+       ``y - s_k``.  Let ``p`` be a vertex such that every edge left of
+       it has ``y - s_k > A = (T + D) / Delta``, with ``Delta`` the least
+       spacing of ``xs``.  A node ``i`` left of ``p`` is at least
+       ``Delta`` away, so ``e_p - e_i = E(x_p) - E(x_i) + g_i >
+       Delta A - D = T``; the same holds to the right.  The test of an
+       edge compares its computed slope with slack ``2**-44 (|s_k| +
+       |y|)`` and ``A`` carries a factor ``1 + 2**-20``; both exceed the
+       few roundings in ``s_k``, ``A`` and the comparison.
+
+    So for ``y_j`` the fold keeps the eligible nodes from the first
+    vertex after the longest prefix of edges surely left of ``y_j`` to
+    the last vertex before the longest suffix of edges surely right of
+    it.  Both vertices exist, and between them lies the exact maximum.
     """
-    rows, n = V.shape
-    m = len(ys)
-    if m == 1:
-        # a one-column table reduces as a contiguous vector
-        return (xs * ys[0] - V).max(axis=1, keepdims=True)
-    # fold `step` primal nodes per pass, about 2**14 terms (128 KiB) a
-    # block, so one row on a long grid takes few passes; a block reduced
-    # along its first axis folds in node order too
-    step = max(1, 2**14 // (rows * m))
-    out = np.full((rows, m), -np.inf)
-    for s in range(0, n, step):
-        terms = xs[s:s + step, None, None] * ys - V[:, s:s + step].T[:, :, None]
-        np.maximum(out, terms.max(axis=0) if step > 1 else terms[0], out=out)
+    neg = V.min(axis=1) == -np.inf
+    out = np.where(neg, np.inf, -np.inf)[:, None].repeat(len(ys), axis=1)
+    # rows go in blocks of about _BLOCK nodes and _BLOCK windows, which
+    # bounds every temporary
+    rows = max(1, _BLOCK // max(V.shape[1], len(ys)))
+    for r in range(0, len(V), rows):
+        fin = np.isfinite(V[r:r + rows])
+        fin[neg[r:r + rows]] = False
+        if fin.any():
+            live, *windows = _windows(xs, V[r:r + rows], ys, fin)
+            out[r + live] = _fold(*windows, ys)
     return out
+
+
+def _fold(kx: np.ndarray, kv: np.ndarray, wa: np.ndarray, wb: np.ndarray, ys: np.ndarray):
+    """Fold every window of ``_windows`` in node order, the last node
+    attaining the maximum giving the bits.
+
+    A one-node window is its first term; a longer one is padded to the
+    next power of two by repeating its last node, and windows of one
+    padded length fold in blocks of about ``_BLOCK`` terms along the
+    first axis.
+    """
+    res = kx[wa] * ys - kv[wa]
+    wide = np.flatnonzero(wb - wa > 1)
+    wide_cls = np.frexp(wb.flat[wide] - wa.flat[wide] - 1)[1]
+    for e in np.flatnonzero(np.bincount(wide_cls)):
+        sel = wide[wide_cls == e]
+        j = np.arange(1 << int(e))[:, None]
+        step = max(1, _BLOCK >> int(e))
+        for i in range(0, len(sel), step):
+            ws = sel[i:i + step]
+            pos = np.minimum(wa.flat[ws] + j, wb.flat[ws] - 1)
+            t = kx[pos] * ys[ws % len(ys)] - kv[pos]
+            res.flat[ws] = t[((t == t.max(axis=0)) * j).max(axis=0), np.arange(len(ws))]
+    return res
 
 
 def conjugate(f, dual_grid: Grid) -> GridFn:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
+from functools import lru_cache
 from itertools import chain
 from json.decoder import scanstring
 
@@ -385,9 +386,17 @@ _SECTIONS = {
 _INF_TEXT = {"inf": '"+inf"', "-inf": '"-inf"'}
 
 
+@lru_cache(maxsize=64)
+def _row_template(n: int) -> str:
+    return ", ".join(["%.17g"] * n)
+
+
 def _fmt_floats(xs) -> str:
-    """Comma-joined 17-digit renderings, infinities as their sentinels."""
-    text = ", ".join(map("%.17g".__mod__, xs))
+    """Comma-joined 17-digit renderings, infinities as their sentinels.
+
+    One ``%`` renders the whole row through a template cached per row
+    length."""
+    text = _row_template(len(xs)) % tuple(xs)
     if "n" in text:  # only "inf" and "nan" spell an n
         parts = text.split(", ")
         if "nan" in parts:

@@ -871,9 +871,16 @@ class TestSublinearSupport:
 
 
 def ref_legendre_1d(xs, vals, ys):
-    """The dense per-atom transform: the full ``(n, m)`` term table."""
+    """The dense per-atom transform: the full ``(n, m)`` term table folded
+    row by row in node order.  ``np.maximum`` returns its second operand on
+    a tie, so the last node attaining the maximum gives the bits, with one
+    dual node as with many (a contiguous ``max`` would leave the sign of a
+    ``0.0``/``-0.0`` tie to the SIMD dispatch)."""
     terms = xs[:, None] * ys[None, :] - vals[:, None]
-    return terms.max(axis=0)
+    out = terms[0].copy()
+    for row in terms[1:]:
+        np.maximum(out, row, out=out)
+    return out
 
 
 def ref_conjugate(f, dual):
@@ -1050,8 +1057,6 @@ def same_bytes(a, b):
 
 
 PRIMAL = Grid((-2.0,), (2.0,), (0.25,))  # 17 nodes
-# the kernel folds blocks of about 2**14 terms: with 8 rows the 2 049-node
-# grid takes one primal node a block and the 129-node grid two blocks
 DUALS = {
     "more_dual_nodes": Grid((-4.0,), (4.0,), (0.125,)),
     "many_dual_nodes": Grid((-4.0,), (4.0,), (1 / 256,)),
@@ -1169,6 +1174,145 @@ class TestStackedGridKernels:
         f = GridFn(space2, g, np.array([[0.0, 1.0, np.inf, 13.0, 12.0],
                                         [np.inf, 0.0, 2.0, np.inf, np.inf]]))
         assert default_dual_grid(f, nodes=5).maxs == (7.0,)
+
+
+def ref_legendre(xs, V, ys):
+    """``ref_legendre_1d`` row by row, for the stacked kernel's inputs."""
+    return np.array([ref_legendre_1d(xs, row, ys) for row in V]).reshape(len(V), len(ys))
+
+
+def workload_rows(rng, K, xs):
+    """Rows shaped like the benchmark's grid functions: a quadratic plus a
+    kink and a tilt, half of them with a sine on top, every fourth with
+    ``+inf`` outside an interval, rounded to six decimals."""
+    V = np.empty((K, len(xs)))
+    for k in range(K):
+        m1, m2 = rng.uniform(-1.0, 1.0, 2)
+        v = rng.uniform(0.5, 3.0) * (xs - m1) ** 2 + rng.uniform(0.0, 2.0) * np.abs(xs - m2)
+        v += rng.uniform(-1.0, 1.0) * xs
+        if k % 2:
+            v += rng.uniform(0.5, 1.0) * np.sin(rng.uniform(6.0, 10.0) * xs + rng.uniform(0, 6.3))
+        if k % 4 == 3:
+            v[(xs < rng.uniform(-1.8, -0.6)) | (xs > rng.uniform(0.6, 1.8))] = np.inf
+        V[k] = (v * 4.0).round(6)
+    return V
+
+
+def near_tie_rows(rng, K):
+    """Rows within a few ulps of one line, seen from dual nodes around its
+    slope: the largest terms are decided by rounding alone."""
+    xs = 1024.0 + 0.001 * np.arange(int(rng.integers(3, 9)))
+    y0 = 1.0 + rng.uniform(0.0, 1e-4)
+    ys = y0 + 5e-11 * np.arange(-40, 41)
+    noise = rng.uniform(0.0, 8 * 2.0**-53 * 1024.0 * y0, size=(K, len(xs)))
+    return xs, (xs - 1024.0) * y0 + noise, ys
+
+
+class TestPrunedLegendre:
+    """The pruned fold against the dense per-atom fold, byte for byte, on
+    the inputs where pruning could go wrong: exact ties and signed zeros,
+    slopes equal to dual nodes, ``+inf`` carriers, rows without a finite
+    node, scaled rows and ties decided by rounding."""
+
+    def test_conjugate_chain_on_the_default_dual_grid(self, rng):
+        K, grid = 16, Grid((-2.0,), (2.0,), (0.02,))
+        f = GridFn(MeasureSpace(np.ones(K)), grid, workload_rows(rng, K, grid.axis(0)))
+        dual = default_dual_grid(f)
+        assert dual.shape[0] > 1000
+        for target in (dual, grid, dual):
+            want = ref_conjugate(f, target)
+            f = conjugate(f, target)
+            assert same_bytes(f.values, want)
+
+    def test_signed_zero_ties_from_integer_data(self, rng):
+        xs, ys = np.arange(-3.0, 4.0), np.arange(-4.0, 5.0)
+        V = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 3.0], size=(200, len(xs)))
+        got = functions._legendre(xs, V, ys)
+        assert same_bytes(got, ref_legendre(xs, V, ys))
+        zeros = got[got == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_carriers_single_nodes_and_rows_without_finite_nodes(self, rng):
+        xs, ys = PRIMAL.axis(0), DUALS["more_dual_nodes"].axis(0)
+        V = seeded_rows(rng, 12, xs)
+        V[4] = np.inf
+        V[5, :] = np.inf
+        V[5, 7] = -0.0  # one finite node
+        V[6, :] = np.inf
+        V[6, 16] = 3.0  # one finite node, at the end
+        V[7, 3] = -np.inf  # a -inf node makes the row +inf
+        got = functions._legendre(xs, V, ys)
+        assert same_bytes(got, ref_legendre(xs, V, ys))
+        assert np.isneginf(got[4]).all() and np.isposinf(got[7]).all()
+        assert same_bytes(functions._legendre(xs, np.full((3, 17), np.inf), ys),
+                          np.full((3, len(ys)), -np.inf))
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_2d_rows_without_finite_nodes(self, K, rng):
+        # whole x1-slices at +inf give inner rows of -inf, which the second
+        # pass reads as +inf nodes
+        g = Grid((-1.0, -1.5), (1.0, 1.5), (0.5, 0.25))
+        V = rng.integers(-2, 3, size=(K,) + g.shape).astype(float)
+        V[:, ::2, :] = np.inf
+        V[:, 1, rng.random(g.shape[1]) < 0.5] = np.inf
+        f = GridFn(MeasureSpace(np.ones(K)), g, V)
+        for dual in (Grid((-2.0, -2.0), (2.0, 2.0), (1.0, 0.5)), Grid((0.0, -1.0), (0.0, 1.0), (1.0, 1.0))):
+            assert same_bytes(conjugate(f, dual).values, ref_conjugate(f, dual))
+
+    @pytest.mark.parametrize("dual_step", [1.0, 0.5, 0.25, 1 / 64])
+    def test_slopes_equal_to_dual_nodes(self, dual_step, rng):
+        # piecewise-linear rows with integer slopes between kinks at random
+        # nodes: every slope is a dual node, and whole pieces tie there
+        xs = PRIMAL.axis(0)
+        piece = np.cumsum(rng.random((24, len(xs) - 1)) < 0.3, axis=1)
+        slopes = rng.integers(-4, 5, size=(24, len(xs)))[np.arange(24)[:, None], piece]
+        slopes[::2] = np.sort(slopes[::2], axis=1)  # convex rows and others in turn
+        V = np.concatenate([np.zeros((24, 1)), (slopes * 0.25).cumsum(axis=1)], axis=1)
+        ys = np.arange(-8.0, 8.0 + dual_step / 2, dual_step)
+        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+        assert same_bytes(functions._legendre(xs, -V[:, ::-1], ys), ref_legendre(xs, -V[:, ::-1], ys))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_non_convex_rows(self, seed):
+        rng = np.random.default_rng([17, seed])
+        n, m = int(rng.integers(2, 60)), int(rng.integers(1, 90))
+        xs = np.sort(rng.uniform(-3.0, 3.0, n)) if seed % 2 else np.linspace(-1.0, 2.0, n)
+        ys = np.sort(rng.normal(size=m) * 4.0)
+        V = rng.normal(size=(30, n)) * rng.choice([1e-3, 1.0, 50.0], size=(30, 1))
+        V[rng.random(V.shape) < 0.15] = np.inf
+        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+
+    @pytest.mark.parametrize("j", range(-20, 41, 4))
+    def test_rows_scaled_by_powers_of_two(self, j, rng):
+        xs, ys = PRIMAL.axis(0), DUALS["129_dual_nodes"].axis(0)
+        V = seeded_rows(rng, 8, xs) * 2.0**j
+        got = functions._legendre(xs, V, ys)
+        assert same_bytes(got, ref_legendre(xs, V, ys))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_decided_by_rounding(self, seed):
+        # a copy of the fold with its guard or its slope tolerance shrunk
+        # 4x, or with no slope tolerance or no near-hull nodes, fails here
+        xs, V, ys = near_tie_rows(np.random.default_rng([19, seed]), 64)
+        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+
+    def test_one_dual_node_bytes_do_not_depend_on_dispatch(self, both_dispatch_levels):
+        default, reduced = both_dispatch_levels(_ONE_NODE_TIE_SCRIPT)
+        assert default == reduced
+        assert any(line.split()[1] != "0" for line in default)
+
+
+_ONE_NODE_TIE_SCRIPT = """
+import hashlib
+import numpy as np
+from stratalg import Grid, GridFn, MeasureSpace, conjugate
+space = MeasureSpace(np.ones(64))
+grid = Grid((-4.0,), (-0.25,), (0.25,))  # x < 0, so x * 0.0 is -0.0
+for seed in range(8):
+    V = np.random.default_rng(seed).choice([0.0, -0.0, 1.0, 2.0], (64, 16))
+    out = conjugate(GridFn(space, grid, V), Grid((0.0,), (0.0,), (1.0,))).values
+    print(hashlib.sha256(out.tobytes()).hexdigest(), int(np.signbit(out).sum()))
+"""
 
 
 def locality_outputs(op, V, W, dual):

@@ -156,6 +156,25 @@ def test_emit_matches_reference(seed):
     assert emit_document(doc) == ref_emit(doc, 0) + "\n"
 
 
+def long_rows(rng, k: int, n: int) -> np.ndarray:
+    """``k`` rows of ``n`` floats with ``+-inf``, ``+-0.0`` and extremes
+    scattered through them, as grid function documents hold."""
+    rows = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-300, 300, size=(k, n))
+    special = rng.random((k, n)) < 0.1
+    rows[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 201, 2401])
+def test_emit_of_long_rows_matches_reference(n):
+    rng = np.random.default_rng([13, n])
+    rows = long_rows(rng, 4, n)
+    rows[0, :3] = [np.inf, -np.inf, np.inf][:n]  # sentinels at a row's start
+    rows[1, -1] = -np.inf  # and at its end
+    doc = {"values": rows, "row": rows[2].tolist(), "mixed": [rows[3].tolist(), list(rows[3, :1])]}
+    assert emit_document(doc) == ref_emit(doc, 0) + "\n"
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -165,6 +184,8 @@ def test_emit_matches_reference(seed):
         np.float64("nan"),
         float("nan"),
         [1, float("nan")],
+        np.where(np.arange(2401) == 1700, np.nan, np.arange(2401.0)),  # deep in a long row
+        np.where(np.arange(201) == 0, np.nan, np.inf),  # among infinities
     ],
 )
 def test_emit_rejects_nan_as_reference(value):

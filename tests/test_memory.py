@@ -2,7 +2,9 @@
 
 The ops loop over generator index or horizon position with all atoms at
 once.  A temporary over pairs of positions, such as a ``(K, T, T, d)``
-difference tensor, is about ``T`` times the input and fails here.
+difference tensor, is about ``T`` times the input and fails here.  The
+discrete Legendre transform works through its rows in blocks, so its
+temporaries stay a few MB however many rows it gets.
 
 Reading a scenario decodes only the entries a command reads: its peak is
 the text read plus one entry, well below a read that decodes every entry
@@ -24,6 +26,7 @@ from stratalg import (
     orthonormalize,
     rank_partition,
 )
+from stratalg.functions import _legendre
 from stratalg.io import build_scenario, load_document
 
 K, T, D = 2000, 16, 5
@@ -83,3 +86,16 @@ def test_reading_one_entry_peak(tmp_path):
     # reading text holds the file's bytes and its decoded text at once
     assert one <= 2 * len(text) + 2**20
     assert one <= 0.65 * peak_bytes(whole)
+
+
+@pytest.mark.parametrize("m", [201, 4401])
+def test_legendre_peak(m):
+    # 256 rows of 4 401 nodes, 9 MB of input: unblocked, the hull's flat
+    # arrays alone would take ten times that
+    rng = np.random.default_rng(2002)
+    xs = np.linspace(-20.0, 20.0, 4401)
+    V = np.cumsum(rng.normal(size=(256, 4401)), axis=1) * 0.01 + xs**2
+    V[::4, :1000] = np.inf
+    ys = np.linspace(-2.0, 2.0, m)
+    out_bytes = V.shape[0] * m * 8
+    assert peak_bytes(lambda: _legendre(xs, V, ys)) <= 2**24 + 2 * out_bytes

@@ -676,11 +676,29 @@ def test_nnls_without_columns_returns_the_residual_of_b():
 
 
 def test_cli_import_leaves_scipy_optimize_out():
+    # the cores load on the first LP or QP, never at import
     run_fresh("""
         import sys
         import stratalg.cli
+        from stratalg import _solvers
+        cores = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib")
+        assert not any(name in sys.modules for name in cores), "a core loaded at import"
+        model = _solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        assert _solvers.solve_lp(model, [1.0, 2.0]).status == 0
+        assert all(name in sys.modules for name in cores)
         assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
-        assert "scipy.optimize._highspy._core" in sys.modules
+    """)
+
+
+def test_first_nnls_loads_the_cores():
+    run_fresh("""
+        import sys
+        import numpy as np
+        from stratalg import _solvers
+        assert "scipy.optimize._slsqplib" not in sys.modules
+        assert _solvers.nnls(np.eye(2), np.array([1.0, -1.0]), 10)[0].tolist() == [1.0, 0.0]
+        assert "scipy.optimize._slsqplib" in sys.modules
+        assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
     """)
 
 
