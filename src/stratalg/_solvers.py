@@ -1,11 +1,12 @@
-"""Per-atom polyhedral subproblem solvers.
+"""Polyhedral subproblem solvers: per-atom LPs and one stacked QP.
 
-Everything here is classical finite-dimensional numerics applied one
-atom at a time; no conditional structure enters.  The quadratic solver
-is a nonnegative least squares pass (Lawson-Hanson, an exact active-set
-method) followed by a KKT polish on the identified support, so solutions
-of the small nearest-point problems are accurate to linear-solve
-roundoff and fully deterministic.
+Everything here is classical finite-dimensional numerics; no conditional
+structure enters.  The quadratic solver is a nonnegative least squares
+pass (Lawson-Hanson, an exact active-set method) followed by a KKT polish
+on the identified support, so solutions of the small nearest-point
+problems are accurate to linear-solve roundoff and fully deterministic.
+It takes a stack of atoms that share one problem shape: one call solves a
+whole stratum, with the bits that each atom gets when solved alone.
 
 Both compiled cores come from scipy's private modules, loaded from their
 files by ``_load_scipy_extension``: the HiGHS solver
@@ -22,8 +23,15 @@ later ``import scipy.optimize`` in the same process reuses the same
 module objects, and one loaded earlier is reused here.  (When this
 module loaded them first, only their attributes on the parent packages
 stay unset; ``from``-imports find them in ``sys.modules``.)
-``nnls`` keeps the checks of scipy's wrapper of the same name and gives
-bit-identical results.
+``nnls`` runs the compiled solver once per item of a stack, keeps the
+checks of scipy's wrapper of the same name and gives bit-identical
+results; where scipy raises on an exhausted iteration budget it flags the
+item.  The KKT polish solves through numpy's private least-squares
+gufunc, the one ``np.linalg.lstsq`` calls per system, pinned at import as
+``_LSTSQ`` (``lstsq`` in numpy 2, ``lstsq_m`` in numpy 1); a numpy without
+it fails the import with an ``ImportError`` that names the numpy
+version.  ``test_solvers`` checks both cores and the gufunc against
+scipy's and numpy's own wrappers bit for bit.
 
 Linear programs go to HiGHS one LP per call.  Kept from
 ``scipy.optimize.linprog(method="highs")``: the model handed to HiGHS,
@@ -50,13 +58,18 @@ a fault, and ``per_atom`` raises one ``SolverError`` for all such atoms.
 Every LP over a set in V-representation,
 ``conv(points) + cone(rays) + span(lines)``, here and in ``functions``,
 takes its generator columns, its ``sum lam = 1`` row and its bounds from
-``vrep_block``, and so does the nearest-point QP: all of them share one
-column layout.  ``min_norm_point`` is the one nearest-point QP entry;
-every caller, the minimal-norm subgradient and the dominated extension
-included, goes through it to ``cone_least_squares``.  It also answers
-every distance verdict: set membership and the dominated extension's
-feasibility check read the Euclidean norm of a nearest point, so no LP
-measures how far a point is from a set.
+``vrep_block``, and the nearest-point QP lays out its columns in the same
+order.  ``min_norm_point`` is the one nearest-point QP entry: every
+caller, the minimal-norm subgradient and the dominated extension
+included, passes it the ``(K, ., d)`` stacks of one stratum (atoms with
+the same generator counts) and gets one ``cone_least_squares`` call.  It
+also answers every distance verdict: set membership and the dominated
+extension's feasibility check read the Euclidean norm of a nearest
+point, so no LP measures how far a point is from a set.  A QP result
+holds per-atom ``point`` and ``coeffs`` rows and the mask ``kkt_fail`` of
+atoms whose polished solution is not a KKT point; ``kkt_ok`` is the plain
+``bool`` that no atom failed.  No caller reads either yet (ROADMAP item
+1).
 """
 
 from __future__ import annotations
@@ -100,6 +113,24 @@ def _load_scipy_extension(name: str) -> ModuleType:
     sys.modules[name] = module
     return module
 
+
+def _pin_lstsq():
+    """numpy's private least-squares gufunc, the one ``np.linalg.lstsq``
+    calls: ``lstsq`` since numpy 2.0, and ``lstsq_m`` before, which served
+    ``m <= n`` and so every square system.  Missing, it raises an
+    ``ImportError`` that names the numpy version."""
+    try:
+        from numpy.linalg import _umath_linalg
+    except ImportError:
+        _umath_linalg = None
+    gufunc = getattr(_umath_linalg, "lstsq", None) or getattr(_umath_linalg, "lstsq_m", None)
+    if gufunc is None:
+        raise ImportError(f"numpy {np.__version__} has no least-squares gufunc "
+                          "numpy.linalg._umath_linalg.lstsq (or lstsq_m)")
+    return gufunc
+
+
+_LSTSQ = _pin_lstsq()
 
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
@@ -295,30 +326,59 @@ def per_atom(atoms: np.ndarray, solve, what: str) -> list:
     return out
 
 
-def nnls(A, b, maxiter: int) -> tuple[np.ndarray, float]:
-    """``argmin |A x - b|`` over ``x >= 0`` and its residual norm, as
-    ``scipy.optimize.nnls``: a NaN or inf entry raises ``ValueError`` and
-    running out of ``maxiter`` iterations raises ``RuntimeError``.  With
-    no columns the answer is the empty ``x`` and ``|b|``; the compiled
-    solver would abort the interpreter on that input."""
+def nnls(A, b, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scipy.optimize.nnls`` on every item of a stack: ``x[k] = argmin
+    |A[k] x - b[k]|`` over ``x >= 0``, its residual norm ``rnorm[k]``, and
+    ``gave_up[k]`` where ``maxiter`` iterations ran out (scipy raises
+    ``RuntimeError`` there).  A NaN or inf entry anywhere in the stack
+    raises ``ValueError``, as scipy does.  Items without columns answer
+    the empty ``x`` and ``|b[k]|``; the compiled solver would abort the
+    interpreter on that input."""
     A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
     b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
-    if A.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
+    K, _, n = A.shape
+    x, gave_up = np.zeros((K, n)), np.zeros(K, dtype=bool)
+    if not n:
+        return x, np.linalg.norm(b, axis=1), gave_up
     _load_cores()
-    x, rnorm, info = _slsqplib.nnls(A, b, maxiter)
-    if info == 3:
-        raise RuntimeError("Maximum number of iterations reached.")
-    return x, rnorm
+    solve, rnorm = _slsqplib.nnls, np.empty(K)
+    for k in range(K):
+        x[k], rnorm[k], info = solve(A[k], b[k], maxiter)
+        gave_up[k] = info == 3
+    return x, rnorm, gave_up
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a[k], b[k], rcond=None)[0]`` for every item of a
+    stack of square systems, through the one gufunc call that
+    ``np.linalg.lstsq`` makes per system, with its ``rcond`` and error
+    state: LAPACK ``gelsd`` runs per item, so the bits are the per-system
+    call's, and an SVD that does not converge raises ``LinAlgError``."""
+    n = a.shape[-1]
+    if not n:
+        return np.zeros(b.shape)
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _LSTSQ(a, b, np.finfo(np.float64).eps * n, signature="ddd->ddid")[0]
 
 
 @dataclass
 class QPSolution:
-    """Solution of ``min |G^T w|^2`` s.t. ``E w = e``, ``w_i >= 0`` on a prefix."""
+    """Per-atom solutions of ``min |G^T w|^2`` s.t. ``E w = e``, ``w_i >= 0``
+    on a prefix, atom axis first."""
 
-    point: np.ndarray        # the minimizing combination G^T w
-    coeffs: np.ndarray       # w in the original variable order
-    kkt_ok: bool             # True when the polished w is primal and dual feasible
+    point: np.ndarray        # (K, d): the minimizing combinations G^T w
+    coeffs: np.ndarray       # (K, n): w in the original variable order
+    kkt_fail: np.ndarray     # (K,) bool: the polished w is not primal and dual feasible
+
+    @property
+    def kkt_ok(self) -> bool:
+        """True when no atom failed the KKT check."""
+        return not self.kkt_fail.any()
 
 
 def cone_least_squares(
@@ -327,74 +387,113 @@ def cone_least_squares(
     eq_mat: np.ndarray,
     eq_rhs: np.ndarray,
 ) -> QPSolution:
-    """Minimize ``|gens^T w|`` subject to ``eq_mat w = eq_rhs`` and
-    ``w_i >= 0`` for the first ``nonneg`` coefficients.
+    """Minimize ``|gens[k]^T w|`` subject to ``eq_mat[k] w = eq_rhs[k]`` and
+    ``w_i >= 0`` for the first ``nonneg`` coefficients, on every atom ``k``
+    of the ``(K, n, d)``, ``(K, m, n)`` and ``(K, m)`` stacks.
 
-    ``gens`` has one generator per row, in ``vrep_block``'s order: points,
-    then rays (the nonnegative prefix), then lines (free).  A penalized
-    NNLS pass on split variables (the free coefficients as differences
-    of two nonnegative ones) guesses the support; each polish round then
-    solves the equality-constrained least squares on the support exactly,
-    drops the most negative nonnegative coefficient, or else adds the
-    excluded column whose dual most violates the KKT conditions.  Should
-    ``nnls`` give up (no seeded input has reached this fallback), the
-    polish starts from every column instead, an active-set cold start.
-    ``kkt_ok`` needs dual feasibility and ``|eq_mat w - eq_rhs|`` of at
-    most ``1e-9 * max(1, |eq_rhs|)`` in the sup norm.
+    ``gens[k]`` has one generator per row, in ``vrep_block``'s order:
+    points, then rays (the nonnegative prefix), then lines (free).  A
+    penalized NNLS pass on split variables (the free coefficients as
+    differences of two nonnegative ones) guesses each atom's support; each
+    polish round then solves the equality-constrained least squares on the
+    support exactly, drops the most negative nonnegative coefficient, or
+    else adds the excluded column whose dual most violates the KKT
+    conditions (the first index among ties).  Should ``nnls`` give up on an
+    atom (no seeded input has reached this fallback), that atom's polish
+    starts from every column instead, an active-set cold start.  An atom
+    whose rounds end without a KKT point, on the round budget or an
+    emptied support, keeps the last point a round polished without a
+    drop, or the NNLS guess if no round did.  ``kkt_fail[k]`` is set unless the result is dual feasible and
+    ``|eq_mat[k] w - eq_rhs[k]|`` is at most ``1e-9 * max(1, |eq_rhs[k]|)``
+    in the sup norm.
+
+    The rounds run over the atoms still polishing, grouped by support
+    size: each group builds its KKT systems as one stack and solves them in
+    one ``_lstsq`` call.  Every matrix product is a ``matmul`` whose items
+    have the shape and strides of the per-atom product, so each atom's
+    result has the bits of the same rounds run on that atom alone
+    (``test_solvers`` pins them against a per-atom reference).
     """
     gens = np.asarray(gens, dtype=float)
-    n, d = gens.shape
-    eq_mat = np.asarray(eq_mat, dtype=float).reshape(-1, n)
-    eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
-    pen = _PENALTY * max(np.abs(gens).max(initial=1.0), np.abs(eq_rhs).max(initial=1.0))
+    eq_mat = np.asarray(eq_mat, dtype=float)
+    eq_rhs = np.asarray(eq_rhs, dtype=float)
+    K, n, d = gens.shape
+    m = eq_rhs.shape[1]
+    pen = _PENALTY * np.maximum(np.abs(gens).max(axis=(1, 2), initial=1.0),
+                                np.abs(eq_rhs).max(axis=1, initial=1.0))
 
     # NNLS columns: the nonnegative w_i, then the free ones with + and -.
-    A = np.vstack([np.hstack([gens.T, -gens[nonneg:].T]),
-                   pen * np.hstack([eq_mat, -eq_mat[:, nonneg:]])])
-    b = np.concatenate([np.zeros(d), pen * eq_rhs])
-    on = np.ones(n, dtype=bool)
-    try:
-        w_split, _ = nnls(A, b, maxiter=10 * max(1, A.shape[1]))
-        on[:nonneg] = w_split[:nonneg] > 1e-9 * w_split.max(initial=1.0)
-    except RuntimeError:
-        w_split = np.zeros(A.shape[1])
+    A = np.concatenate([
+        np.concatenate([gens.swapaxes(1, 2), -gens[:, nonneg:].swapaxes(1, 2)], axis=2),
+        pen[:, None, None] * np.concatenate([eq_mat, -eq_mat[:, :, nonneg:]], axis=2),
+    ], axis=1)
+    b = np.concatenate([np.zeros((K, d)), pen[:, None] * eq_rhs], axis=1)
+    w_split, _, gave_up = nnls(A, b, maxiter=10 * max(1, A.shape[2]))
+    w_split[gave_up] = 0.0
+    on = np.ones((K, n), dtype=bool)
+    on[:, :nonneg] = gave_up[:, None] | (
+        w_split[:, :nonneg] > 1e-9 * w_split.max(axis=1, initial=1.0)[:, None])
 
-    opt_tol = 1e-9 * np.sum(gens * gens, axis=1).max(initial=1.0)
-    eq_tol = 1e-9 * np.abs(eq_rhs).max(initial=1.0)
-    best = None
+    opt_tol = 1e-9 * np.sum(gens * gens, axis=2).max(axis=1, initial=1.0)
+    eq_tol = 1e-9 * np.abs(eq_rhs).max(axis=1, initial=1.0)
+    point, coeffs = np.zeros((K, d)), np.zeros((K, n))
+    kkt_fail, found = np.ones(K, dtype=bool), np.zeros(K, dtype=bool)
+    live = np.ones(K, dtype=bool)
     for _ in range(_POLISH_ROUNDS):
-        # KKT system on the support: 2 Q w + E^T lam = 0, E w = e
-        support = np.flatnonzero(on)
-        s, Gs, Es = len(support), gens[support], eq_mat[:, support]
-        kkt = np.zeros((s + len(eq_rhs),) * 2)
-        kkt[:s, :s] = 2.0 * (Gs @ Gs.T)
-        kkt[:s, s:] = Es.T
-        kkt[s:, :s] = Es
-        sol, *_ = np.linalg.lstsq(kkt, np.concatenate([np.zeros(s), eq_rhs]), rcond=None)
-        w = np.zeros(n)
-        w[support] = sol[:s]
-        bad = np.flatnonzero(w[:nonneg] < -1e-11)
-        if bad.size:
-            on[bad[np.argmin(w[bad])]] = False
-            if not on.any():
-                break
-            continue
-        z = gens.T @ w
-        # dual feasibility on the excluded nonnegative coefficients
-        sigma = 2.0 * (gens @ z) + eq_mat.T @ sol[s:]
-        entering = np.flatnonzero(~on[:nonneg] & (sigma[:nonneg] < -opt_tol))
-        coeffs = np.where(np.abs(w) < 1e-15, 0.0, w)
-        primal_ok = np.abs(eq_mat @ coeffs - eq_rhs).max(initial=0.0) <= eq_tol
-        best = QPSolution(point=z, coeffs=coeffs, kkt_ok=bool(primal_ok and not entering.size))
-        if not entering.size:
-            return best
-        on[entering[np.argmin(sigma[entering])]] = True
+        atoms = np.flatnonzero(live)
+        if not atoms.size:
+            break
+        size = on[atoms].sum(axis=1)
+        # the sizes present; np.unique would import numpy.ma, 1.7 MB of peak RSS
+        for s in np.flatnonzero(np.bincount(size)):
+            grp = atoms[size == s]
+            # KKT systems on the supports: 2 Q w + E^T lam = 0, E w = e
+            support = np.nonzero(on[grp])[1].reshape(len(grp), s)
+            G, E = gens[grp], eq_mat[grp]
+            Gs = G[np.arange(len(grp))[:, None], support]
+            Es = np.take_along_axis(E, support[:, None, :], axis=2)
+            kkt = np.zeros((len(grp), s + m, s + m))
+            kkt[:, :s, :s] = 2.0 * (Gs @ Gs.swapaxes(1, 2))
+            kkt[:, :s, s:] = Es.swapaxes(1, 2)
+            kkt[:, s:, :s] = Es
+            rhs = np.zeros((len(grp), s + m, 1))
+            rhs[:, s:, 0] = eq_rhs[grp]
+            sol = _lstsq(kkt, rhs)[:, :, 0]
+            w = np.zeros((len(grp), n))
+            np.put_along_axis(w, support, sol[:, :s], axis=1)
 
-    if best is not None:
-        return best
-    w0 = w_split[:n].copy()
-    w0[nonneg:] -= w_split[n:]
-    return QPSolution(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
+            # the most negative coefficient is below -1e-11 when any is, so
+            # the first one attaining it is the first among the bad ones
+            drop = (w[:, :nonneg] < -1e-11).any(axis=1)
+            if drop.any():
+                k = grp[drop]
+                on[k, w[drop, :nonneg].argmin(axis=1)] = False
+                live[k[~on[k].any(axis=1)]] = False
+
+            keep = ~drop
+            k, G, E, w, lam = grp[keep], G[keep], E[keep], w[keep], sol[keep, s:]
+            z = np.matmul(G.swapaxes(1, 2), w[:, :, None])[:, :, 0]
+            # dual feasibility on the excluded nonnegative coefficients
+            sigma = (2.0 * np.matmul(G, z[:, :, None])[:, :, 0]
+                     + np.matmul(E.swapaxes(1, 2), lam[:, :, None])[:, :, 0])
+            entering = ~on[k, :nonneg] & (sigma[:, :nonneg] < -opt_tol[k, None])
+            c = np.where(np.abs(w) < 1e-15, 0.0, w)
+            primal = np.abs(np.matmul(E, c[:, :, None])[:, :, 0] - eq_rhs[k])
+            enters = entering.any(axis=1)
+            point[k], coeffs[k], found[k] = z, c, True
+            kkt_fail[k] = enters | ~(primal.max(axis=1, initial=0.0) <= eq_tol[k])
+            live[k[~enters]] = False
+            if enters.any():
+                j = np.where(entering[enters], sigma[enters, :nonneg], np.inf).argmin(axis=1)
+                on[k[enters], j] = True
+
+    # atoms on which every round dropped a coefficient return the NNLS guess
+    k = np.flatnonzero(~found)
+    w0 = w_split[k, :n].copy()
+    w0[:, nonneg:] -= w_split[k, n:]
+    point[k] = np.matmul(gens[k].swapaxes(1, 2), w0[:, :, None])[:, :, 0]
+    coeffs[k] = w0
+    return QPSolution(point=point, coeffs=coeffs, kkt_fail=kkt_fail)
 
 
 def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, list]:
@@ -403,8 +502,8 @@ def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, lis
 
     Returns ``cols`` (``d x n``, one column per generator, in the column
     order ``[lam | mu | nu]``), the ``sum lam = 1`` row over those columns
-    and their linprog bounds.  The caller places the block in its LP, or
-    in the nearest-point QP of ``min_norm_point``.
+    and their linprog bounds.  The caller places the block in its LP;
+    ``min_norm_point`` stacks its QP columns in the same order.
     """
     gens = [np.asarray(a, dtype=float).reshape(-1, d) for a in (points, rays, lines)]
     cols = np.vstack(gens).T
@@ -414,20 +513,30 @@ def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, lis
     return cols, simplex_row, [(0, None)] * nonneg + [(None, None)] * len(gens[2])
 
 
-def min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None) -> QPSolution:
-    """Nearest point to the origin of ``conv(points)+cone(rays)+span(lines)``.
+def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None) -> QPSolution:
+    """Nearest point to the origin of ``conv(points[k]) + cone(rays[k]) +
+    span(lines[k])`` on every atom ``k``, one ``cone_least_squares`` call
+    for the stack.
 
-    Optional extra equalities constrain the point ``z`` itself: rows of
-    ``eq_mat`` dot ``z`` must equal ``eq_rhs``.
+    The families are ``(K, ., d)`` stacks; missing ``rays`` or ``lines``
+    mean none.  The columns are in ``vrep_block``'s order, ``[points |
+    rays | lines]``.  Optional extra equalities constrain the point ``z``
+    itself: the ``(K, r, d)`` rows of ``eq_mat`` dot ``z`` must equal the
+    ``(K, r)`` ``eq_rhs``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cols, simplex_row, _ = vrep_block(points, rays, lines, points.shape[1])
-    E, e = [simplex_row[None, :]], [np.array([1.0])]
-    if eq_mat is not None and len(eq_mat):
+    points = np.asarray(points, dtype=float)
+    K, p, d = points.shape
+    fams = [np.zeros((K, 0, d)) if a is None else np.asarray(a, dtype=float)
+            for a in (rays, lines)]
+    gens = np.concatenate([points, *fams], axis=1)
+    E = np.zeros((K, 1, gens.shape[1]))
+    E[:, 0, :p] = 1.0
+    e = np.ones((K, 1))
+    if eq_mat is not None and np.shape(eq_mat)[1]:
         # <u_i, cols w> = c_i is linear in the coefficients w
-        E.append(np.asarray(eq_mat, dtype=float) @ cols)
-        e.append(np.asarray(eq_rhs, dtype=float))
-    return cone_least_squares(cols.T, len(points) + len(rays), np.vstack(E), np.concatenate(e))
+        E = np.concatenate([E, np.matmul(eq_mat, gens.swapaxes(1, 2))], axis=1)
+        e = np.concatenate([e, eq_rhs], axis=1)
+    return cone_least_squares(gens, p + fams[0].shape[1], E, e)
 
 
 def positivity_margin(

@@ -699,10 +699,13 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
                 "point must be relatively interior to the domain", ~ok.mask
             )
     active = f.active_at(x0)
-    K = f.space.natoms
-    rep = np.empty((K, f.dim))
-    for k in range(K):
-        rep[k] = min_norm_point(f.slopes[k][active[k]]).point
+    count = active.sum(axis=1)
+    rep = np.empty((f.space.natoms, f.dim))
+    # one stacked QP per active count, over each atom's active slopes
+    for c in np.flatnonzero(np.bincount(count)):
+        grp = np.flatnonzero(count == c)
+        pieces = np.nonzero(active[grp])[1].reshape(len(grp), c)
+        rep[grp] = min_norm_point(f.slopes[grp[:, None], pieces]).point
     return SubdifferentialRep(
         point=x0,
         active=active,

@@ -19,6 +19,7 @@ first accessed, with the entries it names, and then cached.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Mapping
 from functools import lru_cache
@@ -405,6 +406,34 @@ def _fmt_floats(xs) -> str:
     return text
 
 
+# Floats per block template: the template, the argument tuple and the
+# rendered text of one chunk stay well under 1 MB.
+_BLOCK_FLOATS = 1 << 15
+
+
+def _fmt_rows(rows: list, n: int, indent: int) -> str:
+    """Comma-joined bracketed rows of ``n`` entries each.
+
+    The rows go in chunks of about ``_BLOCK_FLOATS`` entries.  A chunk
+    whose entries are all finite floats renders through one ``%`` with a
+    block template built for it; a sum of floats is finite only when every
+    term is, so one ``sum`` checks the whole chunk first (a sum that
+    overflows sends finite rows to the row path, which renders the same
+    text).  Any other chunk, with infinities, NaN or non-floats, renders
+    row by row."""
+    step = max(1, _BLOCK_FLOATS // n)
+    row = "[" + _row_template(n) + "]"
+    parts = []
+    for i in range(0, len(rows), step):
+        chunk = rows[i:i + step]
+        flat = list(chain.from_iterable(chunk))
+        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+            parts.append(", ".join([row] * len(chunk)) % tuple(flat))
+        else:
+            parts.append(", ".join(_emit(e, indent) for e in chunk))
+    return ", ".join(parts)
+
+
 def _emit(v, indent: int) -> str:
     pad = "  " * indent
     if isinstance(v, dict):
@@ -421,6 +450,8 @@ def _emit(v, indent: int) -> str:
             return "[" + _fmt_floats(v) + "]"
         if types == {int}:
             return "[" + ", ".join(map(str, v)) + "]"
+        if types == {list} and v[0] and len(set(map(len, v))) == 1:
+            return "[" + _fmt_rows(v, len(v[0]), indent) + "]"
         return "[" + ", ".join(_emit(e, indent) for e in v) + "]"
     if isinstance(v, np.ndarray):
         return _emit(v.tolist(), indent)

@@ -227,9 +227,10 @@ def membership(
     """Atoms of the region on which ``x`` belongs to the set.
 
     Per atom, the Euclidean distance from ``x`` to the set, the norm of
-    ``min_norm_point`` over the generators shifted by ``-x``, must not
-    exceed ``FEAS_TOL`` scaled by the atom's magnitudes.  A discrete
-    representation is an exact row comparison in the sup norm instead.
+    ``min_norm_point`` over the generators shifted by ``-x`` (one stacked
+    call for the region's atoms), must not exceed ``FEAS_TOL`` scaled by
+    the atom's magnitudes.  A discrete representation is an exact row
+    comparison in the sup norm instead.
     """
     _check_space(x, rep)
     space = rep.space
@@ -241,9 +242,9 @@ def membership(
     if rep.discrete:
         gap = np.abs(rep.points - x.values[:, None, :]).max(axis=2).min(axis=1)
         return MeasurableSet(space, inside & (gap <= cutoff))
-    for k in np.flatnonzero(inside):
-        z = min_norm_point(rep.points[k] - x.values[k], rep.rays[k], rep.lines[k]).point
-        inside[k] = np.linalg.norm(z) <= cutoff[k]
+    k = np.flatnonzero(inside)
+    z = min_norm_point(rep.points[k] - x.values[k, None], rep.rays[k], rep.lines[k]).point
+    inside[k] = np.sqrt(_dot(z, z)) <= cutoff[k]
     return MeasurableSet(space, inside)
 
 
@@ -261,45 +262,47 @@ def nearest_pair(
 
     The second set must be bounded.  The difference of the minimizers is
     the unique shortest vector between the sets on each atom; the pair
-    itself is pinned down by the deterministic active-set solve.
+    itself is pinned down by the deterministic active-set solve.  Against
+    a discrete set, one stacked QP covers every atom and discrete point
+    ``q``; an atom keeps the first ``q`` whose distance no later one beats
+    by more than 1e-15.
     """
     _check_space(c, d)
     if c.dim != d.dim:
         raise ShapeError("sets must share a dimension")
     _bounded_or_raise(d, "the second set")
     space, K = c.space, c.space.natoms
-    xs, ys = np.empty((K, c.dim)), np.empty((K, c.dim))
     if c.discrete and d.discrete:
         dist = np.linalg.norm(c.points[:, :, None, :] - d.points[:, None, :, :], axis=3)
         i, j = np.divmod(dist.reshape(K, -1).argmin(axis=1), d.points.shape[1])
         xs, ys = c.points[np.arange(K), i], d.points[np.arange(K), j]
     elif c.discrete or d.discrete:
         disc, other = (c, d) if c.discrete else (d, c)
-        for k in range(K):
-            best = None
-            for q in disc.points[k]:
-                sol = min_norm_point(other.points[k] - q, other.rays[k], other.lines[k])
-                cand = (np.linalg.norm(sol.point), q, q + sol.point)
-                if best is None or cand[0] < best[0] - 1e-15:
-                    best = cand
-            _, q, p = best
-            xs[k], ys[k] = (q, p) if c.discrete else (p, q)
+        J = disc.points.shape[1]
+        # problem (k, j) is atom k's set shifted by its discrete point j
+        shifted = other.points[:, None] - disc.points[:, :, None]
+        z = min_norm_point(shifted.reshape(K * J, -1, c.dim), np.repeat(other.rays, J, axis=0),
+                           np.repeat(other.lines, J, axis=0)).point
+        dist = np.sqrt(_dot(z, z)).reshape(K, J)
+        atoms, best = np.arange(K), np.zeros(K, dtype=np.int64)
+        for j in range(1, J):
+            best[dist[:, j] < dist[atoms, best] - 1e-15] = j
+        q = disc.points[atoms, best]
+        p = q + z.reshape(K, J, c.dim)[atoms, best]
+        xs, ys = (q, p) if c.discrete else (p, q)
     else:
         # both polyhedral: minimize over the difference set
-        diff_pts = _difference(c, d)[0]
-        for k in range(K):
-            cp, dp, pts = c.points[k], d.points[k], diff_pts[k]
-            rays, lines = c.rays[k], c.lines[k]
-            sol = min_norm_point(pts, rays, lines)
-            lam = sol.coeffs[: len(pts)].reshape(len(cp), len(dp))
-            lam = np.clip(lam, 0.0, None)
-            total = lam.sum()
-            if total > 0:
-                lam = lam / total
-            ray_part = sol.coeffs[len(pts): len(pts) + len(rays)] @ rays if len(rays) else 0.0
-            line_part = sol.coeffs[len(pts) + len(rays):] @ lines if len(lines) else 0.0
-            xs[k] = lam.sum(axis=1) @ cp + ray_part + line_part
-            ys[k] = lam.sum(axis=0) @ dp
+        nc, nd, nr = c.points.shape[1], d.points.shape[1], c.rays.shape[1]
+        sol = min_norm_point(_difference(c, d)[0], c.rays, c.lines)
+        w = sol.coeffs[:, None, :]
+        lam = np.clip(sol.coeffs[:, : nc * nd].reshape(K, nc, nd), 0.0, None)
+        total = lam.reshape(K, -1).sum(axis=1)
+        pos = total > 0
+        lam[pos] /= total[pos, None, None]
+        ray_part = np.matmul(w[:, :, nc * nd: nc * nd + nr], c.rays)[:, 0] if nr else 0.0
+        line_part = np.matmul(w[:, :, nc * nd + nr:], c.lines)[:, 0] if c.lines.shape[1] else 0.0
+        xs = np.matmul(lam.sum(axis=2)[:, None], c.points)[:, 0] + ray_part + line_part
+        ys = np.matmul(lam.sum(axis=1)[:, None], d.points)[:, 0]
     xv, yv = CondVector(space, xs), CondVector(space, ys)
     return xv, yv, (xv - yv).norm()
 
@@ -435,12 +438,9 @@ def separate(
         fail[~off & (r == 0)] = True
         touch = ~off & (r > 0)
     else:
-        for k in range(K):
-            z = min_norm_point(pts[k], rays[k], lines[k]).point
-            if float(np.linalg.norm(z)) > zero_tol:
-                zrows[k] = z
-            else:
-                fail[k] = True
+        z = min_norm_point(pts, rays, lines).point
+        fail = ~(np.sqrt(_dot(z, z)) > zero_tol)
+        zrows[~fail] = z[~fail]
         touch = fail & (kind == "weak")
 
     def supporting(k):
@@ -541,23 +541,26 @@ def hahn_banach_extend(
             "prescribed values exceed the bound on the submodule", probe_bad
         )
 
+    # one stacked QP per frame rank r: the nearest slope-hull point, and
+    # for r > 0 first the gap between the prescribed frame values and the
+    # hull of the mapped slopes, then the nearest point that matches them
     rows = np.zeros((K, dim))
     infeasible = np.zeros(K, dtype=bool)
-    for k in range(K):
-        yrows = p.slopes[k]
-        r = int(labels[k])
+    for r in np.flatnonzero(np.bincount(labels)):
+        grp = np.flatnonzero(labels == r)
+        Y = p.slopes[grp]
         if r == 0:
-            rows[k] = min_norm_point(yrows).point
+            rows[grp] = min_norm_point(Y).point
             continue
-        u = frows[k, :r, :]
-        cvals = np.array([g_images[i].values[k] for i in range(r)])
-        mapped = yrows @ u.T  # row j: the frame values of slope j
-        gap = min_norm_point(mapped - cvals).point
-        scale = max(1.0, float(np.max(np.abs(mapped))), float(np.max(np.abs(cvals))))
-        if np.linalg.norm(gap) > tol * scale:
-            infeasible[k] = True
-            continue
-        rows[k] = min_norm_point(yrows, eq_mat=u, eq_rhs=cvals).point
+        u = frows[grp, :r]
+        cvals = np.stack([g_images[i].values[grp] for i in range(r)], axis=1)
+        mapped = np.matmul(Y, u.swapaxes(1, 2))  # row j: the frame values of slope j
+        gap = min_norm_point(mapped - cvals[:, None]).point
+        scale = np.maximum(1.0, np.maximum(np.abs(mapped).max(axis=(1, 2)),
+                                           np.abs(cvals).max(axis=1)))
+        bad = np.sqrt(_dot(gap, gap)) > tol * scale
+        infeasible[grp[bad]] = True
+        rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad]).point
     if infeasible.any():
         raise PreconditionError(
             "no dominated extension: domination fails on the submodule",

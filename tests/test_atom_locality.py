@@ -303,6 +303,11 @@ def run_sets(op, data):
         return _separation(separate(C, D, kind=op[len("separate_"):]))
     if op == "nearest_pair":
         return tuple(v.values for v in nearest_pair(C, D))
+    if op == "nearest_pair_discrete":
+        # a finite set on either side: C's points against D, C against D's
+        Cd = ConvexSetRep(space, DS, data["C"], discrete=True)
+        Dd = ConvexSetRep(space, DS, data["D"], discrete=True)
+        return tuple(v.values for pair in (nearest_pair(Cd, D), nearest_pair(C, Dd)) for v in pair)
     if op.startswith("ri_membership_"):
         return (ri_membership(x, C, mode=op[len("ri_membership_"):]).mask,)
     if op == "argmin":
@@ -356,6 +361,7 @@ SET_OPS = [
     "halfspace_contains",
     "halfspace_boundary_contains",
     "eq_set",
+    "nearest_pair_discrete",
 ]
 
 

@@ -21,6 +21,7 @@ import pytest
 from test_cli import scenario_doc
 
 from stratalg.core import CondScalar, CondVector, MeasurableSet, MeasureSpace
+from stratalg import io as stratalg_io
 from stratalg.errors import StratalgError
 from stratalg.functions import Grid, GridFn, MaxAffineFn
 from stratalg.io import (
@@ -175,6 +176,33 @@ def test_emit_of_long_rows_matches_reference(n):
     assert emit_document(doc) == ref_emit(doc, 0) + "\n"
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
+    # a list of equal-length float rows renders through one template per
+    # chunk of rows; small chunks make one block span several, finite and
+    # not, and anything but finite floats takes the row path
+    monkeypatch.setattr(stratalg_io, "_BLOCK_FLOATS", [1, 7, 64, 1 << 15][seed % 4])
+    rng = np.random.default_rng([15, seed])
+    K, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    rows = rng.normal(size=(K, n)) * 10.0 ** rng.integers(-300, 300, size=(K, n))
+    finite = rows.tolist()
+    doc = {
+        "finite": finite,
+        "signed_zeros": np.where(rng.random((K, n)) < 0.3, -0.0, rows),
+        "specials": long_rows(rng, K, n).tolist(),  # +-inf, +-0.0, extremes
+        "one_column": rows[:, :1].tolist(),
+        "empty_rows": [[] for _ in range(K)],
+        "an_empty_row": finite[:1] + [[]] + finite[1:],
+        "ragged": finite + [finite[0] + [1.5]],
+        "ints": finite + [list(range(n))],
+        "numpy_floats": finite + [[np.float64(x) for x in finite[0]]],
+        "bools": finite + [[True] * n],
+        "nested": [[finite[:2]] for _ in range(3)],
+        "overflowing_sum": [[1.7976931348623157e308] * n for _ in range(K + 1)],
+    }
+    assert emit_document(doc) == ref_emit(doc, 0) + "\n"
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -186,6 +214,8 @@ def test_emit_of_long_rows_matches_reference(n):
         [1, float("nan")],
         np.where(np.arange(2401) == 1700, np.nan, np.arange(2401.0)),  # deep in a long row
         np.where(np.arange(201) == 0, np.nan, np.inf),  # among infinities
+        np.where(np.arange(4000).reshape(2000, 2) == 3001, np.nan, 1.0),  # deep in a row block
+        [[np.inf, 1.0], [2.0, -np.inf], [float("nan"), -0.0]],  # in a block, among infinities
     ],
 )
 def test_emit_rejects_nan_as_reference(value):

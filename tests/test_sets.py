@@ -1022,7 +1022,9 @@ class TestMembershipByNearestPoint:
             for k in range(K):
                 was = ref_combination_residual(x[k], *rep.generators_at(k)) <= cutoff[k]
                 if got[k] != was:
-                    gap = min_norm_point(rep.points[k] - x[k], rep.rays[k], rep.lines[k]).point
+                    one = slice(k, k + 1)  # the QP of atom k alone, a stack of one
+                    gap = min_norm_point(rep.points[one] - x[k], rep.rays[one],
+                                         rep.lines[one]).point[0]
                     assert was and not got[k]
                     assert np.linalg.norm(gap) > cutoff[k]
                     changed += 1

@@ -21,18 +21,21 @@ or a flipped row fails here even when it happens to leave the vertex
 unchanged.  A change that alters the LPs on purpose rewrites the file
 with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 
-``_solvers.nnls`` is compared bit for bit with ``scipy.optimize.nnls``.
-The nearest-point QP ``min_norm_point`` is compared bit for bit with
-``ref_cone_least_squares``, the earlier solver that took any list of
-nonnegative indices, on seeded systems with ties, signed zeros, free
-lines, equality rows and short polish budgets; fault-injection tests
-cover the cold start after an ``nnls`` give-up and a full-support start
-whose polish ends where the equality rows fail, which ``kkt_ok`` must
-report.  Subprocess tests
-check that a fresh ``import stratalg.cli`` never imports
-``scipy.optimize`` while sharing its compiled modules with it, and that
-an ``nnls`` system without columns returns instead of aborting the
-interpreter.
+``_solvers.nnls`` is compared item by item, bit for bit, with
+``scipy.optimize.nnls``.  The stacked nearest-point QP ``min_norm_point``
+is compared on every atom, bit for bit, with ``ref_cone_least_squares``,
+the earlier per-atom solver that took any list of nonnegative indices,
+on seeded stacks with ties, signed zeros, free lines, equality rows and
+short polish budgets; fault-injection tests cover the cold start after
+an ``nnls`` give-up on chosen atoms, support sizes that split and merge
+between polish rounds, a full-support start whose polish ends where the
+equality rows fail, which ``kkt_fail`` must report, and a stack that
+mixes atoms whose polish fails at large scale with good ones.
+Subprocess tests check that a fresh ``import stratalg.cli`` never imports
+``scipy.optimize`` while sharing its compiled modules with it, that an
+``nnls`` system without columns returns instead of aborting the
+interpreter, and that the pinned ``lstsq`` gufunc matches
+``np.linalg.lstsq`` bit for bit.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -53,14 +57,15 @@ from stratalg import (
     CondVector,
     ConvexSetRep,
     MaxAffineFn,
+    MeasurableSet,
     MeasureSpace,
     argmin,
+    membership,
 )
 import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
     LPModel,
-    QPSolution,
     cone_least_squares,
     min_norm_point,
     nnls,
@@ -381,10 +386,11 @@ def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch
 
 
 def assert_nnls_matches_scipy(A, b, maxiter):
-    x, rnorm = nnls(A, b, maxiter)
+    x, rnorm, gave_up = nnls(A[None], b[None], maxiter)
     want_x, want_rnorm = scipy_nnls(A, b, maxiter=maxiter)
-    assert x.tobytes() == want_x.tobytes()
-    assert np.float64(rnorm).tobytes() == np.float64(want_rnorm).tobytes()
+    assert not gave_up[0]
+    assert x[0].tobytes() == want_x.tobytes()
+    assert rnorm[0].tobytes() == np.float64(want_rnorm).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -399,62 +405,96 @@ def test_nnls_matches_scipy(seed):
     assert_nnls_matches_scipy(A, rng.normal(size=m) * 10.0 ** (seed % 5 - 2), 10 * n)
 
 
+def test_stacked_nnls_is_scipys_per_item():
+    rng = np.random.default_rng(11)
+    A, b = rng.normal(size=(30, 6, 5)), rng.normal(size=(30, 6))
+    A[::3, :, -1] = A[::3, :, 0] * 2.0  # rank deficient
+    outcomes = set()
+    for maxiter in (1, 2, 50):
+        x, rnorm, gave_up = nnls(A, b, maxiter)
+        for k in range(len(A)):
+            try:
+                want_x, want_rnorm = scipy_nnls(A[k], b[k], maxiter=maxiter)
+            except RuntimeError:
+                assert gave_up[k]
+                outcomes.add("gave up")
+                continue
+            assert not gave_up[k]
+            assert x[k].tobytes() == want_x.tobytes()
+            assert rnorm[k].tobytes() == np.float64(want_rnorm).tobytes()
+            outcomes.add("solved")
+    assert outcomes == {"gave up", "solved"}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nnls_matches_scipy_on_nearest_point_systems(seed, monkeypatch):
     systems = []
 
     def record(A, b, maxiter):
-        systems.append((A.copy(), b.copy(), maxiter))
+        systems.extend((A[k].copy(), b[k].copy(), maxiter) for k in range(len(A)))
         return nnls(A, b, maxiter)
 
     monkeypatch.setattr(_solvers, "nnls", record)
     rng = np.random.default_rng([9, seed])
     for d in (2, 3):
-        min_norm_point(*generators(rng, d, 3, seed % 3, int(seed % 2 == 0)))
-        shifted = rng.normal(size=(4, d)) + 0.5  # often away from the origin
+        min_norm_point(*(a[None] for a in generators(rng, d, 3, seed % 3, int(seed % 2 == 0))))
+        shifted = rng.normal(size=(4, 4, d)) + 0.5  # often away from the origin
         min_norm_point(shifted)
-        min_norm_point(shifted, eq_mat=rng.normal(size=(1, d)), eq_rhs=rng.normal(size=1))
-    assert len(systems) == 6
+        min_norm_point(shifted, eq_mat=rng.normal(size=(4, 1, d)), eq_rhs=rng.normal(size=(4, 1)))
+    assert len(systems) == 18
     for A, b, maxiter in systems:
         assert_nnls_matches_scipy(A, b, maxiter)
 
 
 def ref_simplex_min_norm(rows, eq_mat=None, eq_rhs=None):
-    """The former QP entry for a convex combination of rows."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = len(rows)
-    E = [np.ones((1, n))]
-    e = [np.array([1.0])]
-    if eq_mat is not None and len(eq_mat):
-        E.append(np.asarray(eq_mat, dtype=float) @ rows.T)
-        e.append(np.asarray(eq_rhs, dtype=float))
-    return cone_least_squares(rows, n, np.vstack(E), np.concatenate(e))
+    """The former QP entry for a convex combination of rows, on a stack."""
+    K, n, _ = rows.shape
+    E, e = [np.ones((K, 1, n))], [np.ones((K, 1))]
+    if eq_mat is not None and eq_mat.shape[1]:
+        E.append(np.matmul(eq_mat, rows.swapaxes(1, 2)))
+        e.append(eq_rhs)
+    return cone_least_squares(rows, n, np.concatenate(E, axis=1), np.concatenate(e, axis=1))
+
+
+def assert_same_stack(got, want):
+    assert got.point.tobytes() == want.point.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.kkt_fail.tobytes() == want.kkt_fail.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_min_norm_point_matches_simplex_entry(seed):
     rng = np.random.default_rng([12, seed])
     for d in (1, 2, 3, 5):
-        n = int(rng.integers(1, 7))
-        rows = [rng.normal(size=(n, d)) + 0.5,
-                rng.integers(-2, 3, size=(n, d)).astype(float),
-                rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, d)),
-                np.repeat(rng.normal(size=(1, d)), n, axis=0)][seed % 4]
+        K, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        rows = [rng.normal(size=(K, n, d)) + 0.5,
+                rng.integers(-2, 3, size=(K, n, d)).astype(float),
+                rng.choice([-1.0, -0.0, 0.0, 1.0], size=(K, n, d)),
+                np.repeat(rng.normal(size=(K, 1, d)), n, axis=1)][seed % 4]
         r = int(rng.integers(1, d + 1))
-        u = np.linalg.qr(rng.normal(size=(d, d)))[0][:r]
-        cvals = u @ (rng.dirichlet(np.ones(n)) @ rows)
-        for eq in ({}, {"eq_mat": u, "eq_rhs": cvals}, {"eq_mat": u[:0], "eq_rhs": cvals[:0]}):
-            got, want = min_norm_point(rows, **eq), ref_simplex_min_norm(rows, **eq)
-            assert got.point.tobytes() == want.point.tobytes()
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
-            assert got.kkt_ok == want.kkt_ok
+        u = np.stack([np.linalg.qr(rng.normal(size=(d, d)))[0][:r] for _ in range(K)])
+        mix = rng.dirichlet(np.ones(n), K)
+        cvals = np.stack([u[k] @ (mix[k] @ rows[k]) for k in range(K)])
+        for eq in ({}, {"eq_mat": u, "eq_rhs": cvals},
+                   {"eq_mat": u[:, :0], "eq_rhs": cvals[:, :0]}):
+            assert_same_stack(min_norm_point(rows, **eq), ref_simplex_min_norm(rows, **eq))
+
+
+@dataclass
+class RefQP:
+    """One atom's result of the reference solver."""
+
+    point: np.ndarray
+    coeffs: np.ndarray
+    kkt_ok: bool
 
 
 def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
-    """The former ``cone_least_squares``: any list of nonnegative indices,
-    index lists scattered by loops, a set for the support and a separate
-    polish.  ``events`` counts coefficient drops and exhausted round
-    budgets."""
+    """The former per-atom ``cone_least_squares``: any list of nonnegative
+    indices, index lists scattered by loops, a set for the support and a
+    separate polish.  ``events`` counts coefficient drops, drops among
+    exactly tied coefficients and exhausted round budgets, and lists each call's support size round by round under
+    ``"supports"``."""
     events = {} if events is None else events
     gens = np.asarray(gens, dtype=float)
     n, d = gens.shape
@@ -474,7 +514,9 @@ def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
         pen * (np.column_stack(ecols) if ecols else np.zeros((eq_mat.shape[0], 0))),
     ])
     b = np.concatenate([np.zeros(d), pen * eq_rhs])
-    w_split, _ = _solvers.nnls(A, b, maxiter=10 * max(1, A.shape[1]))
+    x, _, gave_up = _solvers.nnls(A[None], b[None], maxiter=10 * max(1, A.shape[1]))
+    # an nnls give-up starts the polish from every column
+    w_split = np.zeros(A.shape[1]) if gave_up[0] else x[0]
     w0 = np.zeros(n)
     for j, i in enumerate(nonneg):
         w0[i] = w_split[j]
@@ -482,15 +524,20 @@ def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
     for j, i in enumerate(free):
         w0[i] = w_split[off + j] - w_split[off + len(free) + j]
     supp_tol = 1e-9 * max(1.0, float(np.max(w_split)) if w_split.size else 1.0)
-    support = set(i for i in nonneg if w0[i] > supp_tol) | set(free)
+    support = set(i for i in nonneg if w0[i] > supp_tol or gave_up[0]) | set(free)
     grad_scale = max(1.0, float(np.max(np.sum(gens * gens, axis=1))) if n else 1.0)
     opt_tol = 1e-9 * grad_scale
     best = None
+    sizes = []
+    events.setdefault("supports", []).append(sizes)
     for _ in range(_solvers._POLISH_ROUNDS):
+        sizes.append(len(support))
         w, rho = ref_polish(gens, eq_mat, eq_rhs, sorted(support))
         bad = [i for i in support if i in nonneg and w[i] < -1e-11]
         if bad:
             events["drops"] = events.get("drops", 0) + 1
+            if sorted(w[bad])[:2].count(min(w[bad])) > 1:
+                events["tied_drops"] = events.get("tied_drops", 0) + 1
             support.discard(min(bad, key=lambda i: w[i]))
             if not support and nonneg:
                 break
@@ -503,15 +550,14 @@ def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
                 continue
             if sigma[i] < -opt_tol and (entering is None or sigma[i] < sigma[entering]):
                 entering = i
-        best = QPSolution(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w),
-                          kkt_ok=entering is None)
+        best = RefQP(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w), kkt_ok=entering is None)
         if entering is None:
             return best
         support.add(entering)
     events["exhausted"] = events.get("exhausted", 0) + 1
     if best is not None:
         return best
-    return QPSolution(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
+    return RefQP(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
 
 
 def ref_polish(gens, eq_mat, eq_rhs, support):
@@ -529,7 +575,8 @@ def ref_polish(gens, eq_mat, eq_rhs, support):
 
 
 def qp_system(points, rays=(), lines=(), eq_mat=None, eq_rhs=None):
-    """The columns and the equality rows ``E w = e`` of ``min_norm_point``."""
+    """The columns and the equality rows ``E w = e`` of one atom's
+    ``min_norm_point`` problem."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cols, simplex_row, _ = _solvers.vrep_block(points, rays, lines, points.shape[1])
     E, e = [simplex_row[None, :]], [np.array([1.0])]
@@ -539,59 +586,91 @@ def qp_system(points, rays=(), lines=(), eq_mat=None, eq_rhs=None):
     return cols, np.vstack(E), np.concatenate(e)
 
 
-def equalities_hold(sol, E, e):
-    return np.abs(E @ sol.coeffs - e).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(e).max())
+def equalities_hold(coeffs, E, e):
+    return np.abs(E @ coeffs - e).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(e).max())
 
 
 def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, events=None):
     cols, E, e = qp_system(points, rays, lines, eq_mat, eq_rhs)
     sol = ref_cone_least_squares(cols.T, range(len(points) + len(rays)), E, e, events)
     # kkt_ok also needs E w = e, which the former solver did not check
-    sol.kkt_ok = sol.kkt_ok and equalities_hold(sol, E, e)
+    sol.kkt_ok = sol.kkt_ok and equalities_hold(sol.coeffs, E, e)
     return sol
 
 
-def seeded_qp_system(rng):
-    """A nearest-point system with ties: duplicated points, the
-    differences ``p_i + p_j - 2 v`` of a set touching a vertex ``v``,
-    signed zeros, integer or Gaussian rows, rays, free lines and
-    equality rows on the point."""
+def seeded_qp_stack(rng, K):
+    """``K`` nearest-point systems of one shape with ties: duplicated
+    points, the differences ``p_i + p_j - 2 v`` of a set touching a vertex
+    ``v``, signed zeros, integer or Gaussian rows (drawn per atom), rays,
+    free lines and equality rows on the point."""
     d = int(rng.integers(1, 6))
     n = int(rng.integers(1, 7))
-    kind = int(rng.integers(4))
-    pts = [rng.normal(size=(n, d)) + rng.normal(size=d),
-           rng.integers(-2, 3, size=(n, d)).astype(float),
-           rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, d)),
-           rng.normal(size=(n, d))][kind]
+
+    def points():
+        return [rng.normal(size=(n, d)) + rng.normal(size=d),
+                rng.integers(-2, 3, size=(n, d)).astype(float),
+                rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, d)),
+                rng.normal(size=(n, d))][int(rng.integers(4))]
+
+    pts = np.stack([points() for _ in range(K)])
     shape = int(rng.integers(3))
     if shape == 1:  # duplicated points
-        pts = pts[rng.integers(0, n, size=n + int(rng.integers(1, 4)))]
+        extra = int(rng.integers(1, 4))
+        pts = np.stack([p[rng.integers(0, n, size=n + extra)] for p in pts])
     elif shape == 2:  # a difference set touching the origin
-        v = pts[0]
-        pts = (pts[:, None, :] + pts[None, :, :] - 2.0 * v).reshape(-1, d)
-    rays = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(int(rng.integers(0, 3)), d))
-    lines = rng.normal(size=(int(rng.integers(0, 2)), d))
+        v = pts[:, 0, None, None, :]
+        pts = (pts[:, :, None, :] + pts[:, None, :, :] - 2.0 * v).reshape(K, -1, d)
+    rays = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(K, int(rng.integers(0, 3)), d))
+    lines = rng.normal(size=(K, int(rng.integers(0, 2)), d))
     eq = {}
     if rng.random() < 0.3:
         r = int(rng.integers(1, d + 1))
-        u = np.linalg.qr(rng.normal(size=(d, d)))[0][:r]
-        eq = {"eq_mat": u, "eq_rhs": u @ (rng.dirichlet(np.ones(len(pts))) @ pts)}
+        u = np.stack([np.linalg.qr(rng.normal(size=(d, d)))[0][:r] for _ in range(K)])
+        mix = rng.dirichlet(np.ones(pts.shape[1]), K)
+        eq = {"eq_mat": u, "eq_rhs": np.stack([u[k] @ (mix[k] @ pts[k]) for k in range(K)])}
     return pts, rays, lines, eq
 
 
-def assert_same_qp(got, want):
-    assert got.point.tobytes() == want.point.tobytes()
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-    assert got.kkt_ok == want.kkt_ok
+def assert_same_qp(got, k, want):
+    """Atom ``k`` of a stacked solution has the bits of the reference."""
+    assert got.point[k].tobytes() == want.point.tobytes()
+    assert got.coeffs[k].tobytes() == want.coeffs.tobytes()
+    assert bool(got.kkt_fail[k]) == (not want.kkt_ok)
+
+
+def assert_matches_reference(pts, rays, lines, eq, events=None):
+    """The stacked solve against the reference on every atom alone."""
+    got = min_norm_point(pts, rays, lines, **eq)
+    for k in range(len(pts)):
+        one = {name: a[k] for name, a in eq.items()}
+        assert_same_qp(got, k, ref_min_norm_point(pts[k], rays[k], lines[k], events=events, **one))
+    assert got.kkt_ok == (not got.kkt_fail.any()) and type(got.kkt_ok) is bool
+    return got
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_min_norm_point_matches_the_index_list_solver(seed):
     rng = np.random.default_rng([14, seed])
-    for _ in range(200):
-        pts, rays, lines, eq = seeded_qp_system(rng)
-        assert_same_qp(min_norm_point(pts, rays, lines, **eq),
-                       ref_min_norm_point(pts, rays, lines, **eq))
+    for _ in range(50):
+        assert_matches_reference(*seeded_qp_stack(rng, int(rng.integers(1, 9))))
+
+
+def full_support(A, b, maxiter):
+    """An NNLS guess that keeps every column."""
+    return np.ones((len(A), A.shape[2])), np.zeros(len(A)), np.zeros(len(A), dtype=bool)
+
+
+def split_and_merge(supports):
+    """Whether two atoms' support sizes part (``split``) or meet
+    (``merge``) from one polish round to the next."""
+    split = merge = False
+    for t in range(1, max(map(len, supports))):
+        now = [s[t - 1:t + 1] for s in supports if len(s) > t]
+        for a0, a1 in now:
+            for b0, b1 in now:
+                split |= a0 == b0 and a1 != b1
+                merge |= a0 != b0 and a1 == b1
+    return split, merge
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3, _solvers._POLISH_ROUNDS])
@@ -599,57 +678,143 @@ def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds
     # an NNLS guess that keeps every column makes the polish drop
     # negative coefficients, often tied ones of duplicated points, and
     # a short round budget runs out
-    monkeypatch.setattr(_solvers, "nnls", lambda A, b, maxiter: (np.ones(A.shape[1]), 0.0))
+    monkeypatch.setattr(_solvers, "nnls", full_support)
     monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
     rng = np.random.default_rng([16, rounds])
     events = {}
-    for _ in range(300):
-        pts, rays, lines, eq = seeded_qp_system(rng)
-        assert_same_qp(min_norm_point(pts, rays, lines, **eq),
-                       ref_min_norm_point(pts, rays, lines, events=events, **eq))
+    for _ in range(60):
+        assert_matches_reference(*seeded_qp_stack(rng, int(rng.integers(2, 9))), events=events)
     assert events.get("drops", 0) > 0
     assert events.get("exhausted", 0) > 0 or rounds == _solvers._POLISH_ROUNDS
+
+
+def test_tied_drops_take_the_first_index(monkeypatch):
+    # every integer point twice and a full-support start: on some atoms
+    # the polish drops one of two exactly tied negative coefficients, and
+    # the first index must go, as in the per-atom solver (the seeds are
+    # ones where such a tie occurs)
+    monkeypatch.setattr(_solvers, "nnls", full_support)
+    events = {}
+    for seed in (134, 1041, 1872):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        base = rng.integers(-2, 3, size=(8, n, d)).astype(float)
+        none = np.zeros((8, 0, d))
+        assert_matches_reference(np.concatenate([base, base], axis=1), none, none, {},
+                                 events=events)
+    assert events.get("tied_drops", 0) > 0
+
+
+def test_support_sizes_split_and_merge_across_rounds(monkeypatch):
+    # an NNLS guess that keeps the columns whose first entry is positive
+    # starts the atoms of one stack on supports of different sizes, which
+    # grow and shrink at their own pace: atoms of one size go apart and
+    # atoms of different sizes meet, so the polish groups change between
+    # rounds
+    def first_entry_positive(A, b, maxiter):
+        return (A[:, 0, :] > 0).astype(float), np.zeros(len(A)), np.zeros(len(A), dtype=bool)
+
+    monkeypatch.setattr(_solvers, "nnls", first_entry_positive)
+    rng = np.random.default_rng(18)
+    events, splits, merges = {}, 0, 0
+    for _ in range(60):
+        K = int(rng.integers(2, 9))
+        assert_matches_reference(*seeded_qp_stack(rng, K), events=events)
+        split, merge = split_and_merge(events["supports"][-K:])
+        splits, merges = splits + split, merges + merge
+    assert splits > 0 and merges > 0
 
 
 def test_kkt_ok_needs_the_equality_rows_to_hold(monkeypatch):
     # an all-ones NNLS guess starts the polish from every column; its
     # drops can leave a support on which E w = e has no solution, and the
     # least-squares compromise there must not pass as a KKT point
-    monkeypatch.setattr(_solvers, "nnls", lambda A, b, maxiter: (np.ones(A.shape[1]), 0.0))
+    monkeypatch.setattr(_solvers, "nnls", full_support)
     infeasible = 0
     for seed in [97, *range(25)]:
         rng = np.random.default_rng(seed)
-        for _ in range(200):
-            pts, rays, lines, eq = seeded_qp_system(rng)
+        for _ in range(40):
+            pts, rays, lines, eq = seeded_qp_stack(rng, int(rng.integers(1, 9)))
             sol = min_norm_point(pts, rays, lines, **eq)
-            if not equalities_hold(sol, *qp_system(pts, rays, lines, **eq)[1:]):
-                infeasible += 1
-                assert not sol.kkt_ok
+            for k in range(len(pts)):
+                one = {name: a[k] for name, a in eq.items()}
+                if not equalities_hold(sol.coeffs[k], *qp_system(pts[k], rays[k], lines[k],
+                                                                 **one)[1:]):
+                    infeasible += 1
+                    assert sol.kkt_fail[k]
     assert infeasible > 0
 
 
 def test_nnls_give_up_starts_the_polish_from_every_column(monkeypatch):
     def give_up(A, b, maxiter):
-        raise RuntimeError("Maximum number of iterations reached.")
+        return np.zeros((len(A), A.shape[2])), np.zeros(len(A)), np.ones(len(A), dtype=bool)
 
     monkeypatch.setattr(_solvers, "nnls", give_up)
     # the origin is not in this segment, and the polish must not return it
-    sol = min_norm_point([[1.0, 0.0], [2.0, 0.0]])
-    assert np.allclose(sol.point, [1.0, 0.0]) and np.allclose(sol.coeffs, [1.0, 0.0])
+    sol = min_norm_point([[[1.0, 0.0], [2.0, 0.0]]])
+    assert np.allclose(sol.point, [[1.0, 0.0]]) and np.allclose(sol.coeffs, [[1.0, 0.0]])
     assert sol.kkt_ok
-    sol = min_norm_point([[1.0, 2.0], [3.0, -1.0]], lines=[[0.0, 1.0]])
-    assert np.allclose(sol.point, [1.0, 0.0]) and sol.kkt_ok
+    sol = min_norm_point([[[1.0, 2.0], [3.0, -1.0]]], lines=[[[0.0, 1.0]]])
+    assert np.allclose(sol.point, [[1.0, 0.0]]) and sol.kkt_ok
+
+
+def test_nnls_give_up_on_chosen_atoms_only(monkeypatch):
+    # nnls gives up on the atoms whose first generator starts positive;
+    # the reference, solving one atom at a time, sees the same give-ups
+    real = _solvers.nnls
+
+    def give_up_on_some(A, b, maxiter):
+        x, rnorm, gave_up = real(A, b, maxiter)
+        return x, rnorm, gave_up | (A[:, 0, 0] > 0)
+
+    monkeypatch.setattr(_solvers, "nnls", give_up_on_some)
+    rng = np.random.default_rng(17)
+    mixed = 0
+    for _ in range(60):
+        pts, rays, lines, eq = seeded_qp_stack(rng, int(rng.integers(2, 9)))
+        assert_matches_reference(pts, rays, lines, eq)
+        chosen = pts[:, 0, 0] > 0
+        mixed += chosen.any() and not chosen.all()
+    assert mixed > 0
+
+
+def test_kkt_fail_names_exactly_the_failing_atoms():
+    # integer polytopes away from the origin; on the even atoms the data
+    # are scaled by 2**10, where the KKT polish fails today (ROADMAP
+    # item 1), and one stack holds both kinds
+    rng = np.random.default_rng(3)
+    K = 40
+    pts = rng.integers(-3, 4, size=(K, 6, 3)).astype(float)
+    x = rng.integers(-3, 4, size=(K, 3)) + rng.choice([-8.0, 8.0], size=(K, 3))
+    scaled = np.arange(K) % 2 == 0
+    pts = (pts - x[:, None]) * np.where(scaled, 2.0 ** 10, 1.0)[:, None, None]
+    none = np.zeros((K, 0, 3))
+    sol = assert_matches_reference(pts, none, none, {})
+    assert sol.kkt_fail.tolist() == scaled.tolist() and not sol.kkt_ok
+
+
+def test_empty_stacks_solve_to_empty_results():
+    sol = min_norm_point(np.zeros((0, 4, 2)), np.zeros((0, 1, 2)))
+    assert sol.point.shape == (0, 2) and sol.coeffs.shape == (0, 5)
+    assert sol.kkt_fail.shape == (0,) and sol.kkt_ok
+    # a membership query on an empty region solves an empty stack
+    rng = np.random.default_rng(4)
+    space = MeasureSpace(np.ones(3))
+    rep = ConvexSetRep(space, 2, rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 1, 2)))
+    x = CondVector(space, rng.normal(size=(3, 2)))
+    assert not membership(x, rep, MeasurableSet(space, np.zeros(3, dtype=bool))).mask.any()
 
 
 def test_nnls_failures_are_scipys():
     rng = np.random.default_rng(10)
     A, b = rng.normal(size=(6, 5)), rng.normal(size=6)
-    for solve in (lambda *a: nnls(*a, 1), lambda *a: scipy_nnls(*a, maxiter=1)):
-        with pytest.raises(RuntimeError, match="Maximum number of iterations"):
-            solve(A, b)
+    with pytest.raises(RuntimeError, match="Maximum number of iterations"):
+        scipy_nnls(A, b, maxiter=1)
+    assert nnls(A[None], b[None], 1)[2].tolist() == [True]  # where scipy raises
     for bad in (np.nan, np.inf):
         for A_bad, b_bad in ((np.where(A > 1.0, bad, A), b), (A, np.where(b > 0.0, bad, b))):
-            for solve in (lambda *a: nnls(*a, 50), lambda *a: scipy_nnls(*a, maxiter=50)):
+            for solve in (lambda A, b: nnls(A[None], b[None], 50),
+                          lambda A, b: scipy_nnls(A, b, maxiter=50)):
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     solve(A_bad, b_bad)
 
@@ -669,9 +834,9 @@ def test_nnls_without_columns_returns_the_residual_of_b():
     run_fresh("""
         import numpy as np
         from stratalg._solvers import nnls
-        x, rnorm = nnls(np.zeros((3, 0)), np.array([3.0, 4.0, 0.0]), 10)
-        assert x.shape == (0,) and x.dtype == np.float64, x
-        assert rnorm == 5.0 and type(rnorm) is float, rnorm
+        x, rnorm, gave_up = nnls(np.zeros((2, 3, 0)), np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), 10)
+        assert x.shape == (2, 0) and x.dtype == np.float64, x
+        assert rnorm.tolist() == [5.0, 2.0] and not gave_up.any(), rnorm
     """)
 
 
@@ -696,7 +861,7 @@ def test_first_nnls_loads_the_cores():
         import numpy as np
         from stratalg import _solvers
         assert "scipy.optimize._slsqplib" not in sys.modules
-        assert _solvers.nnls(np.eye(2), np.array([1.0, -1.0]), 10)[0].tolist() == [1.0, 0.0]
+        assert _solvers.nnls(np.eye(2)[None], np.array([[1.0, -1.0]]), 10)[0].tolist() == [[1.0, 0.0]]
         assert "scipy.optimize._slsqplib" in sys.modules
         assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
     """)
@@ -724,6 +889,61 @@ def test_stratalg_after_scipy_optimize_reuses_its_cores():
         assert solvers._highs is _core and solvers._slsqplib is _slsqplib
         model = solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         assert solvers.solve_lp(model, [1.0, 2.0]).status == 0
+    """)
+
+
+def test_lstsq_gufunc_matches_numpys_lstsq():
+    # the gufunc pinned at import, on seeded stacks of square systems:
+    # Gaussian, singular, and the KKT systems of one support point with
+    # |g| about 6 700 beside the sum w = 1 row, which lstsq rank-cuts
+    # (ROADMAP item 1)
+    run_fresh("""
+        import numpy as np
+        from stratalg import _solvers
+        rng = np.random.default_rng(5)
+        stacks = []
+        for n in (1, 2, 3, 5):
+            a = rng.normal(size=(40, n, n))
+            a[::4, :, -1] = a[::4, :, 0]
+            a[1::4] = 0.0
+            stacks.append((a, rng.normal(size=(40, n, 1))))
+        g = rng.integers(-3, 4, size=(40, 3)) * 2.0 ** rng.integers(0, 14, size=(40, 1))
+        kkt = np.zeros((40, 2, 2))
+        kkt[:, 0, 0] = 2.0 * np.einsum("kd,kd->k", g, g)
+        kkt[:, 0, 1] = kkt[:, 1, 0] = 1.0
+        stacks.append((kkt, np.broadcast_to([[0.0], [1.0]], (40, 2, 1))))
+        for a, b in stacks:
+            got = _solvers._lstsq(a, b)
+            for k in range(len(a)):
+                want = np.linalg.lstsq(a[k], b[k, :, 0], rcond=None)[0]
+                assert got[k, :, 0].tobytes() == want.tobytes(), (a.shape, k)
+        # an SVD that fails on one item raises for the stack, as lstsq does
+        # for that item (LAPACK reports the NaN on the console)
+        a, b = stacks[1]
+        a[3, 0, 0] = np.nan
+        for solve in (lambda: _solvers._lstsq(a, b),
+                      lambda: np.linalg.lstsq(a[3], b[3, :, 0], rcond=None)):
+            try:
+                solve()
+            except np.linalg.LinAlgError as err:
+                assert str(err) == "SVD did not converge in Linear Least Squares", err
+            else:
+                raise AssertionError("no LinAlgError")
+    """)
+
+
+def test_missing_lstsq_gufunc_names_the_numpy_version():
+    run_fresh("""
+        import types
+        import numpy as np
+        import numpy.linalg
+        numpy.linalg._umath_linalg = types.ModuleType("numpy.linalg._umath_linalg")
+        try:
+            import stratalg._solvers
+        except ImportError as err:
+            assert f"numpy {np.__version__}" in str(err), str(err)
+        else:
+            raise AssertionError("no ImportError")
     """)
 
 
