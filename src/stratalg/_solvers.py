@@ -16,8 +16,7 @@ imported: its package import would be most of a CLI process's start-up.
 Neither is ``scipy`` nor either core when this module is: ``_load_cores``
 loads both, with the LP options and status table, on the first LP model
 or ``nnls`` call, so a process that solves nothing (grid transforms,
-bases, sequences) never pays for them.  Reading one of the names
-``_CORES`` off the module loads them too.
+bases, sequences) never pays for them.
 Each module is registered in ``sys.modules`` under its own name, so a
 later ``import scipy.optimize`` in the same process reuses the same
 module objects, and one loaded earlier is reused here.  (When this
@@ -42,10 +41,12 @@ and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
 linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
 A caller that solves several costs over one constraint set builds it
-once as an ``LPModel``; each later cost re-runs the same solver instance
+once as an ``LPModel``, which hands the model to its own HiGHS instance;
+every cost, the first one included, is set on that instance and run
 from a cleared solver, so nothing a previous solve left behind can
 influence which optimal vertex comes back, and every result has the bits
-of a fresh instance (``test_solvers`` pins this).
+of an instance that got the cost with the model (``test_solvers`` pins
+this).
 
 Every per-atom LP runs inside ``per_atom``, and each call site passes its
 result through ``expect`` with the statuses it reads as verdicts:
@@ -140,9 +141,6 @@ _POLISH_ROUNDS = 60
 _POS_TOL = 1e-9
 _LEX_TOL = 1e-12
 
-_CORES = ("_highs", "_slsqplib", "_LP_OPTIONS", "_MS", "_LP_STATUS")
-
-
 def _load_cores() -> None:
     """Load HiGHS and ``nnls`` once, and set the LP options and statuses.
 
@@ -170,13 +168,6 @@ def _load_cores() -> None:
                      _LP_OPTIONS=options, _MS=ms, _LP_STATUS=status)
 
 
-def __getattr__(name: str):
-    if name in _CORES:
-        _load_cores()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
 _OUTCOMES = ("ok", "limit", "infeasible", "unbounded", "numerical")  # by status
@@ -202,10 +193,11 @@ class LPModel:
     Arguments follow ``scipy.optimize.linprog``; ``bounds`` defaults to
     ``x >= 0`` and ``None`` entries mean unbounded.  The arguments are
     kept as given, next to the HiGHS model ``row_lower <= [A_ub; A_eq] x
-    <= row_upper`` built from them once and the bounds and rows that the
-    post-solve feasibility check reads.  ``solve_lp`` solves one cost
-    over it; the first solve creates the ``_Highs`` instance that later
-    costs run on again.
+    <= row_upper`` built from them once, with zero costs, and the bounds
+    and rows that the post-solve feasibility check reads.  The model goes
+    to the model's own ``_Highs`` instance here; ``rejected`` records
+    that HiGHS refused it (kModelError).  ``solve_lp`` solves one cost
+    over it.
     """
 
     def __init__(self, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
@@ -242,39 +234,34 @@ class LPModel:
         lp.col_upper_ = _highs_inf(self.ub)
         lp.row_lower_ = _highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
         lp.row_upper_ = _highs_inf(self.row_upper)
-        self.highs = None
+        lp.col_cost_ = np.zeros(n)  # HiGHS rejects a model without costs
+        h = self.highs = _highs._Highs()
+        h.passOptions(_LP_OPTIONS)
+        self.rejected = h.passModel(lp) == _highs.HighsStatus.kError
 
 
 def solve_lp(model: LPModel, c) -> LPResult:
     """``min c x`` over the constraint set ``model``.
 
-    The first cost goes with the model to a fresh ``_Highs`` instance.
-    Each later cost on the same model is set by ``changeColsCost`` and
-    run again from a cleared solver: ``clearSolver`` drops the basis,
-    the solution and the presolve state an earlier solve left, so every
-    LP starts cold, and status, ``fun`` and ``x`` have the bits a fresh
-    instance gives.  A warm start would not: on a degenerate LP the kept
-    basis can change the optimal vertex, and canonical outputs such as
-    separating normals are read off that vertex.  ``test_solvers`` pins
-    the reused and the fresh path to the same bytes.  Statuses are
-    linprog's (0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other),
-    and a reported optimum that violates a bound or constraint by more
-    than linprog's check tolerance is downgraded to 4, as linprog does.
+    The cost is set on the model's HiGHS instance by ``changeColsCost``
+    and run from a cleared solver: ``clearSolver`` drops the basis, the
+    solution and the presolve state an earlier solve left, so every LP
+    starts cold, and status, ``fun`` and ``x`` have the bits of an
+    instance that got the cost with the model.  A warm start would not: on
+    a degenerate LP the kept basis can change the optimal vertex, and
+    canonical outputs such as separating normals are read off that
+    vertex.  ``test_solvers`` pins every cost against such an instance.
+    Statuses are linprog's (0 optimal, 1 limit, 2 infeasible, 3
+    unbounded, 4 other); a model that HiGHS rejected is 2, and a reported
+    optimum that violates a bound or constraint by more than linprog's
+    check tolerance is downgraded to 4, as linprog does.
     """
     c = np.array(c, dtype=float).reshape(-1)
     h = model.highs
-    if h is None:
-        model.lp.col_cost_ = c
-        h = _highs._Highs()
-        h.passOptions(_LP_OPTIONS)
-        if h.passModel(model.lp) == _highs.HighsStatus.kError:
-            return LPResult(_LP_STATUS[_MS.kModelError], None, None)
-        model.highs = h
-    elif (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
-          == _highs.HighsStatus.kError):
+    if model.rejected or (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
+                          == _highs.HighsStatus.kError):
         return LPResult(_LP_STATUS[_MS.kModelError], None, None)
-    else:
-        h.clearSolver()
+    h.clearSolver()
     run_failed = h.run() == _highs.HighsStatus.kError
     model_status = h.getModelStatus()
     if run_failed or model_status != _MS.kOptimal:

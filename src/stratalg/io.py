@@ -19,7 +19,6 @@ first accessed, with the entries it names, and then cached.
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections.abc import Mapping
 from functools import lru_cache
@@ -384,25 +383,21 @@ _SECTIONS = {
 }
 
 
-_INF_TEXT = {"inf": '"+inf"', "-inf": '"-inf"'}
-
-
 @lru_cache(maxsize=64)
 def _row_template(n: int) -> str:
     return ", ".join(["%.17g"] * n)
 
 
-def _fmt_floats(xs) -> str:
-    """Comma-joined 17-digit renderings, infinities as their sentinels.
+def _fmt(template: str, floats: tuple) -> str:
+    """``template % floats``, infinities as their sentinels.
 
-    One ``%`` renders the whole row through a template cached per row
-    length."""
-    text = _row_template(len(xs)) % tuple(xs)
-    if "n" in text:  # only "inf" and "nan" spell an n
-        parts = text.split(", ")
-        if "nan" in parts:
+    ``%.17g`` spells infinities ``inf`` and ``-inf`` and NaN ``nan``,
+    the only renderings with an ``n``; NaN raises ``ValueError``."""
+    text = template % floats
+    if "n" in text:
+        if "nan" in text:
             raise ValueError("documents cannot contain NaN")
-        text = ", ".join([_INF_TEXT.get(p, p) for p in parts])
+        text = text.replace("inf", '"+inf"').replace('-"+', '"-')
     return text
 
 
@@ -415,20 +410,17 @@ def _fmt_rows(rows: list, n: int, indent: int) -> str:
     """Comma-joined bracketed rows of ``n`` entries each.
 
     The rows go in chunks of about ``_BLOCK_FLOATS`` entries.  A chunk
-    whose entries are all finite floats renders through one ``%`` with a
-    block template built for it; a sum of floats is finite only when every
-    term is, so one ``sum`` checks the whole chunk first (a sum that
-    overflows sends finite rows to the row path, which renders the same
-    text).  Any other chunk, with infinities, NaN or non-floats, renders
-    row by row."""
+    whose entries are all floats renders through one ``_fmt`` with a block
+    template built for it; any other chunk, with ints, bools or numpy
+    scalars, renders row by row."""
     step = max(1, _BLOCK_FLOATS // n)
     row = "[" + _row_template(n) + "]"
     parts = []
     for i in range(0, len(rows), step):
         chunk = rows[i:i + step]
-        flat = list(chain.from_iterable(chunk))
-        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
-            parts.append(", ".join([row] * len(chunk)) % tuple(flat))
+        flat = tuple(chain.from_iterable(chunk))
+        if set(map(type, flat)) == {float}:
+            parts.append(_fmt(", ".join([row] * len(chunk)), flat))
         else:
             parts.append(", ".join(_emit(e, indent) for e in chunk))
     return ", ".join(parts)
@@ -447,7 +439,7 @@ def _emit(v, indent: int) -> str:
     if isinstance(v, (list, tuple)):
         types = set(map(type, v))
         if types == {float}:
-            return "[" + _fmt_floats(v) + "]"
+            return "[" + _fmt(_row_template(len(v)), tuple(v)) + "]"
         if types == {int}:
             return "[" + ", ".join(map(str, v)) + "]"
         if types == {list} and v[0] and len(set(map(len, v))) == 1:
@@ -460,7 +452,7 @@ def _emit(v, indent: int) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_floats((float(v),))
+        return _fmt("%.17g", (float(v),))
     if isinstance(v, str):
         return json.dumps(v)
     if v is None:

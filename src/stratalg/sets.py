@@ -33,7 +33,7 @@ from .core import (
     ext_add,
 )
 from .errors import PreconditionError, ShapeError, SpaceMismatchError
-from .linalg import _dot, _grow_frames, orthonormalize, rank_partition
+from .linalg import _canonical_signs, _dot, _grow_frames
 from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
 __all__ = [
@@ -424,7 +424,7 @@ def separate(
         F, r = _direction_frames(pts, rays, lines)
         p0 = pts[:, 0]
         resid = p0.copy()
-        for n in np.unique(r[r > 0]):
+        for n in np.flatnonzero(np.bincount(r)[1:]) + 1:  # np.unique would import numpy.ma
             on = r == n
             q = F[on, :n]
             coef = np.matmul(q, p0[on, :, None])
@@ -504,14 +504,9 @@ def hahn_banach_extend(
         raise ShapeError("the restriction set must be linear (no rays)")
 
     K = space.natoms
-    if e.lines.shape[1]:
-        basis = rank_partition([CondVector(space, e.lines[:, i]) for i in range(e.lines.shape[1])])
-        frame = orthonormalize(basis)
-        labels = frame.labels
-        frows = frame.rows
-    else:
-        labels = np.zeros(K, dtype=np.int64)
-        frows = np.tile(np.eye(dim)[None, :, :], (K, 1, 1))
+    # the submodule's frame: frows[k, :labels[k]] spans atom k's lines
+    frows, labels = _direction_frames(e.points[:, :1], e.rays, e.lines)
+    frows = _canonical_signs(frows)
     top = int(labels.max())
     if len(g_images) < top:
         raise PreconditionError(

@@ -179,13 +179,22 @@ def test_emit_of_long_rows_matches_reference(n):
 @pytest.mark.parametrize("seed", range(24))
 def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
     # a list of equal-length float rows renders through one template per
-    # chunk of rows; small chunks make one block span several, finite and
-    # not, and anything but finite floats takes the row path
-    monkeypatch.setattr(stratalg_io, "_BLOCK_FLOATS", [1, 7, 64, 1 << 15][seed % 4])
+    # chunk of rows, infinities included; small chunks make one block span
+    # several, and anything but floats takes the row path
+    block = [1, 7, 64, 1 << 15][seed % 4]
+    monkeypatch.setattr(stratalg_io, "_BLOCK_FLOATS", block)
     rng = np.random.default_rng([15, seed])
     K, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
     rows = rng.normal(size=(K, n)) * 10.0 ** rng.integers(-300, 300, size=(K, n))
     finite = rows.tolist()
+    step = max(1, block // n)  # rows per chunk
+    edges, flipped = [r[:] for r in finite], [r[:] for r in finite]
+    for i in range(0, K, step):  # infinities first and last in every chunk
+        last = min(i + step, K) - 1
+        edges[i][0], edges[last][-1] = np.inf, -np.inf
+        flipped[i][0], flipped[last][-1] = -np.inf, np.inf
+    one_neg_inf = [r[:] for r in finite]
+    one_neg_inf[K // 2][n // 2] = -np.inf
     doc = {
         "finite": finite,
         "signed_zeros": np.where(rng.random((K, n)) < 0.3, -0.0, rows),
@@ -199,8 +208,21 @@ def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
         "bools": finite + [[True] * n],
         "nested": [[finite[:2]] for _ in range(3)],
         "overflowing_sum": [[1.7976931348623157e308] * n for _ in range(K + 1)],
+        "chunk_edges": edges,
+        "chunk_edges_flipped": flipped,
+        "one_neg_inf": one_neg_inf,
     }
     assert emit_document(doc) == ref_emit(doc, 0) + "\n"
+    # a NaN beside the +inf that opens the first chunk still raises
+    size = min(step, K) * n
+    if size > 1:
+        with_nan = [r[:] for r in edges]
+        with_nan[size // 2 // n][size // 2 % n] = float("nan")
+        with pytest.raises(ValueError) as ref:
+            ref_emit({"v": with_nan}, 0)
+        with pytest.raises(ValueError) as got:
+            emit_document({"v": with_nan})
+        assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,16 @@ temporaries stay a few MB however many rows it gets.
 Reading a scenario decodes only the entries a command reads: its peak is
 the text read plus one entry, well below a read that decodes every entry
 into Python objects.
+
+The ops load no module they do not need: proper separation groups its
+frame sizes without ``np.unique``, whose first call imports ``numpy.ma``.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -99,3 +106,32 @@ def test_legendre_peak(m):
     ys = np.linspace(-2.0, 2.0, m)
     out_bytes = V.shape[0] * m * 8
     assert peak_bytes(lambda: _legendre(xs, V, ys)) <= 2**24 + 2 * out_bytes
+
+
+def test_proper_separation_leaves_numpy_ma_out():
+    # in a fresh interpreter: np.unique's first call imports numpy.ma, which
+    # numpy 1.x already imports with numpy itself
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from stratalg import ConvexSetRep, MeasureSpace, separate
+        if "numpy.ma" in sys.modules:
+            sys.exit(3)
+        rng = np.random.default_rng(4)
+        K, d = 12, 3
+        pts = np.concatenate([np.zeros((K, 1, d)), rng.uniform(0.5, 1.0, (K, 3, d))], axis=1)
+        pts[::2, :, 2] = 0.0  # planar on every other atom: frames of two sizes
+        shift = np.zeros((K, 1, d))
+        shift[::4, 0, 2] = 1.0  # the planar difference's hull misses 0 there
+        space = MeasureSpace(np.ones(K))
+        res = separate(ConvexSetRep(space, d, pts), ConvexSetRep(space, d, shift - pts), "proper")
+        assert not res.failure_set.mask.any()
+        assert "numpy.ma" not in sys.modules, "proper separation imported numpy.ma"
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert proc.returncode == 0, proc.stderr

@@ -37,7 +37,7 @@ from stratalg import (
 from stratalg import _solvers, functions, sets
 from stratalg._solvers import LPModel, min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
 from stratalg.core import ext_add
-from stratalg.linalg import _grow_frames
+from stratalg.linalg import _canonical_signs, _grow_frames
 from stratalg.tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
 
@@ -421,6 +421,32 @@ class TestHahnBanach:
         with pytest.raises(PreconditionError) as err:
             hahn_banach_extend(p, e, [c])
         assert err.value.atoms.tolist() == [False, True]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_frame_is_the_orthonormalized_rank_partition(self, seed):
+        # the extension's frame, one Gram-Schmidt pass over the lines with
+        # canonical signs, has the bits and labels of
+        # orthonormalize(rank_partition(lines)) on the submodule rows
+        rng = np.random.default_rng([60, seed])
+        K = 16
+        for family in range(50):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            if family % 2:
+                lines = rng.normal(size=(K, m, d))
+            else:
+                # integer lines of rank at most q[k], scaled by 2^j per atom
+                q = rng.integers(0, d + 1, size=K)
+                coef = rng.integers(-3, 4, size=(K, m, d)) * (np.arange(d) < q[:, None, None])
+                lines = (coef @ rng.integers(-3, 4, size=(K, d, d))).astype(float)
+                lines *= 2.0 ** rng.integers(-10, 21, size=(K, 1, 1))
+            space = MeasureSpace(np.ones(K))
+            want = orthonormalize(rank_partition([CondVector(space, lines[:, i])
+                                                  for i in range(m)]))
+            F, r = sets._direction_frames(np.zeros((K, 1, d)), np.zeros((K, 0, d)), lines)
+            F = _canonical_signs(F)
+            assert r.tolist() == want.labels.tolist()
+            below = np.arange(d)[None, :] < r[:, None]
+            assert F[below].tobytes() == want.rows[below].tobytes()
 
 
 class TestBoundedAndInterior:

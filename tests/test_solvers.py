@@ -6,12 +6,14 @@ site on seeded data, records every LP it builds, and checks that
 ``linprog(method="highs")`` with the options the package always used
 gives the same status and a bit-identical ``fun`` and ``x``, both for
 the result the call site got, from a reused ``LPModel`` where it solved
-several costs, and for a fresh model.  On degenerate dual-cone and
-uniqueness-box families, where a warm re-run from the kept basis returns
-another vertex, every cost solved on a reused model must equal a fresh
-model's bytes, which only ``clearSolver`` gives.  Hand-made LPs cover the
-statuses and argument forms the call sites rarely reach.  A scipy
-release that changes the private HiGHS binding fails here.
+several costs, and for the cost solved alone on a new ``LPModel``.  On
+degenerate dual-cone and uniqueness-box families, where a warm re-run
+from the kept basis returns another vertex, every cost solved on a
+reused model must equal the bytes of a HiGHS instance built in the test
+that gets the cost with the model, which only ``clearSolver`` gives.
+Hand-made LPs cover the statuses and argument forms the call sites
+rarely reach.  A scipy release that changes the private HiGHS binding
+fails here.
 
 Each test's LPs are also pinned, element for element, by a sha256 per LP
 in ``tests/golden/lp_digests.json``: HiGHS's vertex on a degenerate LP
@@ -86,7 +88,7 @@ SEEDS = range(6)
 
 
 def assert_matches_linprog(lp: dict) -> int:
-    """Solve ``lp`` on a fresh ``LPModel`` and compare with linprog; a
+    """Solve ``lp`` on a new ``LPModel`` and compare with linprog; a
     ``result`` recorded at the call site must match too."""
     lp = dict(lp)
     results = [lp.pop("result")] if "result" in lp else []
@@ -286,6 +288,7 @@ def test_hand_made(name):
 
 
 def test_status_map_is_linprogs():
+    _solvers._load_cores()
     for status in _highs.HighsModelStatus.__members__.values():
         assert _solvers._LP_STATUS.get(status, 4) == _highs_to_scipy_status_message(status, "")[0]
 
@@ -329,14 +332,20 @@ def solved_families(monkeypatch, call) -> list:
     return [f for f in families.values() if len(f[1]) > 1]
 
 
+def highs_with_cost(model: LPModel, c):
+    """A new ``_Highs`` instance that gets ``c`` inside ``passModel``."""
+    fresh = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds)
+    fresh.lp.col_cost_ = c
+    h = _highs._Highs()
+    h.passOptions(_solvers._LP_OPTIONS)
+    assert h.passModel(fresh.lp) != _highs.HighsStatus.kError
+    return h
+
+
 def warm_xs(model: LPModel, costs: list) -> list:
     """The ``x`` of each cost re-run on one ``_Highs`` instance that keeps
     its basis between costs: ``solve_lp`` without ``clearSolver``."""
-    fresh = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds)
-    fresh.lp.col_cost_ = costs[0]
-    h = _highs._Highs()
-    h.passOptions(_solvers._LP_OPTIONS)
-    h.passModel(fresh.lp)
+    h = highs_with_cost(model, costs[0])
     xs = []
     for i, c in enumerate(costs):
         if i:
@@ -367,17 +376,20 @@ def argmin_box_family(seed):
 
 @pytest.mark.parametrize("family", [dual_cone_family, argmin_box_family])
 def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch):
-    # every cost solved on a reused model has the bits of a fresh model,
-    # while a warm re-run from the kept basis gives another x on some LP
+    # every cost solved on a reused model, the first one included, has the
+    # bits of an instance that got the cost with the model, while a warm
+    # re-run from the kept basis gives another x on some LP
     solved = warm_moved = 0
     for seed in range(10):
         for model, runs in solved_families(monkeypatch, family(seed)):
             for c, res in runs:
-                want = solve_lp(LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq,
-                                        model.bounds), c)
-                assert res.status == want.status
-                assert np.float64(res.fun).tobytes() == np.float64(want.fun).tobytes()
-                assert np.asarray(res.x).tobytes() == np.asarray(want.x).tobytes()
+                h = highs_with_cost(model, c)
+                h.run()
+                assert h.getModelStatus() == _highs.HighsModelStatus.kOptimal
+                assert res.status == 0
+                want_fun = np.float64(h.getInfo().objective_function_value)
+                assert np.float64(res.fun).tobytes() == want_fun.tobytes()
+                assert res.x.tobytes() == np.array(h.getSolution().col_value).tobytes()
                 solved += 1
             warm = warm_xs(model, [c for c, _ in runs])
             warm_moved += sum(res.x is not None and x.tobytes() != res.x.tobytes()
@@ -871,6 +883,7 @@ def test_scipy_optimize_after_stratalg_reuses_the_cores():
     run_fresh("""
         import stratalg._solvers as solvers
         import numpy as np
+        solvers._load_cores()
         from scipy.optimize import linprog, nnls
         from scipy.optimize._highspy import _core
         import scipy.optimize._slsqplib as slsqplib
@@ -886,6 +899,7 @@ def test_stratalg_after_scipy_optimize_reuses_its_cores():
         from scipy.optimize._highspy import _core
         from scipy.optimize import _slsqplib
         import stratalg._solvers as solvers
+        solvers._load_cores()
         assert solvers._highs is _core and solvers._slsqplib is _slsqplib
         model = solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         assert solvers.solve_lp(model, [1.0, 2.0]).status == 0
