@@ -86,7 +86,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SolverError
-from .tolerances import EQ_TOL, FEAS_TOL
+from .tolerances import EQ_TOL, FEAS_TOL, row_scale
 
 
 def _load_scipy_extension(name: str) -> ModuleType:
@@ -192,12 +192,12 @@ class LPModel:
 
     Arguments follow ``scipy.optimize.linprog``; ``bounds`` defaults to
     ``x >= 0`` and ``None`` entries mean unbounded.  The arguments are
-    kept as given, next to the HiGHS model ``row_lower <= [A_ub; A_eq] x
-    <= row_upper`` built from them once, with zero costs, and the bounds
-    and rows that the post-solve feasibility check reads.  The model goes
-    to the model's own ``_Highs`` instance here; ``rejected`` records
-    that HiGHS refused it (kModelError).  ``solve_lp`` solves one cost
-    over it.
+    kept as given, next to the bounds and rows that the post-solve
+    feasibility check reads.  The HiGHS model ``row_lower <= [A_ub; A_eq]
+    x <= row_upper`` is built from them once, with zero costs, and goes
+    to the model's own ``_Highs`` instance, which keeps the only copy;
+    ``rejected`` records that HiGHS refused it (kModelError).
+    ``solve_lp`` solves one cost over it.
     """
 
     def __init__(self, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
@@ -221,7 +221,7 @@ class LPModel:
         # Column-wise nonzeros of [A_ub; A_eq], rows ascending in each column.
         At = np.vstack([A_ub, A_eq]).T
         col, row = np.nonzero(At)
-        lp = self.lp = _highs.HighsLp()
+        lp = _highs.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = m
         lp.a_matrix_.num_col_ = n
@@ -406,8 +406,7 @@ def cone_least_squares(
     eq_rhs = np.asarray(eq_rhs, dtype=float)
     K, n, d = gens.shape
     m = eq_rhs.shape[1]
-    pen = _PENALTY * np.maximum(np.abs(gens).max(axis=(1, 2), initial=1.0),
-                                np.abs(eq_rhs).max(axis=1, initial=1.0))
+    pen = _PENALTY * row_scale(gens, eq_rhs)
 
     # NNLS columns: the nonnegative w_i, then the free ones with + and -.
     A = np.concatenate([
@@ -419,10 +418,10 @@ def cone_least_squares(
     w_split[gave_up] = 0.0
     on = np.ones((K, n), dtype=bool)
     on[:, :nonneg] = gave_up[:, None] | (
-        w_split[:, :nonneg] > 1e-9 * w_split.max(axis=1, initial=1.0)[:, None])
+        w_split[:, :nonneg] > 1e-9 * row_scale(w_split)[:, None])
 
     opt_tol = 1e-9 * np.sum(gens * gens, axis=2).max(axis=1, initial=1.0)
-    eq_tol = 1e-9 * np.abs(eq_rhs).max(axis=1, initial=1.0)
+    eq_tol = 1e-9 * row_scale(eq_rhs)
     point, coeffs = np.zeros((K, d)), np.zeros((K, n))
     kkt_fail, found = np.ones(K, dtype=bool), np.zeros(K, dtype=bool)
     live = np.ones(K, dtype=bool)
@@ -546,8 +545,7 @@ def positivity_margin(
     cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
     n = cols.shape[1]
     nonneg_cnt = n - len(lines)
-    slack = FEAS_TOL * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
-                           float(np.max(np.abs(target))) if target.size else 1.0)
+    slack = FEAS_TOL * row_scale(cols[None], target[None])[0]
     # written as a rescaled FEAS_TOL slack, which pins the bits of b_ub
     tight = EQ_TOL * (slack / FEAS_TOL)
     # variables [w (n), t]; maximize t.

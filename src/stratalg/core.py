@@ -76,8 +76,11 @@ class MeasureSpace:
         return MeasurableSet(self, np.zeros(self.natoms, dtype=bool))
 
     def set_from_indices(self, indices: Iterable[int]) -> "MeasurableSet":
+        idx = list(indices)
+        if not all(0 <= i < self.natoms for i in idx):
+            raise ShapeError(f"atom indices must lie in 0..{self.natoms - 1}")
         mask = np.zeros(self.natoms, dtype=bool)
-        mask[list(indices)] = True
+        mask[idx] = True
         return MeasurableSet(self, mask)
 
 
@@ -364,6 +367,24 @@ def inner_norm(x: CondVector, y: CondVector) -> tuple[CondScalar, CondScalar]:
     return x.inner(y), x.norm()
 
 
+def _stack(family: Sequence[AnyCond], space: MeasureSpace, tail: tuple = ()) -> np.ndarray:
+    """The values of a finite family as one atom-first ``(K, n, *tail)``
+    array, ``(K, 0, *tail)`` for an empty family.
+
+    Every member must live on ``space`` (else ``SpaceMismatchError``) and
+    have values of shape ``(K, *tail)`` (else ``ShapeError``).
+    """
+    shape = (space.natoms, *tail)
+    for x in family:
+        if x.space != space:
+            raise SpaceMismatchError("family members live on different measure spaces")
+        if x.values.shape != shape:
+            raise ShapeError(f"family members must have values of shape {shape}")
+    if not family:
+        return np.zeros((space.natoms, 0, *tail))
+    return np.stack([x.values for x in family], axis=1)
+
+
 def _validate_partition(parts: Sequence[MeasurableSet], space: MeasureSpace) -> None:
     cover = np.zeros(space.natoms, dtype=int)
     for p in parts:
@@ -388,17 +409,12 @@ def glue(parts: Sequence[MeasurableSet], pieces: Sequence[AnyCond]) -> AnyCond:
     space = pieces[0].space
     _validate_partition(parts, space)
     kind = type(pieces[0])
-    for x in pieces:
-        if type(x) is not kind:
-            raise ShapeError("cannot glue values of different types")
-        if x.space != space:
-            raise SpaceMismatchError("pieces live on different measure spaces")
-        if x.values.shape != pieces[0].values.shape:
-            raise ShapeError("cannot glue values of different shapes")
-    out = np.zeros_like(pieces[0].values)
-    for region, x in zip(parts, pieces):
-        out[region.mask] = x.values[region.mask]
-    return kind(space, out)
+    if any(type(x) is not kind for x in pieces):
+        raise ShapeError("cannot glue values of different types")
+    stack = _stack(pieces, space, pieces[0].values.shape[1:])
+    # the partition index: atom k lies in parts[n[k]]
+    n = np.stack([p.mask for p in parts], axis=1).argmax(axis=1)
+    return kind(space, stack[np.arange(space.natoms), n])
 
 
 def select_by_index(terms: Sequence[AnyCond], index: CondInteger) -> AnyCond:
@@ -413,14 +429,8 @@ def select_by_index(terms: Sequence[AnyCond], index: CondInteger) -> AnyCond:
     n = index.values
     if np.any(n > len(terms)):
         raise ShapeError("index exceeds the number of terms")
-    out = np.zeros_like(terms[0].values)
-    for i, x in enumerate(terms, start=1):
-        if x.space != space:
-            raise SpaceMismatchError("terms live on a different measure space")
-        sel = n == i
-        if sel.any():
-            out[sel] = x.values[sel]
-    return type(terms[0])(space, out)
+    stack = _stack(terms, space, terms[0].values.shape[1:])
+    return type(terms[0])(space, stack[np.arange(space.natoms), n - 1])
 
 
 def ess_extrema(
@@ -437,12 +447,9 @@ def ess_extrema(
     if not family:
         raise ShapeError("ess_extrema needs a non-empty family")
     space = family[0].space
-    rows = []
-    for x in family:
-        if x.space != space:
-            raise SpaceMismatchError("family members live on different spaces")
-        rows.append(x.values)
-    stacked = np.stack(rows)
+    # family-major (n, K): a contiguous per-atom max would let SIMD
+    # dispatch pick the sign of a 0.0/-0.0 tie
+    stacked = np.ascontiguousarray(_stack(family, space).T)
     out = stacked.max(axis=0) if kind == "sup" else stacked.min(axis=0)
     return CondExtScalar(space, out)
 

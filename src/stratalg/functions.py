@@ -27,12 +27,12 @@ from .core import (
     MeasureSpace,
     _check_space,
     _freeze,
+    _stack,
     ext_add,
 )
 from .errors import (
     PreconditionError,
     ShapeError,
-    SpaceMismatchError,
     UnboundedError,
 )
 from .linalg import _dot
@@ -111,13 +111,8 @@ class MaxAffineFn:
         if not pieces:
             raise ShapeError("a max-affine function needs at least one piece")
         space, dim = pieces[0][0].space, pieces[0][0].dim
-        for y, z in pieces:
-            if y.space != space or z.space != space:
-                raise SpaceMismatchError("pieces live on different spaces")
-            if y.dim != dim:
-                raise ShapeError("piece slopes must share the dimension")
-        slopes = np.stack([y.values for y, _ in pieces], axis=1)
-        offsets = np.stack([z.values for _, z in pieces], axis=1)
+        slopes = _stack([y for y, _ in pieces], space, (dim,))
+        offsets = _stack([z for _, z in pieces], space)
         return cls(space, slopes, offsets, domain)
 
     @property
@@ -613,6 +608,8 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     slope = max(1.0, float(slopes.max())) if slopes.size else 1.0
     bound = float(np.ceil(slope)) + 1.0
     if nodes:
+        if nodes < 2:
+            raise ShapeError(f"a dual grid needs at least 2 nodes, not {nodes}")
         n = nodes
     else:
         width = max(1.0, f.grid.maxs[0] - f.grid.mins[0])
@@ -732,20 +729,21 @@ def bounded_subgradient(
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((_GROWTH_PROBES, f.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    f0 = f.eval(x0).values
+    f0 = f.eval(x0)
+    if not f0.finite_set.is_full:
+        raise PreconditionError("x0 must lie in the domain", ~f0.finite_set.mask)
     bad = np.zeros(f.space.natoms, dtype=bool)
     for u in dirs:
         for radius in (1.0, 1e3, 1e6):
             shift = CondVector.constant(f.space, radius * u)
             fv = f.eval(x0 + shift).values
-            floor = f0 - v.values * radius
-            scale = np.maximum(1.0, np.abs(floor))
-            bad |= fv < floor - STRICT_TOL * scale
+            floor = f0.values - v.values * radius
+            bad |= fv < floor - STRICT_TOL * row_scale(floor)
     if bad.any():
         raise PreconditionError("growth bound fails on probe directions", bad)
     rep = subdifferential(f, x0).representative
     norms = rep.norm().values
-    over = norms > v.values + QP_TOL * np.maximum(1.0, np.abs(v.values))
+    over = norms > v.values + QP_TOL * row_scale(v.values)
     if over.any():
         raise PreconditionError(
             "growth bound fails in the slope geometry", over
@@ -814,9 +812,8 @@ def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableS
     on = active[:, :, None]
     # the first active slope, and the largest entry and spread of the active ones
     first = f.slopes[np.arange(f.space.natoms), active.argmax(axis=1)]
-    scale = np.maximum(1.0, np.where(on, np.abs(f.slopes), 0.0).max(axis=(1, 2)))
     spread = np.where(on, np.abs(f.slopes - first[:, None]), 0.0).max(axis=(1, 2))
-    ok = spread <= _GRAD_TOL * scale
+    ok = spread <= _GRAD_TOL * row_scale(np.where(on, f.slopes, 0.0))
     grad = np.where(ok[:, None], first, 0.0)
     if f.domain is not None:
         interior = ri_membership(x0, f.domain, mode="interior").mask
@@ -1010,20 +1007,18 @@ def inf_convolution(fs: Sequence[GridFn]) -> InfConvResult:
     g0 = fs[0]
     if g0.grid.ndim != 1:
         raise ShapeError("inf-convolution is implemented for 1-d grids")
-    for f in fs[1:]:
-        if f.grid != g0.grid:
-            raise ShapeError("inf-convolution needs a shared grid")
-        if f.space != g0.space:
-            raise SpaceMismatchError("functions live on different spaces")
+    if any(f.grid != g0.grid for f in fs):
+        raise ShapeError("inf-convolution needs a shared grid")
     (q,) = g0.grid.origin_offsets()
     K = g0.space.natoms
     n = g0.grid.shape[0]
+    V = _stack(fs, g0.space, (n,))
 
-    acc = g0.values.copy()
+    acc = V[:, 0].copy()
     # stage_args[s][k, t] = node of the accumulated function at stage s
     # in the best splitting of result node t
     stage_args: list[np.ndarray] = []
-    for f in fs[1:]:
+    for j in range(1, len(fs)):
         nxt = np.full((K, n), np.inf)
         args = np.zeros((K, n), dtype=np.int64)
         for i in range(n):
@@ -1031,7 +1026,7 @@ def inf_convolution(fs: Sequence[GridFn]) -> InfConvResult:
             lo, hi = max(0, i - q), min(n, i + n - q)
             if lo >= hi:
                 continue
-            cand = ext_add(acc[:, i, None], f.values[:, lo - i + q: hi - i + q])
+            cand = ext_add(acc[:, i, None], V[:, j, lo - i + q: hi - i + q])
             # strict improvement only: the first minimizing node is kept
             args[:, lo:hi][cand < nxt[:, lo:hi]] = i
             np.minimum(nxt[:, lo:hi], cand, out=nxt[:, lo:hi])

@@ -21,8 +21,9 @@ from .core import (
     MeasurableSet,
     MeasureSpace,
     _check_space,
+    _stack,
 )
-from .errors import PreconditionError, ShapeError, SpaceMismatchError
+from .errors import PreconditionError, ShapeError
 from .tolerances import RANK_TOL
 
 __all__ = [
@@ -206,15 +207,9 @@ def rank_partition(
     """
     if not generators:
         raise ShapeError("rank_partition needs at least one generator")
-    space = generators[0].space
-    d = generators[0].dim
-    for g in generators:
-        if g.space != space:
-            raise SpaceMismatchError("generators live on different spaces")
-        if g.dim != d:
-            raise ShapeError("generators must share a dimension")
+    space, d = generators[0].space, generators[0].dim
     K = space.natoms
-    G = np.stack([g.values for g in generators], axis=1)  # (K, m, d)
+    G = _stack(generators, space, (d,))  # (K, m, d)
     labels = np.zeros(K, dtype=np.int64)
     picks = _grow_frames(G, np.zeros((K, d, d)), labels, rank_tol)
     picks = np.ascontiguousarray(picks.T[: labels.max()])
@@ -294,6 +289,8 @@ def extend_linear(
     space, d, K = frame.space, frame.dim, frame.space.natoms
     if not images:
         raise ShapeError("extend_linear needs the map's frame images")
+    if len(images) > d:
+        raise ShapeError(f"{len(images)} images for a frame of {d} vectors")
     m = images[0].dim
     top = int(frame.labels.max())
     if len(images) < top:
@@ -301,23 +298,16 @@ def extend_linear(
             "map is unspecified on submodule directions",
             frame.labels > len(images),
         )
-    bad = np.zeros(K, dtype=bool)
-    for i, img in enumerate(images):
-        if img.space != space:
-            raise SpaceMismatchError("images live on a different space")
-        if img.dim != m:
-            raise ShapeError("images must share a target dimension")
-        low = frame.labels <= i
-        bad |= low & (np.linalg.norm(img.values, axis=1) > _SIGN_TOL)
+    C = _stack(images, space, (m,))  # (K, n, m)
+    low = frame.labels[:, None] <= np.arange(len(images))
+    bad = (low & (np.linalg.norm(C, axis=2) > _SIGN_TOL)).any(axis=1)
     if bad.any():
         raise PreconditionError("images given for complement directions", bad)
 
     mats = np.zeros((K, m, d))
-    for i, img in enumerate(images):
+    for i in range(len(images)):
         live = (frame.labels > i).astype(float)
-        mats += live[:, None, None] * np.einsum(
-            "km,kd->kmd", img.values, frame.rows[:, i, :]
-        )
+        mats += live[:, None, None] * np.einsum("km,kd->kmd", C[:, i], frame.rows[:, i, :])
     return CondLinearMap(space=space, mats=mats)
 
 

@@ -24,6 +24,7 @@ from .core import (
     MeasurableSet,
     MeasureSpace,
     _freeze,
+    _stack,
 )
 from .errors import (
     ExtractionStalledError,
@@ -31,7 +32,7 @@ from .errors import (
     ShapeError,
     SpaceMismatchError,
 )
-from .tolerances import EQ_TOL
+from .tolerances import EQ_TOL, row_scale
 
 __all__ = ["CondSequence", "BWResult", "CauchyResult", "bw_extract", "cauchy_limit"]
 
@@ -52,18 +53,13 @@ class CondSequence:
         terms = tuple(terms)
         if not terms:
             raise ShapeError("a sequence needs at least one term")
-        space, dim = terms[0].space, terms[0].dim
-        for t in terms:
-            if t.space != space:
-                raise SpaceMismatchError("terms live on different measure spaces")
-            if t.dim != dim:
-                raise ShapeError("terms must share the dimension")
-        values = np.stack([t.values for t in terms], axis=1)
+        space = terms[0].space
+        values = _stack(terms, space, (terms[0].dim,))
         if bound is not None:
             if bound.space != space:
                 raise SpaceMismatchError("bound lives on a different measure space")
-            b = bound.values[:, None]
-            if np.any(np.linalg.norm(values, axis=2) > b + EQ_TOL * np.maximum(1.0, np.abs(b))):
+            b = bound.values + EQ_TOL * row_scale(bound.values)
+            if np.any(np.linalg.norm(values, axis=2) > b[:, None]):
                 raise ShapeError("bound does not dominate the terms")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", _freeze(values))
@@ -162,11 +158,7 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
     """
     space = seq.space
     K = space.natoms
-    if any(eps.space != space for eps in schedule):
-        raise SpaceMismatchError("epsilon lives on a different measure space")
-    bad = np.zeros(K, dtype=bool)
-    for eps in schedule:
-        bad |= eps.values <= 0
+    bad = (_stack(schedule, space) <= 0).any(axis=1)
     if bad.any():
         raise PreconditionError("epsilons must be strictly positive", bad)
     T = seq.horizon

@@ -30,9 +30,10 @@ from .core import (
     MeasureSpace,
     _check_space,
     _freeze,
+    _stack,
     ext_add,
 )
-from .errors import PreconditionError, ShapeError, SpaceMismatchError
+from .errors import PreconditionError, ShapeError
 from .linalg import _canonical_signs, _dot, _grow_frames
 from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
@@ -72,24 +73,18 @@ class ConvexSetRep:
     discrete: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "points", self._stack(self.points))
+        object.__setattr__(self, "points", self._family(self.points))
         if not self.points.shape[1]:
             raise ShapeError("a set representation needs at least one point")
-        object.__setattr__(self, "rays", self._stack(self.rays))
-        object.__setattr__(self, "lines", self._stack(self.lines))
+        object.__setattr__(self, "rays", self._family(self.rays))
+        object.__setattr__(self, "lines", self._family(self.lines))
         if self.discrete and (self.rays.shape[1] or self.lines.shape[1]):
             raise ShapeError("discrete representations carry points only")
 
-    def _stack(self, family) -> np.ndarray:
+    def _family(self, family) -> np.ndarray:
         K = self.space.natoms
         if not isinstance(family, np.ndarray):
-            for v in family:
-                if v.space != self.space:
-                    raise SpaceMismatchError("generators live on different spaces")
-                if v.dim != self.dim:
-                    raise ShapeError("generators must share a dimension")
-            family = (np.stack([v.values for v in family], axis=1) if len(family)
-                      else np.zeros((K, 0, self.dim)))
+            family = _stack(family, self.space, (self.dim,))
         if family.ndim != 3 or family.shape[::2] != (K, self.dim):
             raise ShapeError("generator rows must form a (natoms, n, dim) array")
         if not np.isfinite(family).all():
@@ -186,22 +181,19 @@ def hull(generators: Sequence[CondVector], kind: str) -> ConvexSetRep:
         raise ShapeError(f"unknown hull kind {kind!r}")
     if not generators:
         raise ShapeError("hull needs at least one generator")
-    space = generators[0].space
-    d = generators[0].dim
-    zero = CondVector.zero(space, d)
-    gens = tuple(generators)
+    space, d = generators[0].space, generators[0].dim
+    G = _stack(generators, space, (d,))
+    zero = np.zeros((space.natoms, 1, d))
     if kind in ("stable", "sigma"):
-        return ConvexSetRep(space, d, points=gens, discrete=True)
+        return ConvexSetRep(space, d, points=G, discrete=True)
     if kind == "convex":
-        return ConvexSetRep(space, d, points=gens)
+        return ConvexSetRep(space, d, points=G)
     if kind == "cone":
-        return ConvexSetRep(space, d, points=(zero,), rays=gens)
+        return ConvexSetRep(space, d, points=zero, rays=G)
     if kind == "affine":
-        base = gens[0]
-        lines = tuple(g - base for g in gens[1:])
-        return ConvexSetRep(space, d, points=(base,), lines=lines)
+        return ConvexSetRep(space, d, points=G[:, :1], lines=G[:, 1:] - G[:, :1])
     # linear
-    return ConvexSetRep(space, d, points=(zero,), lines=gens)
+    return ConvexSetRep(space, d, points=zero, lines=G)
 
 
 def _direction_frames(points, rays, lines, rank_tol: float = RANK_TOL):
@@ -368,7 +360,7 @@ def _support_interval(Z: np.ndarray, rep: ConvexSetRep):
     """
     z = Z[:, :, None]
     vals = np.matmul(rep.points, z)[:, :, 0]
-    tol = (STRICT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1)))[:, None]
+    tol = (STRICT_TOL * row_scale(vals))[:, None]
     ray = np.matmul(rep.rays[:, :, None, :], z[:, None])[:, :, 0, 0]
     line = (np.abs(np.matmul(rep.lines[:, :, None, :], z[:, None])[:, :, 0, 0]) > tol).any(axis=1)
     atoms = np.arange(len(vals))
@@ -429,9 +421,8 @@ def separate(
             q = F[on, :n]
             coef = np.matmul(q, p0[on, :, None])
             resid[on] = p0[on] - np.matmul(q.transpose(0, 2, 1), coef)[:, :, 0]
-        scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
         # origin outside the affine hull: project it onto the hull
-        off = np.sqrt(_dot(resid, resid)) > RANK_TOL * scale
+        off = np.sqrt(_dot(resid, resid)) > RANK_TOL * row_scale(pts)
         zrows[off] = resid[off]
         # a difference set that is the single point 0 is its own relative
         # interior, so no proper separation exists
@@ -512,11 +503,8 @@ def hahn_banach_extend(
         raise PreconditionError(
             "values missing on submodule directions", labels > len(g_images)
         )
-    bad = np.zeros(K, dtype=bool)
-    for i, ci in enumerate(g_images):
-        if ci.space != space:
-            raise SpaceMismatchError("frame values live on a different space")
-        bad |= (labels <= i) & (np.abs(ci.values) > FEAS_TOL)
+    C = _stack(g_images, space)  # (K, n): C[k, i] is the value on frame vector i
+    bad = ((labels[:, None] <= np.arange(C.shape[1])) & (np.abs(C) > FEAS_TOL)).any(axis=1)
     if bad.any():
         raise PreconditionError("values given for complement directions", bad)
 
@@ -526,10 +514,10 @@ def hahn_banach_extend(
     probe_bad = np.zeros(K, dtype=bool)
     for i in range(top):
         u = frows[:, i, :, None]
-        ci = g_images[i].values
+        ci = C[:, i]
         pmax = np.matmul(p.slopes, u)[:, :, 0].max(axis=1)
         pmin = np.matmul(p.slopes, -u)[:, :, 0].max(axis=1)
-        scale = np.maximum(np.maximum(1.0, np.abs(ci)), np.maximum(np.abs(pmax), np.abs(pmin)))
+        scale = row_scale(ci, pmax, pmin)
         probe_bad |= (labels > i) & ((ci > pmax + tol * scale) | (-ci > pmin + tol * scale))
     if probe_bad.any():
         raise PreconditionError(
@@ -548,12 +536,10 @@ def hahn_banach_extend(
             rows[grp] = min_norm_point(Y).point
             continue
         u = frows[grp, :r]
-        cvals = np.stack([g_images[i].values[grp] for i in range(r)], axis=1)
+        cvals = C[grp, :r]
         mapped = np.matmul(Y, u.swapaxes(1, 2))  # row j: the frame values of slope j
         gap = min_norm_point(mapped - cvals[:, None]).point
-        scale = np.maximum(1.0, np.maximum(np.abs(mapped).max(axis=(1, 2)),
-                                           np.abs(cvals).max(axis=1)))
-        bad = np.sqrt(_dot(gap, gap)) > tol * scale
+        bad = np.sqrt(_dot(gap, gap)) > tol * row_scale(mapped, cvals)
         infeasible[grp[bad]] = True
         rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad]).point
     if infeasible.any():

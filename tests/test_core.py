@@ -21,7 +21,8 @@ from stratalg import (
     largest_set_where,
     select_by_index,
 )
-from stratalg.core import ext_add, ext_mul
+from stratalg.core import _stack, ext_add, ext_mul
+from stratalg.tolerances import row_scale
 
 
 class TestMeasureSpace:
@@ -37,6 +38,14 @@ class TestMeasureSpace:
         a = space3.set_from_indices([0, 2])
         assert a.mask.tolist() == [True, False, True]
         assert a.measure == pytest.approx(0.5 + 1.5)
+
+    def test_set_from_indices_rejects_atoms_off_the_space(self):
+        # [-1] used to mark atom 1 silently and [5] to raise a bare IndexError
+        space = MeasureSpace([1.0, 1.0])
+        for bad in ([-1], [5], [0, 2]):
+            with pytest.raises(ShapeError):
+                space.set_from_indices(bad)
+        assert space.set_from_indices([1]).mask.tolist() == [False, True]
 
     def test_equality_is_by_weights(self):
         assert MeasureSpace([1.0, 2.0]) == MeasureSpace(np.array([1.0, 2.0]))
@@ -123,6 +132,15 @@ class TestCondExtScalar:
         assert (a * 2.0).values.tolist() == [np.inf, -np.inf]
 
 
+def test_row_scale_reads_each_atoms_finite_entries_floored_at_1():
+    a = np.array([[0.5, -3.0], [0.25, np.inf], [-np.inf, 7.0]])
+    b = np.array([-4.0, 0.0, 2.0])
+    assert row_scale(a, b).tolist() == [4.0, 1.0, 7.0]
+    assert row_scale(np.zeros((2, 0, 3))).tolist() == [1.0, 1.0]
+    # K = 0 stacks, as an empty stratum of the nearest-point QP passes them
+    assert row_scale(np.zeros((0, 4, 2)), np.zeros((0, 1))).shape == (0,)
+
+
 def test_ext_arithmetic_tables():
     """Exhaustive check of the extended conventions on a value grid."""
     vals = [-np.inf, -1.5, 0.0, 2.0, np.inf]
@@ -181,6 +199,24 @@ class TestCondVector:
             CondVector(space3, np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             CondVector(space3, np.full((3, 2), np.inf))
+
+
+class TestStack:
+    def test_atom_first_stack_and_empty_family(self, space3, rng):
+        rows = rng.normal(size=(2, 3, 4))
+        fam = [CondVector(space3, r) for r in rows]
+        assert np.array_equal(_stack(fam, space3, (4,)), rows.swapaxes(0, 1))
+        assert _stack([], space3, (4,)).shape == (3, 0, 4)
+        assert _stack([], space3).shape == (3, 0)
+
+    def test_members_are_checked(self, space2, space3):
+        x = CondVector.zero(space3, 2)
+        with pytest.raises(SpaceMismatchError):
+            _stack([x, CondVector.zero(space2, 2)], space3, (2,))
+        with pytest.raises(ShapeError):
+            _stack([x, CondVector.zero(space3, 3)], space3, (2,))
+        with pytest.raises(ShapeError):
+            _stack([CondScalar.constant(space3, 0.0)], space3, (2,))
 
 
 class TestGlue:

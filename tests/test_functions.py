@@ -343,6 +343,16 @@ class TestDefaultDualGrid:
             fenchel_moreau_check(f)
         assert default_dual_grid(f, nodes=101).shape == (101,)
 
+    def test_a_dual_grid_needs_two_nodes(self, space2):
+        # nodes=1 used to divide by zero in the step; nodes=0 derives the grid
+        g = Grid((-1.0,), (1.0,), (0.5,))
+        f = grid_fn(space2, g, g.axis(0) ** 2)
+        for nodes in (1, -3):
+            with pytest.raises(ShapeError, match="at least 2 nodes"):
+                default_dual_grid(f, nodes=nodes)
+        assert default_dual_grid(f, nodes=2).shape == (2,)
+        assert default_dual_grid(f, nodes=0) == default_dual_grid(f)
+
 
 class TestFenchelMoreau:
     def test_convex_data_is_reproduced(self, space2):
@@ -434,6 +444,14 @@ class TestBoundedSubgradient:
             bounded_subgradient(
                 f, CondVector.zero(space2, 1), CondScalar.constant(space2, 0.5)
             )
+
+    def test_x0_outside_the_domain_names_its_atoms(self, space2):
+        # the growth audit used to form inf - inf at f(x0) = +inf
+        f = abs_fn(space2, domain=box1d(space2, 0.0, 1.0))
+        x0 = CondVector(space2, [[0.5], [3.0]])
+        with pytest.raises(PreconditionError, match="x0 must lie in the domain") as err:
+            bounded_subgradient(f, x0, CondScalar.constant(space2, 1.0))
+        assert err.value.atoms.tolist() == [False, True]
 
     def test_slope_geometry_catches_local_violation(self, space2):
         # the violating region is tiny, so distant probes all pass

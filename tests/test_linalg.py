@@ -257,6 +257,17 @@ class TestExtendLinear:
             extend_linear(frame, [img0, img1])
         assert err.value.atoms.tolist() == [False, True]
 
+    def test_more_images_than_frame_vectors_rejected(self, space2):
+        # three images for a frame of two vectors used to raise a bare
+        # IndexError from reading frame vector 2
+        g0 = CondVector(space2, [[1.0, 0.0], [0.0, 1.0]])
+        frame = orthonormalize(rank_partition([g0]))
+        zero = CondVector.zero(space2, 1)
+        a = CondVector(space2, [[2.0], [3.0]])
+        with pytest.raises(ShapeError):
+            extend_linear(frame, [a, zero, zero])
+        assert extend_linear(frame, [a, zero]).mats.shape == (2, 1, 2)
+
 
 class TestHyperplaneNormalForm:
     def test_frame_describes_the_plane(self, rng):

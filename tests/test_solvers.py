@@ -334,11 +334,12 @@ def solved_families(monkeypatch, call) -> list:
 
 def highs_with_cost(model: LPModel, c):
     """A new ``_Highs`` instance that gets ``c`` inside ``passModel``."""
-    fresh = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds)
-    fresh.lp.col_cost_ = c
+    lp = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq,
+                 model.bounds).highs.getLp()
+    lp.col_cost_ = c
     h = _highs._Highs()
     h.passOptions(_solvers._LP_OPTIONS)
-    assert h.passModel(fresh.lp) != _highs.HighsStatus.kError
+    assert h.passModel(lp) != _highs.HighsStatus.kError
     return h
 
 
