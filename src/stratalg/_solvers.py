@@ -40,12 +40,13 @@ post-solve feasibility check.  Every LP therefore gives the same status
 and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
 linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
-A caller that solves several costs over one constraint set builds it
-once as an ``LPModel``, which hands the model to its own HiGHS instance;
-every cost, the first one included, is set on that instance and run
-from a cleared solver, so nothing a previous solve left behind can
-influence which optimal vertex comes back, and every result has the bits
-of an instance that got the cost with the model (``test_solvers`` pins
+Every LP family states its constraints once per stratum, as atom-first
+stacks, in one ``LPModel`` with one HiGHS instance, reloaded per atom
+(only argmin's optimal-face and descent-cone models are one atom each).
+Every cost, the first one included, is set on that instance and run from
+a cleared solver, so nothing a previous solve left behind can influence
+which optimal vertex comes back, and every result has the bits of an
+instance that got the cost with the atom's model (``test_solvers`` pins
 this).
 
 Every per-atom LP runs inside ``per_atom``, and each call site passes its
@@ -187,79 +188,77 @@ def _highs_inf(a: np.ndarray) -> np.ndarray:
 
 
 class LPModel:
-    """The constraint set of a family of LPs over ``n`` variables:
-    ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``bounds``.
+    """The constraint sets ``A_ub[k] x <= b_ub[k]``, ``A_eq[k] x = b_eq[k]``,
+    ``box[k, :, 0] <= x <= box[k, :, 1]`` of a family of LPs over ``n``
+    variables, one per atom: float stacks ``(K, m_ub, n)``, ``(K, m_ub)``,
+    ``(K, m_eq, n)``, ``(K, m_eq)`` and ``(K, n, 2)``, ``±inf`` unbounded.
 
-    Arguments follow ``scipy.optimize.linprog``; ``bounds`` defaults to
-    ``x >= 0`` and ``None`` entries mean unbounded.  The arguments are
-    kept as given, next to the bounds and rows that the post-solve
-    feasibility check reads.  The HiGHS model ``row_lower <= [A_ub; A_eq]
-    x <= row_upper`` is built from them once, with zero costs, and goes
-    to the model's own ``_Highs`` instance, which keeps the only copy;
-    ``rejected`` records that HiGHS refused it (kModelError).
-    ``solve_lp`` solves one cost over it.
+    The stacks are kept as given, for the post-solve feasibility check.
+    Every atom's HiGHS model ``row_lower <= [A_ub; A_eq] x <= row_upper``,
+    column-wise with rows ascending in each column, is worked out in one
+    pass; ``load(k)`` hands atom ``k``'s, with zero costs, to the model's
+    one ``_Highs`` instance unless it is the atom loaded.
     """
 
-    def __init__(self, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    def __init__(self, A_ub, b_ub, A_eq, b_eq, box):
         _load_cores()
-        self.n = n
-        self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.bounds = A_ub, b_ub, A_eq, b_eq, bounds
-        A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
-        A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
-        b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        box = np.broadcast_to(
-            np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2),
-            (n, 2),
-        )
-        self.lb = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
-        self.ub = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
-        self.m_ub = m_ub = len(b_ub)
-        m = m_ub + len(b_eq)
-        self.row_upper = np.concatenate([b_ub, b_eq])
+        self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.box = A_ub, b_ub, A_eq, b_eq, box
+        K, self.m_ub, self.n = A_ub.shape
+        self.row_upper = np.concatenate([b_ub, b_eq], axis=1)
+        self._row_lower = _highs_inf(np.concatenate([np.full(b_ub.shape, -np.inf), b_eq], axis=1))
+        self._row_upper = _highs_inf(self.row_upper)
+        self._col_lower, self._col_upper = _highs_inf(box[:, :, 0]), _highs_inf(box[:, :, 1])
+        At = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1)
+        atom, col, self._index = np.nonzero(At)
+        self._value = At[atom, col, self._index]
+        counts = np.bincount(atom * self.n + col, minlength=K * self.n).reshape(K, self.n)
+        self._start = np.zeros((K, self.n + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=self._start[:, 1:])
+        self._nz = np.concatenate([[0], np.cumsum(self._start[:, -1])])
+        self.highs = _highs._Highs()
+        self.highs.passOptions(_LP_OPTIONS)
+        self.loaded = self.rejected = None
 
-        # Column-wise nonzeros of [A_ub; A_eq], rows ascending in each column.
-        At = np.vstack([A_ub, A_eq]).T
-        col, row = np.nonzero(At)
-        lp = _highs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = m
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-        lp.a_matrix_.index_ = row
-        lp.a_matrix_.value_ = At[col, row]
-        lp.col_lower_ = _highs_inf(self.lb)
-        lp.col_upper_ = _highs_inf(self.ub)
-        lp.row_lower_ = _highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
-        lp.row_upper_ = _highs_inf(self.row_upper)
-        lp.col_cost_ = np.zeros(n)  # HiGHS rejects a model without costs
-        h = self.highs = _highs._Highs()
-        h.passOptions(_LP_OPTIONS)
-        self.rejected = h.passModel(lp) == _highs.HighsStatus.kError
+    def load(self, k: int) -> bool:
+        """Load atom ``k``'s model into the instance unless it is loaded;
+        True when HiGHS rejected it (kModelError)."""
+        if k != self.loaded:
+            n, m, nz = self.n, self.row_upper.shape[1], slice(self._nz[k], self._nz[k + 1])
+            lp = _highs.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = n
+            lp.num_row_ = lp.a_matrix_.num_row_ = m
+            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+            lp.a_matrix_.start_ = self._start[k]
+            lp.a_matrix_.index_ = self._index[nz]
+            lp.a_matrix_.value_ = self._value[nz]
+            lp.col_lower_ = self._col_lower[k]
+            lp.col_upper_ = self._col_upper[k]
+            lp.row_lower_ = self._row_lower[k]
+            lp.row_upper_ = self._row_upper[k]
+            lp.col_cost_ = np.zeros(n)  # HiGHS rejects a model without costs
+            self.loaded, self.rejected = k, self.highs.passModel(lp) == _highs.HighsStatus.kError
+        return self.rejected
 
 
-def solve_lp(model: LPModel, c) -> LPResult:
-    """``min c x`` over the constraint set ``model``.
+def solve_lp(model: LPModel, k: int, c) -> LPResult:
+    """``min c x`` over atom ``k``'s constraint set in ``model``.
 
-    The cost is set on the model's HiGHS instance by ``changeColsCost``
-    and run from a cleared solver: ``clearSolver`` drops the basis, the
-    solution and the presolve state an earlier solve left, so every LP
-    starts cold, and status, ``fun`` and ``x`` have the bits of an
-    instance that got the cost with the model.  A warm start would not: on
-    a degenerate LP the kept basis can change the optimal vertex, and
-    canonical outputs such as separating normals are read off that
-    vertex.  ``test_solvers`` pins every cost against such an instance.
-    Statuses are linprog's (0 optimal, 1 limit, 2 infeasible, 3
-    unbounded, 4 other); a model that HiGHS rejected is 2, and a reported
-    optimum that violates a bound or constraint by more than linprog's
-    check tolerance is downgraded to 4, as linprog does.
+    The cost is set by ``changeColsCost`` on the model's HiGHS instance,
+    loaded with atom ``k``, and run from a cleared solver: ``clearSolver``
+    drops the basis, the solution and the presolve state an earlier solve
+    left, so every LP starts cold, and status, ``fun`` and ``x`` have the
+    bits of an instance that got the cost with the atom's model.  A warm
+    start would not: on a degenerate LP the kept basis can change the
+    optimal vertex, and canonical outputs such as separating normals are
+    read off that vertex.  Statuses are linprog's (0 optimal, 1 limit, 2
+    infeasible, 3 unbounded, 4 other); a model that HiGHS rejected is 2,
+    and a reported optimum that violates a bound or constraint by more
+    than linprog's check tolerance is downgraded to 4, as linprog does.
     """
     c = np.array(c, dtype=float).reshape(-1)
     h = model.highs
-    if model.rejected or (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
-                          == _highs.HighsStatus.kError):
+    if model.load(k) or (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
+                         == _highs.HighsStatus.kError):
         return LPResult(_LP_STATUS[_MS.kModelError], None, None)
     h.clearSolver()
     run_failed = h.run() == _highs.HighsStatus.kError
@@ -270,11 +269,11 @@ def solve_lp(model: LPModel, c) -> LPResult:
     solution = h.getSolution()
     x = np.array(solution.col_value)
     fun = h.getInfo().objective_function_value
-    slack = model.row_upper - np.array(solution.row_value)
+    slack = model.row_upper[k] - np.array(solution.row_value)
     tol = _LP_CHECK_TOL
     feasible = not (
         np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-        or not np.all((x >= model.lb - tol) & (x <= model.ub + tol))
+        or not np.all((x >= model.box[k, :, 0] - tol) & (x <= model.box[k, :, 1] + tol))
         or (slack[:model.m_ub] < -tol).any()
         or (np.abs(slack[model.m_ub:]) > tol).any()
     )
@@ -482,21 +481,20 @@ def cone_least_squares(
     return QPSolution(point=point, coeffs=coeffs, kkt_fail=kkt_fail)
 
 
-def vrep_block(points, rays, lines, d: int) -> tuple[np.ndarray, np.ndarray, list]:
+def vrep_block(points, rays, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LP block of ``x = P^T lam + R^T mu + L^T nu``, ``sum lam = 1``,
     ``lam, mu >= 0``, ``nu`` free, for ``conv(points)+cone(rays)+span(lines)``.
 
-    Returns ``cols`` (``d x n``, one column per generator, in the column
-    order ``[lam | mu | nu]``), the ``sum lam = 1`` row over those columns
-    and their linprog bounds.  The caller places the block in its LP;
-    ``min_norm_point`` stacks its QP columns in the same order.
+    Returns, from the ``(K, ., d)`` stacks, ``cols`` (``(K, d, n)``, one
+    column per generator, in the column order ``[lam | mu | nu]``), the
+    ``sum lam = 1`` row over those columns and their ``(n, 2)`` bounds.
+    The caller places the block in its LP; ``min_norm_point`` stacks its
+    QP columns in the same order.
     """
-    gens = [np.asarray(a, dtype=float).reshape(-1, d) for a in (points, rays, lines)]
-    cols = np.vstack(gens).T
-    nonneg = len(gens[0]) + len(gens[1])
-    simplex_row = np.zeros(cols.shape[1])
-    simplex_row[: len(gens[0])] = 1.0
-    return cols, simplex_row, [(0, None)] * nonneg + [(None, None)] * len(gens[2])
+    cols = np.concatenate([points, rays, lines], axis=1).swapaxes(1, 2)
+    p, nonneg, i = points.shape[1], points.shape[1] + rays.shape[1], np.arange(cols.shape[2])
+    box = np.where(i[:, None] < nonneg, [0.0, np.inf], [-np.inf, np.inf])
+    return cols, np.where(i < p, 1.0, 0.0), box
 
 
 def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None) -> QPSolution:
@@ -526,78 +524,72 @@ def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None) -> Q
 
 
 def positivity_margin(
+    atoms: np.ndarray,
     target: np.ndarray,
     points: np.ndarray,
     rays: np.ndarray,
     lines: np.ndarray,
-) -> float:
-    """Largest ``t`` such that the target admits a combination whose
-    point and ray coefficients all sit at or above ``t``.
+) -> np.ndarray:
+    """On each atom of the mask ``atoms``, the largest ``t`` such that the
+    target admits a combination whose point and ray coefficients all sit
+    at or above ``t``; the arguments are ``(K, d)`` and ``(K, ., d)`` stacks.
 
-    One LP, matching the target to ``EQ_TOL`` (scaled): a looser match
-    would let a boundary target borrow a positive margin from the slack.
-    Interior targets get a margin above a small threshold, boundary ones
-    at most about ``EQ_TOL``; ``-inf`` means infeasible, the target outside
-    the set; any other non-optimal status is a fault (``expect``).
+    One LP per atom, matching the target to ``EQ_TOL`` (scaled): a looser
+    match would let a boundary target borrow a positive margin from the
+    slack.  Interior targets get a margin above a small threshold,
+    boundary ones at most about ``EQ_TOL``; ``-inf`` means infeasible, the
+    target outside the set; any other non-optimal status is a fault,
+    raised by ``per_atom``.
     """
-    target = np.asarray(target, dtype=float)
-    d = target.size
-    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
-    n = cols.shape[1]
-    nonneg_cnt = n - len(lines)
-    slack = FEAS_TOL * row_scale(cols[None], target[None])[0]
+    cols, simplex_row, box = vrep_block(points, rays, lines)
+    K, d, n = cols.shape
+    nonneg = n - lines.shape[1]
+    slack = FEAS_TOL * row_scale(cols, target)
     # written as a rescaled FEAS_TOL slack, which pins the bits of b_ub
-    tight = EQ_TOL * (slack / FEAS_TOL)
-    # variables [w (n), t]; maximize t.
+    tight = (EQ_TOL * (slack / FEAS_TOL))[:, None]
+    # variables [w (n), t]; maximize t.  Rows: t <= w_i for every
+    # nonnegative coefficient, then |cols w - target| <= tight.
+    A_ub = np.zeros((K, nonneg + 2 * d, n + 1))
+    A_ub[:, :nonneg] = np.hstack([-np.eye(n)[:nonneg], np.ones((nonneg, 1))])
+    A_ub[:, nonneg:, :n] = np.concatenate([cols, -cols], axis=1)
+    b_ub = np.concatenate([np.zeros((K, nonneg)), target + tight, -target + tight], axis=1)
+    A_eq = np.broadcast_to(np.append(simplex_row, 0.0), (K, 1, n + 1))
+    box = np.broadcast_to(np.vstack([box, [-np.inf, 1.0]]), (K, n + 1, 2))
+    model = LPModel(A_ub, b_ub, A_eq, np.ones((K, 1)), box)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    # rows: t <= w_i for every nonnegative coefficient, then
-    # |cols w - target| <= tight.
-    A_ub = np.vstack(
-        [
-            np.hstack([-np.eye(n)[:nonneg_cnt], np.ones((nonneg_cnt, 1))]),
-            np.hstack([cols, np.zeros((d, 1))]),
-            np.hstack([-cols, np.zeros((d, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(nonneg_cnt), target + tight, -target + tight])
-    A_eq = np.append(simplex_row, 0.0)[None, :]
-    b_eq = np.array([1.0])
-    bounds = bounds + [(None, 1.0)]
-    res = expect(solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                  bounds=bounds), c), "infeasible")
-    return -np.inf if res.status == 2 else float(-res.fun)
+
+    def solve(k):
+        res = expect(solve_lp(model, k, c), "infeasible")
+        return -np.inf if res.status == 2 else float(-res.fun)
+
+    return np.array(per_atom(atoms, solve, "relative-interior"), dtype=float)
 
 
-def nonzero_in_dual_cone(
-    ineq_rows: np.ndarray,
-    eq_rows: np.ndarray,
-    dim: int,
-) -> Optional[np.ndarray]:
-    """A canonical nonzero ``z`` with ``ineq_rows z >= 0`` and
-    ``eq_rows z = 0``, or ``None`` when only ``z = 0`` qualifies.
+def dual_cone_model(ineq_rows: np.ndarray, eq_rows: np.ndarray) -> LPModel:
+    """The cone ``ineq_rows[k] z >= 0``, ``eq_rows[k] z = 0`` of every atom
+    of the ``(K, ., n)`` stacks, cut to the unit box: the constraint set
+    that ``nonzero_in_dual_cone`` scans."""
+    K, _, n = ineq_rows.shape
+    return LPModel(-ineq_rows, np.zeros(ineq_rows.shape[:2]), eq_rows,
+                   np.zeros(eq_rows.shape[:2]), np.broadcast_to([-1.0, 1.0], (K, n, 2)))
+
+
+def nonzero_in_dual_cone(model: LPModel, k: int) -> Optional[np.ndarray]:
+    """A canonical nonzero ``z`` in atom ``k``'s cone of ``model`` (a
+    ``dual_cone_model``), or ``None`` when only ``z = 0`` qualifies.
 
     Scans the coordinate objectives ``+-e_i`` over the cone intersected
     with the unit box and keeps the lexicographically smallest normalized
     maximizer, which makes the choice reproducible.  The LPs are feasible
     and bounded: any other status is a fault, raised by ``per_atom``.
     """
-    ineq_rows = np.atleast_2d(np.asarray(ineq_rows, dtype=float)) if len(ineq_rows) else np.zeros((0, dim))
-    eq_rows = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if len(eq_rows) else np.zeros((0, dim))
-    model = LPModel(
-        dim,
-        A_ub=-ineq_rows if len(ineq_rows) else None,
-        b_ub=np.zeros(len(ineq_rows)) if len(ineq_rows) else None,
-        A_eq=eq_rows if len(eq_rows) else None,
-        b_eq=np.zeros(len(eq_rows)) if len(eq_rows) else None,
-        bounds=[(-1.0, 1.0)] * dim,
-    )
     best = None
-    for axis in range(dim):
+    for axis in range(model.n):
         for sign in (1.0, -1.0):
-            c = np.zeros(dim)
+            c = np.zeros(model.n)
             c[axis] = -sign
-            res = expect(solve_lp(model, c))
+            res = expect(solve_lp(model, k, c))
             nz = np.linalg.norm(res.x)
             if -float(res.fun) > _POS_TOL and nz > _POS_TOL and (
                     best is None or _lex_less(res.x / nz, best)):

@@ -94,10 +94,10 @@ class MaxAffineFn:
             raise ShapeError("pieces must have finite entries")
         object.__setattr__(self, "slopes", _freeze(slopes))
         object.__setattr__(self, "offsets", _freeze(offsets))
-        if self.domain is not None and (
-            self.domain.space != self.space or self.domain.dim != self.dim
-        ):
-            raise ShapeError("domain must match the function's space and dimension")
+        if self.domain is not None:
+            _check_space(self, self.domain)
+            if self.domain.dim != self.dim:
+                raise ShapeError("domain must match the function's dimension")
 
     @classmethod
     def from_pieces(
@@ -478,52 +478,48 @@ def _conjugate_max_affine(f: MaxAffineFn, dual_grid: Grid) -> GridFn:
         raise ShapeError("dual grid dimension must match the function")
     K = f.space.natoms
     nodes = dual_grid.nodes()
-
-    def solve(k):
-        vsets = [] if f.domain is None else [f.domain.generators_at(k)]
-        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, f.dim)
-        return [_conj_node_lp(y, lp) for y in nodes]
-
-    out = np.reshape(per_atom(np.ones(K, dtype=bool), solve, "conjugate"), (K,) + dual_grid.shape)
+    lp = LPModel(*_epigraph_lp(f.slopes, f.offsets, [] if f.domain is None else [f.domain]))
+    out = np.reshape(per_atom(np.ones(K, dtype=bool),
+                              lambda k: [_conj_node_lp(y, lp, k) for y in nodes], "conjugate"),
+                     (K,) + dual_grid.shape)
     return GridFn(f.space, dual_grid, out)
 
 
-def _epigraph_lp(yrows, zoff, vsets, d: int) -> LPModel:
-    """Constraints of the epigraph LP of ``max_j <y_j, x> + z_j``.
+def _epigraph_lp(yrows, zoff, vsets: list) -> tuple:
+    """``LPModel`` stacks of the epigraph LP of ``max_j <y_j, x> + z_j``
+    over the sets ``vsets``, from the ``(K, J, d)`` and ``(K, J)`` pieces.
 
     Variables are ``[x (d), s]`` and then each V-set's ``vrep_block``
     columns; the rows are ``yrows x - s <= -zoff``, then per V-set
     ``x - cols w = 0`` and its ``sum lam = 1`` row.  ``x`` and ``s`` are
-    free.  Callers solve their objectives over the returned model.
+    free.  Callers solve their objectives over the model of the stacks.
     """
-    blocks = [vrep_block(*vs, d) for vs in vsets]
-    nvar = d + 1 + sum(cols.shape[1] for cols, _, _ in blocks)
-    A_ub = np.zeros((len(yrows), nvar))
-    A_ub[:, :d] = yrows
-    A_ub[:, d] = -1.0
-    bounds = [(None, None)] * (d + 1)
-    eq_rows, col = [], d + 1
-    for cols, simplex_row, block_bounds in blocks:
-        n = cols.shape[1]
-        eq = np.zeros((d + 1, nvar))
-        eq[:d, :d] = np.eye(d)
-        eq[:d, col: col + n] = -cols
-        eq[d, col: col + n] = simplex_row
-        eq_rows.append(eq)
-        bounds += block_bounds
+    K, J, d = yrows.shape
+    blocks = [vrep_block(s.points, s.rays, s.lines) for s in vsets]
+    nvar = d + 1 + sum(cols.shape[2] for cols, _, _ in blocks)
+    A_ub = np.zeros((K, J, nvar))
+    A_ub[:, :, :d] = yrows
+    A_ub[:, :, d] = -1.0
+    A_eq = np.zeros((K, (d + 1) * len(blocks), nvar))
+    boxes, col = [np.tile([-np.inf, np.inf], (d + 1, 1))], d + 1
+    for i, (cols, simplex_row, box) in enumerate(blocks):
+        n, row = cols.shape[2], i * (d + 1)
+        A_eq[:, row: row + d, :d] = np.eye(d)
+        A_eq[:, row: row + d, col: col + n] = -cols
+        A_eq[:, row + d, col: col + n] = simplex_row
+        boxes.append(box)
         col += n
-    b_eq = np.tile(np.append(np.zeros(d), 1.0), len(blocks))
-    return LPModel(nvar, A_ub=A_ub, b_ub=-zoff, A_eq=np.vstack(eq_rows) if blocks else None,
-                   b_eq=b_eq if blocks else None, bounds=bounds)
+    b_eq = np.tile(np.append(np.zeros(d), 1.0), (K, len(blocks)))
+    return A_ub, -zoff, A_eq, b_eq, np.broadcast_to(np.vstack(boxes), (K, nvar, 2))
 
 
-def _conj_node_lp(y: np.ndarray, lp: LPModel) -> float:
-    """``sup <x,y> - f(x)`` over the epigraph LP ``lp`` of ``f``, by LP;
-    ``inf`` if unbounded."""
+def _conj_node_lp(y: np.ndarray, lp: LPModel, k: int) -> float:
+    """``sup <x,y> - f(x)`` over atom ``k``'s epigraph LP in ``lp``, by
+    LP; ``inf`` if unbounded."""
     c = np.zeros(lp.n)
     c[: len(y)] = -y
     c[len(y)] = 1.0
-    res = expect(solve_lp(lp, c), "unbounded")
+    res = expect(solve_lp(lp, k, c), "unbounded")
     return np.inf if res.status == 3 else float(-res.fun)
 
 
@@ -784,19 +780,23 @@ def directional_derivative(f: MaxAffineFn, x0: CondVector, x: CondVector) -> Con
 def _feasible_direction_mask(dom: ConvexSetRep, x0: CondVector, x: CondVector) -> np.ndarray:
     """Atoms where a step longer than ``STRICT_TOL`` along ``x`` stays in
     the domain; an infeasible step LP means none does."""
+    cols, simplex_row, box = vrep_block(dom.points, dom.rays, dom.lines)
+    K, d, n = cols.shape
+    # variables: the coefficients, then the step size; maximize the step
+    A_eq = np.zeros((K, d + 1, n + 1))
+    A_eq[:, :d] = np.concatenate([cols, -x.values[:, :, None]], axis=2)
+    A_eq[:, d, :n] = simplex_row
+    b_eq = np.concatenate([x0.values, np.ones((K, 1))], axis=1)
+    box = np.broadcast_to(np.vstack([box, [0.0, 1.0]]), (K, n + 1, 2))
+    model = LPModel(np.zeros((K, 0, n + 1)), np.zeros((K, 0)), A_eq, b_eq, box)
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
 
     def solve(k):
-        cols, simplex_row, bounds = vrep_block(*dom.generators_at(k), dom.dim)
-        # variables: the coefficients, then the step size; maximize the step
-        c = np.zeros(cols.shape[1] + 1)
-        c[-1] = -1.0
-        A_eq = np.vstack([np.column_stack([cols, -x.values[k]]), np.append(simplex_row, 0.0)])
-        b_eq = np.append(x0.values[k], 1.0)
-        res = expect(solve_lp(LPModel(len(c), A_eq=A_eq, b_eq=b_eq, bounds=bounds + [(0, 1.0)]),
-                              c), "infeasible")
+        res = expect(solve_lp(model, k, c), "infeasible")
         return res.status == 0 and -res.fun > STRICT_TOL
 
-    return np.array(per_atom(np.ones(dom.space.natoms, dtype=bool), solve, "step"), dtype=bool)
+    return np.array(per_atom(np.ones(K, dtype=bool), solve, "step"), dtype=bool)
 
 
 def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableSet, CondVector]:
@@ -864,30 +864,29 @@ def argmin(
         )
 
     d = f.dim
+    lp = LPModel(*_epigraph_lp(f.slopes, f.offsets, [c] + ([] if f.domain is None else [f.domain])))
+    c_obj = np.zeros(lp.n)
+    c_obj[d] = 1.0
 
     def solve(k: int):
-        vsets = [c.generators_at(k)] + ([] if f.domain is None else [f.domain.generators_at(k)])
-        lp = _epigraph_lp(f.slopes[k], f.offsets[k], vsets, d)
-        nvar = lp.n
-        c_obj = np.zeros(nvar)
-        c_obj[d] = 1.0
-        res = expect(solve_lp(lp, c_obj), "infeasible", "unbounded")
+        res = expect(solve_lp(lp, k, c_obj), "infeasible", "unbounded")
         if res.status != 0:
             # empty feasible set: value +inf; unbounded below: -inf, raised below
             return c.points[k, 0], np.inf if res.status == 2 else -np.inf, False
         xstar = res.x[:d]
         vstar = float(res.fun)
-        # uniqueness: bounding box of the optimal face
+        # uniqueness: bounding box of the optimal face, a one-atom stack
+        # whose last row reads this atom's optimum
         scale = max(1.0, abs(vstar))
-        face = LPModel(nvar, A_ub=np.vstack([lp.A_ub, c_obj[None, :]]),
-                       b_ub=np.concatenate([lp.b_ub, [vstar + STRICT_TOL * scale]]),
-                       A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds)
+        face = LPModel(np.concatenate([lp.A_ub[k], c_obj[None]])[None],
+                       np.append(lp.b_ub[k], vstar + STRICT_TOL * scale)[None],
+                       lp.A_eq[k:k + 1], lp.b_eq[k:k + 1], lp.box[k:k + 1])
         for axis in range(d):
             lohi = []
             for sign in (1.0, -1.0):
-                cc = np.zeros(nvar)
+                cc = np.zeros(lp.n)
                 cc[axis] = sign
-                r2 = expect(solve_lp(face, cc), "unbounded")
+                r2 = expect(solve_lp(face, 0, cc), "unbounded")
                 if r2.status == 3:  # an unbounded optimal face
                     return xstar, vstar, False
                 lohi.append(float(r2.fun * sign))
@@ -920,29 +919,24 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
         return gens[np.linalg.norm(gens, axis=1) > 1e-12]
 
     def solve(k):
+        # a one-atom stack: the cone filter keeps another row count per atom
         gens = cone(c, k)
-        dom = cone(f.domain, k) if f.domain is not None else None
-        if not len(gens) or (dom is not None and not len(dom)):
+        dom = cone(f.domain, k) if f.domain is not None else np.zeros((0, f.dim))
+        if not len(gens) or (f.domain is not None and not len(dom)):
             return None
         yrows = f.slopes[k]
-        n = len(gens)
+        n, m = len(gens), len(dom)
         # w = gens^T u, u in [0,1]^n, every piece slope non-increasing;
         # with a domain also w = dom^T v, v >= 0, so w is in both cones
-        A_ub = yrows @ gens.T  # rows: <w, slope_j> <= 0
-        bounds = [(0.0, 1.0)] * n
-        A_eq = b_eq = None
-        if dom is not None:
-            A_ub = np.hstack([A_ub, np.zeros((len(yrows), len(dom)))])
-            A_eq = np.hstack([gens.T, -dom.T])
-            b_eq = np.zeros(f.dim)
-            bounds += [(0.0, None)] * len(dom)
-        model = LPModel(len(bounds), A_ub=A_ub, b_ub=np.zeros(len(yrows)), A_eq=A_eq,
-                        b_eq=b_eq, bounds=bounds)
+        A_ub = np.pad(yrows @ gens.T, ((0, 0), (0, m)))[None]  # rows: <w, slope_j> <= 0
+        A_eq = np.concatenate([gens.T, -dom.T], axis=1)[None] if m else np.zeros((1, 0, n))
+        box = np.array([[0.0, 1.0]] * n + [[0.0, np.inf]] * m)[None]
+        model = LPModel(A_ub, np.zeros((1, len(yrows))), A_eq, np.zeros(A_eq.shape[:2]), box)
         for axis in range(f.dim):
             for sign in (1.0, -1.0):
-                cc = np.zeros(len(bounds))
+                cc = np.zeros(n + m)
                 cc[:n] = -sign * gens[:, axis]
-                w = gens.T @ expect(solve_lp(model, cc)).x[:n]
+                w = gens.T @ expect(solve_lp(model, 0, cc)).x[:n]
                 if sign * w[axis] > 1e-7:
                     return w / max(1.0, np.linalg.norm(w))
         return None

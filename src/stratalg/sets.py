@@ -21,7 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._solvers import min_norm_point, nonzero_in_dual_cone, per_atom, positivity_margin
+from ._solvers import (
+    dual_cone_model,
+    min_norm_point,
+    nonzero_in_dual_cone,
+    per_atom,
+    positivity_margin,
+)
 from .core import (
     CondExtScalar,
     CondScalar,
@@ -331,8 +337,8 @@ def ri_membership(
         inside = rep.affine_dims() == rep.dim
     else:
         inside = np.ones(rep.space.natoms, dtype=bool)
-    inside[inside] = per_atom(inside, lambda k: positivity_margin(
-        x.values[k], *rep.generators_at(k)) > strict_tol, "relative-interior")
+    inside[inside] = positivity_margin(inside, x.values, rep.points, rep.rays,
+                                       rep.lines) > strict_tol
     return MeasurableSet(rep.space, inside)
 
 
@@ -434,17 +440,22 @@ def separate(
         zrows[~fail] = z[~fail]
         touch = fail & (kind == "weak")
 
+    # where the origin touches the difference set (weak) or its affine
+    # hull (proper), separation is the existence of a nonzero supporting
+    # functional; a proper one must not vanish identically on the
+    # difference (it lives in the direction space), and exists exactly
+    # when 0 is not relatively interior.  One cone model per frame size
+    gens = np.concatenate([pts, rays], axis=1)
+    if kind == "proper":
+        models = {n: dual_cone_model(np.matmul(gens, F[:, :n].swapaxes(1, 2)),
+                                     np.matmul(lines, F[:, :n].swapaxes(1, 2)))
+                  for n in np.flatnonzero(np.bincount(r[touch], minlength=1))}
+    elif touch.any():
+        r, models = np.full(K, dim), {dim: dual_cone_model(gens, lines)}
+
     def supporting(k):
-        # where the origin touches the difference set (weak) or its affine
-        # hull (proper), separation is exactly the existence of a nonzero
-        # supporting functional; a proper one must not vanish identically
-        # on the difference, i.e. it lives inside the direction space, and
-        # it exists exactly when 0 is not in the relative interior
-        if kind == "weak":
-            return nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]), lines[k], dim)
-        q = F[k, : r[k]]
-        y = nonzero_in_dual_cone(np.vstack([pts[k], rays[k]]) @ q.T, lines[k] @ q.T, len(q))
-        return None if y is None else q.T @ y
+        y = nonzero_in_dual_cone(models[r[k]], k)
+        return y if kind == "weak" or y is None else F[k, : r[k]].T @ y
 
     for k, z in zip(np.flatnonzero(touch), per_atom(touch, supporting, f"{kind} separation")):
         fail[k] = z is None
@@ -484,6 +495,7 @@ def hahn_banach_extend(
     dominated extension exists raise, since there domination of ``g`` by
     ``p`` must already fail on the submodule.
     """
+    _check_space(p, e)
     space = e.space
     dim = e.dim
     offset_bad = (np.abs(p.offsets) > FEAS_TOL).any(axis=1)

@@ -252,9 +252,9 @@ class TestCommands:
         # atom 0 makes its `lps` LPs first; every later LP is atom 1's
         real, calls = _solvers.solve_lp, []
 
-        def fail_on_atom_1(model, c):
+        def fail_on_atom_1(model, k, c):
             calls.append(c)
-            return LPResult(4, None, None) if len(calls) > lps else real(model, c)
+            return LPResult(4, None, None) if len(calls) > lps else real(model, k, c)
 
         for mod in (_solvers, functions):
             monkeypatch.setattr(mod, "solve_lp", fail_on_atom_1)

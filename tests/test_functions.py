@@ -29,6 +29,7 @@ from stratalg import (
     PreconditionError,
     ShapeError,
     SolverError,
+    SpaceMismatchError,
     StratalgError,
     UnboundedError,
     argmin,
@@ -94,6 +95,17 @@ class TestMaxAffine:
         want = (x.values @ slopes.T + offs).max(axis=1)
         assert np.allclose(f.eval(x).values, want)
         assert f.piece_values(x).shape == (3, 4)
+
+    @pytest.mark.parametrize("weights", [[2.0, 1.0], [1.0, 1.0, 1.0]],
+                             ids=["other-weights", "other-K"])
+    def test_domain_on_another_space_is_a_space_mismatch(self, space2, weights):
+        with pytest.raises(SpaceMismatchError):
+            abs_fn(space2, domain=box1d(MeasureSpace(np.array(weights)), 0.0, 1.0))
+
+    def test_domain_of_another_dimension_is_a_shape_error(self, space2):
+        dom = ConvexSetRep(space2, 2, np.zeros((2, 1, 2)))
+        with pytest.raises(ShapeError, match="dimension"):
+            abs_fn(space2, domain=dom)
 
     def test_domain_gives_plus_infinity(self, space2):
         f = abs_fn(space2, domain=box1d(space2, 0.0, 1.0))
@@ -703,14 +715,14 @@ def run_with_lp_fault(monkeypatch, op, fault=None):
 
         return real_driver(atoms, tracked, what)
 
-    def solve_lp(model, c):
+    def solve_lp(model, atom, c):
         k, i = at["k"], counts[-1][at["k"]]
         counts[-1][k] += 1
         if fault is not None and fault[:2] == (len(counts) - 1, i) and k in (1, 3):
             return LPResult(fault[2], None, None)
-        return real_lp(model, c)
+        return real_lp(model, atom, c)
 
-    for mod in (sets, functions):
+    for mod in (_solvers, sets, functions):
         monkeypatch.setattr(mod, "per_atom", driver)
     for mod in (_solvers, functions):
         monkeypatch.setattr(mod, "solve_lp", solve_lp)

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import oracles
 
@@ -35,7 +36,13 @@ from stratalg import (
     separate,
 )
 from stratalg import _solvers, functions, sets
-from stratalg._solvers import LPModel, min_norm_point, nonzero_in_dual_cone, solve_lp, vrep_block
+from stratalg._solvers import (
+    dual_cone_model,
+    min_norm_point,
+    nonzero_in_dual_cone,
+    solve_lp,
+    vrep_block,
+)
 from stratalg.core import ext_add
 from stratalg.linalg import _canonical_signs, _grow_frames
 from stratalg.tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL
@@ -392,6 +399,14 @@ class TestHahnBanach:
         h = hahn_banach_extend(p, e, [c, c])
         assert np.allclose(h.values[:2], 0.5, atol=1e-7)
 
+    @pytest.mark.parametrize("weights", [[2.0, 1.0], [1.0, 1.0, 1.0]],
+                             ids=["other-weights", "other-K"])
+    def test_bound_on_another_space_is_a_space_mismatch(self, space2, weights):
+        p = self.sup_norm_bound(MeasureSpace(np.array(weights)))
+        e = hull([CondVector.constant(space2, [1.0, 0.0])], "linear")
+        with pytest.raises(SpaceMismatchError):
+            hahn_banach_extend(p, e, [CondScalar.constant(space2, 0.5)])
+
     def test_undominated_value_rejected(self, space2):
         p = self.sup_norm_bound(space2)
         e = hull([CondVector.constant(space2, [1.0, 0.0])], "linear")
@@ -656,7 +671,7 @@ def ref_proper_normal(pts, rays, lines, dim):
         return np.zeros(dim), True
     ineq = np.vstack([pts, rays]) @ q.T
     eq = lines @ q.T if len(lines) else np.zeros((0, len(q)))
-    y = nonzero_in_dual_cone(ineq, eq, len(q))
+    y = nonzero_in_dual_cone(dual_cone_model(ineq[None], eq[None]), 0)
     if y is None:
         return np.zeros(dim), True
     return q.T @ y, False
@@ -668,18 +683,23 @@ def ref_member_cutoff(rep, x, k, tol=FEAS_TOL):
                             for a in (*rep.generators_at(k), x[k])))
 
 
+def ref_linprog(c, **lp):
+    return linprog(c, method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10}, **lp)
+
+
 def ref_combination_residual(target, points, rays, lines):
     """The former membership LP: the smallest sup-norm slack with which
     ``target`` is a point/ray/line combination; ``inf`` when the LP fails."""
     d = target.size
-    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
-    n = cols.shape[1]
+    cols, simplex_row, box = vrep_block(points[None], rays[None], lines[None])
+    cols, n = cols[0], len(box)
     c = np.zeros(n + 1)
     c[-1] = 1.0
     A_ub = np.vstack([np.hstack([cols, -np.ones((d, 1))]), np.hstack([-cols, -np.ones((d, 1))])])
-    res = solve_lp(LPModel(n + 1, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
-                           A_eq=np.append(simplex_row, 0.0)[None, :], b_eq=np.array([1.0]),
-                           bounds=bounds + [(0, None)]), c)
+    res = ref_linprog(c, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
+                      A_eq=np.append(simplex_row, 0.0)[None, :], b_eq=np.array([1.0]),
+                      bounds=np.vstack([box, [0.0, np.inf]]))
     return float(res.fun) if res.status == 0 else np.inf
 
 
@@ -689,8 +709,8 @@ def ref_positivity_margin(target, points, rays, lines):
     with the ``EQ_TOL`` slack, whose infeasibility reads as ``0.0``."""
     target = np.asarray(target, dtype=float)
     d = target.size
-    cols, simplex_row, bounds = vrep_block(points, rays, lines, d)
-    n = cols.shape[1]
+    cols, simplex_row, box = vrep_block(points[None], rays[None], lines[None])
+    cols, n = cols[0], len(box)
     nonneg_cnt = n - len(lines)
     slack = FEAS_TOL * max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0,
                            float(np.max(np.abs(target))) if target.size else 1.0)
@@ -699,16 +719,16 @@ def ref_positivity_margin(target, points, rays, lines):
     A_ub = np.vstack([np.hstack([-np.eye(n)[:nonneg_cnt], np.ones((nonneg_cnt, 1))]),
                       np.hstack([cols, np.zeros((d, 1))]), np.hstack([-cols, np.zeros((d, 1))])])
     lp = {"A_ub": A_ub, "A_eq": np.append(simplex_row, 0.0)[None, :], "b_eq": np.array([1.0]),
-          "bounds": bounds + [(None, 1.0)]}
+          "bounds": np.vstack([box, [-np.inf, 1.0]])}
     b_ub = np.concatenate([np.zeros(nonneg_cnt), target + slack, -target + slack])
-    res = solve_lp(LPModel(n + 1, b_ub=b_ub, **lp), c)
+    res = ref_linprog(c, b_ub=b_ub, **lp)
     if res.status != 0:
         return -np.inf
     if -res.fun <= 0.0:
         return float(-res.fun)
     tight = EQ_TOL * (slack / FEAS_TOL)
     b_ub[nonneg_cnt:] = np.concatenate([target + tight, -target + tight])
-    res = solve_lp(LPModel(n + 1, b_ub=b_ub, **lp), c)
+    res = ref_linprog(c, b_ub=b_ub, **lp)
     return float(-res.fun) if res.status == 0 else 0.0
 
 

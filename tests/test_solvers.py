@@ -1,19 +1,23 @@
 """``solve_lp`` against ``scipy.optimize.linprog``, LP by LP.
 
 ``solve_lp`` hands each LP straight to the HiGHS core that scipy bundles
-(``scipy.optimize._highspy._core``).  Each test below drives one call
-site on seeded data, records every LP it builds, and checks that
-``linprog(method="highs")`` with the options the package always used
-gives the same status and a bit-identical ``fun`` and ``x``, both for
-the result the call site got, from a reused ``LPModel`` where it solved
-several costs, and for the cost solved alone on a new ``LPModel``.  On
-degenerate dual-cone and uniqueness-box families, where a warm re-run
-from the kept basis returns another vertex, every cost solved on a
-reused model must equal the bytes of a HiGHS instance built in the test
-that gets the cost with the model, which only ``clearSolver`` gives.
-Hand-made LPs cover the statuses and argument forms the call sites
-rarely reach.  A scipy release that changes the private HiGHS binding
-fails here.
+(``scipy.optimize._highspy._core``).  An ``LPModel`` holds the constraint
+stacks of every atom of a stratum and one HiGHS instance, reloaded per
+atom.  Each test below drives one call site on seeded data, records every
+LP it solves, read from the model's stacks in ``linprog``'s argument form,
+and checks that ``linprog(method="highs")`` with the options the package
+always used gives the same status and a bit-identical ``fun`` and ``x``,
+both for the result the call site got, from a model reused across costs
+and atoms, and for the cost solved alone on a new one-atom ``LPModel``.
+Every atom's model, loaded into one reused instance, equals field by
+field the HiGHS model built from that atom's LP alone.  On degenerate
+dual-cone and uniqueness-box families, where a warm re-run from the kept
+basis returns another vertex, every cost solved on a reused model must
+equal the bytes of a HiGHS instance built in the test that gets the cost
+with the atom's model, which only ``clearSolver`` gives.  The count of
+live HiGHS instances does not grow with the atom count.  Hand-made LPs
+cover the statuses and argument forms the call sites rarely reach.  A
+scipy release that changes the private HiGHS binding fails here.
 
 Each test's LPs are also pinned, element for element, by a sha256 per LP
 in ``tests/golden/lp_digests.json``: HiGHS's vertex on a degenerate LP
@@ -40,6 +44,7 @@ interpreter, and that the pinned ``lstsq`` gufunc matches
 ``np.linalg.lstsq`` bit for bit.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -58,17 +63,23 @@ from stratalg import (
     CondScalar,
     CondVector,
     ConvexSetRep,
+    Grid,
     MaxAffineFn,
     MeasurableSet,
     MeasureSpace,
     argmin,
+    conjugate,
+    directional_derivative,
     membership,
+    ri_membership,
+    separate,
 )
 import stratalg
 from stratalg import _solvers, functions
 from stratalg._solvers import (
     LPModel,
     cone_least_squares,
+    dual_cone_model,
     min_norm_point,
     nnls,
     nonzero_in_dual_cone,
@@ -87,13 +98,74 @@ LINPROG_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tole
 SEEDS = range(6)
 
 
+def linprog_arrays(n, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """An LP in ``linprog``'s argument form as dense arrays: ``None``
+    blocks become empty ones, ``bounds`` (``x >= 0`` by default, ``None``
+    meaning unbounded) an ``(n, 2)`` box with ``±inf``."""
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+    box = np.broadcast_to(
+        np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2),
+        (n, 2),
+    )
+    box = np.stack([np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0]),
+                    np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])], axis=1)
+    return A_ub, b_ub, A_eq, b_eq, box
+
+
+def one_atom_model(n, **lp) -> LPModel:
+    """A one-atom ``LPModel`` of an LP in ``linprog``'s argument form."""
+    return LPModel(*(a[None] for a in linprog_arrays(n, **lp)))
+
+
+def linprog_form(model: LPModel, k: int) -> dict:
+    """Atom ``k``'s LP in ``model`` as ``linprog`` keywords, an empty row
+    block as ``None``: the form the call sites passed before they built
+    stacks, so its digests are the ones in ``DIGESTS``."""
+    lp = {"A_ub": model.A_ub[k], "b_ub": model.b_ub[k], "A_eq": model.A_eq[k],
+          "b_eq": model.b_eq[k]}
+    lp = {key: np.array(a) if len(a) else None for key, a in lp.items()}
+    return {**lp, "bounds": np.array(model.box[k])}
+
+
+def ref_highs_lp(n, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """The HiGHS model of one LP in ``linprog``'s argument form, built on
+    its own: the column-wise nonzeros of ``[A_ub; A_eq]``, rows ascending
+    in each column, zero costs and ``kHighsInf`` for infinite bounds."""
+    A_ub, b_ub, A_eq, b_eq, box = linprog_arrays(n, A_ub, b_ub, A_eq, b_eq, bounds)
+    m_ub, m = len(b_ub), len(b_ub) + len(b_eq)
+
+    def highs_inf(a):
+        return np.where(np.isinf(a), np.copysign(_highs.kHighsInf, a), a)
+
+    At = np.vstack([A_ub, A_eq]).T
+    col, row = np.nonzero(At)
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = At[col, row]
+    lp.col_lower_ = highs_inf(box[:, 0])
+    lp.col_upper_ = highs_inf(box[:, 1])
+    lp.row_lower_ = highs_inf(np.concatenate([np.full(m_ub, -np.inf), b_eq]))
+    lp.row_upper_ = highs_inf(np.concatenate([b_ub, b_eq]))
+    lp.col_cost_ = np.zeros(n)
+    return lp
+
+
 def assert_matches_linprog(lp: dict) -> int:
-    """Solve ``lp`` on a new ``LPModel`` and compare with linprog; a
-    ``result`` recorded at the call site must match too."""
+    """Solve ``lp`` on a new one-atom ``LPModel`` and compare with linprog;
+    a ``result`` recorded at the call site must match too."""
     lp = dict(lp)
     results = [lp.pop("result")] if "result" in lp else []
     c = lp.pop("c")
-    results.append(solve_lp(LPModel(len(c), **lp), c))
+    results.append(solve_lp(one_atom_model(len(c), **lp), 0, c))
     want = linprog(c, method="highs", options=LINPROG_OPTIONS, **lp)
     for got in results:
         assert got.status == want.status
@@ -111,18 +183,15 @@ def check_all(lps: list) -> list:
 
 
 def lp_digest(lp: dict) -> str:
-    """sha256 of an LP's arrays and bounds; ``-0.0`` counts as ``0.0`` and
-    a ``None`` bound as the matching infinity."""
+    """sha256 of an LP's arrays and ``(n, 2)`` bounds; ``-0.0`` counts as
+    ``0.0``."""
     h = hashlib.sha256()
     for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
         a = lp[key]
         h.update(f"{key}:{None if a is None else a.shape};".encode())
         if a is not None:
             h.update((a + 0.0).tobytes())
-    if lp["bounds"] is not None:
-        box = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
-                        for lo, hi in lp["bounds"]], dtype=float)
-        h.update(b"bounds;" + (box + 0.0).tobytes())
+    h.update(b"bounds;" + (lp["bounds"] + 0.0).tobytes())
     return h.hexdigest()
 
 
@@ -133,20 +202,18 @@ REWRITE: dict | None = None
 @pytest.fixture
 def lps(monkeypatch, request):
     """Every LP the call sites solve during a test, as linprog keywords:
-    the cost, its model's constraints and bounds, and the ``result`` the
-    call site got, from a reused model where it solved several costs.
+    the cost, its atom's constraints and bounds read from the model's
+    stacks (``linprog_form``), and the ``result`` the call site got, from
+    a model reused across costs and atoms.
 
     At teardown their digests must equal the test's entry in
     ``DIGESTS``, in the order the LPs were solved.
     """
     seen = []
 
-    def record(model, c):
-        lp = {"c": c, "A_ub": model.A_ub, "b_ub": model.b_ub, "A_eq": model.A_eq,
-              "b_eq": model.b_eq}
-        seen.append({k: None if v is None else np.array(v, dtype=float) for k, v in lp.items()})
-        seen[-1]["bounds"] = None if model.bounds is None else list(model.bounds)
-        seen[-1]["result"] = solve_lp(model, c)
+    def record(model, k, c):
+        seen.append({"c": np.array(c, dtype=float), **linprog_form(model, k)})
+        seen[-1]["result"] = solve_lp(model, k, c)
         return seen[-1]["result"]
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
@@ -184,15 +251,15 @@ def vset(space, pts, rays=None, lines=None):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_positivity_margin_both_stages(seed, lps):
-    # one LP per call: only the tight target band is solved
+    # one LP per atom: only the tight target band is solved.  Atoms:
+    # an interior target, a vertex and a point far outside
     rng = np.random.default_rng([2, seed])
     pts, rays, lines = generators(rng, 3, 4, seed % 2, 0)
-    interior = (0.1 + rng.dirichlet(np.ones(4))) / 1.4 @ pts
-    assert positivity_margin(interior, pts, rays, lines) > 0.0
-    assert len(lps) == 1
-    assert positivity_margin(pts[0], pts, rays, lines) < 1e-9  # a vertex: not interior
-    assert len(lps) == 2
-    assert positivity_margin(pts.sum(axis=0) * 5.0, pts, rays, lines) < 1e-9
+    targets = np.array([(0.1 + rng.dirichlet(np.ones(4))) / 1.4 @ pts, pts[0],
+                        pts.sum(axis=0) * 5.0])
+    margin = positivity_margin(np.ones(3, dtype=bool), targets,
+                               *(np.broadcast_to(a, (3,) + a.shape) for a in (pts, rays, lines)))
+    assert margin[0] > 0.0 and margin[1] < 1e-9 and margin[2] < 1e-9
     assert len(lps) == 3
     statuses = check_all(lps)
     if not len(rays):
@@ -204,9 +271,10 @@ def test_nonzero_in_dual_cone(seed, lps):
     rng = np.random.default_rng([3, seed])
     ineq = rng.normal(size=(5, 3)) + [2.0, 0.0, 0.0]
     eq = rng.normal(size=(seed % 2, 3))
-    nonzero_in_dual_cone(ineq, eq, 3)
+    nonzero_in_dual_cone(dual_cone_model(ineq[None], eq[None]), 0)
     # rows +-e_i leave only z = 0
-    assert nonzero_in_dual_cone(np.vstack([np.eye(3), -np.eye(3)]), np.zeros((0, 3)), 3) is None
+    box = dual_cone_model(np.vstack([np.eye(3), -np.eye(3)])[None], np.zeros((1, 0, 3)))
+    assert nonzero_in_dual_cone(box, 0) is None
     check_all(lps)
 
 
@@ -216,9 +284,13 @@ def test_conj_node_lp(seed, lps):
     d = 2
     yrows, zoff = rng.normal(size=(3, d)), rng.normal(size=3)
     pts, rays, lines = generators(rng, d, 3, seed % 2, int(seed % 3 == 1))
+    space = MeasureSpace(np.ones(1))
+    with_set = LPModel(*_epigraph_lp(yrows[None], zoff[None],
+                                     [vset(space, pts[None], rays[None], lines[None])]))
+    free = LPModel(*_epigraph_lp(yrows[None], zoff[None], []))
     for y in (rng.normal(size=d), yrows.mean(axis=0), yrows.max(axis=0) + 1.0):
-        _conj_node_lp(y, _epigraph_lp(yrows, zoff, [(pts, rays, lines)], d))
-        _conj_node_lp(y, _epigraph_lp(yrows, zoff, [], d))
+        _conj_node_lp(y, with_set, 0)
+        _conj_node_lp(y, free, 0)
     assert 3 in check_all(lps)  # an unconstrained node outside the slope hull
 
 
@@ -294,10 +366,10 @@ def test_status_map_is_linprogs():
 
 
 def test_result_shape():
-    res = solve_lp(LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0]), [1.0, 1.0])
+    res = solve_lp(one_atom_model(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0]), 0, [1.0, 1.0])
     assert res.status == 0 and isinstance(res.fun, float)
     assert res.x.dtype == np.float64 and res.x.shape == (2,)
-    assert solve_lp(LPModel(1, bounds=[(0.0, None)]), [-1.0]) == (3, None, None)
+    assert solve_lp(one_atom_model(1, bounds=[(0.0, None)]), 0, [-1.0]) == (3, None, None)
 
 
 @pytest.mark.parametrize("field", ["col_value", "row_value"])
@@ -316,26 +388,28 @@ def test_post_check_downgrades_a_violated_optimum(monkeypatch, field):
 
 
 def solved_families(monkeypatch, call) -> list:
-    """Run ``call`` with ``solve_lp`` recorded; return each model that was
-    solved for more than one cost, with its costs and results in order."""
+    """Run ``call`` with ``solve_lp`` recorded; return each model atom that
+    was solved for more than one cost, as ``(model, k, runs)`` with its
+    costs and results in order."""
     families: dict = {}
 
-    def record(model, c):
-        res = solve_lp(model, c)
-        families.setdefault(id(model), (model, []))[1].append((np.array(c, dtype=float), res))
+    def record(model, k, c):
+        res = solve_lp(model, k, c)
+        families.setdefault((id(model), k), (model, k, []))[2].append(
+            (np.array(c, dtype=float), res))
         return res
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
     monkeypatch.setattr(functions, "solve_lp", record)
     call()
     monkeypatch.undo()
-    return [f for f in families.values() if len(f[1]) > 1]
+    return [f for f in families.values() if len(f[2]) > 1]
 
 
-def highs_with_cost(model: LPModel, c):
-    """A new ``_Highs`` instance that gets ``c`` inside ``passModel``."""
-    lp = LPModel(model.n, model.A_ub, model.b_ub, model.A_eq, model.b_eq,
-                 model.bounds).highs.getLp()
+def highs_with_cost(model: LPModel, k: int, c):
+    """A new ``_Highs`` instance that gets ``c`` inside ``passModel`` with
+    atom ``k``'s model."""
+    lp = ref_highs_lp(model.n, **linprog_form(model, k))
     lp.col_cost_ = c
     h = _highs._Highs()
     h.passOptions(_solvers._LP_OPTIONS)
@@ -343,10 +417,10 @@ def highs_with_cost(model: LPModel, c):
     return h
 
 
-def warm_xs(model: LPModel, costs: list) -> list:
+def warm_xs(model: LPModel, k: int, costs: list) -> list:
     """The ``x`` of each cost re-run on one ``_Highs`` instance that keeps
     its basis between costs: ``solve_lp`` without ``clearSolver``."""
-    h = highs_with_cost(model, costs[0])
+    h = highs_with_cost(model, k, costs[0])
     xs = []
     for i, c in enumerate(costs):
         if i:
@@ -361,7 +435,7 @@ def dual_cone_family(seed):
     rng = np.random.default_rng([40, seed])
     ineq = rng.integers(-1, 2, size=(8, 4)).astype(float)
     eq = rng.integers(-1, 2, size=(seed % 2, 4)).astype(float)
-    return lambda: nonzero_in_dual_cone(ineq, eq, 4)
+    return lambda: nonzero_in_dual_cone(dual_cone_model(ineq[None], eq[None]), 0)
 
 
 def argmin_box_family(seed):
@@ -382,9 +456,9 @@ def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch
     # re-run from the kept basis gives another x on some LP
     solved = warm_moved = 0
     for seed in range(10):
-        for model, runs in solved_families(monkeypatch, family(seed)):
+        for model, k, runs in solved_families(monkeypatch, family(seed)):
             for c, res in runs:
-                h = highs_with_cost(model, c)
+                h = highs_with_cost(model, k, c)
                 h.run()
                 assert h.getModelStatus() == _highs.HighsModelStatus.kOptimal
                 assert res.status == 0
@@ -392,10 +466,100 @@ def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch
                 assert np.float64(res.fun).tobytes() == want_fun.tobytes()
                 assert res.x.tobytes() == np.array(h.getSolution().col_value).tobytes()
                 solved += 1
-            warm = warm_xs(model, [c for c, _ in runs])
+            warm = warm_xs(model, k, [c for c, _ in runs])
             warm_moved += sum(res.x is not None and x.tobytes() != res.x.tobytes()
                               for x, (_, res) in zip(warm, runs))
     assert solved >= 60 and warm_moved >= 1, (solved, warm_moved)
+
+
+def lp_strata(reps: int) -> dict:
+    """Four d = 2 strata, each atom repeated ``reps`` times: ``C`` is the
+    unit square (flattened to a segment on atom 3) and ``D = C + shift``
+    touches it (atom 0), overlaps it (atom 1), stays apart (atom 2) or
+    touches it along a line (atom 3).  ``R`` is ``C`` with the ray
+    ``(1, 1)``, and ``f`` and ``g`` are the sup norm on ``C`` and on ``R``."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    pts = np.repeat(np.array([square, square, square, flat]), reps, axis=0)
+    shift = np.repeat([[1.0, 0.0], [0.5, 0.5], [3.0, 0.0], [1.0, 0.0]], reps, axis=0)
+    x = np.repeat([[0.5, 0.5], [0.0, 0.0], [5.0, 5.0], [0.5, 0.0]], reps, axis=0)
+    K = len(pts)
+    space = MeasureSpace(np.ones(K))
+    c, r = ConvexSetRep(space, 2, pts), ConvexSetRep(space, 2, pts, np.ones((K, 1, 2)))
+    slopes = np.broadcast_to([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], (K, 4, 2))
+    return {"C": c, "D": ConvexSetRep(space, 2, pts + shift[:, None]), "R": r,
+            "x": CondVector(space, x), "f": MaxAffineFn(space, slopes, np.zeros((K, 4)), c),
+            "g": MaxAffineFn(space, slopes, np.zeros((K, 4)), r)}
+
+
+# every LP family on lp_strata: margins, dual cones, epigraphs, optimal
+# faces, feasible steps and descent cones
+STRATA_OPS = {
+    "ri_membership": lambda s: ri_membership(s["x"], s["C"], mode="relative"),
+    "separate-weak": lambda s: separate(s["C"], s["D"], "weak"),
+    "separate-proper": lambda s: separate(s["C"], s["D"], "proper"),
+    "argmin": lambda s: argmin(s["g"], s["R"]),
+    "conjugate": lambda s: conjugate(s["f"], Grid((-1.0, -1.0), (1.0, 1.0), (1.0, 1.0))),
+    "directional_derivative": lambda s: directional_derivative(
+        s["f"], CondVector(s["x"].space, s["C"].points[:, 0]), s["x"]),
+}
+LP_FIELDS = ("a_matrix_.start_", "a_matrix_.index_", "a_matrix_.value_", "col_lower_",
+             "col_upper_", "row_lower_", "row_upper_")
+
+
+@pytest.mark.parametrize("op", sorted(STRATA_OPS))
+def test_each_atom_loads_its_per_atom_model(op, monkeypatch):
+    # the column form worked out for the whole stack hands every atom the
+    # HiGHS model built from that atom's LP alone, field for field, in a
+    # reused instance that loads the atoms forwards and back
+    models = {}
+
+    def record(model, k, c):
+        models[id(model)] = model
+        return solve_lp(model, k, c)
+
+    monkeypatch.setattr(_solvers, "solve_lp", record)
+    monkeypatch.setattr(functions, "solve_lp", record)
+    STRATA_OPS[op](lp_strata(1))
+    monkeypatch.undo()
+    assert max(len(model.A_ub) for model in models.values()) == 4
+    for model in models.values():
+        K = len(model.A_ub)
+        for k in [*range(K), *reversed(range(K))]:
+            assert not model.load(k)
+            got, want = model.highs.getLp(), ref_highs_lp(model.n, **linprog_form(model, k))
+            assert (got.num_col_, got.num_row_) == (want.num_col_, want.num_row_)
+            for field in LP_FIELDS:
+                path = field.split(".")
+                a, b = (np.asarray(functools.reduce(getattr, path, lp)) for lp in (got, want))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, k)
+
+
+def test_live_highs_instances_do_not_grow_with_the_atom_count(monkeypatch):
+    # one HiGHS instance per model, reloaded per atom: each op's peak count
+    # of live instances is the same on 4 atoms and on 40 atoms of the same
+    # strata (an instance per atom would hold the peak RSS of a job at K)
+    live = [0, 0]  # now, peak
+
+    class Counted(_highs._Highs):
+        def __init__(self):
+            super().__init__()
+            live[0] += 1
+            live[1] = max(live[1], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(_highs, "_Highs", Counted)
+    peaks = {}
+    for reps in (1, 10):
+        strata = lp_strata(reps)
+        for name, op in STRATA_OPS.items():
+            live[1] = live[0]
+            op(strata)
+            peaks.setdefault(name, []).append(live[1])
+    assert all(lo == hi for lo, hi in peaks.values()), peaks
+    assert max(hi for _, hi in peaks.values()) <= 2, peaks
 
 
 def assert_nnls_matches_scipy(A, b, maxiter):
@@ -591,7 +755,10 @@ def qp_system(points, rays=(), lines=(), eq_mat=None, eq_rhs=None):
     """The columns and the equality rows ``E w = e`` of one atom's
     ``min_norm_point`` problem."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    cols, simplex_row, _ = _solvers.vrep_block(points, rays, lines, points.shape[1])
+    cols, simplex_row, _ = _solvers.vrep_block(
+        *(np.asarray(a, dtype=float).reshape(1, -1, points.shape[1])
+          for a in (points, rays, lines)))
+    cols = cols[0]
     E, e = [simplex_row[None, :]], [np.array([1.0])]
     if eq_mat is not None and len(eq_mat):
         E.append(np.asarray(eq_mat, dtype=float) @ cols)
@@ -857,12 +1024,15 @@ def test_cli_import_leaves_scipy_optimize_out():
     # the cores load on the first LP or QP, never at import
     run_fresh("""
         import sys
+        import numpy as np
         import stratalg.cli
         from stratalg import _solvers
         cores = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib")
         assert not any(name in sys.modules for name in cores), "a core loaded at import"
-        model = _solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        assert _solvers.solve_lp(model, [1.0, 2.0]).status == 0
+        model = _solvers.LPModel(np.array([[[-1.0, -1.0]]]), np.array([[-1.0]]),
+                                 np.zeros((1, 0, 2)), np.zeros((1, 0)),
+                                 np.array([[[0.0, np.inf]] * 2]))
+        assert _solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
         assert all(name in sys.modules for name in cores)
         assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
     """)
@@ -897,13 +1067,16 @@ def test_scipy_optimize_after_stratalg_reuses_the_cores():
 
 def test_stratalg_after_scipy_optimize_reuses_its_cores():
     run_fresh("""
+        import numpy as np
         from scipy.optimize._highspy import _core
         from scipy.optimize import _slsqplib
         import stratalg._solvers as solvers
         solvers._load_cores()
         assert solvers._highs is _core and solvers._slsqplib is _slsqplib
-        model = solvers.LPModel(2, A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        assert solvers.solve_lp(model, [1.0, 2.0]).status == 0
+        model = solvers.LPModel(np.array([[[-1.0, -1.0]]]), np.array([[-1.0]]),
+                                np.zeros((1, 0, 2)), np.zeros((1, 0)),
+                                np.array([[[0.0, np.inf]] * 2]))
+        assert solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
     """)
 
 
