@@ -86,6 +86,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .core import _strata
 from .errors import SolverError
 from .tolerances import EQ_TOL, FEAS_TOL, row_scale
 
@@ -428,10 +429,8 @@ def cone_least_squares(
         atoms = np.flatnonzero(live)
         if not atoms.size:
             break
-        size = on[atoms].sum(axis=1)
-        # the sizes present; np.unique would import numpy.ma, 1.7 MB of peak RSS
-        for s in np.flatnonzero(np.bincount(size)):
-            grp = atoms[size == s]
+        for s, at in _strata(on[atoms].sum(axis=1)):
+            grp = atoms[at]
             # KKT systems on the supports: 2 Q w + E^T lam = 0, E w = e
             support = np.nonzero(on[grp])[1].reshape(len(grp), s)
             G, E = gens[grp], eq_mat[grp]

@@ -28,13 +28,10 @@ from .core import (
     _check_space,
     _freeze,
     _stack,
+    _strata,
     ext_add,
 )
-from .errors import (
-    PreconditionError,
-    ShapeError,
-    UnboundedError,
-)
+from .errors import PreconditionError, ShapeError, UnboundedError
 from .linalg import _dot
 from .sets import ConvexSetRep, membership, ri_membership
 from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
@@ -428,8 +425,8 @@ def _fold(kx: np.ndarray, kv: np.ndarray, wa: np.ndarray, wb: np.ndarray, ys: np
     res = kx[wa] * ys - kv[wa]
     wide = np.flatnonzero(wb - wa > 1)
     wide_cls = np.frexp(wb.flat[wide] - wa.flat[wide] - 1)[1]
-    for e in np.flatnonzero(np.bincount(wide_cls)):
-        sel = wide[wide_cls == e]
+    for e, at in _strata(wide_cls):
+        sel = wide[at]
         j = np.arange(1 << int(e))[:, None]
         step = max(1, _BLOCK >> int(e))
         for i in range(0, len(sel), step):
@@ -692,11 +689,9 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
                 "point must be relatively interior to the domain", ~ok.mask
             )
     active = f.active_at(x0)
-    count = active.sum(axis=1)
     rep = np.empty((f.space.natoms, f.dim))
     # one stacked QP per active count, over each atom's active slopes
-    for c in np.flatnonzero(np.bincount(count)):
-        grp = np.flatnonzero(count == c)
+    for c, grp in _strata(active.sum(axis=1)):
         pieces = np.nonzero(active[grp])[1].reshape(len(grp), c)
         rep[grp] = min_norm_point(f.slopes[grp[:, None], pieces]).point
     return SubdifferentialRep(
@@ -735,15 +730,11 @@ def bounded_subgradient(
             fv = f.eval(x0 + shift).values
             floor = f0.values - v.values * radius
             bad |= fv < floor - STRICT_TOL * row_scale(floor)
-    if bad.any():
-        raise PreconditionError("growth bound fails on probe directions", bad)
     rep = subdifferential(f, x0).representative
-    norms = rep.norm().values
-    over = norms > v.values + QP_TOL * row_scale(v.values)
-    if over.any():
-        raise PreconditionError(
-            "growth bound fails in the slope geometry", over
-        )
+    over = rep.norm().values > v.values + QP_TOL * row_scale(v.values)
+    if bad.any() or over.any():
+        where = "on probe directions" if bad.any() else "in the slope geometry"
+        raise PreconditionError("growth bound fails " + where, bad | over)
     return rep
 
 
@@ -1090,9 +1081,14 @@ def infconv_checks(
     if conv is None:
         conv = inf_convolution(fs)
     g = conv.value
+    if len(fs) != len(conv.split_indices):
+        raise ShapeError("the convolution was built from another number of parts")
+    for f in fs:
+        _check_space(f, g)
+        if f.grid != g.grid:
+            raise ShapeError("the parts and the convolution need a shared grid")
     if dual_grid is None:
         dual_grid = default_dual_grid(fs[0])
-    K = g.space.natoms
     xs = g.grid.axis(0)
 
     gstar = conjugate(g, dual_grid)
@@ -1102,7 +1098,7 @@ def infconv_checks(
         total = ext_add(total, fs_j.values)
     addl = _row_gap(gstar.values, total)
 
-    rows = np.arange(K)[:, None]
+    rows = np.arange(g.space.natoms)[:, None]
     gv = g.values
     glo, ghi, slack = _slope_intervals(gv, xs)
     # nodes with a finite value and an attained finite splitting; split

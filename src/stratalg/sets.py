@@ -37,6 +37,7 @@ from .core import (
     _check_space,
     _freeze,
     _stack,
+    _strata,
     ext_add,
 )
 from .errors import PreconditionError, ShapeError
@@ -422,8 +423,7 @@ def separate(
         F, r = _direction_frames(pts, rays, lines)
         p0 = pts[:, 0]
         resid = p0.copy()
-        for n in np.flatnonzero(np.bincount(r)[1:]) + 1:  # np.unique would import numpy.ma
-            on = r == n
+        for n, on in _strata(r):
             q = F[on, :n]
             coef = np.matmul(q, p0[on, :, None])
             resid[on] = p0[on] - np.matmul(q.transpose(0, 2, 1), coef)[:, :, 0]
@@ -449,7 +449,7 @@ def separate(
     if kind == "proper":
         models = {n: dual_cone_model(np.matmul(gens, F[:, :n].swapaxes(1, 2)),
                                      np.matmul(lines, F[:, :n].swapaxes(1, 2)))
-                  for n in np.flatnonzero(np.bincount(r[touch], minlength=1))}
+                  for n, _ in _strata(r[touch])}
     elif touch.any():
         r, models = np.full(K, dim), {dim: dual_cone_model(gens, lines)}
 
@@ -466,7 +466,7 @@ def separate(
     gap = ext_add(c_lo, -d_hi)
     excess = ext_add(c_hi, -d_lo)
 
-    result = SeparationResult(
+    return SeparationResult(
         kind=kind,
         normal=CondVector(space, zrows),
         gap=CondExtScalar(space, gap),
@@ -474,7 +474,6 @@ def separate(
         strict_excess=CondExtScalar(space, excess) if kind == "proper" else None,
         distance=CondVector(space, zrows).norm() if kind == "strong" else None,
     )
-    return result
 
 
 def hahn_banach_extend(
@@ -541,8 +540,7 @@ def hahn_banach_extend(
     # hull of the mapped slopes, then the nearest point that matches them
     rows = np.zeros((K, dim))
     infeasible = np.zeros(K, dtype=bool)
-    for r in np.flatnonzero(np.bincount(labels)):
-        grp = np.flatnonzero(labels == r)
+    for r, grp in _strata(labels):
         Y = p.slopes[grp]
         if r == 0:
             rows[grp] = min_norm_point(Y).point

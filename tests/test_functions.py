@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ops import OPS, PRIMAL, assert_rows_local, draw_grid, same_bits, seeded_rows
 
 from stratalg import (
     ArgminResult,
@@ -873,6 +874,23 @@ class TestInfConvChecks:
         checks = infconv_checks([f, f])
         assert np.all(checks.additivity_defect.values <= 2.0 * 0.25)
 
+    @pytest.mark.parametrize("other", [
+        Grid((-1.0,), (1.0,), (0.25,)),   # fewer nodes
+        Grid((-1.5,), (2.5,), (0.25,)),   # as many nodes, shifted
+    ])
+    def test_convolution_on_another_grid_is_rejected(self, space2, other):
+        g = Grid((-2.0,), (2.0,), (0.25,))
+        f = grid_fn(space2, g, g.axis(0) ** 2)
+        h = grid_fn(space2, other, other.axis(0) ** 2)
+        with pytest.raises(ShapeError, match="shared grid"):
+            infconv_checks([f, f], inf_convolution([h, h]))
+
+    def test_convolution_of_another_number_of_parts_is_rejected(self, space2):
+        g = Grid((-2.0,), (2.0,), (0.25,))
+        f = grid_fn(space2, g, g.axis(0) ** 2)
+        with pytest.raises(ShapeError, match="number of parts"):
+            infconv_checks([f, f], inf_convolution([f, f, f]))
+
     def test_truncated_carrier_breaks_additivity(self, space2):
         # the optimal unconstrained split sums outside the carrier, so
         # the conjugate identity must degrade and the audit must say so
@@ -1058,35 +1076,6 @@ def ref_fenchel_moreau_rows(f, fstar, fss, env, fsss, tol=1e-9):
     return dev, minor, idem
 
 
-def seeded_rows(rng, K, xs):
-    """Convex, non-convex, ``+inf``-carrier and integer rows in turn.
-
-    The convex and integer rows sit on a dyadic grid, so their conjugate
-    chains hit exact ties, ``0.0`` against ``-0.0`` among them.
-    """
-    n = len(xs)
-    V = np.empty((K, n))
-    for k in range(K):
-        kind = k % 4
-        if kind == 0:
-            V[k] = (1 + k % 3) * xs**2 + (k % 2) * xs
-        elif kind == 1:
-            V[k] = rng.normal(size=n)
-        elif kind == 2:
-            lo = int(rng.integers(0, n // 2))
-            hi = int(rng.integers(lo + 2, n + 1))
-            V[k] = np.where((np.arange(n) >= lo) & (np.arange(n) < hi), np.abs(xs), np.inf)
-        else:
-            V[k] = rng.integers(-2, 3, size=n).astype(float)
-    return V
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-PRIMAL = Grid((-2.0,), (2.0,), (0.25,))  # 17 nodes
 DUALS = {
     "more_dual_nodes": Grid((-4.0,), (4.0,), (0.125,)),
     "many_dual_nodes": Grid((-4.0,), (4.0,), (1 / 256,)),
@@ -1104,7 +1093,7 @@ class TestStackedGridKernels:
     def test_conjugate_matches_dense_reference(self, dual, K, rng):
         f = GridFn(MeasureSpace(np.ones(K)), PRIMAL, seeded_rows(rng, K, PRIMAL.axis(0)))
         got = conjugate(f, DUALS[dual]).values
-        assert same_bytes(got, ref_conjugate(f, DUALS[dual]))
+        assert same_bits(got, ref_conjugate(f, DUALS[dual]))
 
     @pytest.mark.parametrize("dual", ["more_dual_nodes", "many_dual_nodes"])
     @pytest.mark.parametrize("K", [1, 8])
@@ -1118,7 +1107,7 @@ class TestStackedGridKernels:
         for target in (dual, PRIMAL, dual):
             want = ref_conjugate(f, target)
             f = conjugate(f, target)
-            assert same_bytes(f.values, want)
+            assert same_bits(f.values, want)
             signed_zeros |= set(np.signbit(f.values[f.values == 0.0]).tolist())
         assert signed_zeros == {False, True}
 
@@ -1134,7 +1123,7 @@ class TestStackedGridKernels:
         V[rng.random(V.shape) < 0.2] = np.inf
         V[:, 2, 3] = 0.0
         f = GridFn(MeasureSpace(np.ones(K)), g, V)
-        assert same_bytes(conjugate(f, dual).values, ref_conjugate(f, dual))
+        assert same_bits(conjugate(f, dual).values, ref_conjugate(f, dual))
 
     @pytest.mark.parametrize("nfn", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 6])
@@ -1144,12 +1133,12 @@ class TestStackedGridKernels:
         fs = [GridFn(space, PRIMAL, seeded_rows(rng, K, xs)[::-1]) for _ in range(nfn)]
         res = inf_convolution(fs)
         value, splits, in_def, out_def = ref_inf_convolution(fs)
-        assert same_bytes(res.value.values, value)
+        assert same_bits(res.value.values, value)
         assert len(res.split_indices) == nfn
         for got, want in zip(res.split_indices, splits):
-            assert same_bytes(got, want)
-        assert same_bytes(res.input_convexity_defect.values, in_def)
-        assert same_bytes(res.output_convexity_defect.values, out_def)
+            assert same_bits(got, want)
+        assert same_bits(res.input_convexity_defect.values, in_def)
+        assert same_bits(res.output_convexity_defect.values, out_def)
 
     def test_tied_splittings_match_reference(self, rng):
         # constant rows tie every splitting, and argmin's rule keeps the
@@ -1164,9 +1153,9 @@ class TestStackedGridKernels:
         assert (inf_convolution([const, const]).split_indices[0] == first).all()
         for fs in ([const, const], [const, const, const], zeros[:2], zeros):
             res, (value, splits, _, _) = inf_convolution(fs), ref_inf_convolution(fs)
-            assert same_bytes(res.value.values, value)
+            assert same_bits(res.value.values, value)
             for got, want in zip(res.split_indices, splits):
-                assert same_bytes(got, want)
+                assert same_bits(got, want)
 
     def test_audits_match_reference(self, rng):
         K = 12
@@ -1178,8 +1167,8 @@ class TestStackedGridKernels:
         conv = inf_convolution(fs)
         checks = infconv_checks(fs, conv, dual)
         sub_ok, int_ok = ref_infconv_audits(fs, conv)
-        assert same_bytes(checks.subdiff_ok.mask, sub_ok)
-        assert same_bytes(checks.interior_ok.mask, int_ok)
+        assert same_bits(checks.subdiff_ok.mask, sub_ok)
+        assert same_bits(checks.interior_ok.mask, int_ok)
         assert not sub_ok.all() and sub_ok.any()
         stars = [ref_conjugate(f, dual) for f in fs]
         total = stars[0] + stars[1]  # finite or +inf, so plain addition is exact
@@ -1187,15 +1176,15 @@ class TestStackedGridKernels:
         both = np.isfinite(gstar) & np.isfinite(total)
         want = [float(np.max(np.abs(a[m] - b[m]))) if m.any() else 0.0
                 for a, b, m in zip(gstar, total, both)]
-        assert same_bytes(checks.additivity_defect.values, np.array(want))
+        assert same_bits(checks.additivity_defect.values, np.array(want))
 
         rep = fenchel_moreau_check(fs[0], dual)
         fstar, fsss = rep.conjugate.values, conjugate(rep.biconjugate, dual).values
         want = ref_fenchel_moreau_rows(fs[0], fstar, rep.biconjugate.values,
                                        rep.envelope.values, fsss)
-        assert same_bytes(rep.max_deviation.values, want[0])
-        assert same_bytes(rep.minorant_ok.mask, want[1])
-        assert same_bytes(rep.idempotent_ok.mask, want[2])
+        assert same_bits(rep.max_deviation.values, want[0])
+        assert same_bits(rep.minorant_ok.mask, want[1])
+        assert same_bits(rep.idempotent_ok.mask, want[2])
         assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
 
     def test_default_dual_grid_reads_consecutive_finite_nodes(self, space2):
@@ -1252,13 +1241,13 @@ class TestPrunedLegendre:
         for target in (dual, grid, dual):
             want = ref_conjugate(f, target)
             f = conjugate(f, target)
-            assert same_bytes(f.values, want)
+            assert same_bits(f.values, want)
 
     def test_signed_zero_ties_from_integer_data(self, rng):
         xs, ys = np.arange(-3.0, 4.0), np.arange(-4.0, 5.0)
         V = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 3.0], size=(200, len(xs)))
         got = functions._legendre(xs, V, ys)
-        assert same_bytes(got, ref_legendre(xs, V, ys))
+        assert same_bits(got, ref_legendre(xs, V, ys))
         zeros = got[got == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
@@ -1272,9 +1261,9 @@ class TestPrunedLegendre:
         V[6, 16] = 3.0  # one finite node, at the end
         V[7, 3] = -np.inf  # a -inf node makes the row +inf
         got = functions._legendre(xs, V, ys)
-        assert same_bytes(got, ref_legendre(xs, V, ys))
+        assert same_bits(got, ref_legendre(xs, V, ys))
         assert np.isneginf(got[4]).all() and np.isposinf(got[7]).all()
-        assert same_bytes(functions._legendre(xs, np.full((3, 17), np.inf), ys),
+        assert same_bits(functions._legendre(xs, np.full((3, 17), np.inf), ys),
                           np.full((3, len(ys)), -np.inf))
 
     @pytest.mark.parametrize("K", [1, 4])
@@ -1287,7 +1276,7 @@ class TestPrunedLegendre:
         V[:, 1, rng.random(g.shape[1]) < 0.5] = np.inf
         f = GridFn(MeasureSpace(np.ones(K)), g, V)
         for dual in (Grid((-2.0, -2.0), (2.0, 2.0), (1.0, 0.5)), Grid((0.0, -1.0), (0.0, 1.0), (1.0, 1.0))):
-            assert same_bytes(conjugate(f, dual).values, ref_conjugate(f, dual))
+            assert same_bits(conjugate(f, dual).values, ref_conjugate(f, dual))
 
     @pytest.mark.parametrize("dual_step", [1.0, 0.5, 0.25, 1 / 64])
     def test_slopes_equal_to_dual_nodes(self, dual_step, rng):
@@ -1299,8 +1288,8 @@ class TestPrunedLegendre:
         slopes[::2] = np.sort(slopes[::2], axis=1)  # convex rows and others in turn
         V = np.concatenate([np.zeros((24, 1)), (slopes * 0.25).cumsum(axis=1)], axis=1)
         ys = np.arange(-8.0, 8.0 + dual_step / 2, dual_step)
-        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
-        assert same_bytes(functions._legendre(xs, -V[:, ::-1], ys), ref_legendre(xs, -V[:, ::-1], ys))
+        assert same_bits(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+        assert same_bits(functions._legendre(xs, -V[:, ::-1], ys), ref_legendre(xs, -V[:, ::-1], ys))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_non_convex_rows(self, seed):
@@ -1310,21 +1299,21 @@ class TestPrunedLegendre:
         ys = np.sort(rng.normal(size=m) * 4.0)
         V = rng.normal(size=(30, n)) * rng.choice([1e-3, 1.0, 50.0], size=(30, 1))
         V[rng.random(V.shape) < 0.15] = np.inf
-        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+        assert same_bits(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
 
     @pytest.mark.parametrize("j", range(-20, 41, 4))
     def test_rows_scaled_by_powers_of_two(self, j, rng):
         xs, ys = PRIMAL.axis(0), DUALS["129_dual_nodes"].axis(0)
         V = seeded_rows(rng, 8, xs) * 2.0**j
         got = functions._legendre(xs, V, ys)
-        assert same_bytes(got, ref_legendre(xs, V, ys))
+        assert same_bits(got, ref_legendre(xs, V, ys))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ties_decided_by_rounding(self, seed):
         # a copy of the fold with its guard or its slope tolerance shrunk
         # 4x, or with no slope tolerance or no near-hull nodes, fails here
         xs, V, ys = near_tie_rows(np.random.default_rng([19, seed]), 64)
-        assert same_bytes(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
+        assert same_bits(functions._legendre(xs, V, ys), ref_legendre(xs, V, ys))
 
     def test_one_dual_node_bytes_do_not_depend_on_dispatch(self, both_dispatch_levels):
         default, reduced = both_dispatch_levels(_ONE_NODE_TIE_SCRIPT)
@@ -1345,70 +1334,13 @@ for seed in range(8):
 """
 
 
-def locality_outputs(op, V, W, dual):
-    """The per-atom outputs of a grid op on rows ``V`` (and ``W``)."""
-    space = MeasureSpace(np.ones(len(V)))
-    f, g = GridFn(space, PRIMAL, V), GridFn(space, PRIMAL, W)
-    if op == "conjugate":
-        return [conjugate(f, dual).values]
-    if op == "fenchel_moreau_check":
-        rep = fenchel_moreau_check(f, dual)
-        return [rep.conjugate.values, rep.biconjugate.values, rep.envelope.values,
-                rep.max_deviation.values, rep.minorant_ok.mask, rep.idempotent_ok.mask]
-    if op == "inf_convolution":
-        res = inf_convolution([f, g])
-        return [res.value.values, *res.split_indices, res.input_convexity_defect.values,
-                res.output_convexity_defect.values]
-    checks = infconv_checks([f, g], dual_grid=dual)
-    return [checks.additivity_defect.values, checks.subdiff_ok.mask, checks.interior_ok.mask]
-
-
 class TestGridAtomLocality:
-    """Row ``k`` of every output depends on the data of atom ``k`` alone.
+    """Row ``k`` of every grid op's output depends on the data of atom
+    ``k`` alone; the entries are in ``ops.OPS``."""
 
-    The dual grid is passed explicitly: ``default_dual_grid`` takes its
-    width from the steepest slope over all atoms, by design.
-    """
-
-    @pytest.mark.parametrize(
-        "op", ["conjugate", "fenchel_moreau_check", "inf_convolution", "infconv_checks"]
-    )
-    def test_other_atoms_do_not_reach_row_k(self, op, rng):
-        K, xs = 8, PRIMAL.axis(0)
-        dual = DUALS["more_dual_nodes"]
-        V, W = seeded_rows(rng, K, xs), seeded_rows(rng, K, xs)[::-1]
-        base = locality_outputs(op, V, W, dual)
-        for k in range(K):
-            # perturb every other atom
-            V2, W2 = seeded_rows(rng, K, xs), seeded_rows(rng, K, xs)
-            V2[k], W2[k] = V[k], W[k]
-            for got, want in zip(locality_outputs(op, V2, W2, dual), base):
-                assert same_bytes(got[k], want[k]), (op, k)
-        # permute all atoms: each row moves with its atom
-        perm = rng.permutation(K)
-        for got, want in zip(locality_outputs(op, V[perm], W[perm], dual), base):
-            assert same_bytes(got, want[perm]), op
-
-    def test_eval_reads_atom_k_alone(self, rng):
-        K, xs = 8, PRIMAL.axis(0)
-        space = MeasureSpace(np.ones(K))
-
-        def points():
-            # nodes, cell interiors and the grid's end nodes
-            return np.where(rng.random((K, 1)) < 0.5, rng.choice(xs, (K, 1)),
-                            rng.uniform(xs[0], xs[-1], (K, 1)))
-
-        def evaluate(V, X):
-            return GridFn(space, PRIMAL, V).eval(CondVector(space, X)).values
-
-        V, X = seeded_rows(rng, K, xs), points()
-        base = evaluate(V, X)
-        for k in range(K):
-            V2, X2 = seeded_rows(rng, K, xs)[::-1].copy(), points()
-            V2[k], X2[k] = V[k], X[k]
-            assert same_bytes(evaluate(V2, X2)[k], base[k]), k
-        perm = rng.permutation(K)
-        assert same_bytes(evaluate(V[perm], X[perm]), base[perm])
+    @pytest.mark.parametrize("op", [name for name, op in OPS.items() if op.draw is draw_grid])
+    def test_other_atoms_do_not_reach_row_k(self, op):
+        assert_rows_local(OPS[op])
 
 
 def ref_grid_eval(f, x):
@@ -1498,11 +1430,11 @@ class TestGridEvalMatchesReference:
             if want.dtype == bool:
                 with pytest.raises(PreconditionError) as err:
                     f.eval(x)
-                assert same_bytes(err.value.atoms, want)
+                assert same_bits(err.value.atoms, want)
                 seen["off_grid"] += 1
                 continue
             got = f.eval(x).values
-            assert same_bytes(got, want)
+            assert same_bits(got, want)
             seen["zero"] += bool(np.any(want == 0))
             seen["inf"] += bool(np.any(np.isinf(want)))
             seen["one_node"] += 1 in f.grid.shape
@@ -1518,5 +1450,5 @@ class TestGridEvalMatchesReference:
         f = GridFn(space, g, V)
         with np.errstate(all="raise"):
             got = f.eval(x).values
-        assert same_bytes(got, ref_grid_eval(f, x))
+        assert same_bits(got, ref_grid_eval(f, x))
         assert got[0] == np.inf and got[1] == 2.0 and got[2] == 0.0

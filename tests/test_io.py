@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from ops import same_bits
 from test_cli import scenario_doc
 
 from stratalg.core import CondScalar, CondVector, MeasurableSet, MeasureSpace
@@ -257,10 +258,6 @@ def rand_entry(rng):
     return rand_float(rng)
 
 
-def same_array(got: np.ndarray, want: np.ndarray) -> bool:
-    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_parse_matches_reference(seed):
     rng = np.random.default_rng([12, seed])
@@ -269,7 +266,7 @@ def test_parse_matches_reference(seed):
     block = [[rand_entry(rng) for _ in range(d)] for _ in range(K)]
     cube = [[[rand_entry(rng) for _ in range(2)] for _ in range(d)] for _ in range(K)]
     for v in (flat, block, cube, [], [[]], [np.float64(0.5), 2], json.loads(json.dumps(block))):
-        assert same_array(_num_array(v, "x"), ref_num_array(v, "x"))
+        assert same_bits(_num_array(v, "x"), ref_num_array(v, "x"))
 
 
 MALFORMED = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ops import same_bits
 
 from stratalg import (
     CondLinearMap,
@@ -452,11 +453,6 @@ def near_degenerate_family(rng, K, d, m):
                 step *= 10.0 ** rng.uniform(-11, -8) / np.linalg.norm(step)
                 G[j, k] = src + step * max(1.0, np.linalg.norm(src))
     return G
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestGreedyGramSchmidtMatchesReferences:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ops import same_bits
 
 from stratalg import (
     CondScalar,
@@ -378,11 +379,6 @@ def _ref_cauchy_limit(data, eps_rows):
         cuts.append(cut)
         diams.append(dia)
     return cuts, diams, passing, tail_diam
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestCauchyLimitMatchesReference:

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 import oracles
+from ops import same_bits
 
 from stratalg import (
     CondHalfspace,
@@ -540,10 +541,6 @@ def ref_rows(family, k, d):
     if not family:
         return np.zeros((0, d))
     return np.array([v.values[k] for v in family])
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestStackedStorage:

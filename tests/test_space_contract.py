@@ -1,0 +1,78 @@
+"""The space contract of every op in the table of ``ops``, and the
+table's coverage of the public API.
+
+All conditional arguments of an op must live on one measure space.
+Each argument in turn is built on another space, the same atom count
+with other weights and one atom fewer, while the others stay; the op
+must raise ``SpaceMismatchError``.  An op with one conditional argument
+has no second space to compare, so only its locality is tested.
+"""
+
+import numpy as np
+import pytest
+
+import stratalg
+from ops import OPS, take
+from stratalg import MeasureSpace, SpaceMismatchError
+
+RESULT = "a result record: the op that returns it has an entry"
+RAW = "takes no conditional data"
+
+# public names no entry calls, with the reason
+EXEMPT = {
+    "MeasureSpace": RAW,
+    "MeasurableSet": "a conditional type built from a space and a raw mask",
+    "CondScalar": "a conditional type built from a space and raw values",
+    "CondInteger": "a conditional type built from a space and raw values",
+    "StratifiedBasis": "built from raw labels and picks; rank_partition, which returns it, "
+                       "has an entry",
+    "CondLinearMap": "built from raw matrices; extend_linear, which returns it, has an entry",
+    "ConvexSetRep": "its families are checked by core._stack; hull, which builds it, has an entry",
+    "Grid": RAW,
+    "ext_add": RAW,
+    "ext_mul": RAW,
+    "largest_set_where": "its predicate is a raw array or a callable on atom indices, and its "
+                         "one conditional argument, the region, has no second space to compare",
+    "default_dual_grid": "reads every atom by design: its width is the steepest slope over "
+                         "all atoms",
+    "SeparationResult": RESULT,
+    "SubdifferentialRep": RESULT,
+    "ArgminResult": RESULT,
+    "InfConvResult": RESULT,
+    "InfConvChecks": RESULT,
+    "FenchelMoreauReport": RESULT,
+    "BWResult": RESULT,
+    "CauchyResult": RESULT,
+    "__version__": RAW,
+}
+
+
+def test_every_public_name_has_an_entry_or_an_exemption():
+    called = {name for op in OPS.values() for name in op.call.__code__.co_names}
+    errors = {name for name in stratalg.__all__
+              if isinstance(getattr(stratalg, name), type)
+              and issubclass(getattr(stratalg, name), Exception)}
+    public = set(stratalg.__all__) - errors
+    assert public - called - EXEMPT.keys() == set()
+    assert called & EXEMPT.keys() == set()
+    assert EXEMPT.keys() <= public
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_each_argument_on_another_space_raises(op):
+    entry = OPS[op]
+    data = entry.draw(np.random.default_rng(entry.seed), entry.K)
+    args = entry.build(MeasureSpace(data["w"]), data)
+    others = {
+        "other weights": entry.build(MeasureSpace(2.0 * data["w"]), data),
+        "one atom fewer": entry.build(MeasureSpace(data["w"][1:]), take(data, slice(1, None))),
+    }
+    missed = []
+    for where, alien in others.items():
+        for i in range(len(args) if len(args) > 1 else 0):
+            try:
+                entry.call(*args[:i], alien[i], *args[i + 1:])
+            except SpaceMismatchError:
+                continue
+            missed.append((where, i))
+    assert not missed, op
