@@ -113,6 +113,10 @@ def assert_rows_local(op):
         assert same_bits(got, base[name][perm]), name
 
 
+def drawn_by(draw):
+    return [name for name, op in OPS.items() if op.draw is draw]
+
+
 def error_atoms(op, data):
     """The atoms named by the ``AtomSetError`` that ``call`` raises on
     ``failing``'s arguments, or ``None`` when it returns."""
@@ -394,6 +398,14 @@ def _D(space, data):
     return ConvexSetRep(space, DS, _family(space, data["D"]))
 
 
+def _C_and_D(space, data):
+    return _C(space, data), _D(space, data)
+
+
+def _f_and_x(space, data):
+    return _fn(space, data), CondVector(space, data["x"])
+
+
 def _separate(kind):
     def call(C, D):
         res = separate(C, D, kind=kind)
@@ -526,7 +538,7 @@ def _bounded_subgradient(f, x, v):
 def _growth_too_small(space, data):
     # a bound far below the slopes' length where the halfspace support is off
     v = _growth_bound(data) * np.where(data["support"], 1.0, 1e-6)
-    return _fn(space, data), CondVector(space, data["x"]), CondScalar(space, v)
+    return (*_f_and_x(space, data), CondScalar(space, v))
 
 
 def _sublinear_support(f):
@@ -540,10 +552,9 @@ def _offsets(space, data):
 
 
 SETS = {
-    **{f"separate_{kind}": Op(draw_sets, 8, seed, lambda s, d: (_C(s, d), _D(s, d)),
-                              _separate(kind))
+    **{f"separate_{kind}": Op(draw_sets, 8, seed, _C_and_D, _separate(kind))
        for seed, kind in ((200, "strong"), (201, "weak"), (202, "proper"))},
-    "nearest_pair": Op(draw_sets, 8, 203, lambda s, d: (_C(s, d), _D(s, d)), _nearest_pair),
+    "nearest_pair": Op(draw_sets, 8, 203, _C_and_D, _nearest_pair),
     "ri_membership_interior": Op(draw_sets, 8, 204, _point_and_C, _ri_membership("interior")),
     "ri_membership_relative": Op(draw_sets, 8, 205, _point_and_C, _ri_membership("relative")),
     "argmin": Op(draw_sets, 8, 206,
@@ -551,16 +562,12 @@ SETS = {
                  _argmin, _unbounded),
     "hahn_banach_extend": Op(draw_sets, 8, 207, _extension_data, _hahn_banach_extend,
                              _beyond_the_bound),
-    "subdifferential": Op(draw_sets, 8, 208, lambda s, d: (_fn(s, d), CondVector(s, d["x"])),
-                          _subdifferential, _off_the_domain),
-    "differentiability_check": Op(draw_sets, 8, 209,
-                                  lambda s, d: (_fn(s, d), CondVector(s, d["x"])),
-                                  _differentiability_check),
+    "subdifferential": Op(draw_sets, 8, 208, _f_and_x, _subdifferential, _off_the_domain),
+    "differentiability_check": Op(draw_sets, 8, 209, _f_and_x, _differentiability_check),
     "conjugate_max_affine": Op(draw_sets, 8, 210, lambda s, d: (_fn(s, d), _D(s, d)),
                                _conjugate_max_affine),
     "directional_derivative": Op(draw_sets, 8, 211,
-                                 lambda s, d: (_fn(s, d), CondVector(s, d["x"]),
-                                               CondVector(s, d["u"])),
+                                 lambda s, d: (*_f_and_x(s, d), CondVector(s, d["u"])),
                                  _directional_derivative,
                                  lambda s, d: (*_off_the_domain(s, d), CondVector(s, d["u"]))),
     "halfspace_contains": Op(draw_sets, 8, 212, _halfspace_args, _contains,
@@ -572,8 +579,7 @@ SETS = {
                  _eq_set),
     "nearest_pair_discrete": Op(draw_sets, 8, 215, _discrete_pairs, _nearest_pair_discrete),
     "bounded_subgradient": Op(draw_sets, 8, 216,
-                              lambda s, d: (_fn(s, d), CondVector(s, d["x"]),
-                                            CondScalar(s, _growth_bound(d))),
+                              lambda s, d: (*_f_and_x(s, d), CondScalar(s, _growth_bound(d))),
                               _bounded_subgradient, _growth_too_small),
     "sublinear_support": Op(draw_sets, 8, 217,
                             lambda s, d: (MaxAffineFn(s, d["Y"], np.zeros((s.natoms, J))),),

@@ -10,11 +10,16 @@ tests are ``test_functions.TestGridAtomLocality``.
 import numpy as np
 import pytest
 
-from ops import OPS, assert_rows_local, draw_linalg, draw_members, draw_sets, error_atoms, take
-
-
-def drawn_by(draw):
-    return [name for name, op in OPS.items() if op.draw is draw]
+from ops import (
+    OPS,
+    assert_rows_local,
+    draw_linalg,
+    draw_members,
+    draw_sets,
+    drawn_by,
+    error_atoms,
+    take,
+)
 
 
 @pytest.mark.parametrize("op", drawn_by(draw_linalg))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ops import OPS, PRIMAL, assert_rows_local, draw_grid, same_bits, seeded_rows
+from ops import OPS, PRIMAL, assert_rows_local, draw_grid, drawn_by, same_bits, seeded_rows
 
 from stratalg import (
     ArgminResult,
@@ -1338,7 +1338,7 @@ class TestGridAtomLocality:
     """Row ``k`` of every grid op's output depends on the data of atom
     ``k`` alone; the entries are in ``ops.OPS``."""
 
-    @pytest.mark.parametrize("op", [name for name, op in OPS.items() if op.draw is draw_grid])
+    @pytest.mark.parametrize("op", drawn_by(draw_grid))
     def test_other_atoms_do_not_reach_row_k(self, op):
         assert_rows_local(OPS[op])
 
