@@ -35,6 +35,7 @@ from .functions import (
     fenchel_moreau_check,
     inf_convolution,
     infconv_checks,
+    probe_directions,
     subdifferential,
 )
 from .io import ParseError, Scenario, build_scenario, emit_document, load_document
@@ -86,28 +87,28 @@ def _dual_grid(args) -> Grid | None:
     return Grid(_floats(args.mins), _floats(args.maxs), _floats(args.steps))
 
 
-def _grid_fn(scn: Scenario, name: str) -> GridFn:
+_KINDS = {GridFn: "a grid function", MaxAffineFn: "max-affine"}
+
+
+def _function(scn: Scenario, name: str, kind: type):
+    """The scenario's function ``name``, which must be of type ``kind``."""
     f = scn.function(name)
-    if not isinstance(f, GridFn):
-        raise ParseError(f"function {name!r} must be a grid function")
+    if not isinstance(f, kind):
+        raise ParseError(f"function {name!r} must be {_KINDS[kind]}")
     return f
 
 
-def _max_affine(scn: Scenario, name: str) -> MaxAffineFn:
-    f = scn.function(name)
-    if not isinstance(f, MaxAffineFn):
-        raise ParseError(f"function {name!r} must be max-affine")
-    return f
+def _frame(gens: list, tol) -> linalg.OrthonormalFrame:
+    """The orthonormal frame adapted to ``gens``, at rank tolerance ``tol``."""
+    rank_tol = tol or RANK_TOL
+    return linalg.orthonormalize(linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol)
 
 
-def _probe_rows(seed: int, count: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((count, dim))
-    rows /= np.maximum(1e-12, np.linalg.norm(rows, axis=1, keepdims=True))
-    return rows
+# A handler returns the result document and whether a check it reports
+# failed; under --strict ``main`` turns a failed check into exit 2.
 
 
-def _cmd_basis(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_basis(scn: Scenario, args) -> tuple[dict, bool]:
     gens = [scn.vector(n) for n in args.generators]
     basis = linalg.rank_partition(gens, rank_tol=args.tol or RANK_TOL)
     doc = _result_doc(scn)
@@ -119,15 +120,11 @@ def _cmd_basis(scn: Scenario, args) -> tuple[dict, int]:
         "top_rank": basis.top_rank,
         "picks": basis.picks.tolist(),
     }
-    return doc, 0
+    return doc, False
 
 
-def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, int]:
-    gens = [scn.vector(n) for n in args.generators]
-    rank_tol = args.tol or RANK_TOL
-    frame = linalg.orthonormalize(
-        linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol
-    )
+def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, bool]:
+    frame = _frame([scn.vector(n) for n in args.generators], args.tol)
     doc = _result_doc(scn)
     doc["integers"]["labels"] = frame.labels.tolist()
     for i in range(frame.dim):
@@ -135,17 +132,13 @@ def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, int]:
     defect = frame.gram_defect().values
     doc["scalars"]["gram_defect"] = defect.tolist()
     doc["certificates"] = {"max_gram_defect": float(defect.max())}
-    return doc, 0
+    return doc, False
 
 
-def _cmd_decompose(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_decompose(scn: Scenario, args) -> tuple[dict, bool]:
     x = scn.vector(args.vector)
     gens = [scn.vector(n) for n in args.generators]
-    rank_tol = args.tol or RANK_TOL
-    frame = linalg.orthonormalize(
-        linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol
-    )
-    y, z = linalg.decompose(x, frame)
+    y, z = linalg.decompose(x, _frame(gens, args.tol))
     overlap = np.zeros(scn.space.natoms)
     for g in gens:
         overlap = np.maximum(overlap, np.abs(z.inner(g).values))
@@ -156,10 +149,10 @@ def _cmd_decompose(scn: Scenario, args) -> tuple[dict, int]:
     doc["scalars"]["norm_Y"] = y.norm().values.tolist()
     doc["scalars"]["norm_Z"] = z.norm().values.tolist()
     doc["certificates"] = {"max_orthogonality_defect": float(overlap.max())}
-    return doc, 0
+    return doc, False
 
 
-def _cmd_separate(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_separate(scn: Scenario, args) -> tuple[dict, bool]:
     res = sets.separate(
         scn.convex_set(args.first),
         scn.convex_set(args.second),
@@ -176,16 +169,15 @@ def _cmd_separate(scn: Scenario, args) -> tuple[dict, int]:
         doc["scalars"]["strict_excess"] = res.strict_excess.values.tolist()
     failures = int(res.failure_set.mask.sum())
     doc["certificates"] = {"kind": args.kind, "failure_atom_count": failures}
-    code = 2 if (args.strict and failures) else 0
-    return doc, code
+    return doc, failures > 0
 
 
-def _cmd_hahn_banach(scn: Scenario, args) -> tuple[dict, int]:
-    p = _max_affine(scn, args.bound)
+def _cmd_hahn_banach(scn: Scenario, args) -> tuple[dict, bool]:
+    p = _function(scn, args.bound, MaxAffineFn)
     e = scn.convex_set(args.subspace)
     values = [scn.scalar(n) for n in args.values]
     h = sets.hahn_banach_extend(p, e, values, tol=args.tol or QP_TOL)
-    probes = _probe_rows(args.seed, args.probes, scn.d)
+    probes = probe_directions(args.seed, args.probes, scn.d)
     excess = np.full(scn.space.natoms, -np.inf)
     for row in probes:
         probe = CondVector.constant(scn.space, row)
@@ -198,10 +190,10 @@ def _cmd_hahn_banach(scn: Scenario, args) -> tuple[dict, int]:
         "max_probe_excess": float(excess.max()),
         "probe_count": args.probes,
     }
-    return doc, 0
+    return doc, False
 
 
-def _cmd_conjugate(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_conjugate(scn: Scenario, args) -> tuple[dict, bool]:
     f = scn.function(args.function)
     dual = _dual_grid(args)
     if dual is None:
@@ -210,11 +202,11 @@ def _cmd_conjugate(scn: Scenario, args) -> tuple[dict, int]:
     doc = _result_doc(scn)
     doc["functions"] = {"result": _grid_record(g)}
     doc["certificates"] = {"dual_shape": list(dual.shape)}
-    return doc, 0
+    return doc, False
 
 
-def _cmd_fenchel_moreau(scn: Scenario, args) -> tuple[dict, int]:
-    f = _grid_fn(scn, args.function)
+def _cmd_fenchel_moreau(scn: Scenario, args) -> tuple[dict, bool]:
+    f = _function(scn, args.function, GridFn)
     rep = fenchel_moreau_check(f, _dual_grid(args))
     doc = _result_doc(scn)
     doc["functions"] = {
@@ -231,11 +223,11 @@ def _cmd_fenchel_moreau(scn: Scenario, args) -> tuple[dict, int]:
         "grid_step": f.grid.steps[0],
         "all_ok": all_ok,
     }
-    return doc, 2 if (args.strict and not all_ok) else 0
+    return doc, not all_ok
 
 
-def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, int]:
-    f = _max_affine(scn, args.function)
+def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, bool]:
+    f = _function(scn, args.function, MaxAffineFn)
     x0 = scn.vector(args.point)
     if args.bound is not None:
         y = bounded_subgradient(f, x0, scn.scalar(args.bound), seed=args.seed)
@@ -243,7 +235,7 @@ def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, int]:
     else:
         sd = subdifferential(f, x0)
         y, active = sd.representative, sd.active
-    probes = _probe_rows(args.seed, args.probes, scn.d)
+    probes = probe_directions(args.seed, args.probes, scn.d)
     f0 = f.eval(x0).values
     violation = np.full(scn.space.natoms, -np.inf)
     for row in probes:
@@ -260,11 +252,11 @@ def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, int]:
         "max_probe_violation": float(violation.max()),
         "probe_count": args.probes,
     }
-    return doc, 0
+    return doc, False
 
 
-def _cmd_argmin(scn: Scenario, args) -> tuple[dict, int]:
-    f = _max_affine(scn, args.function)
+def _cmd_argmin(scn: Scenario, args) -> tuple[dict, bool]:
+    f = _function(scn, args.function, MaxAffineFn)
     r = argmin(f, scn.convex_set(args.set), tol=args.tol or QP_TOL)
     doc = _result_doc(scn)
     doc["vectors"]["minimizer"] = r.minimizer.values.tolist()
@@ -272,11 +264,11 @@ def _cmd_argmin(scn: Scenario, args) -> tuple[dict, int]:
     doc["sets"]["unique_set"] = _set_out(r.unique_set)
     feasible = bool(r.value.finite_set.is_full)
     doc["certificates"] = {"feasible_everywhere": feasible}
-    return doc, 2 if (args.strict and not feasible) else 0
+    return doc, not feasible
 
 
-def _cmd_infconv(scn: Scenario, args) -> tuple[dict, int]:
-    fs = [_grid_fn(scn, n) for n in args.functions]
+def _cmd_infconv(scn: Scenario, args) -> tuple[dict, bool]:
+    fs = [_function(scn, n, GridFn) for n in args.functions]
     r = inf_convolution(fs)
     doc = _result_doc(scn)
     doc["functions"] = {"result": _grid_record(r.value)}
@@ -295,10 +287,10 @@ def _cmd_infconv(scn: Scenario, args) -> tuple[dict, int]:
         doc["certificates"]["max_additivity_defect"] = float(
             checks.additivity_defect.values.max()
         )
-    return doc, 0
+    return doc, False
 
 
-def _cmd_bw(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_bw(scn: Scenario, args) -> tuple[dict, bool]:
     seq = scn.sequence(args.sequence)
     r = bw_extract(seq, args.depth, args.slack)
     doc = _result_doc(scn)
@@ -307,10 +299,10 @@ def _cmd_bw(scn: Scenario, args) -> tuple[dict, int]:
     doc["vectors"]["limit"] = r.limit.values.tolist()
     doc["vectors"]["stage_liminfs"] = r.stage_liminfs.values.tolist()
     doc["certificates"] = {"depth": args.depth, "slack": float(args.slack)}
-    return doc, 0
+    return doc, False
 
 
-def _cmd_cauchy(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_cauchy(scn: Scenario, args) -> tuple[dict, bool]:
     seq = scn.sequence(args.sequence)
     schedule = [scn.scalar(n) for n in args.eps]
     r = cauchy_limit(seq, schedule)
@@ -322,11 +314,10 @@ def _cmd_cauchy(scn: Scenario, args) -> tuple[dict, int]:
         doc["scalars"][f"tail_diameter_{j + 1}"] = dia.tolist()
     passing = int(r.cauchy_on.mask.sum())
     doc["certificates"] = {"passing_atom_count": passing}
-    code = 2 if (args.strict and not r.cauchy_on.is_full) else 0
-    return doc, code
+    return doc, not r.cauchy_on.is_full
 
 
-def _cmd_bounded_test(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_bounded_test(scn: Scenario, args) -> tuple[dict, bool]:
     bounded_on, witness = sets.bounded_test(
         scn.convex_set(args.set), rank_tol=args.tol or RANK_TOL
     )
@@ -335,10 +326,10 @@ def _cmd_bounded_test(scn: Scenario, args) -> tuple[dict, int]:
     doc["vectors"]["witness"] = witness.values.tolist()
     unbounded = int((~bounded_on.mask).sum())
     doc["certificates"] = {"unbounded_atom_count": unbounded}
-    return doc, 2 if (args.strict and unbounded) else 0
+    return doc, unbounded > 0
 
 
-def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, int]:
+def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, bool]:
     ms = sets.ri_membership(
         scn.vector(args.point),
         scn.convex_set(args.set),
@@ -348,25 +339,7 @@ def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, int]:
     doc = _result_doc(scn)
     doc["sets"]["member_set"] = _set_out(ms)
     doc["certificates"] = {"mode": args.mode, "member_atom_count": int(ms.mask.sum())}
-    return doc, 2 if (args.strict and not ms.is_full) else 0
-
-
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "orthonormalize": _cmd_orthonormalize,
-    "decompose": _cmd_decompose,
-    "separate": _cmd_separate,
-    "hahn-banach": _cmd_hahn_banach,
-    "conjugate": _cmd_conjugate,
-    "fenchel-moreau": _cmd_fenchel_moreau,
-    "subgrad": _cmd_subgrad,
-    "argmin": _cmd_argmin,
-    "infconv": _cmd_infconv,
-    "bw": _cmd_bw,
-    "cauchy": _cmd_cauchy,
-    "bounded-test": _cmd_bounded_test,
-    "ri-test": _cmd_ri_test,
-}
+    return doc, not ms.is_full
 
 
 def _checked(convert, ok, what: str):
@@ -393,7 +366,10 @@ _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    scenario, tol, seed, strict = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    # one parent parser per shared flag group
+    scenario, tol, seed, strict, generators, probes, dual = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    )
     scenario.add_argument("scenario", help="path to an interchange document")
     tol.add_argument("--tol", type=_TOL, default=None, help="override the operation tolerance")
     seed.add_argument("--seed", type=_SEED, default=7, help="seed for probe-based certificates")
@@ -402,62 +378,65 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 2 when a failure set is nonempty or a demanded check fails",
     )
+    generators.add_argument("--generators", nargs="+", required=True)
+    probes.add_argument("--probes", type=_COUNT, default=200)
+    dual.add_argument("--mins", help="comma-separated dual grid minima")
+    dual.add_argument("--maxs", help="comma-separated dual grid maxima")
+    dual.add_argument("--steps", help="comma-separated dual grid steps")
     parser = argparse.ArgumentParser(
         prog="stratalg",
         description="Scenario runner for conditional analysis on finite atom spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *flags, **kwargs):
-        return sub.add_parser(name, parents=[scenario, *flags], **kwargs)
+    def add(name, handler, *flags, **kwargs):
+        p = sub.add_parser(name, parents=[scenario, *flags], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("basis", tol, help="stratified rank partition of generators")
-    p.add_argument("--generators", nargs="+", required=True)
-    p = add("orthonormalize", tol, help="orthonormal frame adapted to generators")
-    p.add_argument("--generators", nargs="+", required=True)
-    p = add("decompose", tol, help="project a vector onto the generated submodule")
+    add("basis", _cmd_basis, tol, generators, help="stratified rank partition of generators")
+    add("orthonormalize", _cmd_orthonormalize, tol, generators,
+        help="orthonormal frame adapted to generators")
+    p = add("decompose", _cmd_decompose, tol, generators,
+            help="project a vector onto the generated submodule")
     p.add_argument("--vector", required=True)
-    p.add_argument("--generators", nargs="+", required=True)
-    p = add("separate", tol, strict, help="separate two convex sets")
+    p = add("separate", _cmd_separate, tol, strict, help="separate two convex sets")
     p.add_argument("--first", required=True)
     p.add_argument("--second", required=True)
     p.add_argument("--kind", choices=["strong", "weak", "proper"], default="strong")
-    p = add("hahn-banach", tol, seed, help="dominated linear extension from a submodule")
+    p = add("hahn-banach", _cmd_hahn_banach, tol, seed, probes,
+            help="dominated linear extension from a submodule")
     p.add_argument("--bound", required=True, help="sublinear max-affine function name")
     p.add_argument("--subspace", required=True, help="linear convex-set name")
     p.add_argument("--values", nargs="+", required=True, help="scalar names, one per frame vector")
-    p.add_argument("--probes", type=_COUNT, default=200)
-    p = add("conjugate", help="convex conjugate on a dual grid")
+    p = add("conjugate", _cmd_conjugate, dual, help="convex conjugate on a dual grid")
     p.add_argument("--function", required=True)
-    p.add_argument("--mins", help="comma-separated dual grid minima")
-    p.add_argument("--maxs", help="comma-separated dual grid maxima")
-    p.add_argument("--steps", help="comma-separated dual grid steps")
-    p = add("fenchel-moreau", strict, help="biconjugation audit of a grid function")
+    p = add("fenchel-moreau", _cmd_fenchel_moreau, strict, dual,
+            help="biconjugation audit of a grid function")
     p.add_argument("--function", required=True)
-    p.add_argument("--mins")
-    p.add_argument("--maxs")
-    p.add_argument("--steps")
-    p = add("subgrad", seed, help="subdifferential representative at a point")
+    p = add("subgrad", _cmd_subgrad, seed, probes,
+            help="subdifferential representative at a point")
     p.add_argument("--function", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--bound", help="growth-constant scalar name (bounded variant)")
-    p.add_argument("--probes", type=_COUNT, default=200)
-    p = add("argmin", tol, strict, help="minimize a max-affine function over a convex set")
+    p = add("argmin", _cmd_argmin, tol, strict,
+            help="minimize a max-affine function over a convex set")
     p.add_argument("--function", required=True)
     p.add_argument("--set", required=True)
-    p = add("infconv", help="inf-convolution of grid functions")
+    p = add("infconv", _cmd_infconv, help="inf-convolution of grid functions")
     p.add_argument("--functions", nargs="+", required=True)
     p.add_argument("--check", action="store_true", help="include conjugate additivity audits")
-    p = add("bw", help="measurable subsequence extraction")
+    p = add("bw", _cmd_bw, help="measurable subsequence extraction")
     p.add_argument("--sequence", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--slack", type=_SLACK, required=True)
-    p = add("cauchy", strict, help="finite-horizon Cauchy test")
+    p = add("cauchy", _cmd_cauchy, strict, help="finite-horizon Cauchy test")
     p.add_argument("--sequence", required=True)
     p.add_argument("--eps", nargs="+", required=True, help="scalar names forming the schedule")
-    p = add("bounded-test", tol, strict, help="recession-based boundedness test")
+    p = add("bounded-test", _cmd_bounded_test, tol, strict,
+            help="recession-based boundedness test")
     p.add_argument("--set", required=True)
-    p = add("ri-test", strict, help="(relative) interior membership test")
+    p = add("ri-test", _cmd_ri_test, strict, help="(relative) interior membership test")
     p.add_argument("--tol", type=_RI_TOL, default=None, help="override the operation tolerance")
     p.add_argument("--point", required=True)
     p.add_argument("--set", required=True)
@@ -480,7 +459,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         scn = build_scenario(load_document(args.scenario))
-        doc, code = _HANDLERS[args.command](scn, args)
+        doc, failed = args.handler(scn, args)
     except AtomSetError as exc:
         sys.stdout.write(emit_document(_error_doc(exc)))
         return 2
@@ -488,7 +467,7 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_document(_error_doc(exc)))
         return 1
     sys.stdout.write(emit_document(doc))
-    return code
+    return 2 if failed and getattr(args, "strict", False) else 0
 
 
 if __name__ == "__main__":

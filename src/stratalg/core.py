@@ -148,11 +148,56 @@ class MeasurableSet:
         return bool(np.all(self.mask | ~other.mask))
 
 
+def ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Extended-real addition with ``(+inf) + (-inf) = +inf``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.where(
+        (a == np.inf) | (b == np.inf),
+        np.inf,
+        np.where((a == -np.inf) | (b == -np.inf), -np.inf, 0.0),
+    )
+    finite = np.isfinite(a) & np.isfinite(b)
+    return np.where(finite, np.where(finite, a, 0.0) + np.where(finite, b, 0.0), out)
+
+
+def ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Extended-real multiplication with ``0 * (+-inf) = 0``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    zero = (a == 0.0) | (b == 0.0)
+    safe = np.where(zero, 0.0, a) * np.where(zero, 1.0, b)
+    return np.where(zero, 0.0, safe)
+
+
 class _CondValue:
-    """Shared plumbing for atom-indexed values."""
+    """One value per atom.  Every conditional value type is built, compared
+    and checked here: a type sets the layout of its entries (``_dtype``,
+    ``_ndim``), their check (``_entries``: finite by default, worded by
+    ``_entry_error``) and one atom's entry for ``constant`` (``_atom``)."""
 
     space: MeasureSpace
     values: np.ndarray
+    _dtype, _ndim, _atom = float, 1, float
+    _shape_error = "scalar values must have one entry per atom"
+
+    def __init__(self, space: MeasureSpace, values):
+        v = np.asarray(values, dtype=self._dtype)
+        if v.ndim != self._ndim or v.shape[0] != space.natoms:
+            raise ShapeError(self._shape_error)
+        self.space = space
+        self.values = _freeze(self._entries(v).copy())
+
+    def _entries(self, v: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(v)):
+            raise ShapeError(self._entry_error)
+        return v
+
+    @classmethod
+    def constant(cls, space: MeasureSpace, c):
+        """The entry ``c`` on every atom."""
+        c = cls._atom(c)
+        return cls(space, np.full((space.natoms, *np.shape(c)), c))
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,7 +214,7 @@ class _CondValue:
         each atom's own entries."""
         _check_space(self, other)
         a, b = self.values, other.values
-        scale = row_scale(a, b).reshape((-1,) + (1,) * (a.ndim - 1))
+        scale = self._per_atom(row_scale(a, b))
         # equal entries, +inf vs +inf and -inf vs -inf among them, differ
         # by 0 without forming inf - inf
         diff = np.subtract(a, b, out=np.zeros(np.broadcast_shapes(a.shape, b.shape)), where=a != b)
@@ -181,140 +226,113 @@ class _CondValue:
     def equal_ae(self, other, tol: float = EQ_TOL) -> bool:
         return self.eq_set(other, tol).is_full
 
+    def _per_atom(self, a: np.ndarray) -> np.ndarray:
+        """Atom-indexed ``a`` shaped to broadcast along each atom's entries."""
+        return a.reshape(a.shape + (1,) * (self.values.ndim - 1))
 
-class CondScalar(_CondValue):
-    """A conditional real number: one finite float per atom."""
 
-    def __init__(self, space: MeasureSpace, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (space.natoms,):
-            raise ShapeError("scalar values must have one entry per atom")
-        if not np.all(np.isfinite(v)):
-            raise ShapeError("conditional scalars must be finite; "
-                             "use CondExtScalar for extended values")
-        self.space = space
-        self.values = _freeze(v.copy())
+class _CondModuleValue(_CondValue):
+    """The module operations, atom by atom: ``+`` and ``-`` of two values on
+    one space, and ``*`` by a number or by a conditional scalar of type
+    ``_scalar`` (the class itself when ``None``), which multiplies each
+    atom's entries.  The result has the type of the left operand."""
 
-    @classmethod
-    def constant(cls, space: MeasureSpace, c: float) -> "CondScalar":
-        return cls(space, np.full(space.natoms, float(c)))
+    _add, _sub, _mul = np.add, np.subtract, np.multiply
+    _scalar = None
 
-    def __add__(self, other: "CondScalar") -> "CondScalar":
+    def __add__(self, other):
         _check_space(self, other)
-        return CondScalar(self.space, self.values + other.values)
+        return type(self)(self.space, self._add(self.values, other.values))
 
-    def __sub__(self, other: "CondScalar") -> "CondScalar":
+    def __sub__(self, other):
+        if self._sub is None:  # no subtraction of its own: add the negation
+            return self + (-other)
         _check_space(self, other)
-        return CondScalar(self.space, self.values - other.values)
+        return type(self)(self.space, self._sub(self.values, other.values))
 
-    def __neg__(self) -> "CondScalar":
-        return CondScalar(self.space, -self.values)
+    def __neg__(self):
+        return type(self)(self.space, -self.values)
 
-    def __mul__(self, other: Union["CondScalar", float]) -> "CondScalar":
-        if isinstance(other, CondScalar):
+    def __mul__(self, other):
+        if isinstance(other, self._scalar or type(self)):
             _check_space(self, other)
-            return CondScalar(self.space, self.values * other.values)
-        return CondScalar(self.space, self.values * float(other))
+            c = self._per_atom(other.values)
+        else:
+            c = float(other)
+        return type(self)(self.space, self._mul(self.values, c))
 
     __rmul__ = __mul__
 
-    def restrict(self, region: MeasurableSet) -> "CondScalar":
+
+class _CondFiniteValue(_CondModuleValue):
+    """Finite entries, so ``1_A x`` is defined."""
+
+    def restrict(self, region: MeasurableSet):
         """``1_A x``: zero outside the region."""
         _check_space(self, region)
-        return CondScalar(self.space, np.where(region.mask, self.values, 0.0))
+        return type(self)(self.space, np.where(self._per_atom(region.mask), self.values, 0.0))
+
+
+class CondScalar(_CondFiniteValue):
+    """A conditional real number: one finite float per atom."""
+
+    _entry_error = "conditional scalars must be finite; use CondExtScalar for extended values"
 
     def as_extended(self) -> "CondExtScalar":
         return CondExtScalar(self.space, self.values)
 
 
-class CondExtScalar(_CondValue):
-    """A conditional extended real: entries may be ``+-inf`` (never NaN)."""
+class CondExtScalar(_CondModuleValue):
+    """A conditional extended real: entries may be ``+-inf`` (never NaN).
 
-    def __init__(self, space: MeasureSpace, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (space.natoms,):
-            raise ShapeError("scalar values must have one entry per atom")
+    Sums and products follow ``ext_add`` and ``ext_mul``, and ``a - b`` is
+    ``a + (-b)``.
+    """
+
+    _add, _sub, _mul = staticmethod(ext_add), None, staticmethod(ext_mul)
+
+    def _entries(self, v):
         if np.any(np.isnan(v)):
             raise ShapeError("extended scalars cannot contain NaN")
-        self.space = space
-        self.values = _freeze(v.copy())
-
-    @classmethod
-    def constant(cls, space: MeasureSpace, c: float) -> "CondExtScalar":
-        return cls(space, np.full(space.natoms, float(c)))
+        return v
 
     @property
     def finite_set(self) -> MeasurableSet:
         return MeasurableSet(self.space, np.isfinite(self.values))
 
-    def __add__(self, other: "CondExtScalar") -> "CondExtScalar":
-        _check_space(self, other)
-        return CondExtScalar(self.space, ext_add(self.values, other.values))
-
-    def __neg__(self) -> "CondExtScalar":
-        return CondExtScalar(self.space, -self.values)
-
-    def __sub__(self, other: "CondExtScalar") -> "CondExtScalar":
-        return self + (-other)
-
-    def __mul__(self, other: Union["CondExtScalar", float]) -> "CondExtScalar":
-        if isinstance(other, CondExtScalar):
-            _check_space(self, other)
-            return CondExtScalar(self.space, ext_mul(self.values, other.values))
-        return CondExtScalar(
-            self.space, ext_mul(self.values, np.full(self.space.natoms, float(other)))
-        )
-
-    __rmul__ = __mul__
-
 
 class CondInteger(_CondValue):
     """A conditional index: one integer ``>= 1`` per atom."""
 
-    def __init__(self, space: MeasureSpace, values):
-        v = np.asarray(values)
-        if v.shape != (space.natoms,):
-            raise ShapeError("index values must have one entry per atom")
+    _dtype, _atom = None, int
+    _shape_error = "index values must have one entry per atom"
+
+    def _entries(self, v):
         if not np.issubdtype(v.dtype, np.integer):
-            vi = np.asarray(values, dtype=np.int64)
-            if not np.array_equal(vi, np.asarray(values, dtype=float)):
+            vi = np.asarray(v, dtype=np.int64)
+            if not np.array_equal(vi, np.asarray(v, dtype=float)):
                 raise ShapeError("index values must be integers")
             v = vi
         v = v.astype(np.int64)
         if np.any(v < 1):
             raise ShapeError("conditional indices start at 1")
-        self.space = space
-        self.values = _freeze(v.copy())
-
-    @classmethod
-    def constant(cls, space: MeasureSpace, n: int) -> "CondInteger":
-        return cls(space, np.full(space.natoms, int(n), dtype=np.int64))
+        return v
 
 
-class CondVector(_CondValue):
+class CondVector(_CondFiniteValue):
     """A conditional vector: one row of ``R^d`` per atom.
 
     Inner product and norm are taken per atom, so they are conditional
     scalars.
     """
 
-    def __init__(self, space: MeasureSpace, values):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != space.natoms:
-            raise ShapeError("vector values must be a (natoms, dim) array")
-        if not np.all(np.isfinite(v)):
-            raise ShapeError("conditional vectors must have finite entries")
-        self.space = space
-        self.values = _freeze(v.copy())
+    _ndim, _atom, _scalar = 2, staticmethod(np.atleast_1d), CondScalar
+    _shape_error = "vector values must be a (natoms, dim) array"
+    _entry_error = "conditional vectors must have finite entries"
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def constant(cls, space: MeasureSpace, row) -> "CondVector":
-        row = np.asarray(row, dtype=float)
-        return cls(space, np.tile(row, (space.natoms, 1)))
 
     @classmethod
     def zero(cls, space: MeasureSpace, dim: int) -> "CondVector":
@@ -331,32 +349,6 @@ class CondVector(_CondValue):
 
     def norm(self) -> CondScalar:
         return CondScalar(self.space, np.linalg.norm(self.values, axis=1))
-
-    def __add__(self, other: "CondVector") -> "CondVector":
-        _check_space(self, other)
-        return CondVector(self.space, self.values + other.values)
-
-    def __sub__(self, other: "CondVector") -> "CondVector":
-        _check_space(self, other)
-        return CondVector(self.space, self.values - other.values)
-
-    def __neg__(self) -> "CondVector":
-        return CondVector(self.space, -self.values)
-
-    def __mul__(self, other: Union[CondScalar, float]) -> "CondVector":
-        if isinstance(other, CondScalar):
-            _check_space(self, other)
-            return CondVector(self.space, self.values * other.values[:, None])
-        return CondVector(self.space, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def restrict(self, region: MeasurableSet) -> "CondVector":
-        """``1_A X``: the row is zeroed outside the region."""
-        _check_space(self, region)
-        return CondVector(
-            self.space, np.where(region.mask[:, None], self.values, 0.0)
-        )
 
 
 AnyCond = Union[CondScalar, CondExtScalar, CondInteger, CondVector]
@@ -484,25 +476,3 @@ def largest_set_where(
             raise ShapeError("predicate mask must have one entry per atom")
         mask = mask & region.mask
     return MeasurableSet(space, mask)
-
-
-def ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Extended-real addition with ``(+inf) + (-inf) = +inf``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.where(
-        (a == np.inf) | (b == np.inf),
-        np.inf,
-        np.where((a == -np.inf) | (b == -np.inf), -np.inf, 0.0),
-    )
-    finite = np.isfinite(a) & np.isfinite(b)
-    return np.where(finite, np.where(finite, a, 0.0) + np.where(finite, b, 0.0), out)
-
-
-def ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Extended-real multiplication with ``0 * (+-inf) = 0``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    zero = (a == 0.0) | (b == 0.0)
-    safe = np.where(zero, 0.0, a) * np.where(zero, 1.0, b)
-    return np.where(zero, 0.0, safe)

@@ -702,6 +702,13 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
     )
 
 
+def probe_directions(seed: int, count: int, dim: int) -> np.ndarray:
+    """``count`` seeded unit directions of ``R^dim``, one a row: normal draws
+    divided by their norm, floored at 1e-12."""
+    rows = np.random.default_rng(seed).standard_normal((count, dim))
+    return rows / np.maximum(1e-12, np.linalg.norm(rows, axis=1, keepdims=True))
+
+
 def bounded_subgradient(
     f: MaxAffineFn,
     x0: CondVector,
@@ -717,9 +724,7 @@ def bounded_subgradient(
     """
     _check_space(f, x0)
     _check_space(f, v)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((_GROWTH_PROBES, f.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = probe_directions(seed, _GROWTH_PROBES, f.dim)
     f0 = f.eval(x0)
     if not f0.finite_set.is_full:
         raise PreconditionError("x0 must lie in the domain", ~f0.finite_set.mask)

@@ -497,9 +497,6 @@ def hahn_banach_extend(
     _check_space(p, e)
     space = e.space
     dim = e.dim
-    offset_bad = (np.abs(p.offsets) > FEAS_TOL).any(axis=1)
-    if offset_bad.any():
-        raise PreconditionError("bound must be sublinear (zero offsets)", offset_bad)
     if (np.linalg.norm(e.points, axis=2) > FEAS_TOL).any():
         raise ShapeError("the restriction set must be linear (points at 0)")
     if e.rays.shape[1]:
@@ -509,38 +506,38 @@ def hahn_banach_extend(
     # the submodule's frame: frows[k, :labels[k]] spans atom k's lines
     frows, labels = _direction_frames(e.points[:, :1], e.rays, e.lines)
     frows = _canonical_signs(frows)
-    top = int(labels.max())
-    if len(g_images) < top:
-        raise PreconditionError(
-            "values missing on submodule directions", labels > len(g_images)
-        )
     C = _stack(g_images, space)  # (K, n): C[k, i] is the value on frame vector i
-    bad = ((labels[:, None] <= np.arange(C.shape[1])) & (np.abs(C) > FEAS_TOL)).any(axis=1)
-    if bad.any():
-        raise PreconditionError("values given for complement directions", bad)
-
+    n = C.shape[1]
     # Documented finite check: domination on the frame vectors and their
     # negatives.  (Necessary, not sufficient; the distance from the
     # prescribed values to the hull of the mapped slopes settles the rest.)
     probe_bad = np.zeros(K, dtype=bool)
-    for i in range(top):
+    for i in range(min(int(labels.max()), n)):
         u = frows[:, i, :, None]
         ci = C[:, i]
         pmax = np.matmul(p.slopes, u)[:, :, 0].max(axis=1)
         pmin = np.matmul(p.slopes, -u)[:, :, 0].max(axis=1)
         scale = row_scale(ci, pmax, pmin)
         probe_bad |= (labels > i) & ((ci > pmax + tol * scale) | (-ci > pmin + tol * scale))
-    if probe_bad.any():
-        raise PreconditionError(
-            "prescribed values exceed the bound on the submodule", probe_bad
-        )
+    # every check runs on every atom; the error names the atoms that fail
+    # any of them and is worded by the first check that fails
+    checks = {
+        "bound must be sublinear (zero offsets)": (np.abs(p.offsets) > FEAS_TOL).any(axis=1),
+        "values missing on submodule directions": labels > n,
+        "values given for complement directions":
+            ((labels[:, None] <= np.arange(n)) & (np.abs(C) > FEAS_TOL)).any(axis=1),
+        "prescribed values exceed the bound on the submodule": probe_bad,
+    }
+    passing = np.flatnonzero(~np.logical_or.reduce(list(checks.values())))
 
-    # one stacked QP per frame rank r: the nearest slope-hull point, and
-    # for r > 0 first the gap between the prescribed frame values and the
-    # hull of the mapped slopes, then the nearest point that matches them
+    # one stacked QP per frame rank r on the atoms that pass: the nearest
+    # slope-hull point, and for r > 0 first the gap between the prescribed
+    # frame values and the hull of the mapped slopes, then the nearest
+    # point that matches them
     rows = np.zeros((K, dim))
     infeasible = np.zeros(K, dtype=bool)
-    for r, grp in _strata(labels):
+    for r, sub in _strata(labels[passing]):
+        grp = passing[sub]
         Y = p.slopes[grp]
         if r == 0:
             rows[grp] = min_norm_point(Y).point
@@ -552,11 +549,10 @@ def hahn_banach_extend(
         bad = np.sqrt(_dot(gap, gap)) > tol * row_scale(mapped, cvals)
         infeasible[grp[bad]] = True
         rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad]).point
-    if infeasible.any():
-        raise PreconditionError(
-            "no dominated extension: domination fails on the submodule",
-            infeasible,
-        )
+    checks["no dominated extension: domination fails on the submodule"] = infeasible
+    failed = np.logical_or.reduce(list(checks.values()))
+    if failed.any():
+        raise PreconditionError(next(m for m, bad in checks.items() if bad.any()), failed)
     return CondVector(space, rows)
 
 

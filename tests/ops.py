@@ -482,6 +482,14 @@ def _beyond_the_bound(space, data):
     return _extension_data(space, data, 10.0 * np.abs(data["Y"]).max(axis=(1, 2))[:, None] + 1.0)
 
 
+def _mixed_failures(space, data):
+    # nonzero offsets where the halfspace support is off; elsewhere values
+    # beyond the bound on a frame of rank 1 and none for a rank-2 frame's
+    # second vector
+    _, e, first, _ = _beyond_the_bound(space, data)
+    return (*_offsets(space, data), e, first)
+
+
 def _subdifferential(f, x):
     res = subdifferential(f, x)
     return {"active": res.active, "representative": res.representative.values}
@@ -561,7 +569,7 @@ SETS = {
                  lambda s, d: (_fn(s, d), ConvexSetRep(s, DS, _family(s, d["C"]))),
                  _argmin, _unbounded),
     "hahn_banach_extend": Op(draw_sets, 8, 207, _extension_data, _hahn_banach_extend,
-                             _beyond_the_bound),
+                             _mixed_failures),
     "subdifferential": Op(draw_sets, 8, 208, _f_and_x, _subdifferential, _off_the_domain),
     "differentiability_check": Op(draw_sets, 8, 209, _f_and_x, _differentiability_check),
     "conjugate_max_affine": Op(draw_sets, 8, 210, lambda s, d: (_fn(s, d), _D(s, d)),

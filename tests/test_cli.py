@@ -1,5 +1,7 @@
 """Scenario interchange format and the command-line entry point."""
 
+import argparse
+import dataclasses
 import io as _io
 import json
 from contextlib import redirect_stdout
@@ -9,7 +11,7 @@ import pytest
 
 import oracles
 
-from stratalg import _solvers, cli, functions
+from stratalg import MeasurableSet, _solvers, cli, functions
 from stratalg._solvers import LPResult
 from stratalg.io import ParseError, build_scenario, emit_document, load_document
 
@@ -182,6 +184,31 @@ class TestCommands:
             ["separate", scenario_path, "--first", "box", "--second", "seg"]
         )
         assert code0 == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["fenchel-moreau", "--function", "gabs"],
+        ["argmin", "--function", "absdom", "--set", "box"],
+        ["bounded-test", "--set", "ray_set"],
+        ["ri-test", "--point", "p", "--set", "seg", "--mode", "relative"],
+    ], ids=lambda argv: argv[0])
+    def test_strict_turns_a_failed_check_into_exit_2(self, tmp_path, monkeypatch, argv):
+        doc = scenario_doc()
+        # a domain that misses the box: argmin is infeasible on every atom
+        doc["functions"]["absdom"] = {"type": "max_affine", "domain": "dot",
+                                      "pieces": [["e1", "zero"], ["m1", "zero"]]}
+        path = tmp_path / "scenario.json"
+        path.write_text(emit_document(doc))
+        real = cli.fenchel_moreau_check
+
+        def idempotent_fails_on_atom_0(f, dual):
+            rep = real(f, dual)
+            return dataclasses.replace(rep, idempotent_ok=MeasurableSet(f.space, [False, True]))
+
+        monkeypatch.setattr(cli, "fenchel_moreau_check", idempotent_fails_on_atom_0)
+        argv = [argv[0], str(path), *argv[1:]]
+        code, out = run_cli(argv)
+        assert code == 0 and "error" not in json.loads(out)
+        assert run_cli(argv + ["--strict"]) == (2, out)
 
     def test_basis_zero_generator(self, scenario_path):
         code, doc = run_json(["basis", scenario_path, "--generators", "z"])
@@ -507,7 +534,7 @@ COMMAND_ARGS = {
 @pytest.mark.parametrize("flag", list(SHARED_FLAGS))
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
 def test_each_command_takes_only_the_shared_flags_it_reads(scenario_path, capsys, command, flag):
-    assert set(COMMAND_ARGS) == set(cli._HANDLERS)
+    assert set(COMMAND_ARGS) == set(_commands())
     code, out = run_cli([command, scenario_path, *COMMAND_ARGS[command], *FLAG_ARGS[flag]])
     if command in SHARED_FLAGS[flag]:
         assert code in (0, 2)  # --strict may turn a failure set into exit 2
@@ -516,3 +543,145 @@ def test_each_command_takes_only_the_shared_flags_it_reads(scenario_path, capsys
         assert code == 1
         assert out == ""
         assert f"unrecognized arguments: {FLAG_ARGS[flag][0]}" in capsys.readouterr().err
+
+
+def _commands():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+PROBES = ("0", "1", "1e-12", "1.1e-12", "-1", "2.5", "nan", "inf", "x")
+
+
+def _type_verdicts(convert):
+    """What an option's ``type=`` makes of a few probe texts."""
+    out = []
+    for text in PROBES:
+        try:
+            out.append(convert(text))
+        except (argparse.ArgumentTypeError, ValueError):
+            out.append("rejected")
+    return tuple(out)
+
+
+def command_options():
+    return {
+        name: {" ".join(a.option_strings) or a.dest:
+               (type(a).__name__, a.required, a.nargs, a.type and _type_verdicts(a.type),
+                a.default, a.choices)
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in _commands().items()
+    }
+
+
+# what each option type makes of PROBES
+R = "rejected"
+TOL = (R, 1.0, 1e-12, 1.1e-12, R, 2.5, R, R, R)
+RI_TOL = (R, 1.0, R, 1.1e-12, R, 2.5, R, R, R)
+SEED = (0, 1, R, R, R, R, R, R, R)
+COUNT = (R, 1, R, R, R, R, R, R, R)
+INT = (0, 1, R, R, -1, R, R, R, R)
+SLACK = (0.0, 1.0, 1e-12, 1.1e-12, R, 2.5, R, R, R)
+# every command's options by option string (or positional name): action,
+# required, nargs, what its type makes of probe texts, default and choices
+COMMAND_OPTIONS = {
+    "basis": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--generators": ("_StoreAction", True, "+", None, None, None),
+    },
+    "orthonormalize": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--generators": ("_StoreAction", True, "+", None, None, None),
+    },
+    "decompose": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--vector": ("_StoreAction", True, None, None, None, None),
+        "--generators": ("_StoreAction", True, "+", None, None, None),
+    },
+    "separate": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--first": ("_StoreAction", True, None, None, None, None),
+        "--second": ("_StoreAction", True, None, None, None, None),
+        "--kind": ("_StoreAction", False, None, None, "strong", ["strong", "weak", "proper"]),
+    },
+    "hahn-banach": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--seed": ("_StoreAction", False, None, SEED, 7, None),
+        "--bound": ("_StoreAction", True, None, None, None, None),
+        "--subspace": ("_StoreAction", True, None, None, None, None),
+        "--values": ("_StoreAction", True, "+", None, None, None),
+        "--probes": ("_StoreAction", False, None, COUNT, 200, None),
+    },
+    "conjugate": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--function": ("_StoreAction", True, None, None, None, None),
+        "--mins": ("_StoreAction", False, None, None, None, None),
+        "--maxs": ("_StoreAction", False, None, None, None, None),
+        "--steps": ("_StoreAction", False, None, None, None, None),
+    },
+    "fenchel-moreau": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--function": ("_StoreAction", True, None, None, None, None),
+        "--mins": ("_StoreAction", False, None, None, None, None),
+        "--maxs": ("_StoreAction", False, None, None, None, None),
+        "--steps": ("_StoreAction", False, None, None, None, None),
+    },
+    "subgrad": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--seed": ("_StoreAction", False, None, SEED, 7, None),
+        "--function": ("_StoreAction", True, None, None, None, None),
+        "--point": ("_StoreAction", True, None, None, None, None),
+        "--bound": ("_StoreAction", False, None, None, None, None),
+        "--probes": ("_StoreAction", False, None, COUNT, 200, None),
+    },
+    "argmin": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--function": ("_StoreAction", True, None, None, None, None),
+        "--set": ("_StoreAction", True, None, None, None, None),
+    },
+    "infconv": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--functions": ("_StoreAction", True, "+", None, None, None),
+        "--check": ("_StoreTrueAction", False, 0, None, False, None),
+    },
+    "bw": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--sequence": ("_StoreAction", True, None, None, None, None),
+        "--depth": ("_StoreAction", True, None, INT, None, None),
+        "--slack": ("_StoreAction", True, None, SLACK, None, None),
+    },
+    "cauchy": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--sequence": ("_StoreAction", True, None, None, None, None),
+        "--eps": ("_StoreAction", True, "+", None, None, None),
+    },
+    "bounded-test": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--tol": ("_StoreAction", False, None, TOL, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--set": ("_StoreAction", True, None, None, None, None),
+    },
+    "ri-test": {
+        "scenario": ("_StoreAction", True, None, None, None, None),
+        "--strict": ("_StoreTrueAction", False, 0, None, False, None),
+        "--tol": ("_StoreAction", False, None, RI_TOL, None, None),
+        "--point": ("_StoreAction", True, None, None, None, None),
+        "--set": ("_StoreAction", True, None, None, None, None),
+        "--mode": ("_StoreAction", False, None, None, "interior", ["interior", "relative"]),
+    },
+}
+
+
+def test_command_options():
+    assert command_options() == COMMAND_OPTIONS

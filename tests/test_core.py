@@ -1,5 +1,6 @@
 """Conditional value types, gluing, and the extended arithmetic rules."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -330,3 +331,162 @@ def test_gluing_commutes_with_arithmetic(space3, rng):
         glued_then_op = glue(parts, xs) * glue(parts, ys) + glue(parts, xs)
         op_then_glued = glue(parts, [x * y + x for x, y in zip(xs, ys)])
         assert glued_then_op.equal_ae(op_then_glued, tol=0.0)
+
+
+def _operands():
+    space = MeasureSpace(np.array([1.0, 2.0, 3.0]))
+    return space, {
+        "scalar": CondScalar(space, [1.5, -2.0, 0.1]),
+        "ext": CondExtScalar(space, [np.inf, -0.5, 0.0]),
+        "integer": CondInteger(space, [1, 2, 3]),
+        "vector": CondVector(space, [[1.0, -2.0], [0.3, 4.0], [-5.0, 6.5]]),
+        "number": 0.7,
+    }
+
+
+def _outcome(fn):
+    """The result's type and a digest of its values' dtype, shape and
+    bytes, or the type of the exception raised."""
+    try:
+        r = fn()
+    except Exception as exc:
+        return type(exc).__name__
+    v = r.values
+    return type(r).__name__, hashlib.sha256(f"{v.dtype.str}{v.shape}".encode() + v.tobytes()).hexdigest()[:12]
+
+
+def operator_table():
+    space, ops = _operands()
+    region = MeasurableSet(space, [True, False, True])
+    binary = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    table = {}
+    for (na, a), (nb, b) in itertools.product(ops.items(), repeat=2):
+        if "number" not in (na, nb) or na != nb:
+            for sym, fn in binary.items():
+                table[sym, na, nb] = _outcome(lambda: fn(a, b))
+    for name, a in ops.items():
+        if name != "number":
+            table["neg", name] = _outcome(lambda: -a)
+        table["restrict", name] = _outcome(lambda: a.restrict(region))
+    for cls in (CondScalar, CondExtScalar, CondInteger, CondVector):
+        for name, c in {**ops, "row": [1.0, -2.5], "index": 2}.items():
+            table["constant", cls.__name__, name] = _outcome(lambda: cls.constant(space, c))
+    return table
+
+
+# every operator of the value types on every pair of operands, recorded
+OPERATOR_TABLE = {
+    ("+", "scalar", "scalar"): ("CondScalar", "e252354c5bc5"),
+    ("-", "scalar", "scalar"): ("CondScalar", "7e9aa2083e24"),
+    ("*", "scalar", "scalar"): ("CondScalar", "50d987c10e3b"),
+    ("+", "scalar", "ext"): "ShapeError",
+    ("-", "scalar", "ext"): "ShapeError",
+    ("*", "scalar", "ext"): "TypeError",
+    ("+", "scalar", "integer"): ("CondScalar", "b84f6dcacc42"),
+    ("-", "scalar", "integer"): ("CondScalar", "a6148c79d4ac"),
+    ("*", "scalar", "integer"): "TypeError",
+    ("+", "scalar", "vector"): "ValueError",
+    ("-", "scalar", "vector"): "ValueError",
+    ("*", "scalar", "vector"): "TypeError",
+    ("+", "scalar", "number"): "AttributeError",
+    ("-", "scalar", "number"): "AttributeError",
+    ("*", "scalar", "number"): ("CondScalar", "8ae5a9874f61"),
+    ("+", "ext", "scalar"): ("CondExtScalar", "6746a22748b7"),
+    ("-", "ext", "scalar"): ("CondExtScalar", "453706f604ad"),
+    ("*", "ext", "scalar"): "TypeError",
+    ("+", "ext", "ext"): ("CondExtScalar", "350cac0e5da0"),
+    ("-", "ext", "ext"): ("CondExtScalar", "f251c7de1093"),
+    ("*", "ext", "ext"): ("CondExtScalar", "52905e1cbd55"),
+    ("+", "ext", "integer"): ("CondExtScalar", "da77cd197d13"),
+    ("-", "ext", "integer"): "TypeError",
+    ("*", "ext", "integer"): "TypeError",
+    ("+", "ext", "vector"): "ValueError",
+    ("-", "ext", "vector"): "ValueError",
+    ("*", "ext", "vector"): "TypeError",
+    ("+", "ext", "number"): "AttributeError",
+    ("-", "ext", "number"): "AttributeError",
+    ("*", "ext", "number"): ("CondExtScalar", "b83582105cc8"),
+    ("+", "integer", "scalar"): "TypeError",
+    ("-", "integer", "scalar"): "TypeError",
+    ("*", "integer", "scalar"): "TypeError",
+    ("+", "integer", "ext"): "TypeError",
+    ("-", "integer", "ext"): "TypeError",
+    ("*", "integer", "ext"): "TypeError",
+    ("+", "integer", "integer"): "TypeError",
+    ("-", "integer", "integer"): "TypeError",
+    ("*", "integer", "integer"): "TypeError",
+    ("+", "integer", "vector"): "TypeError",
+    ("-", "integer", "vector"): "TypeError",
+    ("*", "integer", "vector"): "TypeError",
+    ("+", "integer", "number"): "TypeError",
+    ("-", "integer", "number"): "TypeError",
+    ("*", "integer", "number"): "TypeError",
+    ("+", "vector", "scalar"): "ValueError",
+    ("-", "vector", "scalar"): "ValueError",
+    ("*", "vector", "scalar"): ("CondVector", "58ba0d198f8b"),
+    ("+", "vector", "ext"): "ValueError",
+    ("-", "vector", "ext"): "ValueError",
+    ("*", "vector", "ext"): "TypeError",
+    ("+", "vector", "integer"): "ValueError",
+    ("-", "vector", "integer"): "ValueError",
+    ("*", "vector", "integer"): "TypeError",
+    ("+", "vector", "vector"): ("CondVector", "0f57bdfca9d8"),
+    ("-", "vector", "vector"): ("CondVector", "127818f3f4e1"),
+    ("*", "vector", "vector"): "TypeError",
+    ("+", "vector", "number"): "AttributeError",
+    ("-", "vector", "number"): "AttributeError",
+    ("*", "vector", "number"): ("CondVector", "93b25dfe89d4"),
+    ("+", "number", "scalar"): "TypeError",
+    ("-", "number", "scalar"): "TypeError",
+    ("*", "number", "scalar"): ("CondScalar", "8ae5a9874f61"),
+    ("+", "number", "ext"): "TypeError",
+    ("-", "number", "ext"): "TypeError",
+    ("*", "number", "ext"): ("CondExtScalar", "b83582105cc8"),
+    ("+", "number", "integer"): "TypeError",
+    ("-", "number", "integer"): "TypeError",
+    ("*", "number", "integer"): "TypeError",
+    ("+", "number", "vector"): "TypeError",
+    ("-", "number", "vector"): "TypeError",
+    ("*", "number", "vector"): ("CondVector", "93b25dfe89d4"),
+    ("neg", "scalar"): ("CondScalar", "6dd816cc71db"),
+    ("restrict", "scalar"): ("CondScalar", "c251a931f2a0"),
+    ("neg", "ext"): ("CondExtScalar", "a1e1bd27dc5e"),
+    ("restrict", "ext"): "AttributeError",
+    ("neg", "integer"): "TypeError",
+    ("restrict", "integer"): "AttributeError",
+    ("neg", "vector"): ("CondVector", "5d1145114288"),
+    ("restrict", "vector"): ("CondVector", "1e945cf0ab10"),
+    ("restrict", "number"): "AttributeError",
+    ("constant", "CondScalar", "scalar"): "TypeError",
+    ("constant", "CondScalar", "ext"): "TypeError",
+    ("constant", "CondScalar", "integer"): "TypeError",
+    ("constant", "CondScalar", "vector"): "TypeError",
+    ("constant", "CondScalar", "number"): ("CondScalar", "f0648c9c8404"),
+    ("constant", "CondScalar", "row"): "TypeError",
+    ("constant", "CondScalar", "index"): ("CondScalar", "a37aeb9ec4c0"),
+    ("constant", "CondExtScalar", "scalar"): "TypeError",
+    ("constant", "CondExtScalar", "ext"): "TypeError",
+    ("constant", "CondExtScalar", "integer"): "TypeError",
+    ("constant", "CondExtScalar", "vector"): "TypeError",
+    ("constant", "CondExtScalar", "number"): ("CondExtScalar", "f0648c9c8404"),
+    ("constant", "CondExtScalar", "row"): "TypeError",
+    ("constant", "CondExtScalar", "index"): ("CondExtScalar", "a37aeb9ec4c0"),
+    ("constant", "CondInteger", "scalar"): "TypeError",
+    ("constant", "CondInteger", "ext"): "TypeError",
+    ("constant", "CondInteger", "integer"): "TypeError",
+    ("constant", "CondInteger", "vector"): "TypeError",
+    ("constant", "CondInteger", "number"): "ShapeError",
+    ("constant", "CondInteger", "row"): "TypeError",
+    ("constant", "CondInteger", "index"): ("CondInteger", "ac15a47c8676"),
+    ("constant", "CondVector", "scalar"): "TypeError",
+    ("constant", "CondVector", "ext"): "TypeError",
+    ("constant", "CondVector", "integer"): "TypeError",
+    ("constant", "CondVector", "vector"): "TypeError",
+    ("constant", "CondVector", "number"): ("CondVector", "ba6a37ede928"),
+    ("constant", "CondVector", "row"): ("CondVector", "834f2036fdaa"),
+    ("constant", "CondVector", "index"): ("CondVector", "e31315ae7468"),
+}
+
+
+def test_operator_table():
+    assert operator_table() == OPERATOR_TABLE

@@ -429,6 +429,20 @@ class TestHahnBanach:
         with pytest.raises(ShapeError):
             hahn_banach_extend(p, with_rays, [CondScalar.constant(space2, 0.0)])
 
+    def test_error_names_the_atoms_of_every_failing_check(self, space2):
+        # atom 0: a nonzero offset; atom 1: the value 2 on the x1 line,
+        # above the bound 1 there.  The first failing check words the error.
+        zero = CondScalar.constant(space2, 0.0)
+        offsets = (CondScalar(space2, [1.0, 0.0]), zero, zero, zero)
+        slopes = ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])
+        p = MaxAffineFn.from_pieces(
+            tuple((CondVector.constant(space2, s), c) for s, c in zip(slopes, offsets))
+        )
+        e = hull([CondVector.constant(space2, [1.0, 0.0])], "linear")
+        with pytest.raises(PreconditionError, match="must be sublinear") as err:
+            hahn_banach_extend(p, e, [CondScalar(space2, [0.5, 2.0])])
+        assert err.value.atoms.tolist() == [True, True]
+
     def test_complement_values_rejected(self, space2):
         p = self.sup_norm_bound(space2)
         u = CondVector(space2, [[1.0, 0.0], [0.0, 0.0]])  # rank 1 then 0
@@ -896,22 +910,31 @@ class TestStackedSetOps:
             for k in range(K):
                 r = int(rng.integers(0, min(2, d) + 1))
                 L[k] = tied_rows(rng, (2, r)) @ tied_rows(rng, (r, d))
-            lines = [CondVector(space, L[:, i]) for i in range(2)]
-            e = ConvexSetRep(space, d, [CondVector.zero(space, d)], lines=lines)
-            frame = orthonormalize(rank_partition(lines))
+            frame = orthonormalize(rank_partition([CondVector(space, L[:, i]) for i in range(2)]))
             # a point of the slope hull, pushed out of it on some atoms
             h = np.einsum("kj,kjd->kd", rng.dirichlet(np.ones(J), K), Y)
             h *= rng.choice([1.0, 1.0, 3.0], (K, 1))
             vals = np.einsum("kid,kd->ki", frame.rows, h)
             vals[np.arange(d)[None, :] >= frame.labels[:, None]] = 0.0
-            p = MaxAffineFn(space, Y, np.zeros((K, J)))
-            imgs = [CondScalar(space, vals[:, i]) for i in range(d)]
             want = ref_probe_bad(Y, frame.labels, frame.rows, vals)
+
+            def extend(idx):
+                sp = MeasureSpace(np.ones(len(idx)))
+                lines = [CondVector(sp, L[idx, i]) for i in range(2)]
+                e = ConvexSetRep(sp, d, [CondVector.zero(sp, d)], lines=lines)
+                p = MaxAffineFn(sp, Y[idx], np.zeros((len(idx), J)))
+                hahn_banach_extend(p, e, [CondScalar(sp, vals[idx, i]) for i in range(d)])
+
             try:
-                hahn_banach_extend(p, e, imgs)
+                extend(np.arange(K))
             except PreconditionError as err:
                 if "exceed the bound" in str(err):
-                    assert err.atoms.tolist() == want.tolist()
+                    # the error names the union: the probe verdicts, and the
+                    # atoms that pass them but have no dominated extension
+                    assert (err.atoms | ~want).all()
+                    for k in np.flatnonzero(err.atoms & ~want):
+                        with pytest.raises(PreconditionError, match="no dominated extension"):
+                            extend([k])
                     caught += 1
                     continue
             assert not want.any()
