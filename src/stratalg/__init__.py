@@ -6,151 +6,15 @@ algebra, separation, duality and extraction machinery that makes every
 almost-everywhere statement an exact per-atom computation.
 """
 
-from .core import (
-    CondExtScalar,
-    CondInteger,
-    CondScalar,
-    CondVector,
-    MeasurableSet,
-    MeasureSpace,
-    ess_extrema,
-    ext_add,
-    ext_mul,
-    glue,
-    inner_norm,
-    largest_set_where,
-    select_by_index,
-)
-from .errors import (
-    AtomSetError,
-    ExtractionStalledError,
-    PartitionError,
-    PreconditionError,
-    ShapeError,
-    SolverError,
-    SpaceMismatchError,
-    StratalgError,
-    UnboundedError,
-)
-from .functions import (
-    ArgminResult,
-    FenchelMoreauReport,
-    Grid,
-    GridFn,
-    InfConvChecks,
-    InfConvResult,
-    MaxAffineFn,
-    SubdifferentialRep,
-    argmin,
-    bounded_subgradient,
-    conjugate,
-    default_dual_grid,
-    differentiability_check,
-    directional_derivative,
-    fenchel_moreau_check,
-    inf_convolution,
-    infconv_checks,
-    subdifferential,
-    sublinear_support,
-)
-from .linalg import (
-    CondLinearMap,
-    OrthonormalFrame,
-    StratifiedBasis,
-    decompose,
-    extend_linear,
-    hyperplane_normal_form,
-    linear_map_norm,
-    orthonormalize,
-    rank_partition,
-)
-from .sequences import (
-    BWResult,
-    CauchyResult,
-    CondSequence,
-    bw_extract,
-    cauchy_limit,
-)
-from .sets import (
-    CondHalfspace,
-    ConvexSetRep,
-    SeparationResult,
-    bounded_test,
-    hahn_banach_extend,
-    hull,
-    membership,
-    nearest_pair,
-    ri_membership,
-    separate,
-)
+from . import core, errors, functions, linalg, sequences, sets
+from .core import *
+from .errors import *
+from .functions import *
+from .linalg import *
+from .sequences import *
+from .sets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MeasureSpace",
-    "MeasurableSet",
-    "CondScalar",
-    "CondExtScalar",
-    "CondInteger",
-    "CondVector",
-    "glue",
-    "select_by_index",
-    "ess_extrema",
-    "largest_set_where",
-    "inner_norm",
-    "ext_add",
-    "ext_mul",
-    "StratalgError",
-    "SpaceMismatchError",
-    "ShapeError",
-    "PartitionError",
-    "AtomSetError",
-    "PreconditionError",
-    "UnboundedError",
-    "SolverError",
-    "ExtractionStalledError",
-    "StratifiedBasis",
-    "OrthonormalFrame",
-    "CondLinearMap",
-    "rank_partition",
-    "orthonormalize",
-    "decompose",
-    "linear_map_norm",
-    "extend_linear",
-    "hyperplane_normal_form",
-    "ConvexSetRep",
-    "CondHalfspace",
-    "SeparationResult",
-    "hull",
-    "membership",
-    "nearest_pair",
-    "ri_membership",
-    "separate",
-    "hahn_banach_extend",
-    "bounded_test",
-    "MaxAffineFn",
-    "Grid",
-    "GridFn",
-    "SubdifferentialRep",
-    "ArgminResult",
-    "InfConvResult",
-    "InfConvChecks",
-    "FenchelMoreauReport",
-    "conjugate",
-    "default_dual_grid",
-    "fenchel_moreau_check",
-    "subdifferential",
-    "bounded_subgradient",
-    "directional_derivative",
-    "differentiability_check",
-    "argmin",
-    "inf_convolution",
-    "infconv_checks",
-    "sublinear_support",
-    "CondSequence",
-    "BWResult",
-    "CauchyResult",
-    "bw_extract",
-    "cauchy_limit",
-    "__version__",
-]
+__all__ = [*core.__all__, *errors.__all__, *linalg.__all__, *sets.__all__, *functions.__all__,
+           *sequences.__all__, "__version__"]

@@ -29,13 +29,13 @@ from .functions import (
     Grid,
     GridFn,
     MaxAffineFn,
+    _probe_directions,
     argmin,
     bounded_subgradient,
     conjugate,
     fenchel_moreau_check,
     inf_convolution,
     infconv_checks,
-    probe_directions,
     subdifferential,
 )
 from .io import ParseError, Scenario, build_scenario, emit_document, load_document
@@ -177,7 +177,7 @@ def _cmd_hahn_banach(scn: Scenario, args) -> tuple[dict, bool]:
     e = scn.convex_set(args.subspace)
     values = [scn.scalar(n) for n in args.values]
     h = sets.hahn_banach_extend(p, e, values, tol=args.tol or QP_TOL)
-    probes = probe_directions(args.seed, args.probes, scn.d)
+    probes = _probe_directions(args.seed, args.probes, scn.d)
     excess = np.full(scn.space.natoms, -np.inf)
     for row in probes:
         probe = CondVector.constant(scn.space, row)
@@ -235,7 +235,7 @@ def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, bool]:
     else:
         sd = subdifferential(f, x0)
         y, active = sd.representative, sd.active
-    probes = probe_directions(args.seed, args.probes, scn.d)
+    probes = _probe_directions(args.seed, args.probes, scn.d)
     f0 = f.eval(x0).values
     violation = np.full(scn.space.natoms, -np.inf)
     for row in probes:

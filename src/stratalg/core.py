@@ -232,23 +232,27 @@ class _CondValue:
 
 
 class _CondModuleValue(_CondValue):
-    """The module operations, atom by atom: ``+`` and ``-`` of two values on
-    one space, and ``*`` by a number or by a conditional scalar of type
-    ``_scalar`` (the class itself when ``None``), which multiplies each
-    atom's entries.  The result has the type of the left operand."""
+    """The module operations, atom by atom: ``+`` and ``-`` of two values of
+    one shape on one space, and ``*`` by a number or by a conditional scalar
+    of type ``_scalar`` (the class itself when ``None``), which multiplies
+    each atom's entries.  The result has the type of the left operand."""
 
     _add, _sub, _mul = np.add, np.subtract, np.multiply
     _scalar = None
 
-    def __add__(self, other):
+    def _summand(self, other) -> np.ndarray:
         _check_space(self, other)
-        return type(self)(self.space, self._add(self.values, other.values))
+        if other.values.shape != self.values.shape:
+            raise ShapeError("operands of + and - must have the same shape")
+        return other.values
+
+    def __add__(self, other):
+        return type(self)(self.space, self._add(self.values, self._summand(other)))
 
     def __sub__(self, other):
         if self._sub is None:  # no subtraction of its own: add the negation
             return self + (-other)
-        _check_space(self, other)
-        return type(self)(self.space, self._sub(self.values, other.values))
+        return type(self)(self.space, self._sub(self.values, self._summand(other)))
 
     def __neg__(self):
         return type(self)(self.space, -self.values)
@@ -257,6 +261,8 @@ class _CondModuleValue(_CondValue):
         if isinstance(other, self._scalar or type(self)):
             _check_space(self, other)
             c = self._per_atom(other.values)
+        elif isinstance(other, _CondValue):  # the other operand's __rmul__ may take it
+            return NotImplemented
         else:
             c = float(other)
         return type(self)(self.space, self._mul(self.values, c))

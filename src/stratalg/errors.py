@@ -9,6 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "StratalgError",
+    "SpaceMismatchError",
+    "ShapeError",
+    "PartitionError",
+    "AtomSetError",
+    "PreconditionError",
+    "UnboundedError",
+    "SolverError",
+    "ExtractionStalledError",
+]
+
 
 class StratalgError(Exception):
     """Base class for all package errors."""

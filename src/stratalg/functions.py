@@ -46,6 +46,7 @@ __all__ = [
     "FenchelMoreauReport",
     "InfConvChecks",
     "conjugate",
+    "default_dual_grid",
     "fenchel_moreau_check",
     "subdifferential",
     "bounded_subgradient",
@@ -215,13 +216,13 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         want = (self.space.natoms,) + self.grid.shape
         if v.shape != want:
             raise ShapeError(f"grid values must have shape {want}")
         if np.any(np.isnan(v)):
             raise ShapeError("grid values cannot contain NaN")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(v))
 
     @property
     def proper_set(self) -> MeasurableSet:
@@ -702,7 +703,7 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
     )
 
 
-def probe_directions(seed: int, count: int, dim: int) -> np.ndarray:
+def _probe_directions(seed: int, count: int, dim: int) -> np.ndarray:
     """``count`` seeded unit directions of ``R^dim``, one a row: normal draws
     divided by their norm, floored at 1e-12."""
     rows = np.random.default_rng(seed).standard_normal((count, dim))
@@ -724,7 +725,7 @@ def bounded_subgradient(
     """
     _check_space(f, x0)
     _check_space(f, v)
-    dirs = probe_directions(seed, _GROWTH_PROBES, f.dim)
+    dirs = _probe_directions(seed, _GROWTH_PROBES, f.dim)
     f0 = f.eval(x0)
     if not f0.finite_set.is_full:
         raise PreconditionError("x0 must lie in the domain", ~f0.finite_set.mask)

@@ -21,6 +21,7 @@ from .core import (
     MeasurableSet,
     MeasureSpace,
     _check_space,
+    _freeze,
     _stack,
 )
 from .errors import PreconditionError, ShapeError
@@ -174,10 +175,10 @@ class CondLinearMap:
     mats: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mats, dtype=float)
+        m = np.array(self.mats, dtype=float)
         if m.ndim != 3 or m.shape[0] != self.space.natoms:
             raise ShapeError("mats must be a (natoms, m, d) array")
-        object.__setattr__(self, "mats", m)
+        object.__setattr__(self, "mats", _freeze(m))
 
     @property
     def source_dim(self) -> int:

@@ -191,6 +191,15 @@ class TestCondVector:
         assert np.allclose((x + x - x).values, a)
         assert np.array_equal((-x).values, -a)
 
+    def test_sum_with_a_scalar_raises_when_atoms_equal_dim(self, space2):
+        # with K = d a scalar's values broadcast along each row's coordinates
+        x = CondVector(space2, [[1.0, 2.0], [3.0, 4.0]])
+        c = CondScalar(space2, [10.0, 20.0])
+        for combine in (lambda: x + c, lambda: x - c, lambda: c + x, lambda: c - x,
+                        lambda: c.as_extended() + x, lambda: c.as_extended() - x):
+            with pytest.raises(ShapeError, match="same shape"):
+                combine()
+
     def test_constructors(self, space3):
         z = CondVector.zero(space3, 2)
         assert z.values.shape == (3, 2) and not z.values.any()
@@ -385,9 +394,9 @@ OPERATOR_TABLE = {
     ("+", "scalar", "integer"): ("CondScalar", "b84f6dcacc42"),
     ("-", "scalar", "integer"): ("CondScalar", "a6148c79d4ac"),
     ("*", "scalar", "integer"): "TypeError",
-    ("+", "scalar", "vector"): "ValueError",
-    ("-", "scalar", "vector"): "ValueError",
-    ("*", "scalar", "vector"): "TypeError",
+    ("+", "scalar", "vector"): "ShapeError",
+    ("-", "scalar", "vector"): "ShapeError",
+    ("*", "scalar", "vector"): ("CondVector", "58ba0d198f8b"),
     ("+", "scalar", "number"): "AttributeError",
     ("-", "scalar", "number"): "AttributeError",
     ("*", "scalar", "number"): ("CondScalar", "8ae5a9874f61"),
@@ -400,8 +409,8 @@ OPERATOR_TABLE = {
     ("+", "ext", "integer"): ("CondExtScalar", "da77cd197d13"),
     ("-", "ext", "integer"): "TypeError",
     ("*", "ext", "integer"): "TypeError",
-    ("+", "ext", "vector"): "ValueError",
-    ("-", "ext", "vector"): "ValueError",
+    ("+", "ext", "vector"): "ShapeError",
+    ("-", "ext", "vector"): "ShapeError",
     ("*", "ext", "vector"): "TypeError",
     ("+", "ext", "number"): "AttributeError",
     ("-", "ext", "number"): "AttributeError",
@@ -421,14 +430,14 @@ OPERATOR_TABLE = {
     ("+", "integer", "number"): "TypeError",
     ("-", "integer", "number"): "TypeError",
     ("*", "integer", "number"): "TypeError",
-    ("+", "vector", "scalar"): "ValueError",
-    ("-", "vector", "scalar"): "ValueError",
+    ("+", "vector", "scalar"): "ShapeError",
+    ("-", "vector", "scalar"): "ShapeError",
     ("*", "vector", "scalar"): ("CondVector", "58ba0d198f8b"),
-    ("+", "vector", "ext"): "ValueError",
-    ("-", "vector", "ext"): "ValueError",
+    ("+", "vector", "ext"): "ShapeError",
+    ("-", "vector", "ext"): "ShapeError",
     ("*", "vector", "ext"): "TypeError",
-    ("+", "vector", "integer"): "ValueError",
-    ("-", "vector", "integer"): "ValueError",
+    ("+", "vector", "integer"): "ShapeError",
+    ("-", "vector", "integer"): "ShapeError",
     ("*", "vector", "integer"): "TypeError",
     ("+", "vector", "vector"): ("CondVector", "0f57bdfca9d8"),
     ("-", "vector", "vector"): ("CondVector", "127818f3f4e1"),

@@ -257,6 +257,14 @@ class TestGridFn:
         with pytest.raises(ShapeError):
             GridFn(space2, g, np.array([[0.0, np.nan], [0.0, 0.0]]))
 
+    def test_values_are_a_read_only_copy(self, space2):
+        vals = np.array([[0.0, 1.0], [2.0, 3.0]])
+        f = GridFn(space2, Grid((0.0,), (1.0,), (1.0,)), vals)
+        vals[0, 0] = np.nan
+        assert f.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        with pytest.raises(ValueError):
+            f.values[0, 0] = np.nan
+
 
 class TestConjugate:
     def test_abs_on_grid(self, space2):

@@ -197,6 +197,15 @@ class TestLinearMap:
         with pytest.raises(ShapeError):
             f.apply(CondVector.zero(space3, 3))
 
+    def test_mats_are_a_read_only_copy(self, rng, space3):
+        mats = rng.normal(size=(3, 2, 4))
+        f = CondLinearMap(space3, mats)
+        kept = mats.copy()
+        mats[0, 0, 0] = np.nan
+        assert f.mats.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError):
+            f.mats[0, 0, 0] = np.nan
+
 
 class TestExtendLinear:
     def test_agrees_on_submodule_and_kills_complement(self, rng):

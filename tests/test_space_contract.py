@@ -1,5 +1,5 @@
-"""The space contract of every op in the table of ``ops``, and the
-table's coverage of the public API.
+"""The space contract of every op in the table of ``ops``, the table's
+coverage of the public API, and that API's one list per module.
 
 All conditional arguments of an op must live on one measure space.
 Each argument in turn is built on another space, the same atom count
@@ -8,12 +8,18 @@ must raise ``SpaceMismatchError``.  An op with one conditional argument
 has no second space to compare, so only its locality is tested.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import stratalg
 from ops import OPS, take
 from stratalg import MeasureSpace, SpaceMismatchError
+
+# the modules whose public names the package re-exports, in its order
+REEXPORTED = (stratalg.core, stratalg.errors, stratalg.linalg, stratalg.sets, stratalg.functions,
+              stratalg.sequences)
 
 RESULT = "a result record: the op that returns it has an entry"
 RAW = "takes no conditional data"
@@ -45,6 +51,20 @@ EXEMPT = {
     "CauchyResult": RESULT,
     "__version__": RAW,
 }
+
+
+def test_the_package_exports_each_modules_list():
+    names = [name for module in REEXPORTED for name in module.__all__] + ["__version__"]
+    assert stratalg.__all__ == names
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("module", REEXPORTED, ids=lambda m: m.__name__)
+def test_every_public_function_or_class_a_module_defines_is_in_its_list(module):
+    defined = {name for name, obj in vars(module).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert defined == set(module.__all__)
 
 
 def test_every_public_name_has_an_entry_or_an_exemption():
