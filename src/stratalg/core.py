@@ -149,25 +149,21 @@ class MeasurableSet:
 
 
 def ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Extended-real addition with ``(+inf) + (-inf) = +inf``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.where(
-        (a == np.inf) | (b == np.inf),
-        np.inf,
-        np.where((a == -np.inf) | (b == -np.inf), -np.inf, 0.0),
-    )
-    finite = np.isfinite(a) & np.isfinite(b)
-    return np.where(finite, np.where(finite, a, 0.0) + np.where(finite, b, 0.0), out)
+    """Extended-real addition with ``(+inf) + (-inf) = +inf``.
+
+    The IEEE sum everywhere else; a NaN entry stays NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf only; overflow still warns
+        return np.where((a == np.inf) | (b == np.inf), np.inf, a + b)
 
 
 def ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Extended-real multiplication with ``0 * (+-inf) = 0``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    zero = (a == 0.0) | (b == 0.0)
-    safe = np.where(zero, 0.0, a) * np.where(zero, 1.0, b)
-    return np.where(zero, 0.0, safe)
+    """Extended-real multiplication with ``0 * (+-inf) = 0``.
+
+    A zero operand gives ``+0.0``; the IEEE product everywhere else."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf only; overflow still warns
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 class _CondValue:

@@ -77,3 +77,15 @@ class SolverError(AtomSetError):
 
 class ExtractionStalledError(AtomSetError):
     """The horizon was exhausted before the requested extraction depth."""
+
+
+def _require(checks: dict) -> None:
+    """Raise one ``PreconditionError`` when an atom fails a check.
+
+    ``checks`` maps the wording of each per-atom precondition, in order,
+    to the mask of the atoms that fail it, each evaluated on every atom.
+    The error names the atoms that fail any check and is worded by the
+    first check that fails."""
+    failed = np.logical_or.reduce(list(checks.values()))
+    if failed.any():
+        raise PreconditionError(next(m for m, bad in checks.items() if bad.any()), failed)

@@ -31,7 +31,7 @@ from .core import (
     _strata,
     ext_add,
 )
-from .errors import PreconditionError, ShapeError, UnboundedError
+from .errors import PreconditionError, ShapeError, UnboundedError, _require
 from .linalg import _dot
 from .sets import ConvexSetRep, membership, ri_membership
 from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
@@ -291,6 +291,14 @@ def _lower_hulls(x: np.ndarray, v: np.ndarray, first: np.ndarray, last: np.ndarr
     return vertex, nxt
 
 
+def _chains(fin: np.ndarray):
+    """The chains of a ``(rows, n)`` mask: the nodes where ``fin`` holds,
+    row-major, as ``(row, col, first, last)``, each node's row and column
+    and whether it is the first or the last node of its row."""
+    row, col = np.nonzero(fin)
+    return row, col, np.diff(row, prepend=-1) != 0, np.diff(row, append=-1) != 0
+
+
 def _windows(xs: np.ndarray, V: np.ndarray, ys: np.ndarray, fin: np.ndarray):
     """The nodes ``_legendre`` keeps and the window of them it folds for
     each dual node, over the rows with a node in ``fin``.
@@ -299,14 +307,11 @@ def _windows(xs: np.ndarray, V: np.ndarray, ys: np.ndarray, fin: np.ndarray):
     ``x`` and ``v`` in row and node order, and ``(rows, m)`` arrays such
     that ``kx[wa:wb]`` is the window of a row and a dual node.
     """
-    n, m = V.shape[1], len(ys)
-    flat = np.flatnonzero(fin)
-    row, col = np.divmod(flat, n)
-    x, v = xs[col], V.reshape(-1)[flat]
-    first = np.r_[True, row[1:] != row[:-1]]
-    last = np.r_[first[1:], True]
+    m = len(ys)
+    row, col, first, last = _chains(fin)
+    x, v = xs[col], V[row, col]
     starts = np.flatnonzero(first)
-    size = np.diff(np.append(starts, len(flat)))
+    size = np.diff(np.append(starts, len(row)))
     live = row[starts]
     L = len(live)
 
@@ -521,33 +526,20 @@ def _conj_node_lp(y: np.ndarray, lp: LPModel, k: int) -> float:
     return np.inf if res.status == 3 else float(-res.fun)
 
 
-def _lower_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Lower convex envelope of 1-d node data, sampled at the nodes.
-
-    ``+inf`` nodes stay ``+inf`` outside the finite range and are filled
-    by the hull inside it.
-    """
-    fin = np.isfinite(vals)
-    out = np.full_like(vals, np.inf)
-    if not fin.any():
-        return out
-    pts = [(xs[i], vals[i]) for i in np.flatnonzero(fin)]
-    hull: list[tuple[float, float]] = []
-    for x, v in pts:
-        hull.append((x, v))
-        while len(hull) >= 3:
-            (x0, v0), (x1, v1), (x2, v2) = hull[-3:]
-            # drop the middle point when it lies on or above the chord
-            if (v1 - v0) * (x2 - x1) >= (v2 - v1) * (x1 - x0):
-                hull.pop(-2)
-            else:
-                break
-    hx = np.array([h[0] for h in hull])
-    hv = np.array([h[1] for h in hull])
-    lo, hi = np.flatnonzero(fin)[0], np.flatnonzero(fin)[-1]
-    inside = np.arange(len(xs))
-    inside = inside[(inside >= lo) & (inside <= hi)]
-    out[inside] = np.interp(xs[inside], hx, hv)
+def _lower_envelopes(xs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Lower convex envelope of every row of node data over ``xs``, from
+    the chains of its finite nodes: ``+inf`` outside a row's first and
+    last finite node, the lower hull interpolated between them."""
+    row, col, first, last = _chains(np.isfinite(V))
+    x, v = xs[col], V[row, col]
+    vertex, _ = _lower_hulls(x, v, first, last)
+    out = np.full(V.shape, np.inf)
+    # a chain's first node is a vertex, so cutting the vertices there leaves
+    # an empty piece in front and then the hull of each chain
+    vflat = np.flatnonzero(vertex)
+    for hull in np.split(vflat, np.flatnonzero(first[vflat]))[1:]:
+        lo, hi = col[hull[0]], col[hull[-1]] + 1
+        out[row[hull[0]], lo:hi] = np.interp(xs[lo:hi], x[hull], v[hull])
     return out
 
 
@@ -556,8 +548,12 @@ class FenchelMoreauReport:
     """Biconjugation audit of a grid function.
 
     ``biconjugate`` is ``f**`` pulled back to the primal grid through
-    the dual grid; ``envelope`` is an independently computed lower
-    convex envelope of the node data.  ``max_deviation`` is their worst
+    the dual grid; ``envelope`` is the lower convex envelope of the node
+    data: the lower hull of each row's finite nodes, from
+    ``_lower_hulls``, interpolated between them.  The transforms use
+    that routine too, but their bits hold for any chain of nodes (step 2
+    of ``_legendre``'s proof), so a wrong hull moves the envelope alone
+    and shows as a deviation.  ``max_deviation`` is their worst
     node-wise distance per atom (``inf`` when finiteness disagrees),
     ``minorant_ok`` are the atoms with ``f >= f**`` up to tolerance and
     ``idempotent_ok`` those where ``f*`` and ``f***`` agree at every
@@ -590,15 +586,9 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     """
     if f.grid.ndim != 1:
         raise ShapeError("default dual grids are derived for 1-d functions")
-    xs = f.grid.axis(0)
-    V = f.values
-    fin = np.isfinite(V)
-    # index of the nearest finite node to the left of each node, or -1
-    last = np.maximum.accumulate(np.where(fin, np.arange(len(xs)), -1), axis=1)
-    prev = np.pad(last[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
-    rows, b = np.nonzero(fin & (prev >= 0))
-    a = prev[rows, b]
-    slopes = np.abs((V[rows, b] - V[rows, a]) / (xs[b] - xs[a]))
+    row, col, _, last = _chains(np.isfinite(f.values))
+    x, v, i = f.grid.axis(0)[col], f.values[row, col], np.flatnonzero(~last)
+    slopes = np.abs((v[i + 1] - v[i]) / (x[i + 1] - x[i]))  # i + 1 is next in i's row
     slope = max(1.0, float(slopes.max())) if slopes.size else 1.0
     bound = float(np.ceil(slope)) + 1.0
     if nodes:
@@ -619,25 +609,19 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
 def fenchel_moreau_check(f: GridFn, dual_grid: Optional[Grid] = None) -> FenchelMoreauReport:
     """Compare ``f**`` with the lower convex envelope of the node data.
 
-    One-dimensional grids only (the envelope oracle is a lower hull).
-    Values must be finite or ``+inf``.
+    One-dimensional grids only (the envelope is a lower hull).  Values
+    must be finite or ``+inf``, with a finite node on every atom.
     """
     if f.grid.ndim != 1:
         raise ShapeError("the biconjugation audit supports 1-d grids")
-    if np.any(np.isneginf(f.values)):
-        raise PreconditionError(
-            "the audit needs values in (-inf, +inf]",
-            np.isneginf(f.values).any(axis=1),
-        )
+    _require({"the audit needs values in (-inf, +inf]": np.isneginf(f.values).any(axis=1),
+              "conjugate needs a proper function": ~f.proper_set.mask})
     if dual_grid is None:
         dual_grid = default_dual_grid(f)
     fstar = conjugate(f, dual_grid)
     fss = conjugate(fstar, f.grid)
     fsss = conjugate(fss, dual_grid)
-    xs = f.grid.axis(0)
-    # the envelope is the independent oracle, so it stays one hull per atom
-    env = np.array([_lower_envelope_1d(xs, v) for v in f.values])
-    envfn = GridFn(f.space, f.grid, env)
+    env = _lower_envelopes(f.grid.axis(0), f.values)
 
     a, fv = fss.values, f.values
     same = np.all(np.isfinite(a) == np.isfinite(env), axis=1)
@@ -651,7 +635,7 @@ def fenchel_moreau_check(f: GridFn, dual_grid: Optional[Grid] = None) -> Fenchel
     return FenchelMoreauReport(
         conjugate=fstar,
         biconjugate=fss,
-        envelope=envfn,
+        envelope=GridFn(f.space, f.grid, env),
         max_deviation=CondExtScalar(f.space, dev),
         minorant_ok=MeasurableSet(f.space, minor),
         idempotent_ok=MeasurableSet(f.space, idem),
@@ -737,10 +721,9 @@ def bounded_subgradient(
             floor = f0.values - v.values * radius
             bad |= fv < floor - STRICT_TOL * row_scale(floor)
     rep = subdifferential(f, x0).representative
-    over = rep.norm().values > v.values + QP_TOL * row_scale(v.values)
-    if bad.any() or over.any():
-        where = "on probe directions" if bad.any() else "in the slope geometry"
-        raise PreconditionError("growth bound fails " + where, bad | over)
+    _require({"growth bound fails on probe directions": bad,
+              "growth bound fails in the slope geometry":
+                  rep.norm().values > v.values + QP_TOL * row_scale(v.values)})
     return rep
 
 

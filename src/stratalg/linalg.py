@@ -24,7 +24,7 @@ from .core import (
     _freeze,
     _stack,
 )
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError, ShapeError, _require
 from .tolerances import RANK_TOL
 
 __all__ = [
@@ -114,6 +114,10 @@ class StratifiedBasis:
     picks: np.ndarray
     generators: tuple[CondVector, ...]
 
+    def __post_init__(self):  # read-only copies, so no caller write reaches them
+        for name in ("labels", "picks"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name))))
+
     @property
     def top_rank(self) -> int:
         return int(self.labels.max()) if self.labels.size else 0
@@ -141,6 +145,10 @@ class OrthonormalFrame:
     dim: int
     labels: np.ndarray
     rows: np.ndarray
+
+    def __post_init__(self):  # read-only copies, so no caller write reaches them
+        for name in ("labels", "rows"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name))))
 
     def vector(self, i: int) -> CondVector:
         """Frame vector ``i`` (0-based) as a conditional vector."""
@@ -248,7 +256,7 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
         )
     _grow_frames(np.broadcast_to(np.eye(d), (K, d, d)), F, c, rank_tol)
     rows = _canonical_signs(F)
-    return OrthonormalFrame(space=space, dim=d, labels=basis.labels.copy(), rows=rows)
+    return OrthonormalFrame(space=space, dim=d, labels=basis.labels, rows=rows)
 
 
 def decompose(x: CondVector, frame: OrthonormalFrame) -> tuple[CondVector, CondVector]:
@@ -293,17 +301,11 @@ def extend_linear(
     if len(images) > d:
         raise ShapeError(f"{len(images)} images for a frame of {d} vectors")
     m = images[0].dim
-    top = int(frame.labels.max())
-    if len(images) < top:
-        raise PreconditionError(
-            "map is unspecified on submodule directions",
-            frame.labels > len(images),
-        )
     C = _stack(images, space, (m,))  # (K, n, m)
     low = frame.labels[:, None] <= np.arange(len(images))
-    bad = (low & (np.linalg.norm(C, axis=2) > _SIGN_TOL)).any(axis=1)
-    if bad.any():
-        raise PreconditionError("images given for complement directions", bad)
+    _require({"map is unspecified on submodule directions": frame.labels > len(images),
+              "images given for complement directions":
+                  (low & (np.linalg.norm(C, axis=2) > _SIGN_TOL)).any(axis=1)})
 
     mats = np.zeros((K, m, d))
     for i in range(len(images)):

@@ -40,7 +40,7 @@ from .core import (
     _strata,
     ext_add,
 )
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError, ShapeError, _require
 from .linalg import _canonical_signs, _dot, _grow_frames
 from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
@@ -519,8 +519,7 @@ def hahn_banach_extend(
         pmin = np.matmul(p.slopes, -u)[:, :, 0].max(axis=1)
         scale = row_scale(ci, pmax, pmin)
         probe_bad |= (labels > i) & ((ci > pmax + tol * scale) | (-ci > pmin + tol * scale))
-    # every check runs on every atom; the error names the atoms that fail
-    # any of them and is worded by the first check that fails
+    # every check runs on every atom, and _require names all that fail
     checks = {
         "bound must be sublinear (zero offsets)": (np.abs(p.offsets) > FEAS_TOL).any(axis=1),
         "values missing on submodule directions": labels > n,
@@ -550,9 +549,7 @@ def hahn_banach_extend(
         infeasible[grp[bad]] = True
         rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad]).point
     checks["no dominated extension: domination fails on the submodule"] = infeasible
-    failed = np.logical_or.reduce(list(checks.values()))
-    if failed.any():
-        raise PreconditionError(next(m for m, bad in checks.items() if bad.any()), failed)
+    _require(checks)
     return CondVector(space, rows)
 
 

@@ -230,10 +230,12 @@ def _extend_linear(frame, *imgs):
 
 
 def _images_on_complement(space, data):
-    # images on every frame vector, also the complement directions
-    frame = _frame(space, data)
-    frame = OrthonormalFrame(space, D, np.where(data["v"] > 0, 0, D), frame.rows)
-    return (frame, *_family(space, data["img"]))
+    # two images, on frames of rank 2 where v <= 0; where v > 0 a frame of
+    # rank D leaves directions unspecified (eps > 1.5) or one of rank 0
+    # puts both images on complement directions
+    labels = np.where(data["v"] > 0, np.where(data["eps"] > 1.5, D, 0), 2)
+    frame = OrthonormalFrame(space, D, labels, _frame(space, data).rows)
+    return (frame, *_family(space, data["img"][:, :2]))
 
 
 def _cauchy_limit(seq, *schedule):
@@ -707,6 +709,13 @@ def _fenchel_moreau(f):
             "minorant": rep.minorant_ok.mask, "idempotent": rep.idempotent_ok.mask}
 
 
+def _below_or_improper(space, data):
+    # a -inf node where the point lies in (0, 1], +inf on every node right of 1
+    low = np.where(np.arange(PRIMAL.shape[0]) == 3, -np.inf, data["V"])
+    return _grids(space, data, np.select([data["X"] > 1.0, data["X"] > 0.0], [np.inf, low],
+                                         data["V"]))[:1]
+
+
 def _inf_convolution(f, g):
     res = inf_convolution([f, g])
     return {"value": res.value.values, "split0": res.split_indices[0],
@@ -733,8 +742,7 @@ GRIDS = {
                     # improper: +inf on every node
                     lambda s, d: _grids(s, d, _where_right(d, np.inf, d["V"]))[:1]),
     "fenchel_moreau_check": Op(draw_grid, 8, GRID_SEED, lambda s, d: _grids(s, d)[:1],
-                               _fenchel_moreau,
-                               lambda s, d: _grids(s, d, _where_right(d, -np.inf, d["V"]))[:1]),
+                               _fenchel_moreau, _below_or_improper),
     "inf_convolution": Op(draw_grid, 8, GRID_SEED, _grids, _inf_convolution),
     "infconv_checks": Op(draw_grid, 8, GRID_SEED, _convolution_args, _infconv_checks),
     "grid_eval": Op(draw_grid, 8, GRID_SEED,

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,54 @@ def test_ext_arithmetic_tables():
         else:
             assert p == a * b
         assert not np.isnan(s) and not np.isnan(p)
+
+
+def ref_ext_add(a, b):
+    """``ext_add`` as it was built from masks, kept as the reference."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.where((a == np.inf) | (b == np.inf), np.inf,
+                   np.where((a == -np.inf) | (b == -np.inf), -np.inf, 0.0))
+    finite = np.isfinite(a) & np.isfinite(b)
+    return np.where(finite, np.where(finite, a, 0.0) + np.where(finite, b, 0.0), out)
+
+
+def ref_ext_mul(a, b):
+    """``ext_mul`` as it was built from masks, kept as the reference."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    zero = (a == 0.0) | (b == 0.0)
+    return np.where(zero, 0.0, np.where(zero, 0.0, a) * np.where(zero, 1.0, b))
+
+
+EXT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 + 1e308, both ways
+def test_ext_arithmetic_matches_the_mask_reference_bit_for_bit(rng):
+    a, b = (g.ravel() for g in np.meshgrid(EXT_EDGES, EXT_EDGES))  # all 100 pairs
+    stacks = rng.choice(EXT_EDGES + [2.5, -3.75], size=(2, 200, 7))
+    for x, y in ((a, b), tuple(stacks)):
+        for op, ref in ((ext_add, ref_ext_add), (ext_mul, ref_ext_mul)):
+            got = op(x, y)
+            assert got.dtype == np.float64 and got.tobytes() == ref(x, y).tobytes(), op
+
+
+def test_ext_arithmetic_keeps_nan():
+    # the mask reference turned NaN into 0.0 under +; no conditional value holds NaN
+    assert ref_ext_add(np.nan, 1.0) == 0.0
+    assert np.isnan(ext_add(np.nan, 1.0)) and np.isnan(ext_add(-np.inf, np.nan))
+    assert ext_add(np.nan, np.inf) == np.inf
+    assert np.isnan(ext_mul(np.nan, 2.0)) and ext_mul(np.nan, 0.0) == 0.0
+
+
+def test_ext_arithmetic_warns_on_overflow_only():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ext_add(np.inf, -np.inf) == np.inf and ext_add(-np.inf, np.inf) == np.inf
+        assert ext_mul(0.0, np.inf) == 0.0 and ext_mul(-np.inf, -0.0) == 0.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ext_add(1e308, 1e308) == np.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ext_mul(1e308, -1e308) == -np.inf
 
 
 class TestCondInteger:

@@ -414,6 +414,11 @@ class TestFenchelMoreau:
         g = Grid((0.0,), (1.0,), (1.0,))
         with pytest.raises(PreconditionError):
             fenchel_moreau_check(GridFn(space2, g, np.array([[0.0, -np.inf]] * 2)))
+        # a -inf node on atom 0 and no finite node on atom 1: both named
+        g1 = Grid((-1.0,), (1.0,), (0.5,))
+        V = np.array([[1.0, -np.inf, 0.0, 0.5, 1.0], [np.inf] * 5])
+        with pytest.raises(PreconditionError, match=r"\(-inf, \+inf\] \(atoms \[0, 1\]\)"):
+            fenchel_moreau_check(GridFn(space2, g1, V))
         g2 = Grid((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
         with pytest.raises(ShapeError):
             fenchel_moreau_check(grid_fn(space2, g2, np.zeros((2, 2))))
@@ -1327,6 +1332,75 @@ class TestPrunedLegendre:
         default, reduced = both_dispatch_levels(_ONE_NODE_TIE_SCRIPT)
         assert default == reduced
         assert any(line.split()[1] != "0" for line in default)
+
+
+def ref_lower_envelope(xs, vals):
+    """The per-atom envelope that the stacked one replaced: a monotone chain
+    over one row's finite nodes, kept as lists, then ``np.interp``."""
+    fin = np.isfinite(vals)
+    out = np.full_like(vals, np.inf)
+    if not fin.any():
+        return out
+    hull = []
+    for x, v in ((xs[i], vals[i]) for i in np.flatnonzero(fin)):
+        hull.append((x, v))
+        while len(hull) >= 3:
+            (x0, v0), (x1, v1), (x2, v2) = hull[-3:]
+            # drop the middle point when it lies on or above the chord
+            if (v1 - v0) * (x2 - x1) >= (v2 - v1) * (x1 - x0):
+                hull.pop(-2)
+            else:
+                break
+    lo, hi = np.flatnonzero(fin)[[0, -1]]
+    out[lo:hi + 1] = np.interp(xs[lo:hi + 1], [h[0] for h in hull], [h[1] for h in hull])
+    return out
+
+
+class TestLowerEnvelopes:
+    """The envelope of ``fenchel_moreau_check``, all rows from one hull
+    pass, against the per-row monotone chain, byte for byte."""
+
+    @staticmethod
+    def check(xs, V):
+        got = functions._lower_envelopes(xs, V)
+        assert same_bits(got, np.array([ref_lower_envelope(xs, v) for v in V]))
+        return got
+
+    def test_collinear_runs(self, rng):
+        # integer slopes held over runs of nodes, convex rows and others in turn
+        xs = PRIMAL.axis(0)
+        piece = np.cumsum(rng.random((40, len(xs) - 1)) < 0.3, axis=1)
+        slopes = rng.integers(-3, 4, size=(40, len(xs)))[np.arange(40)[:, None], piece]
+        slopes[::2] = np.sort(slopes[::2], axis=1)
+        V = np.concatenate([np.zeros((40, 1)), (slopes * 0.25).cumsum(axis=1)], axis=1)
+        self.check(xs, V)
+        self.check(xs, V[:, ::-1] + 0.5)
+
+    def test_signed_zeros_at_hull_vertices(self, rng):
+        xs = np.arange(-4.0, 5.0)
+        got = self.check(xs, rng.choice([0.0, -0.0, 1.0, 2.0], size=(200, len(xs))))
+        assert np.signbit(got[got == 0.0]).any()
+
+    def test_holes_single_nodes_and_rows_without_finite_nodes(self, rng):
+        xs = PRIMAL.axis(0)
+        V = seeded_rows(rng, 24, xs)
+        V[rng.random(V.shape) < 0.3] = np.inf  # holes inside the carrier
+        V[3], V[4], V[5] = np.inf, np.inf, np.inf
+        V[3, 7], V[4, 0] = -0.0, 2.5  # one finite node
+        got = self.check(xs, V)
+        assert np.isposinf(got[5]).all() and same_bits(got[3, 7], -0.0)
+
+    @pytest.mark.parametrize("j", range(-20, 41, 12))
+    def test_rows_scaled_by_powers_of_two(self, j, rng):
+        xs = PRIMAL.axis(0)
+        self.check(xs, seeded_rows(rng, 16, xs) * 2.0**j)
+
+    def test_one_low_node_beside_a_long_convex_chain(self):
+        # the shape that takes _lower_hulls a round per chain node
+        xs = np.linspace(-2.0, 2.0, 4401)
+        V = np.tile(xs**2, (32, 1)) * (1.0 + np.arange(32) / 32)[:, None]
+        V[np.arange(32), 2200 + np.arange(32)] = -1e6
+        self.check(xs, V)
 
 
 _ONE_NODE_TIE_SCRIPT = """

@@ -12,6 +12,7 @@ from stratalg import (
     CondVector,
     MeasurableSet,
     MeasureSpace,
+    OrthonormalFrame,
     PreconditionError,
     ShapeError,
     StratifiedBasis,
@@ -207,6 +208,26 @@ class TestLinearMap:
             f.mats[0, 0, 0] = np.nan
 
 
+def test_basis_and_frame_keep_read_only_copies(rng):
+    space, gens = random_generators(rng, 3, 2, 2)
+    basis = rank_partition(gens)
+    lab, picks = basis.labels.copy(), basis.picks.copy()
+    sb = StratifiedBasis(space, 2, lab, basis.vectors, picks, basis.generators)
+    frame = orthonormalize(sb)
+    flab, rows = frame.labels.copy(), frame.rows.copy()
+    of = OrthonormalFrame(space, 2, flab, rows)
+    kept = [a.tobytes() for a in (sb.labels, sb.picks, of.labels, of.rows)]
+    # a later write into the caller's arrays reaches no object
+    lab[0], picks[...], flab[0], rows[...] = 5, 7, 5, np.nan
+    assert not sb.stratum(5).mask.any() and of.complement().labels.min() >= 0
+    for a, want in zip((sb.labels, sb.picks, of.labels, of.rows), kept):
+        assert a.tobytes() == want
+        with pytest.raises(ValueError):
+            a[...] = 0
+    for a in (basis.labels, basis.picks, frame.labels, frame.rows):
+        assert not a.flags.writeable
+
+
 class TestExtendLinear:
     def test_agrees_on_submodule_and_kills_complement(self, rng):
         space, gens = random_generators(rng, 4, 4, 2)
@@ -266,6 +287,14 @@ class TestExtendLinear:
         with pytest.raises(PreconditionError) as err:
             extend_linear(frame, [img0, img1])
         assert err.value.atoms.tolist() == [False, True]
+        # both at once: one image, with rank 2 on atom 0 and rank 0 on atom 1
+        g0 = CondVector(space2, [[1.0, 0.0], [0.0, 0.0]])
+        g1 = CondVector(space2, [[0.0, 1.0], [0.0, 0.0]])
+        frame = orthonormalize(rank_partition([g0, g1]))
+        assert frame.labels.tolist() == [2, 0]
+        with pytest.raises(PreconditionError, match="unspecified") as err:
+            extend_linear(frame, [CondVector(space2, [[1.0], [5.0]])])
+        assert err.value.atoms.tolist() == [True, True]
 
     def test_more_images_than_frame_vectors_rejected(self, space2):
         # three images for a frame of two vectors used to raise a bare
