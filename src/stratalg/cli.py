@@ -153,6 +153,8 @@ def _cmd_decompose(scn: Scenario, args) -> tuple[dict, bool]:
 
 
 def _cmd_separate(scn: Scenario, args) -> tuple[dict, bool]:
+    if args.kind == "proper" and args.tol is not None:
+        raise ParseError("--tol applies to strong and weak separation only")
     res = sets.separate(
         scn.convex_set(args.first),
         scn.convex_set(args.second),

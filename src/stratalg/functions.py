@@ -31,7 +31,7 @@ from .core import (
     _strata,
     ext_add,
 )
-from .errors import PreconditionError, ShapeError, UnboundedError, _require
+from .errors import ShapeError, UnboundedError, _require
 from .linalg import _dot
 from .sets import ConvexSetRep, membership, ri_membership
 from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
@@ -240,9 +240,7 @@ class GridFn:
             raise ShapeError("point dimension does not match the grid")
         n = np.array(g.shape)
         t = (x.values - g.mins) / g.steps
-        oob = ((t < -1e-9) | (t > n - 1 + 1e-9)).any(axis=1)
-        if oob.any():
-            raise PreconditionError("evaluation point off the grid", oob)
+        _require({"evaluation point off the grid": ((t < -1e-9) | (t > n - 1 + 1e-9)).any(axis=1)})
         t = np.minimum(np.maximum(t, 0.0), n - 1)
         i0 = np.maximum(np.minimum(np.floor(t).astype(np.int64), n - 2), 0)
         frac = (t - i0)[:, None]
@@ -455,9 +453,7 @@ def conjugate(f, dual_grid: Grid) -> GridFn:
     ``SolverError`` through ``per_atom`` after every atom is solved.
     """
     if isinstance(f, GridFn):
-        bad = ~f.proper_set.mask
-        if bad.any():
-            raise PreconditionError("conjugate needs a proper function", bad)
+        _require({"conjugate needs a proper function": ~f.proper_set.mask})
         if dual_grid.ndim != f.grid.ndim:
             raise ShapeError("dual grid dimension must match the function")
         K = f.space.natoms
@@ -660,6 +656,24 @@ class SubdifferentialRep:
         return self.slopes[k][self.active[k]]
 
 
+def _interior_at(f: MaxAffineFn, x0: CondVector, mode: str) -> np.ndarray:
+    """Atoms where ``x0`` is interior, or relatively interior for ``mode =
+    "relative"``, to ``f``'s domain; every atom when ``f`` has no domain."""
+    if f.domain is None:
+        return np.ones(f.space.natoms, dtype=bool)
+    return ri_membership(x0, f.domain, mode=mode).mask
+
+
+def _min_norm_subgradient(f: MaxAffineFn, active: np.ndarray) -> CondVector:
+    """The minimal-norm element of the hull of each atom's ``active``
+    slopes: one stacked QP per active count."""
+    rep = np.empty((f.space.natoms, f.dim))
+    for c, grp in _strata(active.sum(axis=1)):
+        pieces = np.nonzero(active[grp])[1].reshape(len(grp), c)
+        rep[grp] = min_norm_point(f.slopes[grp[:, None], pieces]).point
+    return CondVector(f.space, rep)
+
+
 def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
     """Active slopes and the minimal-norm subgradient at ``x0``.
 
@@ -667,24 +681,11 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
     so that no domain normal cone enters the subdifferential.
     """
     _check_space(f, x0)
-    if f.domain is not None:
-        ok = ri_membership(x0, f.domain, mode="relative")
-        if not ok.is_full:
-            raise PreconditionError(
-                "point must be relatively interior to the domain", ~ok.mask
-            )
+    _require({"point must be relatively interior to the domain":
+                  ~_interior_at(f, x0, "relative")})
     active = f.active_at(x0)
-    rep = np.empty((f.space.natoms, f.dim))
-    # one stacked QP per active count, over each atom's active slopes
-    for c, grp in _strata(active.sum(axis=1)):
-        pieces = np.nonzero(active[grp])[1].reshape(len(grp), c)
-        rep[grp] = min_norm_point(f.slopes[grp[:, None], pieces]).point
-    return SubdifferentialRep(
-        point=x0,
-        active=active,
-        representative=CondVector(f.space, rep),
-        slopes=f.slopes,
-    )
+    return SubdifferentialRep(point=x0, active=active,
+                              representative=_min_norm_subgradient(f, active), slopes=f.slopes)
 
 
 def _probe_directions(seed: int, count: int, dim: int) -> np.ndarray:
@@ -700,19 +701,19 @@ def bounded_subgradient(
     v: CondScalar,
     seed: int = 7,
 ) -> CondVector:
-    """A subgradient at ``x0`` no longer than the growth constant ``v``.
+    """The minimal-norm subgradient at ``x0``, which the growth bound
+    ``f(x0 + x) >= f(x0) - v |x|`` forces no longer than ``v``.
 
-    The growth bound ``f(x0 + x) >= f(x0) - v |x|`` is audited on
-    ``_GROWTH_PROBES`` seeded probe directions at several radii; then the
-    minimal-norm subgradient is returned, and the growth bound forces its
-    norm below ``v``.
+    Four checks run on every atom, and one ``PreconditionError`` names
+    the atoms that fail any, worded by the first that fails: (1) ``x0``
+    lies in the domain, (2) relatively interior to it; (3) the growth
+    bound holds on ``_GROWTH_PROBES`` seeded probe directions at several
+    radii; (4) the subgradient is no longer than ``v``.
     """
     _check_space(f, x0)
     _check_space(f, v)
     dirs = _probe_directions(seed, _GROWTH_PROBES, f.dim)
     f0 = f.eval(x0)
-    if not f0.finite_set.is_full:
-        raise PreconditionError("x0 must lie in the domain", ~f0.finite_set.mask)
     bad = np.zeros(f.space.natoms, dtype=bool)
     for u in dirs:
         for radius in (1.0, 1e3, 1e6):
@@ -720,8 +721,10 @@ def bounded_subgradient(
             fv = f.eval(x0 + shift).values
             floor = f0.values - v.values * radius
             bad |= fv < floor - STRICT_TOL * row_scale(floor)
-    rep = subdifferential(f, x0).representative
-    _require({"growth bound fails on probe directions": bad,
+    rep = _min_norm_subgradient(f, f.active_at(x0))
+    _require({"x0 must lie in the domain": ~f0.finite_set.mask,
+              "point must be relatively interior to the domain": ~_interior_at(f, x0, "relative"),
+              "growth bound fails on probe directions": bad,
               "growth bound fails in the slope geometry":
                   rep.norm().values > v.values + QP_TOL * row_scale(v.values)})
     return rep
@@ -743,9 +746,7 @@ def directional_derivative(f: MaxAffineFn, x0: CondVector, x: CondVector) -> Con
     """
     _check_space(f, x0)
     _check_space(f, x)
-    f0 = f.eval(x0)
-    if not f0.finite_set.is_full:
-        raise PreconditionError("x0 must lie in the domain", ~f0.finite_set.mask)
+    _require({"x0 must lie in the domain": ~f.eval(x0).finite_set.mask})
     active = f.active_at(x0)
     K = f.space.natoms
     out = np.empty(K)
@@ -794,11 +795,8 @@ def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableS
     first = f.slopes[np.arange(f.space.natoms), active.argmax(axis=1)]
     spread = np.where(on, np.abs(f.slopes - first[:, None]), 0.0).max(axis=(1, 2))
     ok = spread <= _GRAD_TOL * row_scale(np.where(on, f.slopes, 0.0))
+    ok &= _interior_at(f, x0, "interior")
     grad = np.where(ok[:, None], first, 0.0)
-    if f.domain is not None:
-        interior = ri_membership(x0, f.domain, mode="interior").mask
-        grad[~interior] = 0.0
-        ok &= interior
     return MeasurableSet(f.space, ok), CondVector(f.space, grad)
 
 
@@ -1126,7 +1124,6 @@ def sublinear_support(f: MaxAffineFn) -> tuple[CondVector, ...]:
     Requires all offsets to vanish; then ``f(0) = 0`` and the slopes
     generate the subdifferential at 0, whose support function is ``f``.
     """
-    bad = (np.abs(f.offsets) > FEAS_TOL).any(axis=1)
-    if bad.any():
-        raise PreconditionError("sublinear functions need zero offsets", bad)
+    _require({"sublinear functions need zero offsets":
+                  (np.abs(f.offsets) > FEAS_TOL).any(axis=1)})
     return tuple(CondVector(f.space, f.slopes[:, j]) for j in range(f.npieces))

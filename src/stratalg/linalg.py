@@ -24,7 +24,7 @@ from .core import (
     _freeze,
     _stack,
 )
-from .errors import PreconditionError, ShapeError, _require
+from .errors import ShapeError, _require
 from .tolerances import RANK_TOL
 
 __all__ = [
@@ -249,11 +249,7 @@ def orthonormalize(basis: StratifiedBasis, rank_tol: float = RANK_TOL) -> Orthon
     V = np.stack(vecs, axis=1) if vecs else np.zeros((K, 0, d))  # (K, n, d)
     F, c = np.zeros((K, d, d)), np.zeros(K, dtype=np.int64)
     _grow_frames(V, F, c, rank_tol, np.arange(V.shape[1]) < basis.labels[:, None])
-    dependent = c < basis.labels
-    if dependent.any():
-        raise PreconditionError(
-            "stratified basis is not independent where its label claims", dependent
-        )
+    _require({"stratified basis is not independent where its label claims": c < basis.labels})
     _grow_frames(np.broadcast_to(np.eye(d), (K, d, d)), F, c, rank_tol)
     rows = _canonical_signs(F)
     return OrthonormalFrame(space=space, dim=d, labels=basis.labels, rows=rows)
@@ -335,9 +331,7 @@ def hyperplane_normal_form(
     _check_space(z, v)
     _check_space(z, region)
     norms = np.linalg.norm(z.values, axis=1)
-    degenerate = region.mask & (norms <= rank_tol)
-    if degenerate.any():
-        raise PreconditionError("zero normal on part of the region", degenerate)
+    _require({"zero normal on part of the region": region.mask & (norms <= rank_tol)})
 
     reg = region.mask
     # frames start from the unit normal; atoms off the region count as full

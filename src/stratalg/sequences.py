@@ -28,9 +28,9 @@ from .core import (
 )
 from .errors import (
     ExtractionStalledError,
-    PreconditionError,
     ShapeError,
     SpaceMismatchError,
+    _require,
 )
 from .tolerances import EQ_TOL, row_scale
 
@@ -158,9 +158,7 @@ def cauchy_limit(seq: CondSequence, schedule: Sequence[CondScalar]) -> CauchyRes
     """
     space = seq.space
     K = space.natoms
-    bad = (_stack(schedule, space) <= 0).any(axis=1)
-    if bad.any():
-        raise PreconditionError("epsilons must be strictly positive", bad)
+    _require({"epsilons must be strictly positive": (_stack(schedule, space) <= 0).any(axis=1)})
     T = seq.horizon
     # tail_diam[n, k]: max pairwise distance among positions >= n (0-based);
     # as with Python's max(), a NaN distance never replaces the running max

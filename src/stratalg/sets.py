@@ -40,7 +40,7 @@ from .core import (
     _strata,
     ext_add,
 )
-from .errors import PreconditionError, ShapeError, _require
+from .errors import ShapeError, _require
 from .linalg import _canonical_signs, _dot, _grow_frames
 from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
 
@@ -130,11 +130,8 @@ class CondHalfspace:
         if self.support is None:
             object.__setattr__(self, "support", self.normal.space.full_set())
         _check_space(self.normal, self.support)
-        vanishing = self.support.mask & (
-            np.linalg.norm(self.normal.values, axis=1) <= RANK_TOL
-        )
-        if vanishing.any():
-            raise PreconditionError("normal vanishes on the support", vanishing)
+        _require({"normal vanishes on the support": self.support.mask & (
+            np.linalg.norm(self.normal.values, axis=1) <= RANK_TOL)})
 
     def _gap(self, x: CondVector) -> tuple[np.ndarray, np.ndarray]:
         _check_space(self.normal, x)
@@ -247,13 +244,6 @@ def membership(
     return MeasurableSet(space, inside)
 
 
-def _bounded_or_raise(rep: ConvexSetRep, name: str) -> None:
-    recession = np.concatenate([rep.rays, rep.lines], axis=1)
-    bad = (np.linalg.norm(recession, axis=2) > RANK_TOL).any(axis=1)
-    if bad.any():
-        raise PreconditionError(f"{name} must be bounded (no rays or lines)", bad)
-
-
 def nearest_pair(
     c: ConvexSetRep, d: ConvexSetRep
 ) -> tuple[CondVector, CondVector, CondScalar]:
@@ -269,7 +259,8 @@ def nearest_pair(
     _check_space(c, d)
     if c.dim != d.dim:
         raise ShapeError("sets must share a dimension")
-    _bounded_or_raise(d, "the second set")
+    _require({"the second set must be bounded (no rays or lines)": (np.linalg.norm(
+        np.concatenate([d.rays, d.lines], axis=1), axis=2) > RANK_TOL).any(axis=1)})
     space, K = c.space, c.space.natoms
     if c.discrete and d.discrete:
         dist = np.linalg.norm(c.points[:, :, None, :] - d.points[:, None, :, :], axis=3)
@@ -327,11 +318,8 @@ def ri_membership(
     _check_space(x, rep)
     if mode not in ("interior", "relative"):
         raise ShapeError("mode must be 'interior' or 'relative'")
-    if not strict_tol > EQ_TOL:
-        raise PreconditionError(
-            f"strict_tol must exceed the margin LP's target slack EQ_TOL = {EQ_TOL:g}",
-            np.ones(rep.space.natoms, dtype=bool),
-        )
+    _require({f"strict_tol must exceed the margin LP's target slack EQ_TOL = {EQ_TOL:g}":
+                  np.full(rep.space.natoms, not strict_tol > EQ_TOL)})
     if rep.discrete:
         raise ShapeError("interior queries need a convex representation")
     if mode == "interior":
@@ -400,9 +388,11 @@ def separate(
         space is used, keeping the inequality strict on one side.
 
     Atoms where the requested separation cannot exist land in
-    ``failure_set`` and carry a zero normal; a shortest vector no longer
-    than ``zero_tol`` counts as zero.  A dual-cone LP that fails raises
-    ``SolverError`` through ``per_atom`` once every atom is solved.
+    ``failure_set`` and carry a zero normal; in strong and weak
+    separation a shortest vector no longer than ``zero_tol`` counts as
+    zero (proper separation reads no ``zero_tol``).  A dual-cone LP that
+    fails raises ``SolverError`` through ``per_atom`` once every atom is
+    solved.
     """
     _check_space(c, d)
     if c.dim != d.dim:
@@ -567,9 +557,7 @@ def bounded_test(
     """
     space = rep.space
     zero = CondVector.zero(space, rep.dim)
-    inside = membership(zero, rep)
-    if not inside.is_full:
-        raise PreconditionError("the set must contain the origin", ~inside.mask)
+    _require({"the set must contain the origin": ~membership(zero, rep).mask})
     recession = np.concatenate([rep.rays, rep.lines], axis=1)
     nz = np.linalg.norm(recession, axis=2) > rank_tol
     unbounded = nz.any(axis=1)

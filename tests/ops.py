@@ -545,10 +545,11 @@ def _bounded_subgradient(f, x, v):
     return {"subgradient": bounded_subgradient(f, x, v).values}
 
 
-def _growth_too_small(space, data):
-    # a bound far below the slopes' length where the halfspace support is off
+def _off_the_domain_or_growth_too_small(space, data):
+    # x off f's domain D on some atoms, as in _off_the_domain; a bound far
+    # below the slopes' length where the halfspace support is off
     v = _growth_bound(data) * np.where(data["support"], 1.0, 1e-6)
-    return (*_f_and_x(space, data), CondScalar(space, v))
+    return (*_off_the_domain(space, data), CondScalar(space, v))
 
 
 def _sublinear_support(f):
@@ -590,7 +591,7 @@ SETS = {
     "nearest_pair_discrete": Op(draw_sets, 8, 215, _discrete_pairs, _nearest_pair_discrete),
     "bounded_subgradient": Op(draw_sets, 8, 216,
                               lambda s, d: (*_f_and_x(s, d), CondScalar(s, _growth_bound(d))),
-                              _bounded_subgradient, _growth_too_small),
+                              _bounded_subgradient, _off_the_domain_or_growth_too_small),
     "sublinear_support": Op(draw_sets, 8, 217,
                             lambda s, d: (MaxAffineFn(s, d["Y"], np.zeros((s.natoms, J))),),
                             _sublinear_support, _offsets),

@@ -185,6 +185,15 @@ class TestCommands:
         )
         assert code0 == 0
 
+    def test_separate_proper_rejects_tol(self, scenario_path):
+        # proper separation reads no zero tolerance, so --tol would do nothing
+        argv = ["separate", scenario_path, "--first", "box", "--second", "seg", "--kind", "proper"]
+        code, doc = run_json([*argv, "--tol", "1e-3"])
+        assert code == 1
+        assert doc["error"]["kind"] == "ParseError"
+        assert "--tol" in doc["error"]["message"]
+        assert run_cli(argv)[0] == 0
+
     @pytest.mark.parametrize("argv", [
         ["fenchel-moreau", "--function", "gabs"],
         ["argmin", "--function", "absdom", "--set", "box"],

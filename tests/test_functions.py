@@ -479,6 +479,20 @@ class TestBoundedSubgradient:
             bounded_subgradient(f, x0, CondScalar.constant(space2, 1.0))
         assert err.value.atoms.tolist() == [False, True]
 
+    def test_mixed_failures_name_every_failing_atom(self, space2):
+        # atom 0 breaks the growth bound only in the slope geometry (every
+        # probe leaves the domain); atom 1 sits off the domain
+        x0, v = np.array([[0.5], [3.0]]), np.array([1e-3, 1.0])
+        f = abs_fn(space2, domain=box1d(space2, 0.0, 1.0))
+        with pytest.raises(PreconditionError, match="x0 must lie in the domain") as err:
+            bounded_subgradient(f, CondVector(space2, x0), CondScalar(space2, v))
+        assert err.value.atoms.tolist() == [True, True]
+        one = MeasureSpace(np.ones(1))
+        for k, wording in ((0, "slope geometry"), (1, "x0 must lie in the domain")):
+            f1 = abs_fn(one, domain=box1d(one, 0.0, 1.0))
+            with pytest.raises(PreconditionError, match=wording):
+                bounded_subgradient(f1, CondVector(one, x0[[k]]), CondScalar(one, v[[k]]))
+
     def test_slope_geometry_catches_local_violation(self, space2):
         # the violating region is tiny, so distant probes all pass
         f = MaxAffineFn.from_pieces(pieces_from(space2, [-0.6, 1.0], [0.0, -0.1]))

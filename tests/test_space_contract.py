@@ -6,9 +6,12 @@ Each argument in turn is built on another space, the same atom count
 with other weights and one atom fewer, while the others stay; the op
 must raise ``SpaceMismatchError``.  An op with one conditional argument
 has no second space to compare, so only its locality is tested.
+A per-atom precondition raises through ``errors._require`` alone.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +79,19 @@ def test_every_public_name_has_an_entry_or_an_exemption():
     assert public - called - EXEMPT.keys() == set()
     assert called & EXEMPT.keys() == set()
     assert EXEMPT.keys() <= public
+
+
+def test_only_errors_require_builds_a_precondition_error():
+    # _require names every atom that fails a check, so no call site can
+    # name fewer; each site is (module, top-level definition, line)
+    sites = sorted((path.name, getattr(top, "name", None), node.lineno)
+                   for path in Path(stratalg.__file__).parent.glob("*.py")
+                   for top in ast.parse(path.read_text()).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   == "PreconditionError")
+    assert [site[:2] for site in sites] == [("errors.py", "_require")], sites
 
 
 @pytest.mark.parametrize("op", OPS)
