@@ -11,12 +11,14 @@ whole stratum, with the bits that each atom gets when solved alone.
 Both compiled cores come from scipy's private modules, loaded from their
 files by ``_load_scipy_extension``: the HiGHS solver
 (``scipy.optimize._highspy._core``) and the C Lawson-Hanson ``nnls``
-(``scipy.optimize._slsqplib``).  ``scipy.optimize`` itself is never
-imported: its package import would be most of a CLI process's start-up.
-Neither is ``scipy`` nor either core when this module is: ``_load_cores``
-loads both, with the LP options and status table, on the first LP model
-or ``nnls`` call, so a process that solves nothing (grid transforms,
-bases, sequences) never pays for them.
+(``scipy.optimize._slsqplib``).  Neither ``scipy`` nor ``scipy.optimize``
+is imported (``find_spec`` locates scipy without running its
+``__init__``): those imports would be most of a CLI process's start-up.
+Each core loads on its own first use, never at import: HiGHS, with the
+LP options and status table, on the first LP model (``_load_highs``),
+``_slsqplib`` on the first ``nnls`` call.  A process that solves nothing
+(grid transforms, bases, sequences) loads neither, and one that solves
+only LPs or only QPs loads one.
 Each module is registered in ``sys.modules`` under its own name, so a
 later ``import scipy.optimize`` in the same process reuses the same
 module objects, and one loaded earlier is reused here.  (When this
@@ -80,7 +82,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from types import ModuleType
 from typing import NamedTuple, Optional
 
@@ -93,20 +95,23 @@ from .tolerances import EQ_TOL, FEAS_TOL, row_scale
 
 def _load_scipy_extension(name: str) -> ModuleType:
     """The compiled scipy module ``name`` (``scipy.<path>``), loaded from
-    its file without importing the packages above it.
+    its file without importing ``scipy`` or any package above it.
 
     A module already in ``sys.modules`` is returned as it is; a newly
-    loaded one is registered there under ``name``.
+    loaded one is registered there under ``name``.  A missing file raises
+    an ``ImportError`` that names the installed scipy version.
     """
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
-
-    base = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    scipy = find_spec("scipy")  # the package's location; its __init__ does not run
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    base = os.path.join(os.path.dirname(scipy.origin), *name.split(".")[1:])
     path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
     if path is None:
+        from importlib.metadata import version
         raise ImportError(
-            f"compiled module {name} not found in scipy {scipy.__version__} "
+            f"compiled module {name} not found in scipy {version('scipy')} "
             f"(looked for {base}{{{','.join(EXTENSION_SUFFIXES)}}})",
             name=name,
         )
@@ -143,8 +148,8 @@ _POLISH_ROUNDS = 60
 _POS_TOL = 1e-9
 _LEX_TOL = 1e-12
 
-def _load_cores() -> None:
-    """Load HiGHS and ``nnls`` once, and set the LP options and statuses.
+def _load_highs() -> None:
+    """Load HiGHS once, and set the LP options and statuses.
 
     linprog's HiGHS options: presolve on, dual simplex, feasibility
     enforced well below the package's strict-inequality tolerances so
@@ -166,8 +171,7 @@ def _load_cores() -> None:
     ms = highs.HighsModelStatus
     status = {ms.kOptimal: 0, ms.kTimeLimit: 1, ms.kIterationLimit: 1, ms.kInfeasible: 2,
               ms.kModelError: 2, ms.kUnbounded: 3}
-    globals().update(_highs=highs, _slsqplib=_load_scipy_extension("scipy.optimize._slsqplib"),
-                     _LP_OPTIONS=options, _MS=ms, _LP_STATUS=status)
+    globals().update(_highs=highs, _LP_OPTIONS=options, _MS=ms, _LP_STATUS=status)
 
 
 # linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
@@ -202,7 +206,7 @@ class LPModel:
     """
 
     def __init__(self, A_ub, b_ub, A_eq, b_eq, box):
-        _load_cores()
+        _load_highs()
         self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.box = A_ub, b_ub, A_eq, b_eq, box
         K, self.m_ub, self.n = A_ub.shape
         self.row_upper = np.concatenate([b_ub, b_eq], axis=1)
@@ -327,8 +331,7 @@ def nnls(A, b, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, gave_up = np.zeros((K, n)), np.zeros(K, dtype=bool)
     if not n:
         return x, np.linalg.norm(b, axis=1), gave_up
-    _load_cores()
-    solve, rnorm = _slsqplib.nnls, np.empty(K)
+    solve, rnorm = _load_scipy_extension("scipy.optimize._slsqplib").nnls, np.empty(K)
     for k in range(K):
         x[k], rnorm[k], info = solve(A[k], b[k], maxiter)
         gave_up[k] = info == 3

@@ -6,6 +6,8 @@ corresponding library operation, and emits a result document carrying a
 ``certificates`` block with the residuals and failure sets that justify
 the answer.  Exit codes: 0 success, 1 malformed input, 2 precondition
 failure (including nonempty failure sets under ``--strict``).
+``python -m stratalg.cli`` and the ``stratalg`` script enter through
+``run``: it flushes the output and ends the process without teardown.
 
 A subcommand takes only the shared flags its handler reads: ``--tol``
 overrides the operation's documented tolerance, ``--seed 7`` drives the
@@ -18,6 +20,7 @@ does not take, is malformed (exit 1).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -42,7 +45,7 @@ from .io import ParseError, Scenario, build_scenario, emit_document, load_docume
 from .sequences import bw_extract, cauchy_limit
 from .tolerances import EQ_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _result_doc(scn: Scenario) -> dict:
@@ -472,5 +475,13 @@ def main(argv=None) -> int:
     return 2 if failed and getattr(args, "strict", False) else 0
 
 
+def run() -> None:
+    """``main()`` as a one-shot process: flush, then exit without teardown."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

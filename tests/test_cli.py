@@ -4,6 +4,10 @@ import argparse
 import dataclasses
 import io as _io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -694,3 +698,113 @@ COMMAND_OPTIONS = {
 
 def test_command_options():
     assert command_options() == COMMAND_OPTIONS
+
+
+# -- the process entry -------------------------------------------------------
+# ``python -m stratalg.cli`` ends through ``cli.run`` without interpreter
+# teardown; each run below must give the bytes and exit code of ``main``.
+
+PROCESS_ENV = dict(
+    os.environ, COLUMNS="80",  # argparse wraps help to the terminal width
+    PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+                                os.environ.get("PYTHONPATH", "")]))
+PROCESS_ENV.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, so run() must flush it
+
+
+def cli_process(argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "stratalg.cli", *argv], env=PROCESS_ENV,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def run_process(argv):
+    """Exit code, stdout bytes and stderr text of ``python -m stratalg.cli``."""
+    proc = cli_process(argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err.decode()
+
+
+def run_in_process(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out.encode(), err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["basis", "{scn}", "--generators", "e1", "e2"], 0),
+    (["basis", "{scn}", "--generators", "e1", "nowhere"], 1),  # error document
+    (["separate", "{scn}", "--first", "box", "--second", "seg", "--strict"], 2),
+    (["basis", "{scn}", "--generators", "e1", "--bogus"], 1),  # usage on stderr
+    (["--help"], 0),
+], ids=["pass", "malformed", "strict-failure", "unknown-flag", "help"])
+def test_process_matches_main(scenario_path, capsys, monkeypatch, argv, code):
+    argv = [a.format(scn=scenario_path) for a in argv]
+    want = run_in_process(argv, capsys, monkeypatch)
+    assert want[0] == code
+    assert run_process(argv) == want
+    out, err = want[1:]
+    if "--bogus" in argv:
+        assert out == b"" and err.startswith("usage: stratalg") and "--bogus" in err
+    elif code == 1:
+        assert json.loads(out)["error"]["kind"] == "ParseError" and err == ""
+    else:
+        assert out and err == ""
+
+
+@pytest.fixture
+def large_grid_path(tmp_path):
+    # 8 atoms of 801 nodes: a fenchel-moreau document of several MB
+    xs = np.linspace(-2.0, 2.0, 801)
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.5, 2.0, (8, 1)) * xs**2 + rng.uniform(-1.0, 1.0, (8, 1)) * xs
+    path = tmp_path / "grid.json"
+    path.write_text(emit_document({"weights": [1.0] * 8, "d": 1, "functions": {"f": {
+        "type": "grid", "mins": [-2.0], "maxs": [2.0], "steps": [0.005], "values": values}}}))
+    return str(path)
+
+
+def test_large_document_through_a_pipe_and_into_a_file(large_grid_path, tmp_path, capsys,
+                                                       monkeypatch):
+    argv = ["fenchel-moreau", large_grid_path, "--function", "f"]
+    want = run_in_process(argv, capsys, monkeypatch)
+    assert want[0] == 0 and len(want[1]) > 2_000_000
+    assert run_process(argv) == want
+    with open(tmp_path / "out.json", "wb") as fh:
+        proc = cli_process(argv, stdout=fh)
+        err = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, (tmp_path / "out.json").read_bytes(), err.decode()) == want
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["buffered", "multi-MB"])
+def test_closed_pipe_ends_the_process_with_an_error(scenario_path, large_grid_path, large):
+    # the reader is gone before the first byte: the flush in run() (a small
+    # document) or the write in main (a large one) raises BrokenPipeError,
+    # and the process reports it and ends with a nonzero status
+    argv = (["fenchel-moreau", large_grid_path, "--function", "f"] if large
+            else ["basis", scenario_path, "--generators", "e1", "e2"])
+    proc = cli_process(argv, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode != 0 and "BrokenPipeError" in err, (proc.returncode, err)
+
+
+@pytest.mark.parametrize("command, cores", [
+    ("fenchel-moreau", []),
+    ("subgrad", ["scipy.optimize._slsqplib"]),
+    ("argmin", ["scipy.optimize._highspy._core"]),
+])
+def test_a_command_loads_only_the_cores_it_solves_with(scenario_path, command, cores):
+    # no command imports the scipy package; a QP-only command leaves HiGHS
+    # out and an LP-only one _slsqplib
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from stratalg import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(sys.argv[1:]) == 0
+        print([name for name in ("scipy", "scipy.optimize", "scipy.optimize._highspy._core",
+                                 "scipy.optimize._slsqplib") if name in sys.modules])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, command, scenario_path,
+                           *COMMAND_ARGS[command]], env=PROCESS_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"{cores}\n"), proc.stderr

@@ -37,11 +37,13 @@ an ``nnls`` give-up on chosen atoms, support sizes that split and merge
 between polish rounds, a full-support start whose polish ends where the
 equality rows fail, which ``kkt_fail`` must report, and a stack that
 mixes atoms whose polish fails at large scale with good ones.
-Subprocess tests check that a fresh ``import stratalg.cli`` never imports
-``scipy.optimize`` while sharing its compiled modules with it, that an
-``nnls`` system without columns returns instead of aborting the
-interpreter, and that the pinned ``lstsq`` gufunc matches
-``np.linalg.lstsq`` bit for bit.
+Subprocess tests check that a fresh ``import stratalg.cli`` loads no
+core, that each core loads on its own first use (HiGHS on the first LP
+model, ``_slsqplib`` on the first ``nnls``) without the ``scipy`` package
+ever being imported, that the cores are shared with a ``scipy.optimize``
+imported before or after, that an ``nnls`` system without columns
+returns instead of aborting the interpreter, and that the pinned
+``lstsq`` gufunc matches ``np.linalg.lstsq`` bit for bit.
 """
 
 import functools
@@ -360,7 +362,7 @@ def test_hand_made(name):
 
 
 def test_status_map_is_linprogs():
-    _solvers._load_cores()
+    _solvers._load_highs()
     for status in _highs.HighsModelStatus.__members__.values():
         assert _solvers._LP_STATUS.get(status, 4) == _highs_to_scipy_status_message(status, "")[0]
 
@@ -1020,63 +1022,86 @@ def test_nnls_without_columns_returns_the_residual_of_b():
     """)
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # the cores load on the first LP or QP, never at import
-    run_fresh("""
+# the prelude of the core-loading tests: one LP, one nnls, and the cores a
+# fresh interpreter has loaded
+CORES = """
         import sys
         import numpy as np
-        import stratalg.cli
         from stratalg import _solvers
-        cores = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib")
-        assert not any(name in sys.modules for name in cores), "a core loaded at import"
-        model = _solvers.LPModel(np.array([[[-1.0, -1.0]]]), np.array([[-1.0]]),
-                                 np.zeros((1, 0, 2)), np.zeros((1, 0)),
-                                 np.array([[[0.0, np.inf]] * 2]))
-        assert _solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
-        assert all(name in sys.modules for name in cores)
-        assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+        HIGHS, SLSQP = "scipy.optimize._highspy._core", "scipy.optimize._slsqplib"
+        def lp():
+            model = _solvers.LPModel(np.array([[[-1.0, -1.0]]]), np.array([[-1.0]]),
+                                     np.zeros((1, 0, 2)), np.zeros((1, 0)),
+                                     np.array([[[0.0, np.inf]] * 2]))
+            assert _solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
+        def qp():
+            x = _solvers.nnls(np.eye(2)[None], np.array([[1.0, -1.0]]), 10)[0]
+            assert x.tolist() == [[1.0, 0.0]]
+        def cores():
+            assert "scipy" not in sys.modules, "the scipy package was imported"
+            return [name for name in (HIGHS, SLSQP) if name in sys.modules]
+"""
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # no core loads at import; HiGHS loads on the first LP model and
+    # _slsqplib on the first nnls, each alone, and the scipy package is
+    # never imported
+    run_fresh(CORES + """
+        import stratalg.cli
+        assert not any(name.split(".")[0] == "scipy" for name in sys.modules), "loaded at import"
+        lp()
+        assert cores() == [HIGHS], cores()
+        qp()
+        assert cores() == [HIGHS, SLSQP], cores()
     """)
 
 
 def test_first_nnls_loads_the_cores():
-    run_fresh("""
-        import sys
-        import numpy as np
-        from stratalg import _solvers
-        assert "scipy.optimize._slsqplib" not in sys.modules
-        assert _solvers.nnls(np.eye(2)[None], np.array([[1.0, -1.0]]), 10)[0].tolist() == [[1.0, 0.0]]
-        assert "scipy.optimize._slsqplib" in sys.modules
-        assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+    # a process that only runs nnls never loads HiGHS
+    run_fresh(CORES + """
+        qp()
+        qp()
+        assert cores() == [SLSQP], cores()
+    """)
+
+
+def test_lp_only_process_never_loads_slsqplib():
+    run_fresh(CORES + """
+        lp()
+        lp()
+        assert cores() == [HIGHS], cores()
     """)
 
 
 def test_scipy_optimize_after_stratalg_reuses_the_cores():
-    run_fresh("""
-        import stratalg._solvers as solvers
-        import numpy as np
-        solvers._load_cores()
+    run_fresh(CORES + """
+        lp()
+        qp()
+        assert cores() == [HIGHS, SLSQP], cores()
+        highs, slsqplib = sys.modules[HIGHS], sys.modules[SLSQP]
+        assert _solvers._highs is highs
         from scipy.optimize import linprog, nnls
         from scipy.optimize._highspy import _core
-        import scipy.optimize._slsqplib as slsqplib
-        assert _core is solvers._highs and slsqplib is solvers._slsqplib
+        from scipy.optimize import _slsqplib
+        assert _core is highs and _slsqplib is slsqplib
         res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
         assert res.status == 0 and res.x.tolist() == [1.0, 0.0]
         assert nnls(np.eye(2), np.array([1.0, -1.0]))[0].tolist() == [1.0, 0.0]
+        lp()
+        qp()
+        assert sys.modules[HIGHS] is highs and sys.modules[SLSQP] is slsqplib
     """)
 
 
 def test_stratalg_after_scipy_optimize_reuses_its_cores():
-    run_fresh("""
-        import numpy as np
+    run_fresh(CORES + """
         from scipy.optimize._highspy import _core
         from scipy.optimize import _slsqplib
-        import stratalg._solvers as solvers
-        solvers._load_cores()
-        assert solvers._highs is _core and solvers._slsqplib is _slsqplib
-        model = solvers.LPModel(np.array([[[-1.0, -1.0]]]), np.array([[-1.0]]),
-                                np.zeros((1, 0, 2)), np.zeros((1, 0)),
-                                np.array([[[0.0, np.inf]] * 2]))
-        assert solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
+        lp()
+        qp()
+        assert _solvers._highs is _core
+        assert _solvers._load_scipy_extension(SLSQP) is _slsqplib
     """)
 
 
@@ -1136,14 +1161,18 @@ def test_missing_lstsq_gufunc_names_the_numpy_version():
 
 
 def test_missing_core_names_the_scipy_version():
+    # the version is read on the error path without importing scipy; the
+    # test imports it afterwards to compare
     run_fresh("""
-        import scipy
+        import sys
         from stratalg._solvers import _load_scipy_extension
         try:
             _load_scipy_extension("scipy.optimize._no_such_core")
         except ImportError as err:
             assert err.name == "scipy.optimize._no_such_core"
-            assert f"scipy {scipy.__version__}" in str(err), str(err)
+            assert "scipy" not in sys.modules, "the error path imported scipy"
+            import scipy
+            assert f"scipy {scipy.__version__} " in str(err), str(err)
         else:
             raise AssertionError("no ImportError")
     """)
