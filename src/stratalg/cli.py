@@ -2,12 +2,14 @@
 
 One interchange document in, one result document out on stdout.  Every
 subcommand resolves named objects from the scenario, invokes the
-corresponding library operation, and emits a result document carrying a
-``certificates`` block with the residuals and failure sets that justify
-the answer.  Exit codes: 0 success, 1 malformed input, 2 precondition
+corresponding library operation, and returns its result objects with a
+``certificates`` block of the residuals and failure sets that justify
+the answer; ``io.emit_document`` writes them in the layout the scenario
+readers read.  Exit codes: 0 success, 1 malformed input, 2 precondition
 failure (including nonempty failure sets under ``--strict``).
 ``python -m stratalg.cli`` and the ``stratalg`` script enter through
-``run``: it flushes the output and ends the process without teardown.
+``run``: it writes the document whole and ends the process without
+teardown, and a reader that leaves early makes the exit nonzero.
 
 A subcommand takes only the shared flags its handler reads: ``--tol``
 overrides the operation's documented tolerance, ``--seed 7`` drives the
@@ -48,37 +50,11 @@ from .tolerances import EQ_TOL, QP_TOL, RANK_TOL, STRICT_TOL
 __all__ = ["main", "run"]
 
 
-def _result_doc(scn: Scenario) -> dict:
-    return {
-        "weights": [float(w) for w in scn.space.weights],
-        "d": scn.d,
-        "vectors": {},
-        "sets": {},
-        "scalars": {},
-        "integers": {},
-        "certificates": {},
-    }
-
-
-def _set_out(ms) -> list:
-    return [1 if b else 0 for b in ms.mask]
-
-
 def _floats(text: str) -> list[float]:
     try:
         return [float(t) for t in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _grid_record(g: GridFn) -> dict:
-    return {
-        "type": "grid",
-        "mins": list(g.grid.mins),
-        "maxs": list(g.grid.maxs),
-        "steps": list(g.grid.steps),
-        "values": g.values.tolist(),
-    }
 
 
 def _dual_grid(args) -> Grid | None:
@@ -107,6 +83,14 @@ def _frame(gens: list, tol) -> linalg.OrthonormalFrame:
     return linalg.orthonormalize(linalg.rank_partition(gens, rank_tol=rank_tol), rank_tol=rank_tol)
 
 
+def _result(scn: Scenario, certificates: dict, **sections) -> dict:
+    """A result document: the scenario's header, the named result objects
+    by section (``vectors``, ``sets``, ``scalars``, ``integers``,
+    ``functions``) and the certificates; ``emit_document`` writes each."""
+    return {"weights": scn.space.weights, "d": scn.d, "vectors": {}, "sets": {}, "scalars": {},
+            "integers": {}, **sections, "certificates": certificates}
+
+
 # A handler returns the result document and whether a check it reports
 # failed; under --strict ``main`` turns a failed check into exit 2.
 
@@ -114,27 +98,17 @@ def _frame(gens: list, tol) -> linalg.OrthonormalFrame:
 def _cmd_basis(scn: Scenario, args) -> tuple[dict, bool]:
     gens = [scn.vector(n) for n in args.generators]
     basis = linalg.rank_partition(gens, rank_tol=args.tol or RANK_TOL)
-    doc = _result_doc(scn)
-    doc["integers"]["labels"] = basis.labels.tolist()
-    for i, v in enumerate(basis.vectors):
-        doc["vectors"][f"X_{i + 1}"] = v.values.tolist()
-    doc["certificates"] = {
-        "generator_count": len(gens),
-        "top_rank": basis.top_rank,
-        "picks": basis.picks.tolist(),
-    }
-    return doc, False
+    vectors = {f"X_{i + 1}": v for i, v in enumerate(basis.vectors)}
+    certificates = {"generator_count": len(gens), "top_rank": basis.top_rank, "picks": basis.picks}
+    return _result(scn, certificates, vectors=vectors, integers={"labels": basis.labels}), False
 
 
 def _cmd_orthonormalize(scn: Scenario, args) -> tuple[dict, bool]:
     frame = _frame([scn.vector(n) for n in args.generators], args.tol)
-    doc = _result_doc(scn)
-    doc["integers"]["labels"] = frame.labels.tolist()
-    for i in range(frame.dim):
-        doc["vectors"][f"U_{i + 1}"] = frame.vector(i).values.tolist()
-    defect = frame.gram_defect().values
-    doc["scalars"]["gram_defect"] = defect.tolist()
-    doc["certificates"] = {"max_gram_defect": float(defect.max())}
+    defect = frame.gram_defect()
+    vectors = {f"U_{i + 1}": frame.vector(i) for i in range(frame.dim)}
+    doc = _result(scn, {"max_gram_defect": float(defect.values.max())}, vectors=vectors,
+                  integers={"labels": frame.labels}, scalars={"gram_defect": defect})
     return doc, False
 
 
@@ -145,13 +119,9 @@ def _cmd_decompose(scn: Scenario, args) -> tuple[dict, bool]:
     overlap = np.zeros(scn.space.natoms)
     for g in gens:
         overlap = np.maximum(overlap, np.abs(z.inner(g).values))
-    doc = _result_doc(scn)
-    doc["vectors"]["Y"] = y.values.tolist()
-    doc["vectors"]["Z"] = z.values.tolist()
-    doc["scalars"]["orthogonality"] = overlap.tolist()
-    doc["scalars"]["norm_Y"] = y.norm().values.tolist()
-    doc["scalars"]["norm_Z"] = z.norm().values.tolist()
-    doc["certificates"] = {"max_orthogonality_defect": float(overlap.max())}
+    scalars = {"orthogonality": overlap, "norm_Y": y.norm(), "norm_Z": z.norm()}
+    doc = _result(scn, {"max_orthogonality_defect": float(overlap.max())},
+                  vectors={"Y": y, "Z": z}, scalars=scalars)
     return doc, False
 
 
@@ -164,16 +134,11 @@ def _cmd_separate(scn: Scenario, args) -> tuple[dict, bool]:
         kind=args.kind,
         zero_tol=args.tol or QP_TOL,
     )
-    doc = _result_doc(scn)
-    doc["vectors"]["Z"] = res.normal.values.tolist()
-    doc["scalars"]["gap"] = res.gap.values.tolist()
-    doc["sets"]["failure_set"] = _set_out(res.failure_set)
-    if res.distance is not None:
-        doc["scalars"]["distance"] = res.distance.values.tolist()
-    if res.strict_excess is not None:
-        doc["scalars"]["strict_excess"] = res.strict_excess.values.tolist()
+    scalars = {"gap": res.gap, "distance": res.distance, "strict_excess": res.strict_excess}
     failures = int(res.failure_set.mask.sum())
-    doc["certificates"] = {"kind": args.kind, "failure_atom_count": failures}
+    doc = _result(scn, {"kind": args.kind, "failure_atom_count": failures},
+                  vectors={"Z": res.normal}, sets={"failure_set": res.failure_set},
+                  scalars={name: v for name, v in scalars.items() if v is not None})
     return doc, failures > 0
 
 
@@ -188,14 +153,8 @@ def _cmd_hahn_banach(scn: Scenario, args) -> tuple[dict, bool]:
         probe = CondVector.constant(scn.space, row)
         margin = h.inner(probe).values - p.eval(probe).values
         excess = np.maximum(excess, margin)
-    doc = _result_doc(scn)
-    doc["vectors"]["h"] = h.values.tolist()
-    doc["scalars"]["probe_excess"] = excess.tolist()
-    doc["certificates"] = {
-        "max_probe_excess": float(excess.max()),
-        "probe_count": args.probes,
-    }
-    return doc, False
+    certificates = {"max_probe_excess": float(excess.max()), "probe_count": args.probes}
+    return _result(scn, certificates, vectors={"h": h}, scalars={"probe_excess": excess}), False
 
 
 def _cmd_conjugate(scn: Scenario, args) -> tuple[dict, bool]:
@@ -204,30 +163,26 @@ def _cmd_conjugate(scn: Scenario, args) -> tuple[dict, bool]:
     if dual is None:
         raise ParseError("conjugate needs --mins, --maxs and --steps")
     g = conjugate(f, dual)
-    doc = _result_doc(scn)
-    doc["functions"] = {"result": _grid_record(g)}
-    doc["certificates"] = {"dual_shape": list(dual.shape)}
-    return doc, False
+    return _result(scn, {"dual_shape": dual.shape}, functions={"result": g}), False
 
 
 def _cmd_fenchel_moreau(scn: Scenario, args) -> tuple[dict, bool]:
     f = _function(scn, args.function, GridFn)
     rep = fenchel_moreau_check(f, _dual_grid(args))
-    doc = _result_doc(scn)
-    doc["functions"] = {
-        "biconjugate": _grid_record(rep.biconjugate),
-        "conjugate": _grid_record(rep.conjugate),
-        "envelope": _grid_record(rep.envelope),
-    }
-    doc["scalars"]["max_deviation"] = rep.max_deviation.values.tolist()
-    doc["sets"]["minorant_ok"] = _set_out(rep.minorant_ok)
-    doc["sets"]["idempotent_ok"] = _set_out(rep.idempotent_ok)
     all_ok = rep.minorant_ok.is_full and rep.idempotent_ok.is_full
-    doc["certificates"] = {
+    certificates = {
         "max_deviation_overall": float(rep.max_deviation.values.max()),
         "grid_step": f.grid.steps[0],
         "all_ok": all_ok,
     }
+    functions = {
+        "biconjugate": rep.biconjugate,
+        "conjugate": rep.conjugate,
+        "envelope": rep.envelope,
+    }
+    doc = _result(scn, certificates, functions=functions,
+                  scalars={"max_deviation": rep.max_deviation},
+                  sets={"minorant_ok": rep.minorant_ok, "idempotent_ok": rep.idempotent_ok})
     return doc, not all_ok
 
 
@@ -248,47 +203,35 @@ def _cmd_subgrad(scn: Scenario, args) -> tuple[dict, bool]:
         fx = f.eval(x0 + h).values
         # subgradient inequality: f(x0+h) >= f(x0) + <h, y>
         violation = np.maximum(violation, f0 + h.inner(y).values - fx)
-    doc = _result_doc(scn)
-    doc["vectors"]["Y"] = y.values.tolist()
-    doc["integers"]["active_count"] = active.sum(axis=1).tolist()
-    doc["scalars"]["rep_norm"] = y.norm().values.tolist()
-    doc["scalars"]["probe_violation"] = violation.tolist()
-    doc["certificates"] = {
-        "max_probe_violation": float(violation.max()),
-        "probe_count": args.probes,
-    }
+    certificates = {"max_probe_violation": float(violation.max()), "probe_count": args.probes}
+    doc = _result(scn, certificates, vectors={"Y": y},
+                  integers={"active_count": active.sum(axis=1)},
+                  scalars={"rep_norm": y.norm(), "probe_violation": violation})
     return doc, False
 
 
 def _cmd_argmin(scn: Scenario, args) -> tuple[dict, bool]:
     f = _function(scn, args.function, MaxAffineFn)
     r = argmin(f, scn.convex_set(args.set), tol=args.tol or QP_TOL)
-    doc = _result_doc(scn)
-    doc["vectors"]["minimizer"] = r.minimizer.values.tolist()
-    doc["scalars"]["value"] = r.value.values.tolist()
-    doc["sets"]["unique_set"] = _set_out(r.unique_set)
     feasible = bool(r.value.finite_set.is_full)
-    doc["certificates"] = {"feasible_everywhere": feasible}
+    doc = _result(scn, {"feasible_everywhere": feasible}, vectors={"minimizer": r.minimizer},
+                  scalars={"value": r.value}, sets={"unique_set": r.unique_set})
     return doc, not feasible
 
 
 def _cmd_infconv(scn: Scenario, args) -> tuple[dict, bool]:
     fs = [_function(scn, n, GridFn) for n in args.functions]
     r = inf_convolution(fs)
-    doc = _result_doc(scn)
-    doc["functions"] = {"result": _grid_record(r.value)}
-    for j, idx in enumerate(r.split_indices):
-        doc["integers"][f"split_{j + 1}"] = idx.tolist()
-    doc["scalars"]["input_convexity_defect"] = r.input_convexity_defect.values.tolist()
-    doc["scalars"]["output_convexity_defect"] = r.output_convexity_defect.values.tolist()
-    doc["certificates"] = {
-        "max_output_convexity_defect": float(r.output_convexity_defect.values.max())
-    }
+    certificates = {"max_output_convexity_defect": float(r.output_convexity_defect.values.max())}
+    scalars = {"input_convexity_defect": r.input_convexity_defect,
+               "output_convexity_defect": r.output_convexity_defect}
+    doc = _result(scn, certificates, functions={"result": r.value}, scalars=scalars,
+                  integers={f"split_{j + 1}": idx for j, idx in enumerate(r.split_indices)})
     if args.check:
         checks = infconv_checks(fs, r)
-        doc["scalars"]["additivity_defect"] = checks.additivity_defect.values.tolist()
-        doc["sets"]["subdiff_ok"] = _set_out(checks.subdiff_ok)
-        doc["sets"]["interior_ok"] = _set_out(checks.interior_ok)
+        doc["scalars"]["additivity_defect"] = checks.additivity_defect
+        doc["sets"]["subdiff_ok"] = checks.subdiff_ok
+        doc["sets"]["interior_ok"] = checks.interior_ok
         doc["certificates"]["max_additivity_defect"] = float(
             checks.additivity_defect.values.max()
         )
@@ -298,12 +241,9 @@ def _cmd_infconv(scn: Scenario, args) -> tuple[dict, bool]:
 def _cmd_bw(scn: Scenario, args) -> tuple[dict, bool]:
     seq = scn.sequence(args.sequence)
     r = bw_extract(seq, args.depth, args.slack)
-    doc = _result_doc(scn)
-    for j, idx in enumerate(r.indices):
-        doc["integers"][f"N_{j + 1}"] = idx.values.tolist()
-    doc["vectors"]["limit"] = r.limit.values.tolist()
-    doc["vectors"]["stage_liminfs"] = r.stage_liminfs.values.tolist()
-    doc["certificates"] = {"depth": args.depth, "slack": float(args.slack)}
+    doc = _result(scn, {"depth": args.depth, "slack": float(args.slack)},
+                  integers={f"N_{j + 1}": idx for j, idx in enumerate(r.indices)},
+                  vectors={"limit": r.limit, "stage_liminfs": r.stage_liminfs})
     return doc, False
 
 
@@ -311,14 +251,11 @@ def _cmd_cauchy(scn: Scenario, args) -> tuple[dict, bool]:
     seq = scn.sequence(args.sequence)
     schedule = [scn.scalar(n) for n in args.eps]
     r = cauchy_limit(seq, schedule)
-    doc = _result_doc(scn)
-    doc["sets"]["cauchy_on"] = _set_out(r.cauchy_on)
-    doc["vectors"]["limit"] = r.limit.values.tolist()
-    for j, (cut, dia) in enumerate(zip(r.cuts, r.tail_diameters)):
-        doc["integers"][f"cut_{j + 1}"] = cut.tolist()
-        doc["scalars"][f"tail_diameter_{j + 1}"] = dia.tolist()
-    passing = int(r.cauchy_on.mask.sum())
-    doc["certificates"] = {"passing_atom_count": passing}
+    doc = _result(scn, {"passing_atom_count": int(r.cauchy_on.mask.sum())},
+                  sets={"cauchy_on": r.cauchy_on}, vectors={"limit": r.limit},
+                  integers={f"cut_{j + 1}": cut for j, cut in enumerate(r.cuts)},
+                  scalars={f"tail_diameter_{j + 1}": dia
+                           for j, dia in enumerate(r.tail_diameters)})
     return doc, not r.cauchy_on.is_full
 
 
@@ -326,11 +263,9 @@ def _cmd_bounded_test(scn: Scenario, args) -> tuple[dict, bool]:
     bounded_on, witness = sets.bounded_test(
         scn.convex_set(args.set), rank_tol=args.tol or RANK_TOL
     )
-    doc = _result_doc(scn)
-    doc["sets"]["bounded_on"] = _set_out(bounded_on)
-    doc["vectors"]["witness"] = witness.values.tolist()
     unbounded = int((~bounded_on.mask).sum())
-    doc["certificates"] = {"unbounded_atom_count": unbounded}
+    doc = _result(scn, {"unbounded_atom_count": unbounded}, sets={"bounded_on": bounded_on},
+                  vectors={"witness": witness})
     return doc, unbounded > 0
 
 
@@ -341,10 +276,8 @@ def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, bool]:
         mode=args.mode,
         strict_tol=args.tol or STRICT_TOL,
     )
-    doc = _result_doc(scn)
-    doc["sets"]["member_set"] = _set_out(ms)
-    doc["certificates"] = {"mode": args.mode, "member_atom_count": int(ms.mask.sum())}
-    return doc, not ms.is_full
+    certificates = {"mode": args.mode, "member_atom_count": int(ms.mask.sum())}
+    return _result(scn, certificates, sets={"member_set": ms}), not ms.is_full
 
 
 def _checked(convert, ok, what: str):
@@ -452,33 +385,44 @@ def _build_parser() -> argparse.ArgumentParser:
 def _error_doc(exc: Exception) -> dict:
     doc = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, AtomSetError):
-        doc["error"]["atoms"] = np.flatnonzero(exc.atoms).tolist()
+        doc["error"]["atoms"] = np.flatnonzero(exc.atoms)
     return doc
 
 
-def main(argv=None) -> int:
+def _execute(argv) -> tuple[str, int]:
+    """The document text and the exit code of one command line."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        return "", 0 if exc.code in (0, None) else 1
     try:
         scn = build_scenario(load_document(args.scenario))
         doc, failed = args.handler(scn, args)
     except AtomSetError as exc:
-        sys.stdout.write(emit_document(_error_doc(exc)))
-        return 2
+        return emit_document(_error_doc(exc)), 2
     except (ParseError, StratalgError) as exc:
-        sys.stdout.write(emit_document(_error_doc(exc)))
-        return 1
-    sys.stdout.write(emit_document(doc))
-    return 2 if failed and getattr(args, "strict", False) else 0
+        return emit_document(_error_doc(exc)), 1
+    return emit_document(doc), 2 if failed and getattr(args, "strict", False) else 0
+
+
+def main(argv=None) -> int:
+    text, code = _execute(argv)
+    sys.stdout.write(text)
+    return code
 
 
 def run() -> None:
-    """``main()`` as a one-shot process: flush, then exit without teardown."""
-    code = main()
-    sys.stdout.flush()
+    """One command as a process: the document goes out whole, then the
+    process ends without teardown.
+
+    A reader that leaves early fails the ``os.write`` that follows it with
+    ``BrokenPipeError``, so the process exits nonzero."""
+    text, code = _execute(None)
+    sys.stdout.flush()  # argparse's help and usage
+    data = memoryview(text.encode())  # documents are ASCII
+    while data:
+        data = data[os.write(sys.stdout.fileno(), data):]
     sys.stderr.flush()
     os._exit(code)
 

@@ -145,7 +145,7 @@ class MaxAffineFn:
 
 @dataclass(frozen=True)
 class Grid:
-    """A rectangular lattice, one (min, max, step) triple per dimension."""
+    """A rectangular lattice, one finite (min, max, step) triple per dimension."""
 
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
@@ -159,6 +159,8 @@ class Grid:
             raise ShapeError("grid axes must agree in length")
         if len(mins) not in (1, 2):
             raise ShapeError("grids support one or two dimensions")
+        if not np.isfinite(mins + maxs + steps).all():
+            raise ShapeError("grid axes must be finite")
         for lo, hi, st in zip(mins, maxs, steps):
             if st <= 0 or hi < lo:
                 raise ShapeError("grid axes need positive step and max >= min")

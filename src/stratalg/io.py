@@ -5,9 +5,15 @@ A document is JSON with fields ``weights`` (K positive atom masses),
 ``scalars`` (K arrays), ``convex_sets`` ({points, rays, lines} lists of
 vector names), ``functions`` (max-affine piece lists or grid records)
 and ``sequences`` (lists of vector names).  Infinities are spelled
-``"+inf"`` / ``"-inf"``.  Emission renders every float with 17
-significant digits and sorts object keys, so emitting, re-parsing and
-emitting again is byte-stable.
+``"+inf"`` / ``"-inf"``, and -0.0 as ``-0``.  Emission renders every
+float with 17 significant digits and sorts object keys, so emitting,
+re-parsing and emitting again is byte-stable.
+
+``emit_document`` writes every library object a command returns in the
+layout its reader reads, so reading it back gives its bits: a
+conditional scalar, extended scalar, integer or vector as its K (x d)
+array of values, a ``MeasurableSet`` as its K 0/1 array and a ``GridFn``
+as the grid record that ``functions`` reads.  Grid axes must be finite.
 
 A command pays for what it names.  ``load_document`` checks the
 document's structure and records where each value starts, without
@@ -29,6 +35,7 @@ import numpy as np
 
 from .core import (
     CondExtScalar,
+    CondInteger,
     CondScalar,
     CondVector,
     MeasurableSet,
@@ -47,7 +54,12 @@ class ParseError(ValueError):
     """The document is malformed: bad JSON, bad shapes or dangling names."""
 
 
-_DECODER = json.JSONDecoder()
+def _int(literal: str):
+    """An integer literal; ``-0`` is -0.0, as ``emit_document`` writes it."""
+    return -0.0 if literal == "-0" else int(literal)
+
+
+_DECODER = json.JSONDecoder(parse_int=_int)
 _WS = re.compile(r"[ \t\n\r]*")
 _STRING = r'"(?:[^"\\]++|\\.)*+"'
 # Containers nest this deep in the skip pattern, as deep as a function
@@ -81,7 +93,9 @@ _SKIP = _skip_pattern()
 def _decode(text: str, pos: int | None = None):
     """The JSON value starting at ``pos``, or the whole text."""
     try:
-        return json.loads(text) if pos is None else _DECODER.raw_decode(text, pos)[0]
+        if pos is None:
+            return json.loads(text, parse_int=_int)
+        return _DECODER.raw_decode(text, pos)[0]
     except ValueError as exc:  # bad JSON, or an integer literal too long
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
 
@@ -459,9 +473,18 @@ def _emit(v, indent: int) -> str:
         return "null"
     if isinstance(v, Mapping):  # a Document
         return _emit(dict(v), indent)
+    if isinstance(v, (CondScalar, CondExtScalar, CondInteger, CondVector)):
+        return _emit(v.values, indent)
+    if isinstance(v, MeasurableSet):
+        return _emit(v.mask.astype(int), indent)
+    if isinstance(v, GridFn):
+        g = v.grid
+        return _emit({"type": "grid", "mins": g.mins, "maxs": g.maxs, "steps": g.steps,
+                      "values": v.values}, indent)
     raise TypeError(f"cannot emit {type(v).__name__}")
 
 
 def emit_document(doc: dict) -> str:
-    """Render a document deterministically: sorted keys, 17-digit floats."""
+    """Render a document deterministically: sorted keys, 17-digit floats,
+    library objects in the layout their readers read."""
     return _emit(doc, 0) + "\n"

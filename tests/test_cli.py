@@ -15,7 +15,8 @@ import pytest
 
 import oracles
 
-from stratalg import MeasurableSet, _solvers, cli, functions
+from stratalg import CondVector, Grid, GridFn, MeasurableSet, _solvers, cli, functions, linalg
+from stratalg import sequences, sets
 from stratalg._solvers import LPResult
 from stratalg.io import ParseError, build_scenario, emit_document, load_document
 
@@ -449,6 +450,28 @@ class TestCliFailureModes:
         else:
             assert json.loads(out)["sets"]["member_set"] == [1, 1]
 
+    @pytest.mark.parametrize("flag, value", [("--mins", "nan"), ("--maxs", "inf"),
+                                             ("--steps", "inf")])
+    def test_non_finite_dual_grid(self, scenario_path, capsys, flag, value):
+        grid = {"--mins": "-2", "--maxs": "2", "--steps": "0.5", flag: value}
+        argv = ["conjugate", scenario_path, "--function", "gabs"]
+        code, doc = run_json(argv + [a for pair in grid.items() for a in pair])
+        assert code == 1
+        assert doc["error"] == {"kind": "ShapeError", "message": "grid axes must be finite"}
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key, literal", [("mins", "NaN"), ("maxs", '"+inf"')])
+    def test_non_finite_scenario_grid_axis(self, tmp_path, key, literal):
+        text = emit_document(scenario_doc())
+        bound = f'"{key}": [{"-2" if key == "mins" else "2"}]'
+        assert text.count(bound) == 1
+        path = tmp_path / "axis.json"
+        path.write_text(text.replace(bound, f'"{key}": [{literal}]'))
+        code, doc = run_json(["fenchel-moreau", str(path), "--function", "gabs"])
+        assert code == 1
+        assert doc["error"] == {"kind": "ParseError",
+                                "message": "inconsistent scenario: grid axes must be finite"}
+
     def test_unknown_command(self, scenario_path):
         code, _ = run_cli(["frobnicate", scenario_path])
         assert code == 1
@@ -542,6 +565,110 @@ COMMAND_ARGS = {
     "bounded-test": ["--set", "box"],
     "ri-test": ["--point", "z", "--set", "box"],
 }
+
+
+def library_results(scn, command):
+    """Every vector, scalar, set and grid function in the document of
+    ``command`` with its ``COMMAND_ARGS`` (``infconv`` with ``--check``),
+    from the library ops, by section and name."""
+    vec, fn, cset = scn.vector, scn.function, scn.convex_set
+    gens = [vec("e1"), vec("e2")]
+
+    def probe_max(margin):  # the handlers' probe certificates, seed 7, 2 probes
+        rows = functions._probe_directions(7, 2, scn.d)
+        return np.max([margin(CondVector.constant(scn.space, row)) for row in rows], axis=0)
+
+    if command == "basis":
+        basis = linalg.rank_partition(gens)
+        return {"vectors": {f"X_{i + 1}": v for i, v in enumerate(basis.vectors)}}
+    if command == "orthonormalize":
+        frame = linalg.orthonormalize(linalg.rank_partition(gens))
+        return {"vectors": {f"U_{i + 1}": frame.vector(i) for i in range(frame.dim)},
+                "scalars": {"gram_defect": frame.gram_defect()}}
+    if command == "decompose":
+        y, z = linalg.decompose(vec("x0"), linalg.orthonormalize(linalg.rank_partition(gens[:1])))
+        return {"vectors": {"Y": y, "Z": z},
+                "scalars": {"norm_Y": y.norm(), "norm_Z": z.norm(),
+                            "orthogonality": np.abs(z.inner(gens[0]).values)}}
+    if command == "separate":
+        res = sets.separate(cset("seg"), cset("dot"))
+        scalars = {"gap": res.gap, "distance": res.distance, "strict_excess": res.strict_excess}
+        return {"vectors": {"Z": res.normal}, "sets": {"failure_set": res.failure_set},
+                "scalars": {name: v for name, v in scalars.items() if v is not None}}
+    if command == "hahn-banach":
+        p = fn("absmax")
+        h = sets.hahn_banach_extend(p, cset("line_x"), [scn.scalar("half")])
+        excess = probe_max(lambda u: h.inner(u).values - p.eval(u).values)
+        return {"vectors": {"h": h}, "scalars": {"probe_excess": excess}}
+    if command == "conjugate":
+        return {"functions": {"result": functions.conjugate(fn("gabs"), Grid(-2.0, 2.0, 0.5))}}
+    if command == "fenchel-moreau":
+        rep = functions.fenchel_moreau_check(fn("gabs"))
+        return {"functions": {"biconjugate": rep.biconjugate, "conjugate": rep.conjugate,
+                              "envelope": rep.envelope},
+                "scalars": {"max_deviation": rep.max_deviation},
+                "sets": {"minorant_ok": rep.minorant_ok, "idempotent_ok": rep.idempotent_ok}}
+    if command == "subgrad":
+        f, x0 = fn("absmax"), vec("x0")
+        y = functions.subdifferential(f, x0).representative
+        f0 = f.eval(x0).values
+        violation = probe_max(lambda u: f0 + u.inner(y).values - f.eval(x0 + u).values)
+        return {"vectors": {"Y": y},
+                "scalars": {"rep_norm": y.norm(), "probe_violation": violation}}
+    if command == "argmin":
+        r = functions.argmin(fn("absmax"), cset("box"))
+        return {"vectors": {"minimizer": r.minimizer}, "scalars": {"value": r.value},
+                "sets": {"unique_set": r.unique_set}}
+    if command == "infconv":
+        fs = [fn("gabs"), fn("gabs")]
+        r = functions.inf_convolution(fs)
+        checks = functions.infconv_checks(fs, r)
+        return {"functions": {"result": r.value},
+                "scalars": {"input_convexity_defect": r.input_convexity_defect,
+                            "output_convexity_defect": r.output_convexity_defect,
+                            "additivity_defect": checks.additivity_defect},
+                "sets": {"subdiff_ok": checks.subdiff_ok, "interior_ok": checks.interior_ok}}
+    if command == "bw":
+        r = sequences.bw_extract(scn.sequence("osc"), 2, 0.0)
+        return {"vectors": {"limit": r.limit, "stage_liminfs": r.stage_liminfs}}
+    if command == "cauchy":
+        r = sequences.cauchy_limit(scn.sequence("osc"), [scn.scalar("eps_wide")])
+        return {"vectors": {"limit": r.limit}, "sets": {"cauchy_on": r.cauchy_on},
+                "scalars": {f"tail_diameter_{j + 1}": t for j, t in enumerate(r.tail_diameters)}}
+    if command == "bounded-test":
+        bounded_on, witness = sets.bounded_test(cset("box"))
+        return {"vectors": {"witness": witness}, "sets": {"bounded_on": bounded_on}}
+    assert command == "ri-test"
+    return {"sets": {"member_set": sets.ri_membership(vec("z"), cset("box"))}}
+
+
+def bits(v):
+    if isinstance(v, GridFn):
+        return v.grid, v.values.tobytes()
+    if isinstance(v, MeasurableSet):
+        return v.mask.tobytes()
+    return np.asarray(getattr(v, "values", v), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_reader_reads_back_what_the_writer_wrote(scenario_path, tmp_path, command):
+    # a result document is a scenario: its accessors give back every
+    # emitted value with the bits of the library result
+    extra = ["--check"] if command == "infconv" else []
+    code, out = run_cli([command, scenario_path, *COMMAND_ARGS[command], *extra])
+    assert code == 0
+    path = tmp_path / "result.json"
+    path.write_text(out)
+    back = build_scenario(load_document(str(path)))
+    readers = {"vectors": back.vector, "scalars": back.ext_scalar, "sets": back.measurable_set,
+               "functions": back.function}
+    want = library_results(build_scenario(load_document(scenario_path)), command)
+    emitted = json.loads(out)
+    assert {s: sorted(emitted.get(s, {})) for s in readers} == {
+        s: sorted(want.get(s, {})) for s in readers}
+    for section, read in readers.items():
+        for name, value in want.get(section, {}).items():
+            assert bits(read(name)) == bits(value), (section, name)
 
 
 @pytest.mark.parametrize("flag", list(SHARED_FLAGS))
@@ -711,8 +838,8 @@ PROCESS_ENV = dict(
 PROCESS_ENV.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, so run() must flush it
 
 
-def cli_process(argv, **kwargs):
-    return subprocess.Popen([sys.executable, "-m", "stratalg.cli", *argv], env=PROCESS_ENV,
+def cli_process(argv, env=PROCESS_ENV, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "stratalg.cli", *argv], env=env,
                             stderr=subprocess.PIPE, **kwargs)
 
 
@@ -777,12 +904,26 @@ def test_large_document_through_a_pipe_and_into_a_file(large_grid_path, tmp_path
 
 @pytest.mark.parametrize("large", [False, True], ids=["buffered", "multi-MB"])
 def test_closed_pipe_ends_the_process_with_an_error(scenario_path, large_grid_path, large):
-    # the reader is gone before the first byte: the flush in run() (a small
-    # document) or the write in main (a large one) raises BrokenPipeError,
-    # and the process reports it and ends with a nonzero status
+    # the reader is gone before the first byte: the write in run() raises
+    # BrokenPipeError, and the process reports it and ends with a nonzero
+    # status
     argv = (["fenchel-moreau", large_grid_path, "--function", "f"] if large
             else ["basis", scenario_path, "--generators", "e1", "e2"])
     proc = cli_process(argv, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode != 0 and "BrokenPipeError" in err, (proc.returncode, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_that_leaves_mid_document_fails_the_process(large_grid_path, unbuffered):
+    # the pipe closes after the first bytes: the write that was under way
+    # comes back short, and the next one raises BrokenPipeError; unbuffered
+    # text I/O (python -u) would drop the short count and exit 0
+    env = dict(PROCESS_ENV, PYTHONUNBUFFERED="1") if unbuffered else PROCESS_ENV
+    proc = cli_process(["fenchel-moreau", large_grid_path, "--function", "f"], env=env,
+                       stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode != 0 and "BrokenPipeError" in err, (proc.returncode, err)

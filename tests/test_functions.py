@@ -206,6 +206,17 @@ class TestGrid:
         with pytest.raises(ShapeError):
             Grid((0.5,), (2.5,), (0.5,)).origin_offsets()  # 0 on the lattice but off the grid
 
+    @pytest.mark.parametrize("mins, maxs, steps", [
+        ((np.nan,), (1.0,), (0.5,)),  # was a ValueError from round()
+        ((0.0,), (np.inf,), (0.5,)),  # was an OverflowError from round()
+        ((-np.inf,), (1.0,), (0.5,)),
+        ((0.0,), (1.0,), (np.inf,)),  # was a one-node grid of NaN coordinates
+        ((0.0, 0.0), (1.0, 1.0), (0.5, np.nan)),
+    ])
+    def test_non_finite_axis(self, mins, maxs, steps):
+        with pytest.raises(ShapeError, match="grid axes must be finite"):
+            Grid(mins, maxs, steps)
+
 
 class TestGridFn:
     def test_node_eval_is_exact(self, space2):

@@ -311,8 +311,8 @@ def test_parse_out_of_range_integer(value):
 
 
 def ref_load(text: str) -> dict:
-    try:
-        doc = json.loads(text)
+    try:  # -0 is the emitter's spelling of -0.0, and reads back as -0.0
+        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except ValueError as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

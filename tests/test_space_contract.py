@@ -6,7 +6,8 @@ Each argument in turn is built on another space, the same atom count
 with other weights and one atom fewer, while the others stay; the op
 must raise ``SpaceMismatchError``.  An op with one conditional argument
 has no second space to compare, so only its locality is tested.
-A per-atom precondition raises through ``errors._require`` alone.
+A per-atom precondition raises through ``errors._require`` alone, and
+the CLI converts no result to lists: ``io`` writes each one.
 """
 
 import ast
@@ -92,6 +93,16 @@ def test_only_errors_require_builds_a_precondition_error():
                    and getattr(node.func, "id", getattr(node.func, "attr", None))
                    == "PreconditionError")
     assert [site[:2] for site in sites] == [("errors.py", "_require")], sites
+
+
+def test_cli_leaves_the_document_layout_to_io():
+    # emit_document writes every library object in the layout its reader
+    # reads, so no handler converts one to lists; each site is (line, call)
+    path = Path(stratalg.__file__).parent / "cli.py"
+    sites = [(node.lineno, ast.unparse(node))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolist"]
+    assert not sites, sites
 
 
 @pytest.mark.parametrize("op", OPS)
