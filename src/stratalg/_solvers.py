@@ -45,11 +45,19 @@ packaging, which cost several times the solve itself on these small LPs.
 Every LP family states its constraints once per stratum, as atom-first
 stacks, in one ``LPModel`` with one HiGHS instance, reloaded per atom
 (only argmin's optimal-face and descent-cone models are one atom each).
-Every cost, the first one included, is set on that instance and run from
-a cleared solver, so nothing a previous solve left behind can influence
-which optimal vertex comes back, and every result has the bits of an
-instance that got the cost with the atom's model (``test_solvers`` pins
-this).
+In every family whose ``x`` is read (epigraph, dual-cone, margin, step and
+recession LPs) every cost, the first one included, is set on that
+instance and run from a cleared solver, so nothing a previous solve left
+behind can influence which optimal vertex comes back, and every result
+has the bits of an instance that got the cost with the atom's model
+(``test_solvers`` pins this).  argmin's uniqueness box reads only values:
+its face is the epigraph instance cut by ``LPModel.cut``, and its LPs run
+hot from the epigraph optimum's basis (``solve_lp(..., hot=True)``); the
+caller solves again cold a hot LP that is not optimal, or a width near its
+threshold.  Weak and proper separation skip the dual-cone scan on the
+atoms that ``cone_spans`` certifies, whose dual cone is ``{0}``; that
+certificate is a stacked QP, so proper separation loads ``_slsqplib`` as
+well as HiGHS.
 
 Every per-atom LP runs inside ``per_atom``, and each call site passes its
 result through ``expect`` with the statuses it reads as verdicts:
@@ -72,12 +80,13 @@ extension's feasibility check read the Euclidean norm of a nearest
 point, so no LP measures how far a point is from a set.  A QP result
 holds per-atom ``point`` and ``coeffs`` rows and the mask ``kkt_fail`` of
 atoms whose polished solution is not a KKT point; ``kkt_ok`` is the plain
-``bool`` that no atom failed.  No caller reads either yet (ROADMAP item
-1).
+``bool`` that no atom failed.  ``cone_spans`` is the one caller that reads
+``kkt_fail``: a failed item never certifies its atom.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -147,6 +156,11 @@ _POLISH_ROUNDS = 60
 # _POS_TOL; candidate normals closer than _LEX_TOL in a coordinate tie.
 _POS_TOL = 1e-9
 _LEX_TOL = 1e-12
+# HiGHS's primal and dual feasibility tolerance
+_LP_FEAS_TOL = 1e-10
+# The largest coefficient mass of a spanning certificate (``cone_spans``):
+# the scan's LPs then accept no z with |z|_inf above 2e-4.
+_SPAN_MASS = 1e-4 / _LP_FEAS_TOL
 
 def _load_highs() -> None:
     """Load HiGHS once, and set the LP options and statuses.
@@ -164,8 +178,8 @@ def _load_highs() -> None:
     options = highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = 1e-10
-    options.dual_feasibility_tolerance = 1e-10
+    options.primal_feasibility_tolerance = _LP_FEAS_TOL
+    options.dual_feasibility_tolerance = _LP_FEAS_TOL
     options.output_flag = False
     options.log_to_console = False
     ms = highs.HighsModelStatus
@@ -177,6 +191,7 @@ def _load_highs() -> None:
 # linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
 _OUTCOMES = ("ok", "limit", "infeasible", "unbounded", "numerical")  # by status
+_MODEL_IDS = itertools.count()  # tells apart the models that share a HiGHS instance
 
 
 class LPResult(NamedTuple):
@@ -202,10 +217,12 @@ class LPModel:
     Every atom's HiGHS model ``row_lower <= [A_ub; A_eq] x <= row_upper``,
     column-wise with rows ascending in each column, is worked out in one
     pass; ``load(k)`` hands atom ``k``'s, with zero costs, to the model's
-    one ``_Highs`` instance unless it is the atom loaded.
+    one ``_Highs`` instance unless the instance holds it.  A model built
+    with ``share`` (``cut`` builds one) uses that model's instance, and
+    each of them loads its own atoms.
     """
 
-    def __init__(self, A_ub, b_ub, A_eq, b_eq, box):
+    def __init__(self, A_ub, b_ub, A_eq, b_eq, box, share: Optional["LPModel"] = None):
         _load_highs()
         self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.box = A_ub, b_ub, A_eq, b_eq, box
         K, self.m_ub, self.n = A_ub.shape
@@ -220,14 +237,19 @@ class LPModel:
         self._start = np.zeros((K, self.n + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=self._start[:, 1:])
         self._nz = np.concatenate([[0], np.cumsum(self._start[:, -1])])
-        self.highs = _highs._Highs()
-        self.highs.passOptions(_LP_OPTIONS)
-        self.loaded = self.rejected = None
+        self._id = next(_MODEL_IDS)
+        if share is None:
+            self.highs = _highs._Highs()
+            self.highs.passOptions(_LP_OPTIONS)
+            self._held = [None]
+        else:
+            self.highs, self._held = share.highs, share._held
+        self.rejected = None
 
     def load(self, k: int) -> bool:
-        """Load atom ``k``'s model into the instance unless it is loaded;
+        """Load atom ``k``'s model into the instance unless it holds it;
         True when HiGHS rejected it (kModelError)."""
-        if k != self.loaded:
+        if self._held[0] != (self._id, k):
             n, m, nz = self.n, self.row_upper.shape[1], slice(self._nz[k], self._nz[k + 1])
             lp = _highs.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -241,11 +263,34 @@ class LPModel:
             lp.row_lower_ = self._row_lower[k]
             lp.row_upper_ = self._row_upper[k]
             lp.col_cost_ = np.zeros(n)  # HiGHS rejects a model without costs
-            self.loaded, self.rejected = k, self.highs.passModel(lp) == _highs.HighsStatus.kError
+            self._held[0] = (self._id, k)
+            self.rejected = self.highs.passModel(lp) == _highs.HighsStatus.kError
         return self.rejected
 
+    def cut(self, k: int, row: np.ndarray, bound: float) -> "LPModel":
+        """Atom ``k``'s constraint set cut by ``row x <= bound``: a one-atom
+        model whose last inequality row is the cut, on this model's HiGHS
+        instance.
 
-def solve_lp(model: LPModel, k: int, c) -> LPResult:
+        When the instance holds atom ``k``, as after ``solve_lp(self, k,
+        c)``, the cut is appended to it by ``addRow``, which keeps the basis
+        of that solve, and ``solve_lp(face, 0, c, hot=True)`` starts from
+        it.  HiGHS then holds the cut after the equality rows, and
+        ``solve_lp`` reads the row values back in the model's order.
+        """
+        face = LPModel(np.concatenate([self.A_ub[k], row[None]])[None],
+                       np.append(self.b_ub[k], bound)[None], self.A_eq[k:k + 1],
+                       self.b_eq[k:k + 1], self.box[k:k + 1], share=self)
+        if self._held[0] == (self._id, k) and not self.rejected:
+            index = np.flatnonzero(row).astype(np.int32)
+            if self.highs.addRow(-_highs.kHighsInf, float(bound), len(index),
+                                 index, row[index]) != _highs.HighsStatus.kError:
+                m, e = self.m_ub, self.row_upper.shape[1] - self.m_ub
+                self._held[0] = (face._id, 0, np.r_[0:m, m + e, m:m + e])
+        return face
+
+
+def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
     """``min c x`` over atom ``k``'s constraint set in ``model``.
 
     The cost is set by ``changeColsCost`` on the model's HiGHS instance,
@@ -255,17 +300,25 @@ def solve_lp(model: LPModel, k: int, c) -> LPResult:
     bits of an instance that got the cost with the atom's model.  A warm
     start would not: on a degenerate LP the kept basis can change the
     optimal vertex, and canonical outputs such as separating normals are
-    read off that vertex.  Statuses are linprog's (0 optimal, 1 limit, 2
-    infeasible, 3 unbounded, 4 other); a model that HiGHS rejected is 2,
-    and a reported optimum that violates a bound or constraint by more
-    than linprog's check tolerance is downgraded to 4, as linprog does.
+    read off that vertex.  ``hot=True`` is for a family that reads only
+    ``fun`` or the status: where the instance already holds atom ``k``
+    (loaded, or cut by ``LPModel.cut``), the LP runs from the basis the
+    last solve left, which HiGHS solves without presolve.  Its ``fun``
+    agrees with a cold solve's to the solver's tolerances, not bit for bit.
+    Statuses are linprog's (0 optimal, 1 limit, 2 infeasible, 3 unbounded,
+    4 other); a model that HiGHS rejected is 2, and a reported optimum that
+    violates a bound or constraint by more than linprog's check tolerance
+    is downgraded to 4, as linprog does.
     """
     c = np.array(c, dtype=float).reshape(-1)
-    h = model.highs
-    if model.load(k) or (h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
-                         == _highs.HighsStatus.kError):
+    h, held = model.highs, model._held[0]
+    hot = hot and held is not None and held[:2] == (model._id, k)
+    if (not hot and model.load(k)) or (
+            h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
+            == _highs.HighsStatus.kError):
         return LPResult(_LP_STATUS[_MS.kModelError], None, None)
-    h.clearSolver()
+    if not hot:
+        h.clearSolver()
     run_failed = h.run() == _highs.HighsStatus.kError
     model_status = h.getModelStatus()
     if run_failed or model_status != _MS.kOptimal:
@@ -274,7 +327,8 @@ def solve_lp(model: LPModel, k: int, c) -> LPResult:
     solution = h.getSolution()
     x = np.array(solution.col_value)
     fun = h.getInfo().objective_function_value
-    slack = model.row_upper[k] - np.array(solution.row_value)
+    row_value = np.array(solution.row_value)
+    slack = model.row_upper[k] - (row_value[held[2]] if hot and len(held) > 2 else row_value)
     tol = _LP_CHECK_TOL
     feasible = not (
         np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
@@ -575,6 +629,44 @@ def dual_cone_model(ineq_rows: np.ndarray, eq_rows: np.ndarray) -> LPModel:
     K, _, n = ineq_rows.shape
     return LPModel(-ineq_rows, np.zeros(ineq_rows.shape[:2]), eq_rows,
                    np.zeros(eq_rows.shape[:2]), np.broadcast_to([-1.0, 1.0], (K, n, 2)))
+
+
+def cone_spans(ineq_rows: np.ndarray, eq_rows: np.ndarray) -> np.ndarray:
+    """Atoms of the ``(K, ., n)`` stacks certified to have ``cone(ineq_rows[k])
+    + span(eq_rows[k]) = R^n`` with room for the LP tolerance, so that the
+    scan of the ``dual_cone_model`` of the same stacks finds only ``z = 0``.
+
+    One stacked ``min_norm_point`` call over the rows scaled to unit length
+    measures the distance from each of the ``2n`` vectors ``+-e_i`` to that
+    cone.  An atom is certified when every distance is at most
+    ``0.5 / sqrt(n)``, no QP item failed its KKT check, and every item's
+    coefficients, read back in the given rows, have a mass ``M`` (the sum
+    of their magnitudes) of at most ``_SPAN_MASS``.
+
+    The distances prove the cone spans ``R^n`` (Davis' positive-spanning
+    theorem): a unit ``z`` in the dual cone has some ``|z_i| >= 1 /
+    sqrt(n)``, and the point ``v`` of the cone nearest ``s e_i``, with
+    ``s = -sign(z_i)``, would then give ``<z, v> <= -|z_i| + 0.5 / sqrt(n)
+    < 0``.  The mass bounds what the scan's LPs can accept: a ``z`` that
+    meets every row to the feasibility tolerance ``tau`` has ``|z|_inf <=
+    2 tau M``, while every nonzero vertex of the scan's LP has ``|z|_inf =
+    1``.  Near the boundary of the cone, where ``M`` grows as the inverse
+    of the origin's depth, the atom is left to the scan.
+    """
+    K, m, n = ineq_rows.shape
+    rows = np.concatenate([ineq_rows, eq_rows], axis=1)
+    norm = np.linalg.norm(rows, axis=2, keepdims=True)
+    unit = np.repeat(np.divide(rows, norm, out=np.zeros(rows.shape), where=norm > 0.0), 2 * n,
+                     axis=0)
+    # problem (k, j): the cone of atom k shifted by -(+-e_j)
+    signed = np.concatenate([np.eye(n), -np.eye(n)])
+    sol = min_norm_point(np.broadcast_to(-signed[:, None], (K, 2 * n, 1, n)).reshape(-1, 1, n),
+                         unit[:, :m], unit[:, m:])
+    scale = np.repeat(norm[:, :, 0], 2 * n, axis=0)
+    mass = np.divide(np.abs(sol.coeffs[:, 1:]), scale, out=np.zeros(scale.shape),
+                     where=scale > 0.0).sum(axis=1)
+    near = np.linalg.norm(sol.point, axis=1) <= 0.5 / np.sqrt(n)
+    return (near & ~sol.kkt_fail & (mass <= _SPAN_MASS)).reshape(K, 2 * n).all(axis=1)
 
 
 def nonzero_in_dual_cone(model: LPModel, k: int) -> Optional[np.ndarray]:

@@ -34,7 +34,7 @@ from .core import (
 from .errors import ShapeError, UnboundedError, _require
 from .linalg import _dot
 from .sets import ConvexSetRep, membership, ri_membership
-from .tolerances import ACTIVE_TOL, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
+from .tolerances import ACTIVE_TOL, BOX_BAND, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
 
 __all__ = [
     "MaxAffineFn",
@@ -143,9 +143,14 @@ class MaxAffineFn:
         return vals >= best - ACTIVE_TOL * (1.0 + np.abs(best))
 
 
+_MAX_NODES = 2 ** 24
+_TOO_MANY_NODES = f"a grid holds at most 2**24 = {_MAX_NODES} nodes"
+
+
 @dataclass(frozen=True)
 class Grid:
-    """A rectangular lattice, one finite (min, max, step) triple per dimension."""
+    """A rectangular lattice, one finite (min, max, step) triple per
+    dimension, of at most 2**24 nodes in all."""
 
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
@@ -161,12 +166,19 @@ class Grid:
             raise ShapeError("grids support one or two dimensions")
         if not np.isfinite(mins + maxs + steps).all():
             raise ShapeError("grid axes must be finite")
+        nodes = 1
         for lo, hi, st in zip(mins, maxs, steps):
             if st <= 0 or hi < lo:
                 raise ShapeError("grid axes need positive step and max >= min")
-            n = round((hi - lo) / st) + 1
+            span = (hi - lo) / st
+            if not span < _MAX_NODES:  # checked before round() meets an overflow
+                raise ShapeError(_TOO_MANY_NODES)
+            n = round(span) + 1
             if abs(lo + (n - 1) * st - hi) > 1e-9 * max(1.0, abs(hi), abs(lo)):
                 raise ShapeError("grid extent must be a whole number of steps")
+            nodes *= n
+        if nodes > _MAX_NODES:
+            raise ShapeError(_TOO_MANY_NODES)
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "steps", steps)
@@ -829,6 +841,14 @@ def argmin(
     unbounded (``UnboundedError``) are raised only after every atom is
     solved, so the mask names all of them; an LP that fails otherwise
     raises ``SolverError`` through ``per_atom`` in the same way.
+
+    The minimizer is unique on an atom when every axis of the bounding box
+    of its near-optimal face (``f <= v* + STRICT_TOL * max(1, |v*|)``) is
+    at most ``tol * max(1, |xstar[axis]|)`` wide.  The epigraph LP runs
+    cold, and the box's 2·d LPs run hot from its basis; a hot LP that is
+    not optimal is solved again cold, and so is the axis pair of a width
+    within ``BOX_BAND`` of its threshold, so every fault and every verdict
+    near its threshold is a cold solve's.
     """
     _check_space(f, c)
     if f.dim != c.dim:
@@ -855,22 +875,32 @@ def argmin(
             return c.points[k, 0], np.inf if res.status == 2 else -np.inf, False
         xstar = res.x[:d]
         vstar = float(res.fun)
-        # uniqueness: bounding box of the optimal face, a one-atom stack
-        # whose last row reads this atom's optimum
-        scale = max(1.0, abs(vstar))
-        face = LPModel(np.concatenate([lp.A_ub[k], c_obj[None]])[None],
-                       np.append(lp.b_ub[k], vstar + STRICT_TOL * scale)[None],
-                       lp.A_eq[k:k + 1], lp.b_eq[k:k + 1], lp.box[k:k + 1])
-        for axis in range(d):
+        # uniqueness: bounding box of the optimal face, the epigraph model
+        # cut by the row that reads this atom's optimum.  Only the box LPs'
+        # values are read, so they run hot from the optimum's basis; a hot
+        # LP that is not optimal, or a width within BOX_BAND of its
+        # threshold, is solved again cold, and the cold answer decides
+        face = lp.cut(k, c_obj, vstar + STRICT_TOL * max(1.0, abs(vstar)))
+
+        def width(axis: int, hot: bool) -> float:
             lohi = []
             for sign in (1.0, -1.0):
                 cc = np.zeros(lp.n)
                 cc[axis] = sign
-                r2 = expect(solve_lp(face, 0, cc), "unbounded")
-                if r2.status == 3:  # an unbounded optimal face
-                    return xstar, vstar, False
+                r2 = solve_lp(face, 0, cc, hot=hot)
+                if hot and r2.status:
+                    r2 = solve_lp(face, 0, cc)
+                if expect(r2, "unbounded").status == 3:  # an unbounded optimal face
+                    return np.inf
                 lohi.append(float(r2.fun * sign))
-            if abs(lohi[0] - lohi[1]) > tol * max(1.0, abs(xstar[axis])):
+            return abs(lohi[0] - lohi[1])
+
+        for axis in range(d):
+            limit = tol * max(1.0, abs(xstar[axis]))
+            w = width(axis, hot=True)
+            if abs(w - limit) <= BOX_BAND * limit:
+                w = width(axis, hot=False)
+            if w > limit:
                 return xstar, vstar, False
         return xstar, vstar, True
 

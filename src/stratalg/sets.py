@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._solvers import (
+    cone_spans,
     dual_cone_model,
     min_norm_point,
     nonzero_in_dual_cone,
@@ -390,7 +391,11 @@ def separate(
     Atoms where the requested separation cannot exist land in
     ``failure_set`` and carry a zero normal; in strong and weak
     separation a shortest vector no longer than ``zero_tol`` counts as
-    zero (proper separation reads no ``zero_tol``).  A dual-cone LP that
+    zero (proper separation reads no ``zero_tol``).  Where the origin
+    touches the difference (weak) or its affine hull (proper), the normal
+    comes from a scan of the dual cone, 2n LPs an atom; an atom whose
+    difference cone ``cone_spans`` certifies to span its space has only
+    ``0`` in the dual cone, and fails without an LP.  A dual-cone LP that
     fails raises ``SolverError`` through ``per_atom`` once every atom is
     solved.
     """
@@ -437,11 +442,17 @@ def separate(
     # when 0 is not relatively interior.  One cone model per frame size
     gens = np.concatenate([pts, rays], axis=1)
     if kind == "proper":
-        models = {n: dual_cone_model(np.matmul(gens, F[:, :n].swapaxes(1, 2)),
-                                     np.matmul(lines, F[:, :n].swapaxes(1, 2)))
-                  for n, _ in _strata(r[touch])}
-    elif touch.any():
-        r, models = np.full(K, dim), {dim: dual_cone_model(gens, lines)}
+        cones = {n: (np.matmul(gens, F[:, :n].swapaxes(1, 2)),
+                     np.matmul(lines, F[:, :n].swapaxes(1, 2))) for n, _ in _strata(r[touch])}
+    else:
+        r, cones = np.full(K, dim), {dim: (gens, lines)}
+    # a cone that spans its space leaves only z = 0 in its dual cone: such
+    # atoms fail without an LP, certified by one stacked QP per stratum
+    for n, (ineq, eq) in cones.items():
+        at = np.flatnonzero(touch & (r == n))
+        spans = at[cone_spans(ineq[at], eq[at])]
+        fail[spans], touch[spans] = True, False
+    models = {n: dual_cone_model(*cones[n]) for n, _ in _strata(r[touch])}
 
     def supporting(k):
         y = nonzero_in_dual_cone(models[r[k]], k)

@@ -30,6 +30,11 @@ QP_TOL = 1e-7
 # scaled by the magnitude of the operands.
 STRICT_TOL = 1e-9
 
+# Dimensionless band around argmin's uniqueness-box threshold, as a
+# fraction of it: a width from hot-started face LPs that lies this close
+# to its threshold is solved again cold, and the cold width decides.
+BOX_BAND = 0.01
+
 # Activity threshold for max-affine pieces relative to the attained value.
 ACTIVE_TOL = 1e-9
 

@@ -287,15 +287,15 @@ class TestCommands:
         (["conjugate", "--function", "absmax", "--mins=-1,-1", "--maxs", "1,1", "--steps", "2,2"],
          4),
         (["ri-test", "--point", "z", "--set", "box"], 1),
-        (["separate", "--first", "box", "--second", "seg", "--kind", "proper"], 4),
+        (["separate", "--first", "seg", "--second", "dot", "--kind", "proper"], 2),
     ], ids=["conjugate", "ri-test", "separate-proper"])
     def test_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch, argv, lps):
         # atom 0 makes its `lps` LPs first; every later LP is atom 1's
         real, calls = _solvers.solve_lp, []
 
-        def fail_on_atom_1(model, k, c):
+        def fail_on_atom_1(model, k, c, hot=False):
             calls.append(c)
-            return LPResult(4, None, None) if len(calls) > lps else real(model, k, c)
+            return LPResult(4, None, None) if len(calls) > lps else real(model, k, c, hot=hot)
 
         for mod in (_solvers, functions):
             monkeypatch.setattr(mod, "solve_lp", fail_on_atom_1)
@@ -304,6 +304,19 @@ class TestCommands:
         assert doc["error"]["kind"] == "SolverError"
         assert doc["error"]["atoms"] == [1]
         assert len(calls) == lps + 1
+
+    def test_separate_proper_certified_atoms_make_no_lp(self, scenario_path, monkeypatch):
+        # the origin is interior to box - seg on both atoms: the spanning
+        # certificate fails them with zero normals before any dual-cone LP
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(_solvers, "solve_lp", no_lp)
+        code, doc = run_json(["separate", scenario_path, "--first", "box", "--second", "seg",
+                              "--kind", "proper"])
+        assert code == 0
+        assert doc["sets"]["failure_set"] == [1, 1]
+        assert doc["vectors"]["Z"] == [[0, 0], [0, 0]]
 
     def test_fenchel_moreau(self, scenario_path):
         code, doc = run_json(["fenchel-moreau", scenario_path, "--function", "gabs"])
@@ -458,6 +471,17 @@ class TestCliFailureModes:
         code, doc = run_json(argv + [a for pair in grid.items() for a in pair])
         assert code == 1
         assert doc["error"] == {"kind": "ShapeError", "message": "grid axes must be finite"}
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-7"])
+    def test_dual_grid_over_the_node_cap(self, scenario_path, capsys, step):
+        # 1e-300 was a ValueError traceback, 1e-7 a 40 000 001-node dual grid
+        argv = ["conjugate", scenario_path, "--function", "gabs", "--mins", "-2", "--maxs", "2",
+                "--steps", step]
+        code, doc = run_json(argv)
+        assert code == 1
+        assert doc["error"] == {"kind": "ShapeError",
+                                "message": "a grid holds at most 2**24 = 16777216 nodes"}
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key, literal", [("mins", "NaN"), ("maxs", '"+inf"')])

@@ -217,6 +217,20 @@ class TestGrid:
         with pytest.raises(ShapeError, match="grid axes must be finite"):
             Grid(mins, maxs, steps)
 
+    @pytest.mark.parametrize("mins, maxs, steps", [
+        ((-2.0,), (2.0,), (1e-300,)),  # was built, then a ValueError traceback in axis()
+        ((-2.0,), (2.0,), (1e-7,)),  # was a 40 000 001-node grid
+        ((0.0,), (1e300,), (1e-300,)),  # (max - min) / step overflows to inf
+        ((0.0, 0.0), (4096.0, 4096.0), (1.0, 1.0)),  # 4097**2 nodes in all
+    ])
+    def test_node_cap(self, mins, maxs, steps):
+        with pytest.raises(ShapeError, match=r"at most 2\*\*24 = 16777216 nodes"):
+            Grid(mins, maxs, steps)
+
+    def test_the_cap_admits_2_to_the_24_nodes(self):
+        assert Grid((0.0, 0.0), (4095.0, 4095.0), (1.0, 1.0)).shape == (4096, 4096)
+        assert Grid((0.0,), (2.0 ** 24 - 1,), (1.0,)).shape == (2 ** 24,)
+
 
 class TestGridFn:
     def test_node_eval_is_exact(self, space2):
@@ -734,12 +748,13 @@ LP_FAULT_CASES = {
 }
 
 
-def run_with_lp_fault(monkeypatch, op, fault=None):
+def run_with_lp_fault(monkeypatch, op, fault=None, sticky=True):
     """Run ``op`` on four atoms; return the LPs each ``per_atom`` call
     made per atom, ``counts[j][k]``, and the error raised, if any.
 
     ``fault = (j, i, status)`` makes LP ``i`` of atoms 1 and 3 in the
-    ``j``-th ``per_atom`` call return ``status`` with no solution.
+    ``j``-th ``per_atom`` call, and every later LP of those atoms there
+    when ``sticky``, return ``status`` with no solution.
     """
     counts, at = [], {}
     real_lp, real_driver = functions.solve_lp, functions.per_atom
@@ -754,12 +769,13 @@ def run_with_lp_fault(monkeypatch, op, fault=None):
 
         return real_driver(atoms, tracked, what)
 
-    def solve_lp(model, atom, c):
+    def solve_lp(model, atom, c, hot=False):
         k, i = at["k"], counts[-1][at["k"]]
         counts[-1][k] += 1
-        if fault is not None and fault[:2] == (len(counts) - 1, i) and k in (1, 3):
+        if (fault is not None and fault[0] == len(counts) - 1 and k in (1, 3)
+                and (i == fault[1] or sticky and i > fault[1])):
             return LPResult(fault[2], None, None)
-        return real_lp(model, atom, c)
+        return real_lp(model, atom, c, hot=hot)
 
     for mod in (_solvers, sets, functions):
         monkeypatch.setattr(mod, "per_atom", driver)
@@ -779,9 +795,11 @@ def run_with_lp_fault(monkeypatch, op, fault=None):
 def test_lp_faults_name_every_atom(monkeypatch, case, status):
     # a limit or numerical status on atoms 1 and 3 raises one SolverError
     # naming both, after every atom is solved: atoms 0 and 2 make all
-    # their LPs, atoms 1 and 3 stop at the faulting one.  Status 3 on
-    # argmin's epigraph LP is a verdict, raised the same way.
+    # their LPs, atoms 1 and 3 stop at the faulting one, or at its cold
+    # re-solve when it was a hot optimal-face LP.  Status 3 on argmin's
+    # epigraph LP is a verdict, raised the same way.
     op, j, i = LP_FAULT_CASES[case]
+    stop = i + 1 + (case == "argmin-face")
     clean, err = run_with_lp_fault(monkeypatch, op)
     assert err is None and clean[j] == {k: clean[j][0] for k in range(4)} and clean[j][0] > i
     counts, err = run_with_lp_fault(monkeypatch, op, (j, i, status))
@@ -791,7 +809,19 @@ def test_lp_faults_name_every_atom(monkeypatch, case, status):
         outcome = {1: "limit", 4: "numerical"}[status]
         assert f"{outcome} on atom 1" in str(err) and f"{outcome} on atom 3" in str(err)
     assert len(counts) == j + 1
-    assert counts[j] == {0: clean[j][0], 1: i + 1, 2: clean[j][0], 3: i + 1}
+    assert counts[j] == {0: clean[j][0], 1: stop, 2: clean[j][0], 3: stop}
+
+
+@pytest.mark.parametrize("status", [1, 3, 4])
+def test_a_hot_face_lp_that_fails_is_solved_again_cold(monkeypatch, status):
+    # a non-optimal status on argmin's first hot optimal-face LP alone is
+    # answered by that cost's cold re-solve: no error is raised, and atoms
+    # 1 and 3 make one LP more
+    op, j, i = LP_FAULT_CASES["argmin-face"]
+    clean, _ = run_with_lp_fault(monkeypatch, op)
+    counts, err = run_with_lp_fault(monkeypatch, op, (j, i, status), sticky=False)
+    assert err is None
+    assert counts[j] == {0: clean[j][0], 1: clean[j][0] + 1, 2: clean[j][0], 3: clean[j][0] + 1}
 
 
 class TestInfConvolution:

@@ -38,6 +38,7 @@ from stratalg import (
 )
 from stratalg import _solvers, functions, sets
 from stratalg._solvers import (
+    cone_spans,
     dual_cone_model,
     min_norm_point,
     nonzero_in_dual_cone,
@@ -1095,3 +1096,60 @@ class TestMembershipByNearestPoint:
                     assert np.linalg.norm(gap) > cutoff[k]
                     changed += 1
         assert changed > 0 and close > 0
+
+
+class TestNoNormalCertificate:
+    """``cone_spans`` certifies the atoms of weak and proper separation whose
+    difference cone spans its space, so that the dual cone is ``{0}`` and
+    ``separate`` skips the dual-cone scan.  A certified atom's scan finds no
+    normal; touching pairs and planar differences are never certified."""
+
+    @staticmethod
+    def cones(rng, n, kind, depths):
+        """The weak-separation cone stacks ``([pts | rays], lines)`` of
+        ``C - D`` for ``D = C + (1 - depth) e_1``, rotated: ``C`` is the unit
+        cube with two inner points, so the origin lies in ``C - D`` at
+        ``depth`` from its boundary.  ``planar`` flattens both sets into a
+        hyperplane, and ``lines`` trades the cube's last axis for a line."""
+        K = len(depths)
+        space = MeasureSpace(np.ones(K))
+        cube = np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+        pts = np.concatenate([np.broadcast_to(cube, (K,) + cube.shape),
+                              rng.uniform(0.0, 1.0, (K, 2, n))], axis=1)
+        lines = np.zeros((K, 0, n))
+        if kind in ("planar", "lines"):
+            pts[:, :, -1] = 0.0
+        if kind == "lines":
+            lines = np.broadcast_to(np.eye(n)[-1], (K, 1, n))
+        q = np.linalg.qr(rng.normal(size=(K, n, n)))[0]
+        shift = (1.0 - np.asarray(depths))[:, None] * np.eye(n)[0]
+        c = ConvexSetRep(space, n, pts @ q, lines=lines @ q)
+        d = ConvexSetRep(space, n, (pts + shift[:, None]) @ q, lines=lines @ q)
+        diff_pts, rays, diff_lines = sets._difference(c, d)
+        return np.concatenate([diff_pts, rays], axis=1), diff_lines
+
+    @staticmethod
+    def normals(ineq, eq) -> list:
+        """The atoms on which the dual-cone scan finds a normal."""
+        model = dual_cone_model(ineq, eq)
+        return [k for k in range(len(ineq)) if nonzero_in_dual_cone(model, k) is not None]
+
+    def test_certified_atoms_have_no_normal(self):
+        # overlap depths 2^-j for j = 0..40, each stack at the scales 2^0
+        # and 2^+-30; the scan runs on every certified atom at its scale
+        rng = np.random.default_rng(91)
+        depths = 2.0 ** -np.arange(41)
+        certified = {0: 0, 30: 0, -30: 0}
+        for n in (2, 3, 4):
+            for kind in ("overlap", "lines", "touch", "planar"):
+                ineq, eq = self.cones(rng, n, kind, [0.0] if kind == "touch" else depths)
+                for e in certified:
+                    rows = ineq * 2.0 ** e, eq * 2.0 ** e
+                    k = np.flatnonzero(cone_spans(*rows))
+                    if kind in ("touch", "planar"):
+                        assert not k.size, (n, kind, e)
+                    assert self.normals(rows[0][k], rows[1][k]) == [], (n, kind, e)
+                    certified[e] += len(k)
+                    if e >= 0 and kind in ("overlap", "lines"):
+                        assert k[:1].tolist() == [0], (n, kind, e)  # the depth-1 overlap
+        assert min(certified[0], certified[30]) >= 24, certified

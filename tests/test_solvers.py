@@ -11,10 +11,13 @@ both for the result the call site got, from a model reused across costs
 and atoms, and for the cost solved alone on a new one-atom ``LPModel``.
 Every atom's model, loaded into one reused instance, equals field by
 field the HiGHS model built from that atom's LP alone.  On degenerate
-dual-cone and uniqueness-box families, where a warm re-run from the kept
-basis returns another vertex, every cost solved on a reused model must
-equal the bytes of a HiGHS instance built in the test that gets the cost
-with the atom's model, which only ``clearSolver`` gives.  The count of
+dual-cone families, where a warm re-run from the kept basis returns
+another vertex, every cost solved on a reused model must equal the bytes
+of a HiGHS instance built in the test that gets the cost with the atom's
+model, which only ``clearSolver`` gives.  argmin's uniqueness-box LPs run
+hot: they must match linprog's status and its ``fun`` to 1e-9 relative,
+give the verdicts of the cold-only loop (``ref_box_widths``), and solve a
+width within ``BOX_BAND`` of its threshold again cold.  The count of
 live HiGHS instances does not grow with the atom count.  Hand-made LPs
 cover the statuses and argument forms the call sites rarely reach.  A
 scipy release that changes the private HiGHS binding fails here.
@@ -88,6 +91,7 @@ from stratalg._solvers import (
     positivity_margin,
     solve_lp,
 )
+from stratalg.tolerances import QP_TOL, STRICT_TOL
 from stratalg.functions import (
     _conj_node_lp,
     _descent_recession,
@@ -163,16 +167,21 @@ def ref_highs_lp(n, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
 
 def assert_matches_linprog(lp: dict) -> int:
     """Solve ``lp`` on a new one-atom ``LPModel`` and compare with linprog;
-    a ``result`` recorded at the call site must match too."""
+    a ``result`` recorded at the call site must match too, bit for bit if
+    it was solved cold, and in status and in ``fun`` to 1e-9 relative if
+    it was solved hot."""
     lp = dict(lp)
+    hot = lp.pop("hot", False)
     results = [lp.pop("result")] if "result" in lp else []
     c = lp.pop("c")
     results.append(solve_lp(one_atom_model(len(c), **lp), 0, c))
     want = linprog(c, method="highs", options=LINPROG_OPTIONS, **lp)
-    for got in results:
+    for i, got in enumerate(results):
         assert got.status == want.status
         if want.x is None:
             assert got.x is None and got.fun is None
+        elif hot and i == 0:
+            assert abs(got.fun - want.fun) <= 1e-9 * max(1.0, abs(want.fun))
         else:
             assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
             assert got.x.tobytes() == want.x.tobytes()
@@ -205,17 +214,19 @@ REWRITE: dict | None = None
 def lps(monkeypatch, request):
     """Every LP the call sites solve during a test, as linprog keywords:
     the cost, its atom's constraints and bounds read from the model's
-    stacks (``linprog_form``), and the ``result`` the call site got, from
-    a model reused across costs and atoms.
+    stacks (``linprog_form``), the ``result`` the call site got, from a
+    model reused across costs and atoms, and whether it asked for a
+    ``hot`` solve.
 
     At teardown their digests must equal the test's entry in
     ``DIGESTS``, in the order the LPs were solved.
     """
     seen = []
 
-    def record(model, k, c):
+    def record(model, k, c, hot=False):
         seen.append({"c": np.array(c, dtype=float), **linprog_form(model, k)})
-        seen[-1]["result"] = solve_lp(model, k, c)
+        seen[-1]["result"] = solve_lp(model, k, c, hot=hot)
+        seen[-1]["hot"] = hot
         return seen[-1]["result"]
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
@@ -395,8 +406,8 @@ def solved_families(monkeypatch, call) -> list:
     costs and results in order."""
     families: dict = {}
 
-    def record(model, k, c):
-        res = solve_lp(model, k, c)
+    def record(model, k, c, hot=False):
+        res = solve_lp(model, k, c, hot=hot)
         families.setdefault((id(model), k), (model, k, []))[2].append(
             (np.array(c, dtype=float), res))
         return res
@@ -440,22 +451,70 @@ def dual_cone_family(seed):
     return lambda: nonzero_in_dual_cone(dual_cone_model(ineq[None], eq[None]), 0)
 
 
-def argmin_box_family(seed):
+def argmin_box_data(seed):
     # integer slopes, offsets and points: flat optimal faces with ties
     rng = np.random.default_rng([41, seed])
     K, d = 4, 2
     space = MeasureSpace(np.ones(K))
     f = MaxAffineFn(space, rng.integers(-1, 2, size=(K, 3, d)).astype(float),
                     rng.integers(-1, 2, size=(K, 3)).astype(float))
-    c = ConvexSetRep(space, d, rng.integers(-2, 3, size=(K, 5, d)).astype(float))
+    return f, ConvexSetRep(space, d, rng.integers(-2, 3, size=(K, 5, d)).astype(float))
+
+
+def argmin_box_family(seed):
+    f, c = argmin_box_data(seed)
     return lambda: argmin(f, c)
+
+
+def ref_box_widths(f, c) -> list:
+    """argmin's uniqueness box from the loop it ran before its box LPs went
+    hot: every atom's optimal face a one-atom model of its own, and every
+    LP cold.  Per atom, ``None`` without an optimum, else per axis the
+    width (``inf`` on an unbounded face) and ``|xstar[axis]|``."""
+    d = f.dim
+    lp = LPModel(*_epigraph_lp(f.slopes, f.offsets, [c] + ([] if f.domain is None else [f.domain])))
+    c_obj = np.zeros(lp.n)
+    c_obj[d] = 1.0
+    boxes = []
+    for k in range(len(lp.A_ub)):
+        res = solve_lp(lp, k, c_obj)
+        if res.status:
+            boxes.append(None)
+            continue
+        vstar = float(res.fun)
+        face = LPModel(np.concatenate([lp.A_ub[k], c_obj[None]])[None],
+                       np.append(lp.b_ub[k], vstar + STRICT_TOL * max(1.0, abs(vstar)))[None],
+                       lp.A_eq[k:k + 1], lp.b_eq[k:k + 1], lp.box[k:k + 1])
+        box = []
+        for axis in range(d):
+            ends = [solve_lp(face, 0, sign * np.eye(lp.n)[axis]) for sign in (1.0, -1.0)]
+            width = np.inf if any(r.status == 3 for r in ends) else abs(ends[0].fun + ends[1].fun)
+            box.append((width, abs(res.x[axis])))
+        boxes.append(box)
+    return boxes
+
+
+def ref_unique_set(f, c, tol=QP_TOL) -> list:
+    return [box is not None and all(w <= tol * max(1.0, x) for w, x in box)
+            for box in ref_box_widths(f, c)]
 
 
 @pytest.mark.parametrize("family", [dual_cone_family, argmin_box_family])
 def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch):
     # every cost solved on a reused model, the first one included, has the
     # bits of an instance that got the cost with the model, while a warm
-    # re-run from the kept basis gives another x on some LP
+    # re-run from the kept basis gives another x on some LP.  argmin's box
+    # LPs read only values and run hot, so there the verdicts must be the
+    # cold-only loop's
+    if family is argmin_box_family:
+        verdicts = []
+        for seed in range(10):
+            f, c = argmin_box_data(seed)
+            got = argmin(f, c).unique_set.mask.tolist()
+            assert got == ref_unique_set(f, c), seed
+            verdicts += got
+        assert 0 < sum(verdicts) < len(verdicts), verdicts
+        return
     solved = warm_moved = 0
     for seed in range(10):
         for model, k, runs in solved_families(monkeypatch, family(seed)):
@@ -472,6 +531,37 @@ def test_a_reused_model_runs_each_cost_from_a_cleared_solver(family, monkeypatch
             warm_moved += sum(res.x is not None and x.tobytes() != res.x.tobytes()
                               for x, (_, res) in zip(warm, runs))
     assert solved >= 60 and warm_moved >= 1, (solved, warm_moved)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_a_box_width_near_its_threshold_is_solved_again_cold(side, monkeypatch):
+    # seeded data, drawn once: tol puts the cold box width of atom 0's
+    # widest axis (relative to its threshold) 0.3% above (side -1) or below
+    # (side 1) the threshold, inside BOX_BAND, so that axis pair is solved
+    # again cold, and the verdicts are the cold-only loop's
+    rng = np.random.default_rng([43, 0])
+    K, d = 4, 2
+    space = MeasureSpace(np.ones(K))
+    f = MaxAffineFn(space, rng.normal(size=(K, 3, d)), rng.normal(size=(K, 3)))
+    c = vset(space, rng.normal(size=(K, 5, d)) * 2)
+    ratio = [w / max(1.0, x) for w, x in ref_box_widths(f, c)[0]]
+    axis = int(np.argmax(ratio))
+    assert 0.0 < ratio[axis] < np.inf
+    tol = ratio[axis] * (1.0 + side * 0.003)
+    events = []  # per LP: the atom's epigraph LP, or the axis of a cold box LP
+
+    def record(model, k, cost, hot=False):
+        if not hot:
+            events.append("epigraph" if cost[d] else int(np.flatnonzero(cost)[0]))
+        return solve_lp(model, k, cost, hot=hot)
+
+    monkeypatch.setattr(functions, "solve_lp", record)
+    got = argmin(f, c, tol=tol).unique_set.mask.tolist()
+    monkeypatch.undo()
+    assert got == ref_unique_set(f, c, tol)
+    assert got[0] == (side > 0)
+    atom0 = events[1:events.index("epigraph", 1)]
+    assert atom0.count(axis) == 2, events
 
 
 def lp_strata(reps: int) -> dict:
@@ -516,9 +606,9 @@ def test_each_atom_loads_its_per_atom_model(op, monkeypatch):
     # reused instance that loads the atoms forwards and back
     models = {}
 
-    def record(model, k, c):
+    def record(model, k, c, hot=False):
         models[id(model)] = model
-        return solve_lp(model, k, c)
+        return solve_lp(model, k, c, hot=hot)
 
     monkeypatch.setattr(_solvers, "solve_lp", record)
     monkeypatch.setattr(functions, "solve_lp", record)
