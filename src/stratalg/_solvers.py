@@ -38,8 +38,9 @@ Linear programs go to HiGHS one LP per call.  Kept from
 ``scipy.optimize.linprog(method="highs")``: the model handed to HiGHS,
 the options (presolve on, dual simplex, feasibility tolerances 1e-10),
 the mapping of HiGHS model statuses to linprog's 0-4 codes and the
-post-solve feasibility check.  Every LP therefore gives the same status
-and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
+post-solve feasibility check (``LP_FEAS_TOL`` and ``LP_CHECK_TOL``; every
+threshold here is a name of ``tolerances``).  Every LP therefore gives the
+same status and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
 linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
 Every LP family states its constraints once per stratum, as atom-first
@@ -99,7 +100,8 @@ import numpy as np
 
 from .core import _strata
 from .errors import SolverError
-from .tolerances import EQ_TOL, FEAS_TOL, row_scale
+from .tolerances import (DROP_TOL, EQ_TOL, FEAS_TOL, LP_CHECK_TOL, LP_FEAS_TOL, RANK_TOL,
+                         SPAN_MASS, SPAN_REACH, STRICT_TOL, TIE_TOL, row_scale)
 
 
 def _load_scipy_extension(name: str) -> ModuleType:
@@ -152,15 +154,6 @@ _LSTSQ = _pin_lstsq()
 # Penalty weight used to fold equality constraints into the NNLS pass.
 _PENALTY = 1e6
 _POLISH_ROUNDS = 60
-# A dual-cone objective value or candidate norm counts as nonzero above
-# _POS_TOL; candidate normals closer than _LEX_TOL in a coordinate tie.
-_POS_TOL = 1e-9
-_LEX_TOL = 1e-12
-# HiGHS's primal and dual feasibility tolerance
-_LP_FEAS_TOL = 1e-10
-# The largest coefficient mass of a spanning certificate (``cone_spans``):
-# the scan's LPs then accept no z with |z|_inf above 2e-4.
-_SPAN_MASS = 1e-4 / _LP_FEAS_TOL
 
 def _load_highs() -> None:
     """Load HiGHS once, and set the LP options and statuses.
@@ -178,8 +171,8 @@ def _load_highs() -> None:
     options = highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = _LP_FEAS_TOL
-    options.dual_feasibility_tolerance = _LP_FEAS_TOL
+    options.primal_feasibility_tolerance = LP_FEAS_TOL
+    options.dual_feasibility_tolerance = LP_FEAS_TOL
     options.output_flag = False
     options.log_to_console = False
     ms = highs.HighsModelStatus
@@ -188,8 +181,6 @@ def _load_highs() -> None:
     globals().update(_highs=highs, _LP_OPTIONS=options, _MS=ms, _LP_STATUS=status)
 
 
-# linprog's post-solve feasibility tolerance, sqrt(tol) * 10 at tol=1e-9.
-_LP_CHECK_TOL = np.sqrt(1e-9) * 10
 _OUTCOMES = ("ok", "limit", "infeasible", "unbounded", "numerical")  # by status
 _MODEL_IDS = itertools.count()  # tells apart the models that share a HiGHS instance
 
@@ -329,7 +320,7 @@ def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
     fun = h.getInfo().objective_function_value
     row_value = np.array(solution.row_value)
     slack = model.row_upper[k] - (row_value[held[2]] if hot and len(held) > 2 else row_value)
-    tol = _LP_CHECK_TOL
+    tol = LP_CHECK_TOL
     feasible = not (
         np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
         or not np.all((x >= model.box[k, :, 0] - tol) & (x <= model.box[k, :, 1] + tol))
@@ -448,7 +439,7 @@ def cone_least_squares(
     whose rounds end without a KKT point, on the round budget or an
     emptied support, keeps the last point a round polished without a
     drop, or the NNLS guess if no round did.  ``kkt_fail[k]`` is set unless the result is dual feasible and
-    ``|eq_mat[k] w - eq_rhs[k]|`` is at most ``1e-9 * max(1, |eq_rhs[k]|)``
+    ``|eq_mat[k] w - eq_rhs[k]|`` is at most ``FEAS_TOL * row_scale(eq_rhs)[k]``
     in the sup norm.
 
     The rounds run over the atoms still polishing, grouped by support
@@ -475,10 +466,10 @@ def cone_least_squares(
     w_split[gave_up] = 0.0
     on = np.ones((K, n), dtype=bool)
     on[:, :nonneg] = gave_up[:, None] | (
-        w_split[:, :nonneg] > 1e-9 * row_scale(w_split)[:, None])
+        w_split[:, :nonneg] > RANK_TOL * row_scale(w_split)[:, None])
 
-    opt_tol = 1e-9 * np.sum(gens * gens, axis=2).max(axis=1, initial=1.0)
-    eq_tol = 1e-9 * row_scale(eq_rhs)
+    opt_tol = FEAS_TOL * np.sum(gens * gens, axis=2).max(axis=1, initial=1.0)
+    eq_tol = FEAS_TOL * row_scale(eq_rhs)
     point, coeffs = np.zeros((K, d)), np.zeros((K, n))
     kkt_fail, found = np.ones(K, dtype=bool), np.zeros(K, dtype=bool)
     live = np.ones(K, dtype=bool)
@@ -503,9 +494,9 @@ def cone_least_squares(
             w = np.zeros((len(grp), n))
             np.put_along_axis(w, support, sol[:, :s], axis=1)
 
-            # the most negative coefficient is below -1e-11 when any is, so
-            # the first one attaining it is the first among the bad ones
-            drop = (w[:, :nonneg] < -1e-11).any(axis=1)
+            # the most negative coefficient is below -DROP_TOL when any is,
+            # so the first one attaining it is the first among the bad ones
+            drop = (w[:, :nonneg] < -DROP_TOL).any(axis=1)
             if drop.any():
                 k = grp[drop]
                 on[k, w[drop, :nonneg].argmin(axis=1)] = False
@@ -518,7 +509,7 @@ def cone_least_squares(
             sigma = (2.0 * np.matmul(G, z[:, :, None])[:, :, 0]
                      + np.matmul(E.swapaxes(1, 2), lam[:, :, None])[:, :, 0])
             entering = ~on[k, :nonneg] & (sigma[:, :nonneg] < -opt_tol[k, None])
-            c = np.where(np.abs(w) < 1e-15, 0.0, w)
+            c = np.where(np.abs(w) < TIE_TOL, 0.0, w)
             primal = np.abs(np.matmul(E, c[:, :, None])[:, :, 0] - eq_rhs[k])
             enters = entering.any(axis=1)
             point[k], coeffs[k], found[k] = z, c, True
@@ -639,19 +630,20 @@ def cone_spans(ineq_rows: np.ndarray, eq_rows: np.ndarray) -> np.ndarray:
     One stacked ``min_norm_point`` call over the rows scaled to unit length
     measures the distance from each of the ``2n`` vectors ``+-e_i`` to that
     cone.  An atom is certified when every distance is at most
-    ``0.5 / sqrt(n)``, no QP item failed its KKT check, and every item's
-    coefficients, read back in the given rows, have a mass ``M`` (the sum
-    of their magnitudes) of at most ``_SPAN_MASS``.
+    ``SPAN_REACH / sqrt(n)``, no QP item failed its KKT check, and every
+    item's coefficients, read back in the given rows, have a mass ``M``
+    (the sum of their magnitudes) of at most ``SPAN_MASS``.
 
     The distances prove the cone spans ``R^n`` (Davis' positive-spanning
     theorem): a unit ``z`` in the dual cone has some ``|z_i| >= 1 /
     sqrt(n)``, and the point ``v`` of the cone nearest ``s e_i``, with
-    ``s = -sign(z_i)``, would then give ``<z, v> <= -|z_i| + 0.5 / sqrt(n)
-    < 0``.  The mass bounds what the scan's LPs can accept: a ``z`` that
-    meets every row to the feasibility tolerance ``tau`` has ``|z|_inf <=
-    2 tau M``, while every nonzero vertex of the scan's LP has ``|z|_inf =
-    1``.  Near the boundary of the cone, where ``M`` grows as the inverse
-    of the origin's depth, the atom is left to the scan.
+    ``s = -sign(z_i)``, would then give ``<z, v> <= -|z_i| + SPAN_REACH /
+    sqrt(n) < 0`` (``SPAN_REACH`` is 0.5).  The mass bounds what the
+    scan's LPs can accept: a ``z`` that meets every row to the feasibility
+    tolerance ``tau`` has ``|z|_inf <= 2 tau M``, while every nonzero
+    vertex of the scan's LP has ``|z|_inf = 1``.  Near the boundary of the
+    cone, where ``M`` grows as the inverse of the origin's depth, the atom
+    is left to the scan.
     """
     K, m, n = ineq_rows.shape
     rows = np.concatenate([ineq_rows, eq_rows], axis=1)
@@ -665,8 +657,8 @@ def cone_spans(ineq_rows: np.ndarray, eq_rows: np.ndarray) -> np.ndarray:
     scale = np.repeat(norm[:, :, 0], 2 * n, axis=0)
     mass = np.divide(np.abs(sol.coeffs[:, 1:]), scale, out=np.zeros(scale.shape),
                      where=scale > 0.0).sum(axis=1)
-    near = np.linalg.norm(sol.point, axis=1) <= 0.5 / np.sqrt(n)
-    return (near & ~sol.kkt_fail & (mass <= _SPAN_MASS)).reshape(K, 2 * n).all(axis=1)
+    near = np.linalg.norm(sol.point, axis=1) <= SPAN_REACH / np.sqrt(n)
+    return (near & ~sol.kkt_fail & (mass <= SPAN_MASS)).reshape(K, 2 * n).all(axis=1)
 
 
 def nonzero_in_dual_cone(model: LPModel, k: int) -> Optional[np.ndarray]:
@@ -685,12 +677,12 @@ def nonzero_in_dual_cone(model: LPModel, k: int) -> Optional[np.ndarray]:
             c[axis] = -sign
             res = expect(solve_lp(model, k, c))
             nz = np.linalg.norm(res.x)
-            if -float(res.fun) > _POS_TOL and nz > _POS_TOL and (
+            if -float(res.fun) > STRICT_TOL and nz > STRICT_TOL and (
                     best is None or _lex_less(res.x / nz, best)):
                 best = res.x / nz
     return best
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    lt, gt = a < b - _LEX_TOL, a > b + _LEX_TOL
+    lt, gt = a < b - EQ_TOL, a > b + EQ_TOL
     return bool(lt[np.argmax(lt | gt)])  # at the first coordinate that differs

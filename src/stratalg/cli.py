@@ -15,8 +15,8 @@ A subcommand takes only the shared flags its handler reads: ``--tol``
 overrides the operation's documented tolerance, ``--seed 7`` drives the
 probe-based certificate audits.  ``--tol`` must be a finite number > 0
 (for ``ri-test``, > ``EQ_TOL`` = 1e-12), ``--seed`` an integer >= 0 and
-``--probes`` an integer >= 1; any other value, or a flag the subcommand
-does not take, is malformed (exit 1).
+``--probes`` an integer in [1, 2**16]; any other value, or a flag the
+subcommand does not take, is malformed (exit 1).
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ _TOL = _checked(float, lambda x: np.isfinite(x) and x > 0, "a finite number > 0"
 _RI_TOL = _checked(float, lambda x: np.isfinite(x) and x > EQ_TOL, f"a finite number > {EQ_TOL:g}")
 _SLACK = _checked(float, lambda x: np.isfinite(x) and x >= 0, "a finite number >= 0")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_COUNT = _checked(int, lambda n: 1 <= n <= 2**16, "an integer in [1, 2**16]")
 
 
 def _build_parser() -> argparse.ArgumentParser:

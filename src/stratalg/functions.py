@@ -34,7 +34,8 @@ from .core import (
 from .errors import ShapeError, UnboundedError, _require
 from .linalg import _dot
 from .sets import ConvexSetRep, membership, ri_membership
-from .tolerances import ACTIVE_TOL, BOX_BAND, EQ_TOL, FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
+from .tolerances import (ACTIVE_TOL, BOX_BAND, DESCENT_TOL, EQ_TOL, FEAS_TOL, NORM_FLOOR,
+                         QP_TOL, STRICT_TOL, row_scale)
 
 __all__ = [
     "MaxAffineFn",
@@ -59,8 +60,6 @@ __all__ = [
 ]
 
 _GROWTH_PROBES = 64  # seeded directions of bounded_subgradient's growth audit
-_GRAD_TOL = 1e-9  # scaled spread of active slopes that still makes one gradient
-_MINORANT_TOL = 1e-9  # scaled slack of fenchel_moreau_check's f >= f** test
 _U = 2.0 ** -53  # unit roundoff of float64
 _BLOCK = 2**16  # nodes, windows or padded terms per block of the fold
 
@@ -174,7 +173,7 @@ class Grid:
             if not span < _MAX_NODES:  # checked before round() meets an overflow
                 raise ShapeError(_TOO_MANY_NODES)
             n = round(span) + 1
-            if abs(lo + (n - 1) * st - hi) > 1e-9 * max(1.0, abs(hi), abs(lo)):
+            if abs(lo + (n - 1) * st - hi) > FEAS_TOL * max(1.0, abs(hi), abs(lo)):
                 raise ShapeError("grid extent must be a whole number of steps")
             nodes *= n
         if nodes > _MAX_NODES:
@@ -210,7 +209,7 @@ class Grid:
         for lo, st, n in zip(self.mins, self.steps, self.shape):
             q = -lo / st
             qi = round(q)
-            if abs(q - qi) > 1e-9 or not 0 <= qi < n:
+            if abs(q - qi) > FEAS_TOL or not 0 <= qi < n:
                 raise ShapeError("grid must contain the origin as a node")
             offs.append(int(qi))
         return tuple(offs)
@@ -254,7 +253,8 @@ class GridFn:
             raise ShapeError("point dimension does not match the grid")
         n = np.array(g.shape)
         t = (x.values - g.mins) / g.steps
-        _require({"evaluation point off the grid": ((t < -1e-9) | (t > n - 1 + 1e-9)).any(axis=1)})
+        off = (t < -FEAS_TOL) | (t > n - 1 + FEAS_TOL)
+        _require({"evaluation point off the grid": off.any(axis=1)})
         t = np.minimum(np.maximum(t, 0.0), n - 1)
         i0 = np.maximum(np.minimum(np.floor(t).astype(np.int64), n - 2), 0)
         frac = (t - i0)[:, None]
@@ -584,15 +584,16 @@ def _row_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.where(both, a, 0.0) - np.where(both, b, 0.0)).max(axis=1)
 
 
-def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
+def default_dual_grid(f: GridFn) -> Grid:
     """Symmetric dual grid wide enough and fine enough for ``f``.
 
     The half-width covers every finite slope of the node data plus one.
-    Unless ``nodes`` overrides it, the dual step targets
-    ``primal_step / width`` so that pulling a conjugate back through this
-    grid stays within twice the primal step of the exact envelope (the
-    biconjugation error is at most dual step times domain width).  A
-    grid of more than 40 001 nodes raises ``ShapeError``: pass one.
+    The dual step targets ``primal_step / width`` so that pulling a
+    conjugate back through this grid stays within twice the primal step of
+    the exact envelope (the biconjugation error is at most dual step times
+    domain width).  A grid of more than 40 001 nodes raises
+    ``ShapeError``: pass one to ``fenchel_moreau_check`` or
+    ``infconv_checks``.
     """
     if f.grid.ndim != 1:
         raise ShapeError("default dual grids are derived for 1-d functions")
@@ -601,17 +602,11 @@ def default_dual_grid(f: GridFn, nodes: int = 0) -> Grid:
     slopes = np.abs((v[i + 1] - v[i]) / (x[i + 1] - x[i]))  # i + 1 is next in i's row
     slope = max(1.0, float(slopes.max())) if slopes.size else 1.0
     bound = float(np.ceil(slope)) + 1.0
-    if nodes:
-        if nodes < 2:
-            raise ShapeError(f"a dual grid needs at least 2 nodes, not {nodes}")
-        n = nodes
-    else:
-        width = max(1.0, f.grid.maxs[0] - f.grid.mins[0])
-        target = f.grid.steps[0] / width
-        n = 2 * int(np.ceil(bound / target)) + 1
-        if n > 40001:
-            raise ShapeError(f"the default dual grid needs {n} nodes to keep its "
-                             "error bound, more than 40001; pass a dual grid")
+    width = max(1.0, f.grid.maxs[0] - f.grid.mins[0])
+    n = 2 * int(np.ceil(bound / (f.grid.steps[0] / width))) + 1
+    if n > 40001:
+        raise ShapeError(f"the default dual grid needs {n} nodes to keep its "
+                         "error bound, more than 40001; pass a dual grid")
     step = 2.0 * bound / (n - 1)
     return Grid((-bound,), (bound,), (step,))
 
@@ -637,7 +632,7 @@ def fenchel_moreau_check(f: GridFn, dual_grid: Optional[Grid] = None) -> Fenchel
     same = np.all(np.isfinite(a) == np.isfinite(env), axis=1)
     dev = np.where(same, _row_gap(a, env), np.inf)
     # at a +inf node of f the bound is +inf and always holds
-    minor = np.all(a <= fv + _MINORANT_TOL * row_scale(fv)[:, None], axis=1)
+    minor = np.all(a <= fv + FEAS_TOL * row_scale(fv)[:, None], axis=1)
     s1, s3 = fstar.values, fsss.values
     sb = np.isfinite(s1) & np.isfinite(s3)
     idem = np.all(np.isfinite(s1) == np.isfinite(s3), axis=1) & (
@@ -704,9 +699,9 @@ def subdifferential(f: MaxAffineFn, x0: CondVector) -> SubdifferentialRep:
 
 def _probe_directions(seed: int, count: int, dim: int) -> np.ndarray:
     """``count`` seeded unit directions of ``R^dim``, one a row: normal draws
-    divided by their norm, floored at 1e-12."""
+    divided by their norm, floored at ``NORM_FLOOR``."""
     rows = np.random.default_rng(seed).standard_normal((count, dim))
-    return rows / np.maximum(1e-12, np.linalg.norm(rows, axis=1, keepdims=True))
+    return rows / np.maximum(NORM_FLOOR, np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 def bounded_subgradient(
@@ -798,8 +793,8 @@ def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableS
     """Atoms where ``f`` is differentiable at ``x0``, with the gradient.
 
     Differentiability holds exactly where the subdifferential collapses
-    to a single slope (up to ``_GRAD_TOL``); with a domain present the
-    point must also be interior there.  The gradient rows are zero off
+    to a single slope (up to ``FEAS_TOL``, scaled); with a domain present
+    the point must also be interior there.  The gradient rows are zero off
     the returned set.
     """
     _check_space(f, x0)
@@ -808,7 +803,7 @@ def differentiability_check(f: MaxAffineFn, x0: CondVector) -> tuple[MeasurableS
     # the first active slope, and the largest entry and spread of the active ones
     first = f.slopes[np.arange(f.space.natoms), active.argmax(axis=1)]
     spread = np.where(on, np.abs(f.slopes - first[:, None]), 0.0).max(axis=(1, 2))
-    ok = spread <= _GRAD_TOL * row_scale(np.where(on, f.slopes, 0.0))
+    ok = spread <= FEAS_TOL * row_scale(np.where(on, f.slopes, 0.0))
     ok &= _interior_at(f, x0, "interior")
     grad = np.where(ok[:, None], first, 0.0)
     return MeasurableSet(f.space, ok), CondVector(f.space, grad)
@@ -926,7 +921,7 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
     """
     def cone(rep: ConvexSetRep, k: int) -> np.ndarray:
         gens = np.vstack([rep.rays[k], rep.lines[k], -rep.lines[k]])
-        return gens[np.linalg.norm(gens, axis=1) > 1e-12]
+        return gens[np.linalg.norm(gens, axis=1) > NORM_FLOOR]
 
     def solve(k):
         # a one-atom stack: the cone filter keeps another row count per atom
@@ -947,7 +942,7 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
                 cc = np.zeros(n + m)
                 cc[:n] = -sign * gens[:, axis]
                 w = gens.T @ expect(solve_lp(model, 0, cc)).x[:n]
-                if sign * w[axis] > 1e-7:
+                if sign * w[axis] > DESCENT_TOL:
                     return w / max(1.0, np.linalg.norm(w))
         return None
 
@@ -975,13 +970,13 @@ class InfConvResult:
     output_convexity_defect: CondScalar
 
     def parts_at(self, node_index: int) -> list[CondVector]:
-        g = self.value
-        xs = g.grid.nodes()
-        out = []
-        for idx in self.split_indices:
-            rows = xs[idx[:, node_index]]
-            out.append(CondVector(g.space, rows))
-        return out
+        """The parts of result node ``node_index``'s minimizing splitting;
+        an atom whose result is ``+inf`` there has none, and the call
+        raises ``PreconditionError`` naming every such atom."""
+        g, xs = self.value, self.value.grid.nodes()
+        _require({"the convolution is +inf at this node, so it has no splitting":
+                      g.values[:, node_index] == np.inf})
+        return [CondVector(g.space, xs[idx[:, node_index]]) for idx in self.split_indices]
 
 
 def _midpoint_defect(V: np.ndarray) -> np.ndarray:
@@ -1133,8 +1128,8 @@ def infconv_checks(
         ilo, ihi = np.maximum(ilo, lo), np.minimum(ihi, hi)
     # one slope step of slack around the discretized intervals; a
     # nonempty intersection of the parts' intervals must fit inside
-    outside = (np.isfinite(ilo) & (ilo < glo - slack - 1e-9)) | (
-        np.isfinite(ihi) & (ihi > ghi + slack + 1e-9)
+    outside = (np.isfinite(ilo) & (ilo < glo - slack - FEAS_TOL)) | (
+        np.isfinite(ihi) & (ihi > ghi + slack + FEAS_TOL)
     )
     sub_ok = ~np.any(live & (ilo <= ihi) & outside, axis=1)
 

@@ -39,10 +39,6 @@ __all__ = [
     "hyperplane_normal_form",
 ]
 
-# Entries smaller than this (relative to the row scale) do not count as
-# the leading coordinate when fixing signs.
-_SIGN_TOL = 1e-9
-
 
 # Row-wise dot products of two (n, d) stacks.  The stacked matmul gives the
 # bits of the per-row a[i] @ b[i]; (a * b).sum(1) and einsum round otherwise.
@@ -84,12 +80,12 @@ def _grow_frames(
 
 
 def _canonical_signs(rows: np.ndarray) -> np.ndarray:
-    """Flip each row whose leading entry above ``_SIGN_TOL * max(1, max|row|)`` is <= 0."""
+    """Flip each row whose leading entry above ``RANK_TOL * max(1, max|row|)`` is <= 0."""
     if not rows.size:
         return rows
     a = np.abs(rows)
     top = a.max(axis=-1, keepdims=True)
-    hit = a > _SIGN_TOL * np.where(top > 1.0, top, 1.0)
+    hit = a > RANK_TOL * np.where(top > 1.0, top, 1.0)
     lead = np.take_along_axis(rows, hit.argmax(axis=-1)[..., None], axis=-1)
     return np.where(hit.any(axis=-1, keepdims=True) & ~(lead > 0), -rows, rows)
 
@@ -301,7 +297,7 @@ def extend_linear(
     low = frame.labels[:, None] <= np.arange(len(images))
     _require({"map is unspecified on submodule directions": frame.labels > len(images),
               "images given for complement directions":
-                  (low & (np.linalg.norm(C, axis=2) > _SIGN_TOL)).any(axis=1)})
+                  (low & (np.linalg.norm(C, axis=2) > RANK_TOL)).any(axis=1)})
 
     mats = np.zeros((K, m, d))
     for i in range(len(images)):

@@ -43,7 +43,7 @@ from .core import (
 )
 from .errors import ShapeError, _require
 from .linalg import _canonical_signs, _dot, _grow_frames
-from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, row_scale
+from .tolerances import EQ_TOL, FEAS_TOL, QP_TOL, RANK_TOL, STRICT_TOL, TIE_TOL, row_scale
 
 __all__ = [
     "ConvexSetRep",
@@ -255,7 +255,7 @@ def nearest_pair(
     itself is pinned down by the deterministic active-set solve.  Against
     a discrete set, one stacked QP covers every atom and discrete point
     ``q``; an atom keeps the first ``q`` whose distance no later one beats
-    by more than 1e-15.
+    by more than ``TIE_TOL``.
     """
     _check_space(c, d)
     if c.dim != d.dim:
@@ -277,7 +277,7 @@ def nearest_pair(
         dist = np.sqrt(_dot(z, z)).reshape(K, J)
         atoms, best = np.arange(K), np.zeros(K, dtype=np.int64)
         for j in range(1, J):
-            best[dist[:, j] < dist[atoms, best] - 1e-15] = j
+            best[dist[:, j] < dist[atoms, best] - TIE_TOL] = j
         q = disc.points[atoms, best]
         p = q + z.reshape(K, J, c.dim)[atoms, best]
         xs, ys = (q, p) if c.discrete else (p, q)

@@ -1,46 +1,63 @@
-"""Default numeric tolerances, shared across the package.
+"""The package's one table of numeric thresholds.
 
-All comparisons between floating point quantities go through these
-constants unless a caller overrides them per call.  Equality of scalars
-and vector entries is absolute but scaled by the magnitude of the
-operands, so integer-valued data compares exactly.
-
-A per-atom tolerance is ``TOL * row_scale(...)``: the constant times the
-largest finite magnitude among the atom's own entries, floored at 1.
-Above 1 the tolerance grows with the data, as a relative one would; the
-floor keeps it absolute for data of magnitude below 1, so entries near
-zero still get a nonzero tolerance.
+Every threshold is a name below; no other module writes a float literal
+between 0 and 1, and every name is read (``test_space_contract`` pins
+both).  Thresholds of one value and one kind of comparison share a name.
+Each comment states the decision and the scale: ``x row_scale`` of the
+named data (``row_scale`` below), ``x max(1, |x|)`` of a quantity formed
+at the site, absolute (unit vectors, grid step units, raw magnitudes) or
+dimensionless.  Public ops take a per-call override where they say so.
 """
 
 import math
 
 import numpy as np
 
-# Scaled absolute tolerance for equality of floats.
+# Equality slack, x row_scale of the operands (eq_set, sequence bounds,
+# the f* = f*** test, the margin LP's target); absolute in the dual-cone
+# scan's tie between unit normals.
 EQ_TOL = 1e-12
-
-# Residual threshold deciding linear independence: a candidate row is
-# accepted when its residual norm exceeds RANK_TOL * max(1, row norm).
+# Vanishing row: a residual no longer is dependent, x max(1, row norm)
+# (rank), x max(1, max|row|) (sign fix), x row_scale (affine hulls, the
+# QP polish's support); absolute on normals, images and rays.
 RANK_TOL = 1e-9
-
-# Distance tolerance for quadratic (nearest point) subproblems.
+# A nearest-point distance that counts as zero: absolute in separation,
+# x row_scale in extensions and subgradient bounds, x max(1, |x_i|) in
+# argmin's box.
 QP_TOL = 1e-7
-
-# Margin below which a strict inequality is considered violated,
-# scaled by the magnitude of the operands.
+# Strict margin a value must exceed: x row_scale (support values, growth
+# floors), x max(1, |v*|) (argmin's face); absolute on unit-box LPs and on
+# ri margins.
 STRICT_TOL = 1e-9
-
-# Dimensionless band around argmin's uniqueness-box threshold, as a
-# fraction of it: a width from hot-started face LPs that lies this close
-# to its threshold is solved again cold, and the cold width decides.
+# Dimensionless band, a fraction of argmin's box threshold: a hot width
+# this close to it is solved again cold.
 BOX_BAND = 0.01
-
-# Activity threshold for max-affine pieces relative to the attained value.
+# A max-affine piece is active within it of the max, x (1 + |max|).
 ACTIVE_TOL = 1e-9
-
-# Feasibility slack allowed on linear equality constraints fed to the
-# per-scenario LP/QP subproblems.
+# Feasibility slack, x row_scale (sets, QP equality rows, minorant and
+# gradient tests), x max(1, max |g|^2) (the polish's dual test), x max(1,
+# |hi|, |lo|) (a grid's extent); absolute in grid step and slope units and
+# on offsets and points that must vanish.
 FEAS_TOL = 1e-9
+# HiGHS's primal and dual feasibility tolerance, absolute.
+LP_FEAS_TOL = 1e-10
+# linprog's post-solve check, sqrt(tol) * 10 at tol=1e-9, absolute.
+LP_CHECK_TOL = np.sqrt(1e-9) * 10
+# Dimensionless, cone_spans: the largest certificate mass (the scan's LPs
+# then accept no z with |z|_inf above 2e-4), and the reach / sqrt(n) that
+# bounds each distance from a unit vector.
+SPAN_MASS = 1e-4 / LP_FEAS_TOL
+SPAN_REACH = 0.5
+# Absolute: the QP polish drops a coefficient below -DROP_TOL.
+DROP_TOL = 1e-11
+# Absolute tie: a smaller QP coefficient is zero, and a nearest_pair
+# distance must beat the best by more.
+TIE_TOL = 1e-15
+# Absolute length floor: recession generators must exceed it, and probe
+# norms are raised to it.
+NORM_FLOOR = 1e-12
+# Absolute: a recession witness must move its coordinate by more.
+DESCENT_TOL = 1e-7
 
 
 def row_scale(*arrays) -> np.ndarray:

@@ -519,6 +519,7 @@ class TestCliFailureModes:
             ("--seed", "1.5"),
             ("--probes", "-1"),  # crashed in numpy
             ("--probes", "0"),
+            ("--probes", "65537"),  # drew a (count, d) array before any work
             ("--slack", "nan"),  # crashed in numpy
             ("--slack", "inf"),
             ("--slack", "-1"),

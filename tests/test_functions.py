@@ -387,17 +387,6 @@ class TestDefaultDualGrid:
             default_dual_grid(f)
         with pytest.raises(ShapeError):
             fenchel_moreau_check(f)
-        assert default_dual_grid(f, nodes=101).shape == (101,)
-
-    def test_a_dual_grid_needs_two_nodes(self, space2):
-        # nodes=1 used to divide by zero in the step; nodes=0 derives the grid
-        g = Grid((-1.0,), (1.0,), (0.5,))
-        f = grid_fn(space2, g, g.axis(0) ** 2)
-        for nodes in (1, -3):
-            with pytest.raises(ShapeError, match="at least 2 nodes"):
-                default_dual_grid(f, nodes=nodes)
-        assert default_dual_grid(f, nodes=2).shape == (2,)
-        assert default_dual_grid(f, nodes=0) == default_dual_grid(f)
 
 
 class TestFenchelMoreau:
@@ -852,6 +841,20 @@ class TestInfConvolution:
             want, _ = oracles.brute_infconv(vals1[k], vals2[k], q)
             assert np.array_equal(res.value.values[k], want)
 
+    def test_parts_at_a_plus_inf_node_names_its_atoms(self, space2):
+        # x^2 on |x| <= 0.75 squares to +inf past |x| = 1.5; parts_at(16)
+        # raised IndexError (a split index 24 on 17 nodes), and parts_at(0)
+        # returned the parts -2 and 0 of a node whose value is +inf
+        g = Grid((-2.0,), (2.0,), (0.25,))
+        xs = g.axis(0)
+        f = GridFn(space2, g, np.array([np.where(np.abs(xs) <= 0.75, xs**2, np.inf), xs**2]))
+        res = inf_convolution([f, f])
+        for node in (0, 16):
+            with pytest.raises(PreconditionError, match=r"\+inf at this node.*\(atoms \[0\]\)"):
+                res.parts_at(node)
+        parts = res.parts_at(8)
+        assert np.array_equal(parts[0].values + parts[1].values, np.zeros((2, 1)))
+
     def test_splitting_reconstructs_value(self, rng):
         space = MeasureSpace(np.ones(1))
         g = self.grid()
@@ -1260,7 +1263,7 @@ class TestStackedGridKernels:
         g = Grid((0.0,), (4.0,), (1.0,))
         f = GridFn(space2, g, np.array([[0.0, 1.0, np.inf, 13.0, 12.0],
                                         [np.inf, 0.0, 2.0, np.inf, np.inf]]))
-        assert default_dual_grid(f, nodes=5).maxs == (7.0,)
+        assert default_dual_grid(f).maxs == (7.0,)
 
 
 def ref_legendre(xs, V, ys):

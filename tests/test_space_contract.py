@@ -6,8 +6,9 @@ Each argument in turn is built on another space, the same atom count
 with other weights and one atom fewer, while the others stay; the op
 must raise ``SpaceMismatchError``.  An op with one conditional argument
 has no second space to compare, so only its locality is tested.
-A per-atom precondition raises through ``errors._require`` alone, and
-the CLI converts no result to lists: ``io`` writes each one.
+A per-atom precondition raises through ``errors._require`` alone, every
+threshold is a name of ``tolerances``, and the CLI converts no result to
+lists: ``io`` writes each one.
 """
 
 import ast
@@ -93,6 +94,25 @@ def test_only_errors_require_builds_a_precondition_error():
                    and getattr(node.func, "id", getattr(node.func, "attr", None))
                    == "PreconditionError")
     assert [site[:2] for site in sites] == [("errors.py", "_require")], sites
+
+
+def test_every_threshold_is_a_named_entry_of_the_tolerance_table():
+    # a threshold states its decision and scale once, in tolerances.py, so
+    # no other module writes a float literal in (0, 1), and every name in
+    # the table is read somewhere in the package; each site is (module, line, value)
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(stratalg.__file__).parent.glob("*.py")}
+    table = trees.pop("tolerances.py")
+    bare = sorted((name, node.lineno, node.value) for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < abs(node.value) < 1)
+    assert not bare, bare
+    names = {target.id for node in table.body if isinstance(node, ast.Assign)
+             for target in node.targets}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert names - read == set()
 
 
 def test_cli_leaves_the_document_layout_to_io():
