@@ -11,6 +11,14 @@ failure (including nonempty failure sets under ``--strict``).
 ``run``: it writes the document whole and ends the process without
 teardown, and a reader that leaves early makes the exit nonzero.
 
+A command computes each distinct atom once: it runs on the quotient of
+the scenario by the blocks of atoms that agree in every entry its flag
+values reach (``io.Scenario.quotient``), and the document places each
+block's rows at every atom of the block.  Every op is local to its atom,
+so this gives the rows of the run on all atoms bit for bit; certificates
+count the document's atoms.  A run on the quotient that raises runs again
+on all atoms, so an error document names the document's atoms.
+
 A subcommand takes only the shared flags its handler reads: ``--tol``
 overrides the operation's documented tolerance, ``--seed 7`` drives the
 probe-based certificate audits.  ``--tol`` must be a finite number > 0
@@ -87,7 +95,7 @@ def _result(scn: Scenario, certificates: dict, **sections) -> dict:
     """A result document: the scenario's header, the named result objects
     by section (``vectors``, ``sets``, ``scalars``, ``integers``,
     ``functions``) and the certificates; ``emit_document`` writes each."""
-    return {"weights": scn.space.weights, "d": scn.d, "vectors": {}, "sets": {}, "scalars": {},
+    return {"weights": scn.weights, "d": scn.d, "vectors": {}, "sets": {}, "scalars": {},
             "integers": {}, **sections, "certificates": certificates}
 
 
@@ -99,7 +107,8 @@ def _cmd_basis(scn: Scenario, args) -> tuple[dict, bool]:
     gens = [scn.vector(n) for n in args.generators]
     basis = linalg.rank_partition(gens, rank_tol=args.tol or RANK_TOL)
     vectors = {f"X_{i + 1}": v for i, v in enumerate(basis.vectors)}
-    certificates = {"generator_count": len(gens), "top_rank": basis.top_rank, "picks": basis.picks}
+    certificates = {"generator_count": len(gens), "top_rank": basis.top_rank,
+                    "picks": scn.atom_columns(basis.picks)}
     return _result(scn, certificates, vectors=vectors, integers={"labels": basis.labels}), False
 
 
@@ -135,7 +144,7 @@ def _cmd_separate(scn: Scenario, args) -> tuple[dict, bool]:
         zero_tol=args.tol or QP_TOL,
     )
     scalars = {"gap": res.gap, "distance": res.distance, "strict_excess": res.strict_excess}
-    failures = int(res.failure_set.mask.sum())
+    failures = scn.atom_count(res.failure_set)
     doc = _result(scn, {"kind": args.kind, "failure_atom_count": failures},
                   vectors={"Z": res.normal}, sets={"failure_set": res.failure_set},
                   scalars={name: v for name, v in scalars.items() if v is not None})
@@ -251,7 +260,7 @@ def _cmd_cauchy(scn: Scenario, args) -> tuple[dict, bool]:
     seq = scn.sequence(args.sequence)
     schedule = [scn.scalar(n) for n in args.eps]
     r = cauchy_limit(seq, schedule)
-    doc = _result(scn, {"passing_atom_count": int(r.cauchy_on.mask.sum())},
+    doc = _result(scn, {"passing_atom_count": scn.atom_count(r.cauchy_on)},
                   sets={"cauchy_on": r.cauchy_on}, vectors={"limit": r.limit},
                   integers={f"cut_{j + 1}": cut for j, cut in enumerate(r.cuts)},
                   scalars={f"tail_diameter_{j + 1}": dia
@@ -263,7 +272,7 @@ def _cmd_bounded_test(scn: Scenario, args) -> tuple[dict, bool]:
     bounded_on, witness = sets.bounded_test(
         scn.convex_set(args.set), rank_tol=args.tol or RANK_TOL
     )
-    unbounded = int((~bounded_on.mask).sum())
+    unbounded = scn.atom_count(~bounded_on)
     doc = _result(scn, {"unbounded_atom_count": unbounded}, sets={"bounded_on": bounded_on},
                   vectors={"witness": witness})
     return doc, unbounded > 0
@@ -276,7 +285,7 @@ def _cmd_ri_test(scn: Scenario, args) -> tuple[dict, bool]:
         mode=args.mode,
         strict_tol=args.tol or STRICT_TOL,
     )
-    certificates = {"mode": args.mode, "member_atom_count": int(ms.mask.sum())}
+    certificates = {"mode": args.mode, "member_atom_count": scn.atom_count(ms)}
     return _result(scn, certificates, sets={"member_set": ms}), not ms.is_full
 
 
@@ -398,12 +407,36 @@ def _execute(argv) -> tuple[str, int]:
         return "", 0 if exc.code in (0, None) else 1
     try:
         scn = build_scenario(load_document(args.scenario))
-        doc, failed = args.handler(scn, args)
+        out = _on_blocks(scn, args)
+        if out is None:
+            doc, failed = args.handler(scn, args)
+            out = emit_document(doc), failed
     except AtomSetError as exc:
         return emit_document(_error_doc(exc)), 2
     except (ParseError, StratalgError) as exc:
         return emit_document(_error_doc(exc)), 1
-    return emit_document(doc), 2 if failed and getattr(args, "strict", False) else 0
+    text, failed = out
+    return text, 2 if failed and getattr(args, "strict", False) else 0
+
+
+def _on_blocks(scn: Scenario, args) -> tuple[str, bool] | None:
+    """The command's document and failed check, computed on one atom per
+    block of atoms that agree in every entry a flag value reaches; None
+    where no two atoms agree or the run raises, and the caller runs on all
+    atoms."""
+    # every flag value that is a string: a superset of the names it reads
+    names = [n for key, value in vars(args).items() if key != "scenario"
+             for n in (value if isinstance(value, list) else [value])]
+    try:
+        quo = scn.quotient(names)
+        if quo is None:
+            return None
+        doc, failed = args.handler(quo, args)
+        return emit_document(doc, quo.atoms), failed
+    except Exception:
+        # whatever raised here raises again on all atoms, where an error
+        # document names the document's atoms in that run's words
+        return None
 
 
 def main(argv=None) -> int:

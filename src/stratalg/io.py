@@ -16,10 +16,20 @@ array of values, a ``MeasurableSet`` as its K 0/1 array and a ``GridFn``
 as the grid record that ``functions`` reads.  Grid axes must be finite.
 
 A command pays for what it names.  ``load_document`` checks the
-document's structure and records where each value starts, without
-decoding the sections' entries.  ``build_scenario`` checks the header and
-the section types.  An entry is decoded, checked and built when it is
-first accessed, with the entries it names, and then cached.
+document's structure and records where each value starts and ends,
+without decoding the sections' entries.  ``build_scenario`` checks the
+header and the section types.  An entry is decoded, checked and built
+when it is first accessed, with the entries it names, and then cached.
+
+Atoms that carry the same text in every per-atom entry a command reads
+get the same rows: every op is local to its atom, so the rows of atom
+``k`` depend on atom ``k``'s data alone.  ``Scenario.quotient`` groups the
+atoms into blocks of such atoms and builds the scenario on one atom per
+block, reading only its representatives' rows; ``emit_document`` writes
+each block's rows once and places them at every atom of the block.  The
+weights stay out of the blocks: they never enter a result.  Neither
+``load_document`` nor ``build_scenario`` does any of this work; a run on
+the quotient that raises is run again on all atoms by ``cli``.
 """
 
 from __future__ import annotations
@@ -105,11 +115,19 @@ class Document(Mapping):
 
     An object value of the top level is itself a ``Document``, so a
     section's entries are located without decoding any of them.  Every
-    read decodes again; ``Scenario`` caches what it builds.
+    read decodes again; ``Scenario`` caches what it builds.  ``span(key)``
+    is where a skipped value starts and ends, and ``text(key)`` its text,
+    found without a second scan.
     """
 
-    def __init__(self, text: str, starts: dict):
-        self._text, self._starts = text, starts
+    def __init__(self, text: str, starts: dict, ends: dict):
+        self._text, self._starts, self._ends = text, starts, ends
+
+    def span(self, key) -> tuple[int, int]:
+        return self._starts[key], self._ends[key]
+
+    def text(self, key) -> str:
+        return self._text[self._starts[key]:self._ends[key]]
 
     def __getitem__(self, key):
         start = self._starts[key]
@@ -134,10 +152,10 @@ def _index(text: str, pos: int, nest: bool) -> tuple[Document, int]:
     """
     if not text.startswith("{", pos):
         raise ValueError("expected an object")
-    starts = {}
+    starts, ends = {}, {}
     pos = _WS.match(text, pos + 1).end()
     if text.startswith("}", pos):
-        return Document(text, starts), pos + 1
+        return Document(text, starts, ends), pos + 1
     while True:
         if not text.startswith('"', pos):
             raise ValueError("expected a key")
@@ -151,10 +169,10 @@ def _index(text: str, pos: int, nest: bool) -> tuple[Document, int]:
         else:
             found = _SKIP.match(text, pos)
             starts[key] = pos
-            pos = found.end() if found else _DECODER.raw_decode(text, pos)[1]
+            pos = ends[key] = found.end() if found else _DECODER.raw_decode(text, pos)[1]
         pos = _WS.match(text, pos).end()
         if text.startswith("}", pos):
-            return Document(text, starts), pos + 1
+            return Document(text, starts, ends), pos + 1
         if not text.startswith(",", pos):
             raise ValueError("expected ',' or '}'")
         pos = _WS.match(text, pos + 1).end()
@@ -234,6 +252,10 @@ class Scenario:
     An entry is checked as it is built, and a convex set, function or
     sequence resolves the entries it names through the same accessors, so
     a malformed or dangling entry fails the commands that read it.
+
+    ``weights`` are the document's weights.  ``atoms`` is None, or for a
+    quotient (see ``quotient``) the block of each atom of the document:
+    ``space`` then has one atom per block.
     """
 
     def __init__(self, doc: Mapping):
@@ -246,6 +268,7 @@ class Scenario:
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ParseError("'d' must be a positive integer")
         self.space = MeasureSpace(weights)
+        self.weights, self.atoms = self.space.weights, None
         self.d = d
         self._entries = {}
         for section in _SECTIONS:
@@ -291,6 +314,137 @@ class Scenario:
 
     def sequence(self, name: str) -> CondSequence:
         return self._get("sequences", name)
+
+    def atom_count(self, s: MeasurableSet) -> int:
+        """The number of the document's atoms in ``s``."""
+        return int(s.mask.sum() if self.atoms is None else s.mask[self.atoms].sum())
+
+    def atom_columns(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one column per atom, with one column per atom of the document."""
+        return a if self.atoms is None else a[:, self.atoms]
+
+    def quotient(self, names) -> Scenario | None:
+        """This scenario on one atom per block of atoms that agree in every
+        entry ``names`` reaches; None where no two atoms agree.
+
+        The entries reached are those of any section named by one of
+        ``names``, and then those named by a string anywhere in a convex
+        set, function or sequence reached, but for a grid's ``values``.
+        Two atoms agree when their texts are the same in every vector,
+        set and scalar reached and in every grid's ``values``.  The
+        quotient holds the entries reached, each with one row per block;
+        an entry it does not hold is unknown to it.  Its ``weights`` are
+        the document's, and ``atoms`` the block of each of its atoms.
+
+        Every op is local to its atom, so a result row depends on the
+        atom's own data alone: the rows of a block's atom are the rows
+        of each of its atoms.  None also where the document was not
+        indexed or an entry reached is not in a layout that
+        ``_atom_texts`` splits: then each atom is its own block.
+        """
+        natoms = self.space.natoms
+        todo = [(section, name) for name in names if isinstance(name, str) for section in _SECTIONS]
+        # (section, name) -> the entry's text; where its per-atom values
+        # stand in it; their atoms' texts
+        reached, spans, split = {}, {}, {}
+        while todo:
+            key = section, name = todo.pop()
+            entries = self._entries[section]
+            if key in reached or name not in entries:
+                continue
+            if not isinstance(entries, Document):
+                return None
+            reached[key] = text = entries.text(name)
+            if section in _PER_ATOM_SECTIONS:
+                spans[key] = 0, len(text)
+            else:  # a record: follow the strings in it, but for grid values
+                try:
+                    if text.startswith("{"):
+                        rec = _index(text, 0, False)[0]
+                        named = [rec[k] for k in rec if k != "values"]
+                        if "values" in rec:
+                            spans[key] = rec.span("values")
+                    else:  # a sequence's name list
+                        named = _decode(text)
+                except ValueError:  # a broken record, which its builder reports
+                    return None
+                todo += [(s, n) for n in _strings(named) for s in _SECTIONS]
+            if key in spans:
+                split[key] = _atom_texts(text[slice(*spans[key])], natoms)
+                if split[key] is None:
+                    return None
+        blocks = {}
+        atoms = np.array([blocks.setdefault(texts, len(blocks))
+                          for texts in zip(*(texts for _, texts in split.values()))])
+        if len(blocks) in (0, natoms):
+            return None
+        reps = np.empty(len(blocks), dtype=int)
+        reps[atoms[::-1]] = np.arange(natoms)[::-1]  # each block's first atom
+        sections = {section: {} for section in _SECTIONS}
+        for key, text in reached.items():
+            if key in split:
+                rows, texts = split[key]
+                start, end = spans[key]
+                text = text[:start] + _joined(rows, [texts[r] for r in reps], "") + text[end:]
+            sections[key[0]][key[1]] = text
+        quo = Scenario({"weights": self.weights[reps].tolist(), "d": self.d,
+                        **{section: _section(texts) for section, texts in sections.items()}})
+        quo.weights, quo.atoms = self.weights, atoms
+        return quo
+
+
+_PER_ATOM_SECTIONS = ("vectors", "sets", "scalars")
+_ROW_SEP = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
+_SEP = re.compile(r",[ \t\n\r]*")
+
+
+def _atom_texts(text: str, natoms: int) -> tuple[bool, list] | None:
+    """Whether the array ``text`` holds rows, and the text of each of its
+    ``natoms`` entries, a row's without its brackets; None for any other
+    layout.
+
+    The layouts split are an array of literals and an array of arrays of
+    literals, with one separator throughout.  No bracket stands inside a
+    text, and no comma inside a literal's, so an array joined from some of
+    the texts decodes to one entry per text only where each text is its
+    whole entry: a builder's shape check refuses any other."""
+    rows = text.startswith("[[")
+    depth, brackets = (2, natoms + 1) if rows else (1, 1)
+    if not (text.startswith("[") and text.endswith("]" * depth)
+            and text.count("[") == brackets == text.count("]")):
+        return None
+    body = text[depth:-depth]
+    sep = (_ROW_SEP if rows else _SEP).search(body)
+    texts = body.split(sep.group()) if sep else [body]
+    if len(texts) != natoms or not (rows or body.count(",") == natoms - 1):
+        return None
+    return rows, texts
+
+
+def _joined(rows: bool, texts: list, space: str) -> str:
+    """The array of ``texts``, as ``_atom_texts`` splits it."""
+    if rows:
+        return "[[" + f"],{space}[".join(texts) + "]]"
+    return "[" + f",{space}".join(texts) + "]"
+
+
+def _strings(value):
+    """Every string in a decoded JSON value."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _strings(v)
+
+
+def _section(texts: dict) -> Document:
+    """A section of value texts, one after another."""
+    starts, ends, pos = {}, {}, 0
+    for key, text in texts.items():
+        starts[key] = pos
+        pos = ends[key] = pos + len(text)
+        pos += 1
+    return Document(" ".join(texts.values()), starts, ends)
 
 
 def build_scenario(doc: Mapping) -> Scenario:
@@ -468,7 +622,7 @@ def _emit(v, indent: int) -> str:
     if isinstance(v, (float, np.floating)):
         return _fmt("%.17g", (float(v),))
     if isinstance(v, str):
-        return json.dumps(v)
+        return v if isinstance(v, _Text) else json.dumps(v)
     if v is None:
         return "null"
     if isinstance(v, Mapping):  # a Document
@@ -478,13 +632,48 @@ def _emit(v, indent: int) -> str:
     if isinstance(v, MeasurableSet):
         return _emit(v.mask.astype(int), indent)
     if isinstance(v, GridFn):
-        g = v.grid
-        return _emit({"type": "grid", "mins": g.mins, "maxs": g.maxs, "steps": g.steps,
-                      "values": v.values}, indent)
+        return _emit(_grid_record(v), indent)
     raise TypeError(f"cannot emit {type(v).__name__}")
 
 
-def emit_document(doc: dict) -> str:
+def _grid_record(f: GridFn) -> dict:
+    g = f.grid
+    return {"type": "grid", "mins": g.mins, "maxs": g.maxs, "steps": g.steps, "values": f.values}
+
+
+class _Text(str):
+    """Text that ``_emit`` writes as it stands."""
+
+
+def _placed(v, atoms: np.ndarray, nblocks: int) -> _Text:
+    """The per-atom value ``v`` of one row per block, with each block's row
+    at every atom of the block."""
+    text = _emit(v, 0)
+    split = _atom_texts(text, nblocks)
+    if split is None:  # rows of rows: emitting is byte-stable under re-reading
+        rows = _decode(text)
+        return _Text(_emit([rows[b] for b in atoms], 0))
+    rows, texts = split
+    return _Text(_joined(rows, [texts[b] for b in atoms], " "))
+
+
+def emit_document(doc: dict, atoms: np.ndarray | None = None) -> str:
     """Render a document deterministically: sorted keys, 17-digit floats,
-    library objects in the layout their readers read."""
+    library objects in the layout their readers read.
+
+    With ``atoms``, the block of each atom, every per-atom entry (of
+    ``vectors``, ``sets``, ``scalars`` and ``integers``, and a grid's
+    ``values``) holds one row per block: each block's rows are written
+    once and placed at every atom of the block."""
+    if atoms is not None:
+        nblocks = int(atoms.max()) + 1
+        doc = dict(doc)
+        for section in (*_PER_ATOM_SECTIONS, "integers"):
+            if section in doc:
+                doc[section] = {name: _placed(v, atoms, nblocks)
+                                for name, v in doc[section].items()}
+        if "functions" in doc:
+            doc["functions"] = {
+                name: {**_grid_record(f), "values": _placed(f.values, atoms, nblocks)}
+                if isinstance(f, GridFn) else f for name, f in doc["functions"].items()}
     return _emit(doc, 0) + "\n"

@@ -5,6 +5,10 @@ perturbing or permuting the other atoms leaves it bit-identical, and the
 one-atom run on atom ``k`` gives the same row.  Every error names
 exactly the atoms whose one-atom run fails.  The grid ops' locality
 tests are ``test_functions.TestGridAtomLocality``.
+
+Batch invariance: on a stack whose atoms repeat, every op gives each
+copy its source atom's rows and names every copy of a failing atom.  The
+CLI's run on one atom per block of identical atoms rests on it.
 """
 
 import numpy as np
@@ -18,6 +22,8 @@ from ops import (
     draw_sets,
     drawn_by,
     error_atoms,
+    run,
+    same_bits,
     take,
 )
 
@@ -62,3 +68,36 @@ def test_errors_name_the_atoms_broken_on_purpose(op):
     # every failing builder of this draw breaks the atoms with v > 0
     for data in failing_draws(OPS[op]):
         assert error_atoms(OPS[op], data) == (data["v"] > 0).tolist(), op
+
+
+def repeats(entry, data):
+    """``data``'s atoms, each one to three times, shuffled, with fresh
+    weights; and the source atom of each."""
+    rng = np.random.default_rng(entry.seed + 200)
+    K = len(data["w"])
+    src = rng.permutation(np.repeat(np.arange(K), rng.integers(1, 4, K)))
+    out = take(data, src)
+    out["w"] = rng.uniform(0.5, 2.0, len(src))
+    return out, src
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_repeated_atoms_repeat_rows(op):
+    entry = OPS[op]
+    data = entry.draw(np.random.default_rng(entry.seed), entry.K)
+    rep, src = repeats(entry, data)
+    base = run(entry, data)
+    got = run(entry, rep)
+    assert got.keys() == base.keys()
+    for name, rows in got.items():
+        assert same_bits(rows, np.asarray(base[name])[src]), name
+
+
+@pytest.mark.parametrize("op", [name for name, op in OPS.items() if op.failing])
+def test_repeated_atoms_repeat_error_masks(op):
+    entry = OPS[op]
+    for data in failing_draws(entry):
+        rep, src = repeats(entry, data)
+        verdicts = error_atoms(entry, data)
+        want = None if verdicts is None else np.asarray(verdicts)[src].tolist()
+        assert error_atoms(entry, rep) == want, op

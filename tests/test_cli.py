@@ -289,8 +289,15 @@ class TestCommands:
         (["ri-test", "--point", "z", "--set", "box"], 1),
         (["separate", "--first", "seg", "--second", "dot", "--kind", "proper"], 2),
     ], ids=["conjugate", "ri-test", "separate-proper"])
-    def test_lp_failure_exits_2_with_atoms(self, scenario_path, monkeypatch, argv, lps):
-        # atom 0 makes its `lps` LPs first; every later LP is atom 1's
+    def test_lp_failure_exits_2_with_atoms(self, tmp_path, monkeypatch, argv, lps):
+        # atom 1 is atom 0 scaled by 2, so the two atoms are not one block
+        # and each makes its own LPs: atom 0 makes its `lps` LPs first, and
+        # every later LP is atom 1's
+        doc = scenario_doc()
+        doc["vectors"] = {name: [a, [2.0 * x for x in b]]
+                          for name, (a, b) in doc["vectors"].items()}
+        scenario_path = tmp_path / "scaled.json"
+        scenario_path.write_text(emit_document(doc))
         real, calls = _solvers.solve_lp, []
 
         def fail_on_atom_1(model, k, c, hot=False):
@@ -299,7 +306,7 @@ class TestCommands:
 
         for mod in (_solvers, functions):
             monkeypatch.setattr(mod, "solve_lp", fail_on_atom_1)
-        code, doc = run_json([argv[0], scenario_path, *argv[1:]])
+        code, doc = run_json([argv[0], str(scenario_path), *argv[1:]])
         assert code == 2
         assert doc["error"]["kind"] == "SolverError"
         assert doc["error"]["atoms"] == [1]

@@ -11,12 +11,17 @@ documents:
   output field;
 - gluing two scenarios on the same atoms, atom ``k`` from the first
   where a mask holds and from the second elsewhere, gives the atom-wise
-  glue of the two outputs.
+  glue of the two outputs;
+- repeating atoms repeats rows: each atom of a scenario taken one to
+  three times, shuffled, with fresh weights, gives every copy its source
+  atom's rows, and the command runs once per block of copies.
 
 Rows are compared as their JSON text, so ``-0.0`` against ``0.0``
 counts.  Certificates that aggregate rows (counts, maxima, top ranks)
 must equal the aggregate of the rows of their own document.  An
-atom-localized error must name exactly the glue of the failing atoms.
+atom-localized error must name exactly the glue of the failing atoms, and
+on repeated atoms every copy of a failing atom, as the run on all atoms
+names them.
 
 ``default_dual_grid`` is shared across atoms by design: its width comes
 from the steepest slope over all atoms.  So ``fenchel-moreau`` is given
@@ -31,6 +36,10 @@ import pytest
 
 from test_acceptance import CLI_SUITE
 from test_cli import num, run_cli
+
+from stratalg import _solvers, cli, functions
+from stratalg._solvers import LPResult
+from stratalg.io import Scenario
 
 K = 8
 XS = np.arange(-2.0, 2.001, 0.5)  # the nodes of "gabs"
@@ -343,3 +352,106 @@ def test_glued_errors_name_the_glued_atoms(command, tmp_path):
     assert b["error"]["atoms"] == [1, 4, 5]
     assert g["error"]["atoms"] == [1, 2, 3, 5, 6]
     assert a["error"]["kind"] == b["error"]["kind"] == g["error"]["kind"]
+
+
+def repeated(rng, doc):
+    """``doc``'s atoms, each one to three times, shuffled, with fresh
+    weights; and the source atom of each."""
+    src = rng.permutation(np.repeat(np.arange(K), rng.integers(1, 4, K)))
+    out = atomwise(lambda rows: [rows[j] for j in src], doc)
+    out["weights"] = rng.uniform(0.5, 2.0, len(src)).tolist()
+    return out, src
+
+
+def copies(src, atoms):
+    """Every copy of the source atoms ``atoms``."""
+    return np.flatnonzero(np.isin(src, atoms)).tolist()
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """The ``atoms`` argument of every ``emit_document`` call of the CLI."""
+    calls, emit = [], cli.emit_document
+
+    def recorded(doc, atoms=None):
+        calls.append(atoms)
+        return emit(doc, atoms)
+
+    monkeypatch.setattr(cli, "emit_document", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("i", range(len(COMMANDS)), ids=IDS)
+def test_repeated_atoms_repeat_rows(i, tmp_path, placed):
+    cmd, rng = COMMANDS[i], np.random.default_rng(4000 + i)
+    doc = scenario(rng, rng.uniform(0.5, 2.0, K), big=True)
+    rep, src = repeated(rng, doc)
+    code, base = run(tmp_path, cmd, doc, "distinct")
+    code_r, out = run(tmp_path, cmd, rep, "repeated")
+    assert code == code_r == 0, (base, out)
+    # the distinct atoms run as they are; the copies once per block
+    assert len(placed) == 2 and placed[0] is None
+    blocks = placed[1]
+    assert [blocks[j] == blocks[k] for j in range(len(src)) for k in range(len(src))] == [
+        src[j] == src[k] for j in range(len(src)) for k in range(len(src))]
+    check_certificates(out)
+    assert fixed_part(out) == fixed_part(base)
+    want = {key: [rows[j] for j in src] for key, rows in atom_rows(base).items()}
+    want["weights", ""] = [json.dumps(w) for w in rep["weights"]]
+    assert atom_rows(out) == want
+
+
+def run_text(tmp_path, cmd, doc, tag):
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run_cli([cmd[0], str(path), *cmd[1:]])
+
+
+def assert_as_on_all_atoms(tmp_path, monkeypatch, cmd, doc, atoms):
+    """The command, begun on blocks of copies, gives the document and
+    exit code of its run on all atoms, an error that names ``atoms``."""
+    quotients, quotient = [], Scenario.quotient
+
+    def recorded(self, names):
+        quotients.append(quotient(self, names))
+        return quotients[-1]
+
+    monkeypatch.setattr(Scenario, "quotient", recorded)
+    code, text = run_text(tmp_path, cmd, doc, "blocks")
+    assert quotients[0] is not None
+    monkeypatch.setattr(Scenario, "quotient", lambda self, names: None)
+    assert (code, text) == run_text(tmp_path, cmd, doc, "all")
+    assert code == 2
+    assert json.loads(text)["error"]["atoms"] == atoms
+
+
+@pytest.mark.parametrize("command", list(FAILURES))
+def test_repeated_errors_name_every_copy(command, tmp_path, monkeypatch):
+    cmd = next(c for c in COMMANDS if c[0] == command)
+    rng = np.random.default_rng(5000 + IDS.index(command))
+    doc = scenario(rng, rng.uniform(0.5, 2.0, K))
+    for k in (2, 3, 6):
+        FAILURES[command][0](doc, k)
+    rep, src = repeated(rng, doc)
+    assert_as_on_all_atoms(tmp_path, monkeypatch, cmd, rep, copies(src, [2, 3, 6]))
+
+
+@pytest.mark.parametrize("command", ["argmin", "ri-test"])
+def test_repeated_lp_faults_name_every_copy(command, tmp_path, monkeypatch):
+    # an LP fails where its constraints hold the first coordinate of the
+    # box vertex b1 of atom 2 or 5, as on a solver fault that the data
+    # of those atoms cause
+    cmd = next(c for c in COMMANDS if c[0] == command)
+    rng = np.random.default_rng(6000 + IDS.index(command))
+    doc = scenario(rng, rng.uniform(0.5, 2.0, K))
+    marks = [abs(doc["vectors"]["b1"][k][0]) for k in (2, 5)]
+    real = _solvers.solve_lp
+
+    def faulty(model, k, c, hot=False):
+        data = np.abs(np.concatenate([model.A_ub[k].ravel(), model.A_eq[k].ravel()]))
+        return LPResult(4, None, None) if np.isin(marks, data).any() else real(model, k, c, hot=hot)
+
+    for mod in (_solvers, functions):
+        monkeypatch.setattr(mod, "solve_lp", faulty)
+    rep, src = repeated(rng, doc)
+    assert_as_on_all_atoms(tmp_path, monkeypatch, cmd, rep, copies(src, [2, 5]))

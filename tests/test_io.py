@@ -632,3 +632,110 @@ def test_every_workload_scenario_reads_as_the_reference(tmp_path):
         want = ref_read(text)
         assert want[0] == "ok", name
         assert new_read(text, tmp_path) == want, name
+
+
+# -- the quotient scenario and the placed emission --------------------------------
+
+
+def repeat_atoms(doc, src, weights):
+    """``doc`` with atom ``j`` the source atom ``src[j]``."""
+    out = json.loads(json.dumps(doc))
+    out["weights"] = weights
+    for section in ("vectors", "sets", "scalars"):
+        out[section] = {n: [rows[j] for j in src] for n, rows in doc[section].items()}
+    for rec in out["functions"].values():
+        if rec["type"] == "grid":
+            rec["values"] = [rec["values"][j] for j in src]
+    return out
+
+
+def every_name(doc):
+    return [n for s in SECTIONS for n in doc[s]]
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_quotient_builds_the_first_atom_of_each_block(layout, tmp_path):
+    # the two atoms of scenario_doc differ in x0 and A; four copies of them
+    doc = scenario_doc()
+    text = LAYOUTS[layout](repeat_atoms(doc, [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0]))
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    quo = build_scenario(load_document(str(path))).quotient(every_name(doc))
+    if layout in ("indent-2", "tabs-and-crlf", "spaced"):  # rows over several lines
+        assert quo is None
+        return
+    assert quo.atoms.tolist() == [0, 1, 1, 0]
+    assert quo.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+    # the quotient's entries are those of the first two atoms, weights included
+    want = ref_read(emit_document(doc))
+    assert new_read(emit_document(doc), tmp_path) == want
+    assert ("ok", fingerprint((quo.space, quo.d)),
+            {key: fingerprint(quo._get(*key)) for key in want[2]}) == want
+
+
+def test_quotient_holds_only_the_entries_reached(tmp_path):
+    # the two atoms of scenario_doc differ in x0 and A alone
+    path = tmp_path / "doc.json"
+    path.write_text(emit_document(scenario_doc()), encoding="utf-8")
+    scn = build_scenario(load_document(str(path)))
+    quo = scn.quotient(["argmin", "absmax", "box", None, 3])
+    assert quo.atoms.tolist() == [0, 0]
+    for key in [("functions", "absmax"), ("convex_sets", "box"), ("vectors", "e1"),
+                ("vectors", "b4"), ("scalars", "zero")]:
+        quo._get(*key)
+    for key in [("vectors", "x0"), ("vectors", "far"), ("functions", "gabs"), ("sets", "A")]:
+        with pytest.raises(ParseError, match="unknown"):
+            quo._get(*key)
+    assert scn.quotient(["absmax", "x0"]) is None
+
+
+@pytest.mark.parametrize("edit", [
+    # a bracket inside a string, rows of rows, a comma inside a scalar's
+    # text and a record whose structure breaks inside it
+    ('"e1": [[1, 0], [1, 0], [1, 0], [1, 0]]', '"e1": [["[", 0], ["[", 0], ["[", 0], ["[", 0]]'),
+    ('"e1": [[1, 0], [1, 0], [1, 0], [1, 0]]',
+     '"e1": [[[1], [0]], [[1], [0]], [[1], [0]], [[1], [0]]]'),
+    ('"zero": [0, 0, 0, 0]', '"zero": [0, 1,2, 0, 1,2]'),
+    ('"type": "max_affine"', '"type" "max_affine"'),
+], ids=["bracket", "rows-of-rows", "comma", "broken-record"])
+def test_quotient_declines_layouts_it_does_not_split(edit, tmp_path):
+    path = tmp_path / "doc.json"
+    text = emit_document(repeat_atoms(scenario_doc(), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0]))
+    path.write_text(text, encoding="utf-8")
+    assert build_scenario(load_document(str(path))).quotient(["absmax"]) is not None
+    assert edit[0] in text
+    path.write_text(text.replace(*edit), encoding="utf-8")
+    assert build_scenario(load_document(str(path))).quotient(["absmax"]) is None
+
+
+def test_quotient_of_an_unindexed_document():
+    doc = scenario_doc()
+    assert build_scenario(doc).quotient(every_name(doc)) is None
+
+
+def test_emit_places_each_block_row_at_its_atoms():
+    # three blocks on five atoms; a grid on two axes has rows of rows
+    rng = np.random.default_rng(7)
+    space, full = MeasureSpace([1.0, 2.0, 3.0]), MeasureSpace(np.ones(5))
+    atoms = np.array([2, 0, 0, 1, 2])
+    grids = [Grid((0.0, 0.0), (1.0, 1.0), (1.0, 0.5)), Grid((0.0,), (1.0,), (0.5,))]
+    fs = {f"g{i}": GridFn(space, g, rng.normal(size=(3, *g.shape))) for i, g in enumerate(grids)}
+    v, x = rng.normal(size=(3, 2)), np.array([0.5, -0.0, np.inf])
+    mask, n = np.array([1, 0, 1]), np.array([3, -1, 0])
+    doc = {
+        "weights": np.arange(1.0, 6.0), "d": 2, "certificates": {"count": 4},
+        "vectors": {"v": CondVector(space, v), "empty": np.zeros((3, 0))},
+        "sets": {"s": MeasurableSet(space, mask.astype(bool))},
+        "scalars": {"x": x},
+        "integers": {"n": n},
+        "functions": fs,
+    }
+    want = {
+        **doc,
+        "vectors": {"v": v[atoms], "empty": np.zeros((5, 0))},
+        "sets": {"s": mask[atoms]},
+        "scalars": {"x": x[atoms]},
+        "integers": {"n": n[atoms]},
+        "functions": {name: GridFn(full, f.grid, f.values[atoms]) for name, f in fs.items()},
+    }
+    assert emit_document(doc, atoms) == emit_document(want)
