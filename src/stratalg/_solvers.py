@@ -1,38 +1,33 @@
 """Polyhedral subproblem solvers: per-atom LPs and one stacked QP.
 
 Everything here is classical finite-dimensional numerics; no conditional
-structure enters.  The quadratic solver is a nonnegative least squares
-pass (Lawson-Hanson, an exact active-set method) followed by a KKT polish
-on the identified support, so solutions of the small nearest-point
-problems are accurate to linear-solve roundoff and fully deterministic.
-It takes a stack of atoms that share one problem shape: one call solves a
-whole stratum, with the bits that each atom gets when solved alone.
+structure enters.  The quadratic solver is one algorithm, a primal active
+set started from a feasible point (Wolfe's, for the nearest point of a
+polytope), whose rounds solve the KKT system on the support exactly, so
+solutions of the small nearest-point problems are accurate to
+linear-solve roundoff and fully deterministic.  It takes a stack of atoms
+that share one problem shape: one call solves a whole stratum, with the
+bits that each atom gets when solved alone.
 
-Both compiled cores come from scipy's private modules, loaded from their
-files by ``_load_scipy_extension``: the HiGHS solver
-(``scipy.optimize._highspy._core``) and the C Lawson-Hanson ``nnls``
-(``scipy.optimize._slsqplib``).  Neither ``scipy`` nor ``scipy.optimize``
-is imported (``find_spec`` locates scipy without running its
-``__init__``): those imports would be most of a CLI process's start-up.
-Each core loads on its own first use, never at import: HiGHS, with the
-LP options and status table, on the first LP model (``_load_highs``),
-``_slsqplib`` on the first ``nnls`` call.  A process that solves nothing
-(grid transforms, bases, sequences) loads neither, and one that solves
-only LPs or only QPs loads one.
-Each module is registered in ``sys.modules`` under its own name, so a
-later ``import scipy.optimize`` in the same process reuses the same
-module objects, and one loaded earlier is reused here.  (When this
-module loaded them first, only their attributes on the parent packages
-stay unset; ``from``-imports find them in ``sys.modules``.)
-``nnls`` runs the compiled solver once per item of a stack, keeps the
-checks of scipy's wrapper of the same name and gives bit-identical
-results; where scipy raises on an exhausted iteration budget it flags the
-item.  The KKT polish solves through numpy's private least-squares
-gufunc, the one ``np.linalg.lstsq`` calls per system, pinned at import as
-``_LSTSQ`` (``lstsq`` in numpy 2, ``lstsq_m`` in numpy 1); a numpy without
-it fails the import with an ``ImportError`` that names the numpy
-version.  ``test_solvers`` checks both cores and the gufunc against
-scipy's and numpy's own wrappers bit for bit.
+The LP core, HiGHS (``scipy.optimize._highspy._core``), comes from a
+private scipy module, loaded from its file by ``_load_scipy_extension``.
+Neither ``scipy`` nor ``scipy.optimize`` is imported (``find_spec``
+locates scipy without running its ``__init__``): those imports would be
+most of a CLI process's start-up.  HiGHS loads on the first LP model,
+never at import, with the LP options and status table (``_load_highs``),
+so a process that solves no LP (grid transforms, bases, sequences,
+nearest points) never loads it.  The module is registered in
+``sys.modules`` under its own name, so a later ``import scipy.optimize``
+in the same process reuses the same module object, and one loaded
+earlier is reused here.  (When this module loaded it first, only its
+attribute on the parent package stays unset; ``from``-imports find it in
+``sys.modules``.)  The QP needs no compiled core of its own: its rounds
+solve through numpy's private least-squares gufunc, the one
+``np.linalg.lstsq`` calls per system, pinned at import as ``_LSTSQ``
+(``lstsq`` in numpy 2, ``lstsq_m`` in numpy 1); a numpy without it fails
+the import with an ``ImportError`` that names the numpy version.
+``test_solvers`` checks HiGHS against ``linprog`` and the gufunc against
+``np.linalg.lstsq`` bit for bit.
 
 Linear programs go to HiGHS one LP per call.  Kept from
 ``scipy.optimize.linprog(method="highs")``: the model handed to HiGHS,
@@ -57,8 +52,7 @@ hot from the epigraph optimum's basis (``solve_lp(..., hot=True)``); the
 caller solves again cold a hot LP that is not optimal, or a width near its
 threshold.  Weak and proper separation skip the dual-cone scan on the
 atoms that ``cone_spans`` certifies, whose dual cone is ``{0}``; that
-certificate is a stacked QP, so proper separation loads ``_slsqplib`` as
-well as HiGHS.
+certificate is a stacked QP.
 
 Every per-atom LP runs inside ``per_atom``, and each call site passes its
 result through ``expect`` with the statuses it reads as verdicts:
@@ -80,7 +74,7 @@ also answers every distance verdict: set membership and the dominated
 extension's feasibility check read the Euclidean norm of a nearest
 point, so no LP measures how far a point is from a set.  A QP result
 holds per-atom ``point`` and ``coeffs`` rows and the mask ``kkt_fail`` of
-atoms whose polished solution is not a KKT point; ``kkt_ok`` is the plain
+atoms whose returned solution is not a KKT point; ``kkt_ok`` is the plain
 ``bool`` that no atom failed.  ``cone_spans`` is the one caller that reads
 ``kkt_fail``: a failed item never certifies its atom.
 """
@@ -100,8 +94,8 @@ import numpy as np
 
 from .core import _strata
 from .errors import SolverError
-from .tolerances import (DROP_TOL, EQ_TOL, FEAS_TOL, LP_CHECK_TOL, LP_FEAS_TOL, RANK_TOL,
-                         SPAN_MASS, SPAN_REACH, STRICT_TOL, TIE_TOL, row_scale)
+from .tolerances import (DROP_TOL, EQ_TOL, FEAS_TOL, LP_CHECK_TOL, LP_FEAS_TOL, SPAN_MASS,
+                         SPAN_REACH, STRICT_TOL, TIE_TOL, row_scale)
 
 
 def _load_scipy_extension(name: str) -> ModuleType:
@@ -151,8 +145,6 @@ def _pin_lstsq():
 
 _LSTSQ = _pin_lstsq()
 
-# Penalty weight used to fold equality constraints into the NNLS pass.
-_PENALTY = 1e6
 _POLISH_ROUNDS = 60
 
 def _load_highs() -> None:
@@ -362,27 +354,6 @@ def per_atom(atoms: np.ndarray, solve, what: str) -> list:
     return out
 
 
-def nnls(A, b, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``scipy.optimize.nnls`` on every item of a stack: ``x[k] = argmin
-    |A[k] x - b[k]|`` over ``x >= 0``, its residual norm ``rnorm[k]``, and
-    ``gave_up[k]`` where ``maxiter`` iterations ran out (scipy raises
-    ``RuntimeError`` there).  A NaN or inf entry anywhere in the stack
-    raises ``ValueError``, as scipy does.  Items without columns answer
-    the empty ``x`` and ``|b[k]|``; the compiled solver would abort the
-    interpreter on that input."""
-    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-    b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
-    K, _, n = A.shape
-    x, gave_up = np.zeros((K, n)), np.zeros(K, dtype=bool)
-    if not n:
-        return x, np.linalg.norm(b, axis=1), gave_up
-    solve, rnorm = _load_scipy_extension("scipy.optimize._slsqplib").nnls, np.empty(K)
-    for k in range(K):
-        x[k], rnorm[k], info = solve(A[k], b[k], maxiter)
-        gave_up[k] = info == 3
-    return x, rnorm, gave_up
-
-
 def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -408,7 +379,7 @@ class QPSolution:
 
     point: np.ndarray        # (K, d): the minimizing combinations G^T w
     coeffs: np.ndarray       # (K, n): w in the original variable order
-    kkt_fail: np.ndarray     # (K,) bool: the polished w is not primal and dual feasible
+    kkt_fail: np.ndarray     # (K,) bool: the returned w is not primal and dual feasible
 
     @property
     def kkt_ok(self) -> bool:
@@ -421,6 +392,7 @@ def cone_least_squares(
     nonneg: int,
     eq_mat: np.ndarray,
     eq_rhs: np.ndarray,
+    start: np.ndarray,
 ) -> QPSolution:
     """Minimize ``|gens[k]^T w|`` subject to ``eq_mat[k] w = eq_rhs[k]`` and
     ``w_i >= 0`` for the first ``nonneg`` coefficients, on every atom ``k``
@@ -428,21 +400,22 @@ def cone_least_squares(
 
     ``gens[k]`` has one generator per row, in ``vrep_block``'s order:
     points, then rays (the nonnegative prefix), then lines (free).  A
-    penalized NNLS pass on split variables (the free coefficients as
-    differences of two nonnegative ones) guesses each atom's support; each
-    polish round then solves the equality-constrained least squares on the
-    support exactly, drops the most negative nonnegative coefficient, or
-    else adds the excluded column whose dual most violates the KKT
-    conditions (the first index among ties).  Should ``nnls`` give up on an
-    atom (no seeded input has reached this fallback), that atom's polish
-    starts from every column instead, an active-set cold start.  An atom
-    whose rounds end without a KKT point, on the round budget or an
-    emptied support, keeps the last point a round polished without a
-    drop, or the NNLS guess if no round did.  ``kkt_fail[k]`` is set unless the result is dual feasible and
-    ``|eq_mat[k] w - eq_rhs[k]|`` is at most ``FEAS_TOL * row_scale(eq_rhs)[k]``
-    in the sup norm.
+    primal active set (Wolfe's, for the nearest point of a polytope) runs
+    from the feasible ``(K, n)`` coefficients ``start``, whose support is
+    their positive nonnegative coefficients and every free one.  Each round
+    solves the equality-constrained least squares on the support exactly.
+    Where a coefficient falls below ``-DROP_TOL``, the coefficients step
+    from the current ones toward that solution until the first of those
+    reaches zero (the first index among ties), and its column leaves the
+    support.  Otherwise the solution is accepted, and the excluded column
+    whose dual most violates the KKT conditions (the first index among
+    ties) enters, if its dual is below ``-FEAS_TOL * max |g|^2`` over the
+    atom's generators.  An atom whose rounds run out returns its last
+    iterate.  ``kkt_fail[k]`` is set unless an accepted round admits no
+    entering column and ``|eq_mat[k] w - eq_rhs[k]|`` is at most
+    ``FEAS_TOL * row_scale(eq_rhs)[k]`` in the sup norm.
 
-    The rounds run over the atoms still polishing, grouped by support
+    The rounds run over the atoms still solving, grouped by support
     size: each group builds its KKT systems as one stack and solves them in
     one ``_lstsq`` call.  Every matrix product is a ``matmul`` whose items
     have the shape and strides of the per-atom product, so each atom's
@@ -454,25 +427,14 @@ def cone_least_squares(
     eq_rhs = np.asarray(eq_rhs, dtype=float)
     K, n, d = gens.shape
     m = eq_rhs.shape[1]
-    pen = _PENALTY * row_scale(gens, eq_rhs)
-
-    # NNLS columns: the nonnegative w_i, then the free ones with + and -.
-    A = np.concatenate([
-        np.concatenate([gens.swapaxes(1, 2), -gens[:, nonneg:].swapaxes(1, 2)], axis=2),
-        pen[:, None, None] * np.concatenate([eq_mat, -eq_mat[:, :, nonneg:]], axis=2),
-    ], axis=1)
-    b = np.concatenate([np.zeros((K, d)), pen[:, None] * eq_rhs], axis=1)
-    w_split, _, gave_up = nnls(A, b, maxiter=10 * max(1, A.shape[2]))
-    w_split[gave_up] = 0.0
+    x = np.array(start, dtype=float)  # each atom's current feasible coefficients
     on = np.ones((K, n), dtype=bool)
-    on[:, :nonneg] = gave_up[:, None] | (
-        w_split[:, :nonneg] > RANK_TOL * row_scale(w_split)[:, None])
+    on[:, :nonneg] = x[:, :nonneg] > 0.0
 
-    opt_tol = FEAS_TOL * np.sum(gens * gens, axis=2).max(axis=1, initial=1.0)
+    opt_tol = FEAS_TOL * np.sum(gens * gens, axis=2).max(axis=1, initial=0.0)
     eq_tol = FEAS_TOL * row_scale(eq_rhs)
     point, coeffs = np.zeros((K, d)), np.zeros((K, n))
-    kkt_fail, found = np.ones(K, dtype=bool), np.zeros(K, dtype=bool)
-    live = np.ones(K, dtype=bool)
+    kkt_fail, live = np.ones(K, dtype=bool), np.ones(K, dtype=bool)
     for _ in range(_POLISH_ROUNDS):
         atoms = np.flatnonzero(live)
         if not atoms.size:
@@ -494,16 +456,22 @@ def cone_least_squares(
             w = np.zeros((len(grp), n))
             np.put_along_axis(w, support, sol[:, :s], axis=1)
 
-            # the most negative coefficient is below -DROP_TOL when any is,
-            # so the first one attaining it is the first among the bad ones
-            drop = (w[:, :nonneg] < -DROP_TOL).any(axis=1)
+            # line search: the first coefficient to reach zero on the way
+            # from x to w leaves the support
+            neg = w[:, :nonneg] < -DROP_TOL
+            drop = neg.any(axis=1)
             if drop.any():
-                k = grp[drop]
-                on[k, w[drop, :nonneg].argmin(axis=1)] = False
-                live[k[~on[k].any(axis=1)]] = False
+                k, xk, wk = grp[drop], x[grp[drop]], w[drop]
+                head = xk[:, :nonneg]
+                ratio = np.divide(head, head - wk[:, :nonneg], out=np.full(head.shape, np.inf),
+                                  where=neg[drop])
+                j = ratio.argmin(axis=1)
+                x[k] = xk + ratio[np.arange(len(k)), j, None] * (wk - xk)
+                x[k, j], on[k, j] = 0.0, False
 
             keep = ~drop
             k, G, E, w, lam = grp[keep], G[keep], E[keep], w[keep], sol[keep, s:]
+            x[k] = w
             z = np.matmul(G.swapaxes(1, 2), w[:, :, None])[:, :, 0]
             # dual feasibility on the excluded nonnegative coefficients
             sigma = (2.0 * np.matmul(G, z[:, :, None])[:, :, 0]
@@ -512,19 +480,17 @@ def cone_least_squares(
             c = np.where(np.abs(w) < TIE_TOL, 0.0, w)
             primal = np.abs(np.matmul(E, c[:, :, None])[:, :, 0] - eq_rhs[k])
             enters = entering.any(axis=1)
-            point[k], coeffs[k], found[k] = z, c, True
+            point[k], coeffs[k] = z, c
             kkt_fail[k] = enters | ~(primal.max(axis=1, initial=0.0) <= eq_tol[k])
             live[k[~enters]] = False
             if enters.any():
                 j = np.where(entering[enters], sigma[enters, :nonneg], np.inf).argmin(axis=1)
                 on[k[enters], j] = True
 
-    # atoms on which every round dropped a coefficient return the NNLS guess
-    k = np.flatnonzero(~found)
-    w0 = w_split[k, :n].copy()
-    w0[:, nonneg:] -= w_split[k, n:]
-    point[k] = np.matmul(gens[k].swapaxes(1, 2), w0[:, :, None])[:, :, 0]
-    coeffs[k] = w0
+    # atoms whose rounds ran out return their last iterate
+    k = np.flatnonzero(live)
+    point[k] = np.matmul(gens[k].swapaxes(1, 2), x[k, :, None])[:, :, 0]
+    coeffs[k] = x[k]
     return QPSolution(point=point, coeffs=coeffs, kkt_fail=kkt_fail)
 
 
@@ -544,16 +510,20 @@ def vrep_block(points, rays, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return cols, np.where(i < p, 1.0, 0.0), box
 
 
-def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None) -> QPSolution:
+def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None,
+                   start=None) -> QPSolution:
     """Nearest point to the origin of ``conv(points[k]) + cone(rays[k]) +
     span(lines[k])`` on every atom ``k``, one ``cone_least_squares`` call
     for the stack.
 
     The families are ``(K, ., d)`` stacks; missing ``rays`` or ``lines``
     mean none.  The columns are in ``vrep_block``'s order, ``[points |
-    rays | lines]``.  Optional extra equalities constrain the point ``z``
-    itself: the ``(K, r, d)`` rows of ``eq_mat`` dot ``z`` must equal the
-    ``(K, r)`` ``eq_rhs``.
+    rays | lines]``.  Each atom starts from its point of least norm (the
+    first among ties).  Optional extra equalities constrain the point
+    ``z`` itself: the ``(K, r, d)`` rows of ``eq_mat`` dot ``z`` must equal
+    the ``(K, r)`` ``eq_rhs``.  That point need not meet them, so a caller
+    that has coefficients which do passes them as the ``(K, n)``
+    ``start``, as ``hahn_banach_extend`` passes those of its gap QP.
     """
     points = np.asarray(points, dtype=float)
     K, p, d = points.shape
@@ -567,7 +537,10 @@ def min_norm_point(points, rays=None, lines=None, eq_mat=None, eq_rhs=None) -> Q
         # <u_i, cols w> = c_i is linear in the coefficients w
         E = np.concatenate([E, np.matmul(eq_mat, gens.swapaxes(1, 2))], axis=1)
         e = np.concatenate([e, eq_rhs], axis=1)
-    return cone_least_squares(gens, p + fams[0].shape[1], E, e)
+    if start is None:
+        start = np.zeros(gens.shape[:2])
+        start[np.arange(K), np.sum(points * points, axis=2).argmin(axis=1)] = 1.0
+    return cone_least_squares(gens, p + fams[0].shape[1], E, e, start)
 
 
 def positivity_margin(

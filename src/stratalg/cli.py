@@ -422,8 +422,9 @@ def _execute(argv) -> tuple[str, int]:
 def _on_blocks(scn: Scenario, args) -> tuple[str, bool] | None:
     """The command's document and failed check, computed on one atom per
     block of atoms that agree in every entry a flag value reaches; None
-    where no two atoms agree or the run raises, and the caller runs on all
-    atoms."""
+    where no two atoms agree or the run raises a ``ParseError`` or a
+    ``StratalgError``, and the caller runs on all atoms.  Any other
+    exception is a fault of this path and propagates."""
     # every flag value that is a string: a superset of the names it reads
     names = [n for key, value in vars(args).items() if key != "scenario"
              for n in (value if isinstance(value, list) else [value])]
@@ -433,9 +434,9 @@ def _on_blocks(scn: Scenario, args) -> tuple[str, bool] | None:
             return None
         doc, failed = args.handler(quo, args)
         return emit_document(doc, quo.atoms), failed
-    except Exception:
-        # whatever raised here raises again on all atoms, where an error
-        # document names the document's atoms in that run's words
+    except (ParseError, StratalgError):
+        # the error raises again on all atoms, where its document names
+        # the document's atoms in that run's words
         return None
 
 

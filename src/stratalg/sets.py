@@ -545,10 +545,12 @@ def hahn_banach_extend(
         u = frows[grp, :r]
         cvals = C[grp, :r]
         mapped = np.matmul(Y, u.swapaxes(1, 2))  # row j: the frame values of slope j
-        gap = min_norm_point(mapped - cvals[:, None]).point
-        bad = np.sqrt(_dot(gap, gap)) > tol * row_scale(mapped, cvals)
+        gap = min_norm_point(mapped - cvals[:, None])
+        bad = np.sqrt(_dot(gap.point, gap.point)) > tol * row_scale(mapped, cvals)
         infeasible[grp[bad]] = True
-        rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad]).point
+        # the gap's coefficients meet the frame values up to the gap: the start
+        rows[grp[~bad]] = min_norm_point(Y[~bad], eq_mat=u[~bad], eq_rhs=cvals[~bad],
+                                         start=gap.coeffs[~bad]).point
     checks["no dominated extension: domination fails on the submodule"] = infeasible
     _require(checks)
     return CondVector(space, rows)

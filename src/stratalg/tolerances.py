@@ -18,8 +18,8 @@ import numpy as np
 # scan's tie between unit normals.
 EQ_TOL = 1e-12
 # Vanishing row: a residual no longer is dependent, x max(1, row norm)
-# (rank), x max(1, max|row|) (sign fix), x row_scale (affine hulls, the
-# QP polish's support); absolute on normals, images and rays.
+# (rank), x max(1, max|row|) (sign fix), x row_scale (affine hulls);
+# absolute on normals, images and rays.
 RANK_TOL = 1e-9
 # A nearest-point distance that counts as zero: absolute in separation,
 # x row_scale in extensions and subgradient bounds, x max(1, |x_i|) in
@@ -35,9 +35,9 @@ BOX_BAND = 0.01
 # A max-affine piece is active within it of the max, x (1 + |max|).
 ACTIVE_TOL = 1e-9
 # Feasibility slack, x row_scale (sets, QP equality rows, minorant and
-# gradient tests), x max(1, max |g|^2) (the polish's dual test), x max(1,
-# |hi|, |lo|) (a grid's extent); absolute in grid step and slope units and
-# on offsets and points that must vanish.
+# gradient tests), x max |g|^2 over the atom's generators (the QP's dual
+# test, no floor), x max(1, |hi|, |lo|) (a grid's extent); absolute in grid
+# step and slope units and on offsets and points that must vanish.
 FEAS_TOL = 1e-9
 # HiGHS's primal and dual feasibility tolerance, absolute.
 LP_FEAS_TOL = 1e-10
@@ -48,7 +48,8 @@ LP_CHECK_TOL = np.sqrt(1e-9) * 10
 # bounds each distance from a unit vector.
 SPAN_MASS = 1e-4 / LP_FEAS_TOL
 SPAN_REACH = 0.5
-# Absolute: the QP polish drops a coefficient below -DROP_TOL.
+# Absolute: a QP coefficient below -DROP_TOL stops the step toward the
+# round's solution, and its column is dropped.
 DROP_TOL = 1e-11
 # Absolute tie: a smaller QP coefficient is zero, and a nearest_pair
 # distance must beat the best by more.

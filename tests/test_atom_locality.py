@@ -6,7 +6,8 @@ one-atom run on atom ``k`` gives the same row.  Every error names
 exactly the atoms whose one-atom run fails.  The grid ops' locality
 tests are ``test_functions.TestGridAtomLocality``.
 
-Batch invariance: on a stack whose atoms repeat, every op gives each
+Restriction: the run on a subset of the atoms gives their rows of the
+run on all atoms.  Batch invariance: on a stack whose atoms repeat, every op gives each
 copy its source atom's rows and names every copy of a failing atom.  The
 CLI's run on one atom per block of identical atoms rests on it.
 """
@@ -68,6 +69,23 @@ def test_errors_name_the_atoms_broken_on_purpose(op):
     # every failing builder of this draw breaks the atoms with v > 0
     for data in failing_draws(OPS[op]):
         assert error_atoms(OPS[op], data) == (data["v"] > 0).tolist(), op
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_a_subset_of_atoms_gives_their_rows(op):
+    # restriction: the run on a seeded random set A of atoms gives, bit for
+    # bit, the rows at A of the run on all atoms; a row that read K or an
+    # atom outside A would differ (the grid ops get an explicit dual grid,
+    # since default_dual_grid reads every atom by design)
+    entry = OPS[op]
+    rng = np.random.default_rng(entry.seed + 300)
+    data = entry.draw(rng, entry.K)
+    A = np.sort(rng.choice(entry.K, size=int(rng.integers(2, entry.K)), replace=False))
+    base = run(entry, data)
+    got = run(entry, take(data, A))
+    assert got.keys() == base.keys()
+    for name, rows in got.items():
+        assert same_bits(rows, np.asarray(base[name])[A]), name
 
 
 def repeats(entry, data):

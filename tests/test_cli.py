@@ -963,12 +963,12 @@ def test_reader_that_leaves_mid_document_fails_the_process(large_grid_path, unbu
 
 @pytest.mark.parametrize("command, cores", [
     ("fenchel-moreau", []),
-    ("subgrad", ["scipy.optimize._slsqplib"]),
+    ("subgrad", []),
     ("argmin", ["scipy.optimize._highspy._core"]),
 ])
 def test_a_command_loads_only_the_cores_it_solves_with(scenario_path, command, cores):
-    # no command imports the scipy package; a QP-only command leaves HiGHS
-    # out and an LP-only one _slsqplib
+    # no command imports the scipy package; a QP-only command loads no
+    # compiled scipy module, and none loads _slsqplib
     code = textwrap.dedent("""
         import contextlib, io, sys
         from stratalg import cli

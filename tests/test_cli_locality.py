@@ -37,7 +37,7 @@ import pytest
 from test_acceptance import CLI_SUITE
 from test_cli import num, run_cli
 
-from stratalg import _solvers, cli, functions
+from stratalg import PreconditionError, _solvers, cli, functions
 from stratalg._solvers import LPResult
 from stratalg.io import Scenario
 
@@ -455,3 +455,38 @@ def test_repeated_lp_faults_name_every_copy(command, tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "solve_lp", faulty)
     rep, src = repeated(rng, doc)
     assert_as_on_all_atoms(tmp_path, monkeypatch, cmd, rep, copies(src, [2, 5]))
+
+
+
+def test_only_package_errors_fall_back_to_all_atoms(tmp_path, monkeypatch):
+    # a fault of the quotient path itself (a RuntimeError there) raises
+    # out of cli.main; a PreconditionError there sends the command to all
+    # atoms, and where that run raises too, its error document names the
+    # atoms of that run
+    cmd = COMMANDS[0]
+    rng = np.random.default_rng(7000)
+    rep, _ = repeated(rng, scenario(rng, rng.uniform(0.5, 2.0, K)))
+    natoms, emit = len(rep["weights"]), cli.emit_document
+    code, plain = run_text(tmp_path, cmd, rep, "plain")
+    assert code == 0
+
+    def inject(error, everywhere=False):
+        def emit_document(doc, atoms=None):
+            if atoms is not None:  # the rows of a quotient
+                raise error(len(np.unique(atoms)))
+            if everywhere and "error" not in doc:
+                raise error(natoms)
+            return emit(doc, atoms)
+        monkeypatch.setattr(cli, "emit_document", emit_document)
+
+    def odd_atoms(n):
+        return PreconditionError("injected", np.arange(n) % 2 == 1)
+
+    inject(lambda n: RuntimeError("injected"))
+    with pytest.raises(RuntimeError, match="injected"):
+        run_text(tmp_path, cmd, rep, "runtime")
+    inject(odd_atoms)
+    assert run_text(tmp_path, cmd, rep, "fallback") == (0, plain)
+    inject(odd_atoms, everywhere=True)
+    code, text = run_text(tmp_path, cmd, rep, "error")
+    assert code == 2 and json.loads(text)["error"]["atoms"] == list(range(1, natoms, 2))

@@ -30,23 +30,23 @@ or a flipped row fails here even when it happens to leave the vertex
 unchanged.  A change that alters the LPs on purpose rewrites the file
 with ``PYTHONPATH=src python tests/test_solvers.py`` and says why.
 
-``_solvers.nnls`` is compared item by item, bit for bit, with
-``scipy.optimize.nnls``.  The stacked nearest-point QP ``min_norm_point``
-is compared on every atom, bit for bit, with ``ref_cone_least_squares``,
-the earlier per-atom solver that took any list of nonnegative indices,
-on seeded stacks with ties, signed zeros, free lines, equality rows and
-short polish budgets; fault-injection tests cover the cold start after
-an ``nnls`` give-up on chosen atoms, support sizes that split and merge
-between polish rounds, a full-support start whose polish ends where the
-equality rows fail, which ``kkt_fail`` must report, and a stack that
-mixes atoms whose polish fails at large scale with good ones.
-Subprocess tests check that a fresh ``import stratalg.cli`` loads no
-core, that each core loads on its own first use (HiGHS on the first LP
-model, ``_slsqplib`` on the first ``nnls``) without the ``scipy`` package
-ever being imported, that the cores are shared with a ``scipy.optimize``
-imported before or after, that an ``nnls`` system without columns
-returns instead of aborting the interpreter, and that the pinned
-``lstsq`` gufunc matches ``np.linalg.lstsq`` bit for bit.
+The stacked nearest-point QP ``min_norm_point`` reaches the residual of
+``scipy.optimize.nnls`` on nonnegative least squares problems, which are
+nearest-point problems of a point plus a cone.  It is compared on every
+atom, bit for bit, with ``ref_cone_least_squares``, the same active set
+on one atom with index lists, on seeded stacks with ties, signed zeros,
+free lines, equality rows with and without a start that meets them, and
+short round budgets.  Seeded starts on every column force line-search
+drops, exactly tied ones included, support sizes that split and merge
+between rounds, and supports on which the equality rows fail, which
+``kkt_fail`` must report; a stack mixes atoms whose KKT solve fails at
+large scale with good ones, and an atom without an accepted round
+returns its last iterate.  Subprocess tests check that a fresh ``import
+stratalg.cli`` loads no compiled scipy module, that HiGHS loads on the
+first LP model and a QP loads none, without the ``scipy`` package ever
+being imported, that HiGHS is shared with a ``scipy.optimize`` imported
+before or after, and that the pinned ``lstsq`` gufunc matches
+``np.linalg.lstsq`` bit for bit.
 """
 
 import functools
@@ -86,7 +86,6 @@ from stratalg._solvers import (
     cone_least_squares,
     dual_cone_model,
     min_norm_point,
-    nnls,
     nonzero_in_dual_cone,
     positivity_margin,
     solve_lp,
@@ -654,12 +653,20 @@ def test_live_highs_instances_do_not_grow_with_the_atom_count(monkeypatch):
     assert max(hi for _, hi in peaks.values()) <= 2, peaks
 
 
-def assert_nnls_matches_scipy(A, b, maxiter):
-    x, rnorm, gave_up = nnls(A[None], b[None], maxiter)
-    want_x, want_rnorm = scipy_nnls(A, b, maxiter=maxiter)
-    assert not gave_up[0]
-    assert x[0].tobytes() == want_x.tobytes()
-    assert rnorm[0].tobytes() == np.float64(want_rnorm).tobytes()
+def assert_solves_nnls(A, b):
+    """``min |A[k] x - b[k]|`` over ``x >= 0`` is the nearest point of
+    ``-b[k] + cone(A[k]'s columns)``: one stacked ``min_norm_point`` call
+    reaches scipy's residual on every item, and its ``x`` where ``A[k]``
+    has full column rank, so that ``x`` is unique."""
+    sol = min_norm_point(-b[:, None], A.swapaxes(1, 2))
+    for k in range(len(A)):
+        x, rnorm = scipy_nnls(A[k], b[k])
+        scale = max(1.0, np.abs(A[k]).max(), np.abs(b[k]).max())
+        assert not sol.kkt_fail[k]
+        assert abs(sol.coeffs[k, 0] - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(sol.point[k]) - rnorm) <= 1e-9 * scale
+        if np.linalg.matrix_rank(A[k]) == A.shape[2]:
+            assert np.allclose(sol.coeffs[k, 1:], x, rtol=1e-7, atol=1e-9 * scale)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -669,60 +676,47 @@ def test_nnls_matches_scipy(seed):
     A = rng.normal(size=(m, n))
     if seed % 4 == 1:
         A[:, -1] = A[:, 0] * 2.0  # rank deficient
-    if seed % 4 == 2:
-        A = np.asfortranarray(A)
-    assert_nnls_matches_scipy(A, rng.normal(size=m) * 10.0 ** (seed % 5 - 2), 10 * n)
+    assert_solves_nnls(A[None], rng.normal(size=(1, m)) * 10.0 ** (seed % 5 - 2))
 
 
 def test_stacked_nnls_is_scipys_per_item():
     rng = np.random.default_rng(11)
     A, b = rng.normal(size=(30, 6, 5)), rng.normal(size=(30, 6))
     A[::3, :, -1] = A[::3, :, 0] * 2.0  # rank deficient
-    outcomes = set()
-    for maxiter in (1, 2, 50):
-        x, rnorm, gave_up = nnls(A, b, maxiter)
-        for k in range(len(A)):
-            try:
-                want_x, want_rnorm = scipy_nnls(A[k], b[k], maxiter=maxiter)
-            except RuntimeError:
-                assert gave_up[k]
-                outcomes.add("gave up")
-                continue
-            assert not gave_up[k]
-            assert x[k].tobytes() == want_x.tobytes()
-            assert rnorm[k].tobytes() == np.float64(want_rnorm).tobytes()
-            outcomes.add("solved")
-    assert outcomes == {"gave up", "solved"}
+    assert_solves_nnls(A, b)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_nnls_matches_scipy_on_nearest_point_systems(seed, monkeypatch):
-    systems = []
-
-    def record(A, b, maxiter):
-        systems.extend((A[k].copy(), b[k].copy(), maxiter) for k in range(len(A)))
-        return nnls(A, b, maxiter)
-
-    monkeypatch.setattr(_solvers, "nnls", record)
+def test_nnls_matches_scipy_on_nearest_point_systems(seed):
+    # a point, rays and free lines: scipy's nnls, with each line split
+    # into two nonnegative columns, reaches the same distance
     rng = np.random.default_rng([9, seed])
     for d in (2, 3):
-        min_norm_point(*(a[None] for a in generators(rng, d, 3, seed % 3, int(seed % 2 == 0))))
-        shifted = rng.normal(size=(4, 4, d)) + 0.5  # often away from the origin
-        min_norm_point(shifted)
-        min_norm_point(shifted, eq_mat=rng.normal(size=(4, 1, d)), eq_rhs=rng.normal(size=(4, 1)))
-    assert len(systems) == 18
-    for A, b, maxiter in systems:
-        assert_nnls_matches_scipy(A, b, maxiter)
+        pt = rng.normal(size=(4, 1, d)) + 0.5  # often away from the origin
+        rays = rng.normal(size=(4, seed % 3 + 1, d))
+        lines = rng.normal(size=(4, int(seed % 2 == 0), d))
+        sol = min_norm_point(pt, rays, lines)
+        for k in range(4):
+            rnorm = scipy_nnls(np.concatenate([rays[k], lines[k], -lines[k]]).T, -pt[k, 0])[1]
+            assert not sol.kkt_fail[k]
+            assert abs(np.linalg.norm(sol.point[k]) - rnorm) <= 1e-9 * max(1.0, np.abs(pt[k]).max())
+
+
+def least_norm_start(rows):
+    """Each atom's start: a unit weight on its row of least norm."""
+    return np.eye(rows.shape[1])[np.sum(rows * rows, axis=2).argmin(axis=1)]
 
 
 def ref_simplex_min_norm(rows, eq_mat=None, eq_rhs=None):
-    """The former QP entry for a convex combination of rows, on a stack."""
+    """The QP entry for a convex combination of rows, straight into
+    ``cone_least_squares``, on a stack."""
     K, n, _ = rows.shape
     E, e = [np.ones((K, 1, n))], [np.ones((K, 1))]
     if eq_mat is not None and eq_mat.shape[1]:
         E.append(np.matmul(eq_mat, rows.swapaxes(1, 2)))
         e.append(eq_rhs)
-    return cone_least_squares(rows, n, np.concatenate(E, axis=1), np.concatenate(e, axis=1))
+    return cone_least_squares(rows, n, np.concatenate(E, axis=1), np.concatenate(e, axis=1),
+                              least_norm_start(rows))
 
 
 def assert_same_stack(got, want):
@@ -758,59 +752,40 @@ class RefQP:
     kkt_ok: bool
 
 
-def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
-    """The former per-atom ``cone_least_squares``: any list of nonnegative
-    indices, index lists scattered by loops, a set for the support and a
-    separate polish.  ``events`` counts coefficient drops, drops among
-    exactly tied coefficients and exhausted round budgets, and lists each call's support size round by round under
-    ``"supports"``."""
+def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, start, events=None):
+    """The active set of ``cone_least_squares`` on one atom: any list of
+    nonnegative indices, index lists scattered by loops, a set for the
+    support and a separate polish.  ``events`` counts line-search drops,
+    drops among exactly tied step lengths and exhausted round budgets, and
+    lists each call's support size round by round under ``"supports"``."""
     events = {} if events is None else events
     gens = np.asarray(gens, dtype=float)
     n, d = gens.shape
     eq_mat = np.asarray(eq_mat, dtype=float).reshape(-1, n)
     eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
     nonneg = sorted(set(int(i) for i in nonneg))
-    free = [i for i in range(n) if i not in nonneg]
-    scale = max(1.0, float(np.max(np.abs(gens))) if gens.size else 1.0,
-                float(np.max(np.abs(eq_rhs))) if eq_rhs.size else 1.0)
-    pen = _solvers._PENALTY * scale
-    cols = [gens[i] for i in nonneg] + [gens[i] for i in free] + [-gens[i] for i in free]
-    ecols = [eq_mat[:, i] for i in nonneg] + [eq_mat[:, i] for i in free] + [
-        -eq_mat[:, i] for i in free
-    ]
-    A = np.vstack([
-        np.column_stack(cols) if cols else np.zeros((d, 0)),
-        pen * (np.column_stack(ecols) if ecols else np.zeros((eq_mat.shape[0], 0))),
-    ])
-    b = np.concatenate([np.zeros(d), pen * eq_rhs])
-    x, _, gave_up = _solvers.nnls(A[None], b[None], maxiter=10 * max(1, A.shape[1]))
-    # an nnls give-up starts the polish from every column
-    w_split = np.zeros(A.shape[1]) if gave_up[0] else x[0]
-    w0 = np.zeros(n)
-    for j, i in enumerate(nonneg):
-        w0[i] = w_split[j]
-    off = len(nonneg)
-    for j, i in enumerate(free):
-        w0[i] = w_split[off + j] - w_split[off + len(free) + j]
-    supp_tol = 1e-9 * max(1.0, float(np.max(w_split)) if w_split.size else 1.0)
-    support = set(i for i in nonneg if w0[i] > supp_tol or gave_up[0]) | set(free)
-    grad_scale = max(1.0, float(np.max(np.sum(gens * gens, axis=1))) if n else 1.0)
-    opt_tol = 1e-9 * grad_scale
-    best = None
+    x = np.array(start, dtype=float)
+    support = set(i for i in range(n) if i not in nonneg or x[i] > 0.0)
+    opt_tol = 1e-9 * (float(np.max(np.sum(gens * gens, axis=1))) if n else 0.0)
     sizes = []
     events.setdefault("supports", []).append(sizes)
     for _ in range(_solvers._POLISH_ROUNDS):
         sizes.append(len(support))
         w, rho = ref_polish(gens, eq_mat, eq_rhs, sorted(support))
-        bad = [i for i in support if i in nonneg and w[i] < -1e-11]
+        bad = [i for i in sorted(support) if i in nonneg and w[i] < -1e-11]
         if bad:
+            # step from x toward w until the first coefficient reaches zero
+            steps = [x[i] / (x[i] - w[i]) for i in bad]
+            t = min(steps)
             events["drops"] = events.get("drops", 0) + 1
-            if sorted(w[bad])[:2].count(min(w[bad])) > 1:
+            if steps.count(t) > 1:
                 events["tied_drops"] = events.get("tied_drops", 0) + 1
-            support.discard(min(bad, key=lambda i: w[i]))
-            if not support and nonneg:
-                break
+            j = bad[steps.index(t)]
+            x = x + t * (w - x)
+            x[j] = 0.0
+            support.discard(j)
             continue
+        x = w
         z = gens.T @ w
         sigma = 2.0 * (gens @ z) - eq_mat.T @ rho
         entering = None
@@ -819,14 +794,11 @@ def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, events=None):
                 continue
             if sigma[i] < -opt_tol and (entering is None or sigma[i] < sigma[entering]):
                 entering = i
-        best = RefQP(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w), kkt_ok=entering is None)
         if entering is None:
-            return best
+            return RefQP(point=z, coeffs=np.where(np.abs(w) < 1e-15, 0.0, w), kkt_ok=True)
         support.add(entering)
     events["exhausted"] = events.get("exhausted", 0) + 1
-    if best is not None:
-        return best
-    return RefQP(point=gens.T @ w0, coeffs=w0, kkt_ok=False)
+    return RefQP(point=gens.T @ x, coeffs=x, kkt_ok=False)
 
 
 def ref_polish(gens, eq_mat, eq_rhs, support):
@@ -862,10 +834,13 @@ def equalities_hold(coeffs, E, e):
     return np.abs(E @ coeffs - e).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(e).max())
 
 
-def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, events=None):
+def ref_min_norm_point(points, rays=(), lines=(), eq_mat=None, eq_rhs=None, start=None,
+                       events=None):
     cols, E, e = qp_system(points, rays, lines, eq_mat, eq_rhs)
-    sol = ref_cone_least_squares(cols.T, range(len(points) + len(rays)), E, e, events)
-    # kkt_ok also needs E w = e, which the former solver did not check
+    if start is None:  # min_norm_point's: a unit weight on the point of least norm
+        start = np.zeros(cols.shape[1])
+        start[np.sum(np.square(points), axis=-1).argmin()] = 1.0
+    sol = ref_cone_least_squares(cols.T, range(len(points) + len(rays)), E, e, start, events)
     sol.kkt_ok = sol.kkt_ok and equalities_hold(sol.coeffs, E, e)
     return sol
 
@@ -874,7 +849,8 @@ def seeded_qp_stack(rng, K):
     """``K`` nearest-point systems of one shape with ties: duplicated
     points, the differences ``p_i + p_j - 2 v`` of a set touching a vertex
     ``v``, signed zeros, integer or Gaussian rows (drawn per atom), rays,
-    free lines and equality rows on the point."""
+    free lines and equality rows on the point, half of them with a start
+    that meets them."""
     d = int(rng.integers(1, 6))
     n = int(rng.integers(1, 7))
 
@@ -900,7 +876,18 @@ def seeded_qp_stack(rng, K):
         u = np.stack([np.linalg.qr(rng.normal(size=(d, d)))[0][:r] for _ in range(K)])
         mix = rng.dirichlet(np.ones(pts.shape[1]), K)
         eq = {"eq_mat": u, "eq_rhs": np.stack([u[k] @ (mix[k] @ pts[k]) for k in range(K)])}
+        if rng.random() < 0.5:
+            eq["start"] = np.concatenate([mix, np.zeros((K, rays.shape[1] + lines.shape[1]))],
+                                         axis=1)
     return pts, rays, lines, eq
+
+
+def full_support(pts, rays, lines):
+    """A start on every column: equal weights on the points, a unit weight
+    on every ray and none on the lines."""
+    K, p, _ = pts.shape
+    return np.concatenate([np.full((K, p), 1.0 / p), np.ones((K, rays.shape[1])),
+                           np.zeros((K, lines.shape[1]))], axis=1)
 
 
 def assert_same_qp(got, k, want):
@@ -927,11 +914,6 @@ def test_min_norm_point_matches_the_index_list_solver(seed):
         assert_matches_reference(*seeded_qp_stack(rng, int(rng.integers(1, 9))))
 
 
-def full_support(A, b, maxiter):
-    """An NNLS guess that keeps every column."""
-    return np.ones((len(A), A.shape[2])), np.zeros(len(A)), np.zeros(len(A), dtype=bool)
-
-
 def split_and_merge(supports):
     """Whether two atoms' support sizes part (``split``) or meet
     (``merge``) from one polish round to the next."""
@@ -947,69 +929,74 @@ def split_and_merge(supports):
 
 @pytest.mark.parametrize("rounds", [1, 2, 3, _solvers._POLISH_ROUNDS])
 def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds, monkeypatch):
-    # an NNLS guess that keeps every column makes the polish drop
-    # negative coefficients, often tied ones of duplicated points, and
-    # a short round budget runs out
-    monkeypatch.setattr(_solvers, "nnls", full_support)
+    # a start on every column makes the polish step back and drop
+    # coefficients, often tied ones of duplicated points, and a short
+    # round budget runs out
     monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
     rng = np.random.default_rng([16, rounds])
     events = {}
     for _ in range(60):
-        assert_matches_reference(*seeded_qp_stack(rng, int(rng.integers(2, 9))), events=events)
+        pts, rays, lines, eq = seeded_qp_stack(rng, int(rng.integers(2, 9)))
+        eq["start"] = full_support(pts, rays, lines)
+        assert_matches_reference(pts, rays, lines, eq, events=events)
     assert events.get("drops", 0) > 0
     assert events.get("exhausted", 0) > 0 or rounds == _solvers._POLISH_ROUNDS
 
 
-def test_tied_drops_take_the_first_index(monkeypatch):
-    # every integer point twice and a full-support start: on some atoms
-    # the polish drops one of two exactly tied negative coefficients, and
-    # the first index must go, as in the per-atom solver (the seeds are
-    # ones where such a tie occurs)
-    monkeypatch.setattr(_solvers, "nnls", full_support)
+def test_tied_drops_take_the_first_index():
+    # every integer point twice and a start on all of them: on some atoms
+    # two coefficients reach zero at the same step, and the first index
+    # must go, as in the per-atom solver
     events = {}
-    for seed in (134, 1041, 1872):
+    for seed in range(10):
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         base = rng.integers(-2, 3, size=(8, n, d)).astype(float)
-        none = np.zeros((8, 0, d))
-        assert_matches_reference(np.concatenate([base, base], axis=1), none, none, {},
+        pts, none = np.concatenate([base, base], axis=1), np.zeros((8, 0, d))
+        assert_matches_reference(pts, none, none, {"start": full_support(pts, none, none)},
                                  events=events)
     assert events.get("tied_drops", 0) > 0
 
 
-def test_support_sizes_split_and_merge_across_rounds(monkeypatch):
-    # an NNLS guess that keeps the columns whose first entry is positive
-    # starts the atoms of one stack on supports of different sizes, which
-    # grow and shrink at their own pace: atoms of one size go apart and
-    # atoms of different sizes meet, so the polish groups change between
-    # rounds
-    def first_entry_positive(A, b, maxiter):
-        return (A[:, 0, :] > 0).astype(float), np.zeros(len(A)), np.zeros(len(A), dtype=bool)
-
-    monkeypatch.setattr(_solvers, "nnls", first_entry_positive)
+def test_support_sizes_split_and_merge_across_rounds():
+    # atoms of one stack start on supports of different sizes, which grow
+    # and shrink at their own pace: atoms of one size go apart and atoms of
+    # different sizes meet, so the polish groups change between rounds
     rng = np.random.default_rng(18)
     events, splits, merges = {}, 0, 0
     for _ in range(60):
         K = int(rng.integers(2, 9))
-        assert_matches_reference(*seeded_qp_stack(rng, K), events=events)
+        pts, rays, lines, eq = seeded_qp_stack(rng, K)
+        # a start on every column on the atoms whose first entry is positive
+        start = np.where(pts[:, :1, :1].reshape(K, 1) > 0, full_support(pts, rays, lines),
+                         eq.get("start", ref_start(pts, rays, lines)))
+        assert_matches_reference(pts, rays, lines, {**eq, "start": start}, events=events)
         split, merge = split_and_merge(events["supports"][-K:])
         splits, merges = splits + split, merges + merge
     assert splits > 0 and merges > 0
 
 
-def test_kkt_ok_needs_the_equality_rows_to_hold(monkeypatch):
-    # an all-ones NNLS guess starts the polish from every column; its
-    # drops can leave a support on which E w = e has no solution, and the
+def ref_start(pts, rays, lines):
+    """``min_norm_point``'s own start: a unit weight on each atom's point
+    of least norm."""
+    K = len(pts)
+    return np.concatenate([least_norm_start(pts), np.zeros((K, rays.shape[1] + lines.shape[1]))],
+                          axis=1)
+
+
+def test_kkt_ok_needs_the_equality_rows_to_hold():
+    # a start on every column misses the extra equality rows; the drops
+    # can leave a support on which E w = e has no solution, and the
     # least-squares compromise there must not pass as a KKT point
-    monkeypatch.setattr(_solvers, "nnls", full_support)
     infeasible = 0
-    for seed in [97, *range(25)]:
+    for seed in range(25):
         rng = np.random.default_rng(seed)
         for _ in range(40):
             pts, rays, lines, eq = seeded_qp_stack(rng, int(rng.integers(1, 9)))
+            eq["start"] = full_support(pts, rays, lines)
             sol = min_norm_point(pts, rays, lines, **eq)
             for k in range(len(pts)):
-                one = {name: a[k] for name, a in eq.items()}
+                one = {name: a[k] for name, a in eq.items() if name != "start"}
                 if not equalities_hold(sol.coeffs[k], *qp_system(pts[k], rays[k], lines[k],
                                                                  **one)[1:]):
                     infeasible += 1
@@ -1017,37 +1004,20 @@ def test_kkt_ok_needs_the_equality_rows_to_hold(monkeypatch):
     assert infeasible > 0
 
 
-def test_nnls_give_up_starts_the_polish_from_every_column(monkeypatch):
-    def give_up(A, b, maxiter):
-        return np.zeros((len(A), A.shape[2])), np.zeros(len(A)), np.ones(len(A), dtype=bool)
-
-    monkeypatch.setattr(_solvers, "nnls", give_up)
-    # the origin is not in this segment, and the polish must not return it
-    sol = min_norm_point([[[1.0, 0.0], [2.0, 0.0]]])
-    assert np.allclose(sol.point, [[1.0, 0.0]]) and np.allclose(sol.coeffs, [[1.0, 0.0]])
-    assert sol.kkt_ok
+def test_a_polish_without_an_accepted_round_returns_its_last_iterate(monkeypatch):
+    # from both points of the segment [(1, 0), (2, 0)] the first round
+    # solves to w = (2, -1), the origin; the line search stops at (1, 0)
+    # and drops the second point.  With one round that iterate comes back,
+    # flagged, never the origin; with more, the next round accepts it
+    seg, start = np.array([[[1.0, 0.0], [2.0, 0.0]]]), np.array([[0.5, 0.5]])
+    for rounds, failed in ((1, True), (2, False)):
+        monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
+        sol = min_norm_point(seg, start=start)
+        assert np.allclose(sol.point, [[1.0, 0.0]]) and np.allclose(sol.coeffs, [[1.0, 0.0]])
+        assert sol.kkt_fail.tolist() == [failed]
+    # the default start: the point of least norm, with the line in the support
     sol = min_norm_point([[[1.0, 2.0], [3.0, -1.0]]], lines=[[[0.0, 1.0]]])
     assert np.allclose(sol.point, [[1.0, 0.0]]) and sol.kkt_ok
-
-
-def test_nnls_give_up_on_chosen_atoms_only(monkeypatch):
-    # nnls gives up on the atoms whose first generator starts positive;
-    # the reference, solving one atom at a time, sees the same give-ups
-    real = _solvers.nnls
-
-    def give_up_on_some(A, b, maxiter):
-        x, rnorm, gave_up = real(A, b, maxiter)
-        return x, rnorm, gave_up | (A[:, 0, 0] > 0)
-
-    monkeypatch.setattr(_solvers, "nnls", give_up_on_some)
-    rng = np.random.default_rng(17)
-    mixed = 0
-    for _ in range(60):
-        pts, rays, lines, eq = seeded_qp_stack(rng, int(rng.integers(2, 9)))
-        assert_matches_reference(pts, rays, lines, eq)
-        chosen = pts[:, 0, 0] > 0
-        mixed += chosen.any() and not chosen.all()
-    assert mixed > 0
 
 
 def test_kkt_fail_names_exactly_the_failing_atoms():
@@ -1077,20 +1047,6 @@ def test_empty_stacks_solve_to_empty_results():
     assert not membership(x, rep, MeasurableSet(space, np.zeros(3, dtype=bool))).mask.any()
 
 
-def test_nnls_failures_are_scipys():
-    rng = np.random.default_rng(10)
-    A, b = rng.normal(size=(6, 5)), rng.normal(size=6)
-    with pytest.raises(RuntimeError, match="Maximum number of iterations"):
-        scipy_nnls(A, b, maxiter=1)
-    assert nnls(A[None], b[None], 1)[2].tolist() == [True]  # where scipy raises
-    for bad in (np.nan, np.inf):
-        for A_bad, b_bad in ((np.where(A > 1.0, bad, A), b), (A, np.where(b > 0.0, bad, b))):
-            for solve in (lambda A, b: nnls(A[None], b[None], 50),
-                          lambda A, b: scipy_nnls(A, b, maxiter=50)):
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    solve(A_bad, b_bad)
-
-
 def run_fresh(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this stratalg."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stratalg.__file__)))
@@ -1100,20 +1056,8 @@ def run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_nnls_without_columns_returns_the_residual_of_b():
-    # the compiled solver aborts the interpreter on an empty A (a double
-    # free), so the call runs in a child that a regression kills alone
-    run_fresh("""
-        import numpy as np
-        from stratalg._solvers import nnls
-        x, rnorm, gave_up = nnls(np.zeros((2, 3, 0)), np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), 10)
-        assert x.shape == (2, 0) and x.dtype == np.float64, x
-        assert rnorm.tolist() == [5.0, 2.0] and not gave_up.any(), rnorm
-    """)
-
-
-# the prelude of the core-loading tests: one LP, one nnls, and the cores a
-# fresh interpreter has loaded
+# the prelude of the core-loading tests: one LP, one QP, and the compiled
+# scipy modules a fresh interpreter has loaded (the QP needs none)
 CORES = """
         import sys
         import numpy as np
@@ -1125,8 +1069,8 @@ CORES = """
                                      np.array([[[0.0, np.inf]] * 2]))
             assert _solvers.solve_lp(model, 0, [1.0, 2.0]).status == 0
         def qp():
-            x = _solvers.nnls(np.eye(2)[None], np.array([[1.0, -1.0]]), 10)[0]
-            assert x.tolist() == [[1.0, 0.0]]
+            sol = _solvers.min_norm_point(np.array([[[1.0, 0.0], [2.0, 0.0]]]))
+            assert np.allclose(sol.point, [[1.0, 0.0]]) and sol.kkt_ok
         def cores():
             assert "scipy" not in sys.modules, "the scipy package was imported"
             return [name for name in (HIGHS, SLSQP) if name in sys.modules]
@@ -1134,25 +1078,24 @@ CORES = """
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    # no core loads at import; HiGHS loads on the first LP model and
-    # _slsqplib on the first nnls, each alone, and the scipy package is
-    # never imported
+    # no core loads at import; HiGHS loads on the first LP model, a QP
+    # loads none, and the scipy package is never imported
     run_fresh(CORES + """
         import stratalg.cli
         assert not any(name.split(".")[0] == "scipy" for name in sys.modules), "loaded at import"
-        lp()
-        assert cores() == [HIGHS], cores()
         qp()
-        assert cores() == [HIGHS, SLSQP], cores()
+        assert cores() == [], cores()
+        lp()
+        qp()
+        assert cores() == [HIGHS], cores()
     """)
 
 
-def test_first_nnls_loads_the_cores():
-    # a process that only runs nnls never loads HiGHS
+def test_a_qp_only_process_loads_no_core():
     run_fresh(CORES + """
         qp()
         qp()
-        assert cores() == [SLSQP], cores()
+        assert cores() == [], cores()
     """)
 
 
@@ -1168,30 +1111,27 @@ def test_scipy_optimize_after_stratalg_reuses_the_cores():
     run_fresh(CORES + """
         lp()
         qp()
-        assert cores() == [HIGHS, SLSQP], cores()
-        highs, slsqplib = sys.modules[HIGHS], sys.modules[SLSQP]
+        assert cores() == [HIGHS], cores()
+        highs = sys.modules[HIGHS]
         assert _solvers._highs is highs
-        from scipy.optimize import linprog, nnls
+        from scipy.optimize import linprog
         from scipy.optimize._highspy import _core
-        from scipy.optimize import _slsqplib
-        assert _core is highs and _slsqplib is slsqplib
+        assert _core is highs
         res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
         assert res.status == 0 and res.x.tolist() == [1.0, 0.0]
-        assert nnls(np.eye(2), np.array([1.0, -1.0]))[0].tolist() == [1.0, 0.0]
         lp()
         qp()
-        assert sys.modules[HIGHS] is highs and sys.modules[SLSQP] is slsqplib
+        assert sys.modules[HIGHS] is highs
     """)
 
 
 def test_stratalg_after_scipy_optimize_reuses_its_cores():
     run_fresh(CORES + """
         from scipy.optimize._highspy import _core
-        from scipy.optimize import _slsqplib
         lp()
         qp()
         assert _solvers._highs is _core
-        assert _solvers._load_scipy_extension(SLSQP) is _slsqplib
+        assert _solvers._load_scipy_extension(HIGHS) is _core
     """)
 
 
