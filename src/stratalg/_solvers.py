@@ -145,7 +145,7 @@ def _pin_lstsq():
 
 _LSTSQ = _pin_lstsq()
 
-_POLISH_ROUNDS = 60
+_QP_ROUNDS = 60
 
 def _load_highs() -> None:
     """Load HiGHS once, and set the LP options and statuses.
@@ -435,7 +435,7 @@ def cone_least_squares(
     eq_tol = FEAS_TOL * row_scale(eq_rhs)
     point, coeffs = np.zeros((K, d)), np.zeros((K, n))
     kkt_fail, live = np.ones(K, dtype=bool), np.ones(K, dtype=bool)
-    for _ in range(_POLISH_ROUNDS):
+    for _ in range(_QP_ROUNDS):
         atoms = np.flatnonzero(live)
         if not atoms.size:
             break

@@ -769,7 +769,7 @@ def ref_cone_least_squares(gens, nonneg, eq_mat, eq_rhs, start, events=None):
     opt_tol = 1e-9 * (float(np.max(np.sum(gens * gens, axis=1))) if n else 0.0)
     sizes = []
     events.setdefault("supports", []).append(sizes)
-    for _ in range(_solvers._POLISH_ROUNDS):
+    for _ in range(_solvers._QP_ROUNDS):
         sizes.append(len(support))
         w, rho = ref_polish(gens, eq_mat, eq_rhs, sorted(support))
         bad = [i for i in sorted(support) if i in nonneg and w[i] < -1e-11]
@@ -927,12 +927,12 @@ def split_and_merge(supports):
     return split, merge
 
 
-@pytest.mark.parametrize("rounds", [1, 2, 3, _solvers._POLISH_ROUNDS])
+@pytest.mark.parametrize("rounds", [1, 2, 3, _solvers._QP_ROUNDS])
 def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds, monkeypatch):
     # a start on every column makes the polish step back and drop
     # coefficients, often tied ones of duplicated points, and a short
     # round budget runs out
-    monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
+    monkeypatch.setattr(_solvers, "_QP_ROUNDS", rounds)
     rng = np.random.default_rng([16, rounds])
     events = {}
     for _ in range(60):
@@ -940,7 +940,7 @@ def test_min_norm_point_matches_the_index_list_solver_from_a_full_support(rounds
         eq["start"] = full_support(pts, rays, lines)
         assert_matches_reference(pts, rays, lines, eq, events=events)
     assert events.get("drops", 0) > 0
-    assert events.get("exhausted", 0) > 0 or rounds == _solvers._POLISH_ROUNDS
+    assert events.get("exhausted", 0) > 0 or rounds == _solvers._QP_ROUNDS
 
 
 def test_tied_drops_take_the_first_index():
@@ -1004,14 +1004,14 @@ def test_kkt_ok_needs_the_equality_rows_to_hold():
     assert infeasible > 0
 
 
-def test_a_polish_without_an_accepted_round_returns_its_last_iterate(monkeypatch):
+def test_a_qp_without_an_accepted_round_returns_its_last_iterate(monkeypatch):
     # from both points of the segment [(1, 0), (2, 0)] the first round
     # solves to w = (2, -1), the origin; the line search stops at (1, 0)
     # and drops the second point.  With one round that iterate comes back,
     # flagged, never the origin; with more, the next round accepts it
     seg, start = np.array([[[1.0, 0.0], [2.0, 0.0]]]), np.array([[0.5, 0.5]])
     for rounds, failed in ((1, True), (2, False)):
-        monkeypatch.setattr(_solvers, "_POLISH_ROUNDS", rounds)
+        monkeypatch.setattr(_solvers, "_QP_ROUNDS", rounds)
         sol = min_norm_point(seg, start=start)
         assert np.allclose(sol.point, [[1.0, 0.0]]) and np.allclose(sol.coeffs, [[1.0, 0.0]])
         assert sol.kkt_fail.tolist() == [failed]
