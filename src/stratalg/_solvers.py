@@ -309,7 +309,7 @@ def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
 
     solution = h.getSolution()
     x = np.array(solution.col_value)
-    fun = h.getInfo().objective_function_value
+    fun = h.getObjectiveValue()
     row_value = np.array(solution.row_value)
     slack = model.row_upper[k] - (row_value[held[2]] if hot and len(held) > 2 else row_value)
     tol = LP_CHECK_TOL

@@ -14,6 +14,8 @@ layout its reader reads, so reading it back gives its bits: a
 conditional scalar, extended scalar, integer or vector as its K (x d)
 array of values, a ``MeasurableSet`` as its K 0/1 array and a ``GridFn``
 as the grid record that ``functions`` reads.  Grid axes must be finite.
+Those arrays are written from the array, by dtype (see ``_emit``); the
+short lists and tuples a command builds itself are written entry by entry.
 
 A command pays for what it names.  ``load_document`` checks the
 document's structure and records where each value starts and ends,
@@ -574,27 +576,14 @@ def _fmt(template: str, floats: tuple) -> str:
 _BLOCK_FLOATS = 1 << 15
 
 
-def _fmt_rows(rows: list, n: int, indent: int) -> str:
-    """Comma-joined bracketed rows of ``n`` entries each.
-
-    The rows go in chunks of about ``_BLOCK_FLOATS`` entries.  A chunk
-    whose entries are all floats renders through one ``_fmt`` with a block
-    template built for it; any other chunk, with ints, bools or numpy
-    scalars, renders row by row."""
-    step = max(1, _BLOCK_FLOATS // n)
-    row = "[" + _row_template(n) + "]"
-    parts = []
-    for i in range(0, len(rows), step):
-        chunk = rows[i:i + step]
-        flat = tuple(chain.from_iterable(chunk))
-        if set(map(type, flat)) == {float}:
-            parts.append(_fmt(", ".join([row] * len(chunk)), flat))
-        else:
-            parts.append(", ".join(_emit(e, indent) for e in chunk))
-    return ", ".join(parts)
-
-
 def _emit(v, indent: int) -> str:
+    """``v`` as JSON text, objects indented by ``indent`` levels.
+
+    An array is written from its dtype: ints and bools in one
+    ``json.dumps``, a float vector through one row template, a float
+    matrix in chunks of about ``_BLOCK_FLOATS`` entries, each through a
+    prefix of one block template, and any other array, list or tuple entry
+    by entry (a higher-rank float array so row by row)."""
     pad = "  " * indent
     if isinstance(v, dict):
         if not v:
@@ -604,17 +593,22 @@ def _emit(v, indent: int) -> str:
             for k in sorted(v)
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        types = set(map(type, v))
-        if types == {float}:
-            return "[" + _fmt(_row_template(len(v)), tuple(v)) + "]"
-        if types == {int}:
-            return "[" + ", ".join(map(str, v)) + "]"
-        if types == {list} and v[0] and len(set(map(len, v))) == 1:
-            return "[" + _fmt_rows(v, len(v[0]), indent) + "]"
-        return "[" + ", ".join(_emit(e, indent) for e in v) + "]"
     if isinstance(v, np.ndarray):
-        return _emit(v.tolist(), indent)
+        if v.dtype.kind in "biu":
+            return json.dumps(v.tolist(), separators=(", ", ": "))
+        if v.ndim == 0:
+            return _emit(v[()], indent)
+        if v.dtype.kind == "f" and v.ndim == 1:
+            return "[" + _fmt(_row_template(len(v)), tuple(v.tolist())) + "]"
+        if v.dtype.kind == "f" and v.ndim == 2 and v.shape[1]:
+            step = max(1, _BLOCK_FLOATS // v.shape[1])
+            row = "[" + _row_template(v.shape[1]) + "]"
+            block = ", ".join([row] * min(step, len(v)))
+            return "[" + ", ".join(
+                _fmt(block[:len(chunk) * (len(row) + 2) - 2], tuple(chunk.ravel().tolist()))
+                for chunk in (v[i:i + step] for i in range(0, len(v), step))) + "]"
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_emit(e, indent) for e in v) + "]"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):

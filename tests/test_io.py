@@ -1,13 +1,14 @@
 """The interchange layer's fast paths against the routines they replaced.
 
-``emit_document`` formats a list of plain floats or ints in one join and
-``_num_array`` converts a list, or a list of equal rows, in one numpy
-call.  ``load_document`` indexes the text and ``Scenario`` builds each
-entry on first access.  The references below are the per-entry routines
-and the whole-document reader (``json.loads`` and a build of every entry)
-they replaced, kept here as they were: on seeded documents, edge-case
-layouts and every benchmark workload scenario the emitted bytes, the
-built entries and the parse error messages must be the same.
+``emit_document`` formats an array from its dtype, a float matrix in one
+template per chunk of rows, and ``_num_array`` converts a list, or a list
+of equal rows, in one numpy call.  ``load_document`` indexes the text and
+``Scenario`` builds each entry on first access.  The references below
+are the per-entry routines and the whole-document reader (``json.loads``
+and a build of every entry) they replaced, kept here as they were: on
+seeded documents, edge-case layouts and every benchmark workload scenario
+the emitted bytes, the built entries and the parse error messages must be
+the same.
 """
 
 import json
@@ -179,9 +180,10 @@ def test_emit_of_long_rows_matches_reference(n):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
-    # a list of equal-length float rows renders through one template per
+    # a float matrix renders through a prefix of one block template per
     # chunk of rows, infinities included; small chunks make one block span
-    # several, and anything but floats takes the row path
+    # several, and lists, and arrays of another rank or dtype, take the
+    # entry path
     block = [1, 7, 64, 1 << 15][seed % 4]
     monkeypatch.setattr(stratalg_io, "_BLOCK_FLOATS", block)
     rng = np.random.default_rng([15, seed])
@@ -213,6 +215,9 @@ def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
         "chunk_edges_flipped": flipped,
         "one_neg_inf": one_neg_inf,
     }
+    doc.update({f"{key}_array": np.array(doc[key]) for key in (
+        "finite", "specials", "one_column", "empty_rows", "nested", "overflowing_sum",
+        "chunk_edges", "chunk_edges_flipped", "one_neg_inf")})
     assert emit_document(doc) == ref_emit(doc, 0) + "\n"
     # a NaN beside the +inf that opens the first chunk still raises
     size = min(step, K) * n
@@ -221,9 +226,10 @@ def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
         with_nan[size // 2 // n][size // 2 % n] = float("nan")
         with pytest.raises(ValueError) as ref:
             ref_emit({"v": with_nan}, 0)
-        with pytest.raises(ValueError) as got:
-            emit_document({"v": with_nan})
-        assert str(got.value) == str(ref.value)
+        for value in (with_nan, np.array(with_nan)):
+            with pytest.raises(ValueError) as got:
+                emit_document({"v": value})
+            assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +253,70 @@ def test_emit_rejects_nan_as_reference(value):
     with pytest.raises(ValueError) as got:
         emit_document({"v": value})
     assert str(got.value) == str(ref.value)
+
+
+# The emitter against ``ref_emit`` (each float as "%.17g", an infinity as
+# its sentinel), on values drawn once from EMIT_SEED: arrays of every
+# numeric dtype the library returns, of ranks 1-3 with and without empty
+# axes, and lists and tuples of Python and numpy scalars.
+EMIT_SEED = 20121105
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+               1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+EMIT_SHAPES = [(0,), (1,), (9,), (4, 3), (1, 1), (0, 3), (3, 0), (2, 3, 4), (0, 2, 2),
+               (2, 0, 3), (2, 3, 0)]
+
+
+def emit_floats(rng, shape, dtype, edges, exp):
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-exp, exp, shape)
+    edge = rng.random(shape) < 0.3
+    a[edge] = rng.choice(edges, size=int(edge.sum()))
+    return a.astype(dtype)
+
+
+def emit_cases(rng) -> dict:
+    f32_edges = [0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, 3.4028234663852886e38]
+    cases = {}
+    for shape in EMIT_SHAPES:
+        name = "x".join(map(str, shape))
+        cases[f"float64 {name}"] = emit_floats(rng, shape, np.float64, EDGE_FLOATS, 300)
+        cases[f"float32 {name}"] = emit_floats(rng, shape, np.float32, f32_edges, 37)
+        cases[f"int64 {name}"] = rng.integers(-(2**63), 2**63 - 1, shape, endpoint=True)
+        cases[f"bool {name}"] = rng.random(shape) < 0.5
+    # longer than one block of rows, and one long row
+    cases["float64 12000x3"] = emit_floats(rng, (12000, 3), np.float64, EDGE_FLOATS, 300)
+    cases["float64 40000"] = emit_floats(rng, (40000,), np.float64, EDGE_FLOATS, 300)
+    row = emit_floats(rng, (6,), np.float64, EDGE_FLOATS, 300)
+    ints = rng.integers(-(2**62), 2**62, 4)
+    cases["list of floats"] = row.tolist()
+    cases["tuple of floats"] = tuple(row.tolist())
+    cases["list of numpy floats"] = list(row) + [np.float32(row[0])]
+    cases["tuple of numpy scalars"] = (np.float64(row[1]), np.int64(ints[0]), np.bool_(True),
+                                       np.float32(-0.0), np.int32(-7), np.uint8(255))
+    cases["list of ints and bools"] = [*ints.tolist(), True, False, 0]
+    cases["mixed list"] = [row[2], int(ints[1]), np.float64(row[3]), True, (row[4], 1), [],
+                           [row[5], np.int64(ints[2])], ()]
+    cases["rows of tuples"] = [tuple(r) for r in emit_floats(rng, (3, 2), np.float64,
+                                                             EDGE_FLOATS, 300).tolist()]
+    return cases
+
+
+EMIT_CASES = emit_cases(np.random.default_rng(EMIT_SEED))
+
+
+@pytest.mark.parametrize("case", list(EMIT_CASES))
+def test_emit_writes_every_value_as_the_json_reference(case):
+    value = EMIT_CASES[case]
+    assert emit_document({"v": value}) == ref_emit({"v": value}, 0) + "\n"
+    # a NaN at a drawn entry raises, whatever stands around it
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size:
+        with_nan = value.copy()
+        rng = np.random.default_rng([EMIT_SEED, len(case)])
+        with_nan.flat[rng.integers(value.size)] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            emit_document({"v": with_nan})
+    if isinstance(value, (list, tuple)) and value:
+        with pytest.raises(ValueError, match="NaN"):
+            emit_document({"v": type(value)([*value, np.float32("nan")])})
 
 
 def rand_entry(rng):

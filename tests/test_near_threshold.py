@@ -1,18 +1,25 @@
-"""Nearest-point verdicts on seeded cases that lie near their thresholds.
+"""Nearest-point and LP verdicts on seeded cases that lie near their thresholds.
 
 Every case is built so that the value a verdict compares lies within a
 factor of 2 of its threshold: the distance of a point from a polytope
 against ``membership``'s cutoff, the distance between two polytopes
-against strong ``separate``'s ``zero_tol``, and the distance of the
+against strong ``separate``'s ``zero_tol``, the distance of the
 prescribed values from the mapped slope hull against
-``hahn_banach_extend``'s ``tol``.  The planted value is the factor
-``2**u`` (``u`` uniform in [-1, 1]) times the threshold, measured on a
-facet or edge whose nearest point is known, then carried by a random
-rotation and translation.  Each draw comes from ``SEED`` and its case
-name.  The verdict masks are pinned as the nearest-point solver gave them
-when the fixture was written (each agrees with its planted factor on
-every atom), so a change of the QP that moves a verdict near its
-threshold fails here.
+``hahn_banach_extend``'s ``tol``, the width of ``argmin``'s uniqueness
+box against ``tol * max(1, |xstar[axis]|)``, and the positivity margin of
+``ri_membership`` against ``strict_tol``.  The planted value is the factor
+``2**u`` (``u`` uniform in [-1, 1]) times the threshold.  A distance is
+measured on a facet or edge whose nearest point is known, then carried by
+a random rotation and translation; a box width is the length of an
+optimal edge along a coordinate axis, and a margin the smallest
+barycentric coordinate of the target in a triangle.  Each draw comes from
+``SEED`` and its case name.  The verdict masks are pinned as the solvers
+gave them when the fixture was written, so a change of the QP or of an LP
+family that moves a verdict near its threshold fails here.  Each mask
+agrees with its planted factors on every atom but one: ``ri_membership``'s
+atom 27, planted 0.74% below its threshold on a triangle with edges of
+0.14-0.33, reads a margin 0.43% above it, lent by the margin LP's
+equality slack ``EQ_TOL * max(1, |entries|)``.
 """
 
 import numpy as np
@@ -25,20 +32,25 @@ from stratalg import (
     ConvexSetRep,
     MaxAffineFn,
     MeasureSpace,
+    argmin,
     hahn_banach_extend,
     membership,
     orthonormalize,
     rank_partition,
+    ri_membership,
     separate,
 )
-from stratalg.tolerances import FEAS_TOL, QP_TOL, row_scale
+from stratalg.tolerances import FEAS_TOL, QP_TOL, STRICT_TOL, row_scale
 
 SEED = 12110747
 K = 48
 
 # the pinned verdicts, one character an atom: "1" where the verdict holds
-# (inside, separation fails, the extension raises)
+# (inside, separation fails, the extension raises, the minimizer is
+# unique, the target is relatively interior)
 PINNED = {
+    "argmin": "011001110001110110101011001010010111101011001010",
+    "ri_membership": "101111001100111001111101001110001110111111101111",
     "membership": "011110101011001010110100111111101010110001000111",
     "separate": "011100010010011111000000011111000100111011000000",
     "hahn_banach_extend": "010100111110111110000100000111100000010001111011",
@@ -144,8 +156,47 @@ def extension_case():
     return np.zeros(K, dtype=bool)
 
 
+def argmin_case():
+    """Minimize ``c x_up`` over a polytope whose bottom is the edge from
+    ``b`` to ``b + w e_axis``, every point within the edge's ``axis``
+    range: the box of the near-optimal face is ``w`` wide along ``axis``
+    and far below its threshold along the other two axes."""
+    rng = rng_for("argmin")
+    axes = np.stack([rng.permutation(3) for _ in range(K)])  # axis, up, side
+    E = np.eye(3)[axes]  # (K, 3, 3): the unit vectors of those axes
+    s = 2.0 ** rng.integers(-3, 4, K)
+    b = rng.normal(size=(K, 3)) * s[:, None]
+    w = factors(rng) * QP_TOL * np.maximum(1.0, np.abs(b[np.arange(K), axes[:, 0]]))
+    t, h = rng.random((K, 3)), rng.uniform(1.0, 2.0, (K, 3))
+    r = rng.uniform(-0.5, 0.5, (K, 3))
+    top = b[:, None] + (t * w[:, None])[..., None] * E[:, None, 0] + (
+        s[:, None, None] * (h[..., None] * E[:, None, 1] + r[..., None] * E[:, None, 2]))
+    pts = np.concatenate([b[:, None], (b + w[:, None] * E[:, 0])[:, None], top], axis=1)
+    pts = np.take_along_axis(pts, np.argsort(rng.random((K, 5)), axis=1)[..., None], axis=1)
+    space = MeasureSpace(np.ones(K))
+    f = MaxAffineFn(space, (2.0 ** rng.uniform(-1.0, 1.0, K))[:, None, None] * E[:, None, 1],
+                    np.zeros((K, 1)))
+    return argmin(f, ConvexSetRep(space, 3, family(space, pts))).unique_set.mask
+
+
+def ri_case():
+    """A target in a triangle of ``R^3`` whose smallest barycentric
+    coordinate, its largest positivity margin, is planted."""
+    rng = rng_for("ri_membership")
+    s = 2.0 ** rng.integers(-3, 4, K)
+    V = (rng.normal(size=(K, 3, 3)) + rng.normal(size=(K, 1, 3))) * s[:, None, None]
+    m = factors(rng) * STRICT_TOL
+    a = rng.uniform(0.2, 0.7, K)
+    lam = np.stack([m, a, 1.0 - m - a], axis=1)
+    lam = np.take_along_axis(lam, np.argsort(rng.random((K, 3)), axis=1), axis=1)
+    space = MeasureSpace(np.ones(K))
+    x = CondVector(space, np.einsum("kj,kjd->kd", lam, V))
+    return ri_membership(x, ConvexSetRep(space, 3, family(space, V)), mode="relative").mask
+
+
 CASES = {"membership": membership_case, "separate": separate_case,
-         "hahn_banach_extend": extension_case}
+         "hahn_banach_extend": extension_case, "argmin": argmin_case,
+         "ri_membership": ri_case}
 
 
 def as_text(mask):
