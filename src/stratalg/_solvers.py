@@ -372,7 +372,7 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _LSTSQ(a, b, np.finfo(np.float64).eps * n, signature="ddd->ddid")[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class QPSolution:
     """Per-atom solutions of ``min |G^T w|^2`` s.t. ``E w = e``, ``w_i >= 0``
     on a prefix, atom axis first."""

@@ -215,7 +215,7 @@ class Grid:
         return tuple(offs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFn:
     """Extended-real node values on a shared lattice, per atom.
 
@@ -953,7 +953,7 @@ def _descent_recession(f: MaxAffineFn, c: ConvexSetRep):
     return bad, CondVector(f.space, np.array([np.zeros(f.dim) if w is None else w for w in found]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfConvResult:
     """Min-plus convolution of grid functions over lattice splittings.
 

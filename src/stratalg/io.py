@@ -14,8 +14,10 @@ layout its reader reads, so reading it back gives its bits: a
 conditional scalar, extended scalar, integer or vector as its K (x d)
 array of values, a ``MeasurableSet`` as its K 0/1 array and a ``GridFn``
 as the grid record that ``functions`` reads.  Grid axes must be finite.
-Those arrays are written from the array, by dtype (see ``_emit``); the
-short lists and tuples a command builds itself are written entry by entry.
+Those arrays are written from the array (see ``_emit``): an int or bool
+array in one ``json.dumps``, a float array row by row, each row through
+one row template.  The short lists and tuples a command builds itself are
+written entry by entry.
 
 A command pays for what it names.  ``load_document`` checks the
 document's structure and records where each value starts and ends,
@@ -28,10 +30,11 @@ get the same rows: every op is local to its atom, so the rows of atom
 ``k`` depend on atom ``k``'s data alone.  ``Scenario.quotient`` groups the
 atoms into blocks of such atoms and builds the scenario on one atom per
 block, reading only its representatives' rows; ``emit_document`` writes
-each block's rows once and places them at every atom of the block.  The
-weights stay out of the blocks: they never enter a result.  Neither
-``load_document`` nor ``build_scenario`` does any of this work; a run on
-the quotient that raises is run again on all atoms by ``cli``.
+each block's row once, as the whole array would write it, and places the
+text at every atom of the block.  The weights stay out of the blocks:
+they never enter a result.  Neither ``load_document`` nor
+``build_scenario`` does any of this work; a run on the quotient that
+raises is run again on all atoms by ``cli``.
 """
 
 from __future__ import annotations
@@ -387,7 +390,7 @@ class Scenario:
             if key in split:
                 rows, texts = split[key]
                 start, end = spans[key]
-                text = text[:start] + _joined(rows, [texts[r] for r in reps], "") + text[end:]
+                text = text[:start] + _joined(rows, [texts[r] for r in reps]) + text[end:]
             sections[key[0]][key[1]] = text
         quo = Scenario({"weights": self.weights[reps].tolist(), "d": self.d,
                         **{section: _section(texts) for section, texts in sections.items()}})
@@ -423,11 +426,11 @@ def _atom_texts(text: str, natoms: int) -> tuple[bool, list] | None:
     return rows, texts
 
 
-def _joined(rows: bool, texts: list, space: str) -> str:
+def _joined(rows: bool, texts: list) -> str:
     """The array of ``texts``, as ``_atom_texts`` splits it."""
     if rows:
-        return "[[" + f"],{space}[".join(texts) + "]]"
-    return "[" + f",{space}".join(texts) + "]"
+        return "[[" + "],[".join(texts) + "]]"
+    return "[" + ",".join(texts) + "]"
 
 
 def _strings(value):
@@ -571,19 +574,13 @@ def _fmt(template: str, floats: tuple) -> str:
     return text
 
 
-# Floats per block template: the template, the argument tuple and the
-# rendered text of one chunk stay well under 1 MB.
-_BLOCK_FLOATS = 1 << 15
-
-
 def _emit(v, indent: int) -> str:
     """``v`` as JSON text, objects indented by ``indent`` levels.
 
-    An array is written from its dtype: ints and bools in one
-    ``json.dumps``, a float vector through one row template, a float
-    matrix in chunks of about ``_BLOCK_FLOATS`` entries, each through a
-    prefix of one block template, and any other array, list or tuple entry
-    by entry (a higher-rank float array so row by row)."""
+    An int or bool array is written in one ``json.dumps``, and a float
+    vector through one row template.  Any other array, list or tuple is
+    written entry by entry, so a float array of higher rank is written row
+    by row, each row through that template."""
     pad = "  " * indent
     if isinstance(v, dict):
         if not v:
@@ -600,13 +597,6 @@ def _emit(v, indent: int) -> str:
             return _emit(v[()], indent)
         if v.dtype.kind == "f" and v.ndim == 1:
             return "[" + _fmt(_row_template(len(v)), tuple(v.tolist())) + "]"
-        if v.dtype.kind == "f" and v.ndim == 2 and v.shape[1]:
-            step = max(1, _BLOCK_FLOATS // v.shape[1])
-            row = "[" + _row_template(v.shape[1]) + "]"
-            block = ", ".join([row] * min(step, len(v)))
-            return "[" + ", ".join(
-                _fmt(block[:len(chunk) * (len(row) + 2) - 2], tuple(chunk.ravel().tolist()))
-                for chunk in (v[i:i + step] for i in range(0, len(v), step))) + "]"
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_emit(e, indent) for e in v) + "]"
     if isinstance(v, (bool, np.bool_)):
@@ -621,13 +611,22 @@ def _emit(v, indent: int) -> str:
         return "null"
     if isinstance(v, Mapping):  # a Document
         return _emit(dict(v), indent)
-    if isinstance(v, (CondScalar, CondExtScalar, CondInteger, CondVector)):
-        return _emit(v.values, indent)
-    if isinstance(v, MeasurableSet):
-        return _emit(v.mask.astype(int), indent)
     if isinstance(v, GridFn):
         return _emit(_grid_record(v), indent)
+    a = _array(v)  # a conditional value's or a set's array
+    if a is not v:
+        return _emit(a, indent)
     raise TypeError(f"cannot emit {type(v).__name__}")
+
+
+def _array(v):
+    """The array a conditional value or a set is written as; any other
+    value as it is."""
+    if isinstance(v, (CondScalar, CondExtScalar, CondInteger, CondVector)):
+        return v.values
+    if isinstance(v, MeasurableSet):
+        return v.mask.astype(int)
+    return v
 
 
 def _grid_record(f: GridFn) -> dict:
@@ -639,16 +638,13 @@ class _Text(str):
     """Text that ``_emit`` writes as it stands."""
 
 
-def _placed(v, atoms: np.ndarray, nblocks: int) -> _Text:
+def _placed(v, atoms: list) -> _Text:
     """The per-atom value ``v`` of one row per block, with each block's row
-    at every atom of the block."""
-    text = _emit(v, 0)
-    split = _atom_texts(text, nblocks)
-    if split is None:  # rows of rows: emitting is byte-stable under re-reading
-        rows = _decode(text)
-        return _Text(_emit([rows[b] for b in atoms], 0))
-    rows, texts = split
-    return _Text(_joined(rows, [texts[b] for b in atoms], " "))
+    at every atom of the block: each row is written once, as ``_emit``
+    writes it within the whole array, and the array joins the rows as
+    ``_emit`` joins entries."""
+    rows = [_emit(row, 0) for row in _array(v)]
+    return _Text("[" + ", ".join([rows[b] for b in atoms]) + "]")
 
 
 def emit_document(doc: dict, atoms: np.ndarray | None = None) -> str:
@@ -660,14 +656,12 @@ def emit_document(doc: dict, atoms: np.ndarray | None = None) -> str:
     ``values``) holds one row per block: each block's rows are written
     once and placed at every atom of the block."""
     if atoms is not None:
-        nblocks = int(atoms.max()) + 1
-        doc = dict(doc)
+        doc, atoms = dict(doc), atoms.tolist()
         for section in (*_PER_ATOM_SECTIONS, "integers"):
             if section in doc:
-                doc[section] = {name: _placed(v, atoms, nblocks)
-                                for name, v in doc[section].items()}
+                doc[section] = {name: _placed(v, atoms) for name, v in doc[section].items()}
         if "functions" in doc:
             doc["functions"] = {
-                name: {**_grid_record(f), "values": _placed(f.values, atoms, nblocks)}
+                name: {**_grid_record(f), "values": _placed(f.values, atoms)}
                 if isinstance(f, GridFn) else f for name, f in doc["functions"].items()}
     return _emit(doc, 0) + "\n"

@@ -90,7 +90,7 @@ def _canonical_signs(rows: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=-1, keepdims=True) & ~(lead > 0), -rows, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratifiedBasis:
     """Result of the rank partition of a generating family.
 
@@ -127,7 +127,7 @@ class StratifiedBasis:
         return MeasurableSet(self.space, self.labels >= i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalFrame:
     """A per-atom orthonormal basis of ``R^d`` adapted to a submodule.
 
@@ -171,7 +171,7 @@ class OrthonormalFrame:
         return OrthonormalFrame(self.space, self.dim, self.dim - self.labels, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondLinearMap:
     """A conditional linear map: one ``m x d`` matrix per atom."""
 

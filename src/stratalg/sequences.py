@@ -127,7 +127,7 @@ def bw_extract(seq: CondSequence, depth: int, slack: float) -> BWResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CauchyResult:
     """Finite-horizon Cauchy verdict with its tail-diameter evidence.
 

@@ -889,14 +889,24 @@ def run_in_process(argv, capsys, monkeypatch):
     return code, out.encode(), err
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["basis", "{scn}", "--generators", "e1", "e2"], 0),
-    (["basis", "{scn}", "--generators", "e1", "nowhere"], 1),  # error document
-    (["separate", "{scn}", "--first", "box", "--second", "seg", "--strict"], 2),
-    (["basis", "{scn}", "--generators", "e1", "--bogus"], 1),  # usage on stderr
-    (["--help"], 0),
-], ids=["pass", "malformed", "strict-failure", "unknown-flag", "help"])
-def test_process_matches_main(scenario_path, capsys, monkeypatch, argv, code):
+@pytest.mark.parametrize("argv, code, message", [
+    (["basis", "{scn}", "--generators", "e1", "e2"], 0, None),
+    (["basis", "{scn}", "--generators", "e1", "nowhere"], 1,  # error document
+     "unknown vector 'nowhere'"),
+    (["separate", "{scn}", "--first", "box", "--second", "seg", "--strict"], 2, None),
+    (["basis", "{scn}", "--generators", "e1", "--bogus"], 1, None),  # usage on stderr
+    (["--help"], 0, None),
+    (["conjugate", "{scn}", "--function", "gabs", "--mins", "-2"], 1,
+     "--mins, --maxs and --steps must be given together"),
+    (["conjugate", "{scn}", "--function", "gabs", "--mins=-2", "--maxs", "2", "--steps", "half"],
+     1, "expected comma-separated numbers, got 'half'"),
+    (["fenchel-moreau", "{scn}", "--function", "absmax"], 1,
+     "function 'absmax' must be a grid function"),
+    (["subgrad", "{scn}", "--function", "gabs", "--point", "x0"], 1,
+     "function 'gabs' must be max-affine"),
+], ids=["pass", "malformed", "strict-failure", "unknown-flag", "help", "dual-grid-flags-apart",
+        "non-numeric-dual-grid", "max-affine-for-grid", "grid-for-max-affine"])
+def test_process_matches_main(scenario_path, capsys, monkeypatch, argv, code, message):
     argv = [a.format(scn=scenario_path) for a in argv]
     want = run_in_process(argv, capsys, monkeypatch)
     assert want[0] == code
@@ -905,7 +915,8 @@ def test_process_matches_main(scenario_path, capsys, monkeypatch, argv, code):
     if "--bogus" in argv:
         assert out == b"" and err.startswith("usage: stratalg") and "--bogus" in err
     elif code == 1:
-        assert json.loads(out)["error"]["kind"] == "ParseError" and err == ""
+        assert json.loads(out)["error"] == {"kind": "ParseError", "message": message}
+        assert err == ""
     else:
         assert out and err == ""
 

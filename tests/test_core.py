@@ -1,5 +1,8 @@
-"""Conditional value types, gluing, and the extended arithmetic rules."""
+"""Conditional value types, gluing, the extended arithmetic rules, and how
+every record type compares and hashes."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -7,22 +10,41 @@ import warnings
 import numpy as np
 import pytest
 
+import stratalg
 from stratalg import (
     CondExtScalar,
+    CondHalfspace,
     CondInteger,
+    CondLinearMap,
     CondScalar,
+    CondSequence,
     CondVector,
+    ConvexSetRep,
+    Grid,
+    GridFn,
+    MaxAffineFn,
     MeasurableSet,
     MeasureSpace,
     PartitionError,
     ShapeError,
     SpaceMismatchError,
+    argmin,
+    bw_extract,
+    cauchy_limit,
     ess_extrema,
+    fenchel_moreau_check,
     glue,
+    inf_convolution,
+    infconv_checks,
     inner_norm,
     largest_set_where,
+    orthonormalize,
+    rank_partition,
     select_by_index,
+    separate,
+    subdifferential,
 )
+from stratalg._solvers import min_norm_point
 from stratalg.core import _stack, ext_add, ext_mul
 from stratalg.tolerances import row_scale
 
@@ -548,3 +570,42 @@ OPERATOR_TABLE = {
 
 def test_operator_table():
     assert operator_table() == OPERATOR_TABLE
+
+
+def _records() -> list:
+    """One object of every public record type, of the measure space, a set
+    and the conditional value types, and the QP's solution, on two atoms."""
+    space = MeasureSpace([1.0, 2.0])
+    x = CondVector(space, [[1.0, 0.0], [0.5, 2.0]])
+    y = CondVector(space, [[0.0, 1.0], [1.0, 4.0]])
+    zero = CondScalar(space, [0.0, 0.0])
+    grid = Grid((-1.0,), (1.0,), (0.5,))
+    g = GridFn(space, grid, np.tile(grid.axis(0) ** 2, (2, 1)))
+    box = ConvexSetRep(space, 2, [x, y, CondVector.zero(space, 2)])
+    far = ConvexSetRep(space, 2, [CondVector.constant(space, [9.0, 9.0])])
+    f = MaxAffineFn.from_pieces([(x, zero), (y, zero)])
+    seq = CondSequence([x, y, y])
+    basis = rank_partition([x, y])
+    return [
+        space, space.full_set(), zero, CondExtScalar(space, [np.inf, 1.0]),
+        CondInteger(space, [1, 2]), x, grid, g, f, box, seq, basis, orthonormalize(basis),
+        CondLinearMap(space, np.ones((2, 1, 2))), CondHalfspace(x, zero),
+        fenchel_moreau_check(g), subdifferential(f, CondVector.zero(space, 2)), argmin(f, box),
+        inf_convolution([g, g]), infconv_checks([g, g]), bw_extract(seq, 1, 0.5),
+        cauchy_limit(seq, [CondScalar(space, [1.0, 1.0])]), separate(box, far),
+        min_norm_point(box.points),
+    ]
+
+
+def test_records_compare_and_hash():
+    # ``==`` against an equal object built anew gives a bool and ``hash``
+    # gives an int, however many arrays a record holds
+    records = _records()
+    public = {obj for obj in map(stratalg.__dict__.get, stratalg.__all__)
+              if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert public <= set(map(type, records))
+    for record in records:
+        rebuilt = copy.deepcopy(record)
+        assert isinstance(record == rebuilt, bool), type(record).__name__
+        assert record == record
+        assert isinstance(hash(record), int)

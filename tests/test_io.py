@@ -1,14 +1,14 @@
 """The interchange layer's fast paths against the routines they replaced.
 
-``emit_document`` formats an array from its dtype, a float matrix in one
-template per chunk of rows, and ``_num_array`` converts a list, or a list
-of equal rows, in one numpy call.  ``load_document`` indexes the text and
-``Scenario`` builds each entry on first access.  The references below
-are the per-entry routines and the whole-document reader (``json.loads``
-and a build of every entry) they replaced, kept here as they were: on
-seeded documents, edge-case layouts and every benchmark workload scenario
-the emitted bytes, the built entries and the parse error messages must be
-the same.
+``emit_document`` formats an array from its dtype, a float array row by
+row through one template per row length, and ``_num_array`` converts a
+list, or a list of equal rows, in one numpy call.  ``load_document``
+indexes the text and ``Scenario`` builds each entry on first access.  The
+references below are the per-entry routines and the whole-document reader
+(``json.loads`` and a build of every entry) they replaced, kept here as
+they were: on seeded documents, edge-case layouts and every benchmark
+workload scenario the emitted bytes, the built entries and the parse error
+messages must be the same.
 """
 
 import json
@@ -23,7 +23,6 @@ from ops import same_bits
 from test_cli import scenario_doc
 
 from stratalg.core import CondScalar, CondVector, MeasurableSet, MeasureSpace
-from stratalg import io as stratalg_io
 from stratalg.errors import StratalgError
 from stratalg.functions import Grid, GridFn, MaxAffineFn
 from stratalg.io import (
@@ -179,23 +178,17 @@ def test_emit_of_long_rows_matches_reference(n):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
-    # a float matrix renders through a prefix of one block template per
-    # chunk of rows, infinities included; small chunks make one block span
-    # several, and lists, and arrays of another rank or dtype, take the
-    # entry path
-    block = [1, 7, 64, 1 << 15][seed % 4]
-    monkeypatch.setattr(stratalg_io, "_BLOCK_FLOATS", block)
+def test_emit_of_row_blocks_matches_reference(seed):
+    # a float matrix renders row by row, infinities included; lists, and
+    # arrays of another rank or dtype, take the entry path
     rng = np.random.default_rng([15, seed])
     K, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
     rows = rng.normal(size=(K, n)) * 10.0 ** rng.integers(-300, 300, size=(K, n))
     finite = rows.tolist()
-    step = max(1, block // n)  # rows per chunk
     edges, flipped = [r[:] for r in finite], [r[:] for r in finite]
-    for i in range(0, K, step):  # infinities first and last in every chunk
-        last = min(i + step, K) - 1
-        edges[i][0], edges[last][-1] = np.inf, -np.inf
-        flipped[i][0], flipped[last][-1] = -np.inf, np.inf
+    for i in range(K):  # infinities first and last in every row
+        edges[i][0], edges[i][-1] = np.inf, -np.inf
+        flipped[i][0], flipped[i][-1] = -np.inf, np.inf
     one_neg_inf = [r[:] for r in finite]
     one_neg_inf[K // 2][n // 2] = -np.inf
     doc = {
@@ -211,19 +204,18 @@ def test_emit_of_row_blocks_matches_reference(seed, monkeypatch):
         "bools": finite + [[True] * n],
         "nested": [[finite[:2]] for _ in range(3)],
         "overflowing_sum": [[1.7976931348623157e308] * n for _ in range(K + 1)],
-        "chunk_edges": edges,
-        "chunk_edges_flipped": flipped,
+        "row_edges": edges,
+        "row_edges_flipped": flipped,
         "one_neg_inf": one_neg_inf,
     }
     doc.update({f"{key}_array": np.array(doc[key]) for key in (
         "finite", "specials", "one_column", "empty_rows", "nested", "overflowing_sum",
-        "chunk_edges", "chunk_edges_flipped", "one_neg_inf")})
+        "row_edges", "row_edges_flipped", "one_neg_inf")})
     assert emit_document(doc) == ref_emit(doc, 0) + "\n"
-    # a NaN beside the +inf that opens the first chunk still raises
-    size = min(step, K) * n
-    if size > 1:
+    # a NaN among the rows that open and close with infinities still raises
+    if K * n > 1:
         with_nan = [r[:] for r in edges]
-        with_nan[size // 2 // n][size // 2 % n] = float("nan")
+        with_nan[K // 2][n // 2] = float("nan")
         with pytest.raises(ValueError) as ref:
             ref_emit({"v": with_nan}, 0)
         for value in (with_nan, np.array(with_nan)):
@@ -282,7 +274,7 @@ def emit_cases(rng) -> dict:
         cases[f"float32 {name}"] = emit_floats(rng, shape, np.float32, f32_edges, 37)
         cases[f"int64 {name}"] = rng.integers(-(2**63), 2**63 - 1, shape, endpoint=True)
         cases[f"bool {name}"] = rng.random(shape) < 0.5
-    # longer than one block of rows, and one long row
+    # many short rows, and one long row
     cases["float64 12000x3"] = emit_floats(rng, (12000, 3), np.float64, EDGE_FLOATS, 300)
     cases["float64 40000"] = emit_floats(rng, (40000,), np.float64, EDGE_FLOATS, 300)
     row = emit_floats(rng, (6,), np.float64, EDGE_FLOATS, 300)
