@@ -39,16 +39,17 @@ same status and a bit-identical ``fun`` and ``x`` as linprog; skipped are only
 linprog's per-call input validation, option checking and result
 packaging, which cost several times the solve itself on these small LPs.
 Every LP family states its constraints once per stratum, as atom-first
-stacks, in one ``LPModel`` with one HiGHS instance, reloaded per atom
-(only argmin's optimal-face and descent-cone models are one atom each).
-In every family whose ``x`` is read (epigraph, dual-cone, margin, step and
+stacks, in one ``LPModel`` that owns one HiGHS instance, reloaded per
+atom (only argmin's descent-cone models are one atom each).  In every
+family whose ``x`` is read (epigraph, dual-cone, margin, step and
 recession LPs) every cost, the first one included, is set on that
 instance and run from a cleared solver, so nothing a previous solve left
 behind can influence which optimal vertex comes back, and every result
 has the bits of an instance that got the cost with the atom's model
 (``test_solvers`` pins this).  argmin's uniqueness box reads only values:
-its face is the epigraph instance cut by ``LPModel.cut``, and its LPs run
-hot from the epigraph optimum's basis (``solve_lp(..., hot=True)``); the
+its near-optimal face is the atom's epigraph model with the epigraph
+variable's upper bound lowered by ``LPModel.narrow``, and its LPs run hot
+from the epigraph optimum's basis (``solve_lp(..., hot=True)``); the
 caller solves again cold a hot LP that is not optimal, or a width near its
 threshold.  Weak and proper separation skip the dual-cone scan on the
 atoms that ``cone_spans`` certifies, whose dual cone is ``{0}``; that
@@ -81,7 +82,6 @@ atoms whose returned solution is not a KKT point; ``kkt_ok`` is the plain
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -174,7 +174,6 @@ def _load_highs() -> None:
 
 
 _OUTCOMES = ("ok", "limit", "infeasible", "unbounded", "numerical")  # by status
-_MODEL_IDS = itertools.count()  # tells apart the models that share a HiGHS instance
 
 
 class LPResult(NamedTuple):
@@ -196,23 +195,21 @@ class LPModel:
     variables, one per atom: float stacks ``(K, m_ub, n)``, ``(K, m_ub)``,
     ``(K, m_eq, n)``, ``(K, m_eq)`` and ``(K, n, 2)``, ``±inf`` unbounded.
 
-    The stacks are kept as given, for the post-solve feasibility check.
-    Every atom's HiGHS model ``row_lower <= [A_ub; A_eq] x <= row_upper``,
-    column-wise with rows ascending in each column, is worked out in one
-    pass; ``load(k)`` hands atom ``k``'s, with zero costs, to the model's
-    one ``_Highs`` instance unless the instance holds it.  A model built
-    with ``share`` (``cut`` builds one) uses that model's instance, and
-    each of them loads its own atoms.
+    The stacks are kept as given, for the post-solve feasibility check;
+    only ``narrow`` changes ``box``.  Every atom's HiGHS rows ``row_lower
+    <= [A_ub; A_eq] x <= row_upper``, column-wise with rows ascending in
+    each column, are worked out in one pass; ``load(k)`` hands atom ``k``'s
+    model, with the bounds in ``box`` and zero costs, to the model's own
+    ``_Highs`` instance unless the instance holds it.
     """
 
-    def __init__(self, A_ub, b_ub, A_eq, b_eq, box, share: Optional["LPModel"] = None):
+    def __init__(self, A_ub, b_ub, A_eq, b_eq, box):
         _load_highs()
         self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.box = A_ub, b_ub, A_eq, b_eq, box
         K, self.m_ub, self.n = A_ub.shape
         self.row_upper = np.concatenate([b_ub, b_eq], axis=1)
         self._row_lower = _highs_inf(np.concatenate([np.full(b_ub.shape, -np.inf), b_eq], axis=1))
         self._row_upper = _highs_inf(self.row_upper)
-        self._col_lower, self._col_upper = _highs_inf(box[:, :, 0]), _highs_inf(box[:, :, 1])
         At = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1)
         atom, col, self._index = np.nonzero(At)
         self._value = At[atom, col, self._index]
@@ -220,19 +217,15 @@ class LPModel:
         self._start = np.zeros((K, self.n + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=self._start[:, 1:])
         self._nz = np.concatenate([[0], np.cumsum(self._start[:, -1])])
-        self._id = next(_MODEL_IDS)
-        if share is None:
-            self.highs = _highs._Highs()
-            self.highs.passOptions(_LP_OPTIONS)
-            self._held = [None]
-        else:
-            self.highs, self._held = share.highs, share._held
+        self.highs = _highs._Highs()
+        self.highs.passOptions(_LP_OPTIONS)
+        self.held = None  # the atom whose model the instance holds
         self.rejected = None
 
     def load(self, k: int) -> bool:
         """Load atom ``k``'s model into the instance unless it holds it;
         True when HiGHS rejected it (kModelError)."""
-        if self._held[0] != (self._id, k):
+        if self.held != k:
             n, m, nz = self.n, self.row_upper.shape[1], slice(self._nz[k], self._nz[k + 1])
             lp = _highs.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -241,36 +234,25 @@ class LPModel:
             lp.a_matrix_.start_ = self._start[k]
             lp.a_matrix_.index_ = self._index[nz]
             lp.a_matrix_.value_ = self._value[nz]
-            lp.col_lower_ = self._col_lower[k]
-            lp.col_upper_ = self._col_upper[k]
+            lp.col_lower_, lp.col_upper_ = _highs_inf(self.box[k].T)
             lp.row_lower_ = self._row_lower[k]
             lp.row_upper_ = self._row_upper[k]
             lp.col_cost_ = np.zeros(n)  # HiGHS rejects a model without costs
-            self._held[0] = (self._id, k)
+            self.held = k
             self.rejected = self.highs.passModel(lp) == _highs.HighsStatus.kError
         return self.rejected
 
-    def cut(self, k: int, row: np.ndarray, bound: float) -> "LPModel":
-        """Atom ``k``'s constraint set cut by ``row x <= bound``: a one-atom
-        model whose last inequality row is the cut, on this model's HiGHS
-        instance.
-
-        When the instance holds atom ``k``, as after ``solve_lp(self, k,
-        c)``, the cut is appended to it by ``addRow``, which keeps the basis
-        of that solve, and ``solve_lp(face, 0, c, hot=True)`` starts from
-        it.  HiGHS then holds the cut after the equality rows, and
-        ``solve_lp`` reads the row values back in the model's order.
-        """
-        face = LPModel(np.concatenate([self.A_ub[k], row[None]])[None],
-                       np.append(self.b_ub[k], bound)[None], self.A_eq[k:k + 1],
-                       self.b_eq[k:k + 1], self.box[k:k + 1], share=self)
-        if self._held[0] == (self._id, k) and not self.rejected:
-            index = np.flatnonzero(row).astype(np.int32)
-            if self.highs.addRow(-_highs.kHighsInf, float(bound), len(index),
-                                 index, row[index]) != _highs.HighsStatus.kError:
-                m, e = self.m_ub, self.row_upper.shape[1] - self.m_ub
-                self._held[0] = (face._id, 0, np.r_[0:m, m + e, m:m + e])
-        return face
+    def narrow(self, k: int, col: int, upper: float) -> None:
+        """Lower atom ``k``'s upper bound on column ``col`` to ``upper`` in
+        ``box`` (copied once if read-only) and, if it holds atom ``k``, in
+        the instance: ``changeColBounds`` keeps the last solve's basis for
+        ``solve_lp(self, k, c, hot=True)``.  A refused change reloads."""
+        if not self.box.flags.writeable:
+            self.box = self.box.copy()
+        self.box[k, col, 1] = upper
+        if self.held == k and self.highs.changeColBounds(
+                col, *_highs_inf(self.box[k, col])) == _highs.HighsStatus.kError:
+            self.held = None
 
 
 def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
@@ -285,17 +267,17 @@ def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
     optimal vertex, and canonical outputs such as separating normals are
     read off that vertex.  ``hot=True`` is for a family that reads only
     ``fun`` or the status: where the instance already holds atom ``k``
-    (loaded, or cut by ``LPModel.cut``), the LP runs from the basis the
-    last solve left, which HiGHS solves without presolve.  Its ``fun``
-    agrees with a cold solve's to the solver's tolerances, not bit for bit.
+    (loaded, then perhaps narrowed), the LP runs from the basis the last
+    solve left, which HiGHS solves without presolve.  Its ``fun`` agrees
+    with a cold solve's to the solver's tolerances, not bit for bit.
     Statuses are linprog's (0 optimal, 1 limit, 2 infeasible, 3 unbounded,
     4 other); a model that HiGHS rejected is 2, and a reported optimum that
     violates a bound or constraint by more than linprog's check tolerance
     is downgraded to 4, as linprog does.
     """
     c = np.array(c, dtype=float).reshape(-1)
-    h, held = model.highs, model._held[0]
-    hot = hot and held is not None and held[:2] == (model._id, k)
+    h = model.highs
+    hot = hot and model.held == k
     if (not hot and model.load(k)) or (
             h.changeColsCost(model.n, np.arange(model.n, dtype=np.int32), c)
             == _highs.HighsStatus.kError):
@@ -310,8 +292,7 @@ def solve_lp(model: LPModel, k: int, c, hot: bool = False) -> LPResult:
     solution = h.getSolution()
     x = np.array(solution.col_value)
     fun = h.getObjectiveValue()
-    row_value = np.array(solution.row_value)
-    slack = model.row_upper[k] - (row_value[held[2]] if hot and len(held) > 2 else row_value)
+    slack = model.row_upper[k] - np.array(solution.row_value)
     tol = LP_CHECK_TOL
     feasible = not (
         np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()

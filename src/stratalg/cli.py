@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -310,6 +311,9 @@ _RI_TOL = _checked(float, lambda x: np.isfinite(x) and x > EQ_TOL, f"a finite nu
 _SLACK = _checked(float, lambda x: np.isfinite(x) and x >= 0, "a finite number >= 0")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _COUNT = _checked(int, lambda n: 1 <= n <= 2**16, "an integer in [1, 2**16]")
+# argparse reads a token that starts with a minus as an option unless it is
+# one negative number; the dual grid flags also take -1,-1 or -inf
+_NEGATIVE_LIST = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,6 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, *flags, **kwargs):
         p = sub.add_parser(name, parents=[scenario, *flags], **kwargs)
         p.set_defaults(handler=handler)
+        if dual in flags:
+            p._negative_number_matcher = _NEGATIVE_LIST
         return p
 
     add("basis", _cmd_basis, tol, generators, help="stratified rank partition of generators")

@@ -839,11 +839,12 @@ def argmin(
 
     The minimizer is unique on an atom when every axis of the bounding box
     of its near-optimal face (``f <= v* + STRICT_TOL * max(1, |v*|)``) is
-    at most ``tol * max(1, |xstar[axis]|)`` wide.  The epigraph LP runs
-    cold, and the box's 2·d LPs run hot from its basis; a hot LP that is
-    not optimal is solved again cold, and so is the axis pair of a width
-    within ``BOX_BAND`` of its threshold, so every fault and every verdict
-    near its threshold is a cold solve's.
+    at most ``tol * max(1, |xstar[axis]|)`` wide; ``LPModel.narrow`` bounds
+    the epigraph variable by that level.  The epigraph LP runs cold, and
+    the box's 2·d LPs run hot from its basis; a hot LP that is not optimal
+    is solved again cold, and so is the axis pair of a width within
+    ``BOX_BAND`` of its threshold, so every fault and every verdict near
+    its threshold is a cold solve's.
     """
     _check_space(f, c)
     if f.dim != c.dim:
@@ -870,21 +871,18 @@ def argmin(
             return c.points[k, 0], np.inf if res.status == 2 else -np.inf, False
         xstar = res.x[:d]
         vstar = float(res.fun)
-        # uniqueness: bounding box of the optimal face, the epigraph model
-        # cut by the row that reads this atom's optimum.  Only the box LPs'
-        # values are read, so they run hot from the optimum's basis; a hot
-        # LP that is not optimal, or a width within BOX_BAND of its
-        # threshold, is solved again cold, and the cold answer decides
-        face = lp.cut(k, c_obj, vstar + STRICT_TOL * max(1.0, abs(vstar)))
+        # uniqueness: the box of the near-optimal face; a hot LP that is not
+        # optimal, or a width near its threshold, is solved again cold
+        lp.narrow(k, d, vstar + STRICT_TOL * max(1.0, abs(vstar)))
 
         def width(axis: int, hot: bool) -> float:
             lohi = []
             for sign in (1.0, -1.0):
                 cc = np.zeros(lp.n)
                 cc[axis] = sign
-                r2 = solve_lp(face, 0, cc, hot=hot)
+                r2 = solve_lp(lp, k, cc, hot=hot)
                 if hot and r2.status:
-                    r2 = solve_lp(face, 0, cc)
+                    r2 = solve_lp(lp, k, cc)
                 if expect(r2, "unbounded").status == 3:  # an unbounded optimal face
                     return np.inf
                 lohi.append(float(r2.fun * sign))
@@ -1019,7 +1017,8 @@ def inf_convolution(fs: Sequence[GridFn]) -> InfConvResult:
     stage_args: list[np.ndarray] = []
     for j in range(1, len(fs)):
         nxt = np.full((K, n), np.inf)
-        args = np.zeros((K, n), dtype=np.int64)
+        # a node whose splittings are all +inf keeps its first, on the grid
+        args = np.tile(np.maximum(0, np.arange(n) + q - n + 1), (K, 1))
         for i in range(n):
             # acc at node i pairs with f at node j, landing at i + j - q
             lo, hi = max(0, i - q), min(n, i + n - q)
@@ -1115,11 +1114,10 @@ def infconv_checks(
     rows = np.arange(g.space.natoms)[:, None]
     gv = g.values
     glo, ghi, slack = _slope_intervals(gv, xs)
-    # nodes with a finite value and an attained finite splitting; split
-    # indices at +inf result nodes may point off the grid and are clipped
+    # nodes with a finite value and an attained finite splitting
     fing = np.isfinite(gv)
     live = fing.copy()
-    parts = [np.clip(idx, 0, len(xs) - 1) for idx in conv.split_indices]
+    parts = conv.split_indices
     ilo, ihi = -np.inf, np.inf
     for f, idx in zip(fs, parts):
         lo, hi, curv = (a[rows, idx] for a in _slope_intervals(f.values, xs))

@@ -471,7 +471,7 @@ class TestCliFailureModes:
             assert json.loads(out)["sets"]["member_set"] == [1, 1]
 
     @pytest.mark.parametrize("flag, value", [("--mins", "nan"), ("--maxs", "inf"),
-                                             ("--steps", "inf")])
+                                             ("--steps", "inf"), ("--mins", "-inf")])
     def test_non_finite_dual_grid(self, scenario_path, capsys, flag, value):
         grid = {"--mins": "-2", "--maxs": "2", "--steps": "0.5", flag: value}
         argv = ["conjugate", scenario_path, "--function", "gabs"]
@@ -904,13 +904,20 @@ def run_in_process(argv, capsys, monkeypatch):
      "function 'absmax' must be a grid function"),
     (["subgrad", "{scn}", "--function", "gabs", "--point", "x0"], 1,
      "function 'gabs' must be max-affine"),
+    (["conjugate", "{scn}", "--function", "absmax", "--mins", "-1,-1", "--maxs", "1,1",
+      "--steps", "1,1"], 0, None),
 ], ids=["pass", "malformed", "strict-failure", "unknown-flag", "help", "dual-grid-flags-apart",
-        "non-numeric-dual-grid", "max-affine-for-grid", "grid-for-max-affine"])
+        "non-numeric-dual-grid", "max-affine-for-grid", "grid-for-max-affine",
+        "negative-dual-grid-list"])
 def test_process_matches_main(scenario_path, capsys, monkeypatch, argv, code, message):
     argv = [a.format(scn=scenario_path) for a in argv]
     want = run_in_process(argv, capsys, monkeypatch)
     assert want[0] == code
     assert run_process(argv) == want
+    if "-1,-1" in argv:  # a negative list after its flag reads as joined to it by =
+        i = argv.index("-1,-1")
+        joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+        assert run_in_process(joined, capsys, monkeypatch) == want
     out, err = want[1:]
     if "--bogus" in argv:
         assert out == b"" and err.startswith("usage: stratalg") and "--bogus" in err

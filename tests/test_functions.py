@@ -855,6 +855,22 @@ class TestInfConvolution:
         parts = res.parts_at(8)
         assert np.array_equal(parts[0].values + parts[1].values, np.zeros((2, 1)))
 
+    def test_a_plus_inf_node_splits_on_the_grid(self, space2):
+        # the same square: every splitting of nodes 0, 1, 15 and 16 is
+        # +inf, and each takes the first pairing that lands on it (nodes 15
+        # and 16 had the off-grid indices 23 and 24)
+        g = Grid((-2.0,), (2.0,), (0.25,))
+        xs = g.axis(0)
+        f = GridFn(space2, g, np.array([np.where(np.abs(xs) <= 0.75, xs**2, np.inf), xs**2]))
+        res = inf_convolution([f, f])
+        first = np.maximum(0, np.arange(17) - 8)
+        dead = [0, 1, 15, 16]
+        assert np.isinf(res.value.values[0, dead]).all()
+        assert np.array_equal(res.split_indices[0][0, dead], first[dead])
+        assert np.array_equal(res.split_indices[1][0, dead], [8, 9, 16, 16])
+        for idx in res.split_indices:
+            assert 0 <= idx.min() and idx.max() < 17
+
     def test_splitting_reconstructs_value(self, rng):
         space = MeasureSpace(np.ones(1))
         g = self.grid()
@@ -1028,7 +1044,9 @@ def ref_defect(vals):
 
 def ref_inf_convolution(fs):
     """Per-atom ``(n, n)`` min-plus tables, ``argmin`` splittings unwound
-    node by node, and the midpoint defects: value, splits, in, out."""
+    node by node, and the midpoint defects: value, splits, in, out.  A
+    node where every splitting is ``+inf`` takes the first pairing that
+    lands on it."""
     (q,) = fs[0].grid.origin_offsets()
     K, n = fs[0].values.shape
     acc = fs[0].values.copy()
@@ -1038,13 +1056,15 @@ def ref_inf_convolution(fs):
         args = np.zeros((K, n), dtype=np.int64)
         for k in range(K):
             table = np.full((n, n), np.inf)
+            lands = np.zeros((n, n), dtype=bool)
             for i in range(n):
                 lo, hi = max(0, i - q), min(n, i + n - q)
                 if lo < hi:
                     js = np.arange(lo - i + q, hi - i + q)
                     table[i, lo:hi] = ext_add(np.full(js.size, acc[k, i]), f.values[k, js])
+                    lands[i, lo:hi] = True
             nxt[k] = table.min(axis=0)
-            args[k] = table.argmin(axis=0)
+            args[k] = np.where(nxt[k] < np.inf, table.argmin(axis=0), lands.argmax(axis=0))
         stage_args.append(args)
         acc = nxt
     splits = [np.zeros((K, n), dtype=np.int64) for _ in fs]

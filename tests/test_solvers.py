@@ -18,7 +18,8 @@ model, which only ``clearSolver`` gives.  argmin's uniqueness-box LPs run
 hot: they must match linprog's status and its ``fun`` to 1e-9 relative,
 give the verdicts of the cold-only loop (``ref_box_widths``), and solve a
 width within ``BOX_BAND`` of its threshold again cold.  The count of
-live HiGHS instances does not grow with the atom count.  Hand-made LPs
+live HiGHS instances does not grow with the atom count, and argmin over
+a bounded set builds its epigraph model alone.  Hand-made LPs
 cover the statuses and argument forms the call sites rarely reach.  A
 scipy release that changes the private HiGHS binding fails here.
 
@@ -651,6 +652,44 @@ def test_live_highs_instances_do_not_grow_with_the_atom_count(monkeypatch):
             peaks.setdefault(name, []).append(live[1])
     assert all(lo == hi for lo, hi in peaks.values()), peaks
     assert max(hi for _, hi in peaks.values()) <= 2, peaks
+
+
+def test_argmin_over_a_bounded_set_builds_one_model(monkeypatch):
+    # each atom's near-optimal face is its epigraph model with a lowered
+    # bound on s (LPModel.narrow), and a bounded set has no recession LPs,
+    # so argmin builds the epigraph model alone, whatever the atom count
+    built = []
+    init = LPModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LPModel, "__init__", counted)
+    for seed in range(3):
+        f, c = argmin_box_data(seed)
+        built.clear()
+        assert argmin(f, c).value.values.size == 4
+        assert len(built) == 1, seed
+
+
+def test_narrow_lowers_one_bound_in_the_stacks_and_the_instance():
+    # x0 + x1 <= 2, x >= 0 on two atoms of a read-only box: narrowing the
+    # held atom changes the instance in place, narrowing the other one
+    # reaches it at its next load, and the caller's box stays as it was
+    box = np.broadcast_to([0.0, np.inf], (2, 2, 2))
+    model = LPModel(np.ones((2, 1, 2)), np.full((2, 1), 2.0), np.zeros((2, 0, 2)),
+                    np.zeros((2, 0)), box)
+    c = np.array([-1.0, 0.0])
+    assert solve_lp(model, 0, c).fun == -2.0
+    model.narrow(0, 0, 1.0)
+    model.narrow(1, 0, 0.5)
+    assert model.held == 0 and solve_lp(model, 0, c, hot=True).fun == -1.0
+    assert box[0, 0, 1] == np.inf
+    for k, want in ((0, -1.0), (1, -0.5), (0, -1.0)):
+        res = solve_lp(model, k, c)
+        ref = linprog(c, method="highs", options=LINPROG_OPTIONS, **linprog_form(model, k))
+        assert res.fun == want == ref.fun and res.x.tobytes() == ref.x.tobytes()
 
 
 def assert_solves_nnls(A, b):
